@@ -8,10 +8,10 @@ this script is the human-readable roll-up recorded in EXPERIMENTS.md.
 
 Run:  python benchmarks/report.py
 
-``python benchmarks/report.py --fleet`` instead renders the serial,
-parallel, and wire sections of ``benchmarks/BENCH_fleet.json`` (written
-by ``test_bench_fleet.py`` / ``test_bench_ipc.py``) as one comparison
-table, so fleet perf regressions are readable straight from CI logs.
+``python benchmarks/report.py --fleet`` instead renders
+``benchmarks/BENCH_fleet.json`` (written by ``test_bench_fleet.py``) as
+one comparison table, so fleet perf regressions are readable straight
+from CI logs.
 ``--delta`` does the same for ``benchmarks/BENCH_delta.json`` (written
 by ``test_bench_delta.py``): the elasticity ladder and the small-delta
 plan-fraction bar against the 1000-replica fleet.
@@ -406,16 +406,6 @@ def e11_e12() -> None:
 FLEET_RESULTS = pathlib.Path(__file__).parent / "BENCH_fleet.json"
 
 
-def _fmt_bytes(count) -> str:
-    if count is None:
-        return "-"
-    if count >= 1 << 20:
-        return f"{count / (1 << 20):.1f}MiB"
-    if count >= 1 << 10:
-        return f"{count / (1 << 10):.1f}KiB"
-    return f"{count}B"
-
-
 def _fleet_serial(data: dict) -> None:
     serial = data.get("serial")
     if not serial:
@@ -434,66 +424,12 @@ def _fleet_serial(data: dict) -> None:
               f"{size['speedup']:>7.2f}x")
 
 
-def _fleet_parallel(data: dict) -> None:
-    parallel = data.get("parallel")
-    if not parallel:
-        print("  (no parallel section -- run test_bench_fleet.py)")
-        return
-    enforced = "enforced" if parallel.get("floor_enforced") else (
-        f"recorded only ({data.get('cores')} cores)")
-    print(f"  speedup floor at 4 workers: "
-          f"{parallel.get('speedup_floor_at_4_workers')}x ({enforced})")
-    print(f"  best observed throughput: "
-          f"{parallel.get('ceiling_nodes_per_sec'):.0f} nodes/sec")
-    print(f"  {'nodes':>7} {'wkrs':>5} {'seconds':>9} {'n/s':>9} "
-          f"{'vs 1wkr':>8} {'reply':>9} {'dispatch':>9} {'solve ms':>9} "
-          f"{'prop ms':>8}")
-    for size in parallel.get("sizes", []):
-        print(f"  {size['nodes']:>7} {'ser':>5} "
-              f"{size['serial_seconds']:>9.3f} "
-              f"{size['serial_nodes_per_sec']:>9.0f} "
-              f"{'-':>8} {'-':>9} {'-':>9} {'-':>9} {'-':>8}")
-        for run in size.get("workers", []):
-            wire = run.get("wire_bytes") or {}
-            stage = run.get("stage_ms") or {}
-            print(f"  {size['nodes']:>7} {run['workers']:>5} "
-                  f"{run['seconds']:>9.3f} "
-                  f"{run['nodes_per_sec']:>9.0f} "
-                  f"{run['speedup_vs_1_worker']:>7.2f}x "
-                  f"{_fmt_bytes(wire.get('reply')):>9} "
-                  f"{stage.get('dispatch', '-'):>9} "
-                  f"{stage.get('solve', '-'):>9} "
-                  f"{stage.get('propagate', '-'):>8}")
-
-
-def _fleet_wire(data: dict) -> None:
-    wire = data.get("wire")
-    if not wire:
-        print("  (no wire section -- run test_bench_ipc.py)")
-        return
-    print(f"  {wire['nodes']} nodes / {wire['components']} components / "
-          f"{wire['workers']} workers; warm floor "
-          f"{wire['reduction_floor_warm']}x")
-    print(f"  {'path':<6} {'reply':>10} {'legacy':>10} {'cut':>7} "
-          f"{'request':>10} {'largest':>9}")
-    for path in ("cold", "warm"):
-        row_data = wire.get(path)
-        if not row_data:
-            continue
-        print(f"  {path:<6} {_fmt_bytes(row_data['reply_bytes']):>10} "
-              f"{_fmt_bytes(row_data['legacy_reply_bytes']):>10} "
-              f"{row_data['reduction']:>6.1f}x "
-              f"{_fmt_bytes(row_data['request_bytes']):>10} "
-              f"{_fmt_bytes(row_data['largest_reply_bytes']):>9}")
-
-
 def fleet_report() -> int:
     """Render BENCH_fleet.json as one table (the --fleet mode)."""
     if not FLEET_RESULTS.exists():
         print(f"no results at {FLEET_RESULTS}; run the fleet benchmarks "
               f"first:\n  PYTHONPATH=src python -m pytest "
-              f"benchmarks/test_bench_fleet.py benchmarks/test_bench_ipc.py "
-              f"-o addopts=")
+              f"benchmarks/test_bench_fleet.py -o addopts=")
         return 1
     data = json.loads(FLEET_RESULTS.read_text(encoding="utf-8"))
     print("fleet configuration benchmarks "
@@ -501,10 +437,6 @@ def fleet_report() -> int:
     print("=" * 68)
     header("F1", "serial: partitioned vs monolithic")
     _fleet_serial(data)
-    header("F2", "parallel: worker matrix")
-    _fleet_parallel(data)
-    header("F3", "wire: compact protocol vs legacy replies")
-    _fleet_wire(data)
     print()
     return 0
 

@@ -1,24 +1,17 @@
-"""Fleet-scale configuration: partitioned and parallel solving.
+"""Fleet-scale configuration: partitioned solving.
 
-Two claims, one results file (``benchmarks/BENCH_fleet.json``):
+One claim, one results file (``benchmarks/BENCH_fleet.json``): on a
+fleet whose GraphGen hypergraph splits into one component per machine,
+solving the components independently and merging the decoded specs
+beats the monolithic pipeline super-linearly -- the decode/propagate
+passes are quadratic in nodes, so ``k`` components of ``n/k`` nodes cost
+roughly ``1/k`` of the monolithic run.  Asserts >= 3x at the largest
+measured size.  ``cores`` is recorded beside the rows.
 
-* **serial**: on a fleet whose GraphGen hypergraph splits into one
-  component per machine, solving the components independently and
-  merging the decoded specs beats the monolithic pipeline
-  super-linearly -- the decode/propagate passes are quadratic in nodes,
-  so ``k`` components of ``n/k`` nodes cost roughly ``1/k`` of the
-  monolithic run.  Asserts >= 3x at the largest measured size.
-* **parallel**: fanning those components out across a process pool
-  (``workers=N``) multiplies partitioned throughput again.  Measures a
-  1/2/4/8 worker matrix at 8k nodes (16k/32k and a ~100k stretch run
-  are ``slow``-marked), asserts bit-identical output at every worker
-  count, and asserts >= 2x at 4 workers over ``workers=1`` -- a floor
-  that is only *enforced* when the machine actually has >= 4 cores
-  (``cores`` is recorded in the JSON either way, so a single-core run
-  still produces honest numbers instead of a vacuous pass).
-
-The file is written read-modify-write so the serial and parallel tests
-can run in any order (or alone) without clobbering each other's rows.
+(The process-pool worker matrix that used to share this file lost to
+this in-process path on every recorded run and was deleted with the
+pool; docs/INTERNALS.md, "Why there is no process pool", keeps its
+numbers.)
 """
 
 from __future__ import annotations
@@ -27,8 +20,6 @@ import json
 import os
 import pathlib
 import time
-
-import pytest
 
 from repro.config import ConfigurationEngine
 from repro.dsl import full_to_json
@@ -40,22 +31,6 @@ SIZES = ((96, 32), (384, 128), (768, 256))
 #: Floor asserted at the largest serial size (>=3x at >=512 nodes).
 SPEEDUP_FLOOR = 3.0
 
-#: The worker matrix of the parallel benchmark (0 = serial in-process,
-#: kept as the equivalence baseline row).
-WORKER_MATRIX = (1, 2, 4, 8)
-
-#: (replicas, machines) -> roughly 8192 graph nodes (16 nodes/machine).
-PARALLEL_SIZES = ((1536, 512),)
-
-#: Slow-marked extensions: ~16k and ~32k nodes.
-PARALLEL_SIZES_SLOW = ((3072, 1024), (6144, 2048))
-
-#: The ~100k-node stretch run (slow-marked; workers 1 and 4 only).
-STRETCH_SIZE = (18750, 6250)
-
-#: Floor at 4 workers vs workers=1, enforced only on >=4-core machines.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-
 RESULTS_PATH = pathlib.Path(__file__).parent / "BENCH_fleet.json"
 
 
@@ -66,23 +41,13 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _update_results(section: str, payload: dict) -> dict:
-    """Merge ``section`` into the shared results file and return it."""
-    data: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            data = {}
-    if "sizes" in data:  # pre-parallel single-section format
-        data = {}
-    data["benchmark"] = "fleet_configure"
-    data["cores"] = _cores()
-    data[section] = payload
+def _write_results(serial: dict) -> None:
+    data = {
+        "benchmark": "fleet_configure", "cores": _cores(), "serial": serial,
+    }
     RESULTS_PATH.write_text(
         json.dumps(data, indent=2) + "\n", encoding="utf-8"
     )
-    return data
 
 
 def _timed(engine: ConfigurationEngine, partial):
@@ -121,10 +86,7 @@ def test_partitioned_fleet_speedup(registry):
         })
 
     largest = rows[-1]
-    _update_results("serial", {
-        "speedup_floor": SPEEDUP_FLOOR,
-        "sizes": rows,
-    })
+    _write_results({"speedup_floor": SPEEDUP_FLOOR, "sizes": rows})
 
     assert largest["nodes"] >= 512
     assert largest["speedup"] >= SPEEDUP_FLOOR, (
@@ -135,149 +97,3 @@ def test_partitioned_fleet_speedup(registry):
     assert [r["speedup"] for r in rows] == sorted(
         r["speedup"] for r in rows
     )
-
-
-def _bench_worker_matrix(registry, sizes, matrix) -> list[dict]:
-    """One row per size: the worker matrix, with equivalence asserted."""
-    rows = []
-    for replicas, machines in sizes:
-        topology = FleetTopology(replicas=replicas, machines=machines)
-        partial = fleet_partial(topology)
-
-        serial_engine = ConfigurationEngine(
-            registry, partition=True, verify_registry=False
-        )
-        serial_seconds, serial = _timed(serial_engine, partial)
-        expected = full_to_json(serial.spec)
-        nodes = len(serial.graph)
-
-        runs = []
-        base_seconds = None
-        for workers in matrix:
-            engine = ConfigurationEngine(
-                registry, partition=True, workers=workers,
-                verify_registry=False,
-            )
-            try:
-                seconds, result = _timed(engine, partial)
-            finally:
-                engine.close()
-            assert full_to_json(result.spec) == expected, (
-                f"workers={workers} output differs from serial "
-                f"partitioned at {nodes} nodes"
-            )
-            assert result.partition is not None
-            assert result.partition.workers == workers
-            if base_seconds is None:
-                base_seconds = seconds
-            run_row = {
-                "workers": workers,
-                "seconds": round(seconds, 4),
-                "nodes_per_sec": round(nodes / seconds, 1),
-                "speedup_vs_1_worker": round(base_seconds / seconds, 2),
-            }
-            wire = result.partition.wire
-            if wire is not None:
-                components = result.partition.components
-                run_row["wire_bytes"] = {
-                    "reply": wire.reply_bytes,
-                    "request": wire.request_bytes,
-                    "reply_frames": wire.reply_frames,
-                    "largest_reply": wire.largest_reply_bytes,
-                }
-                run_row["stage_ms"] = {
-                    "dispatch": round(wire.dispatch_ms, 2),
-                    "recv_wait": round(wire.recv_wait_ms, 2),
-                    "encode": round(
-                        sum(c.encode_ms for c in components), 2
-                    ),
-                    "solve": round(
-                        sum(c.solve_ms for c in components), 2
-                    ),
-                    "decode": round(
-                        sum(c.decode_ms for c in components), 2
-                    ),
-                    "propagate": round(
-                        sum(c.propagate_ms for c in components), 2
-                    ),
-                }
-            runs.append(run_row)
-        rows.append({
-            "replicas": replicas,
-            "machines": machines,
-            "nodes": nodes,
-            "components": machines,
-            "serial_seconds": round(serial_seconds, 4),
-            "serial_nodes_per_sec": round(nodes / serial_seconds, 1),
-            "workers": runs,
-        })
-    return rows
-
-
-def _finish_parallel(rows: list[dict]) -> None:
-    """Merge ``rows`` into the results file and enforce the floor."""
-    data: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            data = {}
-    existing = data.get("parallel", {}).get("sizes", [])
-    by_nodes = {row["nodes"]: row for row in existing}
-    for row in rows:
-        by_nodes[row["nodes"]] = row
-    merged = [by_nodes[nodes] for nodes in sorted(by_nodes)]
-    # Best observed configure throughput across every pipeline
-    # (serial partitioned included) -- the documented nodes/sec ceiling.
-    ceiling = max(
-        max(run["nodes_per_sec"] for run in row["workers"])
-        if row["workers"] else 0.0
-        for row in merged
-    )
-    ceiling = max(
-        ceiling, max(row["serial_nodes_per_sec"] for row in merged)
-    )
-    cores = _cores()
-    _update_results("parallel", {
-        "speedup_floor_at_4_workers": PARALLEL_SPEEDUP_FLOOR,
-        "floor_enforced": cores >= 4,
-        "ceiling_nodes_per_sec": ceiling,
-        "sizes": merged,
-    })
-    for row in rows:
-        four = next(
-            (r for r in row["workers"] if r["workers"] == 4), None
-        )
-        if four is None:
-            continue
-        if cores >= 4:
-            assert four["speedup_vs_1_worker"] >= PARALLEL_SPEEDUP_FLOOR, (
-                f"only {four['speedup_vs_1_worker']}x at 4 workers / "
-                f"{row['nodes']} nodes on {cores} cores "
-                f"(floor {PARALLEL_SPEEDUP_FLOOR}x): {row}"
-            )
-
-
-def test_parallel_fleet_worker_matrix(registry):
-    """The 1/2/4/8 worker matrix at ~8k nodes (acceptance benchmark)."""
-    rows = _bench_worker_matrix(registry, PARALLEL_SIZES, WORKER_MATRIX)
-    assert rows[0]["nodes"] >= 8192
-    _finish_parallel(rows)
-
-
-@pytest.mark.slow
-def test_parallel_fleet_worker_matrix_large(registry):
-    """The slow 16k/32k extension of the worker matrix."""
-    rows = _bench_worker_matrix(
-        registry, PARALLEL_SIZES_SLOW, WORKER_MATRIX
-    )
-    assert rows[-1]["nodes"] >= 32768
-    _finish_parallel(rows)
-
-
-@pytest.mark.slow
-def test_parallel_fleet_stretch_100k(registry):
-    """The ~100k-node stretch run (workers 1 and 4 only)."""
-    rows = _bench_worker_matrix(registry, (STRETCH_SIZE,), (1, 4))
-    assert rows[0]["nodes"] >= 100000
-    _finish_parallel(rows)

@@ -97,11 +97,6 @@ def _run_stats(path: str, result) -> dict:
             "count": info.count,
             "largest": info.largest,
             "partition_ms": info.partition_ms,
-            "workers": info.workers,
-            "wire": (
-                dataclasses.asdict(info.wire)
-                if info.wire is not None else None
-            ),
             "components": [
                 dataclasses.asdict(component)
                 for component in info.components
@@ -122,17 +117,6 @@ def _write_stats_json(path: str, runs: list, out: TextIO) -> None:
 def cmd_configure(args, out: TextIO) -> int:
     registry = _build_registry(args)
     paths = args.partial
-    workers = args.workers
-    if workers is not None and args.partition is False:
-        out.write(
-            "error: --workers requires partitioned configuration "
-            "(drop --no-partition)\n"
-        )
-        return 2
-    partition = (
-        bool(args.partition) if args.partition is not None
-        else workers is not None
-    )
     runs: list = []
     if not args.session:
         if len(paths) > 1 or args.repeat != 1:
@@ -141,14 +125,10 @@ def cmd_configure(args, out: TextIO) -> int:
             )
             return 2
         partial = _read_partial(paths[0])
-        engine = ConfigurationEngine(
+        result = ConfigurationEngine(
             registry, verify_registry=not args.no_verify,
-            partition=partition, workers=workers,
-        )
-        try:
-            result = engine.configure(partial)
-        finally:
-            engine.close()
+            partition=args.partition,
+        ).configure(partial)
         if args.stats_json:
             _write_stats_json(
                 args.stats_json, [_run_stats(paths[0], result)], out
@@ -160,41 +140,34 @@ def cmd_configure(args, out: TextIO) -> int:
     partials = [_read_partial(path) for path in paths]
     session = ConfigurationSession(
         registry, verify_registry=not args.no_verify,
-        partition=partition, workers=workers,
+        partition=args.partition,
     )
     result = None
-    try:
-        for round_number in range(args.repeat):
-            for path, partial in zip(paths, partials):
-                result = session.configure(partial)
-                if args.stats_json:
-                    runs.append(_run_stats(path, result))
-                cache = result.cache
-                flags = ", ".join(
-                    name
-                    for name, on in (
-                        ("graph-hit", cache.graph_hit),
-                        ("cnf-hit", cache.cnf_hit),
-                        ("solver-reused", cache.solver_reused),
-                        ("spec-reused", cache.typecheck_skipped),
-                    )
-                    if on
-                ) or "cold"
-                components = ""
-                if result.partition is not None:
-                    components = f", {result.partition.count} components"
-                    if result.partition.workers:
-                        components += (
-                            f" on {result.partition.workers} workers"
-                        )
-                out.write(
-                    f"[{round_number + 1}] {path}: "
-                    f"{len(result.spec)} instances "
-                    f"in {result.timings.total_ms:.2f} ms "
-                    f"({flags}{components})\n"
+    for round_number in range(args.repeat):
+        for path, partial in zip(paths, partials):
+            result = session.configure(partial)
+            if args.stats_json:
+                runs.append(_run_stats(path, result))
+            cache = result.cache
+            flags = ", ".join(
+                name
+                for name, on in (
+                    ("graph-hit", cache.graph_hit),
+                    ("cnf-hit", cache.cnf_hit),
+                    ("solver-reused", cache.solver_reused),
+                    ("spec-reused", cache.typecheck_skipped),
                 )
-    finally:
-        session.close()
+                if on
+            ) or "cold"
+            components = ""
+            if result.partition is not None:
+                components = f", {result.partition.count} components"
+            out.write(
+                f"[{round_number + 1}] {path}: "
+                f"{len(result.spec)} instances "
+                f"in {result.timings.total_ms:.2f} ms "
+                f"({flags}{components})\n"
+            )
     stats = session.stats
     out.write(
         f"session: {stats.configure_calls} calls, "
@@ -220,12 +193,9 @@ def _write_full_spec(result, args, out: TextIO) -> int:
         )
         if result.partition is not None:
             info = result.partition
-            pool = (
-                f" on {info.workers} workers" if info.workers else ""
-            )
             out.write(
                 f"partitioned: {info.count} components "
-                f"(largest {info.largest} nodes){pool}\n"
+                f"(largest {info.largest} nodes)\n"
             )
     else:
         out.write(text)
@@ -1077,19 +1047,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --session: configure each partial spec N times",
     )
     configure.add_argument(
-        "--partition", dest="partition", action="store_true", default=None,
+        "--partition", dest="partition", action="store_true", default=False,
         help="split the hypergraph into connected components and solve "
         "each independently (bit-identical result, faster on fleets)",
     )
     configure.add_argument(
         "--no-partition", dest="partition", action="store_false",
         help="force the monolithic single-formula pipeline (default)",
-    )
-    configure.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="solve the partitioned components on a persistent process "
-        "pool of N workers (0 = one per core; implies --partition; "
-        "bit-identical result)",
     )
     configure.add_argument(
         "--stats-json", dest="stats_json", metavar="FILE",

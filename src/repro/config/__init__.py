@@ -27,28 +27,15 @@ from repro.config.hypergraph import (
     lower_alternatives,
 )
 from repro.config.fingerprint import canonical_form, fingerprint_partial
-from repro.config.parallel import (
-    ComponentOutcome,
-    RemoteTraceback,
-    WireStats,
-    WorkerPool,
-    decode_component_model,
-    lpt_assignment,
-    resolve_workers,
-)
 from repro.config.propagation import propagate
 from repro.config.session import ConfigurationSession, SessionStats
 from repro.config.typecheck import check_spec, spec_problems
 
 __all__ = [
-    "ComponentOutcome",
     "ConfigurationEngine",
     "ConfigurationResult",
     "ConfigurationSession",
     "ConstraintStats",
-    "RemoteTraceback",
-    "WireStats",
-    "WorkerPool",
     "GraphNode",
     "HyperEdge",
     "PhaseTimings",
@@ -58,7 +45,6 @@ __all__ = [
     "UnsatExplanation",
     "canonical_form",
     "check_spec",
-    "decode_component_model",
     "explain_message",
     "explain_unsat",
     "fact_literals",
@@ -66,9 +52,7 @@ __all__ = [
     "generate_constraints",
     "generate_graph",
     "lower_alternatives",
-    "lpt_assignment",
     "propagate",
-    "resolve_workers",
     "selected_nodes",
     "spec_problems",
 ]

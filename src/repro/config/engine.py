@@ -6,44 +6,64 @@ hypergraph (``GraphGen``) -> Boolean constraints (``Generate``) -> SAT
 specification.  Theorem 1 justifies raising
 :class:`~repro.core.errors.UnsatisfiableError` when the solver says no.
 
+There is one pipeline, over a list of graph components:
+:func:`configure_component` takes a single component from encoding to a
+typechecked specification, and :meth:`ConfigurationEngine.run` maps it
+over the list, merges, aggregates the stats and emits the trace.  The
+list is the connected components of the hypergraph with
+``partition=True`` and the whole graph as its only member otherwise, so
+monolithic configuration is the one-component case of the same code.
+:class:`~repro.config.session.ConfigurationSession` runs the same two
+functions over component entries it keeps between calls.
+
 Every result carries :class:`PhaseTimings` so callers (benchmarks, the
-CLI, :class:`~repro.config.session.ConfigurationSession`) can see where
-a query spent its time without re-instrumenting the pipeline.
+CLI) can see where a query spent its time without re-instrumenting the
+pipeline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.errors import ConfigurationError, UnsatisfiableError
-from repro.core.instances import InstallSpec, PartialInstallSpec
+from repro.core.instances import (
+    InstallSpec,
+    PartialInstallSpec,
+    ResourceInstance,
+)
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
 from repro.config.constraints import (
     ConstraintStats,
+    fact_literals,
     generate_constraints,
     selected_nodes,
 )
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import (
     ComponentStats,
-    Partition,
+    GraphComponent,
     PartitionInfo,
     merge_component_specs,
     partition_graph,
+    whole_graph_component,
 )
 from repro.config.propagation import propagate
 from repro.config.typecheck import check_spec
 from repro.sat.cnf import CnfFormula
 from repro.sat.encodings import ExactlyOneEncoding
-from repro.sat.solver import CdclSolver, DpllSolver, SolverStats
+from repro.sat.solver import CdclSolver, SolverStats
 
 
 @dataclass
 class PhaseTimings:
-    """Wall-clock milliseconds spent in each pipeline phase."""
+    """Wall-clock milliseconds spent in each pipeline phase.
+
+    ``encode_ms``/``solve_ms``/``propagate_ms`` are sums over the
+    components (``propagate_ms`` also covers the final merge).
+    """
 
     graph_ms: float = 0.0
     #: Connected-component split; 0 on the monolithic path.
@@ -51,13 +71,6 @@ class PhaseTimings:
     encode_ms: float = 0.0
     solve_ms: float = 0.0
     propagate_ms: float = 0.0
-    #: Wall-clock time of the process-pool dispatch+collect, 0 when the
-    #: components ran in-process.  Deliberately *not* part of
-    #: :attr:`total_ms`: encode/solve/propagate already account the same
-    #: work as per-component sums, so ``total_ms`` stays comparable
-    #: across serial and parallel runs (CPU-time-like), while this field
-    #: is what the wall clock actually saw.
-    parallel_wall_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -69,13 +82,23 @@ class PhaseTimings:
 
 @dataclass
 class SessionCacheInfo:
-    """Per-call cache outcome, populated by ``ConfigurationSession``."""
+    """Per-call cache outcome of a ``ConfigurationSession`` call.
+
+    The session fills the fingerprint and the graph verdict; the
+    pipeline fills the rest from what each component reported.
+    """
 
     fingerprint: str = ""
     graph_hit: bool = False
+    #: No component had to be encoded.
     cnf_hit: bool = False
+    #: Some component was answered by a solver kept from an earlier call.
     solver_reused: bool = False
+    #: Every component's decoded outcome had been propagated and
+    #: typechecked before, so neither ran.
     typecheck_skipped: bool = False
+    solvers_built: int = 0
+    solvers_reused: int = 0
 
 
 @dataclass
@@ -84,7 +107,7 @@ class ConfigurationResult:
 
     spec: InstallSpec
     graph: ResourceGraph
-    #: The monolithic CNF encoding; None on the partitioned path, which
+    #: The whole-graph CNF encoding; None on the partitioned path, which
     #: builds one formula per component instead (their aggregated sizes
     #: are in :attr:`constraint_stats` and match the monolithic ones).
     formula: Optional[CnfFormula]
@@ -129,6 +152,117 @@ def canonical_model(
     return deterministic.model()
 
 
+class ComponentEntry:
+    """One component's encoding, solver and verified outcomes.
+
+    The engine builds these fresh for every call and drops them; a
+    session keeps them (``keep=True``), which is the whole difference
+    between the two: a kept entry states the partial-spec facts as
+    assumption literals, so its clause database holds only graph
+    structure and its :class:`CdclSolver` -- learned clauses,
+    activities, saved phases -- can answer every later call.
+    """
+
+    __slots__ = (
+        "component", "keep", "formula", "constraint_stats", "assumptions",
+        "solver", "canonical", "verified",
+    )
+
+    def __init__(self, component: GraphComponent, *, keep: bool) -> None:
+        self.component = component
+        self.keep = keep
+        self.formula: Optional[CnfFormula] = None
+        self.constraint_stats: Optional[ConstraintStats] = None
+        self.assumptions: list[int] = []
+        self.solver: Optional[CdclSolver] = None
+        #: The canonical model; the assumptions are fixed per entry, so
+        #: it never changes once computed.
+        self.canonical: Optional[dict[int, bool]] = None
+        #: (deployed, choices) outcome -> the propagated (and, when
+        #: enabled, typechecked) instances in install order, reused as
+        #: they are (frozen dataclasses) inside a fresh container.
+        self.verified: dict[tuple, tuple] = {}
+
+
+@dataclass
+class ComponentRun:
+    """What :func:`configure_component` did with one component."""
+
+    stats: ComponentStats
+    encoded: bool
+    solver_reused: bool
+    spec_reused: bool = False
+    #: The component's instances in install order -- the specification
+    #: just propagated, or the tuple verified for this outcome earlier;
+    #: None when the component is unsatisfiable.
+    instances: Optional[Iterable[ResourceInstance]] = None
+    model: dict[str, bool] = field(default_factory=dict)
+    deployed: set[str] = field(default_factory=set)
+
+
+def configure_component(
+    registry: ResourceTypeRegistry,
+    entry: ComponentEntry,
+    *,
+    encoding: ExactlyOneEncoding,
+    check_types: bool,
+) -> ComponentRun:
+    """Encode, solve, decode, propagate and typecheck one component.
+
+    Whatever ``entry`` already holds is reused and whatever it lacks is
+    built and left on it; the timings are this call's own.
+    """
+    graph = entry.component.graph
+    started = time.perf_counter()
+    encoded = entry.formula is None
+    if encoded:
+        entry.formula, entry.constraint_stats = generate_constraints(
+            graph, encoding, facts_as_assumptions=entry.keep
+        )
+        if entry.keep:
+            entry.assumptions = sorted(
+                fact_literals(graph, entry.formula).values()
+            )
+    encode_done = time.perf_counter()
+    solver_reused = entry.solver is not None
+    if not solver_reused:
+        entry.solver = CdclSolver(entry.formula)
+    formula, solver = entry.formula, entry.solver
+    stats = ComponentStats(
+        index=entry.component.index,
+        nodes=len(graph),
+        edges=len(graph.edges()),
+        pinned=len(entry.component.pinned),
+    )
+    run = ComponentRun(stats, encoded, solver_reused)
+    if not solver.solve(entry.assumptions):
+        return run
+    if entry.canonical is None:
+        entry.canonical = canonical_model(formula, solver, entry.assumptions)
+    run.model = {
+        str(name): value
+        for name, value in formula.decode_model(entry.canonical).items()
+    }
+    solve_done = time.perf_counter()
+    run.deployed, choices = selected_nodes(graph, run.model)
+    outcome = (frozenset(run.deployed), tuple(sorted(choices.items())))
+    run.instances = entry.verified.get(outcome)
+    run.spec_reused = run.instances is not None
+    if not run.spec_reused:
+        spec = propagate(registry, graph, run.deployed, choices)
+        if check_types:
+            check_spec(registry, spec)
+        run.instances = spec
+        entry.verified[outcome] = tuple(spec)
+    if encoded:  # a cached encoding cost this call nothing, not one tick
+        stats.encode_ms = (encode_done - started) * 1000.0
+    stats.solve_ms = (solve_done - encode_done) * 1000.0
+    stats.propagate_ms = (time.perf_counter() - solve_done) * 1000.0
+    stats.decisions = solver.stats.decisions
+    stats.conflicts = solver.stats.conflicts
+    return run
+
+
 def raise_unsatisfiable(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
@@ -138,7 +272,7 @@ def raise_unsatisfiable(
     partition: bool = False,
 ) -> None:
     """Raise the Theorem 1 :class:`UnsatisfiableError`, optionally with a
-    minimal-conflict explanation (shared by engine and session).
+    minimal-conflict explanation computed over ``graph``.
 
     ``partition`` selects the component-narrowed MUS computation in
     :mod:`repro.config.explain`; the resulting diagnosis is byte-identical
@@ -151,7 +285,9 @@ def raise_unsatisfiable(
     if explain:
         from repro.config.explain import explain_unsat
 
-        explanation = explain_unsat(registry, partial, partition=partition)
+        explanation = explain_unsat(
+            registry, partial, partition=partition, graph=graph
+        )
         if explanation is not None:
             message += "\n" + explanation.message(graph)
     raise UnsatisfiableError(message)
@@ -163,8 +299,7 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
     Wall-clock milliseconds are mapped onto the simulated timeline as
     seconds (ms -> s) so the spans are visible at trace scale; the real
     measurement is preserved in each span's ``wall_ms`` argument and in
-    the ``config.<phase>_ms`` histograms.  Shared by the engine and the
-    session so both produce the same event shape.
+    the ``config.<phase>_ms`` histograms.
     """
     if tracer is None:
         return
@@ -188,23 +323,28 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
         tracer.metrics.histogram(f"config.{name}_ms").observe(wall_ms)
         start += duration
     if partition is not None:
-        # One span per component on its own sub-lane, so a fleet-sized
-        # configure shows where each machine group spent its time.  The
-        # component index and node count ride along as args (the span
-        # name alone is not machine-filterable in Perfetto), plus the
-        # worker id when a process pool solved the component.
-        if partition.workers and partition.wire is not None:
-            component_end = _emit_streamed_component_spans(
-                tracer, partition, start
+        # One span per component, stacked in the order they ran, so a
+        # fleet-sized configure shows where each machine group spent its
+        # time.  The component index and node count ride along as args
+        # (the span name alone is not machine-filterable in Perfetto).
+        for component in partition.components:
+            wall_ms = (
+                component.encode_ms + component.solve_ms
+                + component.propagate_ms
             )
-        else:
-            component_end = _emit_serial_component_spans(
-                tracer, partition, start
+            duration = wall_ms / 1000.0
+            tracer.span(
+                f"configure:component[{component.index}]",
+                category="config", start=start, duration=duration,
+                lane="config", wall_ms=round(wall_ms, 3),
+                component=component.index, nodes=component.nodes,
+                edges=component.edges, pinned=component.pinned,
+                decisions=component.decisions,
+                conflicts=component.conflicts,
             )
+            tracer.metrics.histogram("config.component_ms").observe(wall_ms)
+            start += duration
         tracer.metrics.histogram("config.components").observe(partition.count)
-        if partition.workers:
-            tracer.metrics.counter("config.parallel_configures").inc()
-        start = max(start, component_end)
     if cache is not None:
         tracer.instant(
             "cache", category="config", timestamp=start, lane="config",
@@ -214,118 +354,6 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
         )
 
 
-def _emit_serial_component_spans(tracer, partition, start) -> float:
-    """Per-component spans for the in-process pipeline: components ran
-    one after another, so the spans are stacked sequentially."""
-    component_start = start
-    for component in partition.components:
-        wall_ms = (
-            component.encode_ms + component.solve_ms
-            + component.propagate_ms
-        )
-        duration = wall_ms / 1000.0
-        args = dict(
-            wall_ms=round(wall_ms, 3), component=component.index,
-            nodes=component.nodes, edges=component.edges,
-            pinned=component.pinned, decisions=component.decisions,
-            conflicts=component.conflicts,
-        )
-        if component.worker >= 0:
-            args["worker"] = component.worker
-        tracer.span(
-            f"configure:component[{component.index}]",
-            category="config", start=component_start, duration=duration,
-            lane="config", **args,
-        )
-        tracer.metrics.histogram("config.component_ms").observe(wall_ms)
-        component_start += duration
-    return component_start
-
-
-def _emit_streamed_component_spans(tracer, partition, start) -> float:
-    """Per-component spans for the process-pool pipeline, laid out on
-    the *real* dispatch-relative timeline.
-
-    Each component's reply arrival (``recv_ms``) anchors its spans: the
-    worker-measured encode/solve spans end at the arrival, the
-    parent-side decode/propagate spans begin there.  Because the parent
-    decodes streamed replies while other workers are still solving,
-    decode/propagate spans of early components visibly *overlap* the
-    solve spans of late ones -- the signature of streamed collection.
-    Spans are emitted in component-index order (deterministic), not
-    arrival order.
-    """
-    wire = partition.wire
-    tracer.span(
-        "configure:dispatch", category="config", start=start,
-        duration=wire.dispatch_ms / 1000.0, lane="config",
-        wall_ms=round(wire.dispatch_ms, 3),
-        request_bytes=wire.request_bytes,
-    )
-    tracer.metrics.histogram("config.wire_reply_bytes").observe(
-        wire.reply_bytes
-    )
-    tracer.metrics.histogram("config.wire_reply_frames").observe(
-        wire.reply_frames
-    )
-    end = start + wire.dispatch_ms / 1000.0
-    for component in partition.components:
-        recv = start + component.recv_ms / 1000.0
-        worker_ms = component.encode_ms + component.solve_ms
-        worker_start = max(start, recv - worker_ms / 1000.0)
-        parent_ms = component.decode_ms + component.propagate_ms
-        wall_ms = worker_ms + parent_ms
-        tracer.span(
-            f"configure:component[{component.index}]",
-            category="config", start=worker_start,
-            duration=(recv - worker_start) + parent_ms / 1000.0,
-            lane="config",
-            wall_ms=round(wall_ms, 3), component=component.index,
-            nodes=component.nodes, edges=component.edges,
-            pinned=component.pinned, decisions=component.decisions,
-            conflicts=component.conflicts, worker=component.worker,
-        )
-        phase_start = worker_start
-        for phase_name, phase_ms in (
-            ("encode", component.encode_ms),
-            ("solve", component.solve_ms),
-        ):
-            if phase_ms <= 0.0:
-                continue
-            tracer.span(
-                f"configure:component[{component.index}]:{phase_name}",
-                category="config", start=phase_start,
-                duration=phase_ms / 1000.0, lane="config",
-                wall_ms=round(phase_ms, 3), component=component.index,
-                nodes=component.nodes, worker=component.worker,
-            )
-            phase_start += phase_ms / 1000.0
-        tracer.instant(
-            f"configure:component[{component.index}]:recv",
-            category="config", timestamp=recv, lane="config",
-            recv_ms=round(component.recv_ms, 3),
-            component=component.index, worker=component.worker,
-        )
-        phase_start = recv
-        for phase_name, phase_ms in (
-            ("decode", component.decode_ms),
-            ("propagate", component.propagate_ms),
-        ):
-            if phase_ms <= 0.0:
-                continue
-            tracer.span(
-                f"configure:component[{component.index}]:{phase_name}",
-                category="config", start=phase_start,
-                duration=phase_ms / 1000.0, lane="config",
-                wall_ms=round(phase_ms, 3), component=component.index,
-                nodes=component.nodes, worker=component.worker,
-            )
-            phase_start += phase_ms / 1000.0
-        tracer.metrics.histogram("config.component_ms").observe(wall_ms)
-        end = max(end, phase_start)
-    return end
-
-
 class ConfigurationEngine:
     """Expands partial installation specifications to full ones.
 
@@ -333,13 +361,7 @@ class ConfigurationEngine:
     connected components after GraphGen and encodes/solves/propagates
     each component independently (:mod:`repro.config.partition`); the
     resulting specification is bit-identical to the monolithic one.
-    With ``workers`` set, the partitioned components fan out across a
-    persistent process pool (:mod:`repro.config.parallel`; 0 = one
-    worker per core) -- still bit-identical, near-linear in cores on
-    fleet-shaped graphs.  ``configure(..., partition=..., workers=...)``
-    overrides either mode per call.  Engines holding a pool should be
-    ``close()``d (or used as context managers); an un-closed pool is
-    reaped by GC/daemon cleanup.
+    ``configure(..., partition=...)`` overrides the mode per call.
     """
 
     def __init__(
@@ -347,36 +369,19 @@ class ConfigurationEngine:
         registry: ResourceTypeRegistry,
         *,
         encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        solver: str = "cdcl",
         check_types: bool = True,
         verify_registry: bool = True,
         explain_unsat: bool = True,
         peer_policy: str = "colocate",
         partition: bool = False,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         tracer=None,
     ) -> None:
-        if partition and solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
-        if workers is not None and not partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
         self._registry = registry
         self._encoding = encoding
-        self._solver = solver
         self._check_types = check_types
         self._explain_unsat = explain_unsat
         self._peer_policy = peer_policy
         self._partition = partition
-        self._workers = workers
-        self._start_method = start_method
-        self._pool = None
         self._tracer = tracer
         if verify_registry:
             # Memoized on the registry: many engines over one registry
@@ -387,378 +392,142 @@ class ConfigurationEngine:
     def registry(self) -> ResourceTypeRegistry:
         return self._registry
 
-    def close(self) -> None:
-        """Shut down the worker pool, if one was spun up (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
+    # There is nothing to release.  The ``with`` form exists for one
+    # caller: the frozen end-to-end benchmark's ``fleet_cold`` probe
+    # (benchmarks/e2e/workloads.py) builds its engine in a ``with``.
     def __enter__(self) -> "ConfigurationEngine":
         return self
 
     def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _ensure_pool(self, workers: int):
-        """The persistent pool, recycled on size/registry changes."""
-        from repro.config.parallel import WorkerPool, resolve_workers
-
-        resolved = resolve_workers(workers)
-        pool = self._pool
-        if pool is not None and (
-            pool.closed
-            or pool.workers != resolved
-            or pool.registry_version != self._registry.version
-        ):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = WorkerPool(
-                self._registry, workers=resolved, encoding=self._encoding,
-                start_method=self._start_method,
-            )
-            self._pool = pool
-        return pool
+        return None
 
     def configure(
         self,
         partial: PartialInstallSpec,
         *,
         partition: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> ConfigurationResult:
         """Compute a full installation specification extending ``partial``.
 
         Raises :class:`UnsatisfiableError` when no extension exists
         (Theorem 1), and surfaces any propagation or typechecking error.
-        ``partition`` and ``workers`` override the engine's configured
-        modes for this call (``workers``: None = in-process, 0 = one
-        worker per core, N = a pool of N processes).
+        ``partition`` overrides the engine's configured mode for this
+        call.
         """
         use_partition = self._partition if partition is None else partition
-        use_workers = self._workers if workers is None else workers
-        if use_workers is not None and not use_partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
-        if use_partition:
-            if self._solver == "dpll":
-                raise ConfigurationError(
-                    "partitioned solving requires the cdcl solver (the "
-                    "DPLL ablation baseline has no canonical "
-                    "decomposition)"
-                )
-            if use_workers is not None:
-                return self._configure_parallel(partial, use_workers)
-            return self._configure_partitioned(partial)
         timings = PhaseTimings()
+        graph, components = self.components(partial, use_partition, timings)
+        entries = [ComponentEntry(c, keep=False) for c in components]
+        return self.run(partial, graph, entries, use_partition, timings)
+
+    def components(
+        self, partial: PartialInstallSpec, partition: bool,
+        timings: PhaseTimings,
+    ) -> tuple[ResourceGraph, list[GraphComponent]]:
+        """GraphGen, then the component list the pipeline maps over."""
         started = time.perf_counter()
         graph = generate_graph(
             self._registry, partial, peer_policy=self._peer_policy
         )
         ticked = time.perf_counter()
         timings.graph_ms = (ticked - started) * 1000.0
-        formula, constraint_stats = generate_constraints(graph, self._encoding)
-        started = time.perf_counter()
-        timings.encode_ms = (started - ticked) * 1000.0
+        if not partition:
+            return graph, [whole_graph_component(graph)]
+        components = partition_graph(graph).components
+        timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
+        return graph, components
 
-        engine: CdclSolver | DpllSolver
-        if self._solver == "dpll":
-            engine = DpllSolver(formula)
-        else:
-            engine = CdclSolver(formula)
-        solved = engine.solve()
-        if not solved:
-            timings.solve_ms = (time.perf_counter() - started) * 1000.0
-            raise_unsatisfiable(
-                self._registry, partial, graph, explain=self._explain_unsat
+    def solve_components(
+        self,
+        partial: PartialInstallSpec,
+        graph: ResourceGraph,
+        entries: list[ComponentEntry],
+        cache: SessionCacheInfo,
+        *,
+        partition: bool,
+    ) -> list[ComponentRun]:
+        """Run :func:`configure_component` over ``entries`` in order,
+        recording each one's cache outcome on ``cache``; the first
+        unsatisfiable component raises for the whole ``graph``."""
+        runs: list[ComponentRun] = []
+        cache.cnf_hit = True
+        for entry in entries:
+            run = configure_component(
+                self._registry, entry,
+                encoding=self._encoding, check_types=self._check_types,
             )
-        if isinstance(engine, CdclSolver):
-            model = canonical_model(formula, engine)
-        else:
-            # The DPLL ablation keeps its own (True-first) model; it is
-            # never compared bit-for-bit against the partitioned path.
-            model = engine.model()
-        ticked = time.perf_counter()
-        timings.solve_ms = (ticked - started) * 1000.0
-        named_model = {
-            str(name): value
-            for name, value in formula.decode_model(model).items()
-        }
-        deployed, choices = selected_nodes(graph, named_model)
-        spec = propagate(self._registry, graph, deployed, choices)
-        if self._check_types:
-            check_spec(self._registry, spec)
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
-        emit_config_trace(self._tracer, timings)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            formula=formula,
-            model=named_model,
-            constraint_stats=constraint_stats,
-            solver_stats=engine.stats,
-            deployed_ids=deployed,
-            timings=timings,
-        )
-
-    def _configure_partitioned(
-        self, partial: PartialInstallSpec
-    ) -> ConfigurationResult:
-        """The component-partitioned pipeline (bit-identical results)."""
-        timings = PhaseTimings()
-        started = time.perf_counter()
-        graph = generate_graph(
-            self._registry, partial, peer_policy=self._peer_policy
-        )
-        ticked = time.perf_counter()
-        timings.graph_ms = (ticked - started) * 1000.0
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-        info = PartitionInfo(partition_ms=timings.partition_ms)
-
-        aggregate_constraints = ConstraintStats(0, 0, 0, 0)
-        aggregate_solver = SolverStats(components=len(parts.components))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        choices: dict[tuple[str, int], str] = {}
-        specs: list[InstallSpec] = []
-
-        for component in parts.components:
-            tick = time.perf_counter()
-            formula, constraint_stats = generate_constraints(
-                component.graph, self._encoding
-            )
-            encode_done = time.perf_counter()
-            solver = CdclSolver(formula)
-            if not solver.solve():
-                timings.encode_ms += (encode_done - tick) * 1000.0
-                timings.solve_ms += (time.perf_counter() - encode_done) * 1000.0
+            cache.cnf_hit &= not run.encoded
+            cache.solvers_reused += run.solver_reused
+            cache.solvers_built += not run.solver_reused
+            if run.instances is None:
                 raise_unsatisfiable(
                     self._registry, partial, graph,
-                    explain=self._explain_unsat, partition=True,
+                    explain=self._explain_unsat, partition=partition,
                 )
-            model = canonical_model(formula, solver)
-            named = {
-                str(name): value
-                for name, value in formula.decode_model(model).items()
-            }
-            solve_done = time.perf_counter()
-            component_deployed, component_choices = selected_nodes(
-                component.graph, named
-            )
-            spec = propagate(
-                self._registry, component.graph,
-                component_deployed, component_choices,
-            )
-            if self._check_types:
-                check_spec(self._registry, spec)
-            propagate_done = time.perf_counter()
-
-            named_model.update(named)
-            deployed |= component_deployed
-            choices.update(component_choices)
-            specs.append(spec)
-            _accumulate_constraint_stats(
-                aggregate_constraints, constraint_stats
-            )
-            _accumulate_solver_stats(aggregate_solver, solver.stats)
-            stats = ComponentStats(
-                index=component.index,
-                nodes=len(component.graph),
-                edges=len(component.graph.edges()),
-                pinned=len(component.pinned),
-                encode_ms=(encode_done - tick) * 1000.0,
-                solve_ms=(solve_done - encode_done) * 1000.0,
-                propagate_ms=(propagate_done - solve_done) * 1000.0,
-                decisions=solver.stats.decisions,
-                conflicts=solver.stats.conflicts,
-            )
-            info.components.append(stats)
-            timings.encode_ms += stats.encode_ms
-            timings.solve_ms += stats.solve_ms
-            timings.propagate_ms += stats.propagate_ms
-
-        tick = time.perf_counter()
-        spec = merge_component_specs(specs)
-        timings.propagate_ms += (time.perf_counter() - tick) * 1000.0
-        emit_config_trace(self._tracer, timings, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=aggregate_constraints,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            partition=info,
+            runs.append(run)
+        cache.solver_reused = cache.solvers_reused > 0
+        cache.typecheck_skipped = bool(runs) and all(
+            run.spec_reused for run in runs
         )
+        return runs
 
-    def _configure_parallel(
-        self, partial: PartialInstallSpec, workers: int
+    def run(
+        self,
+        partial: PartialInstallSpec,
+        graph: ResourceGraph,
+        entries: list[ComponentEntry],
+        partition: bool,
+        timings: PhaseTimings,
+        cache: Optional[SessionCacheInfo] = None,
     ) -> ConfigurationResult:
-        """The partitioned pipeline fanned out over the process pool.
+        """The pipeline after GraphGen: solve every component, merge,
+        aggregate the stats into one result and emit the trace.
 
-        Workers run the exact per-component encode/solve sequence of
-        :meth:`_configure_partitioned` and stream back one compact
-        reply per component (the canonical model as a signed-literal
-        array); the parent decodes, propagates and typechecks each
-        reply as it arrives -- overlapping with components still
-        solving -- then merges outcomes in component-index order, so
-        the result is bit-identical to the serial partitioned (and
-        monolithic) pipeline.
+        ``partition`` only says how ``entries`` was built (and so how
+        the result is labelled); ``cache`` is a session's per-call
+        record, attached to the result when given.
         """
-        from repro.config.parallel import (
-            decode_component_model,
-            raise_component_error,
-            resolve_workers,
+        runs = self.solve_components(
+            partial, graph, entries, cache or SessionCacheInfo(),
+            partition=partition,
         )
-
-        timings = PhaseTimings()
-        started = time.perf_counter()
-        graph = generate_graph(
-            self._registry, partial, peer_policy=self._peer_policy
-        )
-        ticked = time.perf_counter()
-        timings.graph_ms = (ticked - started) * 1000.0
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-
-        if not parts.components:
-            info = PartitionInfo(
-                partition_ms=timings.partition_ms,
-                workers=resolve_workers(workers),
-            )
-            emit_config_trace(self._tracer, timings, partition=info)
-            return ConfigurationResult(
-                spec=merge_component_specs([]), graph=graph, formula=None,
-                model={}, constraint_stats=ConstraintStats(0, 0, 0, 0),
-                solver_stats=SolverStats(components=0), deployed_ids=set(),
-                timings=timings, partition=info,
-            )
-
-        pool = self._ensure_pool(workers)
-        info = PartitionInfo(
-            partition_ms=timings.partition_ms, workers=pool.workers
-        )
-        components_by_index = {
-            component.index: component for component in parts.components
-        }
-
-        def materialize(outcome) -> None:
-            # Streamed parent-side half of the pipeline: decode the
-            # signed-literal model against the component graph the
-            # parent already holds, then propagate and typecheck --
-            # all while other components are still solving.
-            component = components_by_index[outcome.index]
-            tick = time.perf_counter()
-            named, comp_deployed, comp_choices = decode_component_model(
-                component, outcome.model
-            )
-            decode_done = time.perf_counter()
-            spec = propagate(
-                self._registry, component.graph, comp_deployed, comp_choices
-            )
-            if self._check_types:
-                check_spec(self._registry, spec)
-            outcome.named_model = named
-            outcome.deployed = frozenset(comp_deployed)
-            outcome.choices = comp_choices
-            outcome.instances = tuple(spec)
-            outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (
-                time.perf_counter() - decode_done
-            ) * 1000.0
-
         tick = time.perf_counter()
-        outcomes = pool.run_components(
-            parts.components, on_outcome=materialize
-        )
-        timings.parallel_wall_ms = (time.perf_counter() - tick) * 1000.0
-        info.wire = pool.last_wire
+        spec = merge_component_specs([run.instances for run in runs])
+        timings.propagate_ms = (time.perf_counter() - tick) * 1000.0
 
-        failure = next(
-            (o for o in outcomes if o.status != "sat"), None
-        )  # outcomes are index-sorted: this is the serial first failure
-        if failure is not None:
-            timings.encode_ms += failure.encode_ms
-            timings.solve_ms += failure.solve_ms
-            if failure.status == "unsat":
-                raise_unsatisfiable(
-                    self._registry, partial, graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            raise_component_error(failure)
-
-        aggregate_constraints = ConstraintStats(0, 0, 0, 0)
-        aggregate_solver = SolverStats(components=len(parts.components))
-        named_model: dict[str, bool] = {}
+        # The encoding is edge-local, so the per-component sizes sum to
+        # the whole-graph formula's exactly.
+        constraint_stats = ConstraintStats(0, 0, 0, 0)
+        solver_stats = SolverStats(components=len(entries))
+        info = PartitionInfo(partition_ms=timings.partition_ms)
+        model: dict[str, bool] = {}
         deployed: set[str] = set()
-        specs: list[InstallSpec] = []
-        for component, outcome in zip(parts.components, outcomes):
-            named_model.update(outcome.named_model)
-            deployed |= outcome.deployed
-            specs.append(InstallSpec(outcome.instances))
-            _accumulate_constraint_stats(
-                aggregate_constraints, outcome.constraint_stats
-            )
-            _accumulate_solver_stats(aggregate_solver, outcome.solver_stats)
-            info.components.append(
-                ComponentStats(
-                    index=component.index,
-                    nodes=len(component.graph),
-                    edges=len(component.graph.edges()),
-                    pinned=len(component.pinned),
-                    encode_ms=outcome.encode_ms,
-                    solve_ms=outcome.solve_ms,
-                    propagate_ms=outcome.propagate_ms,
-                    decisions=outcome.solver_stats.decisions,
-                    conflicts=outcome.solver_stats.conflicts,
-                    worker=outcome.worker,
-                    decode_ms=outcome.decode_ms,
-                    recv_ms=outcome.recv_ms,
-                )
-            )
-            timings.encode_ms += outcome.encode_ms
-            timings.solve_ms += outcome.solve_ms
-            # Parent-side decode folds into the propagate phase: the
-            # serial pipelines account name decoding inside their own
-            # windows, so the per-phase sums stay comparable.
-            timings.propagate_ms += outcome.decode_ms + outcome.propagate_ms
-
-        tick = time.perf_counter()
-        spec = merge_component_specs(specs)
-        timings.propagate_ms += (time.perf_counter() - tick) * 1000.0
-        emit_config_trace(self._tracer, timings, partition=info)
+        for entry, run in zip(entries, runs):
+            model.update(run.model)
+            deployed |= run.deployed
+            info.components.append(run.stats)
+            timings.encode_ms += run.stats.encode_ms
+            timings.solve_ms += run.stats.solve_ms
+            timings.propagate_ms += run.stats.propagate_ms
+            constraint_stats.variables += entry.constraint_stats.variables
+            constraint_stats.clauses += entry.constraint_stats.clauses
+            constraint_stats.facts += entry.constraint_stats.facts
+            constraint_stats.hyperedges += entry.constraint_stats.hyperedges
+            _accumulate_solver_stats(solver_stats, entry.solver.stats)
+        partition_info = info if partition else None
+        emit_config_trace(self._tracer, timings, cache, partition_info)
         return ConfigurationResult(
             spec=spec,
             graph=graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=aggregate_constraints,
-            solver_stats=aggregate_solver,
+            formula=None if partition else entries[0].formula,
+            model=model,
+            constraint_stats=constraint_stats,
+            solver_stats=solver_stats,
             deployed_ids=deployed,
             timings=timings,
-            partition=info,
+            cache=cache,
+            partition=partition_info,
         )
-
-
-def _accumulate_constraint_stats(
-    total: ConstraintStats, part: ConstraintStats
-) -> None:
-    """Sum per-component encoding sizes.
-
-    The encoding is edge-local, so the sums equal the monolithic
-    formula's sizes exactly.
-    """
-    total.variables += part.variables
-    total.clauses += part.clauses
-    total.facts += part.facts
-    total.hyperedges += part.hyperedges
 
 
 def _accumulate_solver_stats(total: SolverStats, part: SolverStats) -> None:

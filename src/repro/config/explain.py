@@ -72,8 +72,13 @@ def explain_unsat(
     partial: PartialInstallSpec,
     *,
     partition: bool = False,
+    graph: Optional[ResourceGraph] = None,
 ) -> Optional[UnsatExplanation]:
     """Explain why ``partial`` is unsatisfiable; None if it is fine.
+
+    ``graph`` is the hypergraph already generated for ``partial`` (the
+    one whose constraints just proved unsatisfiable); without it
+    GraphGen runs here, under the default peer policy.
 
     Runs a deletion-based MUS over the partial-spec facts: drop each
     pinned instance in turn and keep the drop whenever the rest is still
@@ -85,7 +90,8 @@ def explain_unsat(
     cached).  Satisfiability decomposes over components, so each trial
     gets the same answer either way and the diagnosis is byte-identical.
     """
-    graph = generate_graph(registry, partial)
+    if graph is None:
+        graph = generate_graph(registry, partial)
     if partition:
         return _explain_partitioned(graph)
     formula, facts = _facts_as_assumptions(graph)
@@ -184,8 +190,8 @@ def explain_message(
     registry: ResourceTypeRegistry, partial: PartialInstallSpec
 ) -> Optional[str]:
     """The human-readable explanation, or None when satisfiable."""
-    explanation = explain_unsat(registry, partial)
+    graph = generate_graph(registry, partial)
+    explanation = explain_unsat(registry, partial, graph=graph)
     if explanation is None:
         return None
-    graph = generate_graph(registry, partial)
     return explanation.message(graph)

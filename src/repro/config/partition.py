@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
-from repro.core.instances import InstallSpec
+from repro.core.instances import InstallSpec, ResourceInstance
 from repro.config.hypergraph import HyperEdge, ResourceGraph
 
 
@@ -48,15 +49,6 @@ class ComponentStats:
     propagate_ms: float = 0.0
     decisions: int = 0
     conflicts: int = 0
-    #: Worker-process index that solved this component, or -1 when the
-    #: component ran in-process (serial partitioned pipeline).
-    worker: int = -1
-    #: Parent-side model decode time (signed-literal array -> names ->
-    #: selected nodes); 0 in-process, where decode is part of solve_ms.
-    decode_ms: float = 0.0
-    #: When this component's reply arrived, as an offset from dispatch
-    #: start -- the streamed-collection timeline (0 in-process).
-    recv_ms: float = 0.0
 
 
 @dataclass
@@ -65,12 +57,6 @@ class PartitionInfo:
 
     components: list[ComponentStats] = field(default_factory=list)
     partition_ms: float = 0.0
-    #: Process-pool size when the components were solved in parallel;
-    #: 0 means the serial in-process pipeline.
-    workers: int = 0
-    #: Wire accounting of the pool dispatch
-    #: (:class:`repro.config.parallel.WireStats`); None in-process.
-    wire: object = None
 
     @property
     def count(self) -> int:
@@ -98,7 +84,6 @@ class GraphComponent:
 
     @property
     def nodes(self) -> int:
-        """Node count -- the size LPT assignment schedules by."""
         return len(self.node_ids)
 
 
@@ -190,8 +175,25 @@ def partition_graph(graph: ResourceGraph) -> Partition:
     return Partition(graph, components, component_of)
 
 
-def merge_component_specs(specs: list[InstallSpec]) -> InstallSpec:
-    """Merge per-component full specifications into the monolithic order.
+def whole_graph_component(graph: ResourceGraph) -> GraphComponent:
+    """``graph`` itself as the only component: what the pipeline runs on
+    when it is not partitioning, with no connectivity pass at all."""
+    nodes = graph.nodes()
+    return GraphComponent(
+        index=0,
+        graph=graph,
+        node_ids=tuple(node.instance_id for node in nodes),
+        pinned=tuple(
+            node.instance_id for node in nodes if node.from_partial
+        ),
+    )
+
+
+def merge_component_specs(
+    specs: Sequence[Iterable[ResourceInstance]],
+) -> InstallSpec:
+    """Merge per-component full specifications (or their instance
+    sequences, each in install order) into the monolithic order.
 
     :meth:`InstallSpec.topological_order` is Kahn's algorithm emitting
     the smallest ready instance id at every step.  Dependencies never
@@ -199,6 +201,12 @@ def merge_component_specs(specs: list[InstallSpec]) -> InstallSpec:
     the per-component ready sets and the global choice is always the
     smallest *next head* among the components -- a k-way merge.
     """
+    if len(specs) == 1:
+        # The whole graph as one component is already in order; a
+        # specification is handed on as it is, so the order its static
+        # check computed is not computed again by the deployment.
+        only = specs[0]
+        return only if isinstance(only, InstallSpec) else InstallSpec(only)
     iterators = [iter(tuple(spec)) for spec in specs]
     heap: list[tuple[str, int]] = []
     heads = []

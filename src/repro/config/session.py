@@ -4,29 +4,34 @@ The paper's §6.2 evaluation -- and any deployment manager serving
 repeated traffic -- runs *families* of near-identical configuration
 queries against one fixed resource library: re-planning a deployment,
 sweeping a configuration space, answering the same request for many
-tenants.  :class:`ConfigurationEngine` treats every call as cold; this
-module amortizes all per-query work that does not depend on fresh
-input:
+tenants.  :class:`ConfigurationEngine` treats every call as cold; a
+session runs the *same pipeline* (:meth:`ConfigurationEngine.run` over
+:func:`~repro.config.engine.configure_component`) and differs only in
+where each component's working state comes from.  Per ``(partition,
+fingerprint)`` of the partial specification
+(:mod:`repro.config.fingerprint`) it keeps, least recently used first
+out:
 
-* registry **well-formedness** is verified once and memoized on the
-  registry (invalidated when a type is registered);
-* **hypergraph generation** is memoized per canonical structural
-  fingerprint of the partial specification
-  (:mod:`repro.config.fingerprint`);
-* the **CNF encoding** is cached at the same key, with the family-1
-  facts expressed as *assumption literals* rather than unit clauses, so
-  the clause database encodes only graph structure;
-* one **persistent incremental** :class:`~repro.sat.solver.CdclSolver`
-  per cached entry answers every solve: learned clauses, VSIDS
-  activities, and saved phases survive across calls, and each query is
-  just a new assumption vector over the shared clause database;
-* the **propagated specification** is memoized per decoded outcome -- a
-  warm call that reproduces an already-verified (deployed, choices) pair
-  reuses the frozen :class:`~repro.core.instances.ResourceInstance`
-  values instead of re-running value propagation and the static
-  re-check, wrapped in a fresh
-  :class:`~repro.core.instances.InstallSpec` container so callers that
-  mutate their spec (provisioning, upgrades) cannot corrupt the cache.
+* the **hypergraph** and its component list, so a hit skips GraphGen
+  and the partition pass;
+* per component, one :class:`~repro.config.engine.ComponentEntry`: the
+  **CNF encoding** with the family-1 facts expressed as *assumption
+  literals* rather than unit clauses (the clause database encodes only
+  graph structure), one **persistent incremental**
+  :class:`~repro.sat.solver.CdclSolver` whose learned clauses, VSIDS
+  activities and saved phases survive across calls, and the **canonical
+  model** once it has been computed;
+* per component, the **propagated specification** memoized by decoded
+  outcome -- a warm call that reproduces an already-verified (deployed,
+  choices) pair reuses the frozen
+  :class:`~repro.core.instances.ResourceInstance` values instead of
+  re-running value propagation and the static re-check, wrapped in a
+  fresh :class:`~repro.core.instances.InstallSpec` container so callers
+  that mutate their spec (provisioning, upgrades) cannot corrupt the
+  cache.
+
+Registry **well-formedness** is verified once and memoized on the
+registry; registering a type flushes the session.
 
 Results are bit-identical to per-call
 :meth:`ConfigurationEngine.configure` output: the same full
@@ -35,45 +40,24 @@ specifications and deployed ids, with cache/timing metadata attached.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
+from repro.core.errors import ConfigurationError
 from repro.core.instances import InstallSpec, PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
-from repro.config.constraints import (
-    ConstraintStats,
-    fact_literals,
-    generate_constraints,
-    selected_nodes,
-)
-from repro.core.errors import ConfigurationError
 from repro.config.engine import (
+    ComponentEntry,
+    ConfigurationEngine,
     ConfigurationResult,
     PhaseTimings,
     SessionCacheInfo,
-    _accumulate_constraint_stats,
-    _accumulate_solver_stats,
-    canonical_model,
-    emit_config_trace,
-    raise_unsatisfiable,
 )
 from repro.config.fingerprint import fingerprint_partial
-from repro.config.hypergraph import ResourceGraph, generate_graph
-from repro.config.partition import (
-    ComponentStats,
-    GraphComponent,
-    Partition,
-    PartitionInfo,
-    merge_component_specs,
-    partition_graph,
-)
-from repro.config.propagation import propagate
-from repro.config.typecheck import check_spec
-from repro.sat.cnf import CnfFormula
+from repro.config.hypergraph import ResourceGraph
+from repro.config.partition import merge_component_specs
 from repro.sat.encodings import ExactlyOneEncoding
-from repro.sat.solver import CdclSolver, DpllSolver, SolverStats
 
 
 @dataclass
@@ -87,6 +71,9 @@ class SessionStats:
     cnf_misses: int = 0
     solver_builds: int = 0
     solver_reuses: int = 0
+    #: Calls that propagated and typechecked / calls that reused every
+    #: component's verified instances.  A call that had to propagate
+    #: with ``check_types=False`` counts as neither.
     typecheck_runs: int = 0
     typecheck_skips: int = 0
     evictions: int = 0
@@ -98,77 +85,11 @@ class SessionStats:
         return self.graph_hits / total if total else 0.0
 
 
-class _Entry:
-    """Everything cached for one (mode, partial-spec fingerprint) key."""
+class _Entry(NamedTuple):
+    """Everything cached for one (partition, fingerprint) key."""
 
-    __slots__ = (
-        "graph", "formula", "constraint_stats", "assumptions", "solver",
-        "canonical", "verified_specs", "partition", "components",
-        "stats_ready", "decoded",
-    )
-
-    def __init__(
-        self,
-        graph: ResourceGraph,
-        formula: Optional[CnfFormula],
-        constraint_stats: ConstraintStats,
-        assumptions: list[int],
-    ) -> None:
-        self.graph = graph
-        self.formula = formula
-        self.constraint_stats = constraint_stats
-        self.assumptions = assumptions
-        self.solver: Optional[CdclSolver] = None
-        #: The deterministic-order model, computed once if this entry's
-        #: solver ever conflicted (the assumptions are fixed per entry,
-        #: so the canonical model never changes).
-        self.canonical: Optional[dict[int, bool]] = None
-        #: (deployed, choices) outcome -> the propagated (and, when
-        #: enabled, typechecked) instances, in topological order.  The
-        #: instances are frozen dataclasses, so reuse is safe; only the
-        #: InstallSpec container is rebuilt per call.
-        self.verified_specs: dict[tuple, tuple] = {}
-        #: Partitioned-mode state: the component split of ``graph`` and
-        #: one :class:`_ComponentEntry` per component (None/[] for
-        #: monolithic entries).  Parallel-mode entries carry only the
-        #: partition -- encodings and solvers live in the workers.
-        self.partition: Optional[Partition] = None
-        self.components: list[_ComponentEntry] = []
-        #: Whether :attr:`constraint_stats` was filled from the first
-        #: worker round-trip (parallel-mode entries only).
-        self.stats_ready = False
-        #: Parallel-mode decode cache: component index -> (named model,
-        #: deployed frozenset, choices, propagated instance tuple).  A
-        #: worker whose model repeats sends a bare ``MODEL_UNCHANGED``
-        #: header and the parent re-serves this cache; component
-        #: indexes *missing* here are forced to ship a full model.
-        self.decoded: dict[int, tuple] = {}
-
-
-class _ComponentEntry:
-    """Cached encoding + persistent solver for one graph component."""
-
-    __slots__ = (
-        "component", "formula", "constraint_stats", "assumptions",
-        "solver", "canonical", "encode_ms",
-    )
-
-    def __init__(
-        self,
-        component: GraphComponent,
-        formula: CnfFormula,
-        constraint_stats: ConstraintStats,
-        assumptions: list[int],
-        encode_ms: float,
-    ) -> None:
-        self.component = component
-        self.formula = formula
-        self.constraint_stats = constraint_stats
-        self.assumptions = assumptions
-        #: One-time encoding cost, reported on the miss call only.
-        self.encode_ms = encode_ms
-        self.solver: Optional[CdclSolver] = None
-        self.canonical: Optional[dict[int, bool]] = None
+    graph: ResourceGraph
+    components: list[ComponentEntry]
 
 
 class ConfigurationSession:
@@ -186,51 +107,32 @@ class ConfigurationSession:
         registry: ResourceTypeRegistry,
         *,
         encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        solver: str = "cdcl",
         check_types: bool = True,
         verify_registry: bool = True,
         explain_unsat: bool = True,
         peer_policy: str = "colocate",
         partition: bool = False,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         max_entries: int = 1024,
         tracer=None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if partition and solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
-        if workers is not None and not partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
+        self._engine = ConfigurationEngine(
+            registry, encoding=encoding, check_types=check_types,
+            verify_registry=verify_registry, explain_unsat=explain_unsat,
+            peer_policy=peer_policy, partition=partition, tracer=tracer,
+        )
         self._registry = registry
-        self._encoding = encoding
-        self._solver = solver
         self._check_types = check_types
         self._verify_registry = verify_registry
-        self._explain_unsat = explain_unsat
-        self._peer_policy = peer_policy
         self._partition = partition
-        self._workers = workers
-        self._start_method = start_method
-        self._pool = None
         self._max_entries = max_entries
-        self._tracer = tracer
-        #: Keyed by (mode, fingerprint) where mode is False (monolithic),
-        #: True (in-process partitioned) or "parallel" (process pool):
-        #: the modes cache different artifacts (one formula/solver, one
-        #: per component, or worker-resident state plus the partition),
-        #: so a mode flip must never serve another mode's entry.
+        #: Keyed by (partition, fingerprint): the two modes cache
+        #: different component lists (the whole graph, or its connected
+        #: components), so a mode flip must never serve the other
+        #: mode's entry.
         self._entries: dict[tuple, _Entry] = {}
         self.stats = SessionStats()
-        if verify_registry:
-            assert_well_formed(registry)
         self._registry_version = registry.version
 
     @property
@@ -242,23 +144,8 @@ class ConfigurationSession:
         return len(self._entries)
 
     def flush(self) -> None:
-        """Drop every cached graph, formula, and solver (parent and
-        worker side alike)."""
+        """Drop every cached graph, formula, and solver."""
         self._entries.clear()
-        if self._pool is not None:
-            self._pool.flush()
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was spun up (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ConfigurationSession":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # -- Cache plumbing -------------------------------------------------
 
@@ -267,10 +154,6 @@ class ConfigurationSession:
         if self._registry.version == self._registry_version:
             return
         self.flush()
-        # Workers hold a snapshot of the registry from pool creation;
-        # a mutated registry makes that snapshot stale, so the pool is
-        # recycled (the next parallel call re-forks fresh workers).
-        self.close()
         self.stats.invalidations += 1
         if self._verify_registry:
             assert_well_formed(self._registry)
@@ -285,33 +168,8 @@ class ConfigurationSession:
     def _store(self, key: tuple, entry: _Entry) -> None:
         self._entries[key] = entry
         if len(self._entries) > self._max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            if oldest[0] == "parallel" and self._pool is not None:
-                # Mirror the LRU eviction into the workers' caches.
-                self._pool.evict(oldest[1])
+            del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
-
-    def _ensure_pool(self, workers: int):
-        """The persistent pool, recycled on size/registry changes."""
-        from repro.config.parallel import WorkerPool, resolve_workers
-
-        resolved = resolve_workers(workers)
-        pool = self._pool
-        if pool is not None and (
-            pool.closed
-            or pool.workers != resolved
-            or pool.registry_version != self._registry.version
-        ):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = WorkerPool(
-                self._registry, workers=resolved, encoding=self._encoding,
-                start_method=self._start_method,
-            )
-            self._pool = pool
-        return pool
 
     # -- The pipeline ---------------------------------------------------
 
@@ -320,293 +178,58 @@ class ConfigurationSession:
         partial: PartialInstallSpec,
         *,
         partition: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> ConfigurationResult:
         """Expand ``partial``, reusing every cache the session holds.
 
         Semantics match :meth:`ConfigurationEngine.configure`, including
         :class:`~repro.core.errors.UnsatisfiableError` on Theorem 1
-        failures.  ``partition`` and ``workers`` override the session's
-        configured modes for this call; the modes never share cache
-        entries.  With ``workers`` (0 = one per core) the components are
-        solved on the session's persistent process pool, and the warm
-        per-component encodings and incremental solvers live inside the
-        workers, keyed by the partial-spec fingerprint.
+        failures.  ``partition`` overrides the session's configured
+        mode for this call; the modes never share cache entries.
         """
         use_partition = self._partition if partition is None else partition
-        use_workers = self._workers if workers is None else workers
-        if use_partition and self._solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
-        if use_workers is not None and not use_partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
         self._revalidate()
-        self.stats.configure_calls += 1
+        stats = self.stats
+        stats.configure_calls += 1
         timings = PhaseTimings()
         cache = SessionCacheInfo(fingerprint=fingerprint_partial(partial))
-        if use_workers is not None:
-            return self._configure_parallel(
-                partial, cache, timings, use_workers
-            )
         key = (use_partition, cache.fingerprint)
-
-        started = time.perf_counter()
         entry = self._lookup(key)
-        if entry is not None:
-            cache.graph_hit = True
-            cache.cnf_hit = True
-            self.stats.graph_hits += 1
-            self.stats.cnf_hits += 1
-        else:
-            graph = generate_graph(
-                self._registry, partial, peer_policy=self._peer_policy
+        cache.graph_hit = entry is not None
+        if entry is None:
+            graph, components = self._engine.components(
+                partial, use_partition, timings
             )
-            self.stats.graph_misses += 1
-            ticked = time.perf_counter()
-            timings.graph_ms = (ticked - started) * 1000.0
-            if use_partition:
-                entry = self._build_partitioned_entry(graph, timings)
-            else:
-                formula, constraint_stats = generate_constraints(
-                    graph, self._encoding, facts_as_assumptions=True
-                )
-                assumptions = sorted(fact_literals(graph, formula).values())
-                entry = _Entry(graph, formula, constraint_stats, assumptions)
-                timings.encode_ms = (time.perf_counter() - ticked) * 1000.0
-            self.stats.cnf_misses += 1
+            entry = _Entry(
+                graph, [ComponentEntry(c, keep=True) for c in components]
+            )
             self._store(key, entry)
-
-        if use_partition:
-            return self._configure_partitioned(partial, entry, cache, timings)
-
-        started = time.perf_counter()
-        solved, model, solver_stats = self._solve(entry, cache)
-        ticked = time.perf_counter()
-        timings.solve_ms = (ticked - started) * 1000.0
-        if not solved:
-            raise_unsatisfiable(
-                self._registry, partial, entry.graph,
-                explain=self._explain_unsat,
+        stats.graph_hits += cache.graph_hit
+        stats.graph_misses += not cache.graph_hit
+        try:
+            result = self._engine.run(
+                partial, entry.graph, entry.components, use_partition,
+                timings, cache,
             )
-
-        named_model = {
-            str(name): value
-            for name, value in entry.formula.decode_model(model).items()
-        }
-        deployed, choices = selected_nodes(entry.graph, named_model)
-        outcome = (frozenset(deployed), tuple(sorted(choices.items())))
-        instances = entry.verified_specs.get(outcome)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-        else:
-            spec = propagate(self._registry, entry.graph, deployed, choices)
-            if self._check_types:
-                check_spec(self._registry, spec)
-            entry.verified_specs[outcome] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
-        emit_config_trace(self._tracer, timings, cache)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=entry.formula,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=solver_stats,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
+        finally:
+            # Also on UNSAT: the encodings and solvers built for it are
+            # kept and answer the next call.
+            stats.cnf_hits += cache.cnf_hit
+            stats.cnf_misses += not cache.cnf_hit
+            stats.solver_builds += cache.solvers_built
+            stats.solver_reuses += cache.solvers_reused
+        stats.typecheck_skips += cache.typecheck_skipped
+        stats.typecheck_runs += (
+            self._check_types and not cache.typecheck_skipped
         )
-
-    def _solve(self, entry: _Entry, cache: SessionCacheInfo):
-        """Solve the entry's clause database under its assumptions.
-
-        Returns ``(solved, model, solver_stats)``.  The CDCL solver's
-        stats are *cumulative* across every call that hit this entry --
-        ``solve_calls > 1`` is the proof of clause-database reuse.
-        """
-        if self._solver == "dpll":
-            # The DPLL baseline has no incremental state worth keeping:
-            # build it fresh from the cached formula (still skipping
-            # graph generation and encoding).
-            dpll = DpllSolver(entry.formula)
-            self.stats.solver_builds += 1
-            if not dpll.solve(entry.assumptions):
-                return False, {}, dpll.stats
-            return True, dpll.model(), dpll.stats
-        if entry.solver is None:
-            entry.solver = CdclSolver(entry.formula)
-            self.stats.solver_builds += 1
-        else:
-            cache.solver_reused = True
-            self.stats.solver_reuses += 1
-        if not entry.solver.solve(entry.assumptions):
-            return False, {}, entry.solver.stats
-        if entry.solver.stats.conflicts == 0:
-            # Conflict-free throughout its life: the persistent solver's
-            # model IS the canonical static-order model (see
-            # :func:`canonical_model`), at zero extra cost.
-            return True, entry.solver.model(), entry.solver.stats
-        if entry.canonical is None:
-            entry.canonical = canonical_model(
-                entry.formula, entry.solver, entry.assumptions
-            )
-        return True, entry.canonical, entry.solver.stats
-
-    # -- The partitioned pipeline ---------------------------------------
-
-    def _build_partitioned_entry(
-        self, graph: ResourceGraph, timings: PhaseTimings
-    ) -> _Entry:
-        """Split ``graph`` and encode each component (the cache miss)."""
-        ticked = time.perf_counter()
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-        aggregate = ConstraintStats(0, 0, 0, 0)
-        entry = _Entry(graph, None, aggregate, [])
-        entry.partition = parts
-        for component in parts.components:
-            tick = time.perf_counter()
-            formula, constraint_stats = generate_constraints(
-                component.graph, self._encoding, facts_as_assumptions=True
-            )
-            assumptions = sorted(
-                fact_literals(component.graph, formula).values()
-            )
-            encode_ms = (time.perf_counter() - tick) * 1000.0
-            entry.components.append(
-                _ComponentEntry(
-                    component, formula, constraint_stats, assumptions,
-                    encode_ms,
-                )
-            )
-            _accumulate_constraint_stats(aggregate, constraint_stats)
-            timings.encode_ms += encode_ms
-        return entry
-
-    def _configure_partitioned(
-        self,
-        partial: PartialInstallSpec,
-        entry: _Entry,
-        cache: SessionCacheInfo,
-        timings: PhaseTimings,
-    ) -> ConfigurationResult:
-        """Solve/decode each cached component and merge (warm path)."""
-        info = PartitionInfo(partition_ms=timings.partition_ms)
-        aggregate_solver = SolverStats(components=len(entry.components))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        choices: dict[tuple[str, int], str] = {}
-        outcomes: list[tuple[set[str], dict[tuple[str, int], str]]] = []
-        solve_ms: list[float] = []
-
-        for comp in entry.components:
-            tick = time.perf_counter()
-            if comp.solver is None:
-                comp.solver = CdclSolver(comp.formula)
-                self.stats.solver_builds += 1
-            else:
-                cache.solver_reused = True
-                self.stats.solver_reuses += 1
-            if not comp.solver.solve(comp.assumptions):
-                timings.solve_ms += (time.perf_counter() - tick) * 1000.0
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            if comp.solver.stats.conflicts == 0:
-                model = comp.solver.model()
-            else:
-                if comp.canonical is None:
-                    comp.canonical = canonical_model(
-                        comp.formula, comp.solver, comp.assumptions
-                    )
-                model = comp.canonical
-            named = {
-                str(name): value
-                for name, value in comp.formula.decode_model(model).items()
-            }
-            component_deployed, component_choices = selected_nodes(
-                comp.component.graph, named
-            )
-            elapsed = (time.perf_counter() - tick) * 1000.0
-            named_model.update(named)
-            deployed |= component_deployed
-            choices.update(component_choices)
-            outcomes.append((component_deployed, component_choices))
-            solve_ms.append(elapsed)
-            timings.solve_ms += elapsed
-            _accumulate_solver_stats(aggregate_solver, comp.solver.stats)
-
-        ticked = time.perf_counter()
-        outcome = (frozenset(deployed), tuple(sorted(choices.items())))
-        instances = entry.verified_specs.get(outcome)
-        propagate_ms = [0.0] * len(entry.components)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-        else:
-            specs: list[InstallSpec] = []
-            for index, comp in enumerate(entry.components):
-                tick = time.perf_counter()
-                component_deployed, component_choices = outcomes[index]
-                component_spec = propagate(
-                    self._registry, comp.component.graph,
-                    component_deployed, component_choices,
-                )
-                if self._check_types:
-                    check_spec(self._registry, component_spec)
-                specs.append(component_spec)
-                propagate_ms[index] = (time.perf_counter() - tick) * 1000.0
-            spec = merge_component_specs(specs)
-            entry.verified_specs[outcome] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
-
-        for index, comp in enumerate(entry.components):
-            info.components.append(
-                ComponentStats(
-                    index=comp.component.index,
-                    nodes=len(comp.component.graph),
-                    edges=len(comp.component.graph.edges()),
-                    pinned=len(comp.component.pinned),
-                    encode_ms=0.0 if cache.cnf_hit else comp.encode_ms,
-                    solve_ms=solve_ms[index],
-                    propagate_ms=propagate_ms[index],
-                    decisions=comp.solver.stats.decisions,
-                    conflicts=comp.solver.stats.conflicts,
-                )
-            )
-        emit_config_trace(self._tracer, timings, cache, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
-            partition=info,
-        )
+        return result
 
     def reconfigure_components(
         self,
         partial: PartialInstallSpec,
         instance_ids: Iterable[str],
     ) -> InstallSpec:
-        """Re-solve and re-propagate only the components containing
-        ``instance_ids``; returns their merged full specification.
+        """Re-solve only the components containing ``instance_ids``;
+        returns their merged full specification.
 
         This is the reconcile loop's goal-revalidation path: after a
         machine loss the controller re-derives just the affected slice
@@ -617,28 +240,20 @@ class ConfigurationSession:
         graph, so configuring a smaller partial from scratch would
         renumber them.  Cold calls (no cached entry for ``partial``) run
         a full partitioned :meth:`configure` first.
-
-        In-process partitioned mode only -- worker-resident solvers
-        answer whole-fingerprint queries, not per-component ones.
         """
         wanted = set(instance_ids)
         if not wanted:
             raise ConfigurationError(
                 "reconfigure_components needs at least one instance id"
             )
-        if self._solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
         self._revalidate()
         key = (True, fingerprint_partial(partial))
         entry = self._lookup(key)
         if entry is None:
-            self.configure(partial, partition=True, workers=None)
+            self.configure(partial, partition=True)
             entry = self._lookup(key)
             assert entry is not None  # configure() just stored it
-        affected: list[_ComponentEntry] = []
+        affected: list[ComponentEntry] = []
         covered: set[str] = set()
         for comp in entry.components:
             hit = {iid for iid in wanted if iid in comp.component.graph}
@@ -651,38 +266,21 @@ class ConfigurationSession:
                 "reconfigure_components: instances not in the configured "
                 f"graph: {sorted(missing)}"
             )
-        specs: list[InstallSpec] = []
         for comp in affected:
-            if comp.solver is None:
-                comp.solver = CdclSolver(comp.formula)
-                self.stats.solver_builds += 1
-            else:
-                self.stats.solver_reuses += 1
-            if not comp.solver.solve(comp.assumptions):
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            if comp.solver.stats.conflicts == 0:
-                model = comp.solver.model()
-            else:
-                if comp.canonical is None:
-                    comp.canonical = canonical_model(
-                        comp.formula, comp.solver, comp.assumptions
-                    )
-                model = comp.canonical
-            named = {
-                str(name): value
-                for name, value in comp.formula.decode_model(model).items()
-            }
-            deployed, choices = selected_nodes(comp.component.graph, named)
-            component_spec = propagate(
-                self._registry, comp.component.graph, deployed, choices
+            # The guard must not be answered from the memo: its
+            # instances are shared with every spec a warm call handed
+            # out, so a caller who edited one in place (port dicts are
+            # mutable) would be compared with its own edit.
+            comp.verified.clear()
+        cache = SessionCacheInfo()
+        try:
+            runs = self._engine.solve_components(
+                partial, entry.graph, affected, cache, partition=True
             )
-            if self._check_types:
-                check_spec(self._registry, component_spec)
-            specs.append(component_spec)
-        return merge_component_specs(specs)
+        finally:
+            self.stats.solver_builds += cache.solvers_built
+            self.stats.solver_reuses += cache.solvers_reused
+        return merge_component_specs([run.instances for run in runs])
 
     def revalidate_instances(
         self,
@@ -713,205 +311,3 @@ class ConfigurationSession:
                     "on an unverified goal"
                 )
         return len(fresh)
-
-    # -- The parallel pipeline -------------------------------------------
-
-    def _configure_parallel(
-        self,
-        partial: PartialInstallSpec,
-        cache: SessionCacheInfo,
-        timings: PhaseTimings,
-        workers: int,
-    ) -> ConfigurationResult:
-        """Fan the components out across the session's worker pool.
-
-        The parent caches the graph, its partition, and one *decoded
-        outcome* per component; encodings and persistent incremental
-        solvers are worker-resident, keyed by the partial-spec
-        fingerprint (see :class:`repro.config.parallel.WorkerPool`).
-        Replies stream in as compact signed-literal arrays, decoded and
-        propagated parent-side while other components still solve; a
-        worker whose model repeats ships a bare ``MODEL_UNCHANGED``
-        header and the parent re-serves its decode cache -- the warm
-        path moves almost nothing over the pipe.  Phase timings stay
-        per-component sums (comparable to the serial pipelines) while
-        :attr:`~repro.config.engine.PhaseTimings.parallel_wall_ms`
-        records the actual fan-out wall time.
-        """
-        from repro.config.parallel import (
-            decode_component_model,
-            raise_component_error,
-        )
-
-        pool = self._ensure_pool(workers)
-        key = ("parallel", cache.fingerprint)
-        started = time.perf_counter()
-        entry = self._lookup(key)
-        if entry is not None:
-            cache.graph_hit = True
-            self.stats.graph_hits += 1
-        else:
-            graph = generate_graph(
-                self._registry, partial, peer_policy=self._peer_policy
-            )
-            self.stats.graph_misses += 1
-            ticked = time.perf_counter()
-            timings.graph_ms = (ticked - started) * 1000.0
-            entry = _Entry(graph, None, ConstraintStats(0, 0, 0, 0), [])
-            entry.partition = partition_graph(graph)
-            timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
-            self._store(key, entry)
-        parts = entry.partition
-
-        components_by_index = {
-            component.index: component for component in parts.components
-        }
-        # Components the parent holds no decoded outcome for must ship
-        # a full model even if the worker believes it unchanged.
-        force = frozenset(
-            component.index for component in parts.components
-            if component.index not in entry.decoded
-        )
-
-        def materialize(outcome) -> None:
-            # Streamed parent-side decode -> propagate -> typecheck.
-            if outcome.model_unchanged:
-                (outcome.named_model, outcome.deployed, outcome.choices,
-                 outcome.instances) = entry.decoded[outcome.index]
-                return
-            component = components_by_index[outcome.index]
-            tick = time.perf_counter()
-            named, comp_deployed, comp_choices = decode_component_model(
-                component, outcome.model
-            )
-            decode_done = time.perf_counter()
-            spec = propagate(
-                self._registry, component.graph, comp_deployed, comp_choices
-            )
-            if self._check_types:
-                check_spec(self._registry, spec)
-            outcome.named_model = named
-            outcome.deployed = frozenset(comp_deployed)
-            outcome.choices = comp_choices
-            outcome.instances = tuple(spec)
-            outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (
-                time.perf_counter() - decode_done
-            ) * 1000.0
-            entry.decoded[outcome.index] = (
-                outcome.named_model, outcome.deployed, outcome.choices,
-                outcome.instances,
-            )
-
-        tick = time.perf_counter()
-        outcomes = pool.run_components(
-            parts.components, fingerprint=cache.fingerprint, keep=True,
-            force=force, on_outcome=materialize,
-        )
-        timings.parallel_wall_ms = (time.perf_counter() - tick) * 1000.0
-        # The CNF is "hit" when no worker had to (re-)encode a component.
-        cache.cnf_hit = cache.graph_hit and not any(
-            outcome.encoded for outcome in outcomes
-        )
-        if cache.cnf_hit:
-            self.stats.cnf_hits += 1
-        else:
-            self.stats.cnf_misses += 1
-
-        failure = next(
-            (o for o in outcomes if o.status != "sat"), None
-        )
-        if failure is not None:
-            if failure.status == "unsat":
-                timings.encode_ms += failure.encode_ms
-                timings.solve_ms += failure.solve_ms
-                # Diagnose in the parent so the Theorem 1 message is
-                # byte-identical to the serial one, whichever worker hit
-                # the conflict.
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            raise_component_error(failure)
-
-        info = PartitionInfo(
-            partition_ms=timings.partition_ms, workers=pool.workers,
-            wire=pool.last_wire,
-        )
-        aggregate_solver = SolverStats(components=len(outcomes))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        choices: dict[tuple[str, int], str] = {}
-        for outcome in outcomes:
-            named_model.update(outcome.named_model)
-            deployed |= outcome.deployed
-            choices.update(outcome.choices)
-            _accumulate_solver_stats(aggregate_solver, outcome.solver_stats)
-            if outcome.solver_reused:
-                self.stats.solver_reuses += 1
-            else:
-                self.stats.solver_builds += 1
-            timings.encode_ms += outcome.encode_ms
-            timings.solve_ms += outcome.solve_ms
-        cache.solver_reused = bool(outcomes) and all(
-            outcome.solver_reused for outcome in outcomes
-        )
-        if not entry.stats_ready:
-            for outcome in outcomes:
-                _accumulate_constraint_stats(
-                    entry.constraint_stats, outcome.constraint_stats
-                )
-            entry.stats_ready = True
-
-        ticked = time.perf_counter()
-        outcome_key = (frozenset(deployed), tuple(sorted(choices.items())))
-        instances = entry.verified_specs.get(outcome_key)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-        else:
-            spec = merge_component_specs(
-                [InstallSpec(outcome.instances) for outcome in outcomes]
-            )
-            entry.verified_specs[outcome_key] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        merge_ms = (time.perf_counter() - ticked) * 1000.0
-        timings.propagate_ms = (
-            sum(
-                outcome.decode_ms + outcome.propagate_ms
-                for outcome in outcomes
-            )
-            + merge_ms
-        )
-
-        for outcome, component in zip(outcomes, parts.components):
-            info.components.append(
-                ComponentStats(
-                    index=component.index,
-                    nodes=len(component.graph),
-                    edges=len(component.graph.edges()),
-                    pinned=len(component.pinned),
-                    encode_ms=outcome.encode_ms,
-                    solve_ms=outcome.solve_ms,
-                    propagate_ms=outcome.propagate_ms,
-                    decisions=outcome.solver_stats.decisions,
-                    conflicts=outcome.solver_stats.conflicts,
-                    worker=outcome.worker,
-                    decode_ms=outcome.decode_ms,
-                    recv_ms=outcome.recv_ms,
-                )
-            )
-        emit_config_trace(self._tracer, timings, cache, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
-            partition=info,
-        )

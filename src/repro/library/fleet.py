@@ -194,14 +194,12 @@ def configure_fleet(
     *,
     registry=None,
     partition: bool = True,
-    workers: int | None = None,
 ):
     """Generate and configure ``topology``; return ``(result, seconds)``.
 
     The scale-experiment entry point: builds the partial specification,
     runs it through a :class:`~repro.config.ConfigurationEngine`
-    (partitioned by default, on a ``workers``-sized process pool when
-    requested), and reports the configure wall time.
+    (partitioned by default), and reports the configure wall time.
     """
     import time
 
@@ -212,15 +210,11 @@ def configure_fleet(
         registry = standard_registry()
     partial = fleet_partial(topology)
     engine = ConfigurationEngine(
-        registry, partition=partition, workers=workers,
-        verify_registry=False,
+        registry, partition=partition, verify_registry=False
     )
-    try:
-        started = time.perf_counter()
-        result = engine.configure(partial)
-        elapsed = time.perf_counter() - started
-    finally:
-        engine.close()
+    started = time.perf_counter()
+    result = engine.configure(partial)
+    elapsed = time.perf_counter() - started
     return result, elapsed
 
 
@@ -245,11 +239,6 @@ def _main(argv: list[str] | None = None) -> int:
         "instead of emitting the spec JSON",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="with --configure: solve components on a process pool of "
-        "N workers (0 = one per core)",
-    )
-    parser.add_argument(
         "--no-partition", dest="partition", action="store_false",
         default=True,
         help="with --configure: force the monolithic pipeline",
@@ -260,23 +249,16 @@ def _main(argv: list[str] | None = None) -> int:
         stacks=tuple(args.stacks),
     )
     if args.configure:
-        if args.workers is not None and not args.partition:
-            parser.error("--workers requires the partitioned pipeline")
         result, elapsed = configure_fleet(
-            topology, partition=args.partition, workers=args.workers,
+            topology, partition=args.partition
         )
         nodes = len(result.spec)
         label = (
             f"{result.partition.count} components"
             if result.partition is not None else "monolithic"
         )
-        pool = (
-            f" on {result.partition.workers} workers"
-            if result.partition is not None and result.partition.workers
-            else ""
-        )
         print(
-            f"configured {nodes} nodes ({label}{pool}) in "
+            f"configured {nodes} nodes ({label}) in "
             f"{elapsed:.2f}s -- {nodes / elapsed:.0f} nodes/sec"
         )
         return 0

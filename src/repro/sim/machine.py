@@ -10,6 +10,7 @@ is that interface.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,7 +50,11 @@ class Machine:
     ) -> None:
         self.hostname = hostname
         self.os = os
-        self.ip_address = ip_address or f"10.0.0.{abs(hash(hostname)) % 250 + 1}"
+        # crc32, not hash(): str hashes change with PYTHONHASHSEED, and
+        # the address is persisted by save_world.
+        self.ip_address = ip_address or (
+            f"10.0.0.{zlib.crc32(hostname.encode('utf-8')) % 250 + 1}"
+        )
         self.cpu_cores = cpu_cores
         self.memory_mb = memory_mb
         self.os_user_name = os_user_name

@@ -152,6 +152,72 @@ class TestConfigure:
         assert "--session" in output
 
 
+class TestStatsJson:
+    @pytest.fixture
+    def fleet_file(self, tmp_path):
+        from repro.library.fleet import FleetTopology, fleet_spec_json
+
+        path = tmp_path / "fleet.json"
+        path.write_text(
+            fleet_spec_json(FleetTopology(replicas=6, machines=3)),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def test_stats_json_engine(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, _ = run([
+            "configure", fleet_file, "--partition",
+            "--stats-json", str(stats), "-o", str(tmp_path / "full.json"),
+        ])
+        assert code == 0
+        (stats_run,) = json.loads(stats.read_text())["runs"]
+        assert stats_run["instances"] > 0
+        assert set(stats_run["timings"]) == {
+            "graph_ms", "partition_ms", "encode_ms", "solve_ms",
+            "propagate_ms",
+        }
+        assert stats_run["cache"] is None
+        partition = stats_run["partition"]
+        assert set(partition) == {
+            "count", "largest", "partition_ms", "components",
+        }
+        assert partition["count"] == len(partition["components"]) == 3
+        for index, component in enumerate(partition["components"]):
+            assert component["index"] == index
+            assert set(component) == {
+                "index", "nodes", "edges", "pinned", "encode_ms",
+                "solve_ms", "propagate_ms", "decisions", "conflicts",
+            }
+
+    def test_stats_json_session_repeat(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, text = run([
+            "configure", fleet_file, "--session", "--repeat", "2",
+            "--partition", "--stats-json", str(stats),
+        ])
+        assert code == 0
+        assert "3 components" in text
+        runs = json.loads(stats.read_text())["runs"]
+        assert len(runs) == 2
+        assert not runs[0]["cache"]["graph_hit"]
+        assert runs[0]["cache"]["solvers_built"] == 3
+        assert runs[1]["cache"]["graph_hit"]
+        assert runs[1]["cache"]["solver_reused"]
+        assert runs[1]["cache"]["solvers_reused"] == 3
+
+    def test_stats_json_without_partition(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, _ = run([
+            "configure", fleet_file,
+            "--stats-json", str(stats), "-o", str(tmp_path / "full.json"),
+        ])
+        assert code == 0
+        (stats_run,) = json.loads(stats.read_text())["runs"]
+        assert stats_run["partition"] is None
+        assert stats_run["constraint_stats"]["clauses"] > 0
+
+
 class TestGraph:
     def test_figure5(self, spec_file):
         code, output = run(["graph", spec_file])

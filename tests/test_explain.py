@@ -6,6 +6,7 @@ from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import UnsatisfiableError
 from repro.config import (
     ConfigurationEngine,
+    ConfigurationSession,
     explain_message,
     explain_unsat,
 )
@@ -95,6 +96,38 @@ class TestExplainUnsat:
         with pytest.raises(UnsatisfiableError) as excinfo:
             engine.configure(partial)
         assert "cannot be deployed together" not in str(excinfo.value)
+
+    def test_unsat_diagnosis_reuses_the_graph(
+        self, registry, openmrs_partial, monkeypatch
+    ):
+        """The graph that proved UNSAT is the one diagnosed: GraphGen
+        runs once per cold configure and not at all on a session graph
+        hit (it used to run again inside ``explain_unsat``, and under
+        the default peer policy whatever the engine's was)."""
+        from repro.config import engine, explain, hypergraph
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return hypergraph.generate_graph(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "generate_graph", counting)
+        monkeypatch.setattr(explain, "generate_graph", counting)
+        partial = pinned_java_conflict(openmrs_partial)
+        with pytest.raises(UnsatisfiableError) as cold:
+            ConfigurationEngine(registry).configure(partial)
+        assert len(calls) == 1
+        session = ConfigurationSession(registry, partition=True)
+        with pytest.raises(UnsatisfiableError):
+            session.configure(partial)
+        assert len(calls) == 2
+        with pytest.raises(UnsatisfiableError) as warm:
+            session.configure(partial)
+        assert len(calls) == 2  # graph hit: the cached graph is diagnosed
+        assert str(warm.value) == str(cold.value)
+        assert explain_message(registry, partial) in str(cold.value)
+        assert len(calls) == 3
 
     def test_webserver_conflict(self, registry, infrastructure):
         from repro.django import package_application, table1_apps

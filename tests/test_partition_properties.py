@@ -21,7 +21,7 @@ from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.config.hypergraph import generate_graph
 from repro.config.partition import merge_component_specs, partition_graph
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import ConfigurationError, UnsatisfiableError
+from repro.core.errors import UnsatisfiableError
 from repro.dsl import full_to_json, partial_from_json
 from repro.library import standard_registry
 from repro.library.fleet import FleetTopology, fleet_partial
@@ -177,15 +177,6 @@ class TestMergeDeterminism:
 
 
 class TestEngineContract:
-    def test_partition_with_dpll_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConfigurationEngine(REGISTRY, solver="dpll", partition=True)
-        with pytest.raises(ConfigurationError):
-            ConfigurationSession(REGISTRY, solver="dpll", partition=True)
-        engine = ConfigurationEngine(REGISTRY, solver="dpll")
-        with pytest.raises(ConfigurationError):
-            engine.configure(figure2(), partition=True)
-
     def test_per_call_override_beats_constructor_mode(self):
         engine = ConfigurationEngine(REGISTRY, partition=True)
         result = engine.configure(figure2(), partition=False)
@@ -195,6 +186,36 @@ class TestEngineContract:
             figure2(), partition=True
         )
         assert forced.partition is not None
+
+    def test_empty_partial(self):
+        result = ConfigurationEngine(
+            REGISTRY, partition=True
+        ).configure(PartialInstallSpec())
+        assert len(result.spec) == 0
+        assert result.partition.count == 0
+        assert result.solver_stats.components == 0
+
+    def test_component_spans_carry_index_and_nodes(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        result = ConfigurationEngine(
+            REGISTRY, partition=True, tracer=tracer
+        ).configure(fleet_partial(FleetTopology(replicas=6, machines=3)))
+        spans = [
+            span for span in tracer.spans(category="config")
+            if span.name.startswith("configure:component[")
+        ]
+        assert [span.name for span in spans] == [
+            f"configure:component[{component.index}]"
+            for component in result.partition.components
+        ]
+        for span, component in zip(spans, result.partition.components):
+            assert span.args["component"] == component.index
+            assert span.args["nodes"] == component.nodes > 0
+        # Stacked in the order they ran: each starts where the last ended.
+        for before, after in zip(spans, spans[1:]):
+            assert after.timestamp == pytest.approx(before.end)
 
     def test_partition_info_shape(self):
         partial = fleet_partial(FleetTopology(replicas=6, machines=3))
@@ -207,6 +228,70 @@ class TestEngineContract:
         assert sum(c.nodes for c in info.components) == len(result.graph)
         assert all(c.decisions >= 0 for c in info.components)
         assert result.timings.partition_ms >= 0.0
+
+
+def small_hub(machines: int = 3) -> PartialInstallSpec:
+    """Every machine's Celery and OpenMRS peer to the one RabbitMQ and
+    the one MySQL on ``host0``: a single connected component."""
+    entries = [
+        PartialInstance(f"host{m}", as_key("Ubuntu-Linux 10.4"),
+                        config={"hostname": f"hub-{m}"})
+        for m in range(machines)
+    ]
+    entries += [
+        PartialInstance("hubbroker", as_key("RabbitMQ 2.7"),
+                        inside_id="host0"),
+        PartialInstance("hubdb", as_key("MySQL 5.1"), inside_id="host0"),
+    ]
+    for m in range(machines):
+        entries += [
+            PartialInstance(f"worker{m}", as_key("Celery 2.4"),
+                            inside_id=f"host{m}"),
+            PartialInstance(f"tomcat{m}", as_key("Tomcat 6.0.18"),
+                            inside_id=f"host{m}"),
+            PartialInstance(f"openmrs{m}", as_key("OpenMRS 1.8"),
+                            inside_id=f"tomcat{m}"),
+        ]
+    return PartialInstallSpec(entries)
+
+
+class TestMonolithicIsTheOneComponentCase:
+    """``partition=False`` runs the same per-component pipeline over the
+    whole graph as its only component."""
+
+    @pytest.mark.parametrize(
+        "front_end", [ConfigurationEngine, ConfigurationSession]
+    )
+    def test_connected_graph_is_mode_independent(self, front_end):
+        configurator = front_end(REGISTRY)
+        for _ in range(2):  # the session's second round is all-warm
+            mono = configurator.configure(small_hub())
+            part = configurator.configure(small_hub(), partition=True)
+            assert part.partition.count == 1
+            assert full_to_json(part.spec) == full_to_json(mono.spec)
+            assert part.model == mono.model
+            assert part.deployed_ids == mono.deployed_ids
+            assert part.constraint_stats == mono.constraint_stats
+
+    def test_monolithic_never_partitions(self, monkeypatch):
+        from repro.config import engine, partition
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return partition.partition_graph(graph)
+
+        monkeypatch.setattr(engine, "partition_graph", counting)
+        ConfigurationEngine(REGISTRY).configure(figure2())
+        session = ConfigurationSession(REGISTRY)
+        session.configure(figure2())
+        session.configure(figure2())
+        assert calls == []
+        ConfigurationEngine(REGISTRY, partition=True).configure(figure2())
+        session.configure(figure2(), partition=True)
+        session.configure(figure2(), partition=True)  # cached split
+        assert len(calls) == 2
 
 
 class TestExampleEquivalence:

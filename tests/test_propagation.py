@@ -13,7 +13,13 @@ from repro.core.errors import (
     PortTypeError,
     UnsatisfiableError,
 )
-from repro.config import ConfigurationEngine
+from repro.config import (
+    ConfigurationEngine,
+    ConfigurationSession,
+    fact_literals,
+    selected_nodes,
+)
+from repro.sat.solver import DpllSolver
 
 
 @pytest.fixture
@@ -168,19 +174,36 @@ class TestUnsat:
             engine.configure(openmrs_partial)
 
 
+def dpll_deployed(result):
+    """The deployed set the reference DPLL solver picks for the CNF a
+    monolithic ``result`` was solved from (the pinned instances are
+    unit clauses in an engine's formula and assumptions in a
+    session's, so they are assumed either way)."""
+    formula = result.formula
+    dpll = DpllSolver(formula)
+    assert dpll.solve(sorted(fact_literals(result.graph, formula).values()))
+    named = {
+        str(name): value
+        for name, value in formula.decode_model(dpll.model()).items()
+    }
+    return selected_nodes(result.graph, named)[0]
+
+
 class TestEngineOptions:
     def test_dpll_backend_agrees(self, registry, openmrs_partial):
-        cdcl = ConfigurationEngine(registry, solver="cdcl").configure(
-            openmrs_partial
-        )
-        dpll = ConfigurationEngine(
-            registry, solver="dpll", verify_registry=False
-        ).configure(openmrs_partial)
-        assert set(cdcl.deployed_ids) == set(dpll.deployed_ids) or (
+        cdcl = ConfigurationEngine(registry).configure(openmrs_partial)
+        dpll_ids = dpll_deployed(cdcl)
+        assert set(cdcl.deployed_ids) == dpll_ids or (
             # Both must at least deploy the mandatory instances.
             {"server", "tomcat", "openmrs", "mysql"}
-            <= set(cdcl.deployed_ids) & set(dpll.deployed_ids)
+            <= set(cdcl.deployed_ids) & dpll_ids
         )
+
+    def test_removed_options_raise_type_error(self, registry):
+        for front_end in (ConfigurationEngine, ConfigurationSession):
+            for removed in ("workers", "solver", "start_method"):
+                with pytest.raises(TypeError, match=removed):
+                    front_end(registry, **{removed: 2})
 
     def test_stats_exposed(self, result):
         assert result.constraint_stats.variables >= 6

@@ -13,6 +13,8 @@ from repro.core.errors import UnsatisfiableError
 from repro.dsl import full_to_json, load_resources
 from repro.library import standard_registry
 
+from tests.test_propagation import dpll_deployed
+
 
 def figure2(hostname="demotest"):
     return PartialInstallSpec([
@@ -137,6 +139,15 @@ class TestSession:
         assert (stats.typecheck_runs, stats.typecheck_skips) == (1, 1)
         assert stats.hit_rate == 0.5
 
+    def test_unchecked_calls_count_no_typecheck_run(self):
+        session = ConfigurationSession(
+            standard_registry(), check_types=False
+        )
+        session.configure(figure2())  # propagates, checks nothing
+        session.configure(figure2())  # reuses the propagated instances
+        stats = session.stats
+        assert (stats.typecheck_runs, stats.typecheck_skips) == (0, 1)
+
     def test_warm_timings_skip_cached_phases(self):
         session = ConfigurationSession(standard_registry())
         session.configure(figure2())
@@ -201,13 +212,14 @@ class TestSession:
 
     def test_dpll_mode_matches_engine(self):
         registry = standard_registry()
-        expected = ConfigurationEngine(registry, solver="dpll").configure(
-            figure2()
+        expected = dpll_deployed(
+            ConfigurationEngine(registry).configure(figure2())
         )
-        session = ConfigurationSession(registry, solver="dpll")
+        session = ConfigurationSession(registry)
         for _ in range(2):
             got = session.configure(figure2())
-            assert full_to_json(got.spec) == full_to_json(expected.spec)
+            assert dpll_deployed(got) == expected
+            assert set(figure2().ids()) <= got.deployed_ids & expected
 
     def test_max_entries_must_be_positive(self):
         with pytest.raises(ValueError):

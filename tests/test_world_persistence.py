@@ -112,6 +112,47 @@ FIGURE_2 = json.dumps(
 )
 
 
+DEPLOY_AND_SAVE = """
+import sys
+from repro.config import ConfigurationEngine
+from repro.library import (
+    standard_drivers, standard_infrastructure, standard_registry,
+)
+from repro.library.fleet import FleetTopology, fleet_partial
+from repro.runtime import DeploymentEngine
+from repro.sim import save_world
+
+registry = standard_registry()
+spec = ConfigurationEngine(registry, partition=True).configure(
+    fleet_partial(FleetTopology(replicas=4, machines=2))
+).spec
+infrastructure = standard_infrastructure()
+DeploymentEngine(registry, infrastructure, standard_drivers()).deploy(spec)
+sys.stdout.write(save_world(infrastructure))
+"""
+
+
+def test_saved_world_is_independent_of_the_hash_seed():
+    """Machines get a default IP derived from their hostname; it used
+    to come from ``hash()``, which differs from process to process."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    worlds = [
+        subprocess.run(
+            [sys.executable, "-c", DEPLOY_AND_SAVE],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source},
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert worlds[0] and worlds[0] == worlds[1]
+
+
 class TestCliBundleFlow:
     @pytest.fixture
     def bundle(self, tmp_path):
