@@ -52,8 +52,8 @@ from repro.library import (
     standard_registry,
 )
 from repro.runtime import (
+    BusCoordinator,
     DeploymentEngine,
-    MasterCoordinator,
     UpgradeEngine,
     provision_partial_spec,
 )
@@ -315,7 +315,7 @@ def e8() -> None:
     row("expansion ratio (lines)", "23.7x",
         f"{full_lines / partial_lines:.1f}x")
 
-    deployment = MasterCoordinator(
+    deployment = BusCoordinator(
         registry, infrastructure, standard_drivers()).deploy(result.spec)
     row("multi-host deploy", "production", deployment.is_deployed())
     row("machine order", "db before web", deployment.report.waves)

@@ -92,7 +92,7 @@ def main() -> None:
 
     before = infrastructure.clock.now
     result = upgrader.upgrade(
-        system, partial_for(key_v2), strategy="in_place"
+        system, partial_for(key_v2), strategy="delta"
     )
     in_place_seconds = infrastructure.clock.now - before
     print(f"upgrade to v2: succeeded={result.succeeded} in "

@@ -14,8 +14,8 @@ Run:  python examples/multi_host_production.py
 from __future__ import annotations
 
 from repro import (
+    BusCoordinator,
     ConfigurationEngine,
-    MasterCoordinator,
     PartialInstallSpec,
     PartialInstance,
     as_key,
@@ -60,7 +60,7 @@ def main() -> None:
     print("machine waves (parallel groups):", machine_waves(spec))
 
     # -- Deploy -------------------------------------------------------------
-    coordinator = MasterCoordinator(
+    coordinator = BusCoordinator(
         registry, infrastructure, standard_drivers()
     )
     deployment = coordinator.deploy(spec)

@@ -70,9 +70,9 @@ from repro.library import (
     standard_registry,
 )
 from repro.runtime import (
+    BusCoordinator,
     DeployedSystem,
     DeploymentEngine,
-    MasterCoordinator,
     ProcessMonitor,
     UpgradeEngine,
     add_monitoring,
@@ -83,6 +83,7 @@ from repro.sim import Infrastructure
 __version__ = "1.0.0"
 
 __all__ = [
+    "BusCoordinator",
     "ConfigurationEngine",
     "ConfigurationSession",
     "ConfigurationResult",
@@ -91,7 +92,6 @@ __all__ = [
     "EngageError",
     "Infrastructure",
     "InstallSpec",
-    "MasterCoordinator",
     "PartialInstallSpec",
     "PartialInstance",
     "ProcessMonitor",

@@ -703,7 +703,7 @@ def _deploy_over_bus(
     args, registry, infrastructure, drivers, spec, policy, tracer, out
 ) -> int:
     """Run the deployment through the message-bus control plane."""
-    from repro.core.errors import DeploymentError
+    from repro.core.errors import DeploymentError, DeploymentFailure
     from repro.runtime import BusCoordinator
     from repro.sim.faults import LinkFaultPlan
 
@@ -727,7 +727,10 @@ def _deploy_over_bus(
             chaos=_bus_chaos_from_args(args),
         )
     except DeploymentError as error:
-        out.write(f"bus deployment FAILED: {error}\n")
+        if isinstance(error, DeploymentFailure):
+            _write_failure(error, out)
+        else:
+            out.write(f"bus deployment FAILED: {error}\n")
         _finish_trace(args, tracer, out)
         return 1
     report = deployment.report
@@ -781,10 +784,44 @@ def _deploy_over_bus(
     return 0 if deployment.is_deployed() else 1
 
 
-def cmd_deploy(args, out: TextIO) -> int:
+def _run_deployment(
+    args, run, registry, infrastructure, tracer, save_to, out: TextIO
+) -> int:
+    """Run one deployment pass (``run()`` returns the system) and
+    report it: the outcome, or the failure with its resumable bundle;
+    then the bundle and the trace."""
     from repro.core.errors import DeploymentFailure
 
+    try:
+        system = run()
+    except DeploymentFailure as failure:
+        _write_failure(failure, out)
+        if save_to:
+            _save_bundle(
+                save_to, registry, infrastructure, failure.system,
+                failure.journal,
+            )
+            out.write(
+                f"resumable bundle saved to {save_to} "
+                f"(finish with: deploy --resume {save_to})\n"
+            )
+        _finish_trace(args, tracer, out)
+        return 1
+    _write_deploy_outcome(system, infrastructure, out)
+    if save_to:
+        _save_bundle(save_to, registry, infrastructure, system, system.journal)
+        out.write(f"bundle saved to {save_to}\n")
+    _finish_trace(args, tracer, out)
+    return 0 if system.is_deployed() else 1
+
+
+def cmd_deploy(args, out: TextIO) -> int:
     policy = _retry_policy_from_args(args)
+    passes = {
+        "policy": policy,
+        "jobs": args.jobs,
+        "jobs_per_host": args.jobs_per_host,
+    }
 
     if args.delta:
         if not args.partial:
@@ -814,33 +851,11 @@ def cmd_deploy(args, out: TextIO) -> int:
         )
         _install_chaos(args, infrastructure, out)
         engine = DeploymentEngine(registry, infrastructure, drivers)
-        save_to = args.save or args.delta
-        try:
-            result = execute_delta(
-                engine, system, delta,
-                policy=policy, jobs=args.jobs,
-                jobs_per_host=args.jobs_per_host,
-            )
-        except DeploymentFailure as failure:
-            _write_failure(failure, out)
-            _save_bundle(
-                save_to, registry, infrastructure, failure.system,
-                failure.journal,
-            )
-            out.write(
-                f"resumable bundle saved to {save_to} "
-                f"(finish with: deploy --resume {save_to})\n"
-            )
-            _finish_trace(args, tracer, out)
-            return 1
-        system = result.system
-        _write_deploy_outcome(system, infrastructure, out)
-        _finish_trace(args, tracer, out)
-        _save_bundle(
-            save_to, registry, infrastructure, system, result.journal
+        return _run_deployment(
+            args,
+            lambda: execute_delta(engine, system, delta, **passes).system,
+            registry, infrastructure, tracer, args.save or args.delta, out,
         )
-        out.write(f"bundle saved to {save_to}\n")
-        return 0 if system.is_deployed() else 1
 
     if args.resume:
         registry, infrastructure, drivers, system, journal = _load_bundle(
@@ -859,30 +874,10 @@ def cmd_deploy(args, out: TextIO) -> int:
             f"resuming: {len(journal.completed)} of "
             f"{len(journal.spec)} instances already deployed\n"
         )
-        save_to = args.save or args.resume
-        try:
-            system = engine.resume(
-                journal,
-                policy=policy,
-                jobs=args.jobs,
-                jobs_per_host=args.jobs_per_host,
-            )
-        except DeploymentFailure as failure:
-            _write_failure(failure, out)
-            _save_bundle(
-                save_to, registry, infrastructure, failure.system,
-                failure.journal,
-            )
-            out.write(f"resumable bundle saved to {save_to}\n")
-            _finish_trace(args, tracer, out)
-            return 1
-        _write_deploy_outcome(system, infrastructure, out)
-        _finish_trace(args, tracer, out)
-        _save_bundle(
-            save_to, registry, infrastructure, system, system.journal
+        return _run_deployment(
+            args, lambda: engine.resume(journal, **passes),
+            registry, infrastructure, tracer, args.save or args.resume, out,
         )
-        out.write(f"bundle saved to {save_to}\n")
-        return 0 if system.is_deployed() else 1
 
     if not args.partial:
         out.write("error: a partial spec is required (or use --resume)\n")
@@ -912,34 +907,10 @@ def cmd_deploy(args, out: TextIO) -> int:
             policy, tracer, out,
         )
     deploy = DeploymentEngine(registry, infrastructure, drivers)
-    try:
-        system = deploy.deploy(
-            result.spec,
-            policy=policy,
-            jobs=args.jobs,
-            jobs_per_host=args.jobs_per_host,
-        )
-    except DeploymentFailure as failure:
-        _write_failure(failure, out)
-        if args.save:
-            _save_bundle(
-                args.save, registry, infrastructure, failure.system,
-                failure.journal,
-            )
-            out.write(
-                f"resumable bundle saved to {args.save} "
-                f"(finish with: deploy --resume {args.save})\n"
-            )
-        _finish_trace(args, tracer, out)
-        return 1
-    _write_deploy_outcome(system, infrastructure, out)
-    if args.save:
-        _save_bundle(
-            args.save, registry, infrastructure, system, system.journal
-        )
-        out.write(f"bundle saved to {args.save}\n")
-    _finish_trace(args, tracer, out)
-    return 0 if system.is_deployed() else 1
+    return _run_deployment(
+        args, lambda: deploy.deploy(result.spec, **passes),
+        registry, infrastructure, tracer, args.save, out,
+    )
 
 
 def cmd_trace(args, out: TextIO) -> int:
@@ -1229,10 +1200,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="additional DSL resource files (e.g. the new version's type)",
     )
     upgrade.add_argument(
-        "--strategy", choices=("replace", "in_place", "delta"),
+        "--strategy", choices=("replace", "delta"),
         default="replace",
-        help="worst-case replace (paper), in-place (extension), or "
-        "delta (planner-driven, journalled)",
+        help="worst-case replace (paper) or delta (planner-driven)",
     )
 
     plan = sub.add_parser(

@@ -212,6 +212,18 @@ class InstallSpec:
             self._downstream = index
         return list(self._downstream.get(instance_id, ()))
 
+    def downstream_closure(self, instance_ids: Iterable[str]) -> set[str]:
+        """``instance_ids`` plus everything that transitively depends on
+        them -- what must leave ``active`` before they can (guards)."""
+        closure = set(instance_ids)
+        frontier = list(closure)
+        for current in frontier:
+            for dependent in self.downstream_ids(current):
+                if dependent not in closure:
+                    closure.add(dependent)
+                    frontier.append(dependent)
+        return closure
+
     def topological_order(self) -> list[ResourceInstance]:
         """Instances ordered so dependencies precede dependents.
 

@@ -8,7 +8,10 @@ depending on this one) neighbours:
 
 * ``up(s)``   -- the paper's "⊑ s": every upstream machine is in basic
   state ``s``;
-* ``down(s)`` -- the paper's "⊒ s": every downstream machine is in ``s``.
+* ``down(s)`` -- the paper's "⊒ s": every downstream machine is in ``s``
+  or *below* it in ``uninstalled < inactive < active`` -- a dependent
+  that was never installed cannot be running, so it must not have to be
+  installed merely so its upstream may ``stop [down(inactive)]``.
 
 Figure 3's Tomcat machine is :func:`service_state_machine`:
 ``install`` (uninstalled -> inactive), ``start [up(active)]``
@@ -40,8 +43,8 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class GuardAtom:
-    """``up(s)`` or ``down(s)``: all neighbours in that direction are in
-    basic state ``s``."""
+    """``up(s)``: all upstream neighbours are in basic state ``s``;
+    ``down(s)``: all downstream neighbours are in ``s`` or below it."""
 
     direction: Direction
     state: str
@@ -51,7 +54,11 @@ class GuardAtom:
             raise DriverError(f"guards range over basic states, got {self.state!r}")
 
     def holds(self, neighbour_states: Iterable[str]) -> bool:
-        return all(state == self.state for state in neighbour_states)
+        if self.direction is Direction.DOWNSTREAM:
+            allowed = BASIC_STATES[: BASIC_STATES.index(self.state) + 1]
+        else:
+            allowed = (self.state,)
+        return all(state in allowed for state in neighbour_states)
 
     def __str__(self) -> str:
         return f"{self.direction.value}({self.state})"

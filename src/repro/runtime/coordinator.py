@@ -14,13 +14,12 @@ full spec into per-node specs (cross-machine links are dropped -- port
 values were already propagated globally, so slaves need no awareness of
 remote instances), and deploys wave by wave.  Machines in the same
 *wave* (no cross-dependency between them) deploy **concurrently** on the
-shared event clock: each slave runs inside an overlapping
-:class:`~repro.sim.clock.ClockSpan` anchored at the wave start, the
-master advances to the slowest slave's finish, and the report's
-``parallel_makespan_seconds`` is the measured wall-clock of the whole
-deployment.  ``jobs`` / ``jobs_per_host`` are forwarded to each slave
-engine, so intra-machine parallelism composes with the inter-machine
-waves.
+shared event clock: each slave agent executes its work item inside an
+overlapping :class:`~repro.sim.clock.ClockSpan` anchored at the instant
+the work arrived, and the report's ``parallel_makespan_seconds`` is the
+measured wall-clock of the whole deployment.  ``jobs`` /
+``jobs_per_host`` are forwarded to each slave engine, so intra-machine
+parallelism composes with the inter-machine waves.
 """
 
 from __future__ import annotations
@@ -103,26 +102,24 @@ AGENT_PACKAGE = ("engage-agent", "1.0")
 
 
 def install_agent(
-    infrastructure: Infrastructure,
-    engine: DeploymentEngine,
-    sub_spec: InstallSpec,
-    installed: Optional[list[str]] = None,
+    engine: DeploymentEngine, sub_spec: InstallSpec, installed: list[str]
 ) -> None:
-    """Install the Engage slave agent on ``sub_spec``'s target hosts.
+    """Install the Engage slave agent on ``sub_spec``'s target hosts,
+    appending the hostnames that needed it to ``installed``.
 
     Idempotent: the package is published to the index once and installed
-    only where missing.  Shared by the direct coordinator and the bus
-    slave agents, so both control planes leave identical worlds.
+    only where missing.
     """
+    infrastructure = engine.infrastructure
     name, version = AGENT_PACKAGE
     if not infrastructure.package_index.has(name, version):
         infrastructure.package_index.publish_simple(name, version, 2_000_000)
-    for machine in engine._resolve_machines(sub_spec).values():
+    for instance in sub_spec.machines():
+        machine = engine.resolve_machine(instance)
         manager = infrastructure.package_manager(machine)
         if not manager.is_installed(name):
             manager.install(name, version)
-            if installed is not None:
-                installed.append(machine.hostname)
+            installed.append(machine.hostname)
 
 
 class MultiHostDeploymentFailure(DeploymentFailure):
@@ -159,7 +156,7 @@ class MultiHostReport:
     waves: list[list[str]] = field(default_factory=list)
     per_machine_seconds: dict[str, float] = field(default_factory=dict)
     sequential_seconds: float = 0.0
-    #: Sum over waves of the slowest slave in the wave.
+    #: Measured wall-clock of the whole deployment.
     parallel_makespan_seconds: float = 0.0
     #: Hostnames where the coordinator installed the slave agent.
     agents_installed: list[str] = field(default_factory=list)
@@ -203,133 +200,10 @@ class MultiHostDeployment:
         return DeploymentJournal.merged(self.spec, journals, target=target)
 
 
-class MasterCoordinator:
-    """Coordinates slave deployments machine by machine."""
-
-    def __init__(
-        self,
-        registry: ResourceTypeRegistry,
-        infrastructure: Infrastructure,
-        driver_registry: Optional[DriverRegistry] = None,
-    ) -> None:
-        self.registry = registry
-        self.infrastructure = infrastructure
-        self.driver_registry = driver_registry
-
-    def deploy(
-        self,
-        spec: InstallSpec,
-        *,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> MultiHostDeployment:
-        per_node = split_spec(spec)
-        waves = machine_waves(spec)
-        report = MultiHostReport(waves=waves)
-        slaves: dict[str, DeployedSystem] = {}
-        clock = self.infrastructure.clock
-        tracer = self.infrastructure.tracer
-        for index, wave in enumerate(waves):
-            wave_started = clock.now
-            wave_finishes: list[float] = []
-            for machine_id in wave:
-                engine = DeploymentEngine(
-                    self.registry, self.infrastructure, self.driver_registry
-                )
-                # Same-wave slaves have no inter-dependencies, so each
-                # runs in its own span anchored at the wave start: their
-                # simulated timelines overlap even though the substrate
-                # executes them one after another.
-                span = clock.overlapping(wave_started)
-                try:
-                    with span:
-                        self._install_agent(
-                            engine, per_node[machine_id], report
-                        )
-                        slaves[machine_id] = engine.deploy(
-                            per_node[machine_id],
-                            jobs=jobs,
-                            jobs_per_host=jobs_per_host,
-                        )
-                except DeploymentFailure as failure:
-                    # Keep every sibling slave (and this slave's partial
-                    # system) on the failure: their in-flight journal
-                    # entries would otherwise be orphaned with the
-                    # discarded ``slaves`` dict.
-                    if failure.system is not None:
-                        slaves[machine_id] = failure.system
-                    report.per_machine_seconds[machine_id] = span.elapsed
-                    partial = MultiHostDeployment(spec, slaves, report)
-                    started = set(slaves)
-                    unstarted = [
-                        m for w in waves for m in w if m not in started
-                    ]
-                    completed: set[str] = set()
-                    for journal_ in partial.journals().values():
-                        completed |= journal_.completed
-                    raise MultiHostDeploymentFailure(
-                        f"slave {machine_id!r} failed in wave {index}: "
-                        f"{failure}",
-                        deployment=partial,
-                        failed_machine=machine_id,
-                        unstarted=unstarted,
-                        journal=failure.journal,
-                        completed=completed,
-                        failed=failure.failed,
-                        skipped=failure.skipped,
-                        report=failure.report,
-                        system=failure.system,
-                    ) from failure
-                report.per_machine_seconds[machine_id] = span.elapsed
-                wave_finishes.append(span.end)
-                if tracer is not None:
-                    tracer.span(
-                        f"slave:{machine_id}", category="coordinator",
-                        start=wave_started, duration=span.elapsed,
-                        lane="coordinator", wave=index, machine=machine_id,
-                    )
-            wave_end = max(wave_finishes, default=wave_started)
-            # The spans above already account for the elapsed stretch.
-            clock.sync_to(wave_end)
-            report.parallel_makespan_seconds += wave_end - wave_started
-            if tracer is not None:
-                tracer.span(
-                    f"wave-{index}", category="coordinator",
-                    start=wave_started, duration=wave_end - wave_started,
-                    lane="coordinator", machines=list(wave),
-                )
-                tracer.metrics.counter("coordinator.waves").inc()
-        report.sequential_seconds = sum(report.per_machine_seconds.values())
-        return MultiHostDeployment(spec, slaves, report)
-
-    def _install_agent(
-        self,
-        engine: DeploymentEngine,
-        sub_spec: InstallSpec,
-        report: MultiHostReport,
-    ) -> None:
-        """Install the Engage slave agent on the target host before the
-        slave deployment runs (idempotent)."""
-        install_agent(
-            self.infrastructure, engine, sub_spec, report.agents_installed
-        )
-
-    def shutdown(self, deployment: MultiHostDeployment) -> None:
-        """Stop slaves in reverse machine order."""
-        for wave in reversed(deployment.report.waves):
-            for machine_id in reversed(wave):
-                engine = DeploymentEngine(
-                    self.registry, self.infrastructure, self.driver_registry
-                )
-                slave = deployment.slaves[machine_id]
-                engine.shutdown(slave)
-
-
 # ---------------------------------------------------------------------------
 # The message-bus control plane.
 #
-# The direct coordinator above calls each slave engine in-process; the
-# classes below replace those calls with traffic over a simulated
+# Every hand-off crosses a simulated
 # :class:`~repro.runtime.bus.MessageBus`: the master enqueues one
 # idempotent *work item* per (wave, machine) and retransmits until
 # acked; slave agents consume work, execute it through the ordinary
@@ -338,7 +212,8 @@ class MasterCoordinator:
 # and chaotic (drops, duplicates, reorders, partitions), everything is
 # keyed: a work item's dedup key makes re-execution a cache hit, and a
 # re-ack replays the cached frontier instead of redoing the work --
-# at-least-once delivery, exactly-once *effect*.
+# at-least-once delivery, exactly-once *effect*.  A direct in-process
+# call is the degenerate case: a fault-free bus at zero latency.
 # ---------------------------------------------------------------------------
 
 
@@ -524,10 +399,7 @@ class SlaveAgent:
         span = self.infrastructure.clock.overlapping(now)
         try:
             with span:
-                install_agent(
-                    self.infrastructure, engine, sub_spec,
-                    self.agents_installed,
-                )
+                install_agent(engine, sub_spec, self.agents_installed)
                 if resume:
                     self.work_resumes += 1
                     system = engine.resume(
@@ -946,11 +818,11 @@ class BusDeployment(MultiHostDeployment):
 class BusCoordinator:
     """Coordinates slave deployments over the message bus.
 
-    Equivalent in effect to :class:`MasterCoordinator` -- same waves,
-    same per-node sub-specs, same engines doing the work -- but every
-    hand-off crosses the bus, so partitions, slave crashes, and master
-    failover (a :class:`BusChaos` schedule) become scenarios the
-    deployment must survive rather than things it cannot express.
+    Waves, per-node sub-specs, and one ordinary engine per slave doing
+    the work -- with every hand-off crossing the bus, so partitions,
+    slave crashes, and master failover (a :class:`BusChaos` schedule)
+    are scenarios the deployment must survive rather than things it
+    cannot express.
     """
 
     def __init__(
@@ -1074,12 +946,7 @@ class BusCoordinator:
             active.step(now)
             for machine_id in sorted(agents):
                 agents[machine_id].step(now)
-            if active.failures:
-                key, error = sorted(active.failures.items())[0]
-                raise DeploymentError(
-                    f"bus deployment failed: work {key} nacked: {error}"
-                )
-            if active.done():
+            if active.failures or active.done():
                 break
             candidates = [bus.next_time(), active.next_wake(now)]
             candidates.extend(
@@ -1111,10 +978,53 @@ class BusCoordinator:
             else:
                 no_progress = 0
             clock.sync_to(nxt)
-        return self._finish(
+        deployment = self._finish(
             spec, waves, bus, masters, agents, started_at,
             failover, partition_record,
         )
+        if masters[-1].failures:
+            raise self._failure(masters[-1], agents, deployment)
+        return deployment
+
+    def _failure(
+        self,
+        master: MasterNode,
+        agents: dict[str, SlaveAgent],
+        partial: "BusDeployment",
+    ) -> MultiHostDeploymentFailure:
+        """The fleet view of a nacked work item: every slave that ran
+        (the failed one's partial system included), the culprit, and the
+        machines whose work never arrived."""
+        key, error = sorted(master.failures.items())[0]
+        status = master.log.statuses[key]
+        agent = agents[status.machine_id]
+        journal = agent.journals[key]
+        system = agent.systems.get(key)
+        return MultiHostDeploymentFailure(
+            f"slave {status.machine_id!r} failed in wave {status.wave}: "
+            f"{error}",
+            deployment=partial,
+            failed_machine=status.machine_id,
+            unstarted=[
+                m for wave in master.waves for m in wave
+                if not agents[m].journals
+            ],
+            journal=journal,
+            completed=partial.merged_journal().completed,
+            failed=journal.failed,
+            skipped=journal.skipped,
+            report=system.report if system is not None else None,
+            system=system,
+        )
+
+    def shutdown(self, deployment: MultiHostDeployment) -> None:
+        """Stop slaves in reverse machine order."""
+        engine = DeploymentEngine(
+            self.registry, self.infrastructure, self.driver_registry
+        )
+        for wave in reversed(deployment.report.waves):
+            for machine_id in reversed(wave):
+                engine.shutdown(deployment.slaves[machine_id])
 
     def _apply_partition(
         self,
@@ -1152,8 +1062,8 @@ class BusCoordinator:
         slaves: dict[str, DeployedSystem] = {}
         for machine_id in sorted(agents):
             agent = agents[machine_id]
-            key = next(iter(agent.systems))
-            slaves[machine_id] = agent.systems[key]
+            if agent.systems:  # none if the fleet failed before its wave
+                slaves[machine_id] = next(iter(agent.systems.values()))
             report.per_machine_seconds[machine_id] = agent.total_seconds
             report.agents_installed.extend(agent.agents_installed)
             report.redundant_acks += agent.redundant_acks
@@ -1174,7 +1084,30 @@ class BusCoordinator:
         report.masters = [node.name for node in masters]
         report.failover = failover
         report.partition = partition_record
-        return BusDeployment(spec, slaves, report, bus)
+        deployment = BusDeployment(spec, slaves, report, bus)
+        tracer = self.infrastructure.tracer
+        if tracer is None:
+            return deployment
+        # The coordinator lane, read off the acks the control log holds:
+        # one span per slave, one per completed wave.
+        log = masters[-1].log
+        for index, wave in enumerate(waves[: log.wave_index]):
+            acks = [log.statuses[work_key(index, m)].ack for m in wave]
+            for ack in acks:
+                tracer.span(
+                    f"slave:{ack['machine']}", category="coordinator",
+                    start=ack["finished_at"] - ack["seconds"],
+                    duration=ack["seconds"], lane="coordinator",
+                    wave=index, machine=ack["machine"],
+                )
+            started = min(a["finished_at"] - a["seconds"] for a in acks)
+            tracer.span(
+                f"wave-{index}", category="coordinator", start=started,
+                duration=max(a["finished_at"] for a in acks) - started,
+                lane="coordinator", machines=list(wave),
+            )
+            tracer.metrics.counter("coordinator.waves").inc()
+        return deployment
 
 
 # ---------------------------------------------------------------------------

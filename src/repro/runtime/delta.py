@@ -31,15 +31,16 @@ under the new spec, exactly where it left off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.errors import DeploymentFailure, RuntimeEngageError
-from repro.core.instances import InstallSpec, ResourceInstance
-from repro.drivers.state_machine import ACTIVE, INACTIVE, UNINSTALLED
+from repro.core.instances import InstallSpec
+from repro.drivers.state_machine import ACTIVE
 from repro.runtime.deploy import (
     DeployedSystem,
     DeploymentEngine,
     DeploymentReport,
+    machine_hostname,
 )
 from repro.runtime.journal import (
     DeploymentJournal,
@@ -50,23 +51,84 @@ from repro.runtime.reconcile import (
     RepairOp,
     RepairStep,
     TransitionPlan,
-    _merge_reports,
     detect_drift,
 )
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.upgrade import SpecDiff, diff_specs
+from repro.runtime.state import adopt_states
+from repro.sim.infrastructure import Infrastructure
 
 
-def _machine_hostname(instance: ResourceInstance) -> Optional[str]:
-    """The hostname a machine instance is bound to (config first, then
-    the provisioner's output record) -- mirrors
-    :meth:`DeploymentEngine._resolve_machines`."""
-    hostname = instance.config.get("hostname")
-    if not hostname:
-        host_record = instance.outputs.get("host")
-        if isinstance(host_record, dict):
-            hostname = host_record.get("hostname")
-    return str(hostname) if hostname else None
+@dataclass
+class SpecDiff:
+    """Instance-level difference between the old and new full specs."""
+
+    added: list[str] = field(default_factory=list)
+    removed: list[str] = field(default_factory=list)
+    upgraded: list[str] = field(default_factory=list)  # same id, new key
+    reconfigured: list[str] = field(default_factory=list)  # same key, new config
+    moved: list[str] = field(default_factory=list)  # same key/config, new host
+    unchanged: list[str] = field(default_factory=list)
+
+    def to_payload(self) -> dict:
+        return {
+            "added": list(self.added),
+            "removed": list(self.removed),
+            "upgraded": list(self.upgraded),
+            "reconfigured": list(self.reconfigured),
+            "moved": list(self.moved),
+            "unchanged": len(self.unchanged),
+        }
+
+
+def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
+    diff = SpecDiff()
+    old_ids = set(old.ids())
+    new_ids = set(new.ids())
+    diff.added = sorted(new_ids - old_ids)
+    diff.removed = sorted(old_ids - new_ids)
+    for instance_id in sorted(old_ids & new_ids):
+        before = old[instance_id]
+        after = new[instance_id]
+        if before.key != after.key:
+            diff.upgraded.append(instance_id)
+        elif before.config != after.config:
+            diff.reconfigured.append(instance_id)
+        elif (
+            not before.is_machine()
+            and before.machine_id(old) != after.machine_id(new)
+        ):
+            # Same key, same config -- but relocated: the old host must
+            # lose the instance and the new host gain it.  Comparing
+            # key/config alone used to classify this "unchanged" and
+            # leave the instance running on the old machine.
+            diff.moved.append(instance_id)
+        else:
+            diff.unchanged.append(instance_id)
+    return diff
+
+
+def retired_hostnames(
+    old_spec: InstallSpec, new_spec: InstallSpec
+) -> list[str]:
+    """Hosts only the old spec wants: deregistered once the down phase
+    has emptied them."""
+    kept = {machine_hostname(instance) for instance in new_spec.machines()}
+    return sorted(
+        hostname
+        for instance in old_spec.machines()
+        if instance.id not in new_spec
+        and (hostname := machine_hostname(instance)) is not None
+        and hostname not in kept
+    )
+
+
+def retire_machines(
+    infrastructure: Infrastructure, hostnames: Iterable[str]
+) -> None:
+    """Deregister whichever of ``hostnames`` is still on the network."""
+    for hostname in hostnames:
+        if infrastructure.network.has_machine(hostname):
+            infrastructure.remove_machine(hostname)
 
 
 @dataclass
@@ -192,14 +254,7 @@ def plan_delta(
     # Downstream closure over the OLD spec: stopping a replaced/removed
     # instance requires every dependent inactive first (guards), even
     # dependents that are themselves unchanged.
-    closure = set(teardown)
-    frontier = list(teardown)
-    while frontier:
-        current = frontier.pop()
-        for dependent in old_spec.downstream_ids(current):
-            if dependent not in closure:
-                closure.add(dependent)
-                frontier.append(dependent)
+    closure = old_spec.downstream_closure(teardown)
     stop_only = closure - teardown
 
     stop_down = sorted(closure, key=lambda iid: old_order[iid], reverse=True)
@@ -207,16 +262,7 @@ def plan_delta(
         teardown, key=lambda iid: old_order[iid], reverse=True
     )
 
-    new_machine_hosts = {
-        _machine_hostname(instance) for instance in new_spec.machines()
-    }
-    retire_hostnames = sorted(
-        hostname
-        for instance in old_spec.machines()
-        if instance.id in removed
-        and (hostname := _machine_hostname(instance)) is not None
-        and hostname not in new_machine_hosts
-    )
+    retire_hostnames = retired_hostnames(old_spec, new_spec)
 
     # Live stragglers: unchanged instances drift says never converged
     # (an interrupted earlier deploy), and crashed-but-converged
@@ -359,83 +405,66 @@ def rebase_journal(
     return journal
 
 
-def _run_down_phase(
+def _down_phase(
     engine: DeploymentEngine,
     old_system: DeployedSystem,
     journal: DeploymentJournal,
-    stop_ids: list[str],
-    uninstall_ids: list[str],
-    report: DeploymentReport,
     *,
     policy: Optional[RetryPolicy] = None,
     jobs: Optional[int] = None,
     jobs_per_host: Optional[int] = None,
-) -> None:
-    """Drive the old spec down: stop the closure, uninstall the
-    teardown set -- journalled, so each completed transition survives a
-    crash.  Filtered by live state: a resume must not *install* an
-    instance merely to uninstall it again."""
-    stop_now = [
-        iid for iid in stop_ids if old_system.state_of(iid) == ACTIVE
-    ]
-    if stop_now:
-        _merge_reports(
-            report,
-            engine.drive_instances(
-                old_system, stop_now, INACTIVE, reverse=True,
-                policy=policy, journal=journal,
-                jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
-        )
-    uninstall_now = [
-        iid
-        for iid in uninstall_ids
-        if old_system.state_of(iid) != UNINSTALLED
-    ]
-    if uninstall_now:
-        _merge_reports(
-            report,
-            engine.drive_instances(
-                old_system, uninstall_now, UNINSTALLED, reverse=True,
-                policy=policy, journal=journal,
-                jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
-        )
+) -> DeploymentReport:
+    """Run what is left of the journal's transition on the old spec's
+    system: stop the closure, uninstall the teardown set (journalled, so
+    each completed action survives a crash), retire the vacated machines
+    and close the transition record -- from there on the journal speaks
+    only the new spec's language.
 
-
-def _finish_down_phase(
-    engine: DeploymentEngine, journal: DeploymentJournal
-) -> None:
-    """Retire the vacated machines and close the transition record --
-    from here on the journal speaks only the new spec's language."""
+    A failure is raised holding a *new*-spec system: the resumable
+    bundle must be keyed by the journal's spec, or reloading would
+    rebind the journal to the wrong one."""
     transition = journal.transition
-    if transition is None:
-        return
-    for hostname in transition.retire:
-        if engine.infrastructure.network.has_machine(hostname):
-            engine.infrastructure.remove_machine(hostname)
+    try:
+        report = engine.drive_down(
+            old_system, transition.stop, transition.pending,
+            policy=policy, journal=journal,
+            jobs=jobs, jobs_per_host=jobs_per_host,
+        )
+    except DeploymentFailure as failure:
+        raise DeploymentFailure(
+            f"delta down phase failed: {failure}",
+            journal=journal,
+            completed=set(journal.completed),
+            failed=dict(journal.failed),
+            skipped=set(journal.skipped),
+            report=failure.report,
+            system=_carry_over(
+                engine, old_system, journal.spec, transition.pending
+            ),
+        ) from failure
+    retire_machines(engine.infrastructure, transition.retire)
     journal.finish_transition()
+    return report
 
 
-def _new_system_for_failure(
+def _carry_over(
     engine: DeploymentEngine,
     old_system: DeployedSystem,
-    delta: DeltaPlan,
+    new_spec: InstallSpec,
+    torn_down: Iterable[str],
 ) -> DeployedSystem:
-    """A new-spec system snapshot for a failure bundle.
-
-    A down-phase failure is raised holding the *old* system, but the
-    resumable bundle must be keyed by the journal's spec -- the new one
-    -- or reloading would rebind the journal to the wrong spec.
-    Surviving unchanged drivers come across live; everything else sits
-    at its initial state, which is exactly what the journal's
-    transition record says still needs doing."""
-    survivors = {
-        iid: old_system.drivers[iid]
-        for iid in delta.diff.unchanged
-        if iid in old_system.drivers
-    }
-    return engine.prepare(delta.new_spec, reuse_drivers=survivors)
+    """The new spec's system with every driver the down phase leaves
+    installed carried over live; everything else sits at its initial
+    state, which is exactly what is still to be deployed."""
+    torn_down = set(torn_down)
+    return engine.prepare(
+        new_spec,
+        reuse_drivers={
+            iid: driver
+            for iid, driver in old_system.drivers.items()
+            if iid not in torn_down
+        },
+    )
 
 
 def execute_delta(
@@ -449,12 +478,12 @@ def execute_delta(
 ) -> DeltaResult:
     """Execute a planned delta transition on the live ``system``.
 
-    Phases: (1) journal rebase + transition record, (2) down phase on
-    the old spec (stop closure, uninstall teardown -- reverse order),
-    (3) machine retirement + transition close, (4) up phase on the new
-    spec through :meth:`DeploymentEngine.drive_instances` (DAG
-    scheduler, retries, journalling), (5) restarts of crashed-but-
-    converged services.  On failure the raised
+    A composition of the engine's transition primitives: journal rebase
+    + transition record, *down* on the old spec (stop closure, uninstall
+    teardown), machine retirement + transition close, ``prepare`` of the
+    new spec over the surviving drivers, *up*
+    (:meth:`DeploymentEngine.drive_instances`), *restart* of crashed-
+    but-converged services.  On failure in any phase the raised
     :class:`DeploymentFailure` carries the new-spec system and the
     transition journal: persist them with the world and ``deploy
     --resume`` finishes the transition.
@@ -471,30 +500,16 @@ def execute_delta(
                 retire=list(delta.retire_hostnames),
             )
         )
-        try:
-            _run_down_phase(
+        report.merge(
+            _down_phase(
                 engine, system, journal,
-                delta.stop_down, delta.uninstall_down, report,
                 policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
             )
-        except DeploymentFailure as failure:
-            raise DeploymentFailure(
-                f"delta down phase failed: {failure}",
-                journal=journal,
-                completed=set(journal.completed),
-                failed=dict(journal.failed),
-                skipped=set(journal.skipped),
-                report=report,
-                system=_new_system_for_failure(engine, system, delta),
-            ) from failure
-        _finish_down_phase(engine, journal)
+        )
 
-    survivors = {
-        iid: system.drivers[iid]
-        for iid in delta.diff.unchanged
-        if iid in system.drivers
-    }
-    new_system = engine.prepare(delta.new_spec, reuse_drivers=survivors)
+    new_system = _carry_over(
+        engine, system, delta.new_spec, delta.uninstall_down
+    )
     new_system.journal = journal
     journal.reset_frontier()
     up_ids = [
@@ -503,25 +518,18 @@ def execute_delta(
         if instance.id not in journal.completed
     ]
     if up_ids:
-        _merge_reports(
-            report,
+        report.merge(
             engine.drive_instances(
                 new_system, up_ids, delta.target,
                 policy=policy, journal=journal,
                 jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
+            )
         )
-
-    for iid in delta.restart:
-        driver = new_system.driver(iid)
-        if driver.state != ACTIVE:
-            continue  # handled by the up phase after all
-        transition = driver.machine_spec.find(ACTIVE, "restart")
-        engine._check_guard(new_system, iid, transition)
-        engine._perform_with_retry(
-            new_system, iid, transition, report,
-            policy=policy, journal=journal,
+    report.merge(
+        engine.restart_instances(
+            new_system, delta.restart, policy=policy, journal=journal
         )
+    )
 
     journal.sort_entries_by_time()
     new_system.report = report
@@ -543,12 +551,9 @@ def complete_down_phase(
     Called by :meth:`DeploymentEngine.resume` when the journal carries
     a :class:`SpecTransition`: the old system is reconstructed from the
     recorded old spec, its drivers adopt the journal frontier (live
-    processes reattach), the remaining stop/uninstall work runs --
-    filtered by adopted state, so finished work no-ops -- the vacated
-    machines retire, and the transition record closes.  The caller then
-    resumes the up phase normally."""
-    from repro.runtime.state import adopt_states
-
+    processes reattach) and the down phase runs again -- filtered by
+    adopted state, so finished work no-ops.  The caller then resumes
+    the up phase normally."""
     transition = journal.transition
     if transition is None:
         return
@@ -561,30 +566,7 @@ def complete_down_phase(
         if iid in old_ids
     }
     adopt_states(old_system, frontier, partial=True)
-    report = DeploymentReport(jobs=jobs)
-    try:
-        _run_down_phase(
-            engine, old_system, journal,
-            list(transition.stop), list(transition.pending), report,
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-    except DeploymentFailure as failure:
-        delta_like_system = engine.prepare(
-            journal.spec,
-            reuse_drivers={
-                iid: old_system.drivers[iid]
-                for iid in old_ids
-                if iid in journal.spec
-                and iid not in set(transition.pending)
-            },
-        )
-        raise DeploymentFailure(
-            f"delta down phase failed again: {failure}",
-            journal=journal,
-            completed=set(journal.completed),
-            failed=dict(journal.failed),
-            skipped=set(journal.skipped),
-            report=report,
-            system=delta_like_system,
-        ) from failure
-    _finish_down_phase(engine, journal)
+    _down_phase(
+        engine, old_system, journal,
+        policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
+    )

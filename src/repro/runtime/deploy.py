@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 from repro.core.errors import (
     ActionTimeout,
     DeploymentError,
+    DeploymentFailure,
     GuardError,
     TransientError,
 )
@@ -50,6 +51,17 @@ def standard_driver_registry() -> DriverRegistry:
     registry.register("archive", ArchiveDriver)
     registry.register("service", ServiceDriver)
     return registry
+
+
+def machine_hostname(instance: ResourceInstance) -> Optional[str]:
+    """The hostname a machine instance is bound to: its config port
+    first, then the provisioner's ``host`` output record."""
+    hostname = instance.config.get("hostname")
+    if not hostname:
+        host_record = instance.outputs.get("host")
+        if isinstance(host_record, dict):
+            hostname = host_record.get("hostname")
+    return str(hostname) if hostname else None
 
 
 @dataclass
@@ -126,6 +138,14 @@ class DeploymentReport:
     def invalidate_caches(self) -> None:
         """Force a reindex after in-place mutation (e.g. sorting)."""
         self._indexed_count = -1
+
+    def merge(self, part: "DeploymentReport") -> None:
+        """Fold a pass that ran after this one into it: actions
+        appended, costs summed."""
+        self.actions.extend(part.actions)
+        self.sequential_seconds += part.sequential_seconds
+        self.makespan_seconds += part.makespan_seconds
+        self.critical_path_seconds += part.critical_path_seconds
 
     def actions_for(self, instance_id: str) -> list[ActionRecord]:
         self._reindex()
@@ -304,31 +324,30 @@ class DeploymentEngine:
         )
         return system
 
+    def resolve_machine(self, instance: ResourceInstance) -> Machine:
+        """The simulated machine behind a machine instance, created on
+        first touch when provisioning has not already placed it on the
+        network."""
+        hostname = machine_hostname(instance)
+        if hostname is None:
+            raise DeploymentError(
+                f"machine instance {instance.id!r} has no hostname; "
+                "run provisioning first"
+            )
+        network = self.infrastructure.network
+        if network.has_machine(hostname):
+            return network.machine(hostname)
+        return self.infrastructure.add_machine(
+            hostname,
+            str(instance.config.get("os_name", "ubuntu-linux")),
+            str(instance.config.get("os_version", "10.04")),
+        )
+
     def _resolve_machines(self, spec: InstallSpec) -> dict[str, Machine]:
-        """Map machine instances to simulated machines, creating any that
-        provisioning has not already placed on the network."""
-        machines: dict[str, Machine] = {}
-        for instance in spec.machines():
-            hostname = instance.config.get("hostname")
-            if not hostname:
-                host_record = instance.outputs.get("host")
-                if isinstance(host_record, dict):
-                    hostname = host_record.get("hostname")
-            if not hostname:
-                raise DeploymentError(
-                    f"machine instance {instance.id!r} has no hostname; "
-                    "run provisioning first"
-                )
-            network = self.infrastructure.network
-            if network.has_machine(hostname):
-                machines[instance.id] = network.machine(hostname)
-            else:
-                machines[instance.id] = self.infrastructure.add_machine(
-                    hostname,
-                    str(instance.config.get("os_name", "ubuntu-linux")),
-                    str(instance.config.get("os_version", "10.04")),
-                )
-        return machines
+        return {
+            instance.id: self.resolve_machine(instance)
+            for instance in spec.machines()
+        }
 
     def _create_drivers(
         self, spec: InstallSpec, machines: dict[str, Machine]
@@ -561,7 +580,11 @@ class DeploymentEngine:
                 f"(upstream={upstream}, downstream={downstream})"
             )
 
-    # -- Partial operations (used by upgrades and the reconcile loop) -----
+    # -- Transition primitives ---------------------------------------------
+    #
+    # Every live transition -- repair, delta, upgrade, shutdown -- is a
+    # composition of these three plus :meth:`prepare`: down, up
+    # (:meth:`drive_instances`), restart.
 
     def drive_instances(
         self,
@@ -575,19 +598,89 @@ class DeploymentEngine:
         jobs: Optional[int] = None,
         jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
-        """Drive just ``instance_ids`` to ``target``: the delta-repair
-        entry point.
-
-        The reconcile planner computes a minimal instance set and this
-        method executes it through the regular serial/DAG machinery --
-        guards, retries, and write-ahead journalling included.  Guards
-        are checked against the *global* state, so instances outside the
-        set safely anchor the guards of those inside it."""
+        """Drive just ``instance_ids`` to ``target`` through the regular
+        serial/DAG machinery -- guards, retries, and write-ahead
+        journalling included.  Guards are checked against the *global*
+        state, so instances outside the set safely anchor the guards of
+        those inside it."""
         return self._drive(
             system, target, reverse=reverse, only=set(instance_ids),
             policy=policy, journal=journal,
             jobs=jobs, jobs_per_host=jobs_per_host,
         )
+
+    def drive_down(
+        self,
+        system: DeployedSystem,
+        stop: Iterable[str],
+        uninstall: Iterable[str] = (),
+        *,
+        policy: Optional[RetryPolicy] = None,
+        journal: Optional[DeploymentJournal] = None,
+        jobs: Optional[int] = None,
+        jobs_per_host: Optional[int] = None,
+    ) -> DeploymentReport:
+        """Drive ``stop`` down to ``inactive``, then ``uninstall`` to
+        ``uninstalled``, each in reverse dependency order.
+
+        Filtered by live state, so finished work no-ops (a resumed down
+        phase picks up where it stopped) and nothing is installed merely
+        to be removed again."""
+        report = DeploymentReport(jobs=jobs)
+        for ids, target, done in (
+            (stop, INACTIVE, (INACTIVE, UNINSTALLED)),
+            (uninstall, UNINSTALLED, (UNINSTALLED,)),
+        ):
+            pending = [i for i in ids if system.state_of(i) not in done]
+            if pending:
+                report.merge(
+                    self.drive_instances(
+                        system, pending, target, reverse=True,
+                        policy=policy, journal=journal,
+                        jobs=jobs, jobs_per_host=jobs_per_host,
+                    )
+                )
+        return report
+
+    def restart_instances(
+        self,
+        system: DeployedSystem,
+        instance_ids: Iterable[str],
+        *,
+        policy: Optional[RetryPolicy] = None,
+        journal: Optional[DeploymentJournal] = None,
+    ) -> DeploymentReport:
+        """Bounce each of ``instance_ids`` that is still ``active``, in
+        the order given -- guard-checked, retried, and journalled like
+        any other action.  Instances an earlier phase already moved off
+        ``active`` were repaired there and are skipped.  A restart that
+        fails for good stops the pass at a consistent frontier."""
+        report = DeploymentReport()
+        ids = list(instance_ids)
+        for index, instance_id in enumerate(ids):
+            driver = system.driver(instance_id)
+            if driver.state != ACTIVE:
+                continue
+            transition = driver.machine_spec.find(ACTIVE, "restart")
+            self._check_guard(system, instance_id, transition)
+            try:
+                self._perform_with_retry(
+                    system, instance_id, transition, report,
+                    policy=policy, journal=journal,
+                )
+            except DeploymentError as exc:
+                raise DeploymentFailure(
+                    f"restart stopped at {instance_id!r}: {exc}",
+                    journal=journal,
+                    completed=(
+                        journal.completed if journal is not None else ()
+                    ),
+                    failed={instance_id},
+                    skipped=ids[index + 1:],
+                    report=report,
+                    system=system,
+                ) from exc
+        return report
 
     def prepare(
         self,
@@ -598,7 +691,7 @@ class DeploymentEngine:
 
         ``reuse_drivers`` carries live drivers (with their current state
         and processes) over from a previous system for instances that
-        are unchanged -- the heart of in-place upgrades.
+        are unchanged -- the heart of delta transitions.
         """
         machines = self._resolve_machines(spec)
         drivers = self._create_drivers(spec, machines)
@@ -614,54 +707,6 @@ class DeploymentEngine:
             spec, self.registry, self.infrastructure, drivers, machines
         )
 
-    def stop_instances(
-        self,
-        system: DeployedSystem,
-        instance_ids: set[str],
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
-        """Drive just ``instance_ids`` to ``inactive``, in reverse
-        dependency order, with guard checking."""
-        return self._drive(
-            system, INACTIVE, reverse=True, only=set(instance_ids),
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-
-    def uninstall_instances(
-        self,
-        system: DeployedSystem,
-        instance_ids: set[str],
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
-        """Drive just ``instance_ids`` to ``uninstalled`` (they must
-        already be inactive), in reverse dependency order."""
-        return self._drive(
-            system, UNINSTALLED, reverse=True, only=set(instance_ids),
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-
-    def activate(
-        self,
-        system: DeployedSystem,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
-        """Drive everything to ``active``; already-active drivers no-op."""
-        report = self._drive(
-            system, ACTIVE, reverse=False, policy=policy,
-            jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-        system.report = report
-        return report
-
     # -- Management operations --------------------------------------------------
 
     def shutdown(
@@ -673,9 +718,9 @@ class DeploymentEngine:
         jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
         """Stop all services in reverse dependency order (S5.2)."""
-        return self._drive(
-            system, INACTIVE, reverse=True, policy=policy,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+        return self.drive_down(
+            system, system.spec.ids(),
+            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
         )
 
     def start(
@@ -701,16 +746,8 @@ class DeploymentEngine:
         jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
         """Stop and uninstall everything, reverse dependency order."""
-        report = self._drive(
-            system, INACTIVE, reverse=True, policy=policy,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+        ids = system.spec.ids()
+        return self.drive_down(
+            system, ids, ids,
+            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
         )
-        removal = self._drive(
-            system, UNINSTALLED, reverse=True, policy=policy,
-            jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-        report.actions.extend(removal.actions)
-        report.sequential_seconds += removal.sequential_seconds
-        report.makespan_seconds += removal.makespan_seconds
-        report.critical_path_seconds += removal.critical_path_seconds
-        return report

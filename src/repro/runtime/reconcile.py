@@ -46,7 +46,7 @@ from repro.core.errors import (
 )
 from repro.core.instances import InstallSpec
 from repro.drivers.library import ServiceDriver
-from repro.drivers.state_machine import ACTIVE, INACTIVE, UNINSTALLED
+from repro.drivers.state_machine import ACTIVE, UNINSTALLED
 from repro.runtime.deploy import (
     DeployedSystem,
     DeploymentEngine,
@@ -376,15 +376,7 @@ def plan_repair(
         )
 
     restarts = {iid: "process died" for iid in drift.crashed_services}
-    frontier = list(redeploy)
-    dependents: set[str] = set()
-    while frontier:
-        current = frontier.pop()
-        for downstream in spec.downstream_ids(current):
-            if downstream in dependents or downstream in redeploy:
-                continue
-            dependents.add(downstream)
-            frontier.append(downstream)
+    dependents = spec.downstream_closure(redeploy) - redeploy
     for instance_id in sorted(dependents):
         if instance_id in extras or instance_id in restarts:
             continue
@@ -399,14 +391,6 @@ def plan_repair(
         )
 
     return TransitionPlan(steps=steps, target=drift.target)
-
-
-def _merge_reports(into: DeploymentReport, part: DeploymentReport) -> None:
-    into.actions.extend(part.actions)
-    into.sequential_seconds += part.sequential_seconds
-    into.makespan_seconds += part.makespan_seconds
-    into.critical_path_seconds += part.critical_path_seconds
-    into.invalidate_caches()
 
 
 def _replace_machine(
@@ -473,69 +457,42 @@ def execute_plan(
     jobs: Optional[int] = None,
     jobs_per_host: Optional[int] = None,
 ) -> DeploymentReport:
-    """Execute a repair plan through the regular deployment machinery.
-
-    Redeploys run under the write-ahead ``journal`` with full guard
-    checking and ``policy`` retries; restarts reuse the engine's
-    per-transition path (so each restart is journalled and traced like
-    any other action).  The uninstall pass for extras is deliberately
-    *not* journalled -- the journal describes the goal, and extras are
-    exactly what the goal no longer contains.
+    """Execute a repair plan: down (extras), machine replacement, up
+    (redeploys), restart -- the engine's transition primitives, so
+    repairs get the same guards, ``policy`` retries and write-ahead
+    ``journal`` as first deployments.  The down pass for extras is
+    deliberately *not* journalled -- the journal describes the goal, and
+    extras are exactly what the goal no longer contains.
     """
     report = DeploymentReport(jobs=jobs)
 
     extras = plan.instances(RepairOp.UNINSTALL)
-    if extras:
-        _merge_reports(
-            report,
-            engine.drive_instances(
-                system, extras, INACTIVE, reverse=True,
-                policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
+    report.merge(
+        engine.drive_down(
+            system, extras, extras,
+            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
         )
-        _merge_reports(
-            report,
-            engine.drive_instances(
-                system, extras, UNINSTALLED, reverse=True,
-                policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
-        )
+    )
 
     for machine_id in plan.instances(RepairOp.REPROVISION):
         _replace_machine(system, machine_id, journal)
 
-    # Delta up-phase ops share the redeploy mechanics: after the down
-    # phase has run, install/upgrade/reconfigure are all "drive to the
-    # target through the normal state-machine path".
-    redeploy = [
-        step.instance_id
-        for step in plan.steps
-        if step.op in (
-            RepairOp.REDEPLOY, RepairOp.INSTALL,
-            RepairOp.UPGRADE, RepairOp.RECONFIGURE,
-        )
-    ]
+    redeploy = plan.instances(RepairOp.REDEPLOY)
     if redeploy:
-        _merge_reports(
-            report,
+        report.merge(
             engine.drive_instances(
                 system, redeploy, plan.target,
                 policy=policy, journal=journal,
                 jobs=jobs, jobs_per_host=jobs_per_host,
-            ),
+            )
         )
 
-    for instance_id in plan.instances(RepairOp.RESTART):
-        driver = system.driver(instance_id)
-        if driver.state != ACTIVE:
-            continue  # repaired away by an earlier step this round
-        transition = driver.machine_spec.find(ACTIVE, "restart")
-        engine._check_guard(system, instance_id, transition)
-        engine._perform_with_retry(
-            system, instance_id, transition, report,
+    report.merge(
+        engine.restart_instances(
+            system, plan.instances(RepairOp.RESTART),
             policy=policy, journal=journal,
         )
-
+    )
     return report
 
 

@@ -10,71 +10,34 @@ upgrade fails, the partially installed components are uninstalled and the
 old version restored from the backup."
 
 As the paper admits, "all upgrades using this approach experience the
-worst case upgrade time" -- the diff is informational; execution is
-stop-everything / replace / restart, with machine snapshots as backup.
+worst case upgrade time": the ``"replace"`` strategy is stop-everything /
+replace / restart.  ``"delta"`` hands the same backup/rollback envelope
+to the delta planner (:mod:`repro.runtime.delta`), which touches only
+what the diff requires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import DeploymentError, UpgradeError
 from repro.core.instances import InstallSpec, PartialInstallSpec
-from repro.core.registry import ResourceTypeRegistry
 from repro.config.engine import ConfigurationEngine
-from repro.runtime.deploy import DeployedSystem, DeploymentEngine
+from repro.runtime.delta import (
+    SpecDiff,
+    diff_specs,
+    execute_delta,
+    plan_delta,
+    retire_machines,
+    retired_hostnames,
+)
+from repro.runtime.deploy import (
+    DeployedSystem,
+    DeploymentEngine,
+    machine_hostname,
+)
 from repro.runtime.retry import RetryPolicy
-from repro.sim.infrastructure import Infrastructure
-
-
-@dataclass
-class SpecDiff:
-    """Instance-level difference between the old and new full specs."""
-
-    added: list[str] = field(default_factory=list)
-    removed: list[str] = field(default_factory=list)
-    upgraded: list[str] = field(default_factory=list)  # same id, new key
-    reconfigured: list[str] = field(default_factory=list)  # same key, new config
-    moved: list[str] = field(default_factory=list)  # same key/config, new host
-    unchanged: list[str] = field(default_factory=list)
-
-    def to_payload(self) -> dict:
-        return {
-            "added": list(self.added),
-            "removed": list(self.removed),
-            "upgraded": list(self.upgraded),
-            "reconfigured": list(self.reconfigured),
-            "moved": list(self.moved),
-            "unchanged": len(self.unchanged),
-        }
-
-
-def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
-    diff = SpecDiff()
-    old_ids = set(old.ids())
-    new_ids = set(new.ids())
-    diff.added = sorted(new_ids - old_ids)
-    diff.removed = sorted(old_ids - new_ids)
-    for instance_id in sorted(old_ids & new_ids):
-        before = old[instance_id]
-        after = new[instance_id]
-        if before.key != after.key:
-            diff.upgraded.append(instance_id)
-        elif before.config != after.config:
-            diff.reconfigured.append(instance_id)
-        elif (
-            not before.is_machine()
-            and before.machine_id(old) != after.machine_id(new)
-        ):
-            # Same key, same config -- but relocated: the old host must
-            # lose the instance and the new host gain it.  Comparing
-            # key/config alone used to classify this "unchanged" and
-            # leave the instance running on the old machine.
-            diff.moved.append(instance_id)
-        else:
-            diff.unchanged.append(instance_id)
-    return diff
 
 
 def _describe_exception(exc: BaseException) -> str:
@@ -151,19 +114,17 @@ class UpgradeEngine:
 
         * ``"replace"`` -- the paper's implemented approach: stop and
           uninstall everything, deploy the new specification ("all
-          upgrades ... experience the worst case upgrade time").
-        * ``"in_place"`` -- the optimisation the paper leaves as future
-          work: untouched instances keep running; only changed/removed
-          instances and their transitive dependents are stopped,
-          replaced, and restarted.
-        * ``"delta"`` -- plan synthesis through the delta planner
-          (:mod:`repro.runtime.delta`): the same minimal transition as
-          ``in_place`` but executed through ``drive_instances`` with a
-          write-ahead journal, the DAG scheduler, and retries.  Still
-          transactional here (failure rolls back from backup); use
-          ``deploy --delta`` for the journalled resume-on-crash path.
+          upgrades ... experience the worst case upgrade time").  Kept
+          as the reference the delta ablation compares against.
+        * ``"delta"`` -- the optimisation the paper leaves as future
+          work, as plan synthesis (:mod:`repro.runtime.delta`): untouched
+          instances keep running; only changed/removed instances and
+          their transitive dependents are stopped, replaced, and
+          restarted.  Still transactional here (failure rolls back from
+          backup); use ``deploy --delta`` for the journalled
+          resume-on-crash path.
         """
-        if strategy not in ("replace", "in_place", "delta"):
+        if strategy not in ("replace", "delta"):
             raise UpgradeError(f"unknown upgrade strategy: {strategy!r}")
         new_spec = self._config.configure(new_partial).spec
         diff = diff_specs(system.spec, new_spec)
@@ -181,20 +142,18 @@ class UpgradeEngine:
         old_spec = system.spec
         try:
             if strategy == "replace":
-                # Stop and remove the old system (worst-case strategy).
                 self._deploy.uninstall(system, **self._pass_kwargs())
+                retire_machines(
+                    infrastructure, retired_hostnames(old_spec, new_spec)
+                )
                 new_system = self._deploy.deploy(
                     new_spec, **self._pass_kwargs()
                 )
-            elif strategy == "delta":
-                from repro.runtime.delta import execute_delta, plan_delta
-
-                delta = plan_delta(system, new_spec)
-                new_system = execute_delta(
-                    self._deploy, system, delta, **self._pass_kwargs()
-                ).system
             else:
-                new_system = self._upgrade_in_place(system, new_spec, diff)
+                new_system = execute_delta(
+                    self._deploy, system, plan_delta(system, new_spec),
+                    **self._pass_kwargs(),
+                ).system
             return UpgradeResult(
                 succeeded=True,
                 rolled_back=False,
@@ -214,59 +173,6 @@ class UpgradeEngine:
                 exception=exc,
             )
 
-    def _upgrade_in_place(
-        self,
-        system: DeployedSystem,
-        new_spec: InstallSpec,
-        diff: SpecDiff,
-    ) -> DeployedSystem:
-        """Replace only what changed, plus its transitive dependents.
-
-        Guards make the closure necessary: stopping a changed instance
-        requires every downstream dependent inactive first, so dependents
-        of changed instances stop (and later restart) too, even when
-        they themselves are unchanged.
-        """
-        old_spec = system.spec
-        changed = (
-            set(diff.upgraded) | set(diff.reconfigured) | set(diff.moved)
-        )
-        to_remove = set(diff.removed) | changed
-
-        # Downstream closure over the OLD spec: everything that
-        # (transitively) depends on a changed/removed instance.
-        closure = set(to_remove)
-        frontier = list(to_remove)
-        while frontier:
-            current = frontier.pop()
-            for dependent in old_spec.downstream_ids(current):
-                if dependent not in closure:
-                    closure.add(dependent)
-                    frontier.append(dependent)
-
-        # 1. Stop the closure (reverse dependency order, guards hold
-        #    because the closure is downstream-closed).
-        self._deploy.stop_instances(system, closure, **self._pass_kwargs())
-        # 2. Uninstall removed and changed instances.
-        self._deploy.uninstall_instances(
-            system, to_remove, **self._pass_kwargs()
-        )
-
-        # 3. Build the new system, reusing live drivers for everything
-        #    that survived (active instances keep running untouched;
-        #    stopped-but-unchanged dependents keep their installed state).
-        reuse = {
-            instance_id: system.driver(instance_id)
-            for instance_id in old_spec.ids()
-            if instance_id in new_spec
-            and instance_id not in to_remove
-        }
-        new_system = self._deploy.prepare(new_spec, reuse_drivers=reuse)
-        # 4. Install what is new/changed and restart the closure, in
-        #    dependency order (already-active drivers no-op).
-        self._deploy.activate(new_system, **self._pass_kwargs())
-        return new_system
-
     def _rollback(
         self,
         system: DeployedSystem,
@@ -280,24 +186,21 @@ class UpgradeEngine:
         system never had; restoring only the backed-up hosts would
         leave those as ghost hosts on the network, so every machine the
         new spec introduced (no backup recorded for its hostname) is
-        deregistered first.  Hosts the delta path retired before
+        deregistered first.  Hosts the upgrade retired before
         failing are re-registered so their snapshot restore lands on a
         network-visible machine again.
         """
         infrastructure = self._deploy.infrastructure
         network = infrastructure.network
-        for instance in new_spec.machines():
-            hostname = instance.config.get("hostname")
-            if not hostname:
-                host_record = instance.outputs.get("host")
-                if isinstance(host_record, dict):
-                    hostname = host_record.get("hostname")
-            if (
+        retire_machines(
+            infrastructure,
+            (
                 hostname
+                for instance in new_spec.machines()
+                if (hostname := machine_hostname(instance)) is not None
                 and hostname not in backups
-                and network.has_machine(hostname)
-            ):
-                infrastructure.remove_machine(hostname)
+            ),
+        )
         for machine in set(system.machines.values()):
             backup = backups[machine.hostname]
             if not network.has_machine(machine.hostname):

@@ -380,6 +380,18 @@ class TestBusDeploy:
         assert code == 0
         assert output.count("active") == 6
 
+    def test_bus_slave_failure_reports_the_frontier(self, two_node_file):
+        """A nacked work item prints like any other failed deploy: what
+        completed (siblings included), what failed, what was skipped."""
+        code, output = run(
+            ["deploy", two_node_file, "--bus",
+             "--chaos-rate", "1.0", "--chaos-seed", "3"]
+        )
+        assert code == 1
+        assert "deployment FAILED: slave 'dbnode' failed in wave 0" in output
+        assert "  failed:    ['dbnode']" in output
+        assert "  skipped:   ['db']" in output
+
     def test_bus_save_round_trips_through_status(
         self, two_node_file, tmp_path
     ):

@@ -104,7 +104,7 @@ class TestUpgrade:
 
         code, output = run(
             ["upgrade", bundle_path, str(new_spec),
-             "--types", str(v2), "--strategy", "in_place"]
+             "--types", str(v2), "--strategy", "delta"]
         )
         assert code == 0
         assert "upgrade succeeded" in output
@@ -113,6 +113,15 @@ class TestUpgrade:
         code, output = run(["status", bundle_path])
         assert code == 0
         assert "MiniCache 2.0" in output
+
+    def test_retired_strategy_is_a_usage_error(self, bundle):
+        directory, bundle_path = bundle
+        new_spec = directory / "spec2.json"
+        new_spec.write_text(spec_json("2.0"))
+        with pytest.raises(SystemExit) as exit_info:
+            run(["upgrade", bundle_path, str(new_spec),
+                 "--strategy", "in_place"])
+        assert exit_info.value.code == 2
 
     def test_replace_upgrade(self, bundle):
         directory, bundle_path = bundle

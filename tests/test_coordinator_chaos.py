@@ -26,11 +26,16 @@ from repro.library import (
 from repro.runtime import (
     BusChaos,
     BusCoordinator,
+    DeploymentEngine,
     DeploymentJournal,
-    MasterCoordinator,
+    MultiHostDeployment,
+    MultiHostReport,
     deployment_fingerprint,
+    machine_waves,
     provision_partial_spec,
+    split_spec,
 )
+from repro.runtime.coordinator import install_agent
 from repro.sim.faults import LinkFaultPlan
 
 FAILOVER_SEEDS = range(100)
@@ -140,18 +145,31 @@ def assert_converged(registry, spec, baseline_fp, *, chaos, seed):
     return deployment
 
 
+def direct_deploy(registry, infrastructure, spec):
+    """The reference the bus is measured against: no bus at all, one
+    in-process engine call per machine, wave by wave."""
+    per_node = split_spec(spec)
+    waves = machine_waves(spec)
+    slaves = {}
+    for wave in waves:
+        for machine_id in wave:
+            engine = DeploymentEngine(
+                registry, infrastructure, standard_drivers()
+            )
+            install_agent(engine, per_node[machine_id], [])
+            slaves[machine_id] = engine.deploy(per_node[machine_id])
+    return MultiHostDeployment(spec, slaves, MultiHostReport(waves=waves))
+
+
 class TestBusMatchesDirect:
     """The bus control plane is a refactor, not a rewrite: its effect
-    equals the direct in-process coordinator's."""
+    equals that of calling each slave engine directly."""
 
     def test_same_fingerprint_as_direct(
         self, chaos_registry, two_node, baseline
     ):
         infrastructure = standard_infrastructure()
-        coordinator = MasterCoordinator(
-            chaos_registry, infrastructure, standard_drivers()
-        )
-        deployment = coordinator.deploy(two_node)
+        deployment = direct_deploy(chaos_registry, infrastructure, two_node)
         assert deployment.is_deployed()
         assert (
             deployment_fingerprint(infrastructure, deployment) == baseline

@@ -38,6 +38,7 @@ from repro.library.fleet import (
 from repro.runtime import (
     DeploymentEngine,
     DeploymentJournal,
+    ReconcileController,
     RepairOp,
     SpecTransition,
     UpgradeEngine,
@@ -390,7 +391,7 @@ class TestMovedInstances:
         result = upgrader.upgrade(
             system,
             two_host_partial("hostA", "hostB", db_host="hostB"),
-            strategy="in_place",
+            strategy="delta",
         )
         assert result.succeeded, result.error
         assert result.diff.moved == ["db"]
@@ -433,7 +434,7 @@ class TestRollbackGhostHosts:
             }
         return result
 
-    @pytest.mark.parametrize("strategy", ["replace", "in_place", "delta"])
+    @pytest.mark.parametrize("strategy", ["replace", "delta"])
     def test_failed_grow_upgrade_leaves_no_ghosts(self, strategy):
         registry = standard_registry()
         infrastructure = standard_infrastructure()
@@ -468,6 +469,34 @@ class TestRollbackGhostHosts:
         assert result.system.is_deployed()
         assert not infrastructure.network.has_machine("beta")
         assert self.infrastructure_snapshot(infrastructure) == before
+
+
+class TestShrinkRetiresTheHost:
+    """Regression: a successful ``"replace"`` upgrade that dropped a
+    machine left its host registered on the network; ``"delta"``
+    retired it."""
+
+    @pytest.mark.parametrize("strategy", ["replace", "delta"])
+    def test_dropped_machine_leaves_the_network(self, strategy):
+        registry = standard_registry()
+        infrastructure = standard_infrastructure()
+        config = ConfigurationEngine(registry, verify_registry=False)
+        spec = config.configure(two_host_partial("hostA", "hostB")).spec
+        engine = DeploymentEngine(
+            registry, infrastructure, standard_drivers()
+        )
+        system = engine.deploy(spec)
+        assert infrastructure.network.has_machine("beta")
+        result = UpgradeEngine(config, engine).upgrade(
+            system, one_host_partial("hostA"), strategy=strategy
+        )
+        assert result.succeeded, result.error
+        assert result.system.is_deployed()
+        assert result.system.journal is not None
+        assert sorted(
+            machine.hostname
+            for machine in infrastructure.network.machines()
+        ) == ["alpha"]
 
 
 class TestErrorReporting:
@@ -695,6 +724,47 @@ class TestFaultedTransitions:
         assert journal.transition is None
         fresh = fresh_fingerprint(new_partial)
         assert live_fingerprint(resumed, infrastructure) == fresh
+
+
+    def test_restart_fault_carries_the_transition_journal(self):
+        """A restart that fails for good is a :class:`DeploymentFailure`
+        like any other phase's -- it used to escape as a bare
+        ``DeploymentError``, stranding the journal and the new system."""
+        engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
+        new_partial = shrink(TOPOLOGY)
+        new_spec = configure(new_partial)
+        # cache000 survives the shrink unchanged, outside the stop
+        # closure: the plan merely bounces its crashed process.
+        system.drivers["cache000"].process.fail()
+        delta = plan_delta(system, new_spec)
+        assert delta.restart == ["cache000"]
+        FaultyWorld(
+            infrastructure,
+            FaultPlan().on("driver:cache000:restart", times=1),
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(engine, system, delta)
+        failure = excinfo.value
+        assert failure.failed == {"cache000"}
+        assert failure.journal.spec is new_spec
+        assert failure.journal.transition is None
+        assert set(failure.system.spec.ids()) == set(new_spec.ids())
+        assert failure.system.is_deployed()
+        assert not failure.system.drivers["cache000"].process.is_running()
+
+        # The failure bundle persists, and one reconcile round finishes
+        # the job: the fault is spent, the restart goes through.
+        text = save_system(failure.system, failure.journal)
+        load_system_and_journal(
+            standard_registry(), infrastructure, standard_drivers(), text
+        )
+        result = ReconcileController(engine, failure.system).run(rounds=1)
+        assert result.converged
+        assert result.rounds[0].plan_by_op == {"restart": 1}
+        assert failure.system.drivers["cache000"].process.is_running()
+        assert live_fingerprint(
+            failure.system, infrastructure
+        ) == fresh_fingerprint(new_partial)
 
 
 class TestTransitionJournal:

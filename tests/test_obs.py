@@ -258,7 +258,7 @@ class TestDeployTracing:
 
 class TestCoordinatorTracing:
     def test_wave_and_slave_spans(self):
-        from repro.runtime.coordinator import MasterCoordinator
+        from repro.runtime.coordinator import BusCoordinator
 
         registry = standard_registry()
         infrastructure = standard_infrastructure()
@@ -276,7 +276,7 @@ class TestCoordinatorTracing:
         )
         partial = provision_partial_spec(registry, partial, infrastructure)
         spec = ConfigurationEngine(registry).configure(partial).spec
-        coordinator = MasterCoordinator(
+        coordinator = BusCoordinator(
             registry, infrastructure, standard_drivers()
         )
         deployment = coordinator.deploy(spec)

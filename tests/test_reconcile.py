@@ -327,6 +327,22 @@ class TestController:
         assert controller.poll().converged
 
 
+    def test_restart_failure_is_captured_not_raised(self):
+        engine, system, _, _, _ = deploy_fleet()
+        instance_id, driver = first_service(system)
+        driver.process.fail()
+        system.infrastructure.set_fault_plan(
+            FaultPlan().on(f"driver:{instance_id}:restart", times=1)
+        )
+        controller = ReconcileController(engine, system)
+        round_ = controller.poll()
+        assert round_.error is not None and instance_id in round_.error
+        assert not round_.converged
+        # The fault is spent: the next round's restart goes through.
+        assert controller.poll().converged
+        assert driver.process.is_running()
+
+
 class TestChurnSoak:
     @pytest.mark.parametrize("seed,rate", [(7, 0.2), (11, 0.4)])
     def test_converges_every_round_under_churn(self, seed, rate):

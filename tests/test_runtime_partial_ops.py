@@ -1,5 +1,5 @@
-"""The deployment engine's partial operations (prepare / stop_instances /
-uninstall_instances / activate), used by in-place upgrades."""
+"""The deployment engine's partial operations (prepare / drive_instances
+down and up / start), the pieces every live transition composes."""
 
 import pytest
 
@@ -7,6 +7,14 @@ from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.drivers import ACTIVE, INACTIVE, UNINSTALLED
 from repro.runtime import DeploymentEngine
+
+
+def stop(engine, system, ids):
+    return engine.drive_instances(system, ids, INACTIVE, reverse=True)
+
+
+def uninstall(engine, system, ids):
+    return engine.drive_instances(system, ids, UNINSTALLED, reverse=True)
 
 
 @pytest.fixture
@@ -47,14 +55,14 @@ class TestPrepare:
 class TestStopInstances:
     def test_stops_only_requested(self, engine, spec):
         system = engine.deploy(spec)
-        engine.stop_instances(system, {"openmrs"})
+        stop(engine, system, {"openmrs"})
         assert system.state_of("openmrs") == INACTIVE
         assert system.state_of("tomcat") == ACTIVE
         assert system.state_of("mysql") == ACTIVE
 
     def test_respects_reverse_order(self, engine, spec):
         system = engine.deploy(spec)
-        report = engine.stop_instances(system, {"openmrs", "tomcat"})
+        report = stop(engine, system, {"openmrs", "tomcat"})
         stops = [a.instance_id for a in report.actions
                  if a.action == "stop"]
         assert stops == ["openmrs", "tomcat"]
@@ -65,11 +73,11 @@ class TestStopInstances:
         system = engine.deploy(spec)
         # Stopping tomcat alone violates down(inactive): openmrs active.
         with pytest.raises(GuardError):
-            engine.stop_instances(system, {"tomcat"})
+            stop(engine, system, {"tomcat"})
 
     def test_report_has_makespan(self, engine, spec):
         system = engine.deploy(spec)
-        report = engine.stop_instances(system, {"openmrs", "tomcat"})
+        report = stop(engine, system, {"openmrs", "tomcat"})
         assert report.makespan_seconds > 0.0
         assert report.makespan_seconds <= report.sequential_seconds
 
@@ -77,15 +85,15 @@ class TestStopInstances:
 class TestUninstallInstances:
     def test_report_has_makespan(self, engine, spec):
         system = engine.deploy(spec)
-        engine.stop_instances(system, {"openmrs"})
-        report = engine.uninstall_instances(system, {"openmrs"})
+        stop(engine, system, {"openmrs"})
+        report = uninstall(engine, system, {"openmrs"})
         assert report.makespan_seconds > 0.0
         assert report.makespan_seconds <= report.sequential_seconds
 
     def test_selected_removal(self, engine, spec, infrastructure):
         system = engine.deploy(spec)
-        engine.stop_instances(system, {"openmrs"})
-        engine.uninstall_instances(system, {"openmrs"})
+        stop(engine, system, {"openmrs"})
+        uninstall(engine, system, {"openmrs"})
         assert system.state_of("openmrs") == UNINSTALLED
         machine = infrastructure.network.machine("demotest")
         manager = infrastructure.package_manager(machine)
@@ -96,8 +104,8 @@ class TestUninstallInstances:
 class TestActivate:
     def test_reactivates_stopped_subset(self, engine, spec):
         system = engine.deploy(spec)
-        engine.stop_instances(system, {"openmrs"})
-        report = engine.activate(system)
+        stop(engine, system, {"openmrs"})
+        report = engine.start(system)
         assert system.is_deployed()
         # Only openmrs needed a start.
         starts = [a.instance_id for a in report.actions
@@ -106,6 +114,44 @@ class TestActivate:
 
     def test_activate_on_fresh_system_deploys(self, engine, spec):
         system = engine.prepare(spec)
-        engine.activate(system)
+        report = engine.start(system)
         assert system.is_deployed()
-        assert system.report is not None
+        assert {a.instance_id for a in report.actions} == set(spec.ids())
+
+
+class TestDownIsStateFiltered:
+    """Regression: ``shutdown``/``uninstall`` drove every instance to
+    ``inactive`` first -- on a system that was not fully deployed that
+    *installed* what was missing, merely to stop and remove it."""
+
+    def test_never_deployed_system_is_left_alone(
+        self, engine, spec, infrastructure
+    ):
+        system = engine.prepare(spec)
+        before = infrastructure.clock.now
+        assert engine.shutdown(system).actions == []
+        assert engine.uninstall(system).actions == []
+        assert infrastructure.clock.now == before
+        assert set(system.states().values()) == {UNINSTALLED}
+
+    def test_half_deployed_system_only_goes_down(
+        self, engine, spec, infrastructure
+    ):
+        from repro.core.errors import DeploymentFailure
+        from repro.sim import FaultPlan, FaultyWorld
+
+        FaultyWorld(
+            infrastructure,
+            FaultPlan().on("driver:openmrs:install", times=100),
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            engine.deploy(spec)
+        system = excinfo.value.system
+        assert system.state_of("openmrs") == UNINSTALLED
+        assert system.state_of("tomcat") == ACTIVE
+        stopped = engine.shutdown(system)
+        assert {a.action for a in stopped.actions} == {"stop"}
+        assert ACTIVE not in system.states().values()
+        removed = engine.uninstall(system)
+        assert {a.action for a in removed.actions} == {"uninstall"}
+        assert set(system.states().values()) == {UNINSTALLED}

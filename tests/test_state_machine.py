@@ -28,6 +28,10 @@ class TestGuardAtoms:
         atom = down(INACTIVE)
         assert atom.holds([INACTIVE])
         assert not atom.holds([ACTIVE])
+        # A dependent that was never installed is not running either.
+        assert atom.holds([INACTIVE, UNINSTALLED])
+        assert not down(UNINSTALLED).holds([INACTIVE])
+        assert not up(INACTIVE).holds([ACTIVE])
 
     def test_invalid_state_rejected(self):
         with pytest.raises(DriverError):

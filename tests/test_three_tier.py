@@ -11,7 +11,7 @@ from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.django import package_application, table1_apps
 from repro.runtime import (
-    MasterCoordinator,
+    BusCoordinator,
     ProcessMonitor,
     machine_waves,
     provision_partial_spec,
@@ -84,7 +84,7 @@ class TestDeployment:
     def test_full_three_tier_deploys(
         self, registry, infrastructure, drivers, three_tier
     ):
-        coordinator = MasterCoordinator(registry, infrastructure, drivers)
+        coordinator = BusCoordinator(registry, infrastructure, drivers)
         deployment = coordinator.deploy(three_tier)
         assert deployment.is_deployed()
         # Agents on all three hosts.
@@ -99,7 +99,7 @@ class TestDeployment:
     def test_monitor_spans_machines(
         self, registry, infrastructure, drivers, three_tier
     ):
-        coordinator = MasterCoordinator(registry, infrastructure, drivers)
+        coordinator = BusCoordinator(registry, infrastructure, drivers)
         deployment = coordinator.deploy(three_tier)
         # One monitor per slave system; fail the db and restart it.
         db_system = deployment.slaves["dbnode"]

@@ -1,4 +1,5 @@
-"""The in-place upgrade strategy (the paper's stated future work)."""
+"""In-place upgrades (the paper's stated future work), which the
+``"delta"`` strategy implements."""
 
 import pytest
 
@@ -65,7 +66,7 @@ class TestInPlace:
         result = world["upgrader"].upgrade(
             world["system"],
             world["partial_for"](world["key_v2"]),
-            strategy="in_place",
+            strategy="delta",
         )
         assert result.succeeded
         assert result.system.is_deployed()
@@ -80,7 +81,7 @@ class TestInPlace:
         result = world["upgrader"].upgrade(
             world["system"],
             world["partial_for"](world["key_v2"]),
-            strategy="in_place",
+            strategy="delta",
         )
         assert result.system.driver("db").process.pid == mysql_pid
         assert result.system.driver("web").process.pid == web_pid
@@ -90,7 +91,7 @@ class TestInPlace:
         result = world["upgrader"].upgrade(
             world["system"],
             world["partial_for"](world["key_v2"]),
-            strategy="in_place",
+            strategy="delta",
         )
         new_process = result.system.driver("app").process
         assert new_process is not old_process
@@ -104,7 +105,7 @@ class TestInPlace:
         result = world["upgrader"].upgrade(
             world["system"],
             world["partial_for"](world["key_v2"]),
-            strategy="in_place",
+            strategy="delta",
         )
         in_place_seconds = infrastructure.clock.now - before
         assert result.succeeded
@@ -157,7 +158,7 @@ class TestInPlace:
         result = world["upgrader"].upgrade(
             world["system"],
             world["partial_for"](key_bad),
-            strategy="in_place",
+            strategy="delta",
         )
         assert not result.succeeded
         assert result.rolled_back
@@ -166,9 +167,11 @@ class TestInPlace:
         assert world["database"].count("applicants") == 1
 
     def test_unknown_strategy_rejected(self, world):
-        with pytest.raises(UpgradeError):
-            world["upgrader"].upgrade(
-                world["system"],
-                world["partial_for"](world["key_v2"]),
-                strategy="yolo",
-            )
+        # "in_place" was a strategy once; the delta planner replaced it.
+        for strategy in ("yolo", "in_place"):
+            with pytest.raises(UpgradeError):
+                world["upgrader"].upgrade(
+                    world["system"],
+                    world["partial_for"](world["key_v2"]),
+                    strategy=strategy,
+                )
