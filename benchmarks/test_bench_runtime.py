@@ -136,9 +136,9 @@ def test_measured_parallel_scheduler_hits_critical_path(benchmark):
             registry = standard_registry()
             infrastructure = standard_infrastructure()
             engine = DeploymentEngine(
-                registry, infrastructure, standard_drivers()
+                registry, infrastructure, standard_drivers(), jobs=jobs
             )
-            system = engine.deploy(openmrs_spec(registry), jobs=jobs)
+            system = engine.deploy(openmrs_spec(registry))
             assert system.is_deployed()
             results[jobs] = system.report
         return results
@@ -214,9 +214,9 @@ def test_measured_parallel_scheduler_django_stack(benchmark):
             registry, verify_registry=False
         ).configure(partial).spec
         engine = DeploymentEngine(
-            registry, infrastructure, standard_drivers()
+            registry, infrastructure, standard_drivers(), jobs=0
         )
-        system = engine.deploy(spec, jobs=0)
+        system = engine.deploy(spec)
         assert system.is_deployed()
         return len(spec), system.report
 

@@ -288,8 +288,9 @@ def _save_bundle(
 ) -> None:
     """Persist world + deployment state + resource types in one file.
 
-    With ``journal`` the embedded state uses the resumable
-    ``engage-state-2`` format (``engage-sim deploy --resume``).
+    With a journal (``system.journal`` unless one is passed) the
+    embedded state uses the resumable ``engage-state-2`` format
+    (``engage-sim deploy --resume``).
     """
     import json
 
@@ -297,6 +298,8 @@ def _save_bundle(
     from repro.runtime import save_system
     from repro.sim import save_world
 
+    if journal is None:
+        journal = system.journal
     bundle = {
         "format": BUNDLE_FORMAT,
         "types": format_module(_ordered_types(registry)),
@@ -514,8 +517,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
         args.bundle
     )
     tracer = _install_tracer(args, infrastructure)
-    policy = _retry_policy_from_args(args)
-    engine = DeploymentEngine(registry, infrastructure, drivers)
+    engine = _engine_from_args(args, registry, infrastructure, drivers)
     churn = None
     if args.churn_rate > 0.0:
         churn = MachineChurn(
@@ -527,8 +529,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
         )
     watching = args.watch or churn is not None
     controller = ReconcileController(
-        engine, system, journal=journal, policy=policy,
-        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
+        engine, system, journal=journal,
         interval=args.interval if watching else 0.0,
     )
     rounds = args.max_rounds if watching else 1
@@ -559,7 +560,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
         out.write(json.dumps(result.to_payload(), indent=1) + "\n")
     _finish_trace(args, tracer, out)
     if result.converged:
-        _save_bundle(args.bundle, registry, infrastructure, system, journal)
+        _save_bundle(args.bundle, registry, infrastructure, system)
         out.write("converged; bundle updated.\n")
         return 0
     out.write("NOT converged; bundle left untouched.\n")
@@ -591,6 +592,16 @@ def _retry_policy_from_args(args):
         max_attempts=args.max_retries + 1,
         backoff_base=args.backoff if args.backoff is not None else 1.0,
         action_timeout=args.timeout,
+    )
+
+
+def _engine_from_args(args, registry, infrastructure, drivers):
+    """The engine of ``deploy`` and ``reconcile``: the command's retry
+    flags and worker bounds, set once for every pass it runs."""
+    return DeploymentEngine(
+        registry, infrastructure, drivers,
+        policy=_retry_policy_from_args(args),
+        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
     )
 
 
@@ -700,7 +711,7 @@ def _bus_chaos_from_args(args):
 
 
 def _deploy_over_bus(
-    args, registry, infrastructure, drivers, spec, policy, tracer, out
+    args, registry, infrastructure, drivers, spec, tracer, out
 ) -> int:
     """Run the deployment through the message-bus control plane."""
     from repro.core.errors import DeploymentError, DeploymentFailure
@@ -716,15 +727,14 @@ def _deploy_over_bus(
             jitter=args.bus_jitter,
         )
     coordinator = BusCoordinator(
-        registry, infrastructure, drivers, link_faults=faults
+        registry, infrastructure, drivers,
+        policy=_retry_policy_from_args(args),
+        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
+        link_faults=faults,
     )
     try:
         deployment = coordinator.deploy(
-            spec,
-            policy=policy,
-            jobs=args.jobs,
-            jobs_per_host=args.jobs_per_host,
-            chaos=_bus_chaos_from_args(args),
+            spec, chaos=_bus_chaos_from_args(args)
         )
     except DeploymentError as error:
         if isinstance(error, DeploymentFailure):
@@ -776,9 +786,7 @@ def _deploy_over_bus(
     if args.save:
         engine = DeploymentEngine(registry, infrastructure, drivers)
         system = deployment.merged_system(engine)
-        _save_bundle(
-            args.save, registry, infrastructure, system, system.journal
-        )
+        _save_bundle(args.save, registry, infrastructure, system)
         out.write(f"bundle saved to {args.save}\n")
     _finish_trace(args, tracer, out)
     return 0 if deployment.is_deployed() else 1
@@ -809,20 +817,13 @@ def _run_deployment(
         return 1
     _write_deploy_outcome(system, infrastructure, out)
     if save_to:
-        _save_bundle(save_to, registry, infrastructure, system, system.journal)
+        _save_bundle(save_to, registry, infrastructure, system)
         out.write(f"bundle saved to {save_to}\n")
     _finish_trace(args, tracer, out)
     return 0 if system.is_deployed() else 1
 
 
 def cmd_deploy(args, out: TextIO) -> int:
-    policy = _retry_policy_from_args(args)
-    passes = {
-        "policy": policy,
-        "jobs": args.jobs,
-        "jobs_per_host": args.jobs_per_host,
-    }
-
     if args.delta:
         if not args.partial:
             out.write(
@@ -850,10 +851,10 @@ def cmd_deploy(args, out: TextIO) -> int:
             + "\n"
         )
         _install_chaos(args, infrastructure, out)
-        engine = DeploymentEngine(registry, infrastructure, drivers)
+        engine = _engine_from_args(args, registry, infrastructure, drivers)
         return _run_deployment(
             args,
-            lambda: execute_delta(engine, system, delta, **passes).system,
+            lambda: execute_delta(engine, system, delta).system,
             registry, infrastructure, tracer, args.save or args.delta, out,
         )
 
@@ -869,13 +870,13 @@ def cmd_deploy(args, out: TextIO) -> int:
             return 2
         tracer = _install_tracer(args, infrastructure)
         _install_chaos(args, infrastructure, out)
-        engine = DeploymentEngine(registry, infrastructure, drivers)
+        engine = _engine_from_args(args, registry, infrastructure, drivers)
         out.write(
             f"resuming: {len(journal.completed)} of "
             f"{len(journal.spec)} instances already deployed\n"
         )
         return _run_deployment(
-            args, lambda: engine.resume(journal, **passes),
+            args, lambda: engine.resume(journal),
             registry, infrastructure, tracer, args.save or args.resume, out,
         )
 
@@ -903,12 +904,11 @@ def cmd_deploy(args, out: TextIO) -> int:
     _install_chaos(args, infrastructure, out)
     if args.bus:
         return _deploy_over_bus(
-            args, registry, infrastructure, drivers, result.spec,
-            policy, tracer, out,
+            args, registry, infrastructure, drivers, result.spec, tracer, out
         )
-    deploy = DeploymentEngine(registry, infrastructure, drivers)
+    deploy = _engine_from_args(args, registry, infrastructure, drivers)
     return _run_deployment(
-        args, lambda: deploy.deploy(result.spec, **passes),
+        args, lambda: deploy.deploy(result.spec),
         registry, infrastructure, tracer, args.save, out,
     )
 

@@ -19,7 +19,6 @@ from repro.core.instances import PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.config.constraints import fact_literals, generate_constraints
 from repro.config.hypergraph import ResourceGraph, generate_graph
-from repro.sat.cnf import CnfFormula
 from repro.sat.solver import CdclSolver
 
 
@@ -58,15 +57,6 @@ class UnsatExplanation:
         return "\n".join(lines)
 
 
-def _facts_as_assumptions(
-    graph: ResourceGraph,
-) -> tuple[CnfFormula, dict[str, int]]:
-    """The constraint formula *without* the partial-spec unit facts; the
-    facts become assumption literals instead."""
-    formula, _stats = generate_constraints(graph, facts_as_assumptions=True)
-    return formula, fact_literals(graph, formula)
-
-
 def explain_unsat(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
@@ -84,57 +74,38 @@ def explain_unsat(
     pinned instance in turn and keep the drop whenever the rest is still
     unsatisfiable.  The survivors are a minimal conflicting subset.
 
-    With ``partition`` the same deletion sweep is answered with one
-    solver per connected component (the trial subset only changes inside
-    the dropped fact's component, so every other component's verdict is
-    cached).  Satisfiability decomposes over components, so each trial
-    gets the same answer either way and the diagnosis is byte-identical.
+    The sweep runs over a list of components with one incremental solver
+    each -- the clause database (and the clauses learned refuting earlier
+    subsets) is shared, each candidate subset is just a new assumption
+    vector.  With ``partition`` they are the graph's connected
+    components: a trial subset is unsatisfiable iff some component's
+    slice of it is, and dropping a fact only changes its own component's
+    slice, so each trial costs one small solve (plus one re-solve when
+    another component already conflicts and the drop is kept).  Without
+    it the whole graph is the only component.  Satisfiability decomposes
+    over components, so each trial gets the same answer either way and
+    the diagnosis is byte-identical.
     """
+    from repro.config.partition import partition_graph, whole_graph_component
+
     if graph is None:
         graph = generate_graph(registry, partial)
-    if partition:
-        return _explain_partitioned(graph)
-    formula, facts = _facts_as_assumptions(graph)
-
-    # One incremental solver answers every subset query: the clause
-    # database (and the clauses learned refuting earlier subsets) is
-    # shared, each candidate subset is just a new assumption vector.
-    solver = CdclSolver(formula)
-
-    def satisfiable(kept: list[str]) -> bool:
-        return solver.solve([facts[iid] for iid in kept])
-
-    all_ids = sorted(facts)
-    if satisfiable(all_ids):
-        return None
-
-    core = list(all_ids)
-    for candidate in all_ids:
-        trial = [iid for iid in core if iid != candidate]
-        if not satisfiable(trial):
-            core = trial  # still unsat without it: drop for good
-
-    return _finish(graph, core)
-
-
-def _explain_partitioned(graph: ResourceGraph) -> Optional[UnsatExplanation]:
-    """The deletion MUS with per-component solvers (identical output).
-
-    Mirrors the monolithic sweep candidate for candidate: a trial subset
-    is unsatisfiable iff some component's slice of it is, and dropping a
-    fact only changes its own component's slice -- so each trial costs
-    one small solve (plus one re-solve when another component is already
-    conflicting and the drop is kept).
-    """
-    from repro.config.partition import partition_graph
-
-    parts = partition_graph(graph)
+    components = (
+        partition_graph(graph).components
+        if partition
+        else [whole_graph_component(graph)]
+    )
     solvers: list[CdclSolver] = []
     fact_maps: list[dict[str, int]] = []
     kept: list[list[str]] = []
     component_of: dict[str, int] = {}
-    for component in parts.components:
-        formula, facts = _facts_as_assumptions(component.graph)
+    for component in components:
+        # The constraint formula *without* the partial-spec unit facts;
+        # the facts become assumption literals instead.
+        formula, _stats = generate_constraints(
+            component.graph, facts_as_assumptions=True
+        )
+        facts = fact_literals(component.graph, formula)
         solvers.append(CdclSolver(formula))
         fact_maps.append(facts)
         kept.append(sorted(facts))
@@ -152,11 +123,7 @@ def _explain_partitioned(graph: ResourceGraph) -> Optional[UnsatExplanation]:
     if all(satisfiable):
         return None
 
-    all_ids = sorted(component_of)
-    dropped: set[str] = set()
-    for candidate in all_ids:
-        if candidate in dropped:
-            continue  # trial == current core: still unsat, nothing changes
+    for candidate in sorted(component_of):
         index = component_of[candidate]
         trial = [iid for iid in kept[index] if iid != candidate]
         if any(
@@ -167,14 +134,11 @@ def _explain_partitioned(graph: ResourceGraph) -> Optional[UnsatExplanation]:
             # this component's verdict under its reduced fact set.
             kept[index] = trial
             satisfiable[index] = solve_component(index, trial)
-            dropped.add(candidate)
         elif not solve_component(index, trial):
-            kept[index] = trial
+            kept[index] = trial  # still unsat without it: drop for good
             satisfiable[index] = False
-            dropped.add(candidate)
 
-    core = [iid for iid in all_ids if iid not in dropped]
-    return _finish(graph, core)
+    return _finish(graph, sorted(iid for ids in kept for iid in ids))
 
 
 def _finish(graph: ResourceGraph, core: list[str]) -> UnsatExplanation:

@@ -17,9 +17,10 @@ remote instances), and deploys wave by wave.  Machines in the same
 shared event clock: each slave agent executes its work item inside an
 overlapping :class:`~repro.sim.clock.ClockSpan` anchored at the instant
 the work arrived, and the report's ``parallel_makespan_seconds`` is the
-measured wall-clock of the whole deployment.  ``jobs`` /
-``jobs_per_host`` are forwarded to each slave engine, so intra-machine
-parallelism composes with the inter-machine waves.
+measured wall-clock of the whole deployment.  The coordinator's
+``policy`` / ``jobs`` / ``jobs_per_host`` are handed once to each slave
+agent and from there to the engine it builds per work item, so
+intra-machine parallelism composes with the inter-machine waves.
 """
 
 from __future__ import annotations
@@ -263,24 +264,18 @@ class _SlaveEngine(DeploymentEngine):
     """
 
     def __init__(
-        self,
-        registry: ResourceTypeRegistry,
-        infrastructure: Infrastructure,
-        driver_registry: Optional[DriverRegistry],
-        fuse: Optional[_CrashFuse],
-        machine_id: str,
+        self, *args, fuse: Optional[_CrashFuse], machine_id: str, **kwargs
     ) -> None:
-        super().__init__(registry, infrastructure, driver_registry)
+        super().__init__(*args, **kwargs)
         self.fuse = fuse
         self.machine_id = machine_id
 
     def _perform_with_retry(self, system, instance_id, transition, report,
-                            *, policy, journal):
+                            *, journal):
         if self.fuse is not None and self.fuse.blown():
             raise SlaveCrashed(self.machine_id, self.infrastructure.clock.now)
         super()._perform_with_retry(
-            system, instance_id, transition, report,
-            policy=policy, journal=journal,
+            system, instance_id, transition, report, journal=journal
         )
 
 
@@ -394,7 +389,9 @@ class SlaveAgent:
         resume = bool(journal.entries or journal.completed)
         engine = _SlaveEngine(
             self.registry, self.infrastructure, self.driver_registry,
-            self.fuse, self.machine_id,
+            policy=self.policy, jobs=self.jobs,
+            jobs_per_host=self.jobs_per_host,
+            fuse=self.fuse, machine_id=self.machine_id,
         )
         span = self.infrastructure.clock.overlapping(now)
         try:
@@ -402,16 +399,10 @@ class SlaveAgent:
                 install_agent(engine, sub_spec, self.agents_installed)
                 if resume:
                     self.work_resumes += 1
-                    system = engine.resume(
-                        journal, policy=self.policy,
-                        jobs=self.jobs, jobs_per_host=self.jobs_per_host,
-                    )
+                    system = engine.resume(journal)
                 else:
                     self.work_executions += 1
-                    system = engine.deploy(
-                        sub_spec, policy=self.policy, journal=journal,
-                        jobs=self.jobs, jobs_per_host=self.jobs_per_host,
-                    )
+                    system = engine.deploy(sub_spec, journal=journal)
         except SlaveCrashed:
             # A parallel pass may have journalled a sibling action whose
             # completion lands *after* the instant the fuse blew (the
@@ -822,7 +813,9 @@ class BusCoordinator:
     the work -- with every hand-off crossing the bus, so partitions,
     slave crashes, and master failover (a :class:`BusChaos` schedule)
     are scenarios the deployment must survive rather than things it
-    cannot express.
+    cannot express.  ``policy`` / ``jobs`` / ``jobs_per_host`` are those
+    of :class:`DeploymentEngine`, applied to every slave's engine and to
+    :meth:`shutdown`.
     """
 
     def __init__(
@@ -831,6 +824,9 @@ class BusCoordinator:
         infrastructure: Infrastructure,
         driver_registry: Optional[DriverRegistry] = None,
         *,
+        policy: Optional[RetryPolicy] = None,
+        jobs: Optional[int] = None,
+        jobs_per_host: Optional[int] = None,
         link_faults=None,
         default_latency: float = 0.05,
         heartbeat_every: float = 5.0,
@@ -841,6 +837,9 @@ class BusCoordinator:
         self.registry = registry
         self.infrastructure = infrastructure
         self.driver_registry = driver_registry
+        self.policy = policy
+        self.jobs = jobs
+        self.jobs_per_host = jobs_per_host
         self.link_faults = link_faults
         self.default_latency = default_latency
         self.heartbeat_every = heartbeat_every
@@ -852,9 +851,6 @@ class BusCoordinator:
         self,
         spec: InstallSpec,
         *,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
         chaos: Optional[BusChaos] = None,
     ) -> BusDeployment:
         chaos = chaos if chaos is not None else BusChaos()
@@ -883,8 +879,8 @@ class BusCoordinator:
             agents[machine_id] = SlaveAgent(
                 machine_id, self.registry, self.infrastructure,
                 self.driver_registry, bus,
-                master=master.name, policy=policy,
-                jobs=jobs, jobs_per_host=jobs_per_host,
+                master=master.name, policy=self.policy,
+                jobs=self.jobs, jobs_per_host=self.jobs_per_host,
                 heartbeat_every=self.heartbeat_every,
                 crash_after_actions=crash_after,
                 crash_down_for=chaos.crash_down_for,
@@ -1020,7 +1016,9 @@ class BusCoordinator:
     def shutdown(self, deployment: MultiHostDeployment) -> None:
         """Stop slaves in reverse machine order."""
         engine = DeploymentEngine(
-            self.registry, self.infrastructure, self.driver_registry
+            self.registry, self.infrastructure, self.driver_registry,
+            policy=self.policy, jobs=self.jobs,
+            jobs_per_host=self.jobs_per_host,
         )
         for wave in reversed(deployment.report.waves):
             for machine_id in reversed(wave):

@@ -53,7 +53,6 @@ from repro.runtime.reconcile import (
     TransitionPlan,
     detect_drift,
 )
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.state import adopt_states
 from repro.sim.infrastructure import Infrastructure
 
@@ -409,10 +408,6 @@ def _down_phase(
     engine: DeploymentEngine,
     old_system: DeployedSystem,
     journal: DeploymentJournal,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    jobs: Optional[int] = None,
-    jobs_per_host: Optional[int] = None,
 ) -> DeploymentReport:
     """Run what is left of the journal's transition on the old spec's
     system: stop the closure, uninstall the teardown set (journalled, so
@@ -427,8 +422,7 @@ def _down_phase(
     try:
         report = engine.drive_down(
             old_system, transition.stop, transition.pending,
-            policy=policy, journal=journal,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+            journal=journal,
         )
     except DeploymentFailure as failure:
         raise DeploymentFailure(
@@ -471,10 +465,6 @@ def execute_delta(
     engine: DeploymentEngine,
     system: DeployedSystem,
     delta: DeltaPlan,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    jobs: Optional[int] = None,
-    jobs_per_host: Optional[int] = None,
 ) -> DeltaResult:
     """Execute a planned delta transition on the live ``system``.
 
@@ -489,7 +479,7 @@ def execute_delta(
     --resume`` finishes the transition.
     """
     journal = rebase_journal(system, delta)
-    report = DeploymentReport(jobs=jobs)
+    report = DeploymentReport(jobs=engine.jobs)
 
     if delta.stop_down or delta.uninstall_down or delta.retire_hostnames:
         journal.begin_transition(
@@ -500,12 +490,7 @@ def execute_delta(
                 retire=list(delta.retire_hostnames),
             )
         )
-        report.merge(
-            _down_phase(
-                engine, system, journal,
-                policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-            )
-        )
+        report.merge(_down_phase(engine, system, journal))
 
     new_system = _carry_over(
         engine, system, delta.new_spec, delta.uninstall_down
@@ -520,15 +505,11 @@ def execute_delta(
     if up_ids:
         report.merge(
             engine.drive_instances(
-                new_system, up_ids, delta.target,
-                policy=policy, journal=journal,
-                jobs=jobs, jobs_per_host=jobs_per_host,
+                new_system, up_ids, delta.target, journal=journal
             )
         )
     report.merge(
-        engine.restart_instances(
-            new_system, delta.restart, policy=policy, journal=journal
-        )
+        engine.restart_instances(new_system, delta.restart, journal=journal)
     )
 
     journal.sort_entries_by_time()
@@ -539,12 +520,7 @@ def execute_delta(
 
 
 def complete_down_phase(
-    engine: DeploymentEngine,
-    journal: DeploymentJournal,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    jobs: Optional[int] = None,
-    jobs_per_host: Optional[int] = None,
+    engine: DeploymentEngine, journal: DeploymentJournal
 ) -> None:
     """Finish an interrupted delta down phase from its journal.
 
@@ -566,7 +542,4 @@ def complete_down_phase(
         if iid in old_ids
     }
     adopt_states(old_system, frontier, partial=True)
-    _down_phase(
-        engine, old_system, journal,
-        policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-    )
+    _down_phase(engine, old_system, journal)

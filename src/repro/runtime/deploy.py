@@ -221,17 +221,33 @@ class DeployedSystem:
 
 class DeploymentEngine:
     """Drives every resource driver to its target basic state in
-    dependency order, with guard checking."""
+    dependency order, with guard checking.
+
+    *How* a pass executes is the engine's, set once here and read by
+    every pass it runs: ``policy`` governs retries of failing driver
+    actions (``None`` = one attempt); ``jobs`` selects the event-driven
+    parallel scheduler with that many simulated workers (``0`` =
+    unbounded) and ``jobs_per_host`` additionally bounds concurrency per
+    target machine (both ``None``, the default, keeps the serial
+    strategy).
+    """
 
     def __init__(
         self,
         registry: ResourceTypeRegistry,
         infrastructure: Infrastructure,
         driver_registry: Optional[DriverRegistry] = None,
+        *,
+        policy: Optional[RetryPolicy] = None,
+        jobs: Optional[int] = None,
+        jobs_per_host: Optional[int] = None,
     ) -> None:
         self.registry = registry
         self.infrastructure = infrastructure
         self.driver_registry = driver_registry or standard_driver_registry()
+        self.policy = policy
+        self.jobs = jobs
+        self.jobs_per_host = jobs_per_host
 
     # -- Deploy ------------------------------------------------------------
 
@@ -239,24 +255,15 @@ class DeploymentEngine:
         self,
         spec: InstallSpec,
         *,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> DeployedSystem:
         """Install, configure, and start everything; returns the deployed
         system with every driver in ``active``.
 
-        ``policy`` governs retries of failing driver actions.  Every
-        completed transition is appended to a write-ahead journal; on
-        fatal failure the run stops at a consistent frontier and raises
-        :class:`~repro.core.errors.DeploymentFailure` carrying the
-        journal, from which :meth:`resume` can finish the job.
-
-        ``jobs`` selects the event-driven parallel scheduler with that
-        many simulated workers (``0`` = unbounded); ``jobs_per_host``
-        additionally bounds concurrency per target machine.  ``None``
-        (the default) keeps the serial strategy.
+        Every completed transition is appended to a write-ahead journal;
+        on fatal failure the run stops at a consistent frontier and
+        raises :class:`~repro.core.errors.DeploymentFailure` carrying
+        the journal, from which :meth:`resume` can finish the job.
         """
         machines = self._resolve_machines(spec)
         drivers = self._create_drivers(spec, machines)
@@ -267,19 +274,11 @@ class DeploymentEngine:
             journal = DeploymentJournal(spec, target=ACTIVE)
         system.journal = journal
         system.report = self._drive(
-            system, ACTIVE, reverse=False, policy=policy, journal=journal,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+            system, ACTIVE, reverse=False, journal=journal
         )
         return system
 
-    def resume(
-        self,
-        journal: DeploymentJournal,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeployedSystem:
+    def resume(self, journal: DeploymentJournal) -> DeployedSystem:
         """Finish an interrupted deployment from its journal.
 
         Re-adopts the journal's frontier against this engine's
@@ -304,23 +303,14 @@ class DeploymentEngine:
         if journal.transition is not None:
             from repro.runtime.delta import complete_down_phase
 
-            complete_down_phase(
-                self, journal,
-                policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-            )
+            complete_down_phase(self, journal)
 
         system = self.prepare(journal.spec)
         adopt_states(system, journal.states(), partial=True)
         journal.reset_frontier()
         system.journal = journal
         system.report = self._drive(
-            system,
-            journal.target,
-            reverse=False,
-            policy=policy,
-            journal=journal,
-            jobs=jobs,
-            jobs_per_host=jobs_per_host,
+            system, journal.target, reverse=False, journal=journal
         )
         return system
 
@@ -381,29 +371,25 @@ class DeploymentEngine:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
         """Drive instances (all, or just ``only``) to ``target`` in
         (reverse) dependency order.
 
         Execution strategy lives in :mod:`repro.runtime.scheduler`:
-        serial fail-fast when ``jobs`` is None, the event-driven DAG
-        scheduler otherwise.
+        serial fail-fast when neither worker bound is set, the
+        event-driven DAG scheduler otherwise.
         """
         from repro.runtime.scheduler import DagScheduler, execute_serial
 
-        if jobs is None and jobs_per_host is None:
+        if self.jobs is None and self.jobs_per_host is None:
             return execute_serial(
                 self, system, target, reverse=reverse, only=only,
-                policy=policy, journal=journal,
+                journal=journal,
             )
         return DagScheduler(
             self, system, target, reverse=reverse, only=only,
-            policy=policy, journal=journal,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+            journal=journal,
         ).run()
 
     def _drive_instance(
@@ -413,7 +399,6 @@ class DeploymentEngine:
         target: str,
         report: DeploymentReport,
         *,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
     ) -> None:
         driver = system.driver(instance_id)
@@ -421,8 +406,7 @@ class DeploymentEngine:
         for transition in path:
             self._check_guard(system, instance_id, transition)
             self._perform_with_retry(
-                system, instance_id, transition, report,
-                policy=policy, journal=journal,
+                system, instance_id, transition, report, journal=journal
             )
         if journal is not None and journal.target == target:
             journal.mark_completed(instance_id)
@@ -442,12 +426,12 @@ class DeploymentEngine:
         transition,
         report: DeploymentReport,
         *,
-        policy: Optional[RetryPolicy],
         journal: Optional[DeploymentJournal],
     ) -> None:
-        """One transition, up to ``policy.max_attempts`` times, with
+        """One transition, up to ``self.policy.max_attempts`` times, with
         exponential backoff between retryable failures.  Appends one
         :class:`ActionRecord` per attempt; journals only success."""
+        policy = self.policy
         driver = system.driver(instance_id)
         clock = self.infrastructure.clock
         tracer = self.infrastructure.tracer
@@ -593,10 +577,7 @@ class DeploymentEngine:
         target: str,
         *,
         reverse: bool = False,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
         """Drive just ``instance_ids`` to ``target`` through the regular
         serial/DAG machinery -- guards, retries, and write-ahead
@@ -605,8 +586,7 @@ class DeploymentEngine:
         those inside it."""
         return self._drive(
             system, target, reverse=reverse, only=set(instance_ids),
-            policy=policy, journal=journal,
-            jobs=jobs, jobs_per_host=jobs_per_host,
+            journal=journal,
         )
 
     def drive_down(
@@ -615,10 +595,7 @@ class DeploymentEngine:
         stop: Iterable[str],
         uninstall: Iterable[str] = (),
         *,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> DeploymentReport:
         """Drive ``stop`` down to ``inactive``, then ``uninstall`` to
         ``uninstalled``, each in reverse dependency order.
@@ -626,7 +603,7 @@ class DeploymentEngine:
         Filtered by live state, so finished work no-ops (a resumed down
         phase picks up where it stopped) and nothing is installed merely
         to be removed again."""
-        report = DeploymentReport(jobs=jobs)
+        report = DeploymentReport(jobs=self.jobs)
         for ids, target, done in (
             (stop, INACTIVE, (INACTIVE, UNINSTALLED)),
             (uninstall, UNINSTALLED, (UNINSTALLED,)),
@@ -636,8 +613,7 @@ class DeploymentEngine:
                 report.merge(
                     self.drive_instances(
                         system, pending, target, reverse=True,
-                        policy=policy, journal=journal,
-                        jobs=jobs, jobs_per_host=jobs_per_host,
+                        journal=journal,
                     )
                 )
         return report
@@ -647,7 +623,6 @@ class DeploymentEngine:
         system: DeployedSystem,
         instance_ids: Iterable[str],
         *,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
     ) -> DeploymentReport:
         """Bounce each of ``instance_ids`` that is still ``active``, in
@@ -655,31 +630,35 @@ class DeploymentEngine:
         any other action.  Instances an earlier phase already moved off
         ``active`` were repaired there and are skipped.  A restart that
         fails for good stops the pass at a consistent frontier."""
-        report = DeploymentReport()
+        report = DeploymentReport(jobs=self.jobs)
         ids = list(instance_ids)
-        for index, instance_id in enumerate(ids):
-            driver = system.driver(instance_id)
-            if driver.state != ACTIVE:
-                continue
-            transition = driver.machine_spec.find(ACTIVE, "restart")
-            self._check_guard(system, instance_id, transition)
-            try:
+        clock = self.infrastructure.clock
+        started = clock.now
+        try:
+            for index, instance_id in enumerate(ids):
+                driver = system.driver(instance_id)
+                if driver.state != ACTIVE:
+                    continue
+                transition = driver.machine_spec.find(ACTIVE, "restart")
+                self._check_guard(system, instance_id, transition)
                 self._perform_with_retry(
-                    system, instance_id, transition, report,
-                    policy=policy, journal=journal,
+                    system, instance_id, transition, report, journal=journal
                 )
-            except DeploymentError as exc:
-                raise DeploymentFailure(
-                    f"restart stopped at {instance_id!r}: {exc}",
-                    journal=journal,
-                    completed=(
-                        journal.completed if journal is not None else ()
-                    ),
-                    failed={instance_id},
-                    skipped=ids[index + 1:],
-                    report=report,
-                    system=system,
-                ) from exc
+        except DeploymentError as exc:
+            raise DeploymentFailure(
+                f"restart stopped at {instance_id!r}: {exc}",
+                journal=journal,
+                completed=journal.completed if journal is not None else (),
+                failed={instance_id},
+                skipped=ids[index + 1:],
+                report=report,
+                system=system,
+            ) from exc
+        finally:
+            # The pass is serial: what it cost is what the clock moved.
+            report.sequential_seconds = sum(a.duration for a in report.actions)
+            report.makespan_seconds = clock.now - started
+            report.critical_path_seconds = report.makespan_seconds
         return report
 
     def prepare(
@@ -709,45 +688,15 @@ class DeploymentEngine:
 
     # -- Management operations --------------------------------------------------
 
-    def shutdown(
-        self,
-        system: DeployedSystem,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
+    def shutdown(self, system: DeployedSystem) -> DeploymentReport:
         """Stop all services in reverse dependency order (S5.2)."""
-        return self.drive_down(
-            system, system.spec.ids(),
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
+        return self.drive_down(system, system.spec.ids())
 
-    def start(
-        self,
-        system: DeployedSystem,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
+    def start(self, system: DeployedSystem) -> DeploymentReport:
         """(Re)start everything in dependency order."""
-        return self._drive(
-            system, ACTIVE, reverse=False, policy=policy,
-            jobs=jobs, jobs_per_host=jobs_per_host,
-        )
+        return self._drive(system, ACTIVE, reverse=False)
 
-    def uninstall(
-        self,
-        system: DeployedSystem,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
-    ) -> DeploymentReport:
+    def uninstall(self, system: DeployedSystem) -> DeploymentReport:
         """Stop and uninstall everything, reverse dependency order."""
         ids = system.spec.ids()
-        return self.drive_down(
-            system, ids, ids,
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
+        return self.drive_down(system, ids, ids)

@@ -54,7 +54,6 @@ from repro.runtime.deploy import (
 )
 from repro.runtime.journal import DeploymentJournal
 from repro.runtime.monitor import ProcessMonitor
-from repro.runtime.retry import RetryPolicy
 
 
 class DriftKind(Enum):
@@ -452,27 +451,19 @@ def execute_plan(
     system: DeployedSystem,
     plan: TransitionPlan,
     *,
-    policy: Optional[RetryPolicy] = None,
     journal: Optional[DeploymentJournal] = None,
-    jobs: Optional[int] = None,
-    jobs_per_host: Optional[int] = None,
 ) -> DeploymentReport:
     """Execute a repair plan: down (extras), machine replacement, up
     (redeploys), restart -- the engine's transition primitives, so
-    repairs get the same guards, ``policy`` retries and write-ahead
-    ``journal`` as first deployments.  The down pass for extras is
-    deliberately *not* journalled -- the journal describes the goal, and
-    extras are exactly what the goal no longer contains.
+    repairs get the same guards, retries and write-ahead ``journal`` as
+    first deployments.  The down pass for extras is deliberately *not*
+    journalled -- the journal describes the goal, and extras are exactly
+    what the goal no longer contains.
     """
-    report = DeploymentReport(jobs=jobs)
+    report = DeploymentReport(jobs=engine.jobs)
 
     extras = plan.instances(RepairOp.UNINSTALL)
-    report.merge(
-        engine.drive_down(
-            system, extras, extras,
-            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
-        )
-    )
+    report.merge(engine.drive_down(system, extras, extras))
 
     for machine_id in plan.instances(RepairOp.REPROVISION):
         _replace_machine(system, machine_id, journal)
@@ -481,16 +472,13 @@ def execute_plan(
     if redeploy:
         report.merge(
             engine.drive_instances(
-                system, redeploy, plan.target,
-                policy=policy, journal=journal,
-                jobs=jobs, jobs_per_host=jobs_per_host,
+                system, redeploy, plan.target, journal=journal
             )
         )
 
     report.merge(
         engine.restart_instances(
-            system, plan.instances(RepairOp.RESTART),
-            policy=policy, journal=journal,
+            system, plan.instances(RepairOp.RESTART), journal=journal
         )
     )
     return report
@@ -583,9 +571,6 @@ class ReconcileController:
         *,
         goal: Optional[InstallSpec] = None,
         journal: Optional[DeploymentJournal] = None,
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
         interval: float = 30.0,
         session=None,
         goal_partial=None,
@@ -601,9 +586,6 @@ class ReconcileController:
         self.system = system
         self.goal = goal if goal is not None else system.spec
         self.journal = journal if journal is not None else system.journal
-        self.policy = policy
-        self.jobs = jobs
-        self.jobs_per_host = jobs_per_host
         self.interval = interval
         self.session = session
         self.goal_partial = goal_partial
@@ -649,9 +631,7 @@ class ReconcileController:
         if not plan.is_noop:
             try:
                 execute_plan(
-                    self.engine, self.system, plan,
-                    policy=self.policy, journal=self.journal,
-                    jobs=self.jobs, jobs_per_host=self.jobs_per_host,
+                    self.engine, self.system, plan, journal=self.journal
                 )
                 repaired = True
             except DeploymentError as exc:

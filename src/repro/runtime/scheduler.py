@@ -18,11 +18,12 @@ journalling):
 * :class:`DagScheduler` -- the event-driven scheduler.  A ready queue
   holds instances whose prerequisites have reached the target state,
   ordered by critical-path-length priority with instance-id tie-breaks
-  (schedules are bit-reproducible).  Dispatch is bounded by a global
-  worker count (``jobs``; ``0`` means unbounded) and an optional
-  per-host limit (``jobs_per_host``).  Each dispatched instance executes
-  inside a :meth:`~repro.sim.clock.SimClock.overlapping` span starting
-  at the dispatch instant, so driver actions, retry backoffs, and
+  (schedules are bit-reproducible).  Dispatch is bounded by the engine's
+  global worker count (``engine.jobs``; ``0`` means unbounded) and its
+  optional per-host limit (``engine.jobs_per_host``).  Each dispatched
+  instance executes inside a
+  :meth:`~repro.sim.clock.SimClock.overlapping` span starting at the
+  dispatch instant, so driver actions, retry backoffs, and
   HANG-fault timeout budgets genuinely overlap in simulated time; a
   completion event is scheduled at the span's end and the clock jumps
   from event to event.  ``report.makespan_seconds`` is therefore
@@ -52,7 +53,6 @@ from repro.core.errors import (
     GuardError,
 )
 from repro.runtime.journal import DeploymentJournal
-from repro.runtime.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deploy import (
@@ -87,7 +87,6 @@ def execute_serial(
     *,
     reverse: bool,
     only: Optional[set[str]] = None,
-    policy: Optional[RetryPolicy] = None,
     journal: Optional[DeploymentJournal] = None,
 ) -> "DeploymentReport":
     """Drive instances one at a time in (reverse) dependency order.
@@ -105,8 +104,7 @@ def execute_serial(
         started = clock.now
         try:
             engine._drive_instance(
-                system, instance.id, target, report,
-                policy=policy, journal=journal,
+                system, instance.id, target, report, journal=journal
             )
         except GuardError:
             # A guard violation is a protocol error by the caller
@@ -178,15 +176,20 @@ class _Task:
         return self.finished_at - self.started_at
 
 
+def _worker_bound(value: Optional[int]) -> Optional[int]:
+    """``None``, ``0`` and negatives all mean unbounded."""
+    return None if not value or value <= 0 else int(value)
+
+
 class DagScheduler:
     """Bounded-concurrency, event-driven execution of one pass.
 
-    ``jobs`` is the global worker bound (``0`` or ``None`` = unbounded);
-    ``jobs_per_host`` additionally caps concurrent instances whose
-    physical context is the same machine (modelling per-host agent
-    parallelism).  Dispatch order is by descending critical-path length
-    (estimated from the drivers' declared action costs), with ascending
-    instance id as the deterministic tie-break.
+    ``engine.jobs`` is the global worker bound (``0`` or ``None`` =
+    unbounded); ``engine.jobs_per_host`` additionally caps concurrent
+    instances whose physical context is the same machine (modelling
+    per-host agent parallelism).  Dispatch order is by descending
+    critical-path length (estimated from the drivers' declared action
+    costs), with ascending instance id as the deterministic tie-break.
     """
 
     def __init__(
@@ -197,22 +200,15 @@ class DagScheduler:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
-        policy: Optional[RetryPolicy] = None,
         journal: Optional[DeploymentJournal] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.system = system
         self.target = target
         self.reverse = reverse
-        self.policy = policy
         self.journal = journal
-        self.jobs = None if not jobs or jobs <= 0 else int(jobs)
-        self.jobs_per_host = (
-            None if not jobs_per_host or jobs_per_host <= 0
-            else int(jobs_per_host)
-        )
+        self.jobs = _worker_bound(engine.jobs)
+        self.jobs_per_host = _worker_bound(engine.jobs_per_host)
         self.clock = engine.infrastructure.clock
         self.tracer = engine.infrastructure.tracer
         self.selected = _selected_instances(
@@ -423,7 +419,7 @@ class DagScheduler:
             try:
                 self.engine._drive_instance(
                     self.system, iid, self.target, report,
-                    policy=self.policy, journal=self.journal,
+                    journal=self.journal,
                 )
             except GuardError:
                 raise  # protocol error by the caller: propagate unwrapped

@@ -37,7 +37,6 @@ from repro.runtime.deploy import (
     DeploymentEngine,
     machine_hostname,
 )
-from repro.runtime.retry import RetryPolicy
 
 
 def _describe_exception(exc: BaseException) -> str:
@@ -69,34 +68,20 @@ class UpgradeResult:
 
 
 class UpgradeEngine:
-    """Executes the backup / replace / rollback protocol."""
+    """Executes the backup / replace / rollback protocol.
+
+    Every pass -- uninstall, redeploy, delta, and the rollback redeploy
+    -- runs under ``deployment_engine``'s retry policy and worker
+    bounds, so a transient fault during recovery does not turn a failed
+    upgrade into a lost system."""
 
     def __init__(
         self,
         config_engine: ConfigurationEngine,
         deployment_engine: DeploymentEngine,
-        *,
-        retry_policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
     ) -> None:
         self._config = config_engine
         self._deploy = deployment_engine
-        #: Applied to every deployment pass the upgrade performs --
-        #: including the rollback redeploy, so a transient fault during
-        #: recovery does not turn a failed upgrade into a lost system.
-        self._retry_policy = retry_policy
-        #: Worker bounds forwarded to every deployment pass (stop,
-        #: uninstall, redeploy, rollback) -- None keeps them serial.
-        self._jobs = jobs
-        self._jobs_per_host = jobs_per_host
-
-    def _pass_kwargs(self) -> dict:
-        return {
-            "policy": self._retry_policy,
-            "jobs": self._jobs,
-            "jobs_per_host": self._jobs_per_host,
-        }
 
     def upgrade(
         self,
@@ -142,17 +127,14 @@ class UpgradeEngine:
         old_spec = system.spec
         try:
             if strategy == "replace":
-                self._deploy.uninstall(system, **self._pass_kwargs())
+                self._deploy.uninstall(system)
                 retire_machines(
                     infrastructure, retired_hostnames(old_spec, new_spec)
                 )
-                new_system = self._deploy.deploy(
-                    new_spec, **self._pass_kwargs()
-                )
+                new_system = self._deploy.deploy(new_spec)
             else:
                 new_system = execute_delta(
-                    self._deploy, system, plan_delta(system, new_spec),
-                    **self._pass_kwargs(),
+                    self._deploy, system, plan_delta(system, new_spec)
                 ).system
             return UpgradeResult(
                 succeeded=True,
@@ -208,7 +190,7 @@ class UpgradeEngine:
             machine.restore(backup["machine"])
             infrastructure.package_manager(machine).restore(backup["packages"])
         try:
-            return self._deploy.deploy(old_spec, **self._pass_kwargs())
+            return self._deploy.deploy(old_spec)
         except DeploymentError as exc:  # pragma: no cover - defensive
             raise UpgradeError(
                 f"rollback failed after upgrade failure: {exc}"

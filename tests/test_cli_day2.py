@@ -150,3 +150,38 @@ class TestUpgrade:
              "--types", str(original), "--types", str(v2)]
         )
         assert code == 0
+
+
+class TestDay2KeepsTheJournal:
+    """A day-2 command rewrites the bundle; it must stay resumable."""
+
+    @staticmethod
+    def journal_of(bundle_path):
+        _, output = run(["status", "--json", bundle_path])
+        return json.loads(output)["journal"]
+
+    @pytest.mark.parametrize(
+        "command", ["stop", "start", "upgrade", "inject-fault", "watch"]
+    )
+    def test_bundle_stays_resumable(self, bundle, command):
+        directory, bundle_path = bundle
+        before = self.journal_of(bundle_path)
+        assert before is not None
+        argv = [command, bundle_path]
+        if command == "inject-fault":
+            argv.append("cache")
+        elif command == "upgrade":
+            (directory / "v2.engage").write_text(STACK_V2_DSL)
+            (directory / "spec2.json").write_text(spec_json("2.0"))
+            argv += [str(directory / "spec2.json"),
+                     "--types", str(directory / "v2.engage")]
+        code, _ = run(argv)
+        assert code == 0
+
+        after = self.journal_of(bundle_path)
+        assert after is not None
+        if command != "upgrade":  # the upgrade's journal is the new spec's
+            assert after["entries"] >= before["entries"]
+        code, output = run(["deploy", "--resume", bundle_path])
+        assert code != 2, output
+        assert "resuming:" in output

@@ -234,8 +234,10 @@ class TestMasterCoordinator:
     ):
         """Intra-machine parallelism composes with machine waves: the
         slaves' reports carry the forwarded worker bound."""
-        coordinator = BusCoordinator(registry, infrastructure, drivers)
-        deployment = coordinator.deploy(two_node_spec, jobs=4)
+        coordinator = BusCoordinator(
+            registry, infrastructure, drivers, jobs=4
+        )
+        deployment = coordinator.deploy(two_node_spec)
         assert deployment.is_deployed()
         for slave in deployment.slaves.values():
             assert slave.report.jobs == 4
@@ -248,6 +250,26 @@ class TestMasterCoordinator:
         coordinator.shutdown(deployment)
         from repro.drivers import INACTIVE
 
+        assert set(deployment.states().values()) == {INACTIVE}
+
+    def test_shutdown_runs_under_the_coordinators_policy(
+        self, registry, infrastructure, drivers, two_node_spec
+    ):
+        """Regression: ``shutdown`` built a bare engine, so a transient
+        ``stop`` fault the deploy's policy would have retried raised."""
+        from repro.drivers import INACTIVE
+        from repro.runtime import RetryPolicy
+        from repro.sim import FaultPlan
+
+        coordinator = BusCoordinator(
+            registry, infrastructure, drivers,
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.1),
+        )
+        deployment = coordinator.deploy(two_node_spec)
+        plan = FaultPlan().on("driver:tomcat:stop", times=1)
+        infrastructure.set_fault_plan(plan)
+        coordinator.shutdown(deployment)
+        assert len(plan.records) == 1
         assert set(deployment.states().values()) == {INACTIVE}
 
 

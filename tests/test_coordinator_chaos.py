@@ -79,9 +79,10 @@ def two_node(chaos_registry):
 def bus_deploy(registry, spec, *, chaos=None, faults=None, jobs=None):
     infrastructure = standard_infrastructure()
     coordinator = BusCoordinator(
-        registry, infrastructure, standard_drivers(), link_faults=faults
+        registry, infrastructure, standard_drivers(),
+        jobs=jobs, link_faults=faults,
     )
-    deployment = coordinator.deploy(spec, chaos=chaos, jobs=jobs)
+    deployment = coordinator.deploy(spec, chaos=chaos)
     return infrastructure, deployment
 
 

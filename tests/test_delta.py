@@ -633,6 +633,24 @@ class TestEquivalenceCorpus:
         assert result.system.is_deployed()
         assert result.system.state_of(cache) == "active"
 
+    def test_restart_only_delta_reports_what_it_cost(self):
+        """A delta to the same goal with one crashed service is a lone
+        restart, and its report totals say what that took."""
+        engine, infrastructure, system, spec = build(fleet_partial(TOPOLOGY))
+        system.drivers["cache000"].process.fail()
+        delta = plan_delta(system, spec)
+        assert delta.restart == ["cache000"] and len(delta) == 1
+        before = infrastructure.clock.now
+        report = execute_delta(engine, system, delta).report
+        assert [a.action for a in report.actions] == ["restart"]
+        elapsed = infrastructure.clock.now - before
+        assert elapsed > 0
+        assert report.sequential_seconds == pytest.approx(
+            sum(a.duration for a in report.actions)
+        )
+        assert report.sequential_seconds == pytest.approx(elapsed)
+        assert report.makespan_seconds == pytest.approx(elapsed)
+
 
 class TestFaultedTransitions:
     """A fault mid-transition leaves a resumable journal; ``resume``

@@ -62,13 +62,13 @@ def openmrs_partial():
     )
 
 
-def build_world():
+def build_world(**how):
     """A fresh world + engine + configured OpenMRS spec."""
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     drivers = standard_drivers()
     spec = ConfigurationEngine(registry).configure(openmrs_partial()).spec
-    engine = DeploymentEngine(registry, infrastructure, drivers)
+    engine = DeploymentEngine(registry, infrastructure, drivers, **how)
     return infrastructure, engine, spec
 
 
@@ -207,11 +207,11 @@ class TestChaosMatrix:
         "seed,rate", list(itertools.product(SEEDS, RATES))
     )
     def test_retry_converges_bit_identical(self, baseline, seed, rate):
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=4, backoff_base=0.5)
+        infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan.seeded(seed, rate, max_failures=2)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=4, backoff_base=0.5)
-        system = engine.deploy(spec, policy=policy)
+        system = engine.deploy(spec)
         assert system.is_deployed()
         assert world_snapshot(system, infrastructure) == baseline
         # Recovery is visible in the report: every injected fault shows
@@ -258,12 +258,12 @@ class TestChaosMatrix:
 
 class TestConsistentFrontier:
     def test_fatal_failure_partitions_instances(self):
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on("driver:mysql:start", times=10)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
         with pytest.raises(DeploymentFailure) as excinfo:
-            engine.deploy(spec, policy=policy)
+            engine.deploy(spec)
         failure = excinfo.value
         assert failure.failed == {"mysql"}
         system = failure.system
@@ -301,16 +301,17 @@ class TestConsistentFrontier:
         assert mysql_starts[1].backoff_seconds == 0.0  # fatal, no wait
 
     def test_resume_after_fatal_failure(self, baseline):
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(
+            policy=RetryPolicy(max_attempts=2)
+        )
         plan = FaultPlan().on("driver:mysql:start", times=3)
         FaultyWorld(infrastructure, plan)
         with pytest.raises(DeploymentFailure) as excinfo:
-            engine.deploy(spec, policy=RetryPolicy(max_attempts=2))
+            engine.deploy(spec)
         journal = excinfo.value.journal
         # One injected fault left; a retrying resume rides through it.
-        system = engine.resume(
-            journal, policy=RetryPolicy(max_attempts=2, backoff_base=0.1)
-        )
+        engine.policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
+        system = engine.resume(journal)
         assert system.is_deployed()
         assert journal.is_complete()
         assert not journal.failed and not journal.skipped
@@ -345,7 +346,10 @@ class TestConsistentFrontier:
 
 class TestFailureModes:
     def test_hang_beyond_budget_times_out_and_retries(self):
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(
+            max_attempts=2, backoff_base=0.1, action_timeout=60.0
+        )
+        infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on(
             "driver:mysql:start",
             kind=FaultKind.HANG,
@@ -353,10 +357,7 @@ class TestFailureModes:
             times=1,
         )
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(
-            max_attempts=2, backoff_base=0.1, action_timeout=60.0
-        )
-        system = engine.deploy(spec, policy=policy)
+        system = engine.deploy(spec)
         assert system.is_deployed()
         timeouts = [
             a for a in system.report.actions if a.outcome == "timeout"
@@ -368,7 +369,8 @@ class TestFailureModes:
         assert 60.0 <= timeouts[0].duration < 300.0
 
     def test_hang_within_budget_is_just_slow(self):
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=2, action_timeout=60.0)
+        infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on(
             "driver:mysql:start",
             kind=FaultKind.HANG,
@@ -376,8 +378,7 @@ class TestFailureModes:
             times=1,
         )
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=2, action_timeout=60.0)
-        system = engine.deploy(spec, policy=policy)
+        system = engine.deploy(spec)
         assert system.is_deployed()
         assert all(a.succeeded for a in system.report.actions)
         starts = [
@@ -389,11 +390,11 @@ class TestFailureModes:
     def test_oslpm_level_fault_is_retried(self, baseline):
         """Faults injected beneath the drivers (at the package manager)
         classify and retry exactly like driver-level ones."""
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on("oslpm:demotest:install:mysql*", times=1)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.1)
-        system = engine.deploy(spec, policy=policy)
+        system = engine.deploy(spec)
         assert system.is_deployed()
         assert len(plan.records) == 1
         assert plan.records[0].site.startswith("oslpm:demotest:install:")
@@ -411,10 +412,10 @@ class TestFailureModes:
     def test_non_transient_error_is_not_retried(self):
         """A fatal (non-transient) driver failure must not burn retries:
         one attempt, immediate failure."""
-        infrastructure, engine, spec = build_world()
+        engine_policy = RetryPolicy(max_attempts=4, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=engine_policy)
         # Sabotage the world: unpublish nothing, but make the artifact
         # lookup fail by pointing mysql's package at a missing version.
-        engine_policy = RetryPolicy(max_attempts=4, backoff_base=0.1)
         system = engine.prepare(spec)
         from repro.core.errors import SimulationError
 
@@ -426,9 +427,7 @@ class TestFailureModes:
         driver.do_install = broken_install
         report_error = None
         try:
-            engine._drive(
-                system, ACTIVE, reverse=False, policy=engine_policy
-            )
+            engine._drive(system, ACTIVE, reverse=False)
         except DeploymentFailure as failure:
             report_error = failure
         assert report_error is not None
@@ -442,7 +441,9 @@ class TestFailureModes:
 
 class TestUpgradeWithRetries:
     def test_upgrade_survives_transient_faults(self):
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(
+            policy=RetryPolicy(max_attempts=4, backoff_base=0.1)
+        )
         system = engine.deploy(spec)
         # Chaos arrives *after* the initial deploy; the upgrade's stop /
         # redeploy passes must ride through it.
@@ -453,11 +454,7 @@ class TestUpgradeWithRetries:
         )
         FaultyWorld(infrastructure, plan)
         config = ConfigurationEngine(engine.registry)
-        upgrader = UpgradeEngine(
-            config,
-            engine,
-            retry_policy=RetryPolicy(max_attempts=4, backoff_base=0.1),
-        )
+        upgrader = UpgradeEngine(config, engine)
         result = upgrader.upgrade(system, openmrs_partial())
         assert result.succeeded and not result.rolled_back
         assert result.system.is_deployed()
@@ -467,7 +464,9 @@ class TestUpgradeWithRetries:
     def test_rollback_reuses_retry_policy(self):
         """New-system deploy fails fatally; the rollback redeploy hits a
         leftover transient fault and must retry through it."""
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.1)
+        )
         system = engine.deploy(spec)
         # 5 faults at mysql:install vs 3 attempts per pass: the new
         # deploy burns 3 and fails fatally; the rollback's redeploy
@@ -475,11 +474,7 @@ class TestUpgradeWithRetries:
         plan = FaultPlan().on("driver:mysql:install", times=5)
         FaultyWorld(infrastructure, plan)
         config = ConfigurationEngine(engine.registry)
-        upgrader = UpgradeEngine(
-            config,
-            engine,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.1),
-        )
+        upgrader = UpgradeEngine(config, engine)
         result = upgrader.upgrade(system, openmrs_partial())
         assert not result.succeeded
         assert result.rolled_back

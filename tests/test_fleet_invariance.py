@@ -39,10 +39,10 @@ def healthy_outcome(jobs, partition: bool):
     registry, spec = fleet_spec(partition)
     infrastructure = standard_infrastructure()
     engine = DeploymentEngine(
-        registry, infrastructure, standard_drivers()
+        registry, infrastructure, standard_drivers(), jobs=jobs
     )
     journal = DeploymentJournal(spec)
-    system = engine.deploy(spec, journal=journal, jobs=jobs)
+    system = engine.deploy(spec, journal=journal)
     assert system.is_deployed()
     report = system.report
     schedule = (
@@ -65,12 +65,13 @@ def chaos_outcome(jobs, partition: bool, seed: int, rate: float):
     registry, spec = fleet_spec(partition)
     infrastructure = standard_infrastructure()
     FaultyWorld(infrastructure, FaultPlan.seeded(seed, rate, max_failures=2))
-    engine = DeploymentEngine(
-        registry, infrastructure, standard_drivers()
-    )
     policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
+    engine = DeploymentEngine(
+        registry, infrastructure, standard_drivers(),
+        policy=policy, jobs=jobs,
+    )
     try:
-        system = engine.deploy(spec, policy=policy, jobs=jobs)
+        system = engine.deploy(spec)
         return ("deployed", tuple(sorted(system.states().items())), None)
     except DeploymentFailure as failure:
         frontier = (
@@ -90,9 +91,9 @@ def trace_sequence(jobs, partition: bool):
     tracer = Tracer(clock=infrastructure.clock)
     infrastructure.set_tracer(tracer)
     engine = DeploymentEngine(
-        registry, infrastructure, standard_drivers()
+        registry, infrastructure, standard_drivers(), jobs=jobs
     )
-    system = engine.deploy(spec, jobs=jobs)
+    system = engine.deploy(spec)
     assert system.is_deployed()
     return tuple(
         (e.name, e.category, e.phase, e.timestamp, e.duration, e.lane)

@@ -169,9 +169,11 @@ def _traced_openmrs_deploy(openmrs_partial, *, jobs=4, chaos=False):
     partial = provision_partial_spec(registry, openmrs_partial, infrastructure)
     engine = ConfigurationEngine(registry, tracer=tracer)
     spec = engine.configure(partial).spec
-    deploy = DeploymentEngine(registry, infrastructure, drivers)
     policy = RetryPolicy(max_attempts=4, backoff_base=0.5) if chaos else None
-    system = deploy.deploy(spec, jobs=jobs, policy=policy)
+    deploy = DeploymentEngine(
+        registry, infrastructure, drivers, jobs=jobs, policy=policy
+    )
+    system = deploy.deploy(spec)
     return tracer, system
 
 
@@ -380,11 +382,10 @@ class TestZeroOverhead:
             )
             spec = ConfigurationEngine(registry).configure(partial).spec
             system = DeploymentEngine(
-                registry, infrastructure, standard_drivers()
-            ).deploy(
-                spec, jobs=4, policy=RetryPolicy(max_attempts=4,
-                                                 backoff_base=0.5)
-            )
+                registry, infrastructure, standard_drivers(),
+                jobs=4, policy=RetryPolicy(max_attempts=4,
+                                           backoff_base=0.5),
+            ).deploy(spec)
             return [
                 (r.instance_id, r.action, r.attempt, r.outcome,
                  r.started_at, r.duration, r.backoff_seconds)

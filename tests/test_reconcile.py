@@ -180,6 +180,27 @@ class TestRepair:
         assert journal.entries[-1].action == "restart"
         DeploymentJournal.from_payload(system.spec, journal.to_payload())
 
+    def test_restart_only_repair_reports_what_it_cost(self):
+        """The report of a repair whose only work is a restart counts
+        it: totals used to stay zero while the clock moved."""
+        engine, system, journal, _, _ = deploy_fleet()
+        _, driver = first_service(system)
+        driver.process.fail()
+        clock = system.infrastructure.clock
+        before = clock.now
+        plan = plan_repair(system, detect_drift(system))
+        assert plan.by_op() == {"restart": 1}
+        report = execute_plan(engine, system, plan, journal=journal)
+        assert [a.action for a in report.actions] == ["restart"]
+        elapsed = clock.now - before
+        assert elapsed > 0
+        assert report.sequential_seconds == pytest.approx(
+            sum(a.duration for a in report.actions)
+        )
+        assert report.sequential_seconds == pytest.approx(elapsed)
+        assert report.makespan_seconds == pytest.approx(elapsed)
+        assert report.critical_path_seconds == pytest.approx(elapsed)
+
     def test_machine_loss_repairs_to_convergence(self):
         engine, system, journal, _, _ = deploy_fleet()
         records = FaultInjector(system, seed=1).crash_machines(1)
@@ -403,12 +424,12 @@ class TestCrashFaultKind:
             f"driver:{service}:start", kind=FaultKind.CRASH
         )
         infrastructure.set_fault_plan(plan)
-        engine = DeploymentEngine(
-            registry, infrastructure, standard_drivers()
-        )
         policy = RetryPolicy(max_attempts=3, backoff_base=0.1)
+        engine = DeploymentEngine(
+            registry, infrastructure, standard_drivers(), policy=policy
+        )
         with pytest.raises(DeploymentError):
-            engine.deploy(spec, policy=policy)
+            engine.deploy(spec)
         # Non-retryable: one attempt only, and the site never exhausts.
         assert len(plan.records) == 1
         assert plan.records[0].kind is FaultKind.CRASH

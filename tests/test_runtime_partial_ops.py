@@ -155,3 +155,160 @@ class TestDownIsStateFiltered:
         removed = engine.uninstall(system)
         assert {a.action for a in removed.actions} == {"uninstall"}
         assert set(system.states().values()) == {UNINSTALLED}
+
+
+SETTINGS = ("policy", "retry_policy", "jobs", "jobs_per_host")
+
+
+class TestEngineIsTheExecutionContext:
+    """Retry policy and worker bounds are set once, on the engine; every
+    pass it runs -- directly or through a planner -- reads them there."""
+
+    @pytest.fixture
+    def engine(self, registry, infrastructure, drivers):
+        from repro.runtime import RetryPolicy
+
+        return DeploymentEngine(
+            registry, infrastructure, drivers,
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.1), jobs=2,
+        )
+
+    @staticmethod
+    def tomcat_on(registry, openmrs_partial, port):
+        partial = PartialInstallSpec(
+            [
+                PartialInstance(
+                    p.id, p.key, inside_id=p.inside_id,
+                    config={**p.config, "manager_port": port}
+                    if p.id == "tomcat" else p.config,
+                )
+                for p in openmrs_partial
+            ]
+        )
+        return partial, ConfigurationEngine(registry).configure(partial).spec
+
+    def test_every_pass_retries_and_reports_the_bound(
+        self, engine, spec, registry, infrastructure, openmrs_partial
+    ):
+        from repro.core.errors import DeploymentFailure
+        from repro.runtime import (
+            UpgradeEngine,
+            detect_drift,
+            execute_delta,
+            execute_plan,
+            plan_delta,
+            plan_repair,
+        )
+        from repro.sim import FaultPlan
+
+        def once(*sites, times=1):
+            plan = FaultPlan()
+            for site in sites:
+                plan.on(f"driver:{site}", times=times)
+            infrastructure.set_fault_plan(plan)
+            return plan
+
+        def check(report, plan, faults=1, retried=None):
+            assert len(plan.records) == faults  # every one of them fired
+            assert report.retries == (retried or faults)
+            assert report.jobs == 2
+
+        plan = once("mysql:install")
+        system = engine.deploy(spec)
+        check(system.report, plan)
+
+        plan = once("openmrs:stop")
+        check(engine.drive_down(system, ["openmrs"]), plan)
+        plan = once("openmrs:start")
+        check(engine.start(system), plan)
+
+        plan = once("tomcat:restart")
+        check(engine.restart_instances(system, ["tomcat"]), plan)
+
+        plan = once("mysql:stop")
+        check(engine.shutdown(system), plan)
+        plan = once("mysql:start")
+        check(engine.start(system), plan)
+        assert system.is_deployed()
+
+        system.driver("tomcat").process.fail()
+        plan = once("tomcat:restart")
+        repair = plan_repair(system, detect_drift(system))
+        check(
+            execute_plan(engine, system, repair, journal=system.journal),
+            plan,
+        )
+
+        # Reconfigure tomcat: a down phase (stop closure, uninstall)
+        # and an up phase, one transient fault in each.
+        _, moved = self.tomcat_on(registry, openmrs_partial, 9090)
+        plan = once("openmrs:stop", "tomcat:install")
+        result = execute_delta(engine, system, plan_delta(system, moved))
+        check(result.report, plan, faults=2)
+        system = result.system
+
+        # Move it back, but the teardown fails for good mid-transition;
+        # resume finishes the down phase through the one fault left.
+        partial, back = self.tomcat_on(registry, openmrs_partial, 8080)
+        plan = once("tomcat:uninstall", times=4)
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(engine, system, plan_delta(system, back))
+        journal = excinfo.value.journal
+        assert journal.transition is not None
+        assert plan.pending("driver:tomcat:uninstall") == 1
+        system = engine.resume(journal)
+        assert plan.pending("driver:tomcat:uninstall") == 0
+        assert system.is_deployed() and system.report.jobs == 2
+
+        # Upgrade: the new deploy burns three attempts and fails, the
+        # rollback redeploy rides through the remaining two.
+        plan = once("mysql:install", times=5)
+        upgrader = UpgradeEngine(ConfigurationEngine(registry), engine)
+        outcome = upgrader.upgrade(system, partial)
+        assert outcome.rolled_back and outcome.system.is_deployed()
+        check(outcome.system.report, plan, faults=5, retried=2)
+
+    def test_no_pass_takes_the_settings_per_call(self, engine, spec):
+        import inspect
+
+        from repro import cli
+        from repro.runtime import (
+            BusCoordinator,
+            ReconcileController,
+            UpgradeEngine,
+            coordinator,
+            delta,
+            execute_delta,
+            execute_plan,
+            scheduler,
+        )
+
+        engine_methods = [
+            getattr(DeploymentEngine, name)
+            for name in (
+                "deploy", "resume", "_drive", "_drive_instance",
+                "_perform_with_retry", "drive_instances", "drive_down",
+                "restart_instances", "shutdown", "start", "uninstall",
+            )
+        ]
+        for function in engine_methods + [
+            scheduler.execute_serial, scheduler.DagScheduler,
+            execute_plan, ReconcileController, execute_delta,
+            delta._down_phase, delta.complete_down_phase, UpgradeEngine,
+            coordinator._SlaveEngine._perform_with_retry,
+            BusCoordinator.deploy, cli._deploy_over_bus,
+        ]:
+            parameters = inspect.signature(function).parameters
+            assert not set(SETTINGS) & set(parameters), function
+
+        system = engine.prepare(spec)
+        for removed in SETTINGS:
+            for call in (
+                lambda **kw: engine.deploy(spec, **kw),
+                lambda **kw: engine.drive_down(system, [], **kw),
+                lambda **kw: engine.shutdown(system, **kw),
+                lambda **kw: ReconcileController(engine, system, **kw),
+                lambda **kw: UpgradeEngine(None, engine, **kw),
+            ):
+                with pytest.raises(TypeError, match=removed):
+                    call(**{removed: None})

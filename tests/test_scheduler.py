@@ -44,12 +44,12 @@ def openmrs_partial():
     )
 
 
-def build_world():
+def build_world(**how):
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     drivers = standard_drivers()
     spec = ConfigurationEngine(registry).configure(openmrs_partial()).spec
-    engine = DeploymentEngine(registry, infrastructure, drivers)
+    engine = DeploymentEngine(registry, infrastructure, drivers, **how)
     return infrastructure, engine, spec
 
 
@@ -65,8 +65,8 @@ class TestMeasuredMakespan:
     def test_unbounded_matches_critical_path_bound(self):
         """Acceptance criterion: with enough workers the measured
         makespan *is* the critical path, to float equality."""
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=0)
+        _, engine, spec = build_world(jobs=0)
+        system = engine.deploy(spec)
         report = system.report
         assert report.makespan_seconds == pytest.approx(
             report.critical_path_seconds, abs=1e-6
@@ -76,15 +76,15 @@ class TestMeasuredMakespan:
     def test_parallel_strictly_beats_sequential(self):
         """OpenMRS has independent siblings (jre/mysql/tomcat under one
         server), so parallelism must shave real simulated time."""
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=4)
+        _, engine, spec = build_world(jobs=4)
+        system = engine.deploy(spec)
         report = system.report
         assert report.makespan_seconds < report.sequential_seconds
         assert report.jobs == 4
 
     def test_single_worker_degenerates_to_sequential(self):
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=1)
+        _, engine, spec = build_world(jobs=1)
+        system = engine.deploy(spec)
         report = system.report
         assert report.makespan_seconds == pytest.approx(
             report.sequential_seconds, abs=1e-6
@@ -96,16 +96,16 @@ class TestMeasuredMakespan:
         number."""
         _, serial_engine, spec = build_world()
         predicted = serial_engine.deploy(spec).report.makespan_seconds
-        _, parallel_engine, spec = build_world()
-        measured = parallel_engine.deploy(spec, jobs=0).report
+        _, parallel_engine, spec = build_world(jobs=0)
+        measured = parallel_engine.deploy(spec).report
         assert measured.makespan_seconds == pytest.approx(
             predicted, abs=1e-6
         )
 
     def test_simulated_clock_advances_by_makespan(self):
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(jobs=0)
         before = infrastructure.clock.now
-        system = engine.deploy(spec, jobs=0)
+        system = engine.deploy(spec)
         elapsed = infrastructure.clock.now - before
         assert elapsed == pytest.approx(
             system.report.makespan_seconds, abs=1e-6
@@ -117,27 +117,23 @@ class TestDeterminism:
     def test_bit_identical_schedules(self, jobs):
         """Acceptance criterion: repeated runs with the same ``jobs``
         produce identical (instance, action, start, duration) tuples."""
-        _, engine_a, spec_a = build_world()
-        first = engine_a.deploy(spec_a, jobs=jobs)
-        _, engine_b, spec_b = build_world()
-        second = engine_b.deploy(spec_b, jobs=jobs)
+        _, engine_a, spec_a = build_world(jobs=jobs)
+        first = engine_a.deploy(spec_a)
+        _, engine_b, spec_b = build_world(jobs=jobs)
+        second = engine_b.deploy(spec_b)
         assert schedule_of(first.report) == schedule_of(second.report)
 
     def test_end_state_independent_of_jobs(self):
         states = []
         for jobs in (None, 1, 2, 0):
-            _, engine, spec = build_world()
-            system = (
-                engine.deploy(spec)
-                if jobs is None
-                else engine.deploy(spec, jobs=jobs)
-            )
+            _, engine, spec = build_world(jobs=jobs)
+            system = engine.deploy(spec)
             states.append(system.states())
         assert all(s == states[0] for s in states[1:])
 
     def test_dependency_order_respected(self):
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=0)
+        _, engine, spec = build_world(jobs=0)
+        system = engine.deploy(spec)
         starts = {
             a.instance_id: a.started_at
             for a in system.report.actions
@@ -171,16 +167,16 @@ class TestConcurrencyBounds:
         return peak
 
     def test_global_worker_bound_respected(self):
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=2)
+        _, engine, spec = build_world(jobs=2)
+        system = engine.deploy(spec)
         assert self.peak_concurrency(system.report) <= 2
 
     def test_per_host_bound_serialises_single_host_spec(self):
         """All OpenMRS instances live on one machine, so
         ``jobs_per_host=1`` forces a fully serial timeline even with
         unbounded global workers."""
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=0, jobs_per_host=1)
+        _, engine, spec = build_world(jobs=0, jobs_per_host=1)
+        system = engine.deploy(spec)
         report = system.report
         assert self.peak_concurrency(report) == 1
         assert report.makespan_seconds == pytest.approx(
@@ -188,12 +184,12 @@ class TestConcurrencyBounds:
         )
 
     def test_reverse_passes_accept_jobs(self):
-        _, engine, spec = build_world()
-        system = engine.deploy(spec, jobs=0)
-        engine.shutdown(system, jobs=0)
+        _, engine, spec = build_world(jobs=0)
+        system = engine.deploy(spec)
+        engine.shutdown(system)
         assert set(system.states().values()) == {INACTIVE}
-        engine.start(system, jobs=0)
-        engine.uninstall(system, jobs=0)
+        engine.start(system)
+        engine.uninstall(system)
         assert set(system.states().values()) == {UNINSTALLED}
 
 
@@ -204,12 +200,12 @@ class TestChaosParity:
 
     @staticmethod
     def chaos_outcome(jobs, seed, rate):
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=policy, jobs=jobs)
         plan = FaultPlan.seeded(seed, rate, max_failures=2)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
         try:
-            system = engine.deploy(spec, policy=policy, jobs=jobs)
+            system = engine.deploy(spec)
             return ("deployed", system.states(), None)
         except DeploymentFailure as failure:
             partition = (
@@ -232,12 +228,12 @@ class TestParallelFailureSemantics:
     def test_only_dependent_subtree_skipped(self):
         """Unlike the serial fail-fast engine, a parallel pass finishes
         independent branches: mysql's failure skips openmrs only."""
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=policy, jobs=4)
         plan = FaultPlan().on("driver:mysql:start", times=10)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
         with pytest.raises(DeploymentFailure) as excinfo:
-            engine.deploy(spec, policy=policy, jobs=4)
+            engine.deploy(spec)
         failure = excinfo.value
         assert failure.failed == {"mysql"}
         assert set(failure.skipped) == {"openmrs"}
@@ -255,32 +251,27 @@ class TestParallelFailureSemantics:
         assert journal.completed == failure.completed
 
     def test_journal_entries_ordered_by_completion_time(self):
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(jobs=0)
         from repro.runtime import DeploymentJournal
 
         journal = DeploymentJournal(spec)
-        engine.deploy(spec, journal=journal, jobs=0)
+        engine.deploy(spec, journal=journal)
         stamps = [entry.timestamp for entry in journal.entries]
         assert stamps == sorted(stamps)
 
     def test_resume_readopts_parallel_frontier(self):
         """A resume (itself parallel) picks up exactly the remaining
         subtree and converges to the fault-free end state."""
-        infrastructure, engine, spec = build_world()
+        infrastructure, engine, spec = build_world(
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.1), jobs=4
+        )
         plan = FaultPlan().on("driver:mysql:start", times=3)
         FaultyWorld(infrastructure, plan)
         with pytest.raises(DeploymentFailure) as excinfo:
-            engine.deploy(
-                spec,
-                policy=RetryPolicy(max_attempts=2, backoff_base=0.1),
-                jobs=4,
-            )
+            engine.deploy(spec)
         journal = excinfo.value.journal
-        system = engine.resume(
-            journal,
-            policy=RetryPolicy(max_attempts=4, backoff_base=0.1),
-            jobs=4,
-        )
+        engine.policy = RetryPolicy(max_attempts=4, backoff_base=0.1)
+        system = engine.resume(journal)
         assert system.is_deployed()
         assert journal.is_complete()
         assert not journal.failed and not journal.skipped
@@ -292,11 +283,11 @@ class TestParallelFailureSemantics:
     def test_report_caches_survive_parallel_sort(self):
         """Satellite: actions_for / retries are index-backed; the
         post-pass sort must invalidate and rebuild them correctly."""
-        infrastructure, engine, spec = build_world()
+        policy = RetryPolicy(max_attempts=4, backoff_base=0.1)
+        infrastructure, engine, spec = build_world(policy=policy, jobs=4)
         plan = FaultPlan.seeded(2, 0.6, max_failures=2)
         FaultyWorld(infrastructure, plan)
-        policy = RetryPolicy(max_attempts=4, backoff_base=0.1)
-        system = engine.deploy(spec, policy=policy, jobs=4)
+        system = engine.deploy(spec)
         report = system.report
         for instance in spec:
             expected = [
