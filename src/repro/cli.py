@@ -162,6 +162,8 @@ def cmd_configure(args, out: TextIO) -> int:
             components = ""
             if result.partition is not None:
                 components = f", {result.partition.count} components"
+                if not cache.graph_hit:
+                    components += f" ({cache.components_reused} reused)"
             out.write(
                 f"[{round_number + 1}] {path}: "
                 f"{len(result.spec)} instances "
@@ -173,7 +175,9 @@ def cmd_configure(args, out: TextIO) -> int:
         f"session: {stats.configure_calls} calls, "
         f"{stats.graph_hits} graph hits / {stats.graph_misses} misses, "
         f"{stats.solver_reuses} solver reuses, "
-        f"{stats.typecheck_skips} spec reuses\n"
+        f"{stats.typecheck_skips} spec reuses, "
+        f"{stats.components_reused} of {stats.components_total} "
+        "components reused on graph misses\n"
     )
     if args.stats_json:
         _write_stats_json(args.stats_json, runs, out)

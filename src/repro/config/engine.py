@@ -84,8 +84,9 @@ class PhaseTimings:
 class SessionCacheInfo:
     """Per-call cache outcome of a ``ConfigurationSession`` call.
 
-    The session fills the fingerprint and the graph verdict; the
-    pipeline fills the rest from what each component reported.
+    The session fills the fingerprint, the graph verdict and the
+    component counts; the pipeline fills the rest from what each
+    component reported.
     """
 
     fingerprint: str = ""
@@ -99,6 +100,11 @@ class SessionCacheInfo:
     typecheck_skipped: bool = False
     solvers_built: int = 0
     solvers_reused: int = 0
+    #: On a graph miss: the components of the new graph / those whose
+    #: content an earlier spec had already configured (both 0 on a hit,
+    #: which resolves nothing).
+    components_total: int = 0
+    components_reused: int = 0
 
 
 @dataclass
@@ -156,7 +162,8 @@ class ComponentEntry:
     """One component's encoding, solver and verified outcomes.
 
     The engine builds these fresh for every call and drops them; a
-    session keeps them (``keep=True``), which is the whole difference
+    session keeps them (``keep=True``) and hands one to every spec that
+    has a component of the same content, which is the whole difference
     between the two: a kept entry states the partial-spec facts as
     assumption literals, so its clause database holds only graph
     structure and its :class:`CdclSolver` -- learned clauses,
@@ -165,7 +172,7 @@ class ComponentEntry:
 
     __slots__ = (
         "component", "keep", "formula", "constraint_stats", "assumptions",
-        "solver", "canonical", "verified",
+        "solver", "canonical", "verified", "__weakref__",
     )
 
     def __init__(self, component: GraphComponent, *, keep: bool) -> None:
@@ -351,6 +358,7 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
             fingerprint=cache.fingerprint, graph_hit=cache.graph_hit,
             cnf_hit=cache.cnf_hit, solver_reused=cache.solver_reused,
             typecheck_skipped=cache.typecheck_skipped,
+            components_reused=cache.components_reused,
         )
 
 

@@ -1,15 +1,22 @@
 """Canonical structural fingerprints of partial installation specs.
 
 :class:`~repro.config.session.ConfigurationSession` memoizes hypergraph
-generation and CNF encoding per *structure* of the partial specification,
-so the cache key must be:
+generation per *structure* of the partial specification, so the cache
+key must hash different for any difference that can change the expanded
+specification:
 
-* **order-insensitive** -- two specs listing the same instances in a
-  different insertion order, or giving config-port dicts in a different
-  key order, describe the same deployment and must hash equal;
-* **semantics-sensitive** -- any difference that can change the expanded
-  specification (a config-port value, a pinned resource key or version,
-  a container link) must hash different.
+* a config-port value, a pinned resource key or version, a container
+  link;
+* the **order of the instances**.  GraphGen is a worklist seeded in
+  specification order: which of two machines a shared dependency is
+  first materialised on decides which gets ``python_runtime`` and which
+  ``python_runtime_2``, so two specs listing the same instances in a
+  different order expand to differently-named full specifications and
+  must not share an entry.
+
+Only the key order *inside* a config-port dict is irrelevant (it changes
+neither the expanded specification nor the saved state) and hashes
+equal.
 
 Values are reduced to a type-tagged canonical form before hashing so
 that ``1``, ``1.0``, ``True`` and ``"1"`` stay distinct and nested
@@ -24,7 +31,7 @@ from typing import Any
 from repro.core.instances import PartialInstallSpec, PartialInstance
 
 
-def _canonical_value(value: Any) -> object:
+def canonical_value(value: Any) -> object:
     """A hashable, order-insensitive, type-tagged form of a port value."""
     # bool before int: bool is an int subclass and must not collide.
     if isinstance(value, bool):
@@ -42,14 +49,14 @@ def _canonical_value(value: Any) -> object:
             "d",
             tuple(
                 sorted(
-                    (str(k), _canonical_value(v)) for k, v in value.items()
+                    (str(k), canonical_value(v)) for k, v in value.items()
                 )
             ),
         )
     if isinstance(value, (list, tuple)):
-        return ("l", tuple(_canonical_value(v) for v in value))
+        return ("l", tuple(canonical_value(v) for v in value))
     if isinstance(value, (set, frozenset)):
-        return ("S", tuple(sorted(repr(_canonical_value(v)) for v in value)))
+        return ("S", tuple(sorted(repr(canonical_value(v)) for v in value)))
     # Fall back to repr for exotic values; deterministic for the value
     # types the DSL/JSON layers produce.
     return ("r", type(value).__name__, repr(value))
@@ -61,15 +68,14 @@ def _canonical_instance(instance: PartialInstance) -> tuple:
         instance.key.name,
         str(instance.key.version),
         instance.inside_id,
-        _canonical_value(dict(instance.config)),
+        canonical_value(dict(instance.config)),
     )
 
 
 def canonical_form(partial: PartialInstallSpec) -> tuple:
-    """The spec as a sorted tuple of canonical instance tuples."""
-    return tuple(
-        sorted(_canonical_instance(instance) for instance in partial)
-    )
+    """The spec as a tuple of canonical instance tuples, in the spec's
+    own order."""
+    return tuple(_canonical_instance(instance) for instance in partial)
 
 
 def fingerprint_partial(partial: PartialInstallSpec) -> str:

@@ -82,6 +82,9 @@ class ResourceGraph:
     def __init__(self) -> None:
         self._nodes: dict[str, GraphNode] = {}
         self._edges: list[HyperEdge] = []
+        #: source id -> its edges in insertion order; the decoded choices
+        #: are keyed by an edge's index in this list.
+        self._edges_by_source: dict[str, list[HyperEdge]] = {}
         self._ids_by_slug: dict[str, int] = {}
         #: Insertion-ordered node buckets per exact key, so candidate
         #: lookups only pay a subtype test per *distinct* key.
@@ -135,12 +138,13 @@ class ResourceGraph:
 
     def add_edge(self, edge: HyperEdge) -> None:
         self._edges.append(edge)
+        self._edges_by_source.setdefault(edge.source_id, []).append(edge)
 
     def edges(self) -> list[HyperEdge]:
         return list(self._edges)
 
     def edges_from(self, instance_id: str) -> list[HyperEdge]:
-        return [e for e in self._edges if e.source_id == instance_id]
+        return list(self._edges_by_source.get(instance_id, ()))
 
     def nodes_matching(
         self, registry: ResourceTypeRegistry, key: ResourceKey
@@ -211,14 +215,25 @@ class ResourceGraph:
 
 def lower_alternatives(
     registry: ResourceTypeRegistry, dependency: Dependency
-) -> list[DependencyAlternative]:
+) -> tuple[DependencyAlternative, ...]:
     """Lower a dependency's alternatives to concrete keys.
 
     Abstract keys are replaced by their concrete frontier (S4); each
     frontier member inherits the abstract alternative's port mappings
     (sound because frontier members subtype the abstract target, hence
     declare at least its output ports).
+
+    Lowered once per dependency and registry version: GraphGen asks for
+    every edge of every node, which at fleet scale is the library's few
+    dozen dependencies thousands of times over.  The memo is keyed by
+    the dependency's identity -- hashing one by value walks every
+    alternative's port mappings on every call -- and holds the
+    dependency, so its id cannot be reused while the entry lives.
     """
+    memo = registry.derived("lowered-alternatives", lambda _registry: {})
+    hit = memo.get(id(dependency))
+    if hit is not None and hit[0] is dependency:
+        return hit[1]
     lowered: list[DependencyAlternative] = []
     seen: set[ResourceKey] = set()
     for alt in dependency.alternatives:
@@ -235,7 +250,9 @@ def lower_alternatives(
                         key, alt.port_mapping, alt.reverse_mapping
                     )
                 )
-    return lowered
+    result = tuple(lowered)
+    memo[id(dependency)] = (dependency, result)
+    return result
 
 
 def generate_graph(

@@ -4,31 +4,45 @@ The paper's §6.2 evaluation -- and any deployment manager serving
 repeated traffic -- runs *families* of near-identical configuration
 queries against one fixed resource library: re-planning a deployment,
 sweeping a configuration space, answering the same request for many
-tenants.  :class:`ConfigurationEngine` treats every call as cold; a
-session runs the *same pipeline* (:meth:`ConfigurationEngine.run` over
+tenants, growing a live fleet by a few replicas.
+:class:`ConfigurationEngine` treats every call as cold; a session runs
+the *same pipeline* (:meth:`ConfigurationEngine.run` over
 :func:`~repro.config.engine.configure_component`) and differs only in
-where each component's working state comes from.  Per ``(partition,
-fingerprint)`` of the partial specification
-(:mod:`repro.config.fingerprint`) it keeps, least recently used first
-out:
+where each component's working state comes from.  It keeps two levels,
+least recently used first out:
 
-* the **hypergraph** and its component list, so a hit skips GraphGen
-  and the partition pass;
-* per component, one :class:`~repro.config.engine.ComponentEntry`: the
-  **CNF encoding** with the family-1 facts expressed as *assumption
-  literals* rather than unit clauses (the clause database encodes only
-  graph structure), one **persistent incremental**
-  :class:`~repro.sat.solver.CdclSolver` whose learned clauses, VSIDS
-  activities and saved phases survive across calls, and the **canonical
-  model** once it has been computed;
-* per component, the **propagated specification** memoized by decoded
-  outcome -- a warm call that reproduces an already-verified (deployed,
-  choices) pair reuses the frozen
-  :class:`~repro.core.instances.ResourceInstance` values instead of
-  re-running value propagation and the static re-check, wrapped in a
-  fresh :class:`~repro.core.instances.InstallSpec` container so callers
-  that mutate their spec (provisioning, upgrades) cannot corrupt the
-  cache.
+* per ``(partition, fingerprint)`` of the partial specification
+  (:mod:`repro.config.fingerprint`, order-sensitive in instances
+  because GraphGen is), the **hypergraph** and its component list, so a
+  repeated spec skips GraphGen and the partition pass;
+* per component **content** (:func:`content_key`: the mode, the nodes
+  and the edges, in order), one
+  :class:`~repro.config.engine.ComponentEntry`: the **CNF encoding**
+  with the family-1 facts expressed as *assumption literals* rather
+  than unit clauses (the clause database encodes only graph structure),
+  one **persistent incremental** :class:`~repro.sat.solver.CdclSolver`
+  whose learned clauses, VSIDS activities and saved phases survive
+  across calls, the **canonical model** once it has been computed, and
+  the **propagated specification** memoized by decoded outcome -- a
+  call that reproduces an already-verified (deployed, choices) pair
+  reuses the frozen :class:`~repro.core.instances.ResourceInstance`
+  values instead of re-running value propagation and the static
+  re-check, wrapped in a fresh
+  :class:`~repro.core.instances.InstallSpec` container so callers that
+  mutate their spec (provisioning, upgrades) cannot corrupt the cache.
+
+The second level is what makes a day-2 step cost what changed.  The
+constraints are edge-local (§4, Theorem 1), so nothing crosses a
+connected component: a component with the same nodes and edges is the
+same problem with the same canonical answer.  A spec the session has
+not seen still runs GraphGen and the partition pass -- generated ids
+are numbered per graph and unpinned peers are matched across machines,
+so what each machine group holds is only known once the global worklist
+has run -- but below that only the components whose content is new are
+encoded, solved, propagated and typechecked; the rest are answered by
+the entries an earlier spec left.  Component entries are owned by the
+spec-level entries that list them (the content table is weak), so
+``max_entries`` bounds both levels.
 
 Registry **well-formedness** is verified once and memoized on the
 registry; registering a type flushes the session.
@@ -40,6 +54,7 @@ specifications and deployed ids, with cache/timing metadata attached.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -54,9 +69,9 @@ from repro.config.engine import (
     PhaseTimings,
     SessionCacheInfo,
 )
-from repro.config.fingerprint import fingerprint_partial
+from repro.config.fingerprint import canonical_value, fingerprint_partial
 from repro.config.hypergraph import ResourceGraph
-from repro.config.partition import merge_component_specs
+from repro.config.partition import GraphComponent, merge_component_specs
 from repro.sat.encodings import ExactlyOneEncoding
 
 
@@ -78,6 +93,10 @@ class SessionStats:
     typecheck_skips: int = 0
     evictions: int = 0
     invalidations: int = 0
+    #: Components resolved by content on spec-level misses / those
+    #: answered by an entry an earlier spec had already built.
+    components_total: int = 0
+    components_reused: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -86,10 +105,45 @@ class SessionStats:
 
 
 class _Entry(NamedTuple):
-    """Everything cached for one (partition, fingerprint) key."""
+    """Everything cached for one (partition, fingerprint) key.
+
+    ``entries[i]`` is the kept state of ``components[i]``; an entry may
+    be listed by several specs, each with its own (equal) component.
+    """
 
     graph: ResourceGraph
-    components: list[ComponentEntry]
+    components: list[GraphComponent]
+    entries: list[ComponentEntry]
+
+
+def content_key(partition: bool, component: GraphComponent) -> tuple:
+    """Everything encode, solve, propagate and typecheck read from one
+    component, as a hashable value.
+
+    Node and edge *order* is part of the key: variable numbering, the
+    canonical model and the per-source edge indexes the decoded choices
+    are keyed by all depend on it.  The mode is part of it too -- a
+    one-component graph is the same component partitioned or not, but
+    the two modes never share an entry.  Pinned keys are taken by their
+    exact version parts (``6.0 == 6.0.0`` as versions, yet they print
+    differently in the full specification).
+    """
+    graph = component.graph
+    return (
+        partition,
+        tuple(
+            (
+                node.instance_id, node.key.name, node.key.version.parts,
+                node.from_partial, node.inside_id,
+                canonical_value(node.explicit_config),
+            )
+            for node in graph.nodes()
+        ),
+        tuple(
+            (edge.source_id, edge.kind, edge.targets, edge.alternatives)
+            for edge in graph.edges()
+        ),
+    )
 
 
 class ConfigurationSession:
@@ -132,6 +186,13 @@ class ConfigurationSession:
         #: components), so a mode flip must never serve the other
         #: mode's entry.
         self._entries: dict[tuple, _Entry] = {}
+        #: :func:`content_key` -> the component entry some cached spec
+        #: lists.  Weak: the spec-level entries own them, so evicting
+        #: the last spec that lists one drops it and ``max_entries``
+        #: stays the only bound.
+        self._kept: weakref.WeakValueDictionary[tuple, ComponentEntry] = (
+            weakref.WeakValueDictionary()
+        )
         self.stats = SessionStats()
         self._registry_version = registry.version
 
@@ -146,6 +207,7 @@ class ConfigurationSession:
     def flush(self) -> None:
         """Drop every cached graph, formula, and solver."""
         self._entries.clear()
+        self._kept.clear()
 
     # -- Cache plumbing -------------------------------------------------
 
@@ -170,6 +232,24 @@ class ConfigurationSession:
         if len(self._entries) > self._max_entries:
             del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
+
+    def _resolve(
+        self, partition: bool, components: list[GraphComponent],
+        cache: SessionCacheInfo,
+    ) -> list[ComponentEntry]:
+        """The kept entry for each component's content, built where no
+        cached spec has one."""
+        entries: list[ComponentEntry] = []
+        for component in components:
+            key = content_key(partition, component)
+            kept = self._kept.get(key)
+            if kept is None:
+                kept = self._kept[key] = ComponentEntry(component, keep=True)
+            else:
+                cache.components_reused += 1
+            entries.append(kept)
+        cache.components_total = len(components)
+        return entries
 
     # -- The pipeline ---------------------------------------------------
 
@@ -196,18 +276,29 @@ class ConfigurationSession:
         entry = self._lookup(key)
         cache.graph_hit = entry is not None
         if entry is None:
+            # GraphGen runs for every new spec: generated ids are
+            # numbered per graph and unpinned peers matched across
+            # machines, so what each component holds is only known once
+            # the global worklist has run.  Reuse starts below it.
             graph, components = self._engine.components(
                 partial, use_partition, timings
             )
             entry = _Entry(
-                graph, [ComponentEntry(c, keep=True) for c in components]
+                graph, components,
+                self._resolve(use_partition, components, cache),
             )
             self._store(key, entry)
         stats.graph_hits += cache.graph_hit
         stats.graph_misses += not cache.graph_hit
+        stats.components_total += cache.components_total
+        stats.components_reused += cache.components_reused
+        for kept, component in zip(entry.entries, entry.components):
+            # An entry shared with another spec may be looking at that
+            # spec's (equal) component; this call reports its own.
+            kept.component = component
         try:
             result = self._engine.run(
-                partial, entry.graph, entry.components, use_partition,
+                partial, entry.graph, entry.entries, use_partition,
                 timings, cache,
             )
         finally:
@@ -255,7 +346,7 @@ class ConfigurationSession:
             assert entry is not None  # configure() just stored it
         affected: list[ComponentEntry] = []
         covered: set[str] = set()
-        for comp in entry.components:
+        for comp in entry.entries:
             hit = {iid for iid in wanted if iid in comp.component.graph}
             if hit:
                 affected.append(comp)

@@ -340,10 +340,25 @@ class DeploymentEngine:
         }
 
     def _create_drivers(
-        self, spec: InstallSpec, machines: dict[str, Machine]
+        self,
+        spec: InstallSpec,
+        machines: dict[str, Machine],
+        reuse_drivers: Optional[dict[str, ResourceDriver]] = None,
     ) -> dict[str, ResourceDriver]:
+        """One driver per instance, in spec order: the live one from
+        ``reuse_drivers`` when it carries the instance over, a new one
+        otherwise."""
+        carried = reuse_drivers or {}
         drivers: dict[str, ResourceDriver] = {}
         for instance in spec:
+            kept = carried.get(instance.id)
+            if kept is not None:
+                # Keep the old driver's state/process but point it at
+                # the fresh instance and spec.
+                kept.context.instance = instance
+                kept.context.spec = spec
+                drivers[instance.id] = kept
+                continue
             resource_type = self.registry.effective(instance.key)
             machine = machines[instance.machine_id(spec)]
             context = DriverContext(
@@ -670,18 +685,11 @@ class DeploymentEngine:
 
         ``reuse_drivers`` carries live drivers (with their current state
         and processes) over from a previous system for instances that
-        are unchanged -- the heart of delta transitions.
+        are unchanged -- the heart of delta transitions; a driver is
+        constructed only for an instance it does not cover.
         """
         machines = self._resolve_machines(spec)
-        drivers = self._create_drivers(spec, machines)
-        for instance_id, old_driver in (reuse_drivers or {}).items():
-            if instance_id not in drivers:
-                continue
-            # Keep the old driver's state/process but point it at the
-            # fresh instance and spec.
-            old_driver.context.instance = spec[instance_id]
-            old_driver.context.spec = spec
-            drivers[instance_id] = old_driver
+        drivers = self._create_drivers(spec, machines, reuse_drivers)
         return DeployedSystem(
             spec, self.registry, self.infrastructure, drivers, machines
         )

@@ -206,6 +206,36 @@ class TestStatsJson:
         assert runs[1]["cache"]["solver_reused"]
         assert runs[1]["cache"]["solvers_reused"] == 3
 
+    def test_session_reports_components_reused(self, tmp_path):
+        from repro.library.fleet import FleetTopology, fleet_spec_json
+
+        paths = []
+        for replicas in (6, 7):
+            path = tmp_path / f"fleet{replicas}.json"
+            path.write_text(fleet_spec_json(FleetTopology(
+                replicas=replicas, machines=3, stacks=("django",)
+            )))
+            paths.append(str(path))
+        stats = tmp_path / "stats.json"
+        code, text = run([
+            "configure", *paths, "--session", "--repeat", "2",
+            "--partition", "--stats-json", str(stats),
+        ])
+        assert code == 0
+        lines = text.strip().splitlines()
+        assert "(cold, 3 components (0 reused))" in lines[0]
+        # One replica more touches one machine; the other two are kept.
+        assert "solver-reused, 3 components (2 reused))" in lines[1]
+        for warm_line in lines[2:4]:
+            assert "graph-hit" in warm_line
+            assert warm_line.endswith("3 components)")
+        assert "2 of 6 components reused on graph misses" in lines[4]
+        runs = json.loads(stats.read_text())["runs"]
+        assert [
+            (r["cache"]["components_reused"], r["cache"]["components_total"])
+            for r in runs
+        ] == [(0, 3), (2, 3), (0, 0), (0, 0)]
+
     def test_stats_json_without_partition(self, fleet_file, tmp_path):
         stats = tmp_path / "stats.json"
         code, _ = run([

@@ -330,6 +330,54 @@ def one_host_partial(host):
     return two_host_partial(host)
 
 
+class TestCarriedDrivers:
+    """``execute_delta`` prepares the new system over the live drivers:
+    a driver is constructed only for what the plan brings up."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        engine, _, system, _ = build(fleet_partial(TOPOLOGY))
+        created = []
+        create = engine.driver_registry.create
+
+        def counting_create(name, context):
+            created.append(context.instance.id)
+            return create(name, context)
+
+        monkeypatch.setattr(
+            engine.driver_registry, "create", counting_create
+        )
+        return engine, system, created
+
+    def test_grow_constructs_only_the_new_drivers(self, counted):
+        engine, system, created = counted
+        new_spec = configure(grow(TOPOLOGY, replicas=1))
+        delta = plan_delta(system, new_spec)
+        old_drivers = dict(system.drivers)
+        new_system = execute_delta(engine, system, delta).system
+        assert new_system.is_deployed()
+        # No machine joins, so every new driver comes from the registry.
+        assert sorted(created) == sorted(delta.up)
+        assert len(created) < len(new_spec) / 4
+        assert list(new_system.drivers) == list(new_spec.ids())
+        for iid, driver in old_drivers.items():
+            assert new_system.drivers[iid] is driver
+            assert driver.context.spec is new_spec
+            assert driver.context.instance is new_spec[iid]
+
+    def test_prepare_without_carry_over_builds_every_driver(self, counted):
+        engine, system, created = counted
+        spec = system.spec
+        rebuilt = engine.prepare(spec)
+        services = [i.id for i in spec if not i.is_machine()]
+        assert created == services
+        assert list(rebuilt.drivers) == list(spec.ids())
+        assert all(
+            rebuilt.drivers[iid] is not system.drivers[iid]
+            for iid in spec.ids()
+        )
+
+
 class TestMovedInstances:
     """Regression: a changed ``inside`` link with identical key and
     config used to diff as *unchanged*, leaving the service running on
