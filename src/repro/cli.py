@@ -766,6 +766,8 @@ def _deploy_over_bus(
         f"control plane: {report.retransmits} retransmit(s), "
         f"{report.redundant_acks} redundant ack(s), "
         f"{report.crashes} crash(es), {len(report.rejoins)} rejoin(s), "
+        f"{report.loop_instants} instants, "
+        f"{report.node_steps} node steps, "
         f"masters: {', '.join(report.masters)}\n"
     )
     if report.partition is not None:

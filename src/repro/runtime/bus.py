@@ -134,6 +134,7 @@ class MessageBus:
         self._latency: dict[tuple[str, str], float] = {}
         self._groups: Optional[list[frozenset[str]]] = None
         self._pending: list[tuple[float, int, Envelope]] = []
+        self._mailed: set[str] = set()
         self._seq = 0
         self._next_msg_id = 1
         self.log: list[DeliveryRecord] = []
@@ -278,7 +279,8 @@ class MessageBus:
     def deliver_due(self, now: float) -> int:
         """Move every envelope due at or before ``now`` into its
         recipient's inbox (or the delivery log's loss column); returns
-        how many were actually delivered."""
+        how many were actually delivered.  The recipients are remembered
+        for :meth:`take_mailed`."""
         count = 0
         while self._pending and self._pending[0][0] <= now:
             deliver_at, _, envelope = heapq.heappop(self._pending)
@@ -291,12 +293,20 @@ class MessageBus:
                 self._record(deliver_at, DEAD_ENDPOINT, envelope)
                 continue
             recipient.inbox.append(envelope)
+            self._mailed.add(envelope.recipient)
             self.delivered[envelope.kind] = (
                 self.delivered.get(envelope.kind, 0) + 1
             )
             self._record(deliver_at, DELIVERED, envelope)
             count += 1
         return count
+
+    def take_mailed(self) -> set[str]:
+        """The endpoints :meth:`deliver_due` has put mail into since the
+        last call -- whom a control loop must wake; it need not look at
+        the other inboxes."""
+        mailed, self._mailed = self._mailed, set()
+        return mailed
 
     def next_time(self) -> Optional[float]:
         """Earliest pending delivery instant (``None`` if quiet)."""

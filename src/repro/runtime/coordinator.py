@@ -21,16 +21,31 @@ measured wall-clock of the whole deployment.  The coordinator's
 ``policy`` / ``jobs`` / ``jobs_per_host`` are handed once to each slave
 agent and from there to the engine it builds per work item, so
 intra-machine parallelism composes with the inter-machine waves.
+
+:meth:`BusCoordinator.deploy` drives master and agents from one
+discrete-event loop.  At each instant it applies due chaos events,
+delivers due mail, and steps only the nodes that have mail or a due
+timer -- the master first, then agents in sorted machine order, which
+fixes the send order and with it every delivery tie-break -- then moves
+the clock to the earliest of: the next delivery, the master's next
+wake, the agents' timer heap, the next chaos event, the shared clock's
+own next event.  ``docs/INTERNALS.md`` ("The control loop") has the
+argument for why a skipped step is a no-op.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.core.errors import DeploymentError, DeploymentFailure
+from repro.core.errors import (
+    DeploymentError,
+    DeploymentFailure,
+    SimulationError,
+)
 from repro.core.instances import InstallSpec, ResourceInstance
 from repro.core.registry import ResourceTypeRegistry
 from repro.drivers.base import DriverRegistry
@@ -224,6 +239,14 @@ def work_key(wave: int, machine_id: str) -> str:
     return f"w{wave}:{machine_id}"
 
 
+def _require_positive(name: str, value: float) -> None:
+    """A zero period never advances its timer: ``heartbeat_every=0``
+    fills memory with heartbeats for one instant and
+    ``retransmit_after=0`` re-sends on every micro-step."""
+    if value <= 0:
+        raise SimulationError(f"{name} must be > 0, got {value}")
+
+
 class SlaveCrashed(Exception):
     """The slave agent process died mid-deployment.
 
@@ -307,6 +330,7 @@ class SlaveAgent:
         crash_after_actions: Optional[int] = None,
         crash_down_for: float = 25.0,
     ) -> None:
+        _require_positive("heartbeat_every", heartbeat_every)
         self.machine_id = machine_id
         self.name = machine_id
         self.registry = registry
@@ -547,7 +571,13 @@ class ControlLog:
 
 class MasterNode:
     """The deployment master: dispatches waves of work items over the
-    bus, retransmits unacked work, and watches slave heartbeats."""
+    bus, retransmits unacked work, and watches slave heartbeats.
+
+    ``open`` is the current wave's unacked work, in wave order: loaded
+    when a wave opens (construction -- a standby's cloned log included
+    -- and :meth:`_advance_waves`), shrunk by :meth:`_handle_ack`, and
+    all that the per-step checks and :meth:`next_wake` look at.
+    """
 
     def __init__(
         self,
@@ -560,6 +590,8 @@ class MasterNode:
         retransmit_after: float = 10.0,
         heartbeat_timeout: float = 15.0,
     ) -> None:
+        _require_positive("retransmit_after", retransmit_after)
+        _require_positive("heartbeat_timeout", heartbeat_timeout)
         self.name = name
         self.bus = bus
         self.waves = waves
@@ -575,6 +607,8 @@ class MasterNode:
                     key = work_key(wave_index, machine_id)
                     log.statuses[key] = WorkStatus(key, machine_id, wave_index)
         self.log = log
+        self.open: list[WorkStatus] = []
+        self._open_wave()
         self.last_seen: dict[str, float] = {}
         self.suspected: set[str] = set()
         self.suspects: list[dict] = []
@@ -630,6 +664,8 @@ class MasterNode:
             return
         status.acked = True
         status.ack = ack
+        if status.wave == self.log.wave_index:
+            self.open.remove(status)
         self.failures.pop(ack["key"], None)
 
     def _handle_hello(self, payload: dict, now: float) -> None:
@@ -652,23 +688,22 @@ class MasterNode:
                     {"at": now, "machine": machine_id, "last_seen": seen}
                 )
 
+    def _open_wave(self) -> None:
+        index = self.log.wave_index
+        statuses = (
+            self.log.statuses[work_key(index, machine_id)]
+            for machine_id in ([] if self.done() else self.waves[index])
+        )
+        self.open = [status for status in statuses if not status.acked]
+
     def _advance_waves(self) -> None:
-        while self.log.wave_index < len(self.waves) and all(
-            self.log.statuses[
-                work_key(self.log.wave_index, machine_id)
-            ].acked
-            for machine_id in self.waves[self.log.wave_index]
-        ):
+        while not self.open and not self.done():
             self.log.wave_index += 1
+            self._open_wave()
 
     def _dispatch(self, now: float) -> None:
-        if self.done():
-            return
-        for machine_id in self.waves[self.log.wave_index]:
-            status = self.log.statuses[
-                work_key(self.log.wave_index, machine_id)
-            ]
-            if status.acked or status.key in self.failures:
+        for status in self.open:
+            if status.key in self.failures:
                 continue
             if (
                 status.sent_at is not None
@@ -678,8 +713,9 @@ class MasterNode:
             status.attempts += 1
             status.sent_at = now
             self.bus.send(
-                self.name, machine_id, busmod.WORK,
-                {"wave": status.wave, "spec": self.per_node[machine_id]},
+                self.name, status.machine_id, busmod.WORK,
+                {"wave": status.wave,
+                 "spec": self.per_node[status.machine_id]},
                 dedup_key=status.key, attempt=status.attempts,
             )
 
@@ -687,41 +723,58 @@ class MasterNode:
         return self.log.wave_index >= len(self.waves)
 
     def next_wake(self, now: float) -> Optional[float]:
-        if self.done():
-            return None
         candidates: list[float] = []
-        for machine_id in self.waves[self.log.wave_index]:
-            status = self.log.statuses[
-                work_key(self.log.wave_index, machine_id)
-            ]
-            if status.acked:
-                continue
+        for status in self.open:
             if status.sent_at is None:
                 candidates.append(now)
             else:
                 candidates.append(status.sent_at + self.retransmit_after)
-        for machine_id in self._outstanding_slaves():
-            if machine_id not in self.suspected:
-                seen = self.last_seen.get(machine_id, self.started_at)
+            if status.machine_id not in self.suspected:
+                seen = self.last_seen.get(status.machine_id, self.started_at)
                 candidates.append(seen + self.heartbeat_timeout)
-        return min(candidates) if candidates else None
+        return min(candidates, default=None)
 
     def _outstanding_slaves(self) -> list[str]:
-        if self.done():
-            return []
-        return [
-            machine_id
-            for machine_id in self.waves[self.log.wave_index]
-            if not self.log.statuses[
-                work_key(self.log.wave_index, machine_id)
-            ].acked
-        ]
+        return [status.machine_id for status in self.open]
 
     def retransmits(self) -> int:
         return sum(
             max(0, status.attempts - 1)
             for status in self.log.statuses.values()
         )
+
+
+class _AgentTimers:
+    """Every agent's next wake, on a lazy-deletion heap: a heap entry
+    counts only while it still is that agent's current wake."""
+
+    def __init__(self) -> None:
+        self._wake: dict[str, Optional[float]] = {}
+        self._heap: list[tuple[float, str]] = []
+
+    def set(self, machine_id: str, wake: Optional[float]) -> None:
+        if wake != self._wake.get(machine_id):
+            self._wake[machine_id] = wake
+            if wake is not None:
+                heapq.heappush(self._heap, (wake, machine_id))
+
+    def pop_due(self, now: float) -> set[str]:
+        """The agents whose wake has come.  They are off the heap until
+        :meth:`set` again, which the loop does right after their step."""
+        due = set()
+        while self._heap and self._heap[0][0] <= now:
+            wake, machine_id = heapq.heappop(self._heap)
+            if self._wake[machine_id] == wake:
+                self._wake[machine_id] = None
+                due.add(machine_id)
+        return due
+
+    def next_time(self) -> Optional[float]:
+        while self._heap and (
+            self._wake[self._heap[0][1]] != self._heap[0][0]
+        ):
+            heapq.heappop(self._heap)
+        return self._heap[0][0] if self._heap else None
 
 
 @dataclass
@@ -759,6 +812,10 @@ class BusReport(MultiHostReport):
     masters: list[str] = field(default_factory=list)
     failover: Optional[dict] = None
     partition: Optional[dict] = None
+    #: Instants the control loop visited (one ``deliver_due`` each), and
+    #: the master + agent steps it ran at them.
+    loop_instants: int = 0
+    node_steps: int = 0
 
     def summary(self) -> dict:
         return {
@@ -777,6 +834,8 @@ class BusReport(MultiHostReport):
             "masters": self.masters,
             "failover": self.failover,
             "partition": self.partition,
+            "loop_instants": self.loop_instants,
+            "node_steps": self.node_steps,
         }
 
 
@@ -834,6 +893,10 @@ class BusCoordinator:
         retransmit_after: float = 10.0,
         max_sim_seconds: float = 14400.0,
     ) -> None:
+        _require_positive("heartbeat_every", heartbeat_every)
+        _require_positive("heartbeat_timeout", heartbeat_timeout)
+        _require_positive("retransmit_after", retransmit_after)
+        _require_positive("max_sim_seconds", max_sim_seconds)
         self.registry = registry
         self.infrastructure = infrastructure
         self.driver_registry = driver_registry
@@ -901,6 +964,15 @@ class BusCoordinator:
         failover: Optional[dict] = None
         partition_record: Optional[dict] = None
         no_progress = 0
+        # A node is stepped when it has mail or its timer is due, and at
+        # no other instant.  An agent's wake moves only inside its own
+        # step, so it is re-read there; the master's is kept beside it
+        # (``started_at``: due at once).
+        master_wake: Optional[float] = started_at
+        timers = _AgentTimers()
+        for machine_id, agent in agents.items():
+            timers.set(machine_id, agent.next_wake(started_at))
+        instants = steps = 0
         while True:
             now = clock.now
             while events and events[0][0] <= now:
@@ -930,6 +1002,7 @@ class BusCoordinator:
                         heartbeat_timeout=self.heartbeat_timeout,
                     )
                     masters.append(standby)
+                    master_wake = now
                     standby.adopt(now)
                     failover = {"at": now, "master": standby.name}
                     if partitioned:
@@ -938,16 +1011,26 @@ class BusCoordinator:
                         tracer, "failover", now, master=standby.name
                     )
             bus.deliver_due(now)
+            instants += 1
+            mailed = bus.take_mailed()
             active = masters[-1]
-            active.step(now)
-            for machine_id in sorted(agents):
+            if active.name in mailed or (
+                master_wake is not None and master_wake <= now
+            ):
+                active.step(now)
+                master_wake = active.next_wake(now)
+                steps += 1
+            # Sorted machine order fixes msg_id / _seq, and so every
+            # delivery tie-break.
+            for machine_id in sorted(
+                timers.pop_due(now) | (mailed & agents.keys())
+            ):
                 agents[machine_id].step(now)
+                timers.set(machine_id, agents[machine_id].next_wake(now))
+                steps += 1
             if active.failures or active.done():
                 break
-            candidates = [bus.next_time(), active.next_wake(now)]
-            candidates.extend(
-                agent.next_wake(now) for agent in agents.values()
-            )
+            candidates = [bus.next_time(), master_wake, timers.next_time()]
             if events:
                 candidates.append(events[0][0])
             peek = clock.peek_next_event_time()
@@ -976,7 +1059,7 @@ class BusCoordinator:
             clock.sync_to(nxt)
         deployment = self._finish(
             spec, waves, bus, masters, agents, started_at,
-            failover, partition_record,
+            failover, partition_record, instants, steps,
         )
         if masters[-1].failures:
             raise self._failure(masters[-1], agents, deployment)
@@ -1055,8 +1138,12 @@ class BusCoordinator:
         started_at: float,
         failover: Optional[dict],
         partition_record: Optional[dict],
+        loop_instants: int,
+        node_steps: int,
     ) -> BusDeployment:
-        report = BusReport(waves=waves)
+        report = BusReport(
+            waves=waves, loop_instants=loop_instants, node_steps=node_steps
+        )
         slaves: dict[str, DeployedSystem] = {}
         for machine_id in sorted(agents):
             agent = agents[machine_id]
@@ -1086,6 +1173,8 @@ class BusCoordinator:
         tracer = self.infrastructure.tracer
         if tracer is None:
             return deployment
+        tracer.metrics.counter("bus.loop.instants").inc(loop_instants)
+        tracer.metrics.counter("bus.loop.steps").inc(node_steps)
         # The coordinator lane, read off the acks the control log holds:
         # one span per slave, one per completed wave.
         log = masters[-1].log

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -373,6 +374,13 @@ class TestBusDeploy:
         assert "bus:" in output
         assert "masters: master" in output
         assert output.count("active") == 6
+
+    def test_bus_deploy_prints_the_loop_counters(self, two_node_file):
+        code, output = run(["deploy", two_node_file, "--bus"])
+        assert code == 0
+        assert re.search(
+            r"0 rejoin\(s\), \d+ instants, \d+ node steps, masters:", output
+        )
 
     def test_bus_failover(self, two_node_file):
         code, output = run(

@@ -3,13 +3,18 @@
 import pytest
 
 from repro.core import PartialInstallSpec, PartialInstance, as_key
+from repro.core.errors import DeploymentError, SimulationError
 from repro.config import ConfigurationEngine
 from repro.runtime import (
+    BusChaos,
     BusCoordinator,
+    MasterNode,
+    SlaveAgent,
     machine_waves,
     provision_partial_spec,
     split_spec,
 )
+from repro.runtime import coordinator as coordinator_module
 
 
 @pytest.fixture
@@ -141,6 +146,9 @@ class TestWaves:
 
 
 class TestMasterCoordinator:
+    """``BusCoordinator`` end to end (the class keeps the name the
+    tier-1 floor lists its tests under)."""
+
     def test_deploys_everything(
         self, registry, infrastructure, drivers, two_node_spec
     ):
@@ -271,6 +279,105 @@ class TestMasterCoordinator:
         coordinator.shutdown(deployment)
         assert len(plan.records) == 1
         assert set(deployment.states().values()) == {INACTIVE}
+
+
+class TestTimingValidation:
+    """A period <= 0 never advances its timer.  These call only the
+    constructor: ``heartbeat_every=0`` used to be accepted and then
+    filled memory with heartbeats for a single instant, so no test may
+    ``deploy`` with one."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "name",
+        ["heartbeat_every", "heartbeat_timeout", "retransmit_after",
+         "max_sim_seconds"],
+    )
+    def test_non_positive_period_rejected_at_construction(
+        self, registry, infrastructure, drivers, name, value
+    ):
+        with pytest.raises(
+            SimulationError, match=f"{name} must be > 0, got {value}"
+        ):
+            BusCoordinator(registry, infrastructure, drivers, **{name: value})
+
+    def test_zero_latency_and_timeout_below_the_period_stay_legal(
+        self, registry, infrastructure, drivers, two_node_spec
+    ):
+        coordinator = BusCoordinator(
+            registry, infrastructure, drivers, default_latency=0.0,
+            heartbeat_every=5.0, heartbeat_timeout=1.0,
+        )
+        assert coordinator.deploy(two_node_spec).is_deployed()
+
+
+class TestLoopGuards:
+    """The three ways the control loop gives up (the fourth exit, a
+    nack, is ``TestWaveFailureKeepsSiblings``)."""
+
+    def test_deadline(self, registry, infrastructure, drivers, two_node_spec):
+        coordinator = BusCoordinator(
+            registry, infrastructure, drivers, max_sim_seconds=300
+        )
+        started = infrastructure.clock.now
+        with pytest.raises(
+            DeploymentError,
+            match="did not converge within 300 simulated seconds",
+        ):
+            coordinator.deploy(
+                two_node_spec,
+                chaos=BusChaos(partition_at=1.0, partition_for=1e9),
+            )
+        assert infrastructure.clock.now == started + 300.0
+
+    def test_no_progress(
+        self, registry, infrastructure, drivers, two_node_spec, monkeypatch
+    ):
+        """A master that always wants waking *now* gets 10,000 micro-
+        steps of 1 ms, not an endless loop."""
+
+        class Restless(MasterNode):
+            def next_wake(self, now):
+                return now
+
+        monkeypatch.setattr(coordinator_module, "MasterNode", Restless)
+        started = infrastructure.clock.now
+        with pytest.raises(DeploymentError, match="made no progress"):
+            BusCoordinator(registry, infrastructure, drivers).deploy(
+                two_node_spec
+            )
+        assert infrastructure.clock.now - started == pytest.approx(
+            10.0, abs=0.01
+        )
+
+    def test_stalled(
+        self, registry, infrastructure, drivers, two_node_spec, monkeypatch
+    ):
+        """Nobody has a timer and the bus is quiet: an error, neither a
+        busy loop nor a ``min()`` of nothing."""
+
+        class Idle(MasterNode):
+            def step(self, now):
+                pass
+
+            def next_wake(self, now):
+                return None
+
+        class Deaf(SlaveAgent):
+            def step(self, now):
+                pass
+
+            def next_wake(self, now):
+                return None
+
+        monkeypatch.setattr(coordinator_module, "MasterNode", Idle)
+        monkeypatch.setattr(coordinator_module, "SlaveAgent", Deaf)
+        with pytest.raises(
+            DeploymentError, match="stalled: nothing scheduled"
+        ):
+            BusCoordinator(registry, infrastructure, drivers).deploy(
+                two_node_spec
+            )
 
 
 class TestWaveFailureKeepsSiblings:

@@ -293,6 +293,10 @@ class TestCoordinatorTracing:
         assert len(waves) == len(deployment.report.waves)
         assert len(slaves) == sum(len(w) for w in deployment.report.waves)
         assert tracer.metrics.counter("coordinator.waves").value == len(waves)
+        report = deployment.report
+        counter = tracer.metrics.counter
+        assert counter("bus.loop.instants").value == report.loop_instants > 0
+        assert counter("bus.loop.steps").value == report.node_steps > 0
 
 
 # -- The zero-overhead contract -----------------------------------------
