@@ -411,8 +411,9 @@ def _fleet_serial(data: dict) -> None:
     if not serial:
         print("  (no serial section -- run test_bench_fleet.py)")
         return
-    print(f"  speedup floor at largest size: "
-          f"{serial.get('speedup_floor')}x")
+    print(f"  nodes/s at the largest size over the smallest "
+          f"(floor {serial.get('scaling_floor')}x): "
+          f"{serial.get('scaling')}")
     print(f"  {'nodes':>7} {'comps':>6} {'mono s':>9} {'part s':>9} "
           f"{'mono n/s':>10} {'part n/s':>10} {'speedup':>8}")
     for size in serial.get("sizes", []):

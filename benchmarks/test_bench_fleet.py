@@ -1,12 +1,20 @@
-"""Fleet-scale configuration: partitioned solving.
+"""Fleet-scale configuration: both pipelines stay linear.
 
-One claim, one results file (``benchmarks/BENCH_fleet.json``): on a
-fleet whose GraphGen hypergraph splits into one component per machine,
-solving the components independently and merging the decoded specs
-beats the monolithic pipeline super-linearly -- the decode/propagate
-passes are quadratic in nodes, so ``k`` components of ``n/k`` nodes cost
-roughly ``1/k`` of the monolithic run.  Asserts >= 3x at the largest
-measured size.  ``cores`` is recorded beside the rows.
+One results file (``benchmarks/BENCH_fleet.json``), three guards, on a
+fleet whose GraphGen hypergraph splits into one component per machine:
+the partitioned and the monolithic pipeline produce the same bytes, the
+partition has exactly one component per machine, and *each* pipeline's
+throughput (nodes/s) at ~4096 nodes is at least 0.45x its own at ~512.
+That last one is a ratio of two timings taken in the same run, so it
+needs no absolute clock: a pass that goes quadratic again reads about
+0.33 (the monolithic pipeline did, until its edge lookups became a dict
+-- 5060 -> 1675 nodes/s in the results file of that time) and fails; a
+linear one reads 0.65-1.2 on this box.
+
+The claim this file used to make -- partitioned >= 3x monolithic at 4096
+nodes -- is retired, not regressed: it measured the monolithic
+pipeline's quadratic passes, and those are gone.  The ``speedup`` column
+stays as information.  ``cores`` is recorded beside the rows.
 
 (The process-pool worker matrix that used to share this file lost to
 this in-process path on every recorded run and was deleted with the
@@ -28,8 +36,10 @@ from repro.library.fleet import FleetTopology, fleet_partial
 #: (replicas, machines) -> roughly 512 / 2048 / 4096 graph nodes.
 SIZES = ((96, 32), (384, 128), (768, 256))
 
-#: Floor asserted at the largest serial size (>=3x at >=512 nodes).
-SPEEDUP_FLOOR = 3.0
+#: Each pipeline's nodes/s at the largest size over its own at the
+#: smallest must stay above this (linear ~ 1, quadratic ~ 1/8 in theory
+#: and 0.33 as last measured).
+SCALING_FLOOR = 0.45
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "BENCH_fleet.json"
 
@@ -51,12 +61,18 @@ def _write_results(serial: dict) -> None:
 
 
 def _timed(engine: ConfigurationEngine, partial):
-    start = time.perf_counter()
-    result = engine.configure(partial)
-    return time.perf_counter() - start, result
+    """Best of two: the ratio below compares a ~50 ms run with a ~500 ms
+    one, and a single stall on the short one would decide it."""
+    best = None
+    for _ in range(2):
+        start = time.perf_counter()
+        result = engine.configure(partial)
+        seconds = time.perf_counter() - start
+        best = seconds if best is None else min(best, seconds)
+    return best, result
 
 
-def test_partitioned_fleet_speedup(registry):
+def test_fleet_configure_stays_linear(registry):
     mono_engine = ConfigurationEngine(registry)
     part_engine = ConfigurationEngine(registry, partition=True)
     rows = []
@@ -85,15 +101,23 @@ def test_partitioned_fleet_speedup(registry):
             "speedup": round(mono_seconds / part_seconds, 2),
         })
 
-    largest = rows[-1]
-    _write_results({"speedup_floor": SPEEDUP_FLOOR, "sizes": rows})
+    smallest, largest = rows[0], rows[-1]
+    scaling = {
+        pipeline: round(
+            largest[f"{pipeline}_nodes_per_sec"]
+            / smallest[f"{pipeline}_nodes_per_sec"], 2
+        )
+        for pipeline in ("monolithic", "partitioned")
+    }
+    _write_results(
+        {"scaling_floor": SCALING_FLOOR, "scaling": scaling, "sizes": rows}
+    )
 
-    assert largest["nodes"] >= 512
-    assert largest["speedup"] >= SPEEDUP_FLOOR, (
-        f"partitioned configure only {largest['speedup']}x faster at "
-        f"{largest['nodes']} nodes (floor {SPEEDUP_FLOOR}x): {rows}"
-    )
-    # Speedup grows with fleet size: quadratic passes amortised away.
-    assert [r["speedup"] for r in rows] == sorted(
-        r["speedup"] for r in rows
-    )
+    assert smallest["nodes"] >= 512
+    assert largest["nodes"] >= 8 * smallest["nodes"]
+    for pipeline, ratio in scaling.items():
+        assert ratio >= SCALING_FLOOR, (
+            f"{pipeline} configure runs at {ratio}x its {smallest['nodes']}"
+            f"-node throughput at {largest['nodes']} nodes (floor "
+            f"{SCALING_FLOOR}x): {rows}"
+        )

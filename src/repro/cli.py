@@ -287,28 +287,21 @@ def cmd_dimacs(args, out: TextIO) -> int:
 BUNDLE_FORMAT = "engage-bundle-1"
 
 
-def _save_bundle(
-    path: str, registry, infrastructure, system, journal=None
-) -> None:
-    """Persist world + deployment state + resource types in one file.
-
-    With a journal (``system.journal`` unless one is passed) the
-    embedded state uses the resumable ``engage-state-2`` format
-    (``engage-sim deploy --resume``).
-    """
+def _save_bundle(path: str, registry, infrastructure, system) -> None:
+    """Persist world + deployment state (journal included, so every
+    bundle is resumable with ``engage-sim deploy --resume``) + resource
+    types in one file."""
     import json
 
     from repro.dsl import format_module
-    from repro.runtime import save_system
-    from repro.sim import save_world
+    from repro.runtime import system_payload
+    from repro.sim import world_payload
 
-    if journal is None:
-        journal = system.journal
     bundle = {
         "format": BUNDLE_FORMAT,
         "types": format_module(_ordered_types(registry)),
-        "world": json.loads(save_world(infrastructure)),
-        "state": json.loads(save_system(system, journal)),
+        "world": world_payload(infrastructure),
+        "state": system_payload(system),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(bundle, handle, indent=1)
@@ -316,13 +309,13 @@ def _save_bundle(
 
 
 def _load_bundle(path: str):
-    """Rebuild (registry, infrastructure, drivers, system, journal)
-    from a bundle; ``journal`` is ``None`` for non-resumable bundles."""
+    """Rebuild (registry, infrastructure, drivers, system) from a
+    bundle; the bundle's journal is ``system.journal``."""
     import json
 
-    from repro.core.errors import RuntimeEngageError
-    from repro.runtime import load_system_and_journal
-    from repro.sim import load_world
+    from repro.core.errors import RuntimeEngageError, document_section
+    from repro.runtime import system_from_payload
+    from repro.sim import world_from_payload
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -332,37 +325,37 @@ def _load_bundle(path: str):
     if not isinstance(bundle, dict) or bundle.get("format") != BUNDLE_FORMAT:
         found = bundle.get("format") if isinstance(bundle, dict) else bundle
         raise RuntimeEngageError(f"unsupported bundle format: {found!r}")
+    types, world, state = (
+        document_section(
+            bundle, name, kind, of="bundle", error=RuntimeEngageError
+        )
+        for name, kind in (("types", str), ("world", dict), ("state", dict))
+    )
     registry = ResourceTypeRegistry()
-    load_resources(bundle["types"], registry)
-    infrastructure = load_world(json.dumps(bundle["world"]))
+    load_resources(types, registry)
+    infrastructure = world_from_payload(world)
     drivers = standard_drivers()
     drivers.set_fallback("service")
-    system, journal = load_system_and_journal(
-        registry, infrastructure, drivers, json.dumps(bundle["state"])
-    )
-    return registry, infrastructure, drivers, system, journal
+    system = system_from_payload(registry, infrastructure, drivers, state)
+    return registry, infrastructure, drivers, system
 
 
 def cmd_status(args, out: TextIO) -> int:
-    _, infrastructure, _, system, journal = _load_bundle(args.bundle)
+    _, infrastructure, _, system = _load_bundle(args.bundle)
     if getattr(args, "json", False):
         import json
 
-        from repro.drivers.state_machine import ACTIVE
         from repro.runtime import detect_drift
 
-        target = journal.target if journal is not None else ACTIVE
-        drift = detect_drift(system, target=target)
+        journal = system.journal
+        drift = detect_drift(system, target=journal.target)
         payload = {
             "bundle": args.bundle,
             "clock_seconds": infrastructure.clock.now,
             "converged": drift.is_converged,
             "instances": system.states(),
             "drift": drift.to_payload(),
-            "journal": None,
-        }
-        if journal is not None:
-            payload["journal"] = {
+            "journal": {
                 "target": journal.target,
                 "entries": len(journal.entries),
                 "completed": len(journal.completed),
@@ -370,7 +363,8 @@ def cmd_status(args, out: TextIO) -> int:
                 "skipped": sorted(journal.skipped),
                 "frontier": journal.states(),
                 "diff": journal.diff(system.spec).to_payload(),
-            }
+            },
+        }
         out.write(json.dumps(payload, indent=1) + "\n")
         return 0 if drift.is_converged else 1
     out.write(system.describe() + "\n")
@@ -381,7 +375,7 @@ def cmd_status(args, out: TextIO) -> int:
 
 
 def cmd_stop(args, out: TextIO) -> int:
-    registry, infrastructure, drivers, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     DeploymentEngine(registry, infrastructure, drivers).shutdown(system)
     _save_bundle(args.bundle, registry, infrastructure, system)
     out.write("stopped; bundle updated.\n")
@@ -389,7 +383,7 @@ def cmd_stop(args, out: TextIO) -> int:
 
 
 def cmd_start(args, out: TextIO) -> int:
-    registry, infrastructure, drivers, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     DeploymentEngine(registry, infrastructure, drivers).start(system)
     _save_bundle(args.bundle, registry, infrastructure, system)
     out.write("started; bundle updated.\n")
@@ -419,7 +413,7 @@ def cmd_upgrade(args, out: TextIO) -> int:
     """Upgrade a saved deployment to a new partial specification."""
     from repro.runtime import UpgradeEngine
 
-    registry, infrastructure, drivers, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     partial = _load_goal_partial(args, registry, infrastructure)
     config_engine = ConfigurationEngine(registry, verify_registry=False)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
@@ -451,7 +445,7 @@ def cmd_plan(args, out: TextIO) -> int:
 
     from repro.runtime import plan_delta
 
-    registry, infrastructure, _, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, _, system = _load_bundle(args.bundle)
     partial = _load_goal_partial(args, registry, infrastructure)
     config_engine = ConfigurationEngine(registry, verify_registry=False)
     new_spec = config_engine.configure(partial).spec
@@ -473,7 +467,7 @@ def cmd_plan(args, out: TextIO) -> int:
 
 def cmd_inject_fault(args, out: TextIO) -> int:
     """Fail a running service process (testing/chaos helper)."""
-    registry, infrastructure, drivers, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     driver = system.drivers.get(args.instance)
     if driver is None:
         out.write(f"error: no instance {args.instance!r}\n")
@@ -496,7 +490,7 @@ def cmd_watch(args, out: TextIO) -> int:
     """One monitoring pass: restart every failed service (monit)."""
     from repro.runtime import ProcessMonitor
 
-    registry, infrastructure, drivers, system, _ = _load_bundle(args.bundle)
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     monitor = ProcessMonitor(system)
     events = monitor.poll()
     for event in events:
@@ -517,9 +511,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
     from repro.runtime import ReconcileController
     from repro.sim import MachineChurn
 
-    registry, infrastructure, drivers, system, journal = _load_bundle(
-        args.bundle
-    )
+    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     tracer = _install_tracer(args, infrastructure)
     engine = _engine_from_args(args, registry, infrastructure, drivers)
     churn = None
@@ -533,8 +525,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
         )
     watching = args.watch or churn is not None
     controller = ReconcileController(
-        engine, system, journal=journal,
-        interval=args.interval if watching else 0.0,
+        engine, system, interval=args.interval if watching else 0.0
     )
     rounds = args.max_rounds if watching else 1
     result = controller.run(rounds=rounds, churn=churn)
@@ -811,10 +802,7 @@ def _run_deployment(
     except DeploymentFailure as failure:
         _write_failure(failure, out)
         if save_to:
-            _save_bundle(
-                save_to, registry, infrastructure, failure.system,
-                failure.journal,
-            )
+            _save_bundle(save_to, registry, infrastructure, failure.system)
             out.write(
                 f"resumable bundle saved to {save_to} "
                 f"(finish with: deploy --resume {save_to})\n"
@@ -839,9 +827,7 @@ def cmd_deploy(args, out: TextIO) -> int:
             return 2
         from repro.runtime import execute_delta, plan_delta
 
-        registry, infrastructure, drivers, system, _ = _load_bundle(
-            args.delta
-        )
+        registry, infrastructure, drivers, system = _load_bundle(args.delta)
         tracer = _install_tracer(args, infrastructure)
         partial = _load_goal_partial(args, registry, infrastructure)
         config_engine = ConfigurationEngine(registry, verify_registry=False)
@@ -865,10 +851,9 @@ def cmd_deploy(args, out: TextIO) -> int:
         )
 
     if args.resume:
-        registry, infrastructure, drivers, system, journal = _load_bundle(
-            args.resume
-        )
-        if journal is None:
+        registry, infrastructure, drivers, system = _load_bundle(args.resume)
+        journal = system.journal
+        if not (journal.entries or journal.completed or journal.failed):
             out.write(
                 f"error: {args.resume} has no deployment journal to "
                 "resume from\n"
@@ -952,14 +937,14 @@ def cmd_trace(args, out: TextIO) -> int:
     if not args.bundle:
         out.write("error: a bundle is required (or use --validate)\n")
         return 2
-    _, infrastructure, _, system, journal = _load_bundle(args.bundle)
+    _, infrastructure, _, system = _load_bundle(args.bundle)
     host_of = {
         instance.id: system.machine_for(instance.id).hostname
         for instance in system.spec
     }
     events = trace_from_clock_events(
         infrastructure.clock.events(),
-        journal_entries=journal.entries if journal is not None else (),
+        journal_entries=system.journal.entries,
         lane_of=host_of,
     )
     payload = chrome_trace(events, metadata={"bundle": args.bundle})

@@ -116,14 +116,14 @@ class DeploymentFailure(DeploymentError):
     """A deployment stopped at a consistent frontier.
 
     Carries everything needed to understand and resume the run: the
-    write-ahead ``journal`` (a
-    :class:`~repro.runtime.journal.DeploymentJournal`, or ``None`` when
-    the failing pass was not journalled), the ``completed`` /
-    ``failed`` / ``skipped`` instance-id sets, the partial ``report``,
-    and the partially-driven ``system``.  No instance is ever left
-    mid-transition: a failed action does not advance its driver's state
-    machine, and instances after the failure point (all dependents of
-    the failed instance included) are untouched.
+    write-ahead ``journal`` (the
+    :class:`~repro.runtime.journal.DeploymentJournal` the failing pass
+    recorded into), the ``completed`` / ``failed`` / ``skipped``
+    instance-id sets, the partial ``report``, and the partially-driven
+    ``system``, whose own ``journal`` is that same journal.  No instance
+    is ever left mid-transition: a failed action does not advance its
+    driver's state machine, and instances after the failure point (all
+    dependents of the failed instance included) are untouched.
     """
 
     def __init__(
@@ -167,3 +167,20 @@ class ParseError(EngageError):
         if line:
             message = f"{line}:{column}: {message}"
         super().__init__(message)
+
+
+def document_section(
+    document: dict, name: str, kind, *, of: str, error: type[EngageError]
+):
+    """``document[name]`` of a persisted document, checked: a section
+    that is missing or of the wrong JSON type ends in ``error`` naming
+    it, not in a ``KeyError`` somewhere inside the loader."""
+    if name not in document:
+        raise error(f"{of} has no {name!r} section")
+    value = document[name]
+    if not isinstance(value, kind):
+        raise error(
+            f"{of} section {name!r} is ill-typed: "
+            f"{type(value).__name__} {value!r:.40}"
+        )
+    return value

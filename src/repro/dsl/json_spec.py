@@ -112,8 +112,10 @@ def _link_from_json(kind: str, entry: dict[str, Any]) -> DependencyLink:
     )
 
 
-def full_to_json(spec: InstallSpec) -> str:
-    """Serialise a full installation specification."""
+def full_to_payload(spec: InstallSpec) -> list[dict[str, Any]]:
+    """A full installation specification as JSON-ready data -- what
+    :func:`full_to_json` dumps and what the state and journal documents
+    nest."""
     entries: list[dict[str, Any]] = []
     for instance in spec:
         entry: dict[str, Any] = {
@@ -132,7 +134,12 @@ def full_to_json(spec: InstallSpec) -> str:
         if instance.peers:
             entry["peers"] = [_link_to_json(l) for l in instance.peers]
         entries.append(entry)
-    return json.dumps(entries, indent=2, sort_keys=False) + "\n"
+    return entries
+
+
+def full_to_json(spec: InstallSpec) -> str:
+    """Serialise a full installation specification."""
+    return json.dumps(full_to_payload(spec), indent=2) + "\n"
 
 
 def full_from_json(text: str) -> InstallSpec:
@@ -141,13 +148,20 @@ def full_from_json(text: str) -> InstallSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON: {exc}") from exc
+    return full_from_payload(data)
+
+
+def full_from_payload(data: Any) -> InstallSpec:
+    """Rebuild a full specification from :func:`full_to_payload` data."""
     if not isinstance(data, list):
         raise SpecError("full spec must be a JSON array")
     spec = InstallSpec()
     for entry in data:
+        if not isinstance(entry, dict):
+            raise SpecError(f"malformed full instance: {entry!r}")
         inside = entry.get("inside")
-        spec.add(
-            ResourceInstance(
+        try:
+            instance = ResourceInstance(
                 id=entry["id"],
                 key=ResourceKey.parse(entry["key"]),
                 config=dict(entry.get("config_port", {})),
@@ -162,7 +176,12 @@ def full_from_json(text: str) -> InstallSpec:
                     _link_from_json("peer", e) for e in entry.get("peers", [])
                 ),
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecError(
+                f"malformed full instance {entry.get('id')!r}: "
+                f"missing or ill-typed field ({exc!r})"
+            ) from exc
+        spec.add(instance)
     return spec
 
 

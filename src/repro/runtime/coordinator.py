@@ -200,17 +200,9 @@ class MultiHostDeployment:
     def is_deployed(self) -> bool:
         return all(slave.is_deployed() for slave in self.slaves.values())
 
-    def journals(self) -> dict[str, DeploymentJournal]:
-        """Per-machine write-ahead journals (slaves that have one)."""
-        return {
-            machine_id: slave.journal
-            for machine_id, slave in self.slaves.items()
-            if slave.journal is not None
-        }
-
     def merged_journal(self) -> DeploymentJournal:
         """One fleet journal folding every slave's journal together."""
-        journals = self.journals().values()
+        journals = [slave.journal for slave in self.slaves.values()]
         targets = {journal.target for journal in journals}
         target = targets.pop() if len(targets) == 1 else "active"
         return DeploymentJournal.merged(self.spec, journals, target=target)
@@ -293,13 +285,10 @@ class _SlaveEngine(DeploymentEngine):
         self.fuse = fuse
         self.machine_id = machine_id
 
-    def _perform_with_retry(self, system, instance_id, transition, report,
-                            *, journal):
+    def _perform_with_retry(self, system, instance_id, transition, report):
         if self.fuse is not None and self.fuse.blown():
             raise SlaveCrashed(self.machine_id, self.infrastructure.clock.now)
-        super()._perform_with_retry(
-            system, instance_id, transition, report, journal=journal
-        )
+        super()._perform_with_retry(system, instance_id, transition, report)
 
 
 class SlaveAgent:

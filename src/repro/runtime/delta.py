@@ -19,8 +19,8 @@ covering the changed-goal case that PR 7's repair planner refuses:
   crashed.
 
 Execution runs through :meth:`DeploymentEngine.drive_instances`, so a
-delta transition gets the DAG scheduler, :class:`RetryPolicy`, and the
-write-ahead journal that plain upgrades bypass.  The journal carries a
+delta transition gets the DAG scheduler, :class:`RetryPolicy`, and a
+write-ahead journal it can resume from.  The journal carries a
 :class:`~repro.runtime.journal.SpecTransition` record while the old
 spec's down phase is in flight, so a crash *anywhere* in the transition
 resumes with ``deploy --resume`` -- the down phase finishes under the
@@ -373,11 +373,9 @@ def rebase_journal(
     """
     journal = DeploymentJournal(delta.new_spec, target=delta.target)
     old_ids = set(delta.old_spec.ids())
-    old_journal = system.journal
-    if old_journal is not None:
-        for entry in old_journal.entries:
-            if entry.instance_id in old_ids:
-                journal.record(entry)
+    for entry in system.journal.entries:
+        if entry.instance_id in old_ids:
+            journal.record(entry)
     frontier = journal.states()
     clock = system.infrastructure.clock
     for instance in delta.old_spec.topological_order():
@@ -415,16 +413,24 @@ def _down_phase(
     and close the transition record -- from there on the journal speaks
     only the new spec's language.
 
+    The old system records into ``journal`` -- the *new* spec's -- for
+    the length of the phase: that is what a :class:`SpecTransition` is,
+    a journal that legitimately speaks about old-spec instances.
+
     A failure is raised holding a *new*-spec system: the resumable
     bundle must be keyed by the journal's spec, or reloading would
     rebind the journal to the wrong one."""
     transition = journal.transition
+    old_system.journal = journal
     try:
         report = engine.drive_down(
-            old_system, transition.stop, transition.pending,
-            journal=journal,
+            old_system, transition.stop, transition.pending
         )
     except DeploymentFailure as failure:
+        new_system = _carry_over(
+            engine, old_system, journal.spec, transition.pending
+        )
+        new_system.journal = journal
         raise DeploymentFailure(
             f"delta down phase failed: {failure}",
             journal=journal,
@@ -432,9 +438,7 @@ def _down_phase(
             failed=dict(journal.failed),
             skipped=set(journal.skipped),
             report=failure.report,
-            system=_carry_over(
-                engine, old_system, journal.spec, transition.pending
-            ),
+            system=new_system,
         ) from failure
     retire_machines(engine.infrastructure, transition.retire)
     journal.finish_transition()
@@ -504,13 +508,9 @@ def execute_delta(
     ]
     if up_ids:
         report.merge(
-            engine.drive_instances(
-                new_system, up_ids, delta.target, journal=journal
-            )
+            engine.drive_instances(new_system, up_ids, delta.target)
         )
-    report.merge(
-        engine.restart_instances(new_system, delta.restart, journal=journal)
-    )
+    report.merge(engine.restart_instances(new_system, delta.restart))
 
     journal.sort_entries_by_time()
     new_system.report = report

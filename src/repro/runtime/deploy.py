@@ -165,7 +165,8 @@ class DeploymentReport:
 
 
 class DeployedSystem:
-    """A deployed application: the spec plus live driver state."""
+    """A deployed application: the spec, live driver state, and the
+    write-ahead journal every pass over it records into."""
 
     def __init__(
         self,
@@ -181,7 +182,7 @@ class DeployedSystem:
         self.drivers = drivers
         self.machines = machines
         self.report: Optional[DeploymentReport] = None
-        self.journal: Optional[DeploymentJournal] = None
+        self.journal: DeploymentJournal = DeploymentJournal(spec)
 
     def driver(self, instance_id: str) -> ResourceDriver:
         return self.drivers[instance_id]
@@ -260,22 +261,21 @@ class DeploymentEngine:
         """Install, configure, and start everything; returns the deployed
         system with every driver in ``active``.
 
-        Every completed transition is appended to a write-ahead journal;
-        on fatal failure the run stops at a consistent frontier and
-        raises :class:`~repro.core.errors.DeploymentFailure` carrying
-        the journal, from which :meth:`resume` can finish the job.
+        Every completed transition is appended to ``system.journal`` --
+        ``journal`` when the caller already keeps one for this spec (a
+        slave agent's durable journals), else the blank one the system
+        is born with.  On fatal failure the run stops at a consistent
+        frontier and raises :class:`~repro.core.errors.DeploymentFailure`
+        carrying the journal, from which :meth:`resume` can finish the job.
         """
         machines = self._resolve_machines(spec)
         drivers = self._create_drivers(spec, machines)
         system = DeployedSystem(
             spec, self.registry, self.infrastructure, drivers, machines
         )
-        if journal is None:
-            journal = DeploymentJournal(spec, target=ACTIVE)
-        system.journal = journal
-        system.report = self._drive(
-            system, ACTIVE, reverse=False, journal=journal
-        )
+        if journal is not None:
+            system.journal = journal
+        system.report = self._drive(system, ACTIVE, reverse=False)
         return system
 
     def resume(self, journal: DeploymentJournal) -> DeployedSystem:
@@ -309,9 +309,7 @@ class DeploymentEngine:
         adopt_states(system, journal.states(), partial=True)
         journal.reset_frontier()
         system.journal = journal
-        system.report = self._drive(
-            system, journal.target, reverse=False, journal=journal
-        )
+        system.report = self._drive(system, journal.target, reverse=False)
         return system
 
     def resolve_machine(self, instance: ResourceInstance) -> Machine:
@@ -386,7 +384,6 @@ class DeploymentEngine:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
-        journal: Optional[DeploymentJournal] = None,
     ) -> DeploymentReport:
         """Drive instances (all, or just ``only``) to ``target`` in
         (reverse) dependency order.
@@ -399,12 +396,10 @@ class DeploymentEngine:
 
         if self.jobs is None and self.jobs_per_host is None:
             return execute_serial(
-                self, system, target, reverse=reverse, only=only,
-                journal=journal,
+                self, system, target, reverse=reverse, only=only
             )
         return DagScheduler(
-            self, system, target, reverse=reverse, only=only,
-            journal=journal,
+            self, system, target, reverse=reverse, only=only
         ).run()
 
     def _drive_instance(
@@ -413,17 +408,14 @@ class DeploymentEngine:
         instance_id: str,
         target: str,
         report: DeploymentReport,
-        *,
-        journal: Optional[DeploymentJournal] = None,
     ) -> None:
         driver = system.driver(instance_id)
         path = driver.machine_spec.path_to(driver.state, target)
         for transition in path:
             self._check_guard(system, instance_id, transition)
-            self._perform_with_retry(
-                system, instance_id, transition, report, journal=journal
-            )
-        if journal is not None and journal.target == target:
+            self._perform_with_retry(system, instance_id, transition, report)
+        journal = system.journal
+        if journal.target == target:
             journal.mark_completed(instance_id)
             tracer = self.infrastructure.tracer
             if tracer is not None:
@@ -433,6 +425,10 @@ class DeploymentEngine:
                     lane=system.machine_for(instance_id).hostname,
                     instance=instance_id,
                 )
+        else:
+            # ``completed`` means *at the journal's target*: a pass that
+            # drives elsewhere (stop, uninstall) takes the instance out.
+            journal.completed.discard(instance_id)
 
     def _perform_with_retry(
         self,
@@ -440,8 +436,6 @@ class DeploymentEngine:
         instance_id: str,
         transition,
         report: DeploymentReport,
-        *,
-        journal: Optional[DeploymentJournal],
     ) -> None:
         """One transition, up to ``self.policy.max_attempts`` times, with
         exponential backoff between retryable failures.  Appends one
@@ -509,23 +503,22 @@ class DeploymentEngine:
             report.actions.append(record)
             if tracer is not None:
                 self._trace_attempt(tracer, system, record)
-            if journal is not None:
-                journal.record(
-                    JournalEntry(
-                        instance_id=instance_id,
-                        action=transition.action,
-                        source=transition.source,
-                        target=transition.target,
-                        timestamp=clock.now,
-                    )
+            system.journal.record(
+                JournalEntry(
+                    instance_id=instance_id,
+                    action=transition.action,
+                    source=transition.source,
+                    target=transition.target,
+                    timestamp=clock.now,
                 )
-                if tracer is not None:
-                    tracer.instant(
-                        "record", category="journal", timestamp=clock.now,
-                        lane=system.machine_for(instance_id).hostname,
-                        instance=instance_id, action=transition.action,
-                        target=transition.target,
-                    )
+            )
+            if tracer is not None:
+                tracer.instant(
+                    "record", category="journal", timestamp=clock.now,
+                    lane=system.machine_for(instance_id).hostname,
+                    instance=instance_id, action=transition.action,
+                    target=transition.target,
+                )
             return
 
     def _trace_attempt(
@@ -592,7 +585,6 @@ class DeploymentEngine:
         target: str,
         *,
         reverse: bool = False,
-        journal: Optional[DeploymentJournal] = None,
     ) -> DeploymentReport:
         """Drive just ``instance_ids`` to ``target`` through the regular
         serial/DAG machinery -- guards, retries, and write-ahead
@@ -600,8 +592,7 @@ class DeploymentEngine:
         state, so instances outside the set safely anchor the guards of
         those inside it."""
         return self._drive(
-            system, target, reverse=reverse, only=set(instance_ids),
-            journal=journal,
+            system, target, reverse=reverse, only=set(instance_ids)
         )
 
     def drive_down(
@@ -609,8 +600,6 @@ class DeploymentEngine:
         system: DeployedSystem,
         stop: Iterable[str],
         uninstall: Iterable[str] = (),
-        *,
-        journal: Optional[DeploymentJournal] = None,
     ) -> DeploymentReport:
         """Drive ``stop`` down to ``inactive``, then ``uninstall`` to
         ``uninstalled``, each in reverse dependency order.
@@ -627,8 +616,7 @@ class DeploymentEngine:
             if pending:
                 report.merge(
                     self.drive_instances(
-                        system, pending, target, reverse=True,
-                        journal=journal,
+                        system, pending, target, reverse=True
                     )
                 )
         return report
@@ -637,8 +625,6 @@ class DeploymentEngine:
         self,
         system: DeployedSystem,
         instance_ids: Iterable[str],
-        *,
-        journal: Optional[DeploymentJournal] = None,
     ) -> DeploymentReport:
         """Bounce each of ``instance_ids`` that is still ``active``, in
         the order given -- guard-checked, retried, and journalled like
@@ -657,13 +643,13 @@ class DeploymentEngine:
                 transition = driver.machine_spec.find(ACTIVE, "restart")
                 self._check_guard(system, instance_id, transition)
                 self._perform_with_retry(
-                    system, instance_id, transition, report, journal=journal
+                    system, instance_id, transition, report
                 )
         except DeploymentError as exc:
             raise DeploymentFailure(
                 f"restart stopped at {instance_id!r}: {exc}",
-                journal=journal,
-                completed=journal.completed if journal is not None else (),
+                journal=system.journal,
+                completed=system.journal.completed,
                 failed={instance_id},
                 skipped=ids[index + 1:],
                 report=report,

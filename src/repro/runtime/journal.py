@@ -1,6 +1,7 @@
 """The write-ahead deployment journal.
 
-Every transition the deployment engine completes is appended to a
+Every transition the deployment engine completes -- in any pass, toward
+any state -- is appended to the deployed system's
 :class:`DeploymentJournal` *after* the driver action succeeds (the
 driver state machine is the authority; the journal records facts, it
 does not promise them).  When a deployment fails fatally the journal --
@@ -13,18 +14,30 @@ Folding the entries gives the *frontier*: the per-instance driver state
 at the moment the run stopped.  The frontier is consistent by
 construction: a failed action never advances its state machine, and the
 engine drives instances in dependency order, so no dependent of a
-failed instance has been acted on.
+failed instance has been acted on.  ``completed`` holds the instances
+*at the journal's target*: a pass toward the target adds to it, a pass
+toward any other state (stop, uninstall) and an observed loss take out
+of it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.errors import RuntimeEngageError
+from repro.core.errors import RuntimeEngageError, document_section
 from repro.core.instances import InstallSpec
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
+
+
+def _require_lists(payload: dict, of: str, *names: str) -> None:
+    """The optional list sections of a persisted record really are
+    lists (iterating a number or string would die, or worse, work)."""
+    for name in names:
+        if name in payload:
+            document_section(
+                payload, name, list, of=of, error=RuntimeEngageError
+            )
 
 
 @dataclass
@@ -126,10 +139,10 @@ class SpecTransition:
     retire: list[str] = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        from repro.dsl.json_spec import full_to_json
+        from repro.dsl.json_spec import full_to_payload
 
         return {
-            "from_spec": json.loads(full_to_json(self.from_spec)),
+            "from_spec": full_to_payload(self.from_spec),
             "pending": list(self.pending),
             "stop": list(self.stop),
             "retire": list(self.retire),
@@ -137,18 +150,20 @@ class SpecTransition:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SpecTransition":
-        from repro.dsl.json_spec import full_from_json
+        from repro.dsl.json_spec import full_from_payload
 
         if not isinstance(payload, dict):
             raise RuntimeEngageError(
                 "journal 'transition' must be an object"
             )
-        try:
-            from_spec = full_from_json(json.dumps(payload["from_spec"]))
-        except KeyError as exc:
+        if "from_spec" not in payload:
             raise RuntimeEngageError(
                 "journal transition is missing 'from_spec'"
-            ) from exc
+            )
+        _require_lists(
+            payload, "journal transition", "pending", "stop", "retire"
+        )
+        from_spec = full_from_payload(payload["from_spec"])
         transition = cls(
             from_spec=from_spec,
             pending=[str(iid) for iid in payload.get("pending", ())],
@@ -196,7 +211,13 @@ class DeploymentJournal:
         self.failed[instance_id] = error
 
     def mark_skipped(self, instance_ids: Iterable[str]) -> None:
-        self.skipped.update(instance_ids)
+        # An instance a failed pass never reached may already be at the
+        # target (a stop pass skips what is still active; a resume skips
+        # what an earlier pass completed): it stays completed, or the
+        # persisted partitions overlap and the file refuses to load.
+        self.skipped.update(
+            iid for iid in instance_ids if iid not in self.completed
+        )
 
     def mark_lost(
         self,
@@ -365,6 +386,7 @@ class DeploymentJournal:
     ) -> "DeploymentJournal":
         if not isinstance(payload, dict):
             raise RuntimeEngageError("journal payload must be an object")
+        _require_lists(payload, "journal", "entries", "completed", "skipped")
         journal = cls(spec, target=payload.get("target", ACTIVE))
         for entry_payload in payload.get("entries", ()):
             journal.record(JournalEntry.from_payload(entry_payload))

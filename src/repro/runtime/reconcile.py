@@ -52,7 +52,6 @@ from repro.runtime.deploy import (
     DeploymentEngine,
     DeploymentReport,
 )
-from repro.runtime.journal import DeploymentJournal
 from repro.runtime.monitor import ProcessMonitor
 
 
@@ -393,9 +392,7 @@ def plan_repair(
 
 
 def _replace_machine(
-    system: DeployedSystem,
-    machine_instance_id: str,
-    journal: Optional[DeploymentJournal],
+    system: DeployedSystem, machine_instance_id: str
 ) -> None:
     """Stand up a replacement host for a lost machine instance.
 
@@ -434,8 +431,8 @@ def _replace_machine(
         driver.state = driver.machine_spec.initial
         if isinstance(driver, ServiceDriver):
             driver.discard_process()
-        if journal is not None and previous != driver.machine_spec.initial:
-            journal.mark_lost(instance.id, previous, clock.now)
+        if previous != driver.machine_spec.initial:
+            system.journal.mark_lost(instance.id, previous, clock.now)
     tracer = infrastructure.tracer
     if tracer is not None:
         tracer.instant(
@@ -450,15 +447,15 @@ def execute_plan(
     engine: DeploymentEngine,
     system: DeployedSystem,
     plan: TransitionPlan,
-    *,
-    journal: Optional[DeploymentJournal] = None,
 ) -> DeploymentReport:
     """Execute a repair plan: down (extras), machine replacement, up
     (redeploys), restart -- the engine's transition primitives, so
-    repairs get the same guards, retries and write-ahead ``journal`` as
-    first deployments.  The down pass for extras is deliberately *not*
-    journalled -- the journal describes the goal, and extras are exactly
-    what the goal no longer contains.
+    repairs get the same guards, retries and write-ahead journalling
+    (into ``system.journal``) as first deployments.  Extras are
+    journalled like everything else: the journal is bound to the
+    *deployed* spec, which still contains them -- a shrunk goal does not
+    change what is deployed, and an uninstall left off the record would
+    be resumed as ``active``.
     """
     report = DeploymentReport(jobs=engine.jobs)
 
@@ -466,20 +463,14 @@ def execute_plan(
     report.merge(engine.drive_down(system, extras, extras))
 
     for machine_id in plan.instances(RepairOp.REPROVISION):
-        _replace_machine(system, machine_id, journal)
+        _replace_machine(system, machine_id)
 
     redeploy = plan.instances(RepairOp.REDEPLOY)
     if redeploy:
-        report.merge(
-            engine.drive_instances(
-                system, redeploy, plan.target, journal=journal
-            )
-        )
+        report.merge(engine.drive_instances(system, redeploy, plan.target))
 
     report.merge(
-        engine.restart_instances(
-            system, plan.instances(RepairOp.RESTART), journal=journal
-        )
+        engine.restart_instances(system, plan.instances(RepairOp.RESTART))
     )
     return report
 
@@ -556,12 +547,12 @@ class ReconcileController:
     """The autonomic loop: poll for drift, plan minimally, repair,
     re-check -- on the simulated clock, round after round.
 
-    ``goal`` defaults to the deployed spec and ``journal`` to the
-    system's write-ahead journal.  When a ``session``/``goal_partial``
-    pair is given, every round with redeploys first re-derives the
-    affected hypergraph components through the cached incremental
-    solver and insists the result still matches the goal -- catching
-    configuration drift (a mutated goal spec) before acting on it.
+    ``goal`` defaults to the deployed spec.  When a ``session``/
+    ``goal_partial`` pair is given, every round with redeploys first
+    re-derives the affected hypergraph components through the cached
+    incremental solver and insists the result still matches the goal --
+    catching configuration drift (a mutated goal spec) before acting on
+    it.
     """
 
     def __init__(
@@ -570,7 +561,6 @@ class ReconcileController:
         system: DeployedSystem,
         *,
         goal: Optional[InstallSpec] = None,
-        journal: Optional[DeploymentJournal] = None,
         interval: float = 30.0,
         session=None,
         goal_partial=None,
@@ -585,13 +575,10 @@ class ReconcileController:
         self.engine = engine
         self.system = system
         self.goal = goal if goal is not None else system.spec
-        self.journal = journal if journal is not None else system.journal
         self.interval = interval
         self.session = session
         self.goal_partial = goal_partial
-        self.target = (
-            self.journal.target if self.journal is not None else ACTIVE
-        )
+        self.target = system.journal.target
         self.rounds: list[ReconcileRound] = []
 
     # -- One round -------------------------------------------------------
@@ -630,9 +617,7 @@ class ReconcileController:
         repaired = False
         if not plan.is_noop:
             try:
-                execute_plan(
-                    self.engine, self.system, plan, journal=self.journal
-                )
+                execute_plan(self.engine, self.system, plan)
                 repaired = True
             except DeploymentError as exc:
                 error = str(exc)

@@ -52,7 +52,6 @@ from repro.core.errors import (
     EngageError,
     GuardError,
 )
-from repro.runtime.journal import DeploymentJournal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deploy import (
@@ -87,7 +86,6 @@ def execute_serial(
     *,
     reverse: bool,
     only: Optional[set[str]] = None,
-    journal: Optional[DeploymentJournal] = None,
 ) -> "DeploymentReport":
     """Drive instances one at a time in (reverse) dependency order.
 
@@ -103,9 +101,7 @@ def execute_serial(
     for index, instance in enumerate(selected):
         started = clock.now
         try:
-            engine._drive_instance(
-                system, instance.id, target, report, journal=journal
-            )
+            engine._drive_instance(system, instance.id, target, report)
         except GuardError:
             # A guard violation is a protocol error by the caller
             # (wrong closure, wrong order), not a deployment fault:
@@ -115,14 +111,10 @@ def execute_serial(
             _finish_counterfactual(report, finish_times)
             system.report = report
             skipped = [other.id for other in selected[index + 1:]]
-            completed = (
-                set(journal.completed)
-                if journal is not None
-                else {other.id for other in selected[:index]}
-            )
-            if journal is not None:
-                journal.mark_failed(instance.id, str(exc))
-                journal.mark_skipped(skipped)
+            journal = system.journal
+            completed = set(journal.completed)
+            journal.mark_failed(instance.id, str(exc))
+            journal.mark_skipped(skipped)
             raise DeploymentFailure(
                 f"deployment stopped at {instance.id!r}: {exc}",
                 journal=journal,
@@ -200,13 +192,11 @@ class DagScheduler:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
-        journal: Optional[DeploymentJournal] = None,
     ) -> None:
         self.engine = engine
         self.system = system
         self.target = target
         self.reverse = reverse
-        self.journal = journal
         self.jobs = _worker_bound(engine.jobs)
         self.jobs_per_host = _worker_bound(engine.jobs_per_host)
         self.clock = engine.infrastructure.clock
@@ -266,6 +256,7 @@ class DagScheduler:
     def run(self) -> "DeploymentReport":
         report = _new_report()
         report.jobs = self.jobs if self.jobs is not None else 0
+        journal = self.system.journal
         pass_started = self.clock.now
         pending = {
             iid: len(prereqs) for iid, prereqs in self.prereqs.items()
@@ -327,35 +318,30 @@ class DagScheduler:
                             )
             else:
                 failed[task.instance_id] = str(task.error)
-                if self.journal is not None:
-                    self.journal.mark_failed(
-                        task.instance_id, str(task.error)
+                journal.mark_failed(task.instance_id, str(task.error))
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "failed", category="journal",
+                        timestamp=self.clock.now,
+                        lane=self._lane(host),
+                        instance=task.instance_id,
+                        error=str(task.error),
                     )
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "failed", category="journal",
-                            timestamp=self.clock.now,
-                            lane=self._lane(host),
-                            instance=task.instance_id,
-                            error=str(task.error),
-                        )
 
         self._finish_measured(report, tasks, pass_started)
         self.system.report = report
-        if self.journal is not None:
-            self.journal.sort_entries_by_time()
+        journal.sort_entries_by_time()
         if failed:
             skipped = [
                 i.id for i in self.selected
                 if i.id not in completed and i.id not in failed
             ]
-            if self.journal is not None:
-                self.journal.mark_skipped(skipped)
+            journal.mark_skipped(skipped)
             names = ", ".join(repr(iid) for iid in sorted(failed))
             first_error = failed[sorted(failed)[0]]
             raise DeploymentFailure(
                 f"deployment stopped at {names}: {first_error}",
-                journal=self.journal,
+                journal=journal,
                 completed=completed,
                 failed=set(failed),
                 skipped=skipped,
@@ -418,8 +404,7 @@ class DagScheduler:
         with span:
             try:
                 self.engine._drive_instance(
-                    self.system, iid, self.target, report,
-                    journal=self.journal,
+                    self.system, iid, self.target, report
                 )
             except GuardError:
                 raise  # protocol error by the caller: propagate unwrapped

@@ -5,57 +5,72 @@ multiple upgrade strategies are possible" (S5.2) -- the real Engage kept
 that description on disk so a later invocation could manage (stop,
 upgrade, monitor) a system it did not itself deploy.  This module is
 that persistence: :func:`save_system` serialises a deployed system's
-specification and driver states; :func:`load_system` re-adopts it
-against the same infrastructure, reattaching service drivers to their
-still-running processes by name.
+specification, driver states and write-ahead journal;
+:func:`load_system` re-adopts it against the same infrastructure,
+reattaching service drivers to their still-running processes by name.
 
-Two formats exist.  ``engage-state-1`` is spec + states.
-``engage-state-2`` extends it with the write-ahead deployment journal
-(:class:`~repro.runtime.journal.DeploymentJournal`), so an interrupted
-deployment can be persisted at its consistent frontier and later
-resumed with :meth:`DeploymentEngine.resume`.  :func:`load_system`
-accepts both; :func:`load_system_and_journal` additionally returns the
-journal (``None`` for v1 files).
+One format is written: ``engage-state-2`` -- spec, states and the
+system's :class:`~repro.runtime.journal.DeploymentJournal`, so every
+saved system is resumable with :meth:`DeploymentEngine.resume` and
+``load_system(...).journal`` is the journal.  ``engage-state-1`` (spec +
+states, written before the journal was part of the system) is still
+*read*: such a file loads with the blank journal its system is born
+with.  :func:`system_payload` / :func:`system_from_payload` are the same
+document as data, which is what a bundle nests.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from functools import partial
+from typing import Any, Optional
 
-from repro.core.errors import RuntimeEngageError
+from repro.core.errors import RuntimeEngageError, document_section
 from repro.core.registry import ResourceTypeRegistry
 from repro.drivers.base import DriverRegistry
 from repro.drivers.library import ServiceDriver
 from repro.drivers.state_machine import ACTIVE
-from repro.dsl.json_spec import full_from_json, full_to_json
+from repro.dsl.json_spec import full_from_payload, full_to_payload
 from repro.runtime.deploy import DeployedSystem, DeploymentEngine
 from repro.runtime.journal import DeploymentJournal
 from repro.sim.infrastructure import Infrastructure
 
-#: Format marker so future layout changes can be detected.
+#: The journal-less layout older files carry; read, never written.
 STATE_FORMAT = "engage-state-1"
-#: The journalled format: v1 plus a "journal" section.
+#: The format :func:`save_system` writes: v1 plus a "journal" section.
 JOURNAL_FORMAT = "engage-state-2"
+
+_section = partial(
+    document_section, of="state file", error=RuntimeEngageError
+)
+
+
+def system_payload(system: DeployedSystem) -> dict[str, Any]:
+    """A deployed system as JSON-ready data: spec, per-instance driver
+    states, and the write-ahead journal."""
+    return {
+        "format": JOURNAL_FORMAT,
+        "spec": full_to_payload(system.spec),
+        "states": system.states(),
+        "journal": system.journal.to_payload(),
+    }
 
 
 def save_system(
     system: DeployedSystem,
     journal: Optional[DeploymentJournal] = None,
 ) -> str:
-    """Serialise a deployed system (spec + per-instance driver states).
+    """Serialise a deployed system (:func:`system_payload` as text).
 
-    With ``journal`` the output uses the ``engage-state-2`` format and
-    embeds the write-ahead journal, making the file resumable.
+    ``journal`` is not a choice: the journal saved is the system's own,
+    and naming any other is an error.
     """
-    payload = {
-        "format": JOURNAL_FORMAT if journal is not None else STATE_FORMAT,
-        "spec": json.loads(full_to_json(system.spec)),
-        "states": system.states(),
-    }
-    if journal is not None:
-        payload["journal"] = journal.to_payload()
-    return json.dumps(payload, indent=2) + "\n"
+    if journal is not None and journal is not system.journal:
+        raise RuntimeEngageError(
+            "save_system persists system.journal; the journal passed is "
+            "not the system's"
+        )
+    return json.dumps(system_payload(system), indent=2) + "\n"
 
 
 def adopt_states(
@@ -105,44 +120,45 @@ def adopt_states(
             driver.adopt_process(process)
 
 
-def _parse_state_payload(text: str) -> dict:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RuntimeEngageError(f"malformed state file: {exc}") from exc
+def system_from_payload(
+    registry: ResourceTypeRegistry,
+    infrastructure: Infrastructure,
+    drivers: DriverRegistry,
+    payload: Any,
+) -> DeployedSystem:
+    """Re-adopt a system from :func:`system_payload` data.
+
+    The machines must still exist on the infrastructure's network (state
+    files describe deployments of *this* world; they are not machine
+    images).  A document whose driver states contradict its own
+    journal's frontier is refused: one of the two is not what happened.
+    """
     if not isinstance(payload, dict):
         raise RuntimeEngageError("state file must be a JSON object")
     if payload.get("format") not in (STATE_FORMAT, JOURNAL_FORMAT):
         raise RuntimeEngageError(
             f"unsupported state format: {payload.get('format')!r}"
         )
-    return payload
-
-
-def load_system_and_journal(
-    registry: ResourceTypeRegistry,
-    infrastructure: Infrastructure,
-    drivers: DriverRegistry,
-    text: str,
-) -> tuple[DeployedSystem, Optional[DeploymentJournal]]:
-    """Re-adopt a previously saved system, plus its journal if saved.
-
-    The machines must still exist on the infrastructure's network (state
-    files describe deployments of *this* world; they are not machine
-    images).
-    """
-    payload = _parse_state_payload(text)
-    spec = full_from_json(json.dumps(payload["spec"]))
-    engine = DeploymentEngine(registry, infrastructure, drivers)
-    system = engine.prepare(spec)
-    adopt_states(system, payload["states"])
-    journal: Optional[DeploymentJournal] = None
-    if payload.get("format") == JOURNAL_FORMAT:
-        journal = DeploymentJournal.from_payload(
-            spec, payload.get("journal", {})
-        )
-        system.journal = journal
-    return system, journal
+    spec = full_from_payload(_section(payload, "spec", list))
+    states = _section(payload, "states", dict)
+    system = DeploymentEngine(registry, infrastructure, drivers).prepare(spec)
+    adopt_states(system, states)
+    if payload["format"] == STATE_FORMAT:
+        return system  # v1: the blank journal the system was born with
+    journal = DeploymentJournal.from_payload(spec, payload.get("journal", {}))
+    # Mid-transition the frontier speaks of the *old* spec's instances
+    # (an upgraded id is still installed there while this spec's driver
+    # sits at its initial state): nothing to compare.
+    frontier = journal.states() if journal.transition is None else {}
+    for instance_id, recorded in frontier.items():
+        if states[instance_id] != recorded:
+            raise RuntimeEngageError(
+                f"state file contradicts its journal: {instance_id!r} is "
+                f"saved as {states[instance_id]!r} but the journal's "
+                f"frontier says {recorded!r}"
+            )
+    system.journal = journal
+    return system
 
 
 def load_system(
@@ -151,8 +167,10 @@ def load_system(
     drivers: DriverRegistry,
     text: str,
 ) -> DeployedSystem:
-    """Re-adopt a previously saved system (either format)."""
-    system, _ = load_system_and_journal(
-        registry, infrastructure, drivers, text
-    )
-    return system
+    """Re-adopt a previously saved system (:func:`system_from_payload`
+    of the parsed text)."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RuntimeEngageError(f"malformed state file: {exc}") from exc
+    return system_from_payload(registry, infrastructure, drivers, payload)

@@ -24,7 +24,13 @@ from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
 from repro.sim.network import ConnectionRefused, Endpoint, Network
 from repro.sim.oslpm import InstalledPackage, OsPackageManager
-from repro.sim.persistence import WORLD_FORMAT, load_world, save_world
+from repro.sim.persistence import (
+    WORLD_FORMAT,
+    load_world,
+    save_world,
+    world_from_payload,
+    world_payload,
+)
 from repro.sim.package_index import (
     DownloadService,
     PackageArtifact,
@@ -65,4 +71,6 @@ __all__ = [
     "WORLD_FORMAT",
     "load_world",
     "save_world",
+    "world_from_payload",
+    "world_payload",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, document_section
 from repro.sim.clock import ClockEvent
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
@@ -31,9 +31,10 @@ from repro.sim.process import ProcessState, SimProcess
 WORLD_FORMAT = "engage-world-1"
 
 
-def save_world(infrastructure: Infrastructure) -> str:
-    """Serialise the whole simulation world to JSON."""
-    payload: dict[str, Any] = {
+def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
+    """The whole simulation world as JSON-ready data -- what
+    :func:`save_world` dumps and what a bundle nests."""
+    return {
         "format": WORLD_FORMAT,
         "clock": infrastructure.clock.now,
         "clock_events": [
@@ -71,7 +72,11 @@ def save_world(infrastructure: Infrastructure) -> str:
             for provider in infrastructure.providers()
         ],
     }
-    return json.dumps(payload, indent=1) + "\n"
+
+
+def save_world(infrastructure: Infrastructure) -> str:
+    """Serialise the whole simulation world to JSON."""
+    return json.dumps(world_payload(infrastructure), indent=1) + "\n"
 
 
 def _artifacts(infrastructure: Infrastructure) -> list[PackageArtifact]:
@@ -131,13 +136,34 @@ def load_world(text: str) -> Infrastructure:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SimulationError(f"malformed world file: {exc}") from exc
+    return world_from_payload(payload)
+
+
+def world_from_payload(payload: Any) -> Infrastructure:
+    """Reconstruct an :class:`Infrastructure` from :func:`world_payload`
+    data; a missing or ill-typed section is a :class:`SimulationError`
+    naming it."""
     if not isinstance(payload, dict):
         raise SimulationError("world file must be a JSON object")
     if payload.get("format") != WORLD_FORMAT:
         raise SimulationError(
             f"unsupported world format: {payload.get('format')!r}"
         )
+    for name, kind in (
+        ("clock", (int, float)), ("artifacts", list), ("machines", list)
+    ):
+        document_section(
+            payload, name, kind, of="world file", error=SimulationError
+        )
+    try:
+        return _restore_world(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(
+            f"malformed world file: missing or ill-typed field ({exc!r})"
+        ) from exc
 
+
+def _restore_world(payload: dict[str, Any]) -> Infrastructure:
     infrastructure = Infrastructure(
         use_cache=payload.get("use_cache", True)
     )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -185,3 +186,51 @@ class TestDay2KeepsTheJournal:
         code, output = run(["deploy", "--resume", bundle_path])
         assert code != 2, output
         assert "resuming:" in output
+
+
+class TestDay2IsOnTheRecord:
+    """``stop`` / ``start`` journal what they do: the persisted frontier
+    follows the drivers, so a later ``deploy --resume`` restarts what
+    ``stop`` stopped instead of adopting a stale ``active``."""
+
+    STACK = str(
+        pathlib.Path(__file__).resolve().parent.parent
+        / "examples" / "stacks" / "openmrs.json"
+    )
+
+    @staticmethod
+    def status(bundle_path):
+        _, output = run(["status", "--json", bundle_path])
+        return json.loads(output)
+
+    @pytest.fixture
+    def openmrs(self, tmp_path):
+        bundle_path = str(tmp_path / "openmrs.json")
+        code, _ = run(["deploy", self.STACK, "--save", bundle_path])
+        assert code == 0
+        return bundle_path
+
+    def test_stop_then_resume_restarts_the_fleet(self, openmrs):
+        code, _ = run(["stop", openmrs])
+        assert code == 0
+        stopped = self.status(openmrs)
+        assert set(stopped["journal"]["frontier"].values()) == {"inactive"}
+        assert stopped["journal"]["completed"] == 0
+
+        code, output = run(["deploy", "--resume", openmrs])
+        assert code == 0, output
+        code, output = run(["status", openmrs])
+        assert code == 0
+        assert "3 running process(es)" in output
+        resumed = self.status(openmrs)
+        assert resumed["converged"] is True
+        assert resumed["drift"]["items"] == []
+
+    def test_stop_then_start_is_converged_and_complete(self, openmrs):
+        fleet = len(self.status(openmrs)["instances"])
+        assert run(["stop", openmrs])[0] == 0
+        assert run(["start", openmrs])[0] == 0
+        started = self.status(openmrs)
+        assert started["converged"] is True
+        assert started["journal"]["completed"] == fleet
+        assert set(started["journal"]["frontier"].values()) == {"active"}

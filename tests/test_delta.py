@@ -45,7 +45,7 @@ from repro.runtime import (
     detect_drift,
     diff_specs,
     execute_delta,
-    load_system_and_journal,
+    load_system,
     plan_delta,
     save_system,
 )
@@ -729,9 +729,9 @@ class TestFaultedTransitions:
         text = save_system(failure.system, failure.journal)
         registry = standard_registry()
         drivers = standard_drivers()
-        _, journal = load_system_and_journal(
+        journal = load_system(
             registry, infrastructure, drivers, text
-        )
+        ).journal
         assert journal.transition is not None
         engine2 = DeploymentEngine(registry, infrastructure, drivers)
         resumed = engine2.resume(journal)
@@ -741,6 +741,37 @@ class TestFaultedTransitions:
         assert live_fingerprint(
             resumed, infrastructure
         ) == fresh_fingerprint(new_partial)
+
+    def test_transition_record_round_trips_as_data(self):
+        """Mid-down-phase the journal nests the old spec as a payload:
+        through JSON and back it is the same spec, and the failure's
+        system records into the failure's journal."""
+        from repro.dsl import full_to_json
+
+        engine, infrastructure, system, old_spec = build(
+            fleet_partial(TOPOLOGY)
+        )
+        FaultyWorld(
+            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(
+                engine, system, plan_delta(system, configure(shrink(TOPOLOGY)))
+            )
+        failure = excinfo.value
+        assert failure.system.journal is failure.journal
+        transition = failure.journal.transition
+        restored = SpecTransition.from_payload(
+            json.loads(json.dumps(transition.to_payload()))
+        )
+        assert full_to_json(restored.from_spec) == full_to_json(old_spec)
+        assert (restored.pending, restored.stop, restored.retire) == (
+            transition.pending, transition.stop, transition.retire
+        )
+        nested = json.loads(save_system(failure.system))["journal"]
+        assert nested["transition"]["from_spec"] == json.loads(
+            full_to_json(old_spec)
+        )
 
     def test_up_phase_fault_resumes(self):
         engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
@@ -821,7 +852,7 @@ class TestFaultedTransitions:
         # The failure bundle persists, and one reconcile round finishes
         # the job: the fault is spent, the restart goes through.
         text = save_system(failure.system, failure.journal)
-        load_system_and_journal(
+        load_system(
             standard_registry(), infrastructure, standard_drivers(), text
         )
         result = ReconcileController(engine, failure.system).run(rounds=1)

@@ -31,7 +31,9 @@ from repro.runtime import (
     RetryPolicy,
     detect_drift,
     execute_plan,
+    load_system,
     plan_repair,
+    save_system,
 )
 from repro.runtime.journal import JournalEntry
 from repro.sim import FaultInjector, FaultKind, FaultPlan, MachineChurn
@@ -173,7 +175,7 @@ class TestRepair:
         instance_id, driver = first_service(system)
         driver.process.fail()
         plan = plan_repair(system, detect_drift(system))
-        execute_plan(engine, system, plan, journal=journal)
+        execute_plan(engine, system, plan)
         assert driver.process.is_running()
         assert detect_drift(system).is_converged
         # The restart was journalled and the chain stays valid.
@@ -190,7 +192,7 @@ class TestRepair:
         before = clock.now
         plan = plan_repair(system, detect_drift(system))
         assert plan.by_op() == {"restart": 1}
-        report = execute_plan(engine, system, plan, journal=journal)
+        report = execute_plan(engine, system, plan)
         assert [a.action for a in report.actions] == ["restart"]
         elapsed = clock.now - before
         assert elapsed > 0
@@ -211,7 +213,7 @@ class TestRepair:
             if system.machine_for(iid).hostname not in lost_hosts
         }
         plan = plan_repair(system, detect_drift(system))
-        execute_plan(engine, system, plan, journal=journal)
+        execute_plan(engine, system, plan)
         assert detect_drift(system).is_converged
         assert system.is_deployed()
         # Instances elsewhere were never acted on.
@@ -228,7 +230,7 @@ class TestRepair:
         records = FaultInjector(system, seed=2).crash_machines(1)
         hostname = records[0].hostname
         plan = plan_repair(system, detect_drift(system))
-        execute_plan(engine, system, plan, journal=journal)
+        execute_plan(engine, system, plan)
 
         assert system.states() == fresh_system.states()
         assert journal.states() == fresh_journal.states()
@@ -259,10 +261,48 @@ class TestRepair:
         assert set(drift.extra_instances) == dropped
         plan = plan_repair(system, drift, goal=goal)
         assert set(plan.instances(RepairOp.UNINSTALL)) == dropped
-        execute_plan(engine, system, plan, journal=journal)
+        execute_plan(engine, system, plan)
         for iid in dropped:
             assert system.state_of(iid) == "uninstalled"
         assert detect_drift(system, goal=goal).is_converged
+
+    def test_shrunk_goal_uninstall_is_on_the_record(self):
+        """Extras used to be driven down off the record: the journal
+        kept saying ``active``, so save -> load -> resume adopted a
+        service whose package was gone."""
+        from repro.core.instances import InstallSpec
+
+        engine, system, _, _, _ = deploy_fleet()
+        leaf = next(
+            iid for iid in sorted(system.drivers, reverse=True)
+            if isinstance(system.drivers[iid], ServiceDriver)
+            and not system.spec.downstream_ids(iid)
+        )
+        goal = InstallSpec(
+            instance
+            for instance in system.spec.topological_order()
+            if instance.id != leaf
+        )
+        result = ReconcileController(
+            engine, system, goal=goal, interval=0.0
+        ).run(rounds=1)
+        assert result.converged
+        assert system.state_of(leaf) == "uninstalled"
+        assert system.journal.states()[leaf] == "uninstalled"
+        assert leaf not in system.journal.completed
+
+        registry, drivers = standard_registry(), standard_drivers()
+        loaded = load_system(
+            registry, system.infrastructure, drivers, save_system(system)
+        )
+        assert loaded.journal.states() == system.states()
+        # Resuming toward the deployed spec really reinstalls the leaf.
+        resumed = DeploymentEngine(
+            registry, system.infrastructure, drivers
+        ).resume(loaded.journal)
+        assert resumed.is_deployed()
+        assert resumed.drivers[leaf].process.is_running()
+        assert detect_drift(resumed).is_converged
 
 
 class TestController:

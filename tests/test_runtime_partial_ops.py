@@ -235,7 +235,7 @@ class TestEngineIsTheExecutionContext:
         plan = once("tomcat:restart")
         repair = plan_repair(system, detect_drift(system))
         check(
-            execute_plan(engine, system, repair, journal=system.journal),
+            execute_plan(engine, system, repair),
             plan,
         )
 

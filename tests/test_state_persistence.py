@@ -9,6 +9,7 @@ from repro.core.errors import RuntimeEngageError
 from repro.drivers import ACTIVE, INACTIVE
 from repro.runtime import (
     DeploymentEngine,
+    DeploymentJournal,
     ProcessMonitor,
     load_system,
     save_system,
@@ -148,3 +149,62 @@ class TestValidation:
         with pytest.raises(RuntimeEngageError):
             load_system(registry, infrastructure, drivers,
                         json_module.dumps(payload))
+
+
+class TestOneFormat:
+    """A state file has one written format, and its journal is the
+    system's: what is saved does not depend on an argument."""
+
+    def test_saved_system_carries_its_journal(
+        self, world, registry, infrastructure, drivers
+    ):
+        engine, system = world
+        text = save_system(system)
+        assert '"engage-state-2"' in text
+        journal = load_system(registry, infrastructure, drivers, text).journal
+        assert isinstance(journal, DeploymentJournal)
+        assert journal.entries == system.journal.entries
+        assert journal.entries  # the deploy's own record
+        assert journal.completed == set(system.spec.ids())
+
+    def test_naming_the_systems_journal_is_the_same_file(self, world):
+        engine, system = world
+        assert save_system(system, system.journal) == save_system(system)
+
+    def test_another_journal_is_refused(self, world):
+        engine, system = world
+        with pytest.raises(RuntimeEngageError, match="system.journal"):
+            save_system(system, DeploymentJournal(system.spec))
+
+    def test_v1_document_loads_with_a_blank_journal(
+        self, world, registry, infrastructure, drivers
+    ):
+        engine, system = world
+        payload = json.loads(save_system(system))
+        v1 = {
+            "format": "engage-state-1",
+            "spec": payload["spec"],
+            "states": payload["states"],
+        }
+        adopted = load_system(
+            registry, infrastructure, drivers, json.dumps(v1)
+        )
+        assert adopted.states() == system.states()
+        assert adopted.journal.entries == []
+        assert adopted.journal.completed == set()
+        # ...and is written back in the one format there is.
+        assert '"engage-state-2"' in save_system(adopted)
+
+    def test_states_contradicting_the_frontier_are_refused(
+        self, world, registry, infrastructure, drivers
+    ):
+        engine, system = world
+        payload = json.loads(save_system(system))
+        payload["states"]["mysql"] = "inactive"
+        with pytest.raises(RuntimeEngageError) as excinfo:
+            load_system(
+                registry, infrastructure, drivers, json.dumps(payload)
+            )
+        message = str(excinfo.value)
+        assert "'mysql'" in message
+        assert "'inactive'" in message and "'active'" in message

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -201,3 +202,98 @@ class TestCliBundleFlow:
         code, output = run(["status", str(path)])
         assert code == 2
         assert "error" in output
+
+    #: One section of a good bundle removed or mistyped.  Each used to
+    #: end in a raw KeyError/TypeError traceback -- or, for the states
+    #: that contradict the journal, in a silently wrong world.
+    HOSTILE = {
+        "no-types": lambda b: b.pop("types"),
+        "no-world": lambda b: b.pop("world"),
+        "no-world-machines": lambda b: b["world"].pop("machines"),
+        "no-machine-fs": lambda b: b["world"]["machines"][0].pop("fs"),
+        "no-state-spec": lambda b: b["state"].pop("spec"),
+        "no-state-states": lambda b: b["state"].pop("states"),
+        "no-instance-key": lambda b: b["state"]["spec"][0].pop("key"),
+        "clock-not-a-number": lambda b: b["world"].update(clock="abc"),
+        "states-contradict-frontier":
+            lambda b: b["state"]["states"].update(mysql="inactive"),
+        "spec-not-a-list": lambda b: b["state"].update(spec={}),
+        "duplicate-instance-id":
+            lambda b: b["state"]["spec"].append(b["state"]["spec"][0]),
+        "journal-entry-without-action":
+            lambda b: b["state"]["journal"]["entries"][0].pop("action"),
+        "types-not-text": lambda b: b.update(types=5),
+        "world-not-an-object": lambda b: b.update(world=[]),
+        "state-not-an-object": lambda b: b.update(state="x"),
+        "machines-not-a-list": lambda b: b["world"].update(machines={}),
+        "fs-not-an-object":
+            lambda b: b["world"]["machines"][0].update(fs=3),
+        "states-not-an-object": lambda b: b["state"].update(states=[]),
+        "instance-not-an-object":
+            lambda b: b["state"]["spec"].__setitem__(0, "x"),
+        "journal-entries-not-a-list":
+            lambda b: b["state"]["journal"].update(entries=5),
+        "journal-completed-not-a-list":
+            lambda b: b["state"]["journal"].update(completed=5),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE))
+    def test_hostile_bundle_ends_in_a_typed_error(self, bundle, mutation):
+        with open(bundle, encoding="utf-8") as handle:
+            document = json.load(handle)
+        self.HOSTILE[mutation](document)
+        with open(bundle, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        code, output = run(["status", bundle])
+        assert code == 2
+        assert output.startswith("error: ")
+        assert "Traceback" not in output
+        if mutation == "states-contradict-frontier":
+            assert "'mysql'" in output
+            assert "'inactive'" in output and "'active'" in output
+
+
+STACKS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "stacks"
+
+
+class TestPersistenceNestsPayloads:
+    """The layers hand each other data, not text -- and the bytes are
+    those of the text composition that replaced: ``loads(dumps(...))``
+    of every layer, kept here as the reference."""
+
+    @pytest.mark.parametrize("stack", ["two_node.json", "fleet.json"])
+    def test_bundle_bytes_match_the_old_text_composition(
+        self, tmp_path, stack
+    ):
+        from repro import cli
+        from repro.dsl import format_module, full_to_json, full_to_payload
+        from repro.runtime import save_system, system_payload
+        from repro.sim import world_payload
+
+        bundle = tmp_path / "bundle.json"
+        code, _ = run(["deploy", str(STACKS / stack), "--save", str(bundle)])
+        assert code == 0
+        written = bundle.read_text()
+        registry, infrastructure, _, system = cli._load_bundle(str(bundle))
+        reference = json.dumps(
+            {
+                "format": cli.BUNDLE_FORMAT,
+                "types": format_module(cli._ordered_types(registry)),
+                "world": json.loads(save_world(infrastructure)),
+                "state": json.loads(save_system(system)),
+            },
+            indent=1,
+        ) + "\n"
+        assert written == reference
+        cli._save_bundle(str(bundle), registry, infrastructure, system)
+        assert bundle.read_text() == reference
+
+        assert save_system(system) == (
+            json.dumps(system_payload(system), indent=2) + "\n"
+        )
+        assert save_world(infrastructure) == (
+            json.dumps(world_payload(infrastructure), indent=1) + "\n"
+        )
+        assert full_to_json(system.spec) == (
+            json.dumps(full_to_payload(system.spec), indent=2) + "\n"
+        )
