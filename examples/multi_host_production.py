@@ -79,7 +79,7 @@ def main() -> None:
     print("  db host seen by app:",
           spec["app"].inputs["database"]["host"])
 
-    coordinator.shutdown(deployment)
+    coordinator.engine.shutdown(deployment)
     print("\nafter shutdown:", sorted(set(deployment.states().values())))
 
 

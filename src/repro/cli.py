@@ -20,6 +20,7 @@ by default the built-in standard library is preloaded (disable with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -44,7 +45,11 @@ from repro.library import (
     standard_infrastructure,
     standard_registry,
 )
-from repro.runtime import DeploymentEngine, provision_partial_spec
+from repro.runtime import (
+    BusReport,
+    DeploymentEngine,
+    provision_partial_spec,
+)
 
 
 def _build_registry(args) -> ResourceTypeRegistry:
@@ -670,82 +675,11 @@ def _write_deploy_outcome(system, infrastructure, out: TextIO) -> None:
     out.write(
         f"simulated time: {infrastructure.clock.now / 60:.1f} minutes\n"
     )
+    if isinstance(report, BusReport):
+        _write_bus_report(report, out)
 
 
-def _write_failure(failure, out: TextIO) -> None:
-    out.write(f"deployment FAILED: {failure}\n")
-    out.write(f"  completed: {sorted(failure.completed)}\n")
-    out.write(f"  failed:    {sorted(failure.failed)}\n")
-    out.write(f"  skipped:   {sorted(failure.skipped)}\n")
-    if failure.report is not None and failure.report.retries:
-        out.write(
-            f"  attempts:  {failure.report.retries} failed attempt(s), "
-            f"{failure.report.total_backoff_seconds:.1f}s total backoff\n"
-        )
-
-
-def _bus_chaos_from_args(args):
-    """A BusChaos schedule (or None) from the ``--partition-at`` /
-    ``--failover-at`` / ``--crash-slave`` family of flags."""
-    from repro.runtime import BusChaos
-
-    if (
-        args.partition_at is None
-        and args.failover_at is None
-        and not args.crash_slave
-    ):
-        return None
-    return BusChaos(
-        partition_at=args.partition_at,
-        partition_for=args.partition_for,
-        crash_machine=args.crash_slave,
-        crash_after_actions=args.crash_after,
-        crash_down_for=args.rejoin_after,
-        failover_at=args.failover_at,
-    )
-
-
-def _deploy_over_bus(
-    args, registry, infrastructure, drivers, spec, tracer, out
-) -> int:
-    """Run the deployment through the message-bus control plane."""
-    from repro.core.errors import DeploymentError, DeploymentFailure
-    from repro.runtime import BusCoordinator
-    from repro.sim.faults import LinkFaultPlan
-
-    faults = None
-    if args.bus_drop or args.bus_dup or args.bus_jitter:
-        faults = LinkFaultPlan(
-            args.bus_seed,
-            drop=args.bus_drop,
-            duplicate=args.bus_dup,
-            jitter=args.bus_jitter,
-        )
-    coordinator = BusCoordinator(
-        registry, infrastructure, drivers,
-        policy=_retry_policy_from_args(args),
-        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
-        link_faults=faults,
-    )
-    try:
-        deployment = coordinator.deploy(
-            spec, chaos=_bus_chaos_from_args(args)
-        )
-    except DeploymentError as error:
-        if isinstance(error, DeploymentFailure):
-            _write_failure(error, out)
-        else:
-            out.write(f"bus deployment FAILED: {error}\n")
-        _finish_trace(args, tracer, out)
-        return 1
-    report = deployment.report
-    out.write("deployment state:\n")
-    states = deployment.states()
-    for instance in spec.topological_order():
-        out.write(
-            f"  {instance.id:<16} {str(instance.key):<28} "
-            f"{states[instance.id]}\n"
-        )
+def _write_bus_report(report, out: TextIO) -> None:
     stats = report.bus_stats
     out.write(
         f"bus: {stats['total_sent']} messages sent, "
@@ -774,19 +708,73 @@ def _deploy_over_bus(
         )
     out.write(
         f"waves: {len(report.waves)}; makespan "
-        f"{report.parallel_makespan_seconds:.1f}s vs sequential "
+        f"{report.makespan_seconds:.1f}s vs sequential "
         f"{report.sequential_seconds:.1f}s\n"
     )
-    out.write(
-        f"simulated time: {infrastructure.clock.now / 60:.1f} minutes\n"
+
+
+def _write_failure(failure, out: TextIO) -> None:
+    out.write(f"deployment FAILED: {failure}\n")
+    out.write(f"  completed: {sorted(failure.completed)}\n")
+    out.write(f"  failed:    {sorted(failure.failed)}\n")
+    out.write(f"  skipped:   {sorted(failure.skipped)}\n")
+    if failure.report is not None and failure.report.retries:
+        out.write(
+            f"  attempts:  {failure.report.retries} failed attempt(s), "
+            f"{failure.report.total_backoff_seconds:.1f}s total backoff\n"
+        )
+
+
+#: The ``deploy`` flags that shape the bus control plane, by the keyword
+#: of :class:`LinkFaultPlan` / :class:`BusChaos` each one sets.  They are
+#: declared ``default=SUPPRESS``: one is in ``args`` only when given --
+#: an error without ``--bus`` -- and the defaults are the two classes'.
+_LINK_FAULT_FLAGS = {
+    "bus_seed": "seed", "bus_drop": "drop", "bus_dup": "duplicate",
+    "bus_jitter": "jitter",
+}
+_BUS_CHAOS_FLAGS = {
+    "partition_at": "partition_at", "partition_for": "partition_for",
+    "failover_at": "failover_at", "crash_slave": "crash_machine",
+    "crash_after": "crash_after_actions", "rejoin_after": "crash_down_for",
+}
+
+
+def _given(args, flags: dict) -> dict:
+    return {
+        keyword: getattr(args, flag)
+        for flag, keyword in flags.items() if hasattr(args, flag)
+    }
+
+
+def _misused_bus_flags(args) -> Optional[str]:
+    """What is wrong with the command's bus flags, if anything."""
+    if args.bus:
+        for mode in ("resume", "delta"):
+            if getattr(args, mode):
+                return (
+                    "--bus coordinates a first deployment; it cannot be "
+                    f"combined with --{mode}"
+                )
+        return None
+    for flag in (*_LINK_FAULT_FLAGS, *_BUS_CHAOS_FLAGS):
+        if hasattr(args, flag):
+            return f"--{flag.replace('_', '-')} needs --bus"
+    return None
+
+
+def _bus_coordinator_from_args(args, registry, infrastructure, drivers):
+    """The ``--bus`` counterpart of :func:`_engine_from_args`."""
+    from repro.runtime import BusCoordinator
+    from repro.sim.faults import LinkFaultPlan
+
+    link = _given(args, _LINK_FAULT_FLAGS)
+    return BusCoordinator(
+        registry, infrastructure, drivers,
+        policy=_retry_policy_from_args(args),
+        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
+        link_faults=LinkFaultPlan(**link) if link else None,
     )
-    if args.save:
-        engine = DeploymentEngine(registry, infrastructure, drivers)
-        system = deployment.merged_system(engine)
-        _save_bundle(args.save, registry, infrastructure, system)
-        out.write(f"bundle saved to {args.save}\n")
-    _finish_trace(args, tracer, out)
-    return 0 if deployment.is_deployed() else 1
 
 
 def _run_deployment(
@@ -794,7 +782,7 @@ def _run_deployment(
 ) -> int:
     """Run one deployment pass (``run()`` returns the system) and
     report it: the outcome, or the failure with its resumable bundle;
-    then the bundle and the trace."""
+    then the bundle and -- however the pass ended -- the trace."""
     from repro.core.errors import DeploymentFailure
 
     try:
@@ -807,17 +795,22 @@ def _run_deployment(
                 f"resumable bundle saved to {save_to} "
                 f"(finish with: deploy --resume {save_to})\n"
             )
-        _finish_trace(args, tracer, out)
         return 1
-    _write_deploy_outcome(system, infrastructure, out)
-    if save_to:
-        _save_bundle(save_to, registry, infrastructure, system)
-        out.write(f"bundle saved to {save_to}\n")
-    _finish_trace(args, tracer, out)
-    return 0 if system.is_deployed() else 1
+    else:
+        _write_deploy_outcome(system, infrastructure, out)
+        if save_to:
+            _save_bundle(save_to, registry, infrastructure, system)
+            out.write(f"bundle saved to {save_to}\n")
+        return 0 if system.is_deployed() else 1
+    finally:
+        _finish_trace(args, tracer, out)
 
 
 def cmd_deploy(args, out: TextIO) -> int:
+    misuse = _misused_bus_flags(args)
+    if misuse:
+        out.write(f"error: {misuse}\n")
+        return 2
     if args.delta:
         if not args.partial:
             out.write(
@@ -894,13 +887,18 @@ def cmd_deploy(args, out: TextIO) -> int:
     )
     _install_chaos(args, infrastructure, out)
     if args.bus:
-        return _deploy_over_bus(
-            args, registry, infrastructure, drivers, result.spec, tracer, out
+        from repro.runtime import BusChaos
+
+        coordinator = _bus_coordinator_from_args(
+            args, registry, infrastructure, drivers
         )
-    deploy = _engine_from_args(args, registry, infrastructure, drivers)
+        chaos = BusChaos(**_given(args, _BUS_CHAOS_FLAGS))
+        run = lambda: coordinator.deploy(result.spec, chaos=chaos)
+    else:
+        deploy = _engine_from_args(args, registry, infrastructure, drivers)
+        run = lambda: deploy.deploy(result.spec)
     return _run_deployment(
-        args, lambda: deploy.deploy(result.spec),
-        registry, infrastructure, tracer, args.save, out,
+        args, run, registry, infrastructure, tracer, args.save, out
     )
 
 
@@ -1091,50 +1089,54 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinate the deployment over the simulated message bus "
         "(master/slave control plane; enables the fault flags below)",
     )
-    deploy.add_argument(
-        "--bus-seed", type=int, default=0, metavar="SEED",
+    # In ``args`` only when given: see ``_LINK_FAULT_FLAGS``.
+    bus_flag = functools.partial(
+        deploy.add_argument, default=argparse.SUPPRESS
+    )
+    bus_flag(
+        "--bus-seed", type=int, metavar="SEED",
         help="seed for --bus-drop/--bus-dup/--bus-jitter link faults",
     )
-    deploy.add_argument(
-        "--bus-drop", type=float, default=0.0, metavar="RATE",
+    bus_flag(
+        "--bus-drop", type=float, metavar="RATE",
         help="with --bus: drop this fraction of messages (0..1)",
     )
-    deploy.add_argument(
-        "--bus-dup", type=float, default=0.0, metavar="RATE",
+    bus_flag(
+        "--bus-dup", type=float, metavar="RATE",
         help="with --bus: duplicate this fraction of messages (0..1)",
     )
-    deploy.add_argument(
-        "--bus-jitter", type=float, default=0.0, metavar="SECONDS",
+    bus_flag(
+        "--bus-jitter", type=float, metavar="SECONDS",
         help="with --bus: add up to this much random delivery delay "
         "(reorders messages)",
     )
-    deploy.add_argument(
-        "--partition-at", type=float, default=None, metavar="SECONDS",
+    bus_flag(
+        "--partition-at", type=float, metavar="SECONDS",
         help="with --bus: cut the network between master and slaves "
         "this long after the deployment starts",
     )
-    deploy.add_argument(
-        "--partition-for", type=float, default=30.0, metavar="SECONDS",
+    bus_flag(
+        "--partition-for", type=float, metavar="SECONDS",
         help="with --partition-at: heal the partition after this long "
         "(default 30)",
     )
-    deploy.add_argument(
-        "--failover-at", type=float, default=None, metavar="SECONDS",
+    bus_flag(
+        "--failover-at", type=float, metavar="SECONDS",
         help="with --bus: kill the master at this time; a standby "
         "adopts the control log and finishes the deployment",
     )
-    deploy.add_argument(
+    bus_flag(
         "--crash-slave", metavar="MACHINE",
         help="with --bus: crash this slave machine mid-deploy; it "
         "rejoins and resumes from its write-ahead journal",
     )
-    deploy.add_argument(
-        "--crash-after", type=int, default=3, metavar="N",
+    bus_flag(
+        "--crash-after", type=int, metavar="N",
         help="with --crash-slave: crash after N driver actions "
         "(default 3)",
     )
-    deploy.add_argument(
-        "--rejoin-after", type=float, default=25.0, metavar="SECONDS",
+    bus_flag(
+        "--rejoin-after", type=float, metavar="SECONDS",
         help="with --crash-slave: rejoin this long after the crash "
         "(default 25)",
     )

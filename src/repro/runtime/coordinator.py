@@ -18,9 +18,13 @@ shared event clock: each slave agent executes its work item inside an
 overlapping :class:`~repro.sim.clock.ClockSpan` anchored at the instant
 the work arrived, and the report's ``parallel_makespan_seconds`` is the
 measured wall-clock of the whole deployment.  The coordinator's
-``policy`` / ``jobs`` / ``jobs_per_host`` are handed once to each slave
-agent and from there to the engine it builds per work item, so
-intra-machine parallelism composes with the inter-machine waves.
+``policy`` / ``jobs`` / ``jobs_per_host`` are those of its one
+:class:`DeploymentEngine`, which every slave agent derives its own from,
+so intra-machine parallelism composes with the inter-machine waves.
+
+What comes back is a :class:`DeployedSystem` over the full spec -- the
+slaves' own drivers, their journals merged, a :class:`BusReport` -- so
+everything that manages a directly deployed system manages this one.
 
 :meth:`BusCoordinator.deploy` drives master and agents from one
 discrete-event loop.  At each instant it applies due chaos events,
@@ -48,10 +52,14 @@ from repro.core.errors import (
 )
 from repro.core.instances import InstallSpec, ResourceInstance
 from repro.core.registry import ResourceTypeRegistry
-from repro.drivers.base import DriverRegistry
+from repro.drivers.base import DriverRegistry, ResourceDriver
 from repro.runtime import bus as busmod
 from repro.runtime.bus import MessageBus
-from repro.runtime.deploy import DeployedSystem, DeploymentEngine
+from repro.runtime.deploy import (
+    DeployedSystem,
+    DeploymentEngine,
+    DeploymentReport,
+)
 from repro.runtime.journal import DeploymentJournal
 from repro.runtime.retry import RetryPolicy
 from repro.sim.infrastructure import Infrastructure
@@ -141,71 +149,25 @@ def install_agent(
 class MultiHostDeploymentFailure(DeploymentFailure):
     """A coordinated deployment stopped with one slave failed.
 
-    On top of :class:`~repro.core.errors.DeploymentFailure` (whose
-    ``journal`` / ``system`` / ``report`` describe the *failing* slave)
-    this carries the fleet view the wave loop would otherwise discard:
-    ``deployment`` holds every slave that ran -- including the failed
-    one's partial system -- so no sibling's in-flight journal entries
-    are orphaned; ``failed_machine`` names the culprit and
-    ``unstarted`` the machines whose waves never began.
+    A :class:`~repro.core.errors.DeploymentFailure` about the *fleet*:
+    ``system`` spans every machine (``system.journal`` is ``journal``,
+    so no sibling's in-flight entries are orphaned and the whole fleet
+    resumes from it), ``completed`` / ``failed`` / ``skipped`` partition
+    the full spec; ``failed_machine`` names the culprit and
+    ``unstarted`` the machines whose work never arrived.
     """
 
     def __init__(
         self,
         message: str,
         *,
-        deployment: "MultiHostDeployment",
         failed_machine: str,
         unstarted: list[str],
         **kwargs: Any,
     ) -> None:
         super().__init__(message, **kwargs)
-        self.deployment = deployment
         self.failed_machine = failed_machine
         self.unstarted = list(unstarted)
-
-
-@dataclass
-class MultiHostReport:
-    """Costs of a coordinated deployment."""
-
-    waves: list[list[str]] = field(default_factory=list)
-    per_machine_seconds: dict[str, float] = field(default_factory=dict)
-    sequential_seconds: float = 0.0
-    #: Measured wall-clock of the whole deployment.
-    parallel_makespan_seconds: float = 0.0
-    #: Hostnames where the coordinator installed the slave agent.
-    agents_installed: list[str] = field(default_factory=list)
-
-
-class MultiHostDeployment:
-    """The deployed slaves plus the coordination report."""
-
-    def __init__(
-        self,
-        spec: InstallSpec,
-        slaves: dict[str, DeployedSystem],
-        report: MultiHostReport,
-    ) -> None:
-        self.spec = spec
-        self.slaves = slaves
-        self.report = report
-
-    def states(self) -> dict[str, str]:
-        states: dict[str, str] = {}
-        for slave in self.slaves.values():
-            states.update(slave.states())
-        return states
-
-    def is_deployed(self) -> bool:
-        return all(slave.is_deployed() for slave in self.slaves.values())
-
-    def merged_journal(self) -> DeploymentJournal:
-        """One fleet journal folding every slave's journal together."""
-        journals = [slave.journal for slave in self.slaves.values()]
-        targets = {journal.target for journal in journals}
-        target = targets.pop() if len(targets) == 1 else "active"
-        return DeploymentJournal.merged(self.spec, journals, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +241,14 @@ class _SlaveEngine(DeploymentEngine):
     """
 
     def __init__(
-        self, *args, fuse: Optional[_CrashFuse], machine_id: str, **kwargs
+        self,
+        engine: DeploymentEngine,
+        fuse: Optional[_CrashFuse],
+        machine_id: str,
     ) -> None:
-        super().__init__(*args, **kwargs)
+        # The same engine -- registry, world, retry policy, worker
+        # bounds -- plus the fuse.
+        self.__dict__.update(vars(engine))
         self.fuse = fuse
         self.machine_id = machine_id
 
@@ -306,15 +273,10 @@ class SlaveAgent:
     def __init__(
         self,
         machine_id: str,
-        registry: ResourceTypeRegistry,
-        infrastructure: Infrastructure,
-        driver_registry: Optional[DriverRegistry],
+        engine: DeploymentEngine,
         bus: MessageBus,
         *,
         master: str = "master",
-        policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
-        jobs_per_host: Optional[int] = None,
         heartbeat_every: float = 5.0,
         crash_after_actions: Optional[int] = None,
         crash_down_for: float = 25.0,
@@ -322,20 +284,16 @@ class SlaveAgent:
         _require_positive("heartbeat_every", heartbeat_every)
         self.machine_id = machine_id
         self.name = machine_id
-        self.registry = registry
-        self.infrastructure = infrastructure
-        self.driver_registry = driver_registry
+        self.infrastructure = engine.infrastructure
         self.bus = bus
         self.endpoint = bus.register(self.name)
         self.master = master
-        self.policy = policy
-        self.jobs = jobs
-        self.jobs_per_host = jobs_per_host
         self.heartbeat_every = heartbeat_every
         self.fuse = (
             _CrashFuse(crash_after_actions)
             if crash_after_actions is not None else None
         )
+        self.engine = _SlaveEngine(engine, self.fuse, machine_id)
         self.down_for = crash_down_for
         # Durable (survives a crash): the write-ahead journals.
         self.journals: dict[str, DeploymentJournal] = {}
@@ -399,23 +357,17 @@ class SlaveAgent:
         if journal is None:
             journal = DeploymentJournal(sub_spec)
             self.journals[key] = journal
-        resume = bool(journal.entries or journal.completed)
-        engine = _SlaveEngine(
-            self.registry, self.infrastructure, self.driver_registry,
-            policy=self.policy, jobs=self.jobs,
-            jobs_per_host=self.jobs_per_host,
-            fuse=self.fuse, machine_id=self.machine_id,
-        )
+        # A first deployment is the resume of a blank journal; the two
+        # counters only say which kind of journal the work found.
+        if journal.entries or journal.completed:
+            self.work_resumes += 1
+        else:
+            self.work_executions += 1
         span = self.infrastructure.clock.overlapping(now)
         try:
             with span:
-                install_agent(engine, sub_spec, self.agents_installed)
-                if resume:
-                    self.work_resumes += 1
-                    system = engine.resume(journal)
-                else:
-                    self.work_executions += 1
-                    system = engine.deploy(sub_spec, journal=journal)
+                install_agent(self.engine, sub_spec, self.agents_installed)
+                system = self.engine.resume(journal)
         except SlaveCrashed:
             # A parallel pass may have journalled a sibling action whose
             # completion lands *after* the instant the fuse blew (the
@@ -786,9 +738,20 @@ class BusChaos:
 
 
 @dataclass
-class BusReport(MultiHostReport):
-    """A :class:`MultiHostReport` plus the control-plane accounting."""
+class BusReport(DeploymentReport):
+    """What a bus-coordinated deployment did and cost: the slaves'
+    action records in machine order, plus the control-plane accounting.
 
+    ``sequential_seconds`` sums the per-machine wall-clocks,
+    ``makespan_seconds`` is the measured wall-clock of the whole
+    deployment, and ``critical_path_seconds`` the bound the wave
+    barriers set: each wave costs its slowest machine.
+    """
+
+    waves: list[list[str]] = field(default_factory=list)
+    per_machine_seconds: dict[str, float] = field(default_factory=dict)
+    #: Hostnames where a slave installed the Engage agent.
+    agents_installed: list[str] = field(default_factory=list)
     bus_stats: dict = field(default_factory=dict)
     retransmits: int = 0
     redundant_acks: int = 0
@@ -805,6 +768,12 @@ class BusReport(MultiHostReport):
     #: the master + agent steps it ran at them.
     loop_instants: int = 0
     node_steps: int = 0
+
+    @property
+    def parallel_makespan_seconds(self) -> float:
+        """``makespan_seconds``, under the name multi-host reports have
+        always given it."""
+        return self.makespan_seconds
 
     def summary(self) -> dict:
         return {
@@ -828,32 +797,6 @@ class BusReport(MultiHostReport):
         }
 
 
-class BusDeployment(MultiHostDeployment):
-    """A bus-coordinated deployment: slaves, report, and the bus."""
-
-    def __init__(
-        self,
-        spec: InstallSpec,
-        slaves: dict[str, DeployedSystem],
-        report: BusReport,
-        bus: MessageBus,
-    ) -> None:
-        super().__init__(spec, slaves, report)
-        self.report: BusReport = report
-        self.bus = bus
-
-    def merged_system(self, engine: DeploymentEngine) -> DeployedSystem:
-        """One :class:`DeployedSystem` over the full spec, adopted from
-        the merged journal frontier (for persistence / status)."""
-        from repro.runtime.state import adopt_states
-
-        merged = self.merged_journal()
-        system = engine.prepare(self.spec)
-        adopt_states(system, merged.states(), partial=True)
-        system.journal = merged
-        return system
-
-
 class BusCoordinator:
     """Coordinates slave deployments over the message bus.
 
@@ -862,8 +805,10 @@ class BusCoordinator:
     slave crashes, and master failover (a :class:`BusChaos` schedule)
     are scenarios the deployment must survive rather than things it
     cannot express.  ``policy`` / ``jobs`` / ``jobs_per_host`` are those
-    of :class:`DeploymentEngine`, applied to every slave's engine and to
-    :meth:`shutdown`.
+    of :class:`DeploymentEngine`: the coordinator builds one,
+    ``engine``, every slave's engine derives from it, and it is the
+    engine to manage the deployed system with afterwards.  ``bus`` is
+    the bus of the latest :meth:`deploy` (its delivery log included).
     """
 
     def __init__(
@@ -886,12 +831,12 @@ class BusCoordinator:
         _require_positive("heartbeat_timeout", heartbeat_timeout)
         _require_positive("retransmit_after", retransmit_after)
         _require_positive("max_sim_seconds", max_sim_seconds)
-        self.registry = registry
+        self.engine = DeploymentEngine(
+            registry, infrastructure, driver_registry,
+            policy=policy, jobs=jobs, jobs_per_host=jobs_per_host,
+        )
         self.infrastructure = infrastructure
-        self.driver_registry = driver_registry
-        self.policy = policy
-        self.jobs = jobs
-        self.jobs_per_host = jobs_per_host
+        self.bus: Optional[MessageBus] = None
         self.link_faults = link_faults
         self.default_latency = default_latency
         self.heartbeat_every = heartbeat_every
@@ -904,13 +849,13 @@ class BusCoordinator:
         spec: InstallSpec,
         *,
         chaos: Optional[BusChaos] = None,
-    ) -> BusDeployment:
+    ) -> DeployedSystem:
         chaos = chaos if chaos is not None else BusChaos()
         clock = self.infrastructure.clock
         tracer = self.infrastructure.tracer
         per_node = split_spec(spec)
         waves = machine_waves(spec)
-        bus = MessageBus(
+        bus = self.bus = MessageBus(
             clock,
             default_latency=self.default_latency,
             faults=self.link_faults,
@@ -929,10 +874,8 @@ class BusCoordinator:
                 if machine_id == chaos.crash_machine else None
             )
             agents[machine_id] = SlaveAgent(
-                machine_id, self.registry, self.infrastructure,
-                self.driver_registry, bus,
-                master=master.name, policy=self.policy,
-                jobs=self.jobs, jobs_per_host=self.jobs_per_host,
+                machine_id, self.engine, bus,
+                master=master.name,
                 heartbeat_every=self.heartbeat_every,
                 crash_after_actions=crash_after,
                 crash_down_for=chaos.crash_down_for,
@@ -1046,55 +989,46 @@ class BusCoordinator:
             else:
                 no_progress = 0
             clock.sync_to(nxt)
-        deployment = self._finish(
+        system = self._finish(
             spec, waves, bus, masters, agents, started_at,
             failover, partition_record, instants, steps,
         )
         if masters[-1].failures:
-            raise self._failure(masters[-1], agents, deployment)
-        return deployment
+            raise self._failure(masters[-1], agents, system)
+        return system
 
     def _failure(
         self,
         master: MasterNode,
         agents: dict[str, SlaveAgent],
-        partial: "BusDeployment",
+        system: DeployedSystem,
     ) -> MultiHostDeploymentFailure:
-        """The fleet view of a nacked work item: every slave that ran
-        (the failed one's partial system included), the culprit, and the
-        machines whose work never arrived."""
+        """The fleet view of a nacked work item: the system over every
+        machine, the culprit, and the machines whose work never arrived.
+        Whatever neither completed nor failed -- the rest of the failed
+        slave's sub-spec, every unstarted machine -- was skipped."""
         key, error = sorted(master.failures.items())[0]
         status = master.log.statuses[key]
-        agent = agents[status.machine_id]
-        journal = agent.journals[key]
-        system = agent.systems.get(key)
+        journal = system.journal
+        journal.mark_skipped(
+            instance_id for instance_id in system.spec.ids()
+            if instance_id not in journal.failed
+        )
         return MultiHostDeploymentFailure(
             f"slave {status.machine_id!r} failed in wave {status.wave}: "
             f"{error}",
-            deployment=partial,
             failed_machine=status.machine_id,
             unstarted=[
                 m for wave in master.waves for m in wave
                 if not agents[m].journals
             ],
             journal=journal,
-            completed=partial.merged_journal().completed,
+            completed=journal.completed,
             failed=journal.failed,
             skipped=journal.skipped,
-            report=system.report if system is not None else None,
+            report=system.report,
             system=system,
         )
-
-    def shutdown(self, deployment: MultiHostDeployment) -> None:
-        """Stop slaves in reverse machine order."""
-        engine = DeploymentEngine(
-            self.registry, self.infrastructure, self.driver_registry,
-            policy=self.policy, jobs=self.jobs,
-            jobs_per_host=self.jobs_per_host,
-        )
-        for wave in reversed(deployment.report.waves):
-            for machine_id in reversed(wave):
-                engine.shutdown(deployment.slaves[machine_id])
 
     def _apply_partition(
         self,
@@ -1129,15 +1063,25 @@ class BusCoordinator:
         partition_record: Optional[dict],
         loop_instants: int,
         node_steps: int,
-    ) -> BusDeployment:
+    ) -> DeployedSystem:
+        """The fleet as one system: every slave's drivers re-pointed at
+        the full spec, their journals merged, the report filled in.  A
+        slave whose process memory is gone (crashed and still down when
+        a sibling's nack ended the run) is adopted from its journal."""
         report = BusReport(
-            waves=waves, loop_instants=loop_instants, node_steps=node_steps
+            jobs=self.engine.jobs, waves=waves,
+            loop_instants=loop_instants, node_steps=node_steps,
         )
-        slaves: dict[str, DeployedSystem] = {}
+        journals: list[DeploymentJournal] = []
+        drivers: dict[str, ResourceDriver] = {}
         for machine_id in sorted(agents):
             agent = agents[machine_id]
-            if agent.systems:  # none if the fleet failed before its wave
-                slaves[machine_id] = next(iter(agent.systems.values()))
+            for key, journal in agent.journals.items():
+                slave = agent.systems.get(key) or self.engine.adopt(journal)
+                journals.append(journal)
+                drivers.update(slave.drivers)
+                if slave.report is not None:
+                    report.actions.extend(slave.report.actions)
             report.per_machine_seconds[machine_id] = agent.total_seconds
             report.agents_installed.extend(agent.agents_installed)
             report.redundant_acks += agent.redundant_acks
@@ -1147,8 +1091,11 @@ class BusCoordinator:
         report.sequential_seconds = sum(
             report.per_machine_seconds.values()
         )
-        report.parallel_makespan_seconds = \
-            self.infrastructure.clock.now - started_at
+        report.makespan_seconds = self.infrastructure.clock.now - started_at
+        report.critical_path_seconds = sum(
+            max(report.per_machine_seconds[m] for m in wave)
+            for wave in waves
+        )
         report.bus_stats = bus.stats()
         report.retransmits = masters[-1].retransmits()
         for node in masters:
@@ -1158,10 +1105,12 @@ class BusCoordinator:
         report.masters = [node.name for node in masters]
         report.failover = failover
         report.partition = partition_record
-        deployment = BusDeployment(spec, slaves, report, bus)
+        system = self.engine.prepare(spec, reuse_drivers=drivers)
+        system.journal = DeploymentJournal.merged(spec, journals)
+        system.report = report
         tracer = self.infrastructure.tracer
         if tracer is None:
-            return deployment
+            return system
         tracer.metrics.counter("bus.loop.instants").inc(loop_instants)
         tracer.metrics.counter("bus.loop.steps").inc(node_steps)
         # The coordinator lane, read off the acks the control log holds:
@@ -1183,7 +1132,7 @@ class BusCoordinator:
                 lane="coordinator", machines=list(wave),
             )
             tracer.metrics.counter("coordinator.waves").inc()
-        return deployment
+        return system
 
 
 # ---------------------------------------------------------------------------
@@ -1273,13 +1222,14 @@ def canonical_journal(journal: DeploymentJournal) -> dict:
 
 def deployment_fingerprint(
     infrastructure: Infrastructure,
-    deployment: MultiHostDeployment,
+    deployment: DeployedSystem,
 ) -> str:
-    """World + driver states + merged journal, canonically digested."""
+    """World + driver states + journal of any deployed system,
+    canonically digested."""
     payload = {
         "world": world_fingerprint(infrastructure),
         "states": dict(sorted(deployment.states().items())),
-        "journal": canonical_journal(deployment.merged_journal()),
+        "journal": canonical_journal(deployment.journal),
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()

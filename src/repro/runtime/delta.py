@@ -53,7 +53,6 @@ from repro.runtime.reconcile import (
     TransitionPlan,
     detect_drift,
 )
-from repro.runtime.state import adopt_states
 from repro.sim.infrastructure import Infrastructure
 
 
@@ -402,26 +401,28 @@ def rebase_journal(
     return journal
 
 
-def _down_phase(
-    engine: DeploymentEngine,
-    old_system: DeployedSystem,
-    journal: DeploymentJournal,
+def finish_down_phase(
+    engine: DeploymentEngine, old_system: DeployedSystem
 ) -> DeploymentReport:
-    """Run what is left of the journal's transition on the old spec's
+    """Run what is left of a transition's down phase on the old spec's
     system: stop the closure, uninstall the teardown set (journalled, so
     each completed action survives a crash), retire the vacated machines
     and close the transition record -- from there on the journal speaks
     only the new spec's language.
 
-    The old system records into ``journal`` -- the *new* spec's -- for
-    the length of the phase: that is what a :class:`SpecTransition` is,
-    a journal that legitimately speaks about old-spec instances.
+    ``old_system.journal`` is the transition's journal -- the *new*
+    spec's -- for the length of the phase: that is what a
+    :class:`SpecTransition` is, a journal that legitimately speaks about
+    old-spec instances.  :func:`execute_delta` runs this on the live
+    system, :meth:`DeploymentEngine.resume` on the one it adopted from
+    the journal and ``transition.from_spec``; the phase is filtered by
+    live state, so finished work no-ops.
 
     A failure is raised holding a *new*-spec system: the resumable
     bundle must be keyed by the journal's spec, or reloading would
     rebind the journal to the wrong one."""
+    journal = old_system.journal
     transition = journal.transition
-    old_system.journal = journal
     try:
         report = engine.drive_down(
             old_system, transition.stop, transition.pending
@@ -494,7 +495,8 @@ def execute_delta(
                 retire=list(delta.retire_hostnames),
             )
         )
-        report.merge(_down_phase(engine, system, journal))
+        system.journal = journal
+        report.merge(finish_down_phase(engine, system))
 
     new_system = _carry_over(
         engine, system, delta.new_spec, delta.uninstall_down
@@ -517,29 +519,3 @@ def execute_delta(
     return DeltaResult(
         system=new_system, journal=journal, plan=delta, report=report
     )
-
-
-def complete_down_phase(
-    engine: DeploymentEngine, journal: DeploymentJournal
-) -> None:
-    """Finish an interrupted delta down phase from its journal.
-
-    Called by :meth:`DeploymentEngine.resume` when the journal carries
-    a :class:`SpecTransition`: the old system is reconstructed from the
-    recorded old spec, its drivers adopt the journal frontier (live
-    processes reattach) and the down phase runs again -- filtered by
-    adopted state, so finished work no-ops.  The caller then resumes
-    the up phase normally."""
-    transition = journal.transition
-    if transition is None:
-        return
-    journal.reset_frontier()
-    old_system = engine.prepare(transition.from_spec)
-    old_ids = set(transition.from_spec.ids())
-    frontier = {
-        iid: state
-        for iid, state in journal.states().items()
-        if iid in old_ids
-    }
-    adopt_states(old_system, frontier, partial=True)
-    _down_phase(engine, old_system, journal)

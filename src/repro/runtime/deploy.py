@@ -261,34 +261,65 @@ class DeploymentEngine:
         """Install, configure, and start everything; returns the deployed
         system with every driver in ``active``.
 
-        Every completed transition is appended to ``system.journal`` --
-        ``journal`` when the caller already keeps one for this spec (a
-        slave agent's durable journals), else the blank one the system
-        is born with.  On fatal failure the run stops at a consistent
+        A first deployment is the degenerate resume: :meth:`resume` of a
+        blank journal -- ``journal`` when the caller already keeps one
+        for this spec, else a new one.  Every completed transition is
+        appended to it; on fatal failure the run stops at a consistent
         frontier and raises :class:`~repro.core.errors.DeploymentFailure`
-        carrying the journal, from which :meth:`resume` can finish the job.
+        carrying the journal, from which :meth:`resume` finishes the job.
         """
-        machines = self._resolve_machines(spec)
-        drivers = self._create_drivers(spec, machines)
-        system = DeployedSystem(
-            spec, self.registry, self.infrastructure, drivers, machines
-        )
-        if journal is not None:
-            system.journal = journal
-        system.report = self._drive(system, ACTIVE, reverse=False)
+        if journal is None:
+            journal = DeploymentJournal(spec)
+        elif journal.spec is not spec:
+            raise DeploymentError(
+                "the journal passed to deploy records another spec"
+            )
+        return self.resume(journal)
+
+    def adopt(
+        self,
+        journal: DeploymentJournal,
+        spec: Optional[InstallSpec] = None,
+    ) -> DeployedSystem:
+        """The live system ``journal`` describes, with no action
+        performed: drivers for ``spec`` (the journal's own by default)
+        at the journal's frontier, already-active services reattached to
+        their running processes, and ``journal`` as the system's
+        journal.  Instances the frontier is silent about stay in their
+        driver's initial state.
+
+        While a delta transition's down phase is in flight the journal
+        speaks about two specs, and ``spec`` says which system is meant:
+        ``journal.transition.from_spec`` is the old one being torn down;
+        the journal's own is what that phase leaves standing, where the
+        instances awaiting teardown are still to be deployed.
+        """
+        from repro.runtime.state import adopt_states
+
+        if spec is None:
+            spec = journal.spec
+        frontier = {
+            instance_id: state
+            for instance_id, state in journal.states().items()
+            if instance_id in spec
+        }
+        if journal.transition is not None and spec is journal.spec:
+            for instance_id in journal.transition.pending:
+                frontier.pop(instance_id, None)
+        system = self.prepare(spec)
+        adopt_states(system, frontier)
+        system.journal = journal
         return system
 
     def resume(self, journal: DeploymentJournal) -> DeployedSystem:
         """Finish an interrupted deployment from its journal.
 
-        Re-adopts the journal's frontier against this engine's
-        infrastructure (reattaching the processes of already-active
-        services, exactly like :func:`repro.runtime.state.load_system`)
-        and drives only the remaining work; already-completed instances
-        no-op.  Frontiers left by a parallel pass (completed instances
-        scattered across independent branches, not a topological prefix)
-        re-adopt the same way.  Raises :class:`DeploymentFailure` again
-        if the remaining work fails too.
+        The system is :meth:`adopt` ed from the journal against this
+        engine's infrastructure and only the remaining work is driven;
+        already-completed instances no-op.  Frontiers left by a parallel
+        pass (completed instances scattered across independent branches,
+        not a topological prefix) re-adopt the same way.  Raises
+        :class:`DeploymentFailure` again if the remaining work fails too.
 
         A journal carrying a :class:`~repro.runtime.journal
         .SpecTransition` record was interrupted mid-way through a delta
@@ -298,17 +329,14 @@ class DeploymentEngine:
         the vacated machines retire, and only then does the up phase
         resume under the journal's spec.
         """
-        from repro.runtime.state import adopt_states
-
-        if journal.transition is not None:
-            from repro.runtime.delta import complete_down_phase
-
-            complete_down_phase(self, journal)
-
-        system = self.prepare(journal.spec)
-        adopt_states(system, journal.states(), partial=True)
         journal.reset_frontier()
-        system.journal = journal
+        if journal.transition is not None:
+            from repro.runtime.delta import finish_down_phase
+
+            finish_down_phase(
+                self, self.adopt(journal, journal.transition.from_spec)
+            )
+        system = self.adopt(journal)
         system.report = self._drive(system, journal.target, reverse=False)
         return system
 

@@ -73,27 +73,15 @@ def save_system(
     return json.dumps(system_payload(system), indent=2) + "\n"
 
 
-def adopt_states(
-    system: DeployedSystem,
-    states: dict[str, str],
-    *,
-    partial: bool = False,
-) -> None:
-    """Set each driver to its saved state, reattaching processes.
+def adopt_states(system: DeployedSystem, states: dict[str, str]) -> None:
+    """Set each driver in ``states`` to its recorded state, reattaching
+    processes; instances absent from ``states`` stay in their driver's
+    initial state.
 
     Service drivers adopted as ``active`` must find the running process
     with their service name on their machine; a missing process is an
-    error -- the state claims something the world contradicts.  With
-    ``partial=True`` instances absent from ``states`` stay in their
-    driver's initial state (used when re-adopting a journal frontier);
-    otherwise every instance must have a state.
+    error -- the state claims something the world contradicts.
     """
-    if not partial:
-        missing = sorted(set(system.spec.ids()) - set(states))
-        if missing:
-            raise RuntimeEngageError(
-                f"state file has no driver state for {missing}"
-            )
     for instance_id, state in states.items():
         if instance_id not in system.drivers:
             raise RuntimeEngageError(
@@ -126,12 +114,16 @@ def system_from_payload(
     drivers: DriverRegistry,
     payload: Any,
 ) -> DeployedSystem:
-    """Re-adopt a system from :func:`system_payload` data.
+    """Re-adopt a system from :func:`system_payload` data:
+    :meth:`DeploymentEngine.adopt` of the document's journal.
 
     The machines must still exist on the infrastructure's network (state
     files describe deployments of *this* world; they are not machine
-    images).  A document whose driver states contradict its own
-    journal's frontier is refused: one of the two is not what happened.
+    images).  The ``states`` section must cover every instance; it
+    speaks alone where the journal is silent (a v1 file, or a v2 one
+    saved from it), and a document whose driver states contradict its
+    own journal's frontier is refused: one of the two is not what
+    happened.
     """
     if not isinstance(payload, dict):
         raise RuntimeEngageError("state file must be a JSON object")
@@ -141,23 +133,33 @@ def system_from_payload(
         )
     spec = full_from_payload(_section(payload, "spec", list))
     states = _section(payload, "states", dict)
-    system = DeploymentEngine(registry, infrastructure, drivers).prepare(spec)
-    adopt_states(system, states)
+    missing = sorted(set(spec.ids()) - set(states))
+    if missing:
+        raise RuntimeEngageError(
+            f"state file has no driver state for {missing}"
+        )
     if payload["format"] == STATE_FORMAT:
-        return system  # v1: the blank journal the system was born with
-    journal = DeploymentJournal.from_payload(spec, payload.get("journal", {}))
+        journal = DeploymentJournal(spec)  # v1: as blank as a new system's
+    else:
+        journal = DeploymentJournal.from_payload(
+            spec, payload.get("journal", {})
+        )
+    system = DeploymentEngine(registry, infrastructure, drivers).adopt(journal)
     # Mid-transition the frontier speaks of the *old* spec's instances
     # (an upgraded id is still installed there while this spec's driver
     # sits at its initial state): nothing to compare.
     frontier = journal.states() if journal.transition is None else {}
-    for instance_id, recorded in frontier.items():
-        if states[instance_id] != recorded:
+    silent = {}
+    for instance_id, state in states.items():
+        if instance_id not in frontier:
+            silent[instance_id] = state
+        elif state != frontier[instance_id]:
             raise RuntimeEngageError(
                 f"state file contradicts its journal: {instance_id!r} is "
-                f"saved as {states[instance_id]!r} but the journal's "
-                f"frontier says {recorded!r}"
+                f"saved as {state!r} but the journal's "
+                f"frontier says {frontier[instance_id]!r}"
             )
-    system.journal = journal
+    adopt_states(system, silent)
     return system
 
 

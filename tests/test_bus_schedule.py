@@ -231,11 +231,15 @@ class Fleet:
         self.hosts = sorted(m.id for m in self.spec.machines())
 
     def deploy(self, *, faults=None, chaos=None, jobs=None):
+        """The deployed system, with the bus it was deployed over (the
+        coordinator's, reached here once) beside it as ``.bus``."""
         coordinator = BusCoordinator(
             self.registry, standard_infrastructure(), standard_drivers(),
             jobs=jobs, link_faults=faults,
         )
-        return coordinator.deploy(self.spec, chaos=chaos)
+        deployment = coordinator.deploy(self.spec, chaos=chaos)
+        deployment.bus = coordinator.bus
+        return deployment
 
     def run_case(self, case):
         return self.deploy(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -428,7 +429,12 @@ class TestBusDeploy:
         assert code == 1
         assert "deployment FAILED: slave 'dbnode' failed in wave 0" in output
         assert "  failed:    ['dbnode']" in output
-        assert "  skipped:   ['db']" in output
+        # The partitions are the fleet's: the never-started appnode's
+        # instances are skipped too, not missing from the account.
+        assert (
+            "  skipped:   ['appnode', 'db', 'jre', 'openmrs', 'tomcat']"
+            in output
+        )
 
     def test_bus_save_round_trips_through_status(
         self, two_node_file, tmp_path
@@ -442,3 +448,88 @@ class TestBusDeploy:
         code, output = run(["status", str(bundle)])
         assert code == 0
         assert "6 instances on 2 machine(s)" in output
+
+    def test_bus_deadline_is_an_error_and_the_trace_is_still_written(
+        self, two_node_file, tmp_path
+    ):
+        """A control plane that gives up is not a deployment failure
+        (nothing to resume from): the shared error path, exit 2 -- with
+        the trace of the run that did not converge."""
+        trace = tmp_path / "trace.json"
+        code, output = run(
+            ["deploy", two_node_file, "--bus", "--partition-at", "2",
+             "--partition-for", "1e9", "--trace", str(trace)]
+        )
+        assert code == 2
+        assert "error: bus deployment did not converge" in output
+        assert trace.exists() and "trace written to" in output
+
+    @pytest.mark.parametrize("bus", [[], ["--bus"]], ids=["direct", "bus"])
+    def test_failed_deploy_saves_a_bundle_that_resumes(
+        self, tmp_path, bus
+    ):
+        """One failure path for every mode: a failed ``deploy --bus
+        --save`` used to write no bundle at all."""
+        two_node = str(
+            pathlib.Path(__file__).resolve().parent.parent
+            / "examples" / "stacks" / "two_node.json"
+        )
+        bundle = str(tmp_path / "bundle.json")
+        code, output = run(
+            ["deploy", two_node, *bus, "--chaos-rate", "0.5",
+             "--chaos-seed", "3", "--save", bundle]
+        )
+        assert code == 1
+        assert f"resumable bundle saved to {bundle}" in output
+        code, output = run(["deploy", "--resume", bundle])
+        assert code == 0, output
+        assert output.count("active") == 6
+        code, output = run(["status", "--json", bundle])
+        assert code == 0
+        assert json.loads(output)["converged"] is True
+
+    def test_bus_bundle_takes_day_two_commands(
+        self, two_node_file, tmp_path
+    ):
+        """What ``deploy --bus --save`` writes is an ordinary bundle."""
+        bundle = str(tmp_path / "bundle.json")
+        assert run(["deploy", two_node_file, "--bus", "--save", bundle])[0] == 0
+        code, output = run(["reconcile", bundle])
+        assert code == 0, output
+        code, output = run(["deploy", two_node_file, "--delta", bundle])
+        assert code == 0 and "nothing to do" in output
+        assert run(["status", "--json", bundle])[0] == 0
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--bus-drop", "0.5", "--crash-slave", "appnode"], "--bus-drop"),
+            (["--bus-dup", "0.1"], "--bus-dup"),
+            (["--bus-jitter", "1"], "--bus-jitter"),
+            (["--bus-seed", "7"], "--bus-seed"),
+            (["--partition-at", "2"], "--partition-at"),
+            (["--partition-for", "9"], "--partition-for"),
+            (["--failover-at", "30"], "--failover-at"),
+            (["--crash-slave", "appnode"], "--crash-slave"),
+            (["--crash-after", "2"], "--crash-after"),
+            (["--rejoin-after", "40"], "--rejoin-after"),
+        ],
+    )
+    def test_bus_only_flag_without_bus_is_refused(
+        self, two_node_file, flags, named
+    ):
+        """These used to be ignored: the command ran a clean direct
+        deploy and exited 0."""
+        code, output = run(["deploy", two_node_file, *flags])
+        assert code == 2
+        assert output == f"error: {named} needs --bus\n"
+
+    @pytest.mark.parametrize("mode", ["--resume", "--delta"])
+    def test_bus_with_a_day_two_mode_is_refused(
+        self, two_node_file, tmp_path, mode
+    ):
+        bundle = str(tmp_path / "bundle.json")
+        assert run(["deploy", two_node_file, "--save", bundle])[0] == 0
+        code, output = run(["deploy", two_node_file, "--bus", mode, bundle])
+        assert code == 2
+        assert output.startswith("error: --bus") and mode in output

@@ -201,7 +201,7 @@ class TestMasterCoordinator:
     ):
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         first = coordinator.deploy(two_node_spec)
-        coordinator.shutdown(first)
+        coordinator.engine.shutdown(first)
         # Redeploy on the same machines: agents already present.
         second = coordinator.deploy(two_node_spec)
         assert second.report.agents_installed == []
@@ -240,22 +240,25 @@ class TestMasterCoordinator:
     def test_jobs_forwarded_to_slaves(
         self, registry, infrastructure, drivers, two_node_spec
     ):
-        """Intra-machine parallelism composes with machine waves: the
-        slaves' reports carry the forwarded worker bound."""
+        """Intra-machine parallelism composes with machine waves: every
+        slave's engine derives from the coordinator's one engine, and
+        the fleet report carries its worker bound."""
         coordinator = BusCoordinator(
             registry, infrastructure, drivers, jobs=4
         )
+        assert coordinator.engine.jobs == 4
         deployment = coordinator.deploy(two_node_spec)
         assert deployment.is_deployed()
-        for slave in deployment.slaves.values():
-            assert slave.report.jobs == 4
+        assert deployment.report.jobs == 4
 
     def test_shutdown_reverse_waves(
         self, registry, infrastructure, drivers, two_node_spec
     ):
+        """There is one way to stop a deployment, however it was
+        deployed: the engine's ``shutdown`` on the system."""
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         deployment = coordinator.deploy(two_node_spec)
-        coordinator.shutdown(deployment)
+        coordinator.engine.shutdown(deployment)
         from repro.drivers import INACTIVE
 
         assert set(deployment.states().values()) == {INACTIVE}
@@ -263,8 +266,9 @@ class TestMasterCoordinator:
     def test_shutdown_runs_under_the_coordinators_policy(
         self, registry, infrastructure, drivers, two_node_spec
     ):
-        """Regression: ``shutdown`` built a bare engine, so a transient
-        ``stop`` fault the deploy's policy would have retried raised."""
+        """Regression: shutting a fleet down ran on a bare engine, so a
+        transient ``stop`` fault the deploy's policy would have retried
+        raised.  ``coordinator.engine`` is the engine with that policy."""
         from repro.drivers import INACTIVE
         from repro.runtime import RetryPolicy
         from repro.sim import FaultPlan
@@ -276,7 +280,7 @@ class TestMasterCoordinator:
         deployment = coordinator.deploy(two_node_spec)
         plan = FaultPlan().on("driver:tomcat:stop", times=1)
         infrastructure.set_fault_plan(plan)
-        coordinator.shutdown(deployment)
+        coordinator.engine.shutdown(deployment)
         assert len(plan.records) == 1
         assert set(deployment.states().values()) == {INACTIVE}
 
@@ -402,18 +406,19 @@ class TestWaveFailureKeepsSiblings:
         failure = exc_info.value
         assert failure.failed_machine == "appnode"
         assert failure.unstarted == []
-        # Wave 1's slave survived intact: its journal is complete and
-        # its system is still in the fleet view.
-        deployment = failure.deployment
-        assert "dbnode" in deployment.slaves
-        assert deployment.slaves["dbnode"].journal.is_complete()
-        assert deployment.states()["db"] == "active"
-        # The failing slave's partial frontier is there too, so a
+        # Wave 1's slave survived intact in the fleet view...
+        system = failure.system
+        assert system.spec is two_node_spec
+        assert system.journal is failure.journal
+        assert system.state_of("db") == "active"
+        assert "db" in failure.completed
+        # ...and the failing slave's partial frontier is there too, so a
         # resume can pick up exactly where the fleet stopped.
-        assert "appnode" in deployment.slaves
-        merged = deployment.merged_journal()
-        ids = {entry.instance_id for entry in merged.entries}
+        ids = {entry.instance_id for entry in failure.journal.entries}
         assert "db" in ids and "openmrs" not in ids
+        assert "openmrs" in failure.failed
+        infrastructure.set_fault_plan(None)
+        assert coordinator.engine.resume(failure.journal).is_deployed()
 
     def test_wave_one_failure_reports_unstarted_machines(
         self, registry, infrastructure, drivers, two_node_spec
@@ -431,3 +436,10 @@ class TestWaveFailureKeepsSiblings:
         failure = exc_info.value
         assert failure.failed_machine == "dbnode"
         assert failure.unstarted == ["appnode"]
+        # The partitions speak about the fleet: nothing on the machine
+        # that never started is missing from them.
+        assert (
+            failure.completed | failure.failed | failure.skipped
+            == set(two_node_spec.ids())
+        )
+        assert {"appnode", "tomcat", "openmrs"} <= failure.skipped

@@ -23,20 +23,23 @@ from repro.library import (
     standard_infrastructure,
     standard_registry,
 )
+from repro.library.fleet import FleetTopology, fleet_partial
 from repro.runtime import (
     BusChaos,
     BusCoordinator,
     DeploymentEngine,
     DeploymentJournal,
-    MultiHostDeployment,
-    MultiHostReport,
+    ReconcileController,
+    canonical_journal,
     deployment_fingerprint,
-    machine_waves,
+    execute_delta,
+    plan_delta,
     provision_partial_spec,
     split_spec,
+    world_fingerprint,
 )
-from repro.runtime.coordinator import install_agent
-from repro.sim.faults import LinkFaultPlan
+from repro.runtime.coordinator import AGENT_PACKAGE, install_agent
+from repro.sim.faults import LinkFaultPlan, MachineChurn
 
 FAILOVER_SEEDS = range(100)
 PARTITION_SEEDS = range(50)
@@ -137,29 +140,23 @@ def assert_converged(registry, spec, baseline_fp, *, chaos, seed):
     assert (
         deployment_fingerprint(infrastructure, deployment) == baseline_fp
     ), f"seed {seed} diverged from the unfaulted run"
-    # The merged journal must survive the strict round-trip validation
+    # The fleet journal must survive the strict round-trip validation
     # (chained per-instance entries, disjoint partitions): double
     # applies would break the chains.
-    merged = deployment.merged_journal()
-    DeploymentJournal.from_payload(deployment.spec, merged.to_payload())
-    assert merged.is_complete()
+    journal = deployment.journal
+    DeploymentJournal.from_payload(deployment.spec, journal.to_payload())
+    assert journal.is_complete()
     return deployment
 
 
 def direct_deploy(registry, infrastructure, spec):
     """The reference the bus is measured against: no bus at all, one
-    in-process engine call per machine, wave by wave."""
-    per_node = split_spec(spec)
-    waves = machine_waves(spec)
-    slaves = {}
-    for wave in waves:
-        for machine_id in wave:
-            engine = DeploymentEngine(
-                registry, infrastructure, standard_drivers()
-            )
-            install_agent(engine, per_node[machine_id], [])
-            slaves[machine_id] = engine.deploy(per_node[machine_id])
-    return MultiHostDeployment(spec, slaves, MultiHostReport(waves=waves))
+    in-process call on the whole spec -- plus the agent package, which
+    is the one thing a slave puts on a host that the engine does not."""
+    engine = DeploymentEngine(registry, infrastructure, standard_drivers())
+    system = engine.deploy(spec)
+    install_agent(engine, spec, [])
+    return system
 
 
 class TestBusMatchesDirect:
@@ -189,10 +186,91 @@ class TestBusMatchesDirect:
     ):
         _, deployment = bus_deploy(chaos_registry, two_node)
         report = deployment.report
-        assert report.work_executions == len(deployment.slaves)
+        assert report.work_executions == len(split_spec(two_node))
         assert report.work_resumes == 0
         assert report.retransmits == 0
         assert report.masters == ["master"]
+
+
+#: machines -> (the fleet deployed, the fleet it grows into on day 2):
+#: the three fleets ``tests/test_bus_schedule.py`` pins schedules on.
+DAY_TWO_FLEETS = {
+    4: (FleetTopology(replicas=12, machines=4),
+        FleetTopology(replicas=14, machines=4)),
+    12: (FleetTopology(replicas=40, machines=12),
+         FleetTopology(replicas=43, machines=12)),
+    32: (FleetTopology(replicas=104, machines=32),
+         FleetTopology(replicas=108, machines=32)),
+}
+
+
+def installed_packages(infrastructure):
+    return {
+        machine.hostname: {
+            package.name
+            for package in infrastructure.package_manager(machine).installed()
+        }
+        for machine in infrastructure.network.machines()
+    }
+
+
+def assert_direct_call_is_a_fault_free_bus(registry, machines):
+    """ROADMAP aim 2's "direct call = fault-free bus", executable: a
+    clean bus deploy and ``DeploymentEngine.deploy`` produce the same
+    system, and the same day 2 runs on either with no conversion."""
+    topology, grown = DAY_TWO_FLEETS[machines]
+    configure = ConfigurationEngine(registry, partition=True).configure
+    spec = configure(fleet_partial(topology)).spec
+    new_spec = configure(fleet_partial(grown)).spec
+
+    bus_world = standard_infrastructure()
+    coordinator = BusCoordinator(registry, bus_world, standard_drivers())
+    over_bus = coordinator.deploy(spec)
+
+    direct_world = standard_infrastructure()
+    engine = DeploymentEngine(registry, direct_world, standard_drivers())
+    direct = engine.deploy(spec)
+
+    assert over_bus.is_deployed() and over_bus.spec is spec
+    assert over_bus.states() == direct.states()
+    assert canonical_journal(over_bus.journal) == \
+        canonical_journal(direct.journal)
+    # The worlds differ by exactly the agent package on every host...
+    on_bus, on_direct = (
+        installed_packages(world) for world in (bus_world, direct_world)
+    )
+    assert on_bus.keys() == on_direct.keys() and len(on_bus) == machines
+    for hostname, packages in on_bus.items():
+        assert packages - on_direct[hostname] == {AGENT_PACKAGE[0]}
+        assert on_direct[hostname] <= packages
+    # ...and by nothing else.
+    install_agent(engine, spec, [])
+    assert world_fingerprint(bus_world) == world_fingerprint(direct_world)
+
+    fingerprints = []
+    for world, runner, system in (
+        (bus_world, coordinator.engine, over_bus),
+        (direct_world, engine, direct),
+    ):
+        delta = plan_delta(system, new_spec)
+        assert 0 < len(delta) < len(new_spec)
+        system = execute_delta(runner, system, delta).system
+        result = ReconcileController(runner, system).run(
+            rounds=2, churn=MachineChurn(system, seed=machines, rate=0.2),
+        )
+        assert result.converged and system.is_deployed()
+        fingerprints.append(deployment_fingerprint(world, system))
+    assert fingerprints[0] == fingerprints[1]
+
+
+class TestDirectCallIsAFaultFreeBus:
+    @pytest.mark.parametrize("machines", [4, 12])
+    def test_same_system_and_same_day_two(self, chaos_registry, machines):
+        assert_direct_call_is_a_fault_free_bus(chaos_registry, machines)
+
+    @pytest.mark.fuzz
+    def test_same_system_and_same_day_two_32_machines(self, chaos_registry):
+        assert_direct_call_is_a_fault_free_bus(chaos_registry, 32)
 
 
 class TestPartitionSmoke:
@@ -221,7 +299,7 @@ class TestPartitionSmoke:
         assert report.retransmits > 0
         # Exactly-once effect: each machine's deploy ran once, no matter
         # how many work copies eventually arrived.
-        assert report.work_executions == len(deployment.slaves)
+        assert report.work_executions == len(split_spec(two_node))
         assert report.work_resumes == 0
         assert (
             deployment_fingerprint(infrastructure, deployment) == baseline
@@ -268,7 +346,7 @@ class TestSlaveCrashSmoke:
         # dbnode: one aborted execution + one resume; appnode: one.
         assert report.work_executions == 2
         assert report.work_resumes == 1
-        journal = deployment.slaves["dbnode"].journal
+        journal = deployment.journal
         # The resumed journal kept the pre-crash entries: entry chains
         # validate and nothing was journalled twice.
         DeploymentJournal.from_payload(journal.spec, journal.to_payload())
@@ -300,7 +378,7 @@ class TestMasterFailoverSmoke:
         )
         report = deployment.report
         assert report.masters == ["master", "master-2"]
-        assert report.work_executions == len(deployment.slaves)
+        assert report.work_executions == len(split_spec(two_node))
         assert report.work_resumes == 0
         assert report.crashes == 0
         assert (
@@ -311,14 +389,16 @@ class TestMasterFailoverSmoke:
         """Same seed, same chaos: the delivery logs match byte for
         byte (the determinism the corpus rests on)."""
         def run():
-            return bus_deploy(
-                chaos_registry, two_node,
-                chaos=failover_chaos(3),
-                faults=LinkFaultPlan(3, drop=0.1, duplicate=0.1,
-                                     jitter=1.0),
-            )[1]
+            coordinator = BusCoordinator(
+                chaos_registry, standard_infrastructure(),
+                standard_drivers(),
+                link_faults=LinkFaultPlan(3, drop=0.1, duplicate=0.1,
+                                          jitter=1.0),
+            )
+            coordinator.deploy(two_node, chaos=failover_chaos(3))
+            return coordinator.bus.delivery_log()
 
-        assert run().bus.delivery_log() == run().bus.delivery_log()
+        assert run() == run()
 
 
 @pytest.mark.fuzz

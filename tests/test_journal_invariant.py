@@ -7,7 +7,9 @@ through the state file -- the journal's frontier must equal the live
 driver states and ``completed`` must be exactly the instances at the
 journal's target.  A teardown that a fault stops half-way must hand
 back one record (``failure.system.journal is failure.journal``) that
-still loads and resumes.  Hypothesis searches step sequences for one
+still loads and resumes.  And the journal is enough to get the system
+back: ``engine.adopt(system.journal)`` is the live system again, same
+states, same processes.  Hypothesis searches step sequences for one
 that leaves the record stale; a resume from a stale record adopts a
 world that does not exist.
 """
@@ -43,7 +45,7 @@ MACHINES = 3
 REPLICAS = (2, 5)  # the deltas walk between these bounds, one at a time
 STEPS = (
     "shutdown", "start", "drive_down", "restart", "kill_process",
-    "lose_machine", "delta", "save_load", "faulted_teardown",
+    "lose_machine", "delta", "save_load", "faulted_teardown", "adopt",
 )
 #: A step and the seed its own random choices are drawn from.
 STEP_LISTS = st.lists(
@@ -148,6 +150,16 @@ class Fleet:
             save_system(self.system),
         )
 
+    def adopt(self, rng) -> None:
+        """Back from the journal alone; the steps after this one run on
+        what came back."""
+        adopted = self.engine.adopt(self.system.journal)
+        assert adopted.states() == self.system.states()
+        for instance_id, driver in self.system.drivers.items():
+            if isinstance(driver, ServiceDriver) and driver.state == "active":
+                assert adopted.drivers[instance_id].process is driver.process
+        self.system = adopted
+
     # -- The invariant ---------------------------------------------------
 
     def check_round_trip(self) -> None:
@@ -184,6 +196,10 @@ def run_steps(steps) -> None:
             # Whatever failed, the pieces it hands back are one record;
             # it still loads, and resuming from it lands on a true one.
             assert failure.system.journal is failure.journal, name
+            # ...from which the journal alone gets the same system back,
+            # a delta stopped mid-way through its down phase included.
+            adopted = fleet.engine.adopt(failure.journal)
+            assert adopted.states() == failure.system.states(), name
             fleet.system = failure.system
             fleet.check_round_trip()
             fleet.system = fleet.engine.resume(failure.journal)
@@ -195,6 +211,12 @@ def run_steps(steps) -> None:
 @given(STEP_LISTS)
 def test_frontier_follows_every_pass(steps):
     run_steps(steps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(STEP_LISTS)
+def test_adopt_gets_the_system_back_after_any_sequence(steps):
+    run_steps(steps + [("adopt", 0)])
 
 
 @pytest.mark.fuzz

@@ -286,7 +286,7 @@ class TestEngineIsTheExecutionContext:
         engine_methods = [
             getattr(DeploymentEngine, name)
             for name in (
-                "deploy", "resume", "_drive", "_drive_instance",
+                "deploy", "adopt", "resume", "_drive", "_drive_instance",
                 "_perform_with_retry", "drive_instances", "drive_down",
                 "restart_instances", "shutdown", "start", "uninstall",
             )
@@ -294,9 +294,10 @@ class TestEngineIsTheExecutionContext:
         for function in engine_methods + [
             scheduler.execute_serial, scheduler.DagScheduler,
             execute_plan, ReconcileController, execute_delta,
-            delta._down_phase, delta.complete_down_phase, UpgradeEngine,
+            delta.finish_down_phase, UpgradeEngine,
             coordinator._SlaveEngine._perform_with_retry,
-            BusCoordinator.deploy, cli._deploy_over_bus,
+            coordinator.SlaveAgent, BusCoordinator.deploy,
+            cli._run_deployment, cli._bus_coordinator_from_args,
         ]:
             parameters = inspect.signature(function).parameters
             assert not set(SETTINGS) & set(parameters), function

@@ -101,10 +101,9 @@ class TestDeployment:
     ):
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         deployment = coordinator.deploy(three_tier)
-        # One monitor per slave system; fail the db and restart it.
-        db_system = deployment.slaves["dbnode"]
-        monitor = ProcessMonitor(db_system)
-        db_system.driver("db").process.fail()
+        # One monitor over the whole fleet; fail the db and restart it.
+        monitor = ProcessMonitor(deployment)
+        deployment.driver("db").process.fail()
         events = monitor.poll()
         assert [e.instance_id for e in events] == ["db"]
         assert infrastructure.network.can_connect("db", 3306)
