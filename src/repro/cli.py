@@ -26,6 +26,7 @@ from typing import Optional, Sequence, TextIO
 
 from repro.core import ResourceTypeRegistry, check_registry
 from repro.core.errors import EngageError
+from repro.core.jsontext import indented
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
@@ -111,11 +112,8 @@ def _run_stats(path: str, result) -> dict:
 
 
 def _write_stats_json(path: str, runs: list, out: TextIO) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"runs": runs}, handle, indent=1)
-        handle.write("\n")
+        handle.write(indented({"runs": runs}, 1) + "\n")
     out.write(f"stats written to {path} ({len(runs)} run(s))\n")
 
 
@@ -296,8 +294,6 @@ def _save_bundle(path: str, registry, infrastructure, system) -> None:
     """Persist world + deployment state (journal included, so every
     bundle is resumable with ``engage-sim deploy --resume``) + resource
     types in one file."""
-    import json
-
     from repro.dsl import format_module
     from repro.runtime import system_payload
     from repro.sim import world_payload
@@ -309,8 +305,7 @@ def _save_bundle(path: str, registry, infrastructure, system) -> None:
         "state": system_payload(system),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bundle, handle, indent=1)
-        handle.write("\n")
+        handle.write(indented(bundle, 1) + "\n")
 
 
 def _load_bundle(path: str):
@@ -348,8 +343,6 @@ def _load_bundle(path: str):
 def cmd_status(args, out: TextIO) -> int:
     _, infrastructure, _, system = _load_bundle(args.bundle)
     if getattr(args, "json", False):
-        import json
-
         from repro.runtime import detect_drift
 
         journal = system.journal
@@ -370,7 +363,7 @@ def cmd_status(args, out: TextIO) -> int:
                 "diff": journal.diff(system.spec).to_payload(),
             },
         }
-        out.write(json.dumps(payload, indent=1) + "\n")
+        out.write(indented(payload, 1) + "\n")
         return 0 if drift.is_converged else 1
     out.write(system.describe() + "\n")
     out.write(
@@ -446,8 +439,6 @@ def cmd_upgrade(args, out: TextIO) -> int:
 def cmd_plan(args, out: TextIO) -> int:
     """Dry-run a delta transition: print the plan as JSON, touch
     nothing."""
-    import json
-
     from repro.runtime import plan_delta
 
     registry, infrastructure, _, system = _load_bundle(args.bundle)
@@ -457,7 +448,7 @@ def cmd_plan(args, out: TextIO) -> int:
     delta = plan_delta(system, new_spec)
     payload = delta.to_payload()
     payload["bundle"] = args.bundle
-    text = json.dumps(payload, indent=1) + "\n"
+    text = indented(payload, 1) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -511,8 +502,6 @@ def cmd_watch(args, out: TextIO) -> int:
 
 def cmd_reconcile(args, out: TextIO) -> int:
     """Run the autonomic reconcile loop against a saved deployment."""
-    import json
-
     from repro.runtime import ReconcileController
     from repro.sim import MachineChurn
 
@@ -557,7 +546,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
             f"{result.rounds_with_drift} drifted round(s)\n"
         )
     if args.json:
-        out.write(json.dumps(result.to_payload(), indent=1) + "\n")
+        out.write(indented(result.to_payload(), 1) + "\n")
     _finish_trace(args, tracer, out)
     if result.converged:
         _save_bundle(args.bundle, registry, infrastructure, system)
@@ -908,7 +897,7 @@ def cmd_trace(args, out: TextIO) -> int:
     import json
 
     from repro.obs import (
-        chrome_trace,
+        chrome_trace_json,
         trace_from_clock_events,
         validate_chrome_trace,
     )
@@ -945,15 +934,15 @@ def cmd_trace(args, out: TextIO) -> int:
         journal_entries=system.journal.entries,
         lane_of=host_of,
     )
-    payload = chrome_trace(events, metadata={"bundle": args.bundle})
+    text = chrome_trace_json(events, metadata={"bundle": args.bundle})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=1) + "\n")
+            handle.write(text)
         out.write(
             f"trace written to {args.output} ({len(events)} events)\n"
         )
     else:
-        out.write(json.dumps(payload, indent=1) + "\n")
+        out.write(text)
     return 0
 
 

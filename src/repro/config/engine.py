@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import ConfigurationError, UnsatisfiableError
 from repro.core.instances import (
     InstallSpec,
@@ -409,6 +410,7 @@ class ConfigurationEngine:
     def __exit__(self, *_exc) -> None:
         return None
 
+    @collector_paused
     def configure(
         self,
         partial: PartialInstallSpec,

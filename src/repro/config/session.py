@@ -58,6 +58,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import ConfigurationError
 from repro.core.instances import InstallSpec, PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
@@ -253,6 +254,7 @@ class ConfigurationSession:
 
     # -- The pipeline ---------------------------------------------------
 
+    @collector_paused
     def configure(
         self,
         partial: PartialInstallSpec,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Optional
 
 from repro.core.errors import ResourceModelError
@@ -66,10 +66,17 @@ class Version:
         return not self.parts
 
     def __str__(self) -> str:
-        return ".".join(str(p) for p in self.parts)
+        return _dotted(self.parts)
 
     def __repr__(self) -> str:
         return f"Version({self})"
+
+
+@lru_cache(maxsize=4096)
+def _dotted(parts: tuple[int, ...]) -> str:
+    # Memoised by value, not on the (many) Version objects: a fleet's
+    # documents print the same few versions tens of thousands of times.
+    return ".".join(str(p) for p in parts)
 
 
 #: The version of "unversioned" keys (abstract types such as ``Server``).

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.core.errors import SimulationError
+from repro.core.jsontext import indented
 from repro.sim.filesystem import VirtualFilesystem
 
 APPLIED_TABLE = "_applied_migrations"
@@ -187,7 +188,7 @@ class Migration:
 
 
 def migrations_to_json(migrations: Sequence[Migration]) -> str:
-    return json.dumps([m.to_json() for m in migrations], indent=1)
+    return indented([m.to_json() for m in migrations], 1)
 
 
 def migrations_from_json(text: str) -> list[Migration]:

@@ -18,6 +18,7 @@ from repro.drivers.state_machine import (
     StateMachineSpec,
     machine_state_machine,
     package_state_machine,
+    service_state_machine,
 )
 from repro.sim.network import ConnectionRefused
 from repro.sim.process import SimProcess
@@ -135,8 +136,6 @@ class ServiceDriver(PackageDriver):
         self._process: Optional[SimProcess] = None
 
     def state_machine(self) -> StateMachineSpec:
-        from repro.drivers.state_machine import service_state_machine
-
         return service_state_machine()  # Figure 3, including restart
 
     # -- Overridables ------------------------------------------------------

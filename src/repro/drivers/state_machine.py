@@ -22,9 +22,10 @@ Figure 3's Tomcat machine is :func:`service_state_machine`:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from repro.core.errors import DriverError
 
@@ -106,7 +107,15 @@ class Transition:
 
 
 class StateMachineSpec:
-    """The set of states and guarded transitions of one driver."""
+    """The set of states and guarded transitions of one driver.
+
+    Immutable -- ``states`` is a frozenset, the transitions a tuple, and
+    assigning any attribute raises -- because every driver of one kind
+    shares the one spec its lifecycle function returns.  Shortest paths
+    are memoised on it: the engine asks each driver for the same few.
+    """
+
+    __slots__ = ("_transitions", "initial", "states", "_by_pair", "_paths")
 
     def __init__(
         self,
@@ -114,24 +123,35 @@ class StateMachineSpec:
         *,
         initial: str = UNINSTALLED,
     ) -> None:
-        self._transitions = list(transitions)
-        self.initial = initial
-        self.states: set[str] = set(BASIC_STATES)
-        for transition in self._transitions:
-            self.states.add(transition.source)
-            self.states.add(transition.target)
-        if initial not in self.states:
+        transitions = tuple(transitions)
+        states = set(BASIC_STATES)
+        for transition in transitions:
+            states.add(transition.source)
+            states.add(transition.target)
+        if initial not in states:
             raise DriverError(f"initial state {initial!r} has no transitions")
         # Reject nondeterminism: (state, action) picks one transition.
-        seen: set[tuple[str, str]] = set()
-        for transition in self._transitions:
+        by_pair: dict[tuple[str, str], Transition] = {}
+        for transition in transitions:
             pair = (transition.source, transition.action)
-            if pair in seen:
+            if pair in by_pair:
                 raise DriverError(
                     f"duplicate transition {transition.action!r} from "
                     f"{transition.source!r}"
                 )
-            seen.add(pair)
+            by_pair[pair] = transition
+        for name, value in (
+            ("_transitions", transitions), ("initial", initial),
+            ("states", frozenset(states)), ("_by_pair", by_pair),
+            ("_paths", {}),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"StateMachineSpec is immutable: {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"StateMachineSpec is immutable: {name!r}")
 
     def transitions(self) -> list[Transition]:
         return list(self._transitions)
@@ -140,34 +160,39 @@ class StateMachineSpec:
         return [t for t in self._transitions if t.source == state]
 
     def find(self, state: str, action: str) -> Transition:
-        for transition in self._transitions:
-            if transition.source == state and transition.action == action:
-                return transition
-        raise DriverError(
-            f"no transition {action!r} from state {state!r}"
-        )
+        transition = self._by_pair.get((state, action))
+        if transition is None:
+            raise DriverError(
+                f"no transition {action!r} from state {state!r}"
+            )
+        return transition
 
     def has(self, state: str, action: str) -> bool:
-        return any(
-            t.source == state and t.action == action for t in self._transitions
-        )
+        return (state, action) in self._by_pair
 
     def path_to(self, source: str, target: str) -> list[Transition]:
         """A shortest action sequence from ``source`` to ``target``.
 
         Used by the deployment engine to plan how to drive an instance to
-        ``active`` (or back).  BFS over the transition relation.
+        ``active`` (or back).  BFS over the transition relation, once
+        per (source, target).
         """
+        path = self._paths.get((source, target))
+        if path is None:
+            path = self._paths[source, target] = self._search(source, target)
+        return list(path)
+
+    def _search(self, source: str, target: str) -> tuple[Transition, ...]:
         if source == target:
-            return []
-        frontier: list[tuple[str, list[Transition]]] = [(source, [])]
+            return ()
+        frontier: list[tuple[str, tuple[Transition, ...]]] = [(source, ())]
         visited = {source}
         while frontier:
             state, path = frontier.pop(0)
             for transition in self.transitions_from(state):
                 if transition.target in visited:
                     continue
-                extended = path + [transition]
+                extended = path + (transition,)
                 if transition.target == target:
                     return extended
                 visited.add(transition.target)
@@ -175,6 +200,11 @@ class StateMachineSpec:
         raise DriverError(f"no path from {source!r} to {target!r}")
 
 
+# One spec per driver kind, built on first use: every driver of the kind
+# points at it (ResourceDriver.__init__ asks state_machine() per driver).
+
+
+@functools.cache
 def service_state_machine() -> StateMachineSpec:
     """Figure 3: the lifecycle of a long-running service."""
     return StateMachineSpec(
@@ -188,6 +218,7 @@ def service_state_machine() -> StateMachineSpec:
     )
 
 
+@functools.cache
 def package_state_machine() -> StateMachineSpec:
     """A passive package (library, archive): no daemon, so activation is
     immediate -- but still requires upstream components active, keeping
@@ -202,6 +233,7 @@ def package_state_machine() -> StateMachineSpec:
     )
 
 
+@functools.cache
 def machine_state_machine() -> StateMachineSpec:
     """A machine: installation is provisioning, performed before
     deployment, so install/start are unguarded no-op bookkeeping."""

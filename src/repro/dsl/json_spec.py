@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.core.collector import collector_paused
 from repro.core.errors import SpecError
 from repro.core.instances import (
     DependencyLink,
@@ -31,6 +32,7 @@ from repro.core.instances import (
     PartialInstance,
     ResourceInstance,
 )
+from repro.core.jsontext import indented
 from repro.core.keys import ResourceKey
 
 
@@ -50,7 +52,7 @@ def partial_to_json(spec: PartialInstallSpec) -> str:
         if instance.config:
             entry["config_port"] = dict(sorted(instance.config.items()))
         entries.append(entry)
-    return json.dumps(entries, indent=2, sort_keys=False) + "\n"
+    return indented(entries, 2) + "\n"
 
 
 def partial_from_json(text: str) -> PartialInstallSpec:
@@ -137,9 +139,10 @@ def full_to_payload(spec: InstallSpec) -> list[dict[str, Any]]:
     return entries
 
 
+@collector_paused
 def full_to_json(spec: InstallSpec) -> str:
     """Serialise a full installation specification."""
-    return json.dumps(full_to_payload(spec), indent=2) + "\n"
+    return indented(full_to_payload(spec), 2) + "\n"
 
 
 def full_from_json(text: str) -> InstallSpec:

@@ -20,9 +20,9 @@ file after the fact.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.core.jsontext import indented
 from repro.obs.tracer import INSTANT, SPAN, TraceEvent, Tracer
 
 #: The single simulated process all lanes belong to.
@@ -91,7 +91,7 @@ def chrome_trace_json(
     *,
     metadata: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    return json.dumps(chrome_trace(source, metadata=metadata), indent=1) + "\n"
+    return indented(chrome_trace(source, metadata=metadata), 1) + "\n"
 
 
 def write_trace(

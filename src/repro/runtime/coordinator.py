@@ -45,6 +45,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import (
     DeploymentError,
     DeploymentFailure,
@@ -844,6 +845,7 @@ class BusCoordinator:
         self.retransmit_after = retransmit_after
         self.max_sim_seconds = max_sim_seconds
 
+    @collector_paused
     def deploy(
         self,
         spec: InstallSpec,

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import DeploymentFailure, RuntimeEngageError
 from repro.core.instances import InstallSpec
 from repro.drivers.state_machine import ACTIVE
@@ -466,6 +467,7 @@ def _carry_over(
     )
 
 
+@collector_paused
 def execute_delta(
     engine: DeploymentEngine,
     system: DeployedSystem,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import (
     ActionTimeout,
     DeploymentError,
@@ -311,6 +312,7 @@ class DeploymentEngine:
         system.journal = journal
         return system
 
+    @collector_paused
     def resume(self, journal: DeploymentJournal) -> DeployedSystem:
         """Finish an interrupted deployment from its journal.
 

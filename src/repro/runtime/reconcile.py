@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import (
     ConfigurationError,
     DeploymentError,
@@ -664,6 +665,7 @@ class ReconcileController:
 
     # -- The loop --------------------------------------------------------
 
+    @collector_paused
     def run(self, *, rounds: int = 1, churn=None) -> ReconcileResult:
         """Run ``rounds`` polls, ``interval`` simulated seconds apart.
 

@@ -25,7 +25,9 @@ import json
 from functools import partial
 from typing import Any, Optional
 
+from repro.core.collector import collector_paused
 from repro.core.errors import RuntimeEngageError, document_section
+from repro.core.jsontext import indented
 from repro.core.registry import ResourceTypeRegistry
 from repro.drivers.base import DriverRegistry
 from repro.drivers.library import ServiceDriver
@@ -56,6 +58,7 @@ def system_payload(system: DeployedSystem) -> dict[str, Any]:
     }
 
 
+@collector_paused
 def save_system(
     system: DeployedSystem,
     journal: Optional[DeploymentJournal] = None,
@@ -70,7 +73,7 @@ def save_system(
             "save_system persists system.journal; the journal passed is "
             "not the system's"
         )
-    return json.dumps(system_payload(system), indent=2) + "\n"
+    return indented(system_payload(system), 2) + "\n"
 
 
 def adopt_states(system: DeployedSystem, states: dict[str, str]) -> None:

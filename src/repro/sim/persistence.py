@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.core.collector import collector_paused
 from repro.core.errors import SimulationError, document_section
+from repro.core.jsontext import indented
 from repro.sim.clock import ClockEvent
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
@@ -74,9 +76,10 @@ def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
     }
 
 
+@collector_paused
 def save_world(infrastructure: Infrastructure) -> str:
     """Serialise the whole simulation world to JSON."""
-    return json.dumps(world_payload(infrastructure), indent=1) + "\n"
+    return indented(world_payload(infrastructure), 1) + "\n"
 
 
 def _artifacts(infrastructure: Infrastructure) -> list[PackageArtifact]:

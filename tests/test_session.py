@@ -579,6 +579,34 @@ class TestComponentReuse:
             session.configure(django_fleet(69)).spec
         ) == full_to_json(expected.spec)
 
+    @pytest.mark.parametrize("max_entries", [1, 1024])
+    def test_walk_does_not_depend_on_collector_timing(self, max_entries):
+        # configure runs with the collector paused, so an evicted entry
+        # must die by reference counting: one kept alive by a cycle
+        # until some later collection would be reused or not depending
+        # on when that collection ran.
+        def walk():
+            session = ConfigurationSession(
+                standard_registry(), partition=True, verify_registry=False,
+                max_entries=max_entries,
+            )
+            counts = []
+            for replicas in (64, 65, 67, 72, 69):
+                if gc.isenabled():
+                    gc.collect()
+                cache = session.configure(django_fleet(replicas)).cache
+                counts.append((cache.solvers_built, cache.components_reused))
+            return counts
+
+        gc.disable()
+        try:
+            paused = walk()
+        finally:
+            gc.enable()
+        assert paused == walk()
+        if max_entries > 1:
+            assert paused == [(8, 0), (1, 7), (2, 6), (5, 3), (0, 8)]
+
     def test_trace_says_how_much_of_a_new_spec_was_kept(self):
         tracer = Tracer()
         session = ConfigurationSession(

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.config import ConfigurationEngine
+from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import DriverError
 from repro.drivers import (
     ACTIVE,
     INACTIVE,
     UNINSTALLED,
+    ResourceDriver,
     StateMachineSpec,
     Transition,
     down,
@@ -15,6 +18,12 @@ from repro.drivers import (
     service_state_machine,
     up,
 )
+from repro.library import (
+    standard_drivers,
+    standard_infrastructure,
+    standard_registry,
+)
+from repro.runtime import DeploymentEngine
 
 
 class TestGuardAtoms:
@@ -135,3 +144,92 @@ class TestFactories:
     def test_machine_start_unguarded(self):
         spec = machine_state_machine()
         assert spec.find(INACTIVE, "start").guard == ()
+
+
+def _drivers(count=3):
+    """A prepared (not deployed) system of one machine running ``count``
+    Gunicorn replicas and what they need."""
+    registry = standard_registry()
+    entries = [PartialInstance("server", as_key("Ubuntu-Linux 10.4"),
+                               config={"hostname": "h"})]
+    for index in range(count):
+        entries.append(PartialInstance(
+            f"web{index}", as_key("Gunicorn 0.13"), inside_id="server",
+            config={"port": 8000 + index},
+        ))
+    spec = ConfigurationEngine(registry).configure(
+        PartialInstallSpec(entries)
+    ).spec
+    return DeploymentEngine(
+        registry, standard_infrastructure(), standard_drivers()
+    ).prepare(spec)
+
+
+class TestSharedLifecycleSpecs:
+    """One spec per driver kind, shared by every driver of the kind."""
+
+    def test_each_kind_returns_one_object(self):
+        for factory in (
+            service_state_machine, package_state_machine,
+            machine_state_machine,
+        ):
+            assert factory() is factory()
+        assert service_state_machine() is not package_state_machine()
+
+    def test_drivers_of_one_kind_share_it(self):
+        system = _drivers()
+        webs = [system.driver(f"web{index}") for index in range(3)]
+        assert webs[0].machine_spec is webs[1].machine_spec
+        assert webs[1].machine_spec is webs[2].machine_spec
+        shared = {
+            id(factory()) for factory in (
+                service_state_machine, package_state_machine,
+                machine_state_machine,
+            )
+        }
+        assert {
+            id(driver.machine_spec) for driver in system.drivers.values()
+        } <= shared
+
+    def test_an_overriding_driver_gets_its_own(self):
+        class Staged(ResourceDriver):
+            def state_machine(self):
+                return StateMachineSpec([
+                    Transition("unpack", UNINSTALLED, "staged"),
+                    Transition("configure", "staged", INACTIVE),
+                    Transition("start", INACTIVE, ACTIVE),
+                ])
+
+        context = _drivers(1).driver("web0").context
+        first, second = Staged(context), Staged(context)
+        assert first.machine_spec is not second.machine_spec
+        assert first.machine_spec is not service_state_machine()
+        assert [t.action for t in first.machine_spec.path_to(
+            UNINSTALLED, ACTIVE
+        )] == ["unpack", "configure", "start"]
+
+    def test_a_shared_spec_cannot_be_mutated(self):
+        spec = service_state_machine()
+        for name, value in (
+            ("initial", ACTIVE), ("states", set()), ("_transitions", []),
+            ("anything", 1),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        with pytest.raises(AttributeError):
+            del spec.initial
+        with pytest.raises(AttributeError):
+            spec.states.add("warming_up")
+        assert isinstance(spec.states, frozenset)
+        assert spec.initial == UNINSTALLED
+
+    def test_memoised_paths_are_fresh_lists(self):
+        spec = service_state_machine()
+        path = spec.path_to(UNINSTALLED, ACTIVE)
+        path.append("scribble")
+        assert [t.action for t in spec.path_to(UNINSTALLED, ACTIVE)] == [
+            "install", "start"
+        ]
+        assert spec.path_to(UNINSTALLED, ACTIVE) is not spec.path_to(
+            UNINSTALLED, ACTIVE
+        )
