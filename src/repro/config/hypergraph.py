@@ -86,8 +86,8 @@ class ResourceGraph:
         #: are keyed by an edge's index in this list.
         self._edges_by_source: dict[str, list[HyperEdge]] = {}
         self._ids_by_slug: dict[str, int] = {}
-        #: Insertion-ordered node buckets per exact key, so candidate
-        #: lookups only pay a subtype test per *distinct* key.
+        #: Insertion-ordered node buckets per exact key, so a candidate
+        #: lookup visits the buckets of the wanted key's subtypes only.
         self._nodes_by_key: dict[ResourceKey, list[GraphNode]] = {}
         #: instance id -> machine id.  Inside links are fixed at node
         #: creation, so the walk result never changes.
@@ -149,9 +149,15 @@ class ResourceGraph:
     def nodes_matching(
         self, registry: ResourceTypeRegistry, key: ResourceKey
     ) -> Iterable[GraphNode]:
-        """All nodes whose key subtypes ``key``, via the per-key index."""
-        for node_key, bucket in self._nodes_by_key.items():
-            if registry.is_subtype(node_key, key):
+        """All nodes whose key subtypes ``key``, via the per-key index.
+
+        Buckets come in the subtype set's order, which is not insertion
+        order: callers rank candidates by a total order of their own.
+        """
+        nodes_by_key = self._nodes_by_key
+        for node_key in registry.subtypes(key):
+            bucket = nodes_by_key.get(node_key)
+            if bucket:
                 yield from bucket
 
     def nodes_matching_on(
@@ -172,11 +178,10 @@ class ResourceGraph:
             self._machine_buckets.setdefault(
                 (machine, node.key), []
             ).append(node)
-        for node_key in self._nodes_by_key:
-            if registry.is_subtype(node_key, key):
-                bucket = self._machine_buckets.get((machine_id, node_key))
-                if bucket:
-                    yield from bucket
+        for node_key in registry.subtypes(key):
+            bucket = self._machine_buckets.get((machine_id, node_key))
+            if bucket:
+                yield from bucket
 
     # -- Machine context ------------------------------------------------------
 
@@ -435,7 +440,12 @@ def _find_existing(
     instances -- the paper's conservative placement rule, and what keeps
     per-replica pinned services attached to their own machine group in
     fleet topologies.  The depending node itself is excluded -- a
-    resource cannot satisfy its own dependency."""
+    resource cannot satisfy its own dependency.
+
+    Every rank ends in the instance id, which is unique, so the ranks
+    are a strict total order and the pick does not depend on the order
+    in which the candidates arrive (and Lemma 1's ids are the same
+    whatever order the subtype set iterates in)."""
     best: Optional[GraphNode] = None
     if machine_id is not None:
         # Same-machine requirement: only this machine's bucket can match,

@@ -11,11 +11,15 @@ Static ports (S3.4) are handled in a pre-pass: static output values are
 computable at instantiation time (constants or functions of static config
 constants), which is what lets reverse mappings flow configuration
 *against* the dependency direction without breaking the topological walk.
+
+What propagation needs to know about a resource type does not depend on
+the instance, so it is gathered once per key into a :class:`TypePlan`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 from repro.core.errors import ConfigurationError, PortTypeError
 from repro.core.instances import (
@@ -23,13 +27,71 @@ from repro.core.instances import (
     InstallSpec,
     InstanceRef,
     ResourceInstance,
+    kahn_order,
 )
-from repro.core.ports import Binding, neutral_value
+from repro.core.keys import ResourceKey
+from repro.core.ports import Binding, Port, neutral_value
 from repro.core.registry import ResourceTypeRegistry
-from repro.core.resource_type import DependencyKind, ResourceType
-from repro.core.values import PortEnv, Space
-from repro.core.wellformed import collect_reverse_targets, is_reverse_target
-from repro.config.hypergraph import GraphNode, HyperEdge, ResourceGraph
+from repro.core.resource_type import (
+    ConfigPort,
+    DependencyKind,
+    OutputPort,
+    ResourceType,
+)
+from repro.core.values import PortEnv
+from repro.core.wellformed import reverse_fillable_inputs
+from repro.config.hypergraph import ResourceGraph
+
+
+@dataclass(frozen=True)
+class TypePlan:
+    """The facts about one resource type that propagation reads for
+    every instance of it."""
+
+    #: The flattened type.
+    resource_type: ResourceType
+    #: Static config ports, whose defaults feed the static outputs.
+    static_configs: tuple[ConfigPort, ...]
+    #: Static output ports, evaluated in the pre-pass.
+    static_outputs: tuple[OutputPort, ...]
+    #: Input ports a dependent may reverse-fill, in declaration order;
+    #: any left unfilled take a neutral value.
+    reverse_fillable: tuple[Port, ...]
+    #: Names of the config ports, to validate explicit configuration.
+    config_names: frozenset[str]
+
+
+def type_plan(registry: ResourceTypeRegistry, key: ResourceKey) -> TypePlan:
+    """The :class:`TypePlan` of ``key``, memoised per registry version.
+
+    Built lazily, one key at a time: a registry that changes between
+    calls pays for the keys the next call touches, not for the library.
+    """
+    plans = registry.derived("propagation-plans", lambda _registry: {})
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _build_plan(registry, key)
+    return plan
+
+
+def _build_plan(registry: ResourceTypeRegistry, key: ResourceKey) -> TypePlan:
+    resource_type = registry.effective(key)
+    fillable = reverse_fillable_inputs(registry, key)
+    return TypePlan(
+        resource_type=resource_type,
+        static_configs=tuple(
+            p for p in resource_type.config_ports
+            if p.port.binding == Binding.STATIC
+        ),
+        static_outputs=tuple(
+            p for p in resource_type.output_ports
+            if p.port.binding == Binding.STATIC
+        ),
+        reverse_fillable=tuple(
+            p for p in resource_type.input_ports if p.name in fillable
+        ),
+        config_names=frozenset(p.name for p in resource_type.config_ports),
+    )
 
 
 def propagate(
@@ -44,53 +106,46 @@ def propagate(
     :func:`repro.config.constraints.selected_nodes`.
     """
     links = _build_links(graph, deployed, choices)
-
-    # Skeleton spec used only for ordering.
-    skeleton = InstallSpec(
-        ResourceInstance(
-            id=node_id,
-            key=graph.node(node_id).key,
-            inside=links[node_id]["inside"],
-            environment=tuple(links[node_id]["environment"]),
-            peers=tuple(links[node_id]["peers"]),
-        )
-        for node_id in sorted(deployed)
+    order = kahn_order(
+        {
+            node_id: [link.target.id for link in links[node_id].all_links]
+            for node_id in sorted(deployed)
+        }
     )
-    order = [instance.id for instance in skeleton.topological_order()]
 
     # Pre-pass: static output values, computable at instantiation time.
+    plans: dict[str, TypePlan] = {}
     static_outputs: dict[str, dict[str, Any]] = {}
     for node_id in order:
         node = graph.node(node_id)
-        resource_type = registry.effective(node.key)
+        plans[node_id] = plan = type_plan(registry, node.key)
         static_outputs[node_id] = _evaluate_static_outputs(
-            resource_type, node.explicit_config
+            plan, node.explicit_config
         )
 
     # Reverse mappings: dependents push static outputs into providers.
     reverse_inputs: dict[str, dict[str, Any]] = {n: {} for n in deployed}
     for node_id in deployed:
-        for link in _all_links(links[node_id]):
+        for link in links[node_id].all_links:
             for output_name, input_name in link.reverse_mapping:
                 reverse_inputs[link.target.id][input_name] = (
                     static_outputs[node_id][output_name]
                 )
 
     # Topological pass: inputs <- provider outputs; configs; outputs.
-    reverse_targets = collect_reverse_targets(registry)
     instances: dict[str, ResourceInstance] = {}
     for node_id in order:
         node = graph.node(node_id)
-        resource_type = registry.effective(node.key)
+        plan = plans[node_id]
+        resource_type = plan.resource_type
+        inside, environment, peers, all_links = links[node_id]
         inputs = dict(reverse_inputs[node_id])
         # Reverse-mappable inputs that no dependent filled take a neutral
         # value of their type ("no dependent pushed configuration").
-        for port in resource_type.input_ports:
-            if port.name not in inputs and is_reverse_target(
-                registry, reverse_targets, node.key, port.name
-            ):
+        for port in plan.reverse_fillable:
+            if port.name not in inputs:
                 inputs[port.name] = neutral_value(port.type)
-        for link in _all_links(links[node_id]):
+        for link in all_links:
             provider = instances[link.target.id]
             for output_name, input_name in link.port_mapping:
                 if output_name not in provider.outputs:
@@ -99,7 +154,7 @@ def propagate(
                         f"{output_name!r}"
                     )
                 inputs[input_name] = provider.outputs[output_name]
-        config = _evaluate_configs(resource_type, inputs, node.explicit_config)
+        config = _evaluate_configs(plan, inputs, node.explicit_config)
         outputs = _evaluate_outputs(resource_type, inputs, config)
         _typecheck_values(resource_type, node_id, inputs, config, outputs)
         instances[node_id] = ResourceInstance(
@@ -108,27 +163,35 @@ def propagate(
             config=config,
             inputs=inputs,
             outputs=outputs,
-            inside=links[node_id]["inside"],
-            environment=tuple(links[node_id]["environment"]),
-            peers=tuple(links[node_id]["peers"]),
+            inside=inside,
+            environment=environment,
+            peers=peers,
         )
 
     return InstallSpec(instances[node_id] for node_id in order)
+
+
+class _Links(NamedTuple):
+    """One node's resolved dependency links."""
+
+    inside: Optional[DependencyLink]
+    environment: tuple[DependencyLink, ...]
+    peers: tuple[DependencyLink, ...]
+    #: inside, then environment, then peers: ``ResourceInstance.links()``.
+    all_links: tuple[DependencyLink, ...]
 
 
 def _build_links(
     graph: ResourceGraph,
     deployed: set[str],
     choices: dict[tuple[str, int], str],
-) -> dict[str, dict[str, Any]]:
+) -> dict[str, _Links]:
     """Resolve each deployed node's edges to concrete dependency links."""
-    links: dict[str, dict[str, Any]] = {}
+    links: dict[str, _Links] = {}
     for node_id in deployed:
-        entry: dict[str, Any] = {
-            "inside": None,
-            "environment": [],
-            "peers": [],
-        }
+        inside = None
+        environment: list[DependencyLink] = []
+        peers: list[DependencyLink] = []
         for index, edge in enumerate(graph.edges_from(node_id)):
             target_id = choices[(node_id, index)]
             position = edge.targets.index(target_id)
@@ -140,49 +203,46 @@ def _build_links(
                 reverse_mapping=alternative.reverse_mapping.entries,
             )
             if edge.kind == DependencyKind.INSIDE:
-                entry["inside"] = link
+                inside = link
             elif edge.kind == DependencyKind.ENVIRONMENT:
-                entry["environment"].append(link)
+                environment.append(link)
             else:
-                entry["peers"].append(link)
-        links[node_id] = entry
+                peers.append(link)
+        environment_links, peer_links = tuple(environment), tuple(peers)
+        outgoing = environment_links + peer_links
+        if inside is not None:
+            outgoing = (inside,) + outgoing
+        links[node_id] = _Links(inside, environment_links, peer_links, outgoing)
     return links
 
 
-def _all_links(entry: dict[str, Any]) -> list[DependencyLink]:
-    result: list[DependencyLink] = []
-    if entry["inside"] is not None:
-        result.append(entry["inside"])
-    result.extend(entry["environment"])
-    result.extend(entry["peers"])
-    return result
-
-
 def _evaluate_static_outputs(
-    resource_type: ResourceType, explicit_config: dict[str, Any]
+    plan: TypePlan, explicit_config: dict[str, Any]
 ) -> dict[str, Any]:
+    if not plan.static_configs and not plan.static_outputs:
+        return {}
     static_config: dict[str, Any] = {}
-    for config_port in resource_type.config_ports:
-        if config_port.port.binding == Binding.STATIC:
-            value = explicit_config.get(
-                config_port.name, config_port.default.evaluate(PortEnv())
-            )
-            static_config[config_port.name] = value
+    for config_port in plan.static_configs:
+        value = explicit_config.get(
+            config_port.name, config_port.default.evaluate(PortEnv())
+        )
+        static_config[config_port.name] = value
     env = PortEnv(inputs={}, configs=static_config)
-    outputs: dict[str, Any] = {}
-    for output_port in resource_type.output_ports:
-        if output_port.port.binding == Binding.STATIC:
-            outputs[output_port.name] = output_port.value.evaluate(env)
-    return outputs
+    return {
+        output_port.name: output_port.value.evaluate(env)
+        for output_port in plan.static_outputs
+    }
 
 
 def _evaluate_configs(
-    resource_type: ResourceType,
+    plan: TypePlan,
     inputs: dict[str, Any],
     explicit_config: dict[str, Any],
 ) -> dict[str, Any]:
+    resource_type = plan.resource_type
     for name in explicit_config:
-        resource_type.config_port(name)  # raises on unknown names
+        if name not in plan.config_names:
+            resource_type.config_port(name)  # raises on unknown names
     env = PortEnv(inputs=inputs)
     config: dict[str, Any] = {}
     for config_port in resource_type.config_ports:

@@ -22,9 +22,10 @@ from typing import Any
 
 from repro.core.errors import TypecheckError
 from repro.core.instances import InstallSpec, ResourceInstance
+from repro.core.keys import ResourceKey
 from repro.core.registry import ResourceTypeRegistry
-from repro.core.resource_type import Dependency, ResourceType
-from repro.core.wellformed import collect_reverse_targets, is_reverse_target
+from repro.core.resource_type import Dependency
+from repro.core.wellformed import reverse_fillable_inputs
 from repro.config.hypergraph import lower_alternatives
 
 
@@ -53,11 +54,8 @@ def spec_problems(
         problems.append(str(exc))
         return problems
 
-    reverse_targets = collect_reverse_targets(registry)
     for instance in spec:
-        problems.extend(
-            _check_instance(registry, spec, instance, reverse_targets)
-        )
+        problems.extend(_check_instance(registry, spec, instance))
     return problems
 
 
@@ -65,7 +63,6 @@ def _check_instance(
     registry: ResourceTypeRegistry,
     spec: InstallSpec,
     instance: ResourceInstance,
-    reverse_targets: set,
 ) -> list[str]:
     problems: list[str] = []
     if not registry.has(instance.key):
@@ -148,9 +145,7 @@ def _check_instance(
     # Every declared input port is present and well-typed.
     for port in resource_type.input_ports:
         if port.name not in instance.inputs:
-            if is_reverse_target(
-                registry, reverse_targets, instance.key, port.name
-            ):
+            if port.name in reverse_fillable_inputs(registry, instance.key):
                 continue
             problems.append(
                 f"{instance.id}: input port {port.name!r} has no value"
@@ -201,5 +196,23 @@ def _check_link_satisfies(
 def _link_matches(
     registry: ResourceTypeRegistry, key, dep: Dependency
 ) -> bool:
-    lowered = lower_alternatives(registry, dep)
-    return any(registry.is_subtype(key, alt.key) for alt in lowered)
+    return key in _accepted_keys(registry, dep)
+
+
+def _accepted_keys(
+    registry: ResourceTypeRegistry, dep: Dependency
+) -> frozenset[ResourceKey]:
+    """Every key a link may target to satisfy ``dep``: the subtypes of
+    its lowered alternatives.
+
+    Memoised per registry version by the dependency's identity, like
+    :func:`lower_alternatives`, and for the same reason."""
+    memo = registry.derived("accepted-keys", lambda _registry: {})
+    hit = memo.get(id(dep))
+    if hit is not None and hit[0] is dep:
+        return hit[1]
+    accepted = frozenset().union(
+        *(registry.subtypes(alt.key) for alt in lower_alternatives(registry, dep))
+    )
+    memo[id(dep)] = (dep, accepted)
+    return accepted

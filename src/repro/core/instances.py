@@ -15,6 +15,7 @@ configuration engine expands it to a full specification.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Optional
 
@@ -140,6 +141,44 @@ class PartialInstallSpec:
         return list(self._instances)
 
 
+def kahn_order(upstream: dict[str, list[str]]) -> list[str]:
+    """Ids ordered so that each follows everything in its ``upstream``
+    list, taking the smallest ready id first (Kahn's algorithm).
+
+    The install order of S5.2, and the order propagation walks.  A link
+    listed twice counts twice.  Raises :class:`SpecError` at the first
+    link (in ``upstream``'s order) to an id it does not list, and
+    :class:`CycleError` naming every id left unordered.
+    """
+    in_degree: dict[str, int] = {}
+    dependents: dict[str, list[str]] = {iid: [] for iid in upstream}
+    for iid, ups in upstream.items():
+        for up in ups:
+            if up not in dependents:
+                raise SpecError(
+                    f"instance {iid} links to missing instance {up}"
+                )
+            dependents[up].append(iid)
+        in_degree[iid] = len(ups)
+
+    ready = [iid for iid, degree in in_degree.items() if degree == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        current = heapq.heappop(ready)
+        order.append(current)
+        for dependent in dependents[current]:
+            in_degree[dependent] -= 1
+            if in_degree[dependent] == 0:
+                heapq.heappush(ready, dependent)
+    if len(order) != len(upstream):
+        remaining = sorted(set(upstream) - set(order))
+        raise CycleError(
+            f"dependency cycle among instances: {', '.join(remaining)}"
+        )
+    return order
+
+
 class InstallSpec:
     """A full installation specification: every instance, fully linked.
 
@@ -234,33 +273,13 @@ class InstallSpec:
         """
         if self._topo_order is not None:
             return list(self._topo_order)
-        in_degree: dict[str, int] = {iid: 0 for iid in self._instances}
-        dependents: dict[str, list[str]] = {iid: [] for iid in self._instances}
-        for instance in self:
-            for upstream in instance.upstream_ids():
-                if upstream not in self._instances:
-                    raise SpecError(
-                        f"instance {instance.id} links to missing instance "
-                        f"{upstream}"
-                    )
-                in_degree[instance.id] += 1
-                dependents[upstream].append(instance.id)
-
-        ready = sorted(iid for iid, deg in in_degree.items() if deg == 0)
-        order: list[ResourceInstance] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(self._instances[current])
-            for dependent in sorted(dependents[current]):
-                in_degree[dependent] -= 1
-                if in_degree[dependent] == 0:
-                    ready.append(dependent)
-            ready.sort()
-        if len(order) != len(self._instances):
-            remaining = sorted(set(self._instances) - {i.id for i in order})
-            raise CycleError(
-                f"dependency cycle among instances: {', '.join(remaining)}"
+        instances = self._instances
+        order = [
+            instances[iid]
+            for iid in kahn_order(
+                {iid: inst.upstream_ids() for iid, inst in instances.items()}
             )
+        ]
         self._topo_order = order
         return list(order)
 

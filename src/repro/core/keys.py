@@ -27,9 +27,21 @@ class Version:
     Comparison is lexicographic on the integer components, with missing
     trailing components treated as zero (so ``6.0`` == ``6.0.0`` and
     ``6.0`` < ``6.0.18``).
+
+    Trailing zeros are stripped once, at construction, into ``_normal``;
+    equality and hashing are then plain tuple operations.  ``_normal`` is
+    data, not a cached hash, so it survives a pickle into an interpreter
+    with another hash seed.  It is usually ``parts`` itself.
     """
 
     parts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        parts = self.parts
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "_normal", parts[:end])
 
     @staticmethod
     def parse(text: str) -> "Version":
@@ -42,25 +54,22 @@ class Version:
     def is_valid(text: str) -> bool:
         return bool(_VERSION_RE.match(text.strip()))
 
-    def _padded(self, width: int) -> tuple[int, ...]:
-        return self.parts + (0,) * (width - len(self.parts))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        width = max(len(self.parts), len(other.parts))
-        return self._padded(width) == other._padded(width)
+        return self._normal == other._normal
 
     def __lt__(self, other: "Version") -> bool:
-        width = max(len(self.parts), len(other.parts))
-        return self._padded(width) < other._padded(width)
+        # Padded, not bare, tuple order: a negative part after a common
+        # prefix must still sort below the implicit zero.
+        mine, theirs = self._normal, other._normal
+        width = max(len(mine), len(theirs))
+        return mine + (0,) * (width - len(mine)) < theirs + (0,) * (
+            width - len(theirs)
+        )
 
     def __hash__(self) -> int:
-        # Strip trailing zeros so equal versions hash equally.
-        parts = self.parts
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        return hash(parts)
+        return hash(self._normal)
 
     def is_unversioned(self) -> bool:
         return not self.parts
@@ -123,10 +132,27 @@ class VersionRange:
 
 @dataclass(frozen=True, order=True)
 class ResourceKey:
-    """The globally unique identifier of a resource type: name + version."""
+    """The globally unique identifier of a resource type: name + version.
+
+    Equality and hashing read the name and the version's normalised
+    parts directly, so a dictionary probe is one Python frame over C
+    tuple and string operations.  The hash value is the one the dataclass
+    default gave (``hash((name, version))``).
+    """
 
     name: str
     version: Version
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.version._normal == other.version._normal
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.version._normal))
 
     @staticmethod
     def parse(text: str) -> "ResourceKey":

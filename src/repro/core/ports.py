@@ -12,9 +12,10 @@ base-type relation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.errors import PortError, PortTypeError
 
@@ -54,9 +55,49 @@ class PortType:
         raise NotImplementedError
 
 
+def _accepts_bool(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _accepts_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _accepts_tcp_port(value: Any) -> bool:
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 0 <= value <= 65535
+    )
+
+
+def _accepts_float(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _accepts_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+# Every kind not listed is string-like and accepts ``str``.
+_SCALAR_CHECKERS = {
+    ScalarKind.BOOL: _accepts_bool,
+    ScalarKind.INT: _accepts_int,
+    ScalarKind.TCP_PORT: _accepts_tcp_port,
+    ScalarKind.FLOAT: _accepts_float,
+}
+
+
 @dataclass(frozen=True)
 class ScalarType(PortType):
     kind: ScalarKind
+
+    def __post_init__(self) -> None:
+        # The kind's checker is the instance's ``accepts``, so a port
+        # check is one plain function call with no dispatch on the kind.
+        object.__setattr__(
+            self, "accepts", _SCALAR_CHECKERS.get(self.kind, _accepts_str)
+        )
 
     def is_subtype_of(self, other: PortType) -> bool:
         if not isinstance(other, ScalarType):
@@ -67,21 +108,6 @@ class ScalarType(PortType):
                 return True
             kind = _SCALAR_PARENT.get(kind)
         return False
-
-    def accepts(self, value: Any) -> bool:
-        kind = self.kind
-        if kind == ScalarKind.BOOL:
-            return isinstance(value, bool)
-        if kind in (ScalarKind.INT, ScalarKind.TCP_PORT):
-            if not isinstance(value, int) or isinstance(value, bool):
-                return False
-            if kind == ScalarKind.TCP_PORT:
-                return 0 <= value <= 65535
-            return True
-        if kind == ScalarKind.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        # All the string-like kinds accept str.
-        return isinstance(value, str)
 
     def __str__(self) -> str:
         return self.kind.value
@@ -97,6 +123,7 @@ class RecordType(PortType):
         names = [name for name, _ in self.fields]
         if len(names) != len(set(names)):
             raise PortError(f"duplicate field names in record type: {names}")
+        object.__setattr__(self, "_names", frozenset(names))
 
     @staticmethod
     def of(**fields: PortType) -> "RecordType":
@@ -118,12 +145,16 @@ class RecordType(PortType):
         return True
 
     def accepts(self, value: Any) -> bool:
-        if not isinstance(value, Mapping):
+        # A plain dict answers without the Mapping ABC's subclass hook.
+        if value.__class__ is dict:
+            if value.keys() != self._names:
+                return False
+        elif not isinstance(value, Mapping) or set(value.keys()) != self._names:
             return False
-        mine = self.field_map()
-        if set(value.keys()) != set(mine.keys()):
-            return False
-        return all(mine[name].accepts(value[name]) for name in mine)
+        for name, field_type in self.fields:
+            if not field_type.accepts(value[name]):
+                return False
+        return True
 
     def __str__(self) -> str:
         inner = ", ".join(f"{name}: {t}" for name, t in self.fields)
@@ -142,9 +173,13 @@ class ListType(PortType):
         )
 
     def accepts(self, value: Any) -> bool:
-        return isinstance(value, (list, tuple)) and all(
-            self.element.accepts(item) for item in value
-        )
+        if not isinstance(value, (list, tuple)):
+            return False
+        element_accepts = self.element.accepts
+        for item in value:
+            if not element_accepts(item):
+                return False
+        return True
 
     def __str__(self) -> str:
         return f"list[{self.element}]"

@@ -170,20 +170,21 @@ class ResourceTypeRegistry:
         """Direct declared subtypes of ``key``."""
         return list(self._children.get(key, ()))
 
-    def is_subtype(self, sub: ResourceKey, sup: ResourceKey) -> bool:
-        """Reflexive-transitive ``extends`` relation.
+    def subtypes(self, key: ResourceKey) -> frozenset[ResourceKey]:
+        """``key`` and every registered type that extends it, transitively.
 
-        Memoized per registry version: graph generation asks this for
-        every (candidate key, dependency key) pair, which at fleet scale
-        is the same few hundred pairs over and over.
+        One table per registry version answers every subtype question:
+        :meth:`is_subtype`, GraphGen's candidate lookup (which walks a
+        key's few subtypes instead of testing every key in the graph)
+        and the static check's per-dependency match sets.  An
+        unregistered key is its only subtype.
         """
-        verdicts = self.derived("subtype-verdicts", lambda _registry: {})
-        pair = (sub, sup)
-        hit = verdicts.get(pair)
-        if hit is None:
-            hit = subtyping.nominal_subtype(self, sub, sup)
-            verdicts[pair] = hit
-        return hit
+        hit = self.derived("subtype-closure", _subtype_closure).get(key)
+        return hit if hit is not None else frozenset((key,))
+
+    def is_subtype(self, sub: ResourceKey, sup: ResourceKey) -> bool:
+        """Reflexive-transitive ``extends`` relation."""
+        return sub in self.subtypes(sup)
 
     def concrete_frontier(self, key: ResourceKey) -> list[ResourceKey]:
         """The frontier F of concrete subtypes of ``key`` (S4).
@@ -214,6 +215,22 @@ class ResourceTypeRegistry:
             for key in self.keys()
             if self.effective(key).is_machine() and not self.effective(key).abstract
         ]
+
+
+def _subtype_closure(
+    registry: ResourceTypeRegistry,
+) -> dict[ResourceKey, frozenset[ResourceKey]]:
+    """Every registered key -> its reflexive-transitive subtypes."""
+    raw = registry._raw
+    below: dict[ResourceKey, set[ResourceKey]] = {key: {key} for key in raw}
+    for key in raw:
+        # Registration requires the parent first, so each chain is finite
+        # and ends at a registered root.
+        current: Optional[ResourceKey] = raw[key].extends
+        while current is not None:
+            below[current].add(key)
+            current = raw[current].extends
+    return {key: frozenset(keys) for key, keys in below.items()}
 
 
 def _merge(sup: ResourceType, sub: ResourceType) -> ResourceType:

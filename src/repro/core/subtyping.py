@@ -8,9 +8,11 @@ contra-variance of method arguments".
 
 Two entry points are exported:
 
-* :func:`nominal_subtype` -- the ``extends``-chain relation the rest of
-  the system uses for matching (fast, and sound because the registry
-  verifies every declared ``extends`` edge structurally at registration).
+* :func:`nominal_subtype` -- the ``extends``-chain relation (sound
+  because the registry verifies every declared ``extends`` edge
+  structurally at registration).  Matching elsewhere asks the same
+  relation of the registry's per-version subtype closure
+  (:meth:`ResourceTypeRegistry.subtypes`).
 * :func:`structural_subtype` -- the full Figure 4 check on two flattened
   resource types.
 """

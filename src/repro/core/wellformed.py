@@ -45,10 +45,9 @@ from repro.core.values import (
 def check_registry(registry: ResourceTypeRegistry) -> list[str]:
     """Return a list of well-formedness problems (empty when well-formed)."""
     problems: list[str] = []
-    reverse_targets = collect_reverse_targets(registry)
     for key in registry.keys():
         resource_type = registry.effective(key)
-        problems.extend(_check_type(registry, resource_type, reverse_targets))
+        problems.extend(_check_type(registry, resource_type))
     problems.extend(_check_acyclic(registry))
     return problems
 
@@ -62,8 +61,8 @@ def collect_reverse_targets(
     output of a dependent (S3.4), so condition 3's "mapped exactly once"
     does not count them against the provider's own dependencies.
 
-    Memoized per registry version: propagation and spec typechecking
-    consult this set on every configuration query.
+    Memoized per registry version; :func:`reverse_fillable_inputs`
+    answers the per-key question from it.
     """
     return registry.derived("reverse_targets", _collect_reverse_targets)
 
@@ -81,17 +80,25 @@ def _collect_reverse_targets(
     return targets
 
 
-def is_reverse_target(
-    registry: ResourceTypeRegistry,
-    reverse_targets: set[tuple[ResourceKey, str]],
-    key: ResourceKey,
-    input_name: str,
-) -> bool:
-    """Whether input ``input_name`` of ``key`` may be reverse-filled."""
-    return any(
-        name == input_name and registry.is_subtype(key, target_key)
-        for target_key, name in reverse_targets
-    )
+def reverse_fillable_inputs(
+    registry: ResourceTypeRegistry, key: ResourceKey
+) -> frozenset[str]:
+    """The inputs of ``key`` some dependent may reverse-fill: those a
+    reverse mapping targets on ``key`` or on one of its supertypes.
+
+    Derived per key, lazily, and memoised per registry version, so a
+    check of one instance is a set lookup rather than a scan of every
+    reverse target in the library."""
+    memo = registry.derived("reverse-fillable-inputs", lambda _registry: {})
+    hit = memo.get(key)
+    if hit is None:
+        hit = frozenset(
+            name
+            for target_key, name in collect_reverse_targets(registry)
+            if registry.is_subtype(key, target_key)
+        )
+        memo[key] = hit
+    return hit
 
 
 def assert_well_formed(registry: ResourceTypeRegistry) -> None:
@@ -114,9 +121,7 @@ def assert_well_formed(registry: ResourceTypeRegistry) -> None:
 
 
 def _check_type(
-    registry: ResourceTypeRegistry,
-    resource_type: ResourceType,
-    reverse_targets: set[tuple[ResourceKey, str]],
+    registry: ResourceTypeRegistry, resource_type: ResourceType
 ) -> list[str]:
     problems: list[str] = []
     key = resource_type.key
@@ -149,7 +154,7 @@ def _check_type(
     if not resource_type.abstract:
         for name, count in sorted(mapped.items()):
             if count == 0:
-                if is_reverse_target(registry, reverse_targets, key, name):
+                if name in reverse_fillable_inputs(registry, key):
                     continue  # filled by a dependent's static output
                 problems.append(f"{key}: input port {name!r} is never mapped")
             elif count > 1:
