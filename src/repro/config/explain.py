@@ -70,8 +70,8 @@ def explain_unsat(
     one whose constraints just proved unsatisfiable); without it
     GraphGen runs here, under the default peer policy.
 
-    Runs a deletion-based MUS over the partial-spec facts: drop each
-    pinned instance in turn and keep the drop whenever the rest is still
+    Runs a deletion-based MUS over the partial-spec facts: visit each
+    pinned instance in id order and drop it whenever the rest is still
     unsatisfiable.  The survivors are a minimal conflicting subset.
 
     The sweep runs over a list of components with one incremental solver
@@ -80,11 +80,24 @@ def explain_unsat(
     vector.  With ``partition`` they are the graph's connected
     components: a trial subset is unsatisfiable iff some component's
     slice of it is, and dropping a fact only changes its own component's
-    slice, so each trial costs one small solve (plus one re-solve when
-    another component already conflicts and the drop is kept).  Without
-    it the whole graph is the only component.  Satisfiability decomposes
-    over components, so each trial gets the same answer either way and
-    the diagnosis is byte-identical.
+    slice.  Without it the whole graph is the only component.
+
+    Most trials need no solve.  Each unsatisfiable component keeps the
+    core ``C`` of its latest refutation (the facts
+    :meth:`~repro.sat.solver.CdclSolver.failed_assumptions` names), and
+    ``C ⊆ kept`` always holds: a skip drops a fact outside ``C``, and
+    every refutation replaces ``C`` with a core of the subset it kept.
+    So a candidate outside ``C`` is dropped unsolved -- the rest still
+    contains ``C`` and is still unsatisfiable.  When another component
+    already conflicts every drop is kept, and only a component whose
+    core loses a member is re-solved (a satisfiable slice stays so with
+    fewer facts).  Every keep/drop decision is thus the semantic answer
+    a solve of that trial would give, which makes the survivors the
+    ones a solve-every-candidate sweep keeps: a diagnosis costs about
+    one solve per core member rather than one per pinned instance, and
+    its text is the same byte for byte.  Satisfiability decomposes over
+    components, so each trial also gets the same answer with or without
+    ``partition``, and that diagnosis is byte-identical too.
     """
     from repro.config.partition import partition_graph, whole_graph_component
 
@@ -96,8 +109,10 @@ def explain_unsat(
         else [whole_graph_component(graph)]
     )
     solvers: list[CdclSolver] = []
-    fact_maps: list[dict[str, int]] = []
-    kept: list[list[str]] = []
+    # Per component, the facts still kept (id -> assumption literal, in
+    # id order) and the id each assumption literal asserts.
+    kept: list[dict[str, int]] = []
+    fact_ids: list[dict[int, str]] = []
     component_of: dict[str, int] = {}
     for component in components:
         # The constraint formula *without* the partial-spec unit facts;
@@ -107,36 +122,47 @@ def explain_unsat(
         )
         facts = fact_literals(component.graph, formula)
         solvers.append(CdclSolver(formula))
-        fact_maps.append(facts)
-        kept.append(sorted(facts))
+        kept.append({iid: facts[iid] for iid in sorted(facts)})
+        fact_ids.append({literal: iid for iid, literal in facts.items()})
         for fact_id in facts:
             component_of[fact_id] = component.index
 
-    def solve_component(index: int, fact_ids: list[str]) -> bool:
-        return solvers[index].solve(
-            [fact_maps[index][iid] for iid in fact_ids]
-        )
+    def refute(
+        index: int, without: Optional[str] = None
+    ) -> Optional[set[str]]:
+        """Solve component ``index`` on its kept facts less ``without``:
+        None if satisfiable, else the ids of the refutation's core."""
+        solver = solvers[index]
+        if solver.solve(
+            [literal for iid, literal in kept[index].items() if iid != without]
+        ):
+            return None
+        names = fact_ids[index]
+        return {names[literal] for literal in solver.failed_assumptions()}
 
-    satisfiable = [
-        solve_component(index, kept[index]) for index in range(len(kept))
-    ]
-    if all(satisfiable):
+    cores = [refute(index) for index in range(len(kept))]
+    conflicted = sum(core is not None for core in cores)
+    if not conflicted:
         return None
 
     for candidate in sorted(component_of):
         index = component_of[candidate]
-        trial = [iid for iid in kept[index] if iid != candidate]
-        if any(
-            not ok for other, ok in enumerate(satisfiable) if other != index
-        ):
-            # Some other component already conflicts: the trial is
-            # unsatisfiable no matter what, so the drop is kept; refresh
-            # this component's verdict under its reduced fact set.
-            kept[index] = trial
-            satisfiable[index] = solve_component(index, trial)
-        elif not solve_component(index, trial):
-            kept[index] = trial  # still unsat without it: drop for good
-            satisfiable[index] = False
+        core = cores[index]
+        if core is not None and candidate not in core:
+            pass  # the rest still contains the core: unsatisfiable
+        elif conflicted > (core is not None):
+            # Another component conflicts, so the drop is kept whatever
+            # this one says; only a core that loses a member can turn
+            # this component's verdict.
+            if core is not None:
+                cores[index] = refute(index, candidate)
+                conflicted -= cores[index] is None
+        else:
+            trial = refute(index, candidate)
+            if trial is None:
+                continue  # satisfiable without it: the candidate stays
+            cores[index] = trial
+        del kept[index][candidate]
 
     return _finish(graph, sorted(iid for ids in kept for iid in ids))
 

@@ -6,9 +6,11 @@ learning solver with the standard MiniSat ingredients:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with clause learning and backjumping,
-* VSIDS-style variable activities with exponential decay,
+* VSIDS-style variable activities with exponential decay, branched on
+  from an order heap,
 * phase saving,
-* Luby-sequence restarts.
+* Luby-sequence restarts,
+* failed-assumption cores (MiniSat's ``analyzeFinal``).
 
 A plain DPLL solver (:class:`DpllSolver`) is provided as the experiment
 E12 ablation baseline.  Both expose the same interface:
@@ -22,18 +24,26 @@ and retracted by the final backjump to level 0), and ``add_clause``
 may be called between solves to narrow the formula without rebuilding
 watches.  Families of near-identical queries -- the configuration
 sweeps of §6.2, unsat-core shrinking -- thus share one clause database
-instead of paying a cold solve each.
+instead of paying a cold solve each.  After an UNSAT answer,
+:meth:`CdclSolver.failed_assumptions` names the assumptions the
+refutation used, so a shrinking loop can skip every subset that still
+contains them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.sat.cnf import CnfFormula
 
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
+
+#: How far past twice the variable count the order heap may grow before
+#: it is rebuilt from the unassigned variables.
+_ORDER_SLACK = 64
 
 
 @dataclass
@@ -56,6 +66,16 @@ class SolverStats:
     #: pipeline ran component-partitioned and aggregated per-component
     #: solver stats (see :mod:`repro.config.partition`).
     components: int = 1
+
+
+def _highest_variable(assumptions: Sequence[int]) -> int:
+    """The largest variable ``assumptions`` name (0 for none); the
+    literal 0 names no variable and is an error."""
+    if not assumptions:
+        return 0
+    if 0 in assumptions:
+        raise ConfigurationError("assumption literal 0 names no variable")
+    return max(map(abs, assumptions))
 
 
 def _luby(i: int) -> int:
@@ -100,6 +120,14 @@ class CdclSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._activity: list[float] = [0.0]
+        #: Lazy VSIDS order heap of ``(-activity, var)``: every unassigned
+        #: variable has an entry carrying its current activity; entries of
+        #: assigned variables and outdated activities are dropped when
+        #: they reach the top (see :meth:`_pick_branch_var`).
+        self._order: list[tuple[float, int]] = []
+        #: Whether the variable has an entry at its current activity in
+        #: ``_order``, so unassigning it needs no push.
+        self._queued: list[bool] = [False]
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._phase: list[bool] = [False]
@@ -108,6 +136,7 @@ class CdclSolver:
         self._restart_base = restart_base
         self._ok = True
         self._model: Optional[dict[int, bool]] = None
+        self._core: list[int] = []
         self.stats = SolverStats()
         if formula is not None:
             self._ensure_vars(formula.num_vars)
@@ -134,6 +163,10 @@ class CdclSolver:
             self._reason.append(None)
             self._activity.append(0.0)
             self._phase.append(False)
+            # Zero activity and the highest index: the last entry in heap
+            # order, so appending keeps the heap a heap.
+            self._order.append((-0.0, self._num_vars))
+            self._queued.append(True)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a problem clause.
@@ -280,11 +313,29 @@ class CdclSolver:
     # -- Conflict analysis -------------------------------------------------
 
     def _bump(self, var: int) -> None:
+        # Only assigned variables are bumped (analysis walks false and
+        # implied literals): any entry the variable has is now outdated,
+        # and _backtrack pushes a current one when it unassigns it.
         self._activity[var] += self._var_inc
+        self._queued[var] = False
         if self._activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """One heap entry per unassigned variable, at its current
+        activity: after a rescale, or when outdated entries pile up."""
+        activity, assign = self._activity, self._assign
+        unassigned = [
+            v for v in range(1, self._num_vars + 1) if assign[v] == UNASSIGNED
+        ]
+        self._order = [(-activity[v], v) for v in unassigned]
+        heapify(self._order)
+        self._queued = [False] * (self._num_vars + 1)
+        for v in unassigned:
+            self._queued[v] = True
 
     def _decay(self) -> None:
         self._var_inc /= self._var_decay
@@ -345,48 +396,73 @@ class CdclSolver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        order, queued, activity = self._order, self._queued, self._activity
         for literal in reversed(self._trail[limit:]):
             var = abs(literal)
             self._phase[var] = self._assign[var] == TRUE
             self._assign[var] = UNASSIGNED
             self._reason[var] = None
+            # Every unassigned variable needs an entry at its current
+            # activity; a propagated variable that was never bumped
+            # still has one.
+            if not queued[var]:
+                queued[var] = True
+                heappush(order, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        # Outdated entries of bumped variables are only dropped when they
+        # reach the top; past twice the variable count, start afresh.
+        if len(order) > 2 * self._num_vars + _ORDER_SLACK:
+            self._rebuild_order()
 
     # -- Decisions ----------------------------------------------------------
 
     def _pick_branch_var(self) -> Optional[int]:
-        best: Optional[int] = None
-        if self._use_vsids:
-            best_activity = -1.0
+        """The unassigned variable of highest activity, ties to the
+        lowest index (``(-activity, var)`` orders exactly so); without
+        VSIDS, the lowest unassigned index."""
+        if len(self._trail) == self._num_vars:
+            return None  # everything is assigned
+        if not self._use_vsids:
             for var in range(1, self._num_vars + 1):
                 if self._assign[var] == UNASSIGNED:
-                    if self._activity[var] > best_activity:
-                        best_activity = self._activity[var]
-                        best = var
-        else:
-            for var in range(1, self._num_vars + 1):
-                if self._assign[var] == UNASSIGNED:
-                    best = var
-                    break
-        return best
+                    return var
+            return None
+        order, queued = self._order, self._queued
+        assign, activity = self._assign, self._activity
+        while order:
+            negated, var = heappop(order)
+            if -negated != activity[var]:
+                continue  # outdated: the variable was bumped since
+            # The variable's current entry is gone: an assigned one gets
+            # a new entry when it is unassigned.
+            queued[var] = False
+            if assign[var] == UNASSIGNED:
+                return var
+        return None
 
     # -- Main loop ------------------------------------------------------------
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Search for a model extending ``assumptions``.
 
-        Returns True (model available via :meth:`model`) or False.
+        Returns True (model available via :meth:`model`) or False (the
+        assumptions the refutation used via :meth:`failed_assumptions`).
 
         The solver survives the call either way: assumptions are fully
         retracted, learned clauses/activities/phases are kept, and
         further :meth:`solve` or :meth:`add_clause` calls are legal.
         An UNSAT answer under one set of assumptions does not poison
         later calls unless the formula itself is unsatisfiable.
+
+        An assumption on a variable beyond the formula's adds that
+        variable, as :meth:`add_clause` does; the literal 0 is an error.
         """
         self._model = None
+        self._core = []
         self.stats.solve_calls += 1
+        self._ensure_vars(_highest_variable(assumptions))
         if not self._ok:
             return False
         self._backtrack(0)
@@ -400,6 +476,9 @@ class CdclSolver:
                 self.stats.conflicts += 1
                 if len(self._trail_lim) <= len(assumptions):
                     # Conflict under the assumptions alone: unsatisfiable.
+                    self._core = self._analyze_final(
+                        self._clauses[conflict], assumptions
+                    )
                     self._backtrack(0)
                     return False
                 learned, backjump = self._analyze(conflict)
@@ -433,6 +512,9 @@ class CdclSolver:
                 literal = assumptions[len(self._trail_lim)]
                 value = self._value(literal)
                 if value == FALSE:
+                    self._core = self._analyze_final(
+                        (literal,), assumptions, literal
+                    )
                     self._backtrack(0)
                     return False
                 self._trail_lim.append(len(self._trail))
@@ -452,6 +534,51 @@ class CdclSolver:
             self._trail_lim.append(len(self._trail))
             literal = var if self._phase[var] else -var
             self._enqueue(literal, None)
+
+    def _analyze_final(
+        self,
+        false_literals: Sequence[int],
+        assumptions: Sequence[int],
+        falsified: Optional[int] = None,
+    ) -> list[int]:
+        """MiniSat's ``analyzeFinal``: the assumptions that force every
+        literal of ``false_literals`` false -- plus ``falsified``, the
+        assumption they contradict, if any -- in ``assumptions`` order.
+
+        Runs under the assumption boundary, where every decision is an
+        assumption: walk the trail back, expanding each marked literal's
+        reason clause; a marked literal above level 0 without a reason
+        is an assumption the refutation used.  Literals false at level 0
+        need no assumption, so a level-0 conflict has an empty core.
+        """
+        level, reason, clauses = self._level, self._reason, self._clauses
+        seen = {abs(q) for q in false_literals if level[abs(q)] > 0}
+        used = set() if falsified is None else {falsified}
+        if seen:
+            trail = self._trail
+            for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
+                literal = trail[i]
+                var = abs(literal)
+                if var not in seen:
+                    continue
+                why = reason[var]
+                if why is None:
+                    used.add(literal)
+                    continue
+                for q in clauses[why][1:]:
+                    if level[abs(q)] > 0:
+                        seen.add(abs(q))
+        return [literal for literal in assumptions if literal in used]
+
+    def failed_assumptions(self) -> list[int]:
+        """After :meth:`solve` answered False: the assumptions of that
+        call the refutation depends on, in the order the call listed
+        them.  The formula plus these alone is unsatisfiable.
+
+        Empty when the formula is unsatisfiable without assumptions, and
+        after a satisfiable answer.
+        """
+        return list(self._core)
 
     def _restart_limit(self, count: int) -> int:
         if not self._use_restarts:
@@ -484,7 +611,9 @@ class DpllSolver:
         self._clauses.append(clause)
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Assumptions are validated as :meth:`CdclSolver.solve` does."""
         self.stats.solve_calls += 1
+        self._num_vars = max(self._num_vars, _highest_variable(assumptions))
         assignment: dict[int, bool] = {}
         for literal in assumptions:
             value = literal > 0
