@@ -647,7 +647,7 @@ def _write_deploy_outcome(system, infrastructure, out: TextIO) -> None:
             f"recovered from {report.retries} failed attempt(s), "
             f"{report.total_backoff_seconds:.1f}s total backoff\n"
         )
-    if report is not None and report.jobs is not None:
+    if report is not None and report.jobs != 1:
         jobs_label = "unbounded" if report.jobs == 0 else str(report.jobs)
         speedup = (
             report.sequential_seconds / report.makespan_seconds
@@ -1064,9 +1064,9 @@ def build_parser() -> argparse.ArgumentParser:
         "abandoned (and retried) after this long",
     )
     deploy.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="deploy with the event-driven parallel scheduler using N "
-        "simulated workers (0 = unbounded; default: serial)",
+        "--jobs", type=int, default=1, metavar="N",
+        help="deploy with N simulated workers in dependency order "
+        "(0 = unbounded; default: 1, one instance at a time)",
     )
     deploy.add_argument(
         "--jobs-per-host", type=int, default=None, metavar="N",
@@ -1252,9 +1252,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-action simulated-time budget",
     )
     reconcile.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="execute repairs with the parallel scheduler using N "
-        "simulated workers (0 = unbounded; default: serial)",
+        "--jobs", type=int, default=1, metavar="N",
+        help="execute repairs with N simulated workers in dependency "
+        "order (0 = unbounded; default: 1)",
     )
     reconcile.add_argument(
         "--jobs-per-host", type=int, default=None, metavar="N",

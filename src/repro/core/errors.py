@@ -122,8 +122,8 @@ class DeploymentFailure(DeploymentError):
     instance-id sets, the partial ``report``, and the partially-driven
     ``system``, whose own ``journal`` is that same journal.  No instance
     is ever left mid-transition: a failed action does not advance its
-    driver's state machine, and instances after the failure point (all
-    dependents of the failed instance included) are untouched.
+    driver's state machine, and the failed instances' dependents are
+    untouched.
     """
 
     def __init__(

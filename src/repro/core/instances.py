@@ -148,7 +148,8 @@ def kahn_order(upstream: dict[str, list[str]]) -> list[str]:
     The install order of S5.2, and the order propagation walks.  A link
     listed twice counts twice.  Raises :class:`SpecError` at the first
     link (in ``upstream``'s order) to an id it does not list, and
-    :class:`CycleError` naming every id left unordered.
+    :class:`CycleError` naming the ids on or between cycles, not the
+    ones merely downstream of one.
     """
     in_degree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {iid: [] for iid in upstream}
@@ -172,9 +173,23 @@ def kahn_order(upstream: dict[str, list[str]]) -> list[str]:
             if in_degree[dependent] == 0:
                 heapq.heappush(ready, dependent)
     if len(order) != len(upstream):
-        remaining = sorted(set(upstream) - set(order))
+        # Peel unordered ids that no unordered id depends on: what
+        # cannot be peeled lies on a cycle or between two.
+        unordered = set(upstream).difference(order)
+        waiting = {
+            iid: sum(d in unordered for d in dependents[iid])
+            for iid in unordered
+        }
+        peel = [iid for iid, count in waiting.items() if not count]
+        for iid in peel:
+            del waiting[iid]
+            for up in upstream[iid]:
+                if up in waiting:
+                    waiting[up] -= 1
+                    if not waiting[up]:
+                        peel.append(up)
         raise CycleError(
-            f"dependency cycle among instances: {', '.join(remaining)}"
+            f"dependency cycle among instances: {', '.join(sorted(waiting))}"
         )
     return order
 
@@ -188,16 +203,18 @@ class InstallSpec:
 
     def __init__(self, instances: Iterable[ResourceInstance] = ()) -> None:
         self._instances: dict[str, ResourceInstance] = {}
-        # Lazy derived views: the reverse-dependency index and the
-        # topological order.  Guard checking asks for downstream
-        # neighbours once per transition, so without the index a
+        # Lazy derived views: the dependency index both ways and the
+        # topological order.  Guard checking asks for both neighbour
+        # lists once per transition, so without the indexes a
         # fleet-sized drive is O(N^2) in full-spec scans.
+        self._upstream: Optional[dict[str, tuple[str, ...]]] = None
         self._downstream: Optional[dict[str, list[str]]] = None
         self._topo_order: Optional[list[ResourceInstance]] = None
         for instance in instances:
             self.add(instance)
 
     def _invalidate(self) -> None:
+        self._upstream = None
         self._downstream = None
         self._topo_order = None
 
@@ -241,13 +258,31 @@ class InstallSpec:
             inst for inst in self if inst.machine_id(self) == machine_id
         ]
 
+    def _upstream_index(self) -> dict[str, tuple[str, ...]]:
+        if self._upstream is None:
+            self._upstream = {
+                iid: tuple(inst.upstream_ids())
+                for iid, inst in self._instances.items()
+            }
+        return self._upstream
+
+    def upstream_ids(self, instance_id: str) -> tuple[str, ...]:
+        """Ids of the instances ``instance_id`` directly depends on, one
+        per link: :meth:`ResourceInstance.upstream_ids`, indexed once."""
+        try:
+            return self._upstream_index()[instance_id]
+        except KeyError:
+            raise SpecError(
+                f"no instance {instance_id!r} in install spec"
+            ) from None
+
     def downstream_ids(self, instance_id: str) -> list[str]:
         """Ids of instances that directly depend on ``instance_id``."""
         if self._downstream is None:
             index: dict[str, list[str]] = {}
-            for inst in self:
-                for upstream in inst.upstream_ids():
-                    index.setdefault(upstream, []).append(inst.id)
+            for iid, upstream_ids in self._upstream_index().items():
+                for upstream in upstream_ids:
+                    index.setdefault(upstream, []).append(iid)
             self._downstream = index
         return list(self._downstream.get(instance_id, ()))
 
@@ -274,48 +309,6 @@ class InstallSpec:
         if self._topo_order is not None:
             return list(self._topo_order)
         instances = self._instances
-        order = [
-            instances[iid]
-            for iid in kahn_order(
-                {iid: inst.upstream_ids() for iid, inst in instances.items()}
-            )
-        ]
+        order = [instances[iid] for iid in kahn_order(self._upstream_index())]
         self._topo_order = order
         return list(order)
-
-    def machine_order(self) -> list[str]:
-        """Machines partially ordered by cross-machine dependencies (S5.2).
-
-        Machine ``m1`` precedes ``m2`` when some instance on ``m2`` depends
-        on some instance on ``m1``.  The paper's implementation assumes
-        this relation is acyclic; we raise :class:`CycleError` otherwise.
-        """
-        machine_of = {inst.id: inst.machine_id(self) for inst in self}
-        machines = sorted({m for m in machine_of.values()})
-        edges: dict[str, set[str]] = {m: set() for m in machines}
-        for instance in self:
-            m2 = machine_of[instance.id]
-            for upstream in instance.upstream_ids():
-                m1 = machine_of[upstream]
-                if m1 != m2:
-                    edges[m2].add(m1)  # m2 depends on m1
-
-        order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(machine: str) -> None:
-            if state.get(machine) == 2:
-                return
-            if state.get(machine) == 1:
-                raise CycleError(
-                    f"cross-machine dependency cycle involving {machine}"
-                )
-            state[machine] = 1
-            for prerequisite in sorted(edges[machine]):
-                visit(prerequisite)
-            state[machine] = 2
-            order.append(machine)
-
-        for machine in machines:
-            visit(machine)
-        return order

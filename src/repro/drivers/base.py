@@ -91,14 +91,6 @@ class ResourceDriver:
         (handlers may consume more, e.g. downloads and unpacking)."""
         return self.action_seconds.get(action, 1.0)
 
-    def estimated_cost(self, target: str) -> float:
-        """Lower-bound cost of driving from the current state to
-        ``target`` -- the parallel scheduler's critical-path estimate."""
-        return sum(
-            self.action_cost(transition.action)
-            for transition in self.machine_spec.path_to(self.state, target)
-        )
-
     #: Path of the per-machine audit log every action appends to.
     LOG_PATH = "/var/log/engage.log"
 

@@ -8,15 +8,15 @@ coordinated from a master host, with each slave running with no awareness
 of the others.  Slave deployments can run in parallel when the slaves
 have no inter-dependencies."
 
-The master computes the machine partial order
-(:meth:`~repro.core.instances.InstallSpec.machine_order`), splits the
-full spec into per-node specs (cross-machine links are dropped -- port
-values were already propagated globally, so slaves need no awareness of
-remote instances), and deploys wave by wave.  Machines in the same
-*wave* (no cross-dependency between them) deploy **concurrently** on the
-shared event clock: each slave agent executes its work item inside an
-overlapping :class:`~repro.sim.clock.ClockSpan` anchored at the instant
-the work arrived, and the report's ``parallel_makespan_seconds`` is the
+The master groups the machines into dependency waves
+(:func:`machine_waves`), splits the full spec into per-node specs
+(cross-machine links are dropped -- port values were already propagated
+globally, so slaves need no awareness of remote instances), and deploys
+wave by wave.  Machines in the same *wave* (no cross-dependency between
+them) deploy **concurrently** on the shared simulated clock: each slave
+agent executes its work item inside an overlapping
+:class:`~repro.sim.clock.ClockSpan` anchored at the instant the work
+arrived, and the report's ``parallel_makespan_seconds`` is the
 measured wall-clock of the whole deployment.  The coordinator's
 ``policy`` / ``jobs`` / ``jobs_per_host`` are those of its one
 :class:`DeploymentEngine`, which every slave agent derives its own from,
@@ -32,9 +32,9 @@ delivers due mail, and steps only the nodes that have mail or a due
 timer -- the master first, then agents in sorted machine order, which
 fixes the send order and with it every delivery tie-break -- then moves
 the clock to the earliest of: the next delivery, the master's next
-wake, the agents' timer heap, the next chaos event, the shared clock's
-own next event.  ``docs/INTERNALS.md`` ("The control loop") has the
-argument for why a skipped step is a no-op.
+wake, the agents' timer heap, the next chaos event.
+``docs/INTERNALS.md`` ("The control loop") has the argument for why a
+skipped step is a no-op.
 """
 
 from __future__ import annotations
@@ -93,7 +93,9 @@ def split_spec(spec: InstallSpec) -> dict[str, InstallSpec]:
 def machine_waves(spec: InstallSpec) -> list[list[str]]:
     """Group machines into dependency levels: every machine in wave *i*
     depends only on machines in waves < *i*, so a wave deploys in
-    parallel."""
+    parallel.  A cross-machine dependency cycle (the paper assumes
+    none) is a :class:`DeploymentError` naming the machines left
+    unplaced."""
     machine_of = {inst.id: inst.machine_id(spec) for inst in spec}
     machines = sorted(set(machine_of.values()))
     prerequisites: dict[str, set[str]] = {m: set() for m in machines}
@@ -113,7 +115,8 @@ def machine_waves(spec: InstallSpec) -> list[list[str]]:
         )
         if not wave:
             raise DeploymentError(
-                "cross-machine dependency cycle; cannot order machines"
+                "cross-machine dependency cycle; cannot order machines: "
+                + ", ".join(sorted(remaining))
             )
         waves.append(wave)
         placed.update(wave)
@@ -447,9 +450,6 @@ class SlaveAgent:
         self.crashes += 1
         if self.fuse is not None:
             self.fuse.armed = False
-        # In-flight completion events of the interrupted DAG pass would
-        # leak into the next pass's event loop.
-        self.infrastructure.clock.cancel_events()
         self.bus.close(self.name)
         # Process memory is gone; the write-ahead journal is not.
         self.systems.clear()
@@ -819,7 +819,7 @@ class BusCoordinator:
         driver_registry: Optional[DriverRegistry] = None,
         *,
         policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         jobs_per_host: Optional[int] = None,
         link_faults=None,
         default_latency: float = 0.05,
@@ -967,9 +967,6 @@ class BusCoordinator:
             candidates = [bus.next_time(), master_wake, timers.next_time()]
             if events:
                 candidates.append(events[0][0])
-            peek = clock.peek_next_event_time()
-            if peek is not None:
-                candidates.append(peek)
             live = [c for c in candidates if c is not None]
             if not live:
                 raise DeploymentError(

@@ -8,13 +8,11 @@ state.  At this point, the system is defined to be deployed."
 Instances are processed in dependency order; before every transition the
 engine checks the transition's guard against the tracked states of the
 upstream and downstream neighbours, exactly as the runtime system of the
-paper does.  Execution is delegated to :mod:`repro.runtime.scheduler`:
-the default serial strategy walks the order one instance at a time and
-reports the *counterfactual* critical-path makespan, while ``jobs=N``
-selects the event-driven DAG scheduler -- a ready queue dispatched to a
-bounded pool of simulated workers, so "the process can be performed in
-parallel, as long as the dependency ordering is met" becomes measured
-wall-clock rather than a post-hoc formula.
+paper does.  Execution is delegated to
+:class:`~repro.runtime.scheduler.DagScheduler`: a ready queue in pass
+order dispatched to ``jobs`` simulated workers (one by default), so
+"the process can be performed in parallel, as long as the dependency
+ordering is met" is a worker count, and the makespan is measured.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from repro.core.errors import (
     DeploymentError,
     DeploymentFailure,
     GuardError,
+    RuntimeEngageError,
     TransientError,
 )
 from repro.core.instances import InstallSpec, ResourceInstance
@@ -95,18 +94,18 @@ class ActionRecord:
 class DeploymentReport:
     """What a deploy/stop/uninstall pass did and what it cost.
 
-    ``makespan_seconds`` is the counterfactual critical-path bound in
-    serial mode and the *measured* event-clock wall-time in parallel
-    mode (``jobs`` set); ``critical_path_seconds`` carries the bound in
-    both, so the two are directly comparable.
+    ``makespan_seconds`` is the *measured* simulated wall-time of the
+    pass; ``critical_path_seconds`` is the bound unbounded workers would
+    have needed, from the same per-instance elapsed times, so the two
+    are directly comparable.
     """
 
     actions: list[ActionRecord] = field(default_factory=list)
     sequential_seconds: float = 0.0
     makespan_seconds: float = 0.0
     critical_path_seconds: float = 0.0
-    #: Worker bound of the pass: None = serial, 0 = unbounded parallel.
-    jobs: Optional[int] = None
+    #: Worker bound of the pass: 1 = serial, 0 = unbounded.
+    jobs: int = 1
 
     def __post_init__(self) -> None:
         self._indexed_count = -1
@@ -227,11 +226,10 @@ class DeploymentEngine:
 
     *How* a pass executes is the engine's, set once here and read by
     every pass it runs: ``policy`` governs retries of failing driver
-    actions (``None`` = one attempt); ``jobs`` selects the event-driven
-    parallel scheduler with that many simulated workers (``0`` =
-    unbounded) and ``jobs_per_host`` additionally bounds concurrency per
-    target machine (both ``None``, the default, keeps the serial
-    strategy).
+    actions (``None`` = one attempt); ``jobs`` is the number of
+    simulated workers (``1``, the default, drives one instance at a
+    time; ``0`` = unbounded) and ``jobs_per_host`` additionally bounds
+    concurrency per target machine (``None`` = no per-host cap).
     """
 
     def __init__(
@@ -241,9 +239,17 @@ class DeploymentEngine:
         driver_registry: Optional[DriverRegistry] = None,
         *,
         policy: Optional[RetryPolicy] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         jobs_per_host: Optional[int] = None,
     ) -> None:
+        for name, bound in (
+            ("jobs", jobs), ("jobs_per_host", jobs_per_host or 0),
+        ):
+            if not isinstance(bound, int) or bound < 0:
+                raise RuntimeEngageError(
+                    f"{name} must be 0 (unbounded) or a positive worker "
+                    f"count, got {bound!r}"
+                )
         self.registry = registry
         self.infrastructure = infrastructure
         self.driver_registry = driver_registry or standard_driver_registry()
@@ -318,9 +324,9 @@ class DeploymentEngine:
 
         The system is :meth:`adopt` ed from the journal against this
         engine's infrastructure and only the remaining work is driven;
-        already-completed instances no-op.  Frontiers left by a parallel
-        pass (completed instances scattered across independent branches,
-        not a topological prefix) re-adopt the same way.  Raises
+        already-completed instances no-op.  A failed pass's frontier is
+        completed instances scattered across independent branches, not
+        a topological prefix, and re-adopts like any other.  Raises
         :class:`DeploymentFailure` again if the remaining work fails too.
 
         A journal carrying a :class:`~repro.runtime.journal
@@ -416,18 +422,9 @@ class DeploymentEngine:
         only: Optional[set[str]] = None,
     ) -> DeploymentReport:
         """Drive instances (all, or just ``only``) to ``target`` in
-        (reverse) dependency order.
+        (reverse) dependency order, through the one scheduler."""
+        from repro.runtime.scheduler import DagScheduler
 
-        Execution strategy lives in :mod:`repro.runtime.scheduler`:
-        serial fail-fast when neither worker bound is set, the
-        event-driven DAG scheduler otherwise.
-        """
-        from repro.runtime.scheduler import DagScheduler, execute_serial
-
-        if self.jobs is None and self.jobs_per_host is None:
-            return execute_serial(
-                self, system, target, reverse=reverse, only=only
-            )
         return DagScheduler(
             self, system, target, reverse=reverse, only=only
         ).run()
@@ -589,8 +586,7 @@ class DeploymentEngine:
         self, system: DeployedSystem, instance_id: str, transition
     ) -> None:
         upstream = [
-            system.state_of(u)
-            for u in system.spec[instance_id].upstream_ids()
+            system.state_of(u) for u in system.spec.upstream_ids(instance_id)
         ]
         downstream = [
             system.state_of(d)
@@ -617,7 +613,7 @@ class DeploymentEngine:
         reverse: bool = False,
     ) -> DeploymentReport:
         """Drive just ``instance_ids`` to ``target`` through the regular
-        serial/DAG machinery -- guards, retries, and write-ahead
+        scheduler -- guards, retries, and write-ahead
         journalling included.  Guards are checked against the *global*
         state, so instances outside the set safely anchor the guards of
         those inside it."""

@@ -7,7 +7,7 @@ TCP connections until started, downloads cost simulated time, and cache
 hits are cheap -- so ordering bugs and the cached-vs-internet experiment
 are observable."""
 
-from repro.sim.clock import ClockEvent, ClockSpan, ScheduledEvent, SimClock
+from repro.sim.clock import ClockEvent, ClockSpan, SimClock
 from repro.sim.faults import (
     FaultInjector,
     FaultKind,
@@ -41,7 +41,6 @@ from repro.sim.process import ProcessState, SimProcess
 __all__ = [
     "ClockEvent",
     "ClockSpan",
-    "ScheduledEvent",
     "SimClock",
     "CloudProvider",
     "MachineImage",

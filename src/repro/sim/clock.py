@@ -5,20 +5,17 @@ downloads, package installs, service startup delays, and provisioning all
 ``advance`` it.  Benchmarks read simulated durations off the clock, which
 makes the cached-vs-internet install experiment (E4) deterministic.
 
-Besides the plain monotonic mode, the clock has an *event-queue* mode
-used by the parallel deployment scheduler
-(:mod:`repro.runtime.scheduler`): callers :meth:`schedule` future
-completion events and :meth:`advance_to_next_event` jumps straight to
-the earliest one, while :meth:`overlapping` spans let several logical
-workers each accumulate simulated time from a common start instant --
-the substrate is single-threaded, but the *timelines* overlap.
+:meth:`overlapping` spans let several logical workers each accumulate
+simulated time from a common start instant -- the substrate is
+single-threaded, but the *timelines* overlap -- and :meth:`sync_to`
+moves ``now`` to whichever completion the caller observes next (the
+deployment scheduler keeps its own completion heap per pass).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.errors import SimulationError
 
@@ -32,21 +29,6 @@ class ClockEvent:
     label: str
 
 
-@dataclass
-class ScheduledEvent:
-    """A future event on the queue (event-queue mode).
-
-    ``seq`` is the deterministic tie-breaker: two events at the same
-    simulated instant pop in the order they were scheduled, so schedules
-    are bit-reproducible.
-    """
-
-    at: float
-    seq: int
-    label: str = ""
-    payload: Any = None
-
-
 class ClockSpan:
     """A scoped, possibly-overlapping stretch of simulated work.
 
@@ -55,21 +37,28 @@ class ClockSpan:
     it was, with the block's extent available as ``elapsed`` / ``end``.
     This is how logically-concurrent workers share one single-threaded
     clock: each executes in its own span from the common dispatch
-    instant, and the scheduler's event queue decides which completion
-    the world observes next.  Spans nest (a coordinator wave span may
-    contain a whole slave deployment, scheduler spans included).
+    instant, and the scheduler's completion heap decides which
+    completion the world observes next.  Spans nest (a coordinator wave
+    span may contain a whole slave deployment, scheduler spans
+    included).  A span made without a start begins wherever it is
+    entered, so one such span can be re-entered for stretch after
+    stretch.
     """
 
-    def __init__(self, clock: "SimClock", start: float) -> None:
+    __slots__ = ("_clock", "_anchor", "_saved", "start", "end", "elapsed")
+
+    def __init__(self, clock: "SimClock", start: Optional[float]) -> None:
         self._clock = clock
-        self._saved = start
-        self.start = start
-        self.end = start
+        self._anchor = start
+        self.start = self.end = clock._now if start is None else start
         self.elapsed = 0.0
 
     def __enter__(self) -> "ClockSpan":
-        self._saved = self._clock._now
-        self._clock._now = self.start
+        clock = self._clock
+        self._saved = clock._now
+        if self._anchor is not None:
+            clock._now = self._anchor
+        self.start = clock._now
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -85,8 +74,6 @@ class SimClock:
     def __init__(self) -> None:
         self._now = 0.0
         self._events: list[ClockEvent] = []
-        self._queue: list[tuple[float, int, ScheduledEvent]] = []
-        self._seq = 0
 
     @property
     def now(self) -> float:
@@ -113,60 +100,12 @@ class SimClock:
         if timestamp > self._now:
             self._now = timestamp
 
-    # -- Event-queue mode ------------------------------------------------
-
-    def schedule(
-        self, at: float, label: str = "", payload: Any = None
-    ) -> ScheduledEvent:
-        """Enqueue an event at absolute time ``at`` (clamped to now)."""
-        event = ScheduledEvent(max(at, self._now), self._seq, label, payload)
-        self._seq += 1
-        heapq.heappush(self._queue, (event.at, event.seq, event))
-        return event
-
-    def advance_to_next_event(self) -> Optional[ScheduledEvent]:
-        """Pop the earliest scheduled event and jump ``now`` to it.
-
-        The jump itself is not logged: the stretch is covered by the
-        overlapping spans of whatever work the event completes.  Returns
-        ``None`` when the queue is empty.
-        """
-        if not self._queue:
-            return None
-        at, _, event = heapq.heappop(self._queue)
-        if at > self._now:
-            self._now = at
-        return event
-
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    def peek_next_event_time(self) -> Optional[float]:
-        """The timestamp of the earliest scheduled event, without popping
-        it (``None`` when the queue is empty).  Control loops that share
-        the clock with the DAG scheduler use this to avoid jumping the
-        simulation past an event someone else scheduled."""
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
-    def cancel_events(self) -> int:
-        """Drop every pending scheduled event; returns how many.
-
-        Used when the logical owner of the events dies mid-pass (a slave
-        agent crashing between actions abandons its in-flight completion
-        events) -- leaving them queued would leak into the next pass's
-        :meth:`advance_to_next_event` loop.
-        """
-        cancelled = len(self._queue)
-        self._queue.clear()
-        return cancelled
-
     def overlapping(self, start: Optional[float] = None) -> ClockSpan:
-        """A span of work logically beginning at ``start`` (default now),
-        overlapping whatever else is in flight.  Use as a context
-        manager; read ``elapsed`` / ``end`` afterwards."""
-        return ClockSpan(self, self._now if start is None else start)
+        """A span of work logically beginning at ``start`` -- with no
+        start, at whatever instant it is entered -- overlapping whatever
+        else is in flight.  Use as a context manager; read ``start`` /
+        ``elapsed`` / ``end`` afterwards."""
+        return ClockSpan(self, start)
 
     # -- Introspection ---------------------------------------------------
 
@@ -200,5 +139,3 @@ class SimClock:
     def reset(self) -> None:
         self._now = 0.0
         self._events.clear()
-        self._queue.clear()
-        self._seq = 0

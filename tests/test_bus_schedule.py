@@ -6,7 +6,9 @@ equally passes them.  Here every case's delivery log is compared with a
 digest recorded **before** the control loop became an agenda (commit
 69d6b0f, the sweep that stepped every node at every instant): the same
 instants, the same step order, the same ``msg_id`` / tie-break sequence,
-byte for byte.
+byte for byte.  The ``jobs=2`` rows were re-recorded once since, when
+the scheduler's ready queue went from critical-path priority to pass
+order; the default-engine rows (``jobs`` ``None``) never moved.
 
 ``CASES`` is 25 seeded draws on each of three fleets, written out as
 data so that nothing here depends on :mod:`random`'s stream.  After a
@@ -57,8 +59,9 @@ FLEETS = {
 }
 
 #: ``seed`` is the LinkFaultPlan's; ``crash_host`` indexes the sorted
-#: hosts; ``records`` / ``sha256`` are ``len(bus.log)`` and the digest
-#: of ``delivery_log()``.
+#: hosts; ``jobs`` is the coordinator's worker bound (``None``: its
+#: default, one worker); ``records`` / ``sha256`` are ``len(bus.log)``
+#: and the digest of ``delivery_log()``.
 Case = collections.namedtuple(
     "Case",
     "machines seed drop duplicate jitter partition_at partition_for "
@@ -73,134 +76,134 @@ CASES = [Case(*row) for row in [
      "22f046ea31d5ee5573208480306addae9c7ff37548837bf1fff2acfdc1d90826"),
     (4, 2, 0.0, 0.05, 0.0, 10.0, 20.0, 50.0, 1, 1, 25.0, None, 1434,
      "8a7621d2f07644a066828c5ca2d3f76544c821c97ed9545caaca71fa8556f641"),
-    (4, 3, 0.05, 0.0, 0.5, 30.0, 120.0, None, None, 2, 200.0, 2, 627,
-     "380bdcd6567031f9bdf188573435784b21b8b448eb7c06a4b508ae63126ccc57"),
+    (4, 3, 0.05, 0.0, 0.5, 30.0, 120.0, None, None, 2, 200.0, 2, 631,
+     "6c1e425ac0dc41c63246bd42811759edb4dc2e406ad9e29e0b6b0257815eee06"),
     (4, 4, 0.2, 0.05, 3.0, 30.0, 120.0, 400.0, 3, 7, 60.0, None, 1162,
      "a25e19307e44f1ffe4764448c03289bf22936057e73fe1f1e23232efba4ee3a9"),
-    (4, 5, 0.2, 0.0, 0.5, 10.0, 20.0, None, 0, 6, 25.0, 2, 618,
-     "2898b730a044ff3822adedad0b2cf443012dfc601527325469121764a0f0aaea"),
-    (4, 6, 0.0, 0.05, 3.0, 10.0, 20.0, None, 0, 9, 60.0, 2, 605,
-     "c9d1ed32298e2b4cd0b09f984ddae3aa681860cfc2a9279d0ef0b60f81889522"),
-    (4, 7, 0.2, 0.0, 0.0, None, 120.0, None, None, 5, 200.0, 2, 589,
-     "42b2babfcd5a30b67b6a2453d07141ce465c8676da221d32a17c78296a0c4a11"),
+    (4, 5, 0.2, 0.0, 0.5, 10.0, 20.0, None, 0, 6, 25.0, 2, 642,
+     "9d193a01311af083f751b8ce74f226cfbc3bd8bb3195eb07226d949ca2c70f67"),
+    (4, 6, 0.0, 0.05, 3.0, 10.0, 20.0, None, 0, 9, 60.0, 2, 625,
+     "daa8d967b77296cb02e406f1086e773b8ec61b4366f2a7a07dba6b546cd555d2"),
+    (4, 7, 0.2, 0.0, 0.0, None, 120.0, None, None, 5, 200.0, 2, 608,
+     "505056140b72f414c316294b7835b2bd31cab4e8026440dbd0b5670f6c0bdbd5"),
     (4, 8, 0.0, 0.2, 0.0, 10.0, 20.0, None, 1, 7, 25.0, None, 1107,
      "46d070e47cf06dc7c4239daa278fca1122ce5706406488fcb174850663bcacdd"),
     (4, 9, 0.2, 0.05, 0.0, 10.0, 120.0, 400.0, None, 4, 60.0, None, 1193,
      "d589fcf7653f315d9a41ecf747f79405df863da93f70c082436bd53d5d961605"),
-    (4, 10, 0.0, 0.2, 3.0, None, 20.0, 50.0, None, 9, 200.0, 2, 922,
-     "3ed30aca084c5a74d1448222d4967f70e23d8b80a44f3c34b27c548e23f29dae"),
+    (4, 10, 0.0, 0.2, 3.0, None, 20.0, 50.0, None, 9, 200.0, 2, 953,
+     "d247c1cb6f5e71f72a196e2db5fcd26ccd2bcf2dad323b183e9b9414c1d6d393"),
     (4, 11, 0.05, 0.0, 0.0, 30.0, 20.0, None, None, 3, 60.0, None, 946,
      "877024052ab1e90669a8d44e78c0cda4f042296da770f4d48c689f646d462edb"),
     (4, 12, 0.2, 0.0, 0.0, None, 120.0, None, 0, 1, 60.0, None, 969,
      "2e7bd769e1365f3f16910040784d9c6e976c47e3dc96f586a60df2f1ad892847"),
     (4, 13, 0.05, 0.2, 0.5, None, 120.0, None, None, 9, 200.0, None, 1151,
      "cfea65d9488969cfbd185e90df344837a6ee61acdb13ccca12da3f7e96602054"),
-    (4, 14, 0.05, 0.05, 3.0, 10.0, 120.0, 50.0, 2, 1, 60.0, 2, 751,
-     "23ab270f12952cf0b058d3430f4c8eced2986dd7b0af6a478d524ddca4a24a22"),
+    (4, 14, 0.05, 0.05, 3.0, 10.0, 120.0, 50.0, 2, 1, 60.0, 2, 753,
+     "7f7ee3651297bf0a928479dcb780609c9314064d1f665e69420ef25375c66c98"),
     (4, 15, 0.0, 0.05, 3.0, 10.0, 120.0, None, 3, 4, 200.0, None, 974,
      "f150c33c5e30c37fd1c4617558517bcb1c3ec8ecebcda2b34f1596df27700626"),
-    (4, 16, 0.05, 0.2, 0.5, 10.0, 120.0, 400.0, 1, 7, 60.0, 2, 772,
-     "bb5c10f48574030d24e1e7d0efc7d5fe308f43bb6e77bd9ed7acb7308e38245b"),
-    (4, 17, 0.2, 0.05, 0.0, None, 20.0, 50.0, 0, 6, 25.0, 2, 793,
-     "940d570f07f0403d29611457e90f2a973b3d22bc40d58e02496f13d9d97d6f4a"),
-    (4, 18, 0.05, 0.05, 0.0, 30.0, 120.0, 50.0, None, 9, 200.0, 2, 813,
-     "1917ee6f7464739006b426d760687bcfcac2e708c738846feea2d4478c023178"),
+    (4, 16, 0.05, 0.2, 0.5, 10.0, 120.0, 400.0, 1, 7, 60.0, 2, 785,
+     "6372c407f84d0d6a5a722c7f1ba52fec7b94f5c4f70a5096a1be9e15a4bc44c7"),
+    (4, 17, 0.2, 0.05, 0.0, None, 20.0, 50.0, 0, 6, 25.0, 2, 802,
+     "68b9e6050fb26fbca56da19da305bd3297e829e941970195cad7f499b6e0c7e7"),
+    (4, 18, 0.05, 0.05, 0.0, 30.0, 120.0, 50.0, None, 9, 200.0, 2, 838,
+     "dbe7b24a8597fcb8274933d319034af2ef6edc1ce9d47151f7803638d3614626"),
     (4, 19, 0.2, 0.0, 3.0, None, 120.0, 400.0, None, 9, 200.0, None, 1087,
      "0a42670a79bd4604580733508f768acd59fb2d4f4a73768c0bd5806caf750fd2"),
-    (4, 20, 0.0, 0.05, 0.5, None, 20.0, None, 3, 1, 25.0, 2, 601,
-     "4d97395a3f12189b770744b12efb95d8214238ceea103fd55aaed399e1b7512c"),
+    (4, 20, 0.0, 0.05, 0.5, None, 20.0, None, 3, 1, 25.0, 2, 613,
+     "ddd763c0a01ad8119ba6ba8b4354269afc8f43e70844548934372a668704b0a7"),
     (4, 21, 0.2, 0.0, 0.5, 10.0, 120.0, 400.0, None, 1, 200.0, None, 1112,
      "7a93065d44c1cfc445cbf3de6b8c334a273856e8162f279b65ee206af3324dbd"),
     (4, 22, 0.2, 0.0, 0.5, None, 20.0, None, None, 1, 60.0, None, 1010,
      "8db913dd38b50d486ac3caa5d50ee2cce5e32feb70fc3ce598065f53efbf1458"),
     (4, 23, 0.05, 0.0, 3.0, None, 20.0, None, None, 2, 25.0, None, 955,
      "afb476a108cb3d142258a4e775d6f635e5f3c2e4ace1c5af5247ccd8093ed9d1"),
-    (4, 24, 0.0, 0.0, 0.0, 30.0, 20.0, 400.0, 3, 5, 200.0, 2, 634,
-     "b1d5997bc49cbe3f99ff628e9468d7f1b78c0e615a71cfae987a6769a9e76f74"),
-    (12, 0, 0.05, 0.2, 0.5, None, 120.0, 50.0, 6, 9, 200.0, 2, 2284,
-     "54eb675b3ee69a64e9e909c02e10f53f77b73a1e5645a9827e482b917c97b05c"),
-    (12, 1, 0.0, 0.2, 0.5, 10.0, 20.0, None, 6, 3, 200.0, 2, 1911,
-     "2f1683a1a2dfa58116e4d48902e20f2b3df433630cc8a23c7ea5c9b0c95e3133"),
-    (12, 2, 0.0, 0.05, 0.5, None, 120.0, 400.0, 5, 1, 60.0, 2, 1748,
-     "d7361ca10ee364e4ee9299d968865cf89c86293c4f0485e6240ec5d69f052663"),
-    (12, 3, 0.2, 0.05, 0.5, 30.0, 120.0, 400.0, None, 3, 60.0, 2, 1935,
-     "6d853423d643be9d57618da27141855ddc2fec060f44a27577cd4692cf7255a2"),
+    (4, 24, 0.0, 0.0, 0.0, 30.0, 20.0, 400.0, 3, 5, 200.0, 2, 654,
+     "6a9a1262fcf84b2e57920c6210aece93ec08f4e28eeb32aecc2b35e73c333a58"),
+    (12, 0, 0.05, 0.2, 0.5, None, 120.0, 50.0, 6, 9, 200.0, 2, 2296,
+     "847fc4ae1065bb93b3f7b2276c86be7dc4cb949724e6f908fd82c60be2e325d9"),
+    (12, 1, 0.0, 0.2, 0.5, 10.0, 20.0, None, 6, 3, 200.0, 2, 1909,
+     "68b2538bb2f091f5e174c41e849cd2555c42511bb3f50df012fd28ddce474f08"),
+    (12, 2, 0.0, 0.05, 0.5, None, 120.0, 400.0, 5, 1, 60.0, 2, 1759,
+     "86c899cca2510a8ea282aa1b39334e4b00144308a0a6e8e3da989a66cb3b1c44"),
+    (12, 3, 0.2, 0.05, 0.5, 30.0, 120.0, 400.0, None, 3, 60.0, 2, 1924,
+     "17b687cac72c1597412a14d4e08e1802305dac799c287946a2a1e1719b962161"),
     (12, 4, 0.05, 0.2, 0.5, 30.0, 20.0, None, 11, 4, 60.0, None, 1852,
      "ea82c6e666835afbb7a0d5481e1b17531702f558873c51c4ec3ed6c08aa3e0f7"),
     (12, 5, 0.05, 0.0, 0.0, 30.0, 20.0, 50.0, 8, 9, 25.0, None, 2243,
      "39aeceff323900bc130c8f4a71efd413306cdcdf9af2a17f9d573d6583fcc65b"),
-    (12, 6, 0.05, 0.2, 0.0, 10.0, 120.0, 50.0, 8, 9, 25.0, 2, 1916,
-     "8b8d5c0325781c82b580bef6ac4af12faecf4f8f9e8ebec661a99c6bbe469be7"),
-    (12, 7, 0.0, 0.0, 3.0, 10.0, 20.0, 400.0, 5, 3, 200.0, 2, 1283,
-     "fdb1479eb66876065949d5fc3e46922533e20c509b9933e1bfdb9bbea67696b7"),
-    (12, 8, 0.2, 0.2, 3.0, None, 120.0, 400.0, None, 8, 60.0, 2, 2024,
-     "9000587a11edf941f7385f3db6d5d0a0676623500b7c7cc176003fd9ec56c0e2"),
-    (12, 9, 0.0, 0.2, 3.0, 30.0, 120.0, None, None, 4, 60.0, 2, 1658,
-     "427ca783961efea42e379215a4ed27350c2f45b9a2fd63c251838fad4dc68eee"),
-    (12, 10, 0.0, 0.0, 0.5, None, 120.0, 400.0, 8, 1, 60.0, 2, 1649,
-     "ebb897437fc80b4adaf38d4edb3692ee04b0d5c014bbbda504c9eb8786b4bd1d"),
-    (12, 11, 0.05, 0.05, 0.5, 10.0, 120.0, 400.0, 8, 6, 25.0, 2, 1891,
-     "cfdb658fc17199f6aa6c9290f382d5d4c145563f2cc265e0affe039e3c6382aa"),
-    (12, 12, 0.05, 0.05, 0.5, 10.0, 20.0, None, 5, 3, 60.0, 2, 1364,
-     "dee8fbaff4df4e0bbf8585c4d4bb3e09947c9fd630331a44212f52f2cc2ffbb5"),
-    (12, 13, 0.0, 0.0, 3.0, None, 20.0, 400.0, None, 2, 200.0, 2, 1277,
-     "267c6b9c7a67ce5a65bcdf16e33e48b1500e63937c7dcdfe0e2c6265ed5bc432"),
+    (12, 6, 0.05, 0.2, 0.0, 10.0, 120.0, 50.0, 8, 9, 25.0, 2, 1922,
+     "adad111be0466cc7986e76810f4090c01b6681535d71aa99c165812859fae9d4"),
+    (12, 7, 0.0, 0.0, 3.0, 10.0, 20.0, 400.0, 5, 3, 200.0, 2, 1282,
+     "a8035b45b9cfe3c3b49c74ee6c5bdf7771b638f1d1a17b8b42b0d80eef1e7f7d"),
+    (12, 8, 0.2, 0.2, 3.0, None, 120.0, 400.0, None, 8, 60.0, 2, 2017,
+     "4cf02b2684ddb2e2bd06ff0c3f55dab46695619d13022c744fd1430e8a3facd1"),
+    (12, 9, 0.0, 0.2, 3.0, 30.0, 120.0, None, None, 4, 60.0, 2, 1676,
+     "5ebe08cfe06bf3b99b18177e8fb6ec3ee163623aba65a81e2d3678172fcfddeb"),
+    (12, 10, 0.0, 0.0, 0.5, None, 120.0, 400.0, 8, 1, 60.0, 2, 1651,
+     "68c5ef867d921e34c5dc9b96488801ab6c94c261cb21a27ecd04533ef7d3f79b"),
+    (12, 11, 0.05, 0.05, 0.5, 10.0, 120.0, 400.0, 8, 6, 25.0, 2, 1899,
+     "fb7fdcf3e6a19aed6aaf714df82950c96ff03819d0922ef1503cde21179bf1f9"),
+    (12, 12, 0.05, 0.05, 0.5, 10.0, 20.0, None, 5, 3, 60.0, 2, 1370,
+     "7db4215e4d47e2463d561ed76b7d6634bb61d154ca19e651ffe38af6e8f2d259"),
+    (12, 13, 0.0, 0.0, 3.0, None, 20.0, 400.0, None, 2, 200.0, 2, 1278,
+     "e50ceefed3bbe162744b38e75d56a4cc16b56d01aa90eb1a2676cb4e7c51091b"),
     (12, 14, 0.05, 0.05, 3.0, 10.0, 120.0, None, 7, 3, 200.0, None, 1824,
      "e3b6c13bf306d5d42d315862b35cf95df800311802f2ec6d24a38d95b4f35ef5"),
     (12, 15, 0.0, 0.0, 0.5, 10.0, 20.0, None, 9, 9, 60.0, None, 1542,
      "3e822c776142a9b7be3ec11780dd844685684e49c7896615c5037f7d8afac86b"),
     (12, 16, 0.0, 0.2, 3.0, None, 20.0, None, 6, 3, 25.0, 2, 1934,
-     "9ac1f4999bdb1f7c7278f93016582e21f7ac184fa08dabae57608986fcd32200"),
+     "c9c1fc84330e9a54b6541dfb22c79a4be5c3202552b32a2ace8ba3d4de5fcc49"),
     (12, 17, 0.0, 0.0, 0.0, 10.0, 120.0, 400.0, 4, 7, 60.0, None, 1833,
      "6cb5634b52bed86fa602b3a1c052fd39619e022b1b02e7bc5b16c3888fca87da"),
     (12, 18, 0.2, 0.0, 0.5, 30.0, 120.0, 50.0, 3, 3, 25.0, None, 2698,
      "ae958feec8ed87a4eeaa75916dd1141b33d79c88fc3b47c2e612af0d48330a44"),
     (12, 19, 0.2, 0.2, 0.0, 10.0, 20.0, 400.0, 4, 8, 200.0, None, 1969,
      "6174feffaff9c9fcb938b6ff85734841994b76eb0550b30c89b98ddea719f5f7"),
-    (12, 20, 0.05, 0.05, 0.5, 30.0, 120.0, 50.0, 6, 6, 25.0, 2, 1974,
-     "137e3d8df4135fe3a4d68de73d71e8d2709369414d2bc239f55e7cfcc64112b2"),
+    (12, 20, 0.05, 0.05, 0.5, 30.0, 120.0, 50.0, 6, 6, 25.0, 2, 1973,
+     "6137440d0d585bc375c4d04aa9a69e65cbc75d6b96a38f383e789bfd3fe9eee5"),
     (12, 21, 0.05, 0.2, 3.0, None, 120.0, 50.0, 2, 9, 25.0, None, 3300,
      "af03e08859106224ead72f33adbb9da467d58fc3f9813cbc2df023175914310a"),
-    (12, 22, 0.2, 0.0, 3.0, 10.0, 120.0, 400.0, 4, 1, 60.0, 2, 1849,
-     "73a5d5ef30aa3a054ecf5e6b34ed176d4524421335308bfa14e56431fc09cbb4"),
-    (12, 23, 0.0, 0.2, 3.0, None, 20.0, 400.0, 0, 4, 25.0, 2, 2008,
-     "84dd8c6fd7ad9666a7a59f36793721310ca27a4eee26e1ea8820b4b4fb3468ce"),
+    (12, 22, 0.2, 0.0, 3.0, 10.0, 120.0, 400.0, 4, 1, 60.0, 2, 1851,
+     "3d442747e79b4f3a7f043a34afd6f59ff5108b0c090d726af7f29d4ac09b65e7"),
+    (12, 23, 0.0, 0.2, 3.0, None, 20.0, 400.0, 0, 4, 25.0, 2, 1976,
+     "041e97aac8254b0b93b8320dd737fcff65fb0d76633264951431c2e7aaa9708e"),
     (12, 24, 0.0, 0.05, 0.0, 10.0, 20.0, 50.0, None, 4, 25.0, None, 2404,
      "b6c888cf590582cbaa6913e9b44bf6bc90da97b6ff90666a160ec73472e937db"),
     (32, 0, 0.0, 0.0, 3.0, 10.0, 20.0, 50.0, None, 1, 200.0, None, 9900,
      "490b9303cd88ad7a02610e34427be15f6e6b5822956584b52f02bc2068518198"),
-    (32, 1, 0.05, 0.0, 3.0, 10.0, 120.0, 400.0, None, 1, 200.0, 2, 5054,
-     "c6650dff853ee9c0d2ef00b74d813973d268b0a1e88b672b12e3661cf2ef4bf4"),
-    (32, 2, 0.05, 0.2, 0.5, 10.0, 20.0, 400.0, None, 7, 60.0, 2, 5701,
-     "b439019743795063a798863aa4ea021b91ed7792501ea0cc632e02be8cd5b1c5"),
-    (32, 3, 0.05, 0.05, 3.0, None, 20.0, 50.0, None, 2, 60.0, 2, 6085,
-     "f8be98c2df2330a33a4a8ca50a0192b890519fdac7e9b843578258d7012dcadc"),
-    (32, 4, 0.2, 0.2, 3.0, None, 20.0, 400.0, 22, 2, 200.0, 2, 5683,
-     "c2b78cd9001a0802175779d0b17c102f099a9ac89b13d70333f2e49bdc41181a"),
-    (32, 5, 0.0, 0.2, 0.0, None, 20.0, 50.0, 29, 3, 60.0, 2, 7238,
-     "cab3120bf8f514e37e4e5838bfbe45e8c2a810f88d2ca0a83713ac55b540eb53"),
+    (32, 1, 0.05, 0.0, 3.0, 10.0, 120.0, 400.0, None, 1, 200.0, 2, 5177,
+     "c8d34ecf13690b9d63a996acc8cfb61c4bcd73e25d37121e9fbf6c9b88416208"),
+    (32, 2, 0.05, 0.2, 0.5, 10.0, 20.0, 400.0, None, 7, 60.0, 2, 5860,
+     "6f1c9f57ee7999c2d55c9438d34a020176a3e8b96122476647c873264f11984c"),
+    (32, 3, 0.05, 0.05, 3.0, None, 20.0, 50.0, None, 2, 60.0, 2, 6103,
+     "ce5ce23bec61d7a9027bc7842549c2aca657a05a77b79d8e17cb94e23eafee76"),
+    (32, 4, 0.2, 0.2, 3.0, None, 20.0, 400.0, 22, 2, 200.0, 2, 5711,
+     "11da0a320d559dee6c13ff78f5cd8bfa722d28f37c1e84534f5d2b35b6f8e8be"),
+    (32, 5, 0.0, 0.2, 0.0, None, 20.0, 50.0, 29, 3, 60.0, 2, 7386,
+     "2c7cc391841b1637b0b1d6565f38a527335485b9117dccbedcb5ab774ea9b1a8"),
     (32, 6, 0.2, 0.0, 0.0, 30.0, 120.0, 50.0, 15, 1, 25.0, None, 9711,
      "9ebb7ac5b5d309411708833164c3f3d6a5ff45ba02f779bb31f64596101fe3a8"),
     (32, 7, 0.2, 0.05, 0.0, None, 20.0, None, 24, 7, 60.0, None, 8193,
      "958ea3db52aaa9e251fdbd9bf83388a69b6ea8f177d69693ac8062f9ba8c6b88"),
-    (32, 8, 0.2, 0.05, 0.5, 10.0, 120.0, None, 23, 2, 200.0, 2, 5278,
-     "af6e114b84e6e3ef41a9a1a9678945bebbe816abd500971bf67cc9588d479155"),
+    (32, 8, 0.2, 0.05, 0.5, 10.0, 120.0, None, 23, 2, 200.0, 2, 5286,
+     "ea050224ee2fe074910326a5e02f8aec327765669cdc1389a81fb56eafc611c1"),
     (32, 9, 0.05, 0.05, 3.0, None, 20.0, 50.0, 1, 2, 200.0, None, 10246,
      "9da97b7e014677938fdd15704d105ccca8b4600761351e59bff2c7d9a962a4fd"),
     (32, 10, 0.05, 0.0, 0.5, 10.0, 120.0, 50.0, None, 7, 25.0, None, 9693,
      "d77a0c06787de929d4ab2feac03acac79c08945942971675cd4691dbc7225f19"),
-    (32, 11, 0.2, 0.0, 3.0, None, 20.0, 50.0, None, 6, 60.0, 2, 5817,
-     "93fde4ec1101da3d15bdfd0e644777bbbc1eb929cbe348fa80ec1521159f0b03"),
+    (32, 11, 0.2, 0.0, 3.0, None, 20.0, 50.0, None, 6, 60.0, 2, 5802,
+     "ab0380a4da60dcc58cdd1769c1d2774eb67a2744c4a2f2872eef3aeabb95e499"),
     (32, 12, 0.2, 0.05, 3.0, None, 20.0, 50.0, 13, 2, 25.0, None, 10063,
      "dbfa194660f7f529a03f6cd706452fda01f0ed514a3c4822099d693e3610954e"),
-    (32, 13, 0.0, 0.2, 0.5, 10.0, 120.0, 50.0, 17, 8, 200.0, 2, 6767,
-     "a1da5c5485e0bf95ca96fbbf269f672ab9eff79e4283ae09e76282b381fa70a6"),
-    (32, 14, 0.05, 0.0, 0.0, 10.0, 20.0, None, 1, 1, 60.0, 2, 4721,
-     "9d16e9e65f7ac49085ddee9dd636aa3aa6730674db6a091b6214ce917c104cb8"),
-    (32, 15, 0.2, 0.0, 3.0, 30.0, 20.0, None, None, 7, 200.0, 2, 4866,
-     "f16dbe715fc0a2cf666d0981a7b29bd2c4a6a1c6be02aeba34237042e022f9fe"),
-    (32, 16, 0.0, 0.2, 0.5, 30.0, 120.0, 400.0, 14, 2, 25.0, 2, 6061,
-     "14dc6d660652578df4562b4e76fb2966a59071f46445d305f22f771f68955cf1"),
+    (32, 13, 0.0, 0.2, 0.5, 10.0, 120.0, 50.0, 17, 8, 200.0, 2, 6830,
+     "3bb0848526c80f2d3c1471b2f7bbfc30cfa08c891ef548395214fcfdd6d11320"),
+    (32, 14, 0.05, 0.0, 0.0, 10.0, 20.0, None, 1, 1, 60.0, 2, 4848,
+     "bae623808303b408271fd2226b110e7cdce65098dd3fa5b6f3125283da95f7d4"),
+    (32, 15, 0.2, 0.0, 3.0, 30.0, 20.0, None, None, 7, 200.0, 2, 5014,
+     "3c9c531b6554c2149a53e229d76aa819aa7083691702475f84bf7d8aef092998"),
+    (32, 16, 0.0, 0.2, 0.5, 30.0, 120.0, 400.0, 14, 2, 25.0, 2, 5990,
+     "c7bddc61e3653c4bf7c358ba92f8745fb850c29af1de1a11b331aba236716e5e"),
     (32, 17, 0.05, 0.05, 0.0, None, 120.0, 400.0, 2, 5, 60.0, None, 8336,
      "61ba15e3ea0dd932e64c6ce7e9f51a419d81b1a0baf5b055711fe3ee6252fa0c"),
     (32, 18, 0.0, 0.2, 0.0, 10.0, 20.0, None, 3, 8, 60.0, None, 9278,
@@ -209,12 +212,12 @@ CASES = [Case(*row) for row in [
      "881b3dad72a705c71fe16d6a91aaa1789671a2cd137ef0324170e64bb40dd75c"),
     (32, 20, 0.05, 0.05, 3.0, 10.0, 120.0, 400.0, 0, 2, 60.0, None, 8508,
      "54e62d9d983090fbff2babbd76e66c45700feb6661ff2cf4a29ff96e3da77290"),
-    (32, 21, 0.0, 0.05, 0.0, 10.0, 20.0, 400.0, None, 5, 60.0, 2, 5036,
-     "c2e7e726751537a8a80f4c50fd5cf682cd59d51cadc789613e1ee5caa76a4dc8"),
+    (32, 21, 0.0, 0.05, 0.0, 10.0, 20.0, 400.0, None, 5, 60.0, 2, 5172,
+     "e7bcad7ce38e39f3f611e38074dbfce7b13c7c4d3ff3ee709404c0ba22c54722"),
     (32, 22, 0.2, 0.0, 0.0, 30.0, 120.0, 400.0, 26, 9, 25.0, None, 8480,
      "8d655beda670e148ed4abb5aa89ab9ae912272b1af8976dd0806705321948528"),
-    (32, 23, 0.05, 0.05, 3.0, None, 20.0, 50.0, 12, 9, 60.0, 2, 6124,
-     "6a2cc9bf0d5f82c03d6fd86c1dd7b895fc68ab2fcb977ce86b82e4e8be09db70"),
+    (32, 23, 0.05, 0.05, 3.0, None, 20.0, 50.0, 12, 9, 60.0, 2, 6099,
+     "220e2972ed16e2bc2c76c8232d413a3476cd90ffd9c5e60881e7aa219506d439"),
     (32, 24, 0.0, 0.2, 3.0, 30.0, 120.0, 400.0, None, 1, 200.0, None, 9543,
      "f569fdad3c68b839efa0b80c89bec78fcac34d11d1869a97ae594d64e08de02a"),
 ]]
@@ -230,7 +233,7 @@ class Fleet:
         ).configure(partial).spec
         self.hosts = sorted(m.id for m in self.spec.machines())
 
-    def deploy(self, *, faults=None, chaos=None, jobs=None):
+    def deploy(self, *, faults=None, chaos=None, jobs=1):
         """The deployed system, with the bus it was deployed over (the
         coordinator's, reached here once) beside it as ``.bus``."""
         coordinator = BusCoordinator(
@@ -258,7 +261,7 @@ class Fleet:
                 crash_after_actions=case.crash_after,
                 crash_down_for=case.crash_down_for,
             ),
-            jobs=case.jobs,
+            jobs=case.jobs or 1,
         )
 
 

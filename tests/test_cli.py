@@ -347,6 +347,30 @@ class TestDeploy:
         assert code == 2
         assert "cannot be deployed together" in output
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--jobs", "-1"], "jobs"), (["--jobs", "2", "--jobs-per-host",
+                                        "-2"], "jobs_per_host")],
+        ids=["jobs", "jobs-per-host"],
+    )
+    def test_negative_worker_bound_is_refused(self, spec_file, flags, named):
+        """Not a silent "unbounded": an error naming the value, exit 2."""
+        code, output = run(["deploy", spec_file, *flags])
+        assert code == 2
+        assert f"error: {named} must be 0 (unbounded) or a positive " \
+            f"worker count, got -" in output
+        assert "deployment state" not in output
+
+    def test_default_is_one_worker_and_prints_no_parallel_line(
+        self, spec_file
+    ):
+        code, output = run(["deploy", spec_file])
+        assert code == 0
+        assert "parallel deploy" not in output
+        code, output = run(["deploy", spec_file, "--jobs", "0"])
+        assert "parallel deploy (jobs=unbounded)" in output
+
+
 TWO_NODE = json.dumps(
     [
         {"id": "appnode", "key": "Ubuntu-Linux 10.04",

@@ -274,14 +274,35 @@ class TestHandEditedSpecErrors:
         tomcat = spec["tomcat"]
         back = replace(tomcat.inside, kind="peer", target=tomcat.ref())
         bad = edited(spec, replace(spec["server"], peers=(back,)))
+        # server -> tomcat -> server and server -> tomcat -> java ->
+        # server; mysql and openmrs only trail the cycle.
         assert spec_problems(registry, bad) == [
             "dependency cycle among instances: "
-            f"{java_of(spec).id}, mysql, openmrs, server, tomcat"
+            f"{java_of(spec).id}, server, tomcat"
         ]
         with raises_exactly(
             CycleError,
             "dependency cycle among instances: "
-            f"{java_of(spec).id}, mysql, openmrs, server, tomcat",
+            f"{java_of(spec).id}, server, tomcat",
+        ):
+            bad.topological_order()
+
+    def test_cycle_names_the_cycle_not_what_trails_it(self, spec):
+        """A java <-> tomcat environment cycle: openmrs sits behind it
+        and is not named."""
+        tomcat, java = spec["tomcat"], java_of(spec)
+        back = replace(tomcat.environment[0], target=tomcat.ref())
+        bad = edited(spec, replace(java, environment=(back,)))
+        with raises_exactly(
+            CycleError,
+            f"dependency cycle among instances: {java.id}, tomcat",
+        ):
+            bad.topological_order()
+
+    def test_machine_inside_itself_names_the_machine(self, spec):
+        bad = edited(spec, replace(spec["server"], inside=spec["tomcat"].inside))
+        with raises_exactly(
+            CycleError, "dependency cycle among instances: server"
         ):
             bad.topological_order()
 

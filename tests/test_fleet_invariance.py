@@ -112,7 +112,8 @@ class TestConfiguredSpecParity:
 
 class TestHealthyDeployInvariance:
     def test_serial_baseline_across_partition_modes(self):
-        assert healthy_outcome(None, False) == healthy_outcome(None, True)
+        """The default engine: one worker."""
+        assert healthy_outcome(1, False) == healthy_outcome(1, True)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_parallel_across_partition_modes(self, jobs):
@@ -122,14 +123,14 @@ class TestHealthyDeployInvariance:
     def test_full_jobs_matrix(self):
         """States and journal frontiers agree across every worker count
         and both partition modes (schedules legitimately differ between
-        serial and parallel engines, so compare states only)."""
+        worker counts, so compare states only)."""
         outcomes = {
             (jobs, partition): healthy_outcome(jobs, partition)[:2]
             for jobs, partition in itertools.product(
-                [None, 1, 4, 0], [False, True]
+                [1, 2, 4, 0], [False, True]
             )
         }
-        baseline = outcomes[(None, False)]
+        baseline = outcomes[(1, False)]
         assert all(value == baseline for value in outcomes.values())
 
 
@@ -139,7 +140,7 @@ class TestTraceInvariance:
 
     @pytest.mark.slow
     def test_trace_sequence_serial(self):
-        assert trace_sequence(None, False) == trace_sequence(None, True)
+        assert trace_sequence(1, False) == trace_sequence(1, True)
 
 
 class TestChaosInvariance:

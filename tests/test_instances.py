@@ -11,7 +11,8 @@ from repro.core import (
     ResourceInstance,
     as_key,
 )
-from repro.core.errors import CycleError, SpecError
+from repro.core.errors import CycleError, DeploymentError, SpecError
+from repro.runtime import machine_waves
 
 
 def link(kind, target_id, key="T 1"):
@@ -132,6 +133,8 @@ class TestTopologicalOrder:
 
 
 class TestMachineOrder:
+    """The coordinator's machine order: dependency waves."""
+
     def test_cross_machine_dependency_orders_machines(self):
         spec = InstallSpec(
             [
@@ -141,16 +144,16 @@ class TestMachineOrder:
                 hosted("app", "app_node", peers=["db"]),
             ]
         )
-        order = spec.machine_order()
-        assert order.index("db_node") < order.index("app_node")
+        assert machine_waves(spec) == [["db_node"], ["app_node"]]
 
     def test_independent_machines_sorted(self):
         spec = InstallSpec([machine("b"), machine("a")])
-        assert spec.machine_order() == ["a", "b"]
+        assert machine_waves(spec) == [["a", "b"]]
 
     def test_cross_machine_cycle_detected(self):
         a = ResourceInstance(id="ma", key=as_key("M 1"))
         b = ResourceInstance(id="mb", key=as_key("M 1"))
+        c = ResourceInstance(id="mc", key=as_key("M 1"))
         on_a = ResourceInstance(
             id="xa",
             key=as_key("X 1"),
@@ -163,8 +166,11 @@ class TestMachineOrder:
             inside=link("inside", "mb"),
             peers=(link("peer", "xa"),),
         )
-        with pytest.raises(CycleError):
-            InstallSpec([a, b, on_a, on_b]).machine_order()
+        with pytest.raises(
+            DeploymentError,
+            match="cannot order machines: ma, mb$",
+        ):
+            machine_waves(InstallSpec([a, b, c, on_a, on_b]))
 
 
 class TestResourceInstance:

@@ -292,7 +292,7 @@ class TestEngineIsTheExecutionContext:
             )
         ]
         for function in engine_methods + [
-            scheduler.execute_serial, scheduler.DagScheduler,
+            scheduler.DagScheduler,
             execute_plan, ReconcileController, execute_delta,
             delta.finish_down_phase, UpgradeEngine,
             coordinator._SlaveEngine._perform_with_retry,

@@ -1,10 +1,11 @@
-"""The event-driven parallel deployment scheduler.
+"""The deployment scheduler: every pass, one worker by default.
 
 Core properties: bit-reproducible schedules, measured makespan equal to
 the critical-path bound under unbounded workers, worker/per-host bounds
 respected, and -- the chaos-parity property -- a completed/failed/skipped
 partition (and journal frontier) that does not depend on the worker
-count.
+count.  ``tests/test_one_worker.py`` holds the one-worker case against
+the serial executor it replaced.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import pytest
 
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import DeploymentFailure
+from repro.core.errors import DeploymentFailure, RuntimeEngageError
 from repro.drivers import ACTIVE, INACTIVE, UNINSTALLED
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
     standard_registry,
 )
+from repro.obs import Tracer
 from repro.runtime import DeploymentEngine, RetryPolicy
 from repro.sim import FaultPlan, FaultyWorld, SimClock
 
@@ -91,11 +93,11 @@ class TestMeasuredMakespan:
         )
 
     def test_matches_serial_counterfactual_prediction(self):
-        """The serial engine predicts a critical-path makespan as a
-        counterfactual; the parallel engine must *measure* the same
-        number."""
+        """The default one-worker engine predicts a critical-path
+        makespan as a counterfactual; unbounded workers must *measure*
+        the same number."""
         _, serial_engine, spec = build_world()
-        predicted = serial_engine.deploy(spec).report.makespan_seconds
+        predicted = serial_engine.deploy(spec).report.critical_path_seconds
         _, parallel_engine, spec = build_world(jobs=0)
         measured = parallel_engine.deploy(spec).report
         assert measured.makespan_seconds == pytest.approx(
@@ -125,7 +127,7 @@ class TestDeterminism:
 
     def test_end_state_independent_of_jobs(self):
         states = []
-        for jobs in (None, 1, 2, 0):
+        for jobs in (1, 2, 0):
             _, engine, spec = build_world(jobs=jobs)
             system = engine.deploy(spec)
             states.append(system.states())
@@ -199,9 +201,9 @@ class TestChaosParity:
     same seeded fault plan."""
 
     @staticmethod
-    def chaos_outcome(jobs, seed, rate):
+    def chaos_outcome(seed, rate, **how):
         policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
-        infrastructure, engine, spec = build_world(policy=policy, jobs=jobs)
+        infrastructure, engine, spec = build_world(policy=policy, **how)
         plan = FaultPlan.seeded(seed, rate, max_failures=2)
         FaultyWorld(infrastructure, plan)
         try:
@@ -219,8 +221,16 @@ class TestChaosParity:
         "seed,rate", list(itertools.product([1, 2, 3, 5], [0.25, 0.6]))
     )
     def test_partition_independent_of_worker_count(self, seed, rate):
-        assert self.chaos_outcome(1, seed, rate) == self.chaos_outcome(
-            4, seed, rate
+        assert self.chaos_outcome(seed, rate, jobs=1) == self.chaos_outcome(
+            seed, rate, jobs=4
+        )
+
+    @pytest.mark.parametrize(
+        "seed,rate", list(itertools.product([1, 2, 3, 5], [0.25, 0.6]))
+    )
+    def test_default_engine_partitions_like_four_workers(self, seed, rate):
+        assert self.chaos_outcome(seed, rate) == self.chaos_outcome(
+            seed, rate, jobs=4
         )
 
 
@@ -302,32 +312,94 @@ class TestParallelFailureSemantics:
         )
 
 
+class TestPassHeap:
+    """Completions come off the pass's own ``(end, seq)`` heap."""
+
+    @staticmethod
+    def scheduler_events(partial, **how):
+        registry = standard_registry()
+        infrastructure = standard_infrastructure()
+        tracer = Tracer(clock=infrastructure.clock)
+        infrastructure.set_tracer(tracer)
+        spec = ConfigurationEngine(registry).configure(partial).spec
+        DeploymentEngine(
+            registry, infrastructure, standard_drivers(), **how
+        ).deploy(spec)
+        return tracer.instants(category="scheduler")
+
+    def test_completions_observed_in_time_order(self):
+        completes = [
+            e.timestamp
+            for e in self.scheduler_events(openmrs_partial(), jobs=0)
+            if e.name == "complete"
+        ]
+        assert len(completes) == 5
+        assert completes == sorted(completes)
+
+    def test_same_instant_completions_in_dispatch_order(self):
+        """Three identical machines dispatched together finish at the
+        same instant, and complete in the order they were dispatched."""
+        partial = PartialInstallSpec(
+            [
+                PartialInstance(
+                    name, as_key("Ubuntu-Linux 10.04"),
+                    config={"hostname": name},
+                )
+                for name in ("c", "a", "b")
+            ]
+        )
+        events = self.scheduler_events(partial, jobs=0)
+        order = lambda name: [  # noqa: E731
+            (e.timestamp, e.args["instance"]) for e in events
+            if e.name == name
+        ]
+        dispatched, completed = order("dispatch"), order("complete")
+        assert len({at for at, _ in completed}) == 1
+        assert [i for _, i in completed] == [i for _, i in dispatched]
+        assert [e.args["position"] for e in events if e.name == "dispatch"] \
+            == [0, 1, 2]
+
+
+BAD_BOUNDS = pytest.mark.parametrize(
+    "how", [{"jobs": -1}, {"jobs": None}, {"jobs_per_host": -2}],
+    ids=["jobs=-1", "jobs=None", "jobs_per_host=-2"],
+)
+
+
+class TestWorkerBounds:
+    """A negative worker bound, or ``jobs=None``, is refused by name at
+    construction instead of silently meaning "unbounded"."""
+
+    @BAD_BOUNDS
+    def test_engine_refuses(self, how):
+        (name, value), = how.items()
+        with pytest.raises(
+            RuntimeEngageError, match=f"^{name} must be .* got {value}$"
+        ):
+            build_world(**how)
+
+    @BAD_BOUNDS
+    def test_bus_coordinator_refuses(self, how):
+        from repro.runtime import BusCoordinator
+
+        (name, value), = how.items()
+        with pytest.raises(
+            RuntimeEngageError, match=f"^{name} must be .* got {value}$"
+        ):
+            BusCoordinator(
+                standard_registry(), standard_infrastructure(),
+                standard_drivers(), **how,
+            )
+
+    def test_zero_means_unbounded(self):
+        _, engine, spec = build_world(jobs=0, jobs_per_host=0)
+        report = engine.deploy(spec).report
+        assert report.jobs == 0
+        assert report.makespan_seconds == report.critical_path_seconds
+
+
 class TestEventClock:
-    """Satellite: the SimClock event-queue mode and the time-sorted
-    event log for interleaved parallel spans."""
-
-    def test_schedule_pops_in_time_order(self):
-        clock = SimClock()
-        clock.schedule(30.0, label="late")
-        clock.schedule(10.0, label="early")
-        clock.schedule(20.0, label="middle")
-        order = []
-        while (event := clock.advance_to_next_event()) is not None:
-            order.append((event.label, clock.now))
-        assert order == [("early", 10.0), ("middle", 20.0), ("late", 30.0)]
-
-    def test_same_instant_ties_break_by_schedule_order(self):
-        clock = SimClock()
-        clock.schedule(5.0, label="first")
-        clock.schedule(5.0, label="second")
-        assert clock.advance_to_next_event().label == "first"
-        assert clock.advance_to_next_event().label == "second"
-
-    def test_schedule_clamps_to_now(self):
-        clock = SimClock()
-        clock.advance(100.0)
-        event = clock.schedule(7.0, label="past")
-        assert event.at == 100.0
+    """The time-sorted event log for interleaved parallel spans."""
 
     def test_events_sorted_by_start_across_overlapping_spans(self):
         """Regression: two overlapping worker spans log out of order;
@@ -367,9 +439,19 @@ class TestEventClock:
         assert span.elapsed == 10.0
         assert clock.now == 8.0
 
-    def test_reset_clears_queue(self):
+    def test_span_without_start_begins_where_entered(self):
+        """The scheduler's one span per pass, re-entered per dispatch."""
         clock = SimClock()
-        clock.schedule(5.0)
+        span = clock.overlapping()
+        clock.advance(3.0)
+        for work in (10.0, 4.0):
+            with span:
+                clock.advance(work, "work")
+            assert (span.start, span.end, clock.now) == (3.0, 3.0 + work, 3.0)
+
+    def test_reset_rewinds_now_and_log(self):
+        clock = SimClock()
+        clock.advance(5.0, "work")
         clock.reset()
-        assert clock.pending_events() == 0
-        assert clock.advance_to_next_event() is None
+        assert clock.now == 0.0
+        assert clock.events() == []

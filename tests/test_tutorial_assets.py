@@ -58,6 +58,8 @@ def test_tutorial_parallel_deploy_speedup():
     code, serial_output = run(["deploy", str(spec)])
     assert code == 0
     assert "openmrs" in serial_output and "active" in serial_output
+    assert "parallel deploy" not in serial_output
+    assert "simulated time: 8.6 minutes" in serial_output
     code, parallel_output = run(["deploy", str(spec), "--jobs", "4"])
     assert code == 0
     assert "parallel deploy (jobs=4)" in parallel_output

@@ -355,7 +355,23 @@ def ref_kahn(upstream):
                 ready.append(dependent)
         ready.sort()
     if len(order) != len(upstream):
-        remaining = sorted(set(upstream) - set(order))
+        # Named: every unordered id from which some id that reaches
+        # itself can be reached along dependent links (on a cycle, or
+        # between two).
+        def reach(iid):
+            seen, stack = set(), list(dependents[iid])
+            while stack:
+                current = stack.pop()
+                if current not in seen:
+                    seen.add(current)
+                    stack.extend(dependents[current])
+            return seen
+
+        on_cycle = {iid for iid in upstream if iid in reach(iid)}
+        remaining = sorted(
+            iid for iid in set(upstream).difference(order)
+            if iid in on_cycle or reach(iid) & on_cycle
+        )
         raise CycleError(
             f"dependency cycle among instances: {', '.join(remaining)}"
         )
@@ -438,6 +454,12 @@ def test_kahn_cycle_and_self_loop_texts():
     )
     assert outcome(kahn_order, {"a": ["a"]}) == (
         CycleError, "dependency cycle among instances: a"
+    )
+    # x sits between the a/b and c/d cycles and is named; t only trails.
+    between = {"a": ["b"], "b": ["a"], "x": ["a"], "c": ["x", "d"],
+               "d": ["c"], "t": ["c"]}
+    assert outcome(kahn_order, between) == outcome(ref_kahn, between) == (
+        CycleError, "dependency cycle among instances: a, b, c, d, x"
     )
     assert kahn_order({"b": ["a", "a"], "a": []}) == ["a", "b"]
 
