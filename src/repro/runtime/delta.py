@@ -147,7 +147,7 @@ class DeltaPlan:
     * ``up`` -- new-spec order: everything not already converged
       (added + replaced + stopped closure + stragglers);
     * ``restart`` -- services whose journal record says converged but
-      whose process died: bounced after the up phase.
+      whose process died: bounced inside the up pass.
 
     ``len(plan)`` counts steps; the elasticity benchmark compares it to
     the fleet size to assert the plan scales with the *diff*.
@@ -478,9 +478,10 @@ def execute_delta(
     A composition of the engine's transition primitives: journal rebase
     + transition record, *down* on the old spec (stop closure, uninstall
     teardown), machine retirement + transition close, ``prepare`` of the
-    new spec over the surviving drivers, *up*
-    (:meth:`DeploymentEngine.drive_instances`), *restart* of crashed-
-    but-converged services.  On failure in any phase the raised
+    new spec over the surviving drivers, and one *up* pass
+    (:meth:`DeploymentEngine.drive_instances`) in which crashed-but-
+    converged services are restart nodes, bounced before any dependent
+    in the pass starts.  On failure in any phase the raised
     :class:`DeploymentFailure` carries the new-spec system and the
     transition journal: persist them with the world and ``deploy
     --resume`` finishes the transition.
@@ -510,11 +511,12 @@ def execute_delta(
         for instance in delta.new_spec.topological_order()
         if instance.id not in journal.completed
     ]
-    if up_ids:
+    if up_ids or delta.restart:
         report.merge(
-            engine.drive_instances(new_system, up_ids, delta.target)
+            engine.drive_instances(
+                new_system, up_ids, delta.target, restart=delta.restart
+            )
         )
-    report.merge(engine.restart_instances(new_system, delta.restart))
 
     journal.sort_entries_by_time()
     new_system.report = report

@@ -24,7 +24,6 @@ from repro.core.collector import collector_paused
 from repro.core.errors import (
     ActionTimeout,
     DeploymentError,
-    DeploymentFailure,
     GuardError,
     RuntimeEngageError,
     TransientError,
@@ -420,13 +419,15 @@ class DeploymentEngine:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
+        restart: frozenset[str] = frozenset(),
     ) -> DeploymentReport:
         """Drive instances (all, or just ``only``) to ``target`` in
-        (reverse) dependency order, through the one scheduler."""
+        (reverse) dependency order, through the one scheduler; the
+        ``restart`` nodes among them are bounced instead."""
         from repro.runtime.scheduler import DagScheduler
 
         return DagScheduler(
-            self, system, target, reverse=reverse, only=only
+            self, system, target, reverse=reverse, only=only, restart=restart
         ).run()
 
     def _drive_instance(
@@ -435,9 +436,18 @@ class DeploymentEngine:
         instance_id: str,
         target: str,
         report: DeploymentReport,
+        restart: bool = False,
     ) -> None:
+        """One node of a pass: its path to ``target``, or a restart
+        node's bounce -- none once it has left ``active``."""
         driver = system.driver(instance_id)
-        path = driver.machine_spec.path_to(driver.state, target)
+        if not restart:
+            path = driver.machine_spec.path_to(driver.state, target)
+        elif driver.state == ACTIVE:
+            path = [driver.machine_spec.find(ACTIVE, "restart")]
+            target = ACTIVE
+        else:
+            return
         for transition in path:
             self._check_guard(system, instance_id, transition)
             self._perform_with_retry(system, instance_id, transition, report)
@@ -601,8 +611,9 @@ class DeploymentEngine:
     # -- Transition primitives ---------------------------------------------
     #
     # Every live transition -- repair, delta, upgrade, shutdown -- is a
-    # composition of these three plus :meth:`prepare`: down, up
-    # (:meth:`drive_instances`), restart.
+    # composition of these two plus :meth:`prepare`: down
+    # (:meth:`drive_down`) and up (:meth:`drive_instances`, restarts
+    # included).
 
     def drive_instances(
         self,
@@ -611,14 +622,22 @@ class DeploymentEngine:
         target: str,
         *,
         reverse: bool = False,
+        restart: Iterable[str] = (),
     ) -> DeploymentReport:
         """Drive just ``instance_ids`` to ``target`` through the regular
         scheduler -- guards, retries, and write-ahead
         journalling included.  Guards are checked against the *global*
         state, so instances outside the set safely anchor the guards of
-        those inside it."""
+        those inside it.
+
+        ``restart`` ids join the pass as restart nodes: same dependency
+        edges, same ready queue, but a dispatched one that is still
+        ``active`` performs its ``restart`` transition, so a bounced
+        upstream is back before any dependent in the pass starts."""
+        restart = frozenset(restart)
         return self._drive(
-            system, target, reverse=reverse, only=set(instance_ids)
+            system, target, reverse=reverse,
+            only=set(instance_ids) | restart, restart=restart,
         )
 
     def drive_down(
@@ -645,47 +664,6 @@ class DeploymentEngine:
                         system, pending, target, reverse=True
                     )
                 )
-        return report
-
-    def restart_instances(
-        self,
-        system: DeployedSystem,
-        instance_ids: Iterable[str],
-    ) -> DeploymentReport:
-        """Bounce each of ``instance_ids`` that is still ``active``, in
-        the order given -- guard-checked, retried, and journalled like
-        any other action.  Instances an earlier phase already moved off
-        ``active`` were repaired there and are skipped.  A restart that
-        fails for good stops the pass at a consistent frontier."""
-        report = DeploymentReport(jobs=self.jobs)
-        ids = list(instance_ids)
-        clock = self.infrastructure.clock
-        started = clock.now
-        try:
-            for index, instance_id in enumerate(ids):
-                driver = system.driver(instance_id)
-                if driver.state != ACTIVE:
-                    continue
-                transition = driver.machine_spec.find(ACTIVE, "restart")
-                self._check_guard(system, instance_id, transition)
-                self._perform_with_retry(
-                    system, instance_id, transition, report
-                )
-        except DeploymentError as exc:
-            raise DeploymentFailure(
-                f"restart stopped at {instance_id!r}: {exc}",
-                journal=system.journal,
-                completed=system.journal.completed,
-                failed={instance_id},
-                skipped=ids[index + 1:],
-                report=report,
-                system=system,
-            ) from exc
-        finally:
-            # The pass is serial: what it cost is what the clock moved.
-            report.sequential_seconds = sum(a.duration for a in report.actions)
-            report.makespan_seconds = clock.now - started
-            report.critical_path_seconds = report.makespan_seconds
         return report
 
     def prepare(

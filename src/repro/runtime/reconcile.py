@@ -16,10 +16,11 @@ deployment manager converged on:
    the goal no longer wants -- never a full redeploy.  Plan size is
    proportional to the damage, not the fleet.
 3. :func:`execute_plan` runs the plan through the regular deployment
-   machinery (:meth:`DeploymentEngine.drive_instances`), so repairs get
-   the same guard checking, retry policy, and write-ahead journalling
-   as first deployments, and :meth:`DeploymentJournal.mark_lost` keeps
-   the journal's frontier honest about regressions it observed.
+   machinery: redeploys and restarts are one dependency-ordered up pass
+   (:meth:`DeploymentEngine.drive_instances`), so repairs get the same
+   guard checking, retry policy, and write-ahead journalling as first
+   deployments, and :meth:`DeploymentJournal.mark_lost` keeps the
+   journal's frontier honest about regressions it observed.
 4. :class:`ReconcileController` closes the loop on the simulated
    clock: poll, plan, repair, re-check, round after round -- optionally
    re-validating the repair set against the constraint solver via
@@ -286,9 +287,10 @@ class RepairStep:
 class TransitionPlan:
     """A minimal, dependency-ordered repair plan.
 
-    Steps are already ordered for execution: uninstalls (reverse
-    dependency order), machine reprovisioning, redeploys (dependency
-    order), then restarts.  ``__len__`` counts steps, which tests
+    Steps are grouped by phase: uninstalls (reverse dependency order),
+    machine reprovisioning, then redeploys and restarts, each in
+    dependency order -- the last two run as one up pass, interleaved
+    along the dependency edges.  ``__len__`` counts steps, which tests
     compare against the fleet size to assert minimality.
     """
 
@@ -449,14 +451,16 @@ def execute_plan(
     system: DeployedSystem,
     plan: TransitionPlan,
 ) -> DeploymentReport:
-    """Execute a repair plan: down (extras), machine replacement, up
-    (redeploys), restart -- the engine's transition primitives, so
-    repairs get the same guards, retries and write-ahead journalling
-    (into ``system.journal``) as first deployments.  Extras are
-    journalled like everything else: the journal is bound to the
-    *deployed* spec, which still contains them -- a shrunk goal does not
-    change what is deployed, and an uninstall left off the record would
-    be resumed as ``active``.
+    """Execute a repair plan: down (extras), machine replacement, then
+    one up pass over redeploys and restarts -- the engine's transition
+    primitives, so repairs get the same guards, retries and write-ahead
+    journalling (into ``system.journal``) as first deployments.  A
+    restart is a node of the up pass with its dependency edges, so a
+    crashed upstream is bounced before a redeployed dependent starts
+    against it.  Extras are journalled like everything else: the journal
+    is bound to the *deployed* spec, which still contains them -- a
+    shrunk goal does not change what is deployed, and an uninstall left
+    off the record would be resumed as ``active``.
     """
     report = DeploymentReport(jobs=engine.jobs)
 
@@ -467,12 +471,13 @@ def execute_plan(
         _replace_machine(system, machine_id)
 
     redeploy = plan.instances(RepairOp.REDEPLOY)
-    if redeploy:
-        report.merge(engine.drive_instances(system, redeploy, plan.target))
-
-    report.merge(
-        engine.restart_instances(system, plan.instances(RepairOp.RESTART))
-    )
+    restart = plan.instances(RepairOp.RESTART)
+    if redeploy or restart:
+        report.merge(
+            engine.drive_instances(
+                system, redeploy, plan.target, restart=restart
+            )
+        )
     return report
 
 

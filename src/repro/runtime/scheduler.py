@@ -6,7 +6,9 @@ uninstall, repair, delta -- is a DAG of resource instances, and
 :class:`DagScheduler` dispatches each instance whose dependency guards
 are satisfied to a bounded pool of simulated workers.  The
 per-instance machinery (transitions, retries, journalling) is
-:meth:`DeploymentEngine._drive_instance`.
+:meth:`DeploymentEngine._drive_instance`.  A repair's or delta's
+restarts are nodes of its up pass like any other, so a bounced
+upstream is back before its dependents in the pass start.
 
 * **One ready queue, in pass order.**  Ready instances wait in a heap
   keyed by their position in the pass order (topological, reversed for
@@ -51,8 +53,8 @@ def _started_at(action) -> float:
 
 class DagScheduler:
     """One pass over ``system``: every selected instance driven to
-    ``target`` in (reverse) dependency order by ``engine.jobs``
-    simulated workers."""
+    ``target`` -- or, for a ``restart`` node, bounced -- in (reverse)
+    dependency order by ``engine.jobs`` simulated workers."""
 
     def __init__(
         self,
@@ -62,12 +64,14 @@ class DagScheduler:
         *,
         reverse: bool,
         only: Optional[set[str]] = None,
+        restart: frozenset[str] = frozenset(),
     ) -> None:
         self.engine = engine
         self.system = system
         self.target = target
         self.reverse = reverse
         self.only = only
+        self.restart = restart
 
     def _dag(self) -> tuple[list, list[int], list[list[int]]]:
         """The pass's instances in pass order, and by position how many
@@ -101,6 +105,7 @@ class DagScheduler:
 
     def run(self) -> DeploymentReport:
         engine, system, target = self.engine, self.system, self.target
+        restart = self.restart
         selected, pending, dependents = self._dag()
         clock = engine.infrastructure.clock
         tracer = engine.infrastructure.tracer
@@ -158,7 +163,9 @@ class DagScheduler:
                 error = None
                 with worker:
                     try:
-                        engine._drive_instance(system, iid, target, report)
+                        engine._drive_instance(
+                            system, iid, target, report, iid in restart
+                        )
                     except GuardError:
                         raise  # protocol error by the caller: unwrapped
                     except EngageError as exc:

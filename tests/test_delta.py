@@ -699,6 +699,39 @@ class TestEquivalenceCorpus:
         assert report.sequential_seconds == pytest.approx(elapsed)
         assert report.makespan_seconds == pytest.approx(elapsed)
 
+    def test_crashed_upstream_is_bounced_before_a_new_dependent_starts(self):
+        """The delta twin of the repair counterexample: a new Celery
+        worker connects to a broker whose process died.  The restart is
+        a node of the up pass, so the broker is back before the worker
+        starts; it used to be bounced after the pass, too late."""
+        topology = FleetTopology(replicas=1, machines=1, stacks=("django",))
+        engine, infrastructure, system, _ = build(fleet_partial(topology))
+        system.drivers["broker000"].process.fail()
+        new_partial = PartialInstallSpec(
+            fleet_spec_entries(topology)
+            + [PartialInstance("worker_x", as_key("Celery 2.4"), "host000")]
+        )
+        new_spec = configure(new_partial)
+        assert new_spec["worker_x"].upstream_ids() == [
+            "host000", "python_runtime", "broker000",
+        ]
+        delta = plan_delta(system, new_spec)
+        assert [(step.op, step.instance_id) for step in delta.plan.steps] == [
+            (RepairOp.INSTALL, "worker_x"), (RepairOp.RESTART, "broker000"),
+        ]
+        result = execute_delta(engine, system, delta)
+        assert result.system.is_deployed()
+        done = [
+            (entry.instance_id, entry.action)
+            for entry in result.journal.entries
+        ]
+        assert done.index(("broker000", "restart")) < done.index(
+            ("worker_x", "start")
+        )
+        assert live_fingerprint(
+            result.system, infrastructure
+        ) == fresh_fingerprint(new_partial)
+
 
 class TestFaultedTransitions:
     """A fault mid-transition leaves a resumable journal; ``resume``

@@ -105,8 +105,9 @@ class Fleet:
             if isinstance(self.system.drivers[instance.id], ServiceDriver)
         ]
         picked = set(rng.sample(services, rng.randint(1, len(services))))
-        self.engine.restart_instances(
-            self.system, [iid for iid in services if iid in picked]
+        self.engine.drive_instances(
+            self.system, (), "active",
+            restart=[iid for iid in services if iid in picked],
         )
 
     def kill_process(self, rng) -> None:
@@ -205,6 +206,20 @@ def run_steps(steps) -> None:
             fleet.system = fleet.engine.resume(failure.journal)
             assert fleet.system.is_deployed()
         fleet.check_record(name)
+
+
+def test_restart_precedes_a_redeployed_dependent():
+    """Shrunk by the search: a partial teardown takes ``worker001``, then
+    its broker's process dies.  Repair must bounce ``broker001`` before
+    it starts ``worker001`` again -- restarting after the redeploys made
+    every round fail on a refused connection."""
+    run_steps([("drive_down", 0), ("kill_process", 10560)])
+
+
+def test_restart_precedes_a_redeployed_dependent_on_another_branch():
+    """The same shape on ``host002``: the teardown takes ``worker002``
+    and then ``broker002``'s process dies."""
+    run_steps([("drive_down", 767), ("kill_process", 0)])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -132,7 +132,10 @@ def _finish_counterfactual(
 class SerialEngine(DeploymentEngine):
     """The engine as it was with no worker bound: every pass serial."""
 
-    def _drive(self, system, target, *, reverse, only=None):
+    def _drive(self, system, target, *, reverse, only=None, restart=()):
+        # The serial executor predates restart nodes: no pass compared
+        # here has any.
+        assert not restart
         return execute_serial(
             self, system, target, reverse=reverse, only=only
         )

@@ -11,6 +11,7 @@ from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.core.errors import (
     ConfigurationError,
     DeploymentError,
+    DeploymentFailure,
     DriverError,
     RuntimeEngageError,
 )
@@ -29,6 +30,7 @@ from repro.runtime import (
     ReconcileController,
     RepairOp,
     RetryPolicy,
+    deployment_fingerprint,
     detect_drift,
     execute_plan,
     load_system,
@@ -402,6 +404,101 @@ class TestController:
         # The fault is spent: the next round's restart goes through.
         assert controller.poll().converged
         assert driver.process.is_running()
+
+
+def teardown_then_crash(jobs=1, policy=None):
+    """The journal search's first counterexample, written out: a partial
+    teardown uninstalls ``python_runtime_2``'s and ``broker000``'s
+    closures (``worker001`` among them), then ``broker001`` -- the
+    upstream ``worker001`` connects to -- loses its process.  The repair
+    redeploys five instances and restarts ``broker001``."""
+    registry = standard_registry()
+    infrastructure = standard_infrastructure()
+    spec = ConfigurationEngine(
+        registry, partition=True, verify_registry=False
+    ).configure(
+        fleet_partial(FleetTopology(replicas=3, machines=3, stacks=("django",)))
+    ).spec
+    engine = DeploymentEngine(
+        registry, infrastructure, standard_drivers(), policy=policy, jobs=jobs
+    )
+    system = engine.deploy(spec)
+    closure = sorted(spec.downstream_closure(["python_runtime_2", "broker000"]))
+    engine.drive_down(system, closure, closure)
+    system.drivers["broker001"].process.fail()
+    return engine, system
+
+
+class TestRestartNodes:
+    """A restart is a node of the repair's up pass: it has the same
+    dependency edges as the redeploys around it and the scheduler's one
+    failure semantics."""
+
+    REDEPLOYED = {
+        "broker000", "python_runtime_2", "web001", "worker000", "worker001",
+    }
+
+    def test_one_round_converges_restart_before_dependent(self):
+        engine, system = teardown_then_crash()
+        before = len(system.journal.entries)
+        result = ReconcileController(engine, system, interval=0.0).run(
+            rounds=1
+        )
+        assert result.rounds[0].plan_by_op == {"redeploy": 5, "restart": 1}
+        assert result.converged, result.rounds[0].error
+        done = [
+            (entry.instance_id, entry.action)
+            for entry in system.journal.entries[before:]
+        ]
+        assert done.index(("broker001", "restart")) < done.index(
+            ("worker001", "start")
+        )
+
+    @staticmethod
+    def failed_repair(jobs):
+        engine, system = teardown_then_crash(
+            jobs=jobs, policy=RetryPolicy(max_attempts=2, backoff_base=0.1)
+        )
+        system.infrastructure.set_fault_plan(
+            FaultPlan().on("driver:broker001:restart", times=5)
+        )
+        plan = plan_repair(system, detect_drift(system))
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_plan(engine, system, plan)
+        return excinfo.value
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_restart_skips_only_its_dependents(self, jobs):
+        failure = self.failed_repair(jobs)
+        assert failure.failed == {"broker001"}
+        assert set(failure.skipped) == {"worker001"}
+        independent = self.REDEPLOYED - {"worker001"}
+        assert independent <= failure.completed
+        assert all(
+            failure.system.state_of(iid) == "active" for iid in independent
+        )
+        assert failure.system.state_of("worker001") != "active"
+
+    def test_failure_partition_does_not_depend_on_workers(self):
+        partitions = [
+            (failure.completed, failure.failed, set(failure.skipped))
+            for failure in map(self.failed_repair, (1, 2))
+        ]
+        assert partitions[0] == partitions[1]
+
+    def test_repair_fingerprint_does_not_depend_on_workers(self):
+        fingerprints = set()
+        for jobs in (1, 2):
+            engine, system = teardown_then_crash(jobs=jobs)
+            report = execute_plan(
+                engine, system, plan_repair(system, detect_drift(system))
+            )
+            assert report.jobs == jobs
+            assert detect_drift(system).is_converged
+            fingerprints.add(
+                deployment_fingerprint(system.infrastructure, system)
+            )
+        assert len(fingerprints) == 1
 
 
 class TestChurnSoak:

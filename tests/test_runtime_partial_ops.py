@@ -223,7 +223,10 @@ class TestEngineIsTheExecutionContext:
         check(engine.start(system), plan)
 
         plan = once("tomcat:restart")
-        check(engine.restart_instances(system, ["tomcat"]), plan)
+        check(
+            engine.drive_instances(system, (), ACTIVE, restart=["tomcat"]),
+            plan,
+        )
 
         plan = once("mysql:stop")
         check(engine.shutdown(system), plan)
@@ -288,7 +291,7 @@ class TestEngineIsTheExecutionContext:
             for name in (
                 "deploy", "adopt", "resume", "_drive", "_drive_instance",
                 "_perform_with_retry", "drive_instances", "drive_down",
-                "restart_instances", "shutdown", "start", "uninstall",
+                "shutdown", "start", "uninstall",
             )
         ]
         for function in engine_methods + [
