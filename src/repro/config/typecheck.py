@@ -92,18 +92,18 @@ def _check_instance(
         )
 
     # Environment dependencies: compatible target on the same machine.
-    machine = instance.machine_id(spec)
+    machine = spec.machine_of(instance.id)
     env_targets = [link.target.id for link in instance.environment]
     for dep in resource_type.environment:
         satisfied = False
         for target_id in env_targets:
             target = spec[target_id]
             if _link_matches(registry, target.key, dep):
-                if target.machine_id(spec) != machine:
+                if spec.machine_of(target_id) != machine:
                     problems.append(
                         f"{instance.id}: environment dependency "
                         f"{dep} satisfied by {target_id} on a different "
-                        f"machine ({target.machine_id(spec)} != {machine})"
+                        f"machine ({spec.machine_of(target_id)} != {machine})"
                     )
                 satisfied = True
                 break

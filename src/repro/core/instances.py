@@ -81,15 +81,9 @@ class ResourceInstance:
         return self.inside is None
 
     def machine_id(self, spec: "InstallSpec") -> str:
-        """Follow inside links to the physical machine (S3.1)."""
-        instance: ResourceInstance = self
-        seen: set[str] = set()
-        while instance.inside is not None:
-            if instance.id in seen:
-                raise CycleError(f"inside cycle at instance {instance.id}")
-            seen.add(instance.id)
-            instance = spec[instance.inside.target.id]
-        return instance.id
+        """The physical machine ``spec`` places this instance on (S3.1):
+        :meth:`InstallSpec.machine_of` for its id."""
+        return spec.machine_of(self.id)
 
 
 @dataclass(frozen=True)
@@ -210,6 +204,10 @@ class InstallSpec:
         self._upstream: Optional[dict[str, tuple[str, ...]]] = None
         self._downstream: Optional[dict[str, list[str]]] = None
         self._topo_order: Optional[list[ResourceInstance]] = None
+        # Which machine each instance sits on, memoised per walked chain,
+        # and the machine -> instances index built from it.
+        self._machine: dict[str, str] = {}
+        self._on_machine: Optional[dict[str, list[ResourceInstance]]] = None
         for instance in instances:
             self.add(instance)
 
@@ -217,6 +215,8 @@ class InstallSpec:
         self._upstream = None
         self._downstream = None
         self._topo_order = None
+        self._machine = {}
+        self._on_machine = None
 
     def add(self, instance: ResourceInstance) -> None:
         if instance.id in self._instances:
@@ -252,11 +252,41 @@ class InstallSpec:
         """All machine instances (no inside link)."""
         return [inst for inst in self if inst.is_machine()]
 
+    def machine_of(self, instance_id: str) -> str:
+        """The machine ``instance_id`` sits on: follow inside links to
+        an instance with none (S3.1).  Every instance walked past is
+        memoised with the answer until the spec changes.  An inside
+        cycle is a :class:`CycleError` naming the first instance seen
+        twice; a link to a missing instance is a :class:`SpecError`."""
+        memo = self._machine
+        machine = memo.get(instance_id)
+        if machine is not None:
+            return machine
+        chain: dict[str, None] = {}
+        instance = self[instance_id]
+        while instance.inside is not None:
+            machine = memo.get(instance.id)
+            if machine is not None:
+                break
+            if instance.id in chain:
+                raise CycleError(f"inside cycle at instance {instance.id}")
+            chain[instance.id] = None
+            instance = self[instance.inside.target.id]
+        else:
+            machine = instance.id
+            memo[machine] = machine
+        for walked in chain:
+            memo[walked] = machine
+        return machine
+
     def instances_on_machine(self, machine_id: str) -> list[ResourceInstance]:
         """Every instance whose physical context is ``machine_id``."""
-        return [
-            inst for inst in self if inst.machine_id(self) == machine_id
-        ]
+        if self._on_machine is None:
+            index: dict[str, list[ResourceInstance]] = {}
+            for inst in self:
+                index.setdefault(self.machine_of(inst.id), []).append(inst)
+            self._on_machine = index
+        return list(self._on_machine.get(machine_id, ()))
 
     def _upstream_index(self) -> dict[str, tuple[str, ...]]:
         if self._upstream is None:

@@ -1,14 +1,15 @@
 """Indented JSON text, byte-identical to ``json.dumps(value, indent=n)``.
 
 Every indented document ``repro`` writes -- full specifications, state
-files, worlds, bundles, plans, traces, ``--json`` reports -- goes
-through :func:`indented`.  The standard library only has a C encoder for
-compact output: with ``indent`` set, CPython before 3.14 runs the
-pure-Python ``_iterencode`` generators, which yield and join one small
-chunk per token (about 1.5 million for a 3,840-instance fleet's state
-file).  :func:`indented` is a recursive join over the same values with
-the C string escaper, so it makes the same bytes at a fraction of the
-cost.
+files, worlds, bundles, plans, traces, ``--json`` reports, the simulated
+Django database (a key-sorted copy, so its keys come out sorted) --
+goes through :func:`indented`.  The standard library only has a C
+encoder for compact output: with ``indent`` set, CPython before 3.14
+runs the pure-Python ``_iterencode`` generators, which yield and join
+one small chunk per token (about 1.5 million for a 3,840-instance
+fleet's state file).  :func:`indented` is a recursive join over the same
+values with the C string escaper, so it makes the same bytes at a
+fraction of the cost.
 
 It handles exactly the types the documents are made of: ``dict`` with
 ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``,

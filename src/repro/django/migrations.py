@@ -29,6 +29,16 @@ class MigrationError(SimulationError):
     """A migration operation failed (possibly injected)."""
 
 
+def _key_sorted(value: Any) -> Any:
+    """``value`` with every dict's keys in sorted order, so that
+    :func:`indented` writes what ``json.dumps(sort_keys=True)`` would."""
+    if isinstance(value, dict):
+        return {key: _key_sorted(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_key_sorted(item) for item in value]
+    return value
+
+
 class SimDatabase:
     """A toy relational store persisted as JSON in a virtual filesystem."""
 
@@ -42,7 +52,7 @@ class SimDatabase:
         return json.loads(self._fs.read_file(self._path))
 
     def _store(self, data: dict[str, Any]) -> None:
-        self._fs.write_file(self._path, json.dumps(data, indent=1, sort_keys=True))
+        self._fs.write_file(self._path, indented(_key_sorted(data), 1))
 
     # -- Schema ----------------------------------------------------------
 

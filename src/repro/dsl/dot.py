@@ -81,7 +81,7 @@ def spec_to_dot(spec: InstallSpec, title: str = "deployment") -> str:
              "  node [shape=box fontname=Helvetica];"]
     machines: dict[str, list[str]] = {}
     for instance in spec:
-        machines.setdefault(instance.machine_id(spec), []).append(
+        machines.setdefault(spec.machine_of(instance.id), []).append(
             instance.id
         )
     for index, (machine_id, members) in enumerate(sorted(machines.items())):

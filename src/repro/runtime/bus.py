@@ -193,6 +193,8 @@ class MessageBus:
         self._groups = None
 
     def reachable(self, a: str, b: str) -> bool:
+        # send and deliver_due test ``_groups is None`` themselves and
+        # call this only under a partition: keep that test in step.
         if self._groups is None or a == b:
             return True
         for group in self._groups:
@@ -212,8 +214,8 @@ class MessageBus:
         dedup_key: Optional[str] = None,
         attempt: int = 1,
         at: Optional[float] = None,
-    ) -> Envelope:
-        """Transmit one message; returns the primary envelope.
+    ) -> None:
+        """Transmit one message.
 
         ``at`` back- or forward-dates the send instant (used by agents
         emitting retroactive heartbeats over a long work span); delivery
@@ -221,82 +223,81 @@ class MessageBus:
         chaos site key is built from the dedup key when present --
         *order-independent*, so adding unrelated traffic does not change
         which work messages a given seed drops.
+
+        Each queued copy is one :class:`Envelope`: copy 0 owns the one
+        copy of ``payload`` taken here, and each duplicate gets its own.
+        A send lost to a partition or a drop builds one envelope, for
+        its log record.
         """
-        self.endpoint(sender)
-        self.endpoint(recipient)
+        endpoints = self._endpoints
+        if sender not in endpoints:
+            self.endpoint(sender)
+        if recipient not in endpoints:
+            self.endpoint(recipient)
         sent_at = self.clock.now if at is None else at
         msg_id = self._next_msg_id
         self._next_msg_id += 1
         self.sent[kind] = self.sent.get(kind, 0) + 1
-        base = Envelope(
-            msg_id=msg_id,
-            kind=kind,
-            sender=sender,
-            recipient=recipient,
-            payload=dict(payload or {}),
-            sent_at=sent_at,
-            deliver_at=sent_at,
-            dedup_key=dedup_key,
-            attempt=attempt,
-        )
-        if not self.reachable(sender, recipient):
-            self.partition_losses += 1
-            self._record(sent_at, PARTITIONED, base)
-            return base
-        offsets = [0.0]
-        if self.faults is not None:
-            site = (
-                f"{kind}:{sender}->{recipient}:"
-                f"{dedup_key if dedup_key is not None else '#' + str(msg_id)}"
-            )
-            offsets = self.faults.copies(site, attempt)
-        if not offsets:
+        body = dict(payload) if payload else {}
+        if self._groups is None or self.reachable(sender, recipient):
+            offsets = [0.0]
+            if self.faults is not None:
+                key = dedup_key if dedup_key is not None else f"#{msg_id}"
+                offsets = self.faults.copies(
+                    f"{kind}:{sender}->{recipient}:{key}", attempt
+                )
+            if offsets:
+                if len(offsets) > 1:
+                    self.duplicated += len(offsets) - 1
+                due = sent_at + self.latency(sender, recipient)
+                pending = self._pending
+                for copy, offset in enumerate(offsets):
+                    deliver_at = due + offset
+                    heapq.heappush(pending, (deliver_at, self._seq, Envelope(
+                        msg_id, kind, sender, recipient,
+                        body if copy == 0 else dict(body),
+                        sent_at, deliver_at, dedup_key, attempt, copy,
+                    )))
+                    self._seq += 1
+                return
             self.dropped += 1
-            self._record(sent_at, DROPPED, base)
-            return base
-        if len(offsets) > 1:
-            self.duplicated += len(offsets) - 1
-        latency = self.latency(sender, recipient)
-        for copy, offset in enumerate(offsets):
-            envelope = Envelope(
-                msg_id=msg_id,
-                kind=kind,
-                sender=sender,
-                recipient=recipient,
-                payload=dict(base.payload),
-                sent_at=sent_at,
-                deliver_at=sent_at + latency + offset,
-                dedup_key=dedup_key,
-                attempt=attempt,
-                copy=copy,
-            )
-            heapq.heappush(
-                self._pending, (envelope.deliver_at, self._seq, envelope)
-            )
-            self._seq += 1
-        return base
+            status = DROPPED
+        else:
+            self.partition_losses += 1
+            status = PARTITIONED
+        self._record(sent_at, status, Envelope(
+            msg_id, kind, sender, recipient, body,
+            sent_at, sent_at, dedup_key, attempt,
+        ))
 
     def deliver_due(self, now: float) -> int:
         """Move every envelope due at or before ``now`` into its
         recipient's inbox (or the delivery log's loss column); returns
         how many were actually delivered.  The recipients are remembered
-        for :meth:`take_mailed`."""
+        for :meth:`take_mailed`.  Reachability is checked only while a
+        partition is in force; :meth:`send` validated every recipient."""
+        pending = self._pending
+        endpoints = self._endpoints
+        mailed = self._mailed
+        delivered = self.delivered
+        partitioned = self._groups is not None
         count = 0
-        while self._pending and self._pending[0][0] <= now:
-            deliver_at, _, envelope = heapq.heappop(self._pending)
-            if not self.reachable(envelope.sender, envelope.recipient):
+        while pending and pending[0][0] <= now:
+            deliver_at, _, envelope = heapq.heappop(pending)
+            if partitioned and not self.reachable(
+                envelope.sender, envelope.recipient
+            ):
                 self.partition_losses += 1
                 self._record(deliver_at, PARTITIONED, envelope)
                 continue
-            recipient = self.endpoint(envelope.recipient)
+            recipient = endpoints[envelope.recipient]
             if recipient.closed:
                 self._record(deliver_at, DEAD_ENDPOINT, envelope)
                 continue
             recipient.inbox.append(envelope)
-            self._mailed.add(envelope.recipient)
-            self.delivered[envelope.kind] = (
-                self.delivered.get(envelope.kind, 0) + 1
-            )
+            mailed.add(envelope.recipient)
+            kind = envelope.kind
+            delivered[kind] = delivered.get(kind, 0) + 1
             self._record(deliver_at, DELIVERED, envelope)
             count += 1
         return count

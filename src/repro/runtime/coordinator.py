@@ -74,7 +74,7 @@ def split_spec(spec: InstallSpec) -> dict[str, InstallSpec]:
     (their configuration influence already flowed during propagation).
     """
     per_node: dict[str, list[ResourceInstance]] = {}
-    machine_of = {inst.id: inst.machine_id(spec) for inst in spec}
+    machine_of = {inst.id: spec.machine_of(inst.id) for inst in spec}
     for instance in spec:
         machine_id = machine_of[instance.id]
         local = lambda link: machine_of[link.target.id] == machine_id
@@ -96,7 +96,7 @@ def machine_waves(spec: InstallSpec) -> list[list[str]]:
     parallel.  A cross-machine dependency cycle (the paper assumes
     none) is a :class:`DeploymentError` naming the machines left
     unplaced."""
-    machine_of = {inst.id: inst.machine_id(spec) for inst in spec}
+    machine_of = {inst.id: spec.machine_of(inst.id) for inst in spec}
     machines = sorted(set(machine_of.values()))
     prerequisites: dict[str, set[str]] = {m: set() for m in machines}
     for instance in spec:
@@ -519,6 +519,14 @@ class MasterNode:
     when a wave opens (construction -- a standby's cloned log included
     -- and :meth:`_advance_waves`), shrunk by :meth:`_handle_ack`, and
     all that the per-step checks and :meth:`next_wake` look at.
+
+    The control loop calls :meth:`step` and then :meth:`next_wake` at
+    the same instant.  :meth:`next_wake` records the wake it returns,
+    and :meth:`step` returns early from heartbeat-only mail that comes
+    before that wake; a full step forgets it.  A caller that never asks
+    :meth:`next_wake` (or a subclass that overrides it) therefore gets
+    a full step every time, and only a wake asked for right after a
+    step may be recorded.
     """
 
     def __init__(
@@ -557,6 +565,8 @@ class MasterNode:
         self.rejoins: list[dict] = []
         self.failures: dict[str, str] = {}
         self.duplicate_acks = 0
+        # What :meth:`next_wake` last returned, until the next full step.
+        self._wake: Optional[float] = None
 
     def adopt(self, now: float) -> None:
         """Announce this (standby) master to every slave, so acks and
@@ -569,12 +579,19 @@ class MasterNode:
     # -- Control loop hooks ----------------------------------------------
 
     def step(self, now: float) -> None:
+        # Heartbeats only move deadlines later, so mail of nothing else
+        # before the last computed wake leaves the checks below nothing
+        # to do -- unless a suspect came back, with a deadline of its own.
+        quiet = self._wake is not None and now < self._wake - 1e-6
         for envelope in self.endpoint.drain():
             self.last_seen[envelope.sender] = max(
                 self.last_seen.get(envelope.sender, 0.0), envelope.deliver_at
             )
             if envelope.sender in self.suspected:
                 self.suspected.discard(envelope.sender)
+                quiet = False
+            if envelope.kind != busmod.HEARTBEAT:
+                quiet = False
             if envelope.kind == busmod.ACK:
                 self._handle_ack(envelope.payload)
             elif envelope.kind == busmod.NACK:
@@ -593,6 +610,9 @@ class MasterNode:
                         status.sent_at = max(
                             status.sent_at, envelope.deliver_at
                         )
+        if quiet:
+            return
+        self._wake = None
         self._check_suspects(now)
         self._advance_waves()
         self._dispatch(now)
@@ -620,7 +640,8 @@ class MasterNode:
                 status.sent_at = None
 
     def _check_suspects(self, now: float) -> None:
-        for machine_id in self._outstanding_slaves():
+        for status in self.open:
+            machine_id = status.machine_id
             if machine_id in self.suspected:
                 continue
             seen = self.last_seen.get(machine_id, self.started_at)
@@ -665,19 +686,23 @@ class MasterNode:
         return self.log.wave_index >= len(self.waves)
 
     def next_wake(self, now: float) -> Optional[float]:
-        candidates: list[float] = []
+        """The earliest retransmit or suspect deadline of the open wave,
+        recorded for the next :meth:`step` (see the class docstring)."""
+        wake: Optional[float] = None
         for status in self.open:
             if status.sent_at is None:
-                candidates.append(now)
+                due = now
             else:
-                candidates.append(status.sent_at + self.retransmit_after)
+                due = status.sent_at + self.retransmit_after
+            if wake is None or due < wake:
+                wake = due
             if status.machine_id not in self.suspected:
                 seen = self.last_seen.get(status.machine_id, self.started_at)
-                candidates.append(seen + self.heartbeat_timeout)
-        return min(candidates, default=None)
-
-    def _outstanding_slaves(self) -> list[str]:
-        return [status.machine_id for status in self.open]
+                due = seen + self.heartbeat_timeout
+                if due < wake:
+                    wake = due
+        self._wake = wake
+        return wake
 
     def retransmits(self) -> int:
         return sum(
@@ -954,25 +979,30 @@ class BusCoordinator:
                 active.step(now)
                 master_wake = active.next_wake(now)
                 steps += 1
+            due = timers.pop_due(now)
+            if mailed:
+                due |= mailed & agents.keys()
             # Sorted machine order fixes msg_id / _seq, and so every
             # delivery tie-break.
-            for machine_id in sorted(
-                timers.pop_due(now) | (mailed & agents.keys())
-            ):
+            for machine_id in sorted(due):
                 agents[machine_id].step(now)
                 timers.set(machine_id, agents[machine_id].next_wake(now))
                 steps += 1
             if active.failures or active.done():
                 break
-            candidates = [bus.next_time(), master_wake, timers.next_time()]
-            if events:
-                candidates.append(events[0][0])
-            live = [c for c in candidates if c is not None]
-            if not live:
+            # The earliest of the four sources, any of which may be idle.
+            nxt = bus.next_time()
+            if master_wake is not None and (nxt is None or master_wake < nxt):
+                nxt = master_wake
+            timer = timers.next_time()
+            if timer is not None and (nxt is None or timer < nxt):
+                nxt = timer
+            if events and (nxt is None or events[0][0] < nxt):
+                nxt = events[0][0]
+            if nxt is None:
                 raise DeploymentError(
                     "bus control plane stalled: nothing scheduled"
                 )
-            nxt = min(live)
             if now >= deadline:
                 raise DeploymentError(
                     "bus deployment did not converge within "

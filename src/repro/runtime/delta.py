@@ -94,7 +94,7 @@ def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
             diff.reconfigured.append(instance_id)
         elif (
             not before.is_machine()
-            and before.machine_id(old) != after.machine_id(new)
+            and old.machine_of(instance_id) != new.machine_of(instance_id)
         ):
             # Same key, same config -- but relocated: the old host must
             # lose the instance and the new host gain it.  Comparing
@@ -307,8 +307,8 @@ def plan_delta(
                 RepairStep(
                     RepairOp.UPGRADE, iid,
                     "moved: "
-                    f"{old_spec[iid].machine_id(old_spec)} -> "
-                    f"{new_spec[iid].machine_id(new_spec)}",
+                    f"{old_spec.machine_of(iid)} -> "
+                    f"{new_spec.machine_of(iid)}",
                 )
             )
         else:

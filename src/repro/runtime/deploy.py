@@ -196,8 +196,7 @@ class DeployedSystem:
         return all(d.state == ACTIVE for d in self.drivers.values())
 
     def machine_for(self, instance_id: str) -> Machine:
-        machine_instance_id = self.spec[instance_id].machine_id(self.spec)
-        return self.machines[machine_instance_id]
+        return self.machines[self.spec.machine_of(instance_id)]
 
     def describe(self) -> str:
         """A human-readable status report (the `engage status` view)."""
@@ -393,7 +392,7 @@ class DeploymentEngine:
                 drivers[instance.id] = kept
                 continue
             resource_type = self.registry.effective(instance.key)
-            machine = machines[instance.machine_id(spec)]
+            machine = machines[spec.machine_of(instance.id)]
             context = DriverContext(
                 instance=instance,
                 resource_type=resource_type,

@@ -113,7 +113,7 @@ class DagScheduler:
         host_cap = engine.jobs_per_host or None
         if host_cap is not None:
             spec = system.spec
-            hosts = [spec[i.id].machine_id(spec) for i in selected]
+            hosts = [spec.machine_of(i.id) for i in selected]
             per_host: dict[str, int] = {}
             backlog: dict[str, list[int]] = {}
         report = DeploymentReport(jobs=engine.jobs)

@@ -266,7 +266,8 @@ class LinkFaultPlan:
     is a duplicate, and non-zero offsets (drawn up to ``jitter``
     seconds) reorder messages relative to their send order.
 
-    Decisions come from ``Random(f"{seed}|{site}|{attempt}")`` where the
+    Decisions come from ``Random(f"{seed}|{site}|{attempt}")`` (one
+    generator per plan, re-seeded with that string) where the
     site is ``<kind>:<src>-><dst>:<dedup key>`` -- a pure function of
     the message, never of call order, which is what makes chaos runs
     (and their retransmissions: each attempt draws independently)
@@ -292,12 +293,22 @@ class LinkFaultPlan:
         self.duplicate = duplicate
         self.jitter = jitter
         self.include = tuple(include)
+        # fnmatchcase(site, "*") holds for every site, so with "*" in
+        # ``include`` copies skips the pattern scan.
+        self._include_all = "*" in self.include
+        # One generator, re-seeded per decision: ``seed(x)`` puts it in
+        # exactly the state ``Random(x)`` starts in, without building
+        # an object per message.
+        self._rng = random.Random()
 
     def copies(self, site: str, attempt: int) -> list[float]:
         """Extra-delay offsets for each arriving copy of one send."""
-        if not any(fnmatchcase(site, p) for p in self.include):
+        if not self._include_all and not any(
+            fnmatchcase(site, p) for p in self.include
+        ):
             return [0.0]
-        rng = random.Random(f"{self.seed}|{site}|{attempt}")
+        rng = self._rng
+        rng.seed(f"{self.seed}|{site}|{attempt}")
         if rng.random() < self.drop:
             return []
         delays = [rng.random() * self.jitter if self.jitter > 0.0 else 0.0]

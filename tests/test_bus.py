@@ -11,7 +11,12 @@ above the bus depends on: **delivery is at-least-once, effect is
 exactly-once**.
 """
 
+import random
+from fnmatch import fnmatchcase
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.runtime import bus as busmod
@@ -135,8 +140,11 @@ class TestDelivery:
 
     def test_unknown_endpoint_rejected(self):
         _, bus = make_bus()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="unknown endpoint: ghost"):
             bus.send("producer", "ghost", "work")
+        with pytest.raises(SimulationError, match="unknown endpoint: ghost"):
+            bus.send("ghost", "consumer", "work")
+        assert bus.log == [] and bus.pending() == 0 and bus.sent == {}
 
     def test_duplicate_registration_rejected(self):
         _, bus = make_bus()
@@ -215,6 +223,114 @@ class TestLinkFaultPlan:
         order = [e.payload["n"] for e in bus.endpoint("consumer").drain()]
         assert sorted(order) == list(range(30))
         assert order != list(range(30))
+
+
+def reference_copies(plan, site, attempt):
+    """``LinkFaultPlan.copies`` as it was written with a fresh generator
+    per decision: the reference the one re-seeded generator must match."""
+    if not any(fnmatchcase(site, p) for p in plan.include):
+        return [0.0]
+    rng = random.Random(f"{plan.seed}|{site}|{attempt}")
+    if rng.random() < plan.drop:
+        return []
+    delays = [rng.random() * plan.jitter if plan.jitter > 0.0 else 0.0]
+    if rng.random() < plan.duplicate:
+        spread = plan.jitter if plan.jitter > 0.0 else 1.0
+        delays.append(rng.random() * spread)
+    return delays
+
+
+SITES = st.builds(
+    "{}:{}->{}:{}".format,
+    st.sampled_from(["work", "ack", "heartbeat", "hello"]),
+    st.sampled_from(["master", "host000", "host001"]),
+    st.sampled_from(["master", "host000", "host001"]),
+    st.one_of(st.text(max_size=6), st.integers(0, 99).map("#{}".format)),
+)
+RATES = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(-5, 10**6),
+    drop=RATES,
+    duplicate=RATES,
+    jitter=st.sampled_from([0.0, 0.5, 3.0]),
+    include=st.sampled_from(
+        [("*",), ("work:*",), ("ack:*", "hello:*"), ("*:host000->*",), ()]
+    ),
+    calls=st.lists(st.tuples(SITES, st.integers(1, 5)), max_size=40),
+)
+def test_one_generator_draws_what_a_fresh_one_did(
+    seed, drop, duplicate, jitter, include, calls
+):
+    """Any interleaving of decisions on one plan -- repeats included --
+    gives exactly the offsets a fresh ``Random(seed|site|attempt)`` per
+    decision gave."""
+    plan = LinkFaultPlan(
+        seed, drop=drop, duplicate=duplicate, jitter=jitter, include=include
+    )
+    for site, attempt in calls:
+        assert plan.copies(site, attempt) == reference_copies(
+            plan, site, attempt
+        )
+
+
+class TestEnvelopes:
+    """``send`` builds an envelope only for what it queues or logs, and
+    no two copies share a payload dict."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+
+        class Counted(busmod.Envelope):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(busmod, "Envelope", Counted)
+        return made
+
+    def test_one_envelope_per_queued_copy(self, built):
+        clock, bus = make_bus()
+        bus.send("producer", "consumer", "work", {"n": 1})
+        assert len(built) == 1 and bus.pending() == 1
+        clock, bus = make_bus(0, duplicate=1.0)
+        built.clear()
+        bus.send("producer", "consumer", "work", {"n": 1})
+        assert len(built) == 2 and bus.pending() == 2
+        assert [e.copy for e in built] == [0, 1]
+
+    def test_one_envelope_for_a_lost_send(self, built):
+        clock, bus = make_bus(0, drop=1.0)
+        bus.send("producer", "consumer", "work", {"n": 1})
+        assert len(built) == 1 and bus.pending() == 0
+        assert bus.log[-1].status == busmod.DROPPED
+        assert bus.log[-1].envelope is built[0]
+        clock, bus = make_bus()
+        built.clear()
+        bus.partition(["producer"], ["consumer"])
+        bus.send("producer", "consumer", "work", {"n": 1})
+        assert len(built) == 1 and bus.pending() == 0
+        assert bus.log[-1].status == busmod.PARTITIONED
+
+    def test_send_returns_nothing(self):
+        _, bus = make_bus()
+        assert bus.send("producer", "consumer", "work") is None
+
+    def test_payloads_are_copied_once_per_copy(self):
+        clock, bus = make_bus(0, duplicate=1.0)
+        payload = {"n": 1}
+        bus.send("producer", "consumer", "work", payload)
+        payload["n"] = 2
+        bus.deliver_due(100.0)
+        first, second = bus.endpoint("consumer").drain()
+        assert first.payload == second.payload == {"n": 1}
+        assert first.payload is not payload
+        assert first.payload is not second.payload
+        first.payload["n"] = 3
+        assert second.payload == {"n": 1}
 
 
 class TestHeartbeatTimeout:

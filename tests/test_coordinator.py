@@ -14,7 +14,11 @@ from repro.runtime import (
     provision_partial_spec,
     split_spec,
 )
+from repro.runtime import bus as busmod
 from repro.runtime import coordinator as coordinator_module
+from repro.runtime.bus import MessageBus
+from repro.runtime.coordinator import work_key
+from repro.sim.clock import SimClock
 
 
 @pytest.fixture
@@ -283,6 +287,117 @@ class TestMasterCoordinator:
         coordinator.engine.shutdown(deployment)
         assert len(plan.records) == 1
         assert set(deployment.states().values()) == {INACTIVE}
+
+
+class TestHeartbeatOnlyMasterSteps:
+    """A master step whose mail is only heartbeats, before the wake its
+    ``next_wake`` last returned, changes nothing; any other mail, or an
+    instant at or past that wake, runs the whole step."""
+
+    @pytest.fixture
+    def bus(self):
+        bus = MessageBus(SimClock())
+        for slave in ("m1", "m2"):
+            bus.register(slave)
+        return bus
+
+    def master(self, bus, retransmit_after=100.0):
+        master = MasterNode(
+            "master", bus, [["m1", "m2"]], {"m1": "spec1", "m2": "spec2"},
+            retransmit_after=retransmit_after, heartbeat_timeout=15.0,
+        )
+        master.step(0.0)
+        assert bus.sent == {busmod.WORK: 2}
+        return master
+
+    def mail(self, bus, at, *messages):
+        for sender, kind in messages:
+            bus.send(sender, "master", kind, {"machine": sender},
+                     at=at - bus.default_latency)
+        bus.clock.sync_to(at)
+        bus.deliver_due(at)
+
+    def test_heartbeats_before_the_wake_change_nothing(self, bus):
+        master = self.master(bus)
+        assert master.next_wake(0.0) == 15.0
+        self.mail(bus, 14.0, ("m1", busmod.HEARTBEAT))
+        master.step(14.0)
+        assert bus.sent == {busmod.WORK: 2, busmod.HEARTBEAT: 1}
+        assert master.suspects == []
+        assert master.last_seen == {"m1": 14.0}
+        # m1's deadline moved; m2's, never seen, is still the wake.
+        assert master.next_wake(14.0) == 15.0
+
+    def test_hello_resends_that_machines_work_at_once(self, bus):
+        master = self.master(bus)
+        master.next_wake(0.0)
+        self.mail(bus, 5.0, ("m1", busmod.HEARTBEAT), ("m2", busmod.HELLO))
+        master.step(5.0)
+        assert master.rejoins == [{"at": 5.0, "machine": "m2"}]
+        bus.deliver_due(6.0)
+        work = {
+            slave: [(e.attempt, e.sent_at)
+                    for e in bus.endpoint(slave).drain()]
+            for slave in ("m1", "m2")
+        }
+        assert work == {"m1": [(1, 0.0)], "m2": [(1, 0.0), (2, 5.0)]}
+
+    def test_heartbeats_at_the_wake_run_the_checks(self, bus):
+        master = self.master(bus)
+        assert master.next_wake(0.0) == 15.0
+        self.mail(bus, 15.001, ("m1", busmod.HEARTBEAT))
+        master.step(15.001)
+        assert master.suspects == [
+            {"at": 15.001, "machine": "m2", "last_seen": 0.0}
+        ]
+
+    def test_heartbeats_exactly_at_the_wake_retransmit(self, bus):
+        master = self.master(bus, retransmit_after=10.0)
+        assert master.next_wake(0.0) == 10.0
+        self.mail(bus, 10.0, ("m1", busmod.HEARTBEAT))
+        master.step(10.0)
+        assert bus.sent[busmod.WORK] == 4
+        assert [s.attempts for s in master.open] == [2, 2]
+
+    def test_a_suspect_heard_from_again_runs_the_checks(self, bus):
+        """Its deadline was left out of the wake.  Delivered late, its
+        heartbeat leaves it overdue at once, and it is suspected again."""
+        master = self.master(bus)
+        master.next_wake(0.0)
+        self.mail(bus, 15.001, ("m1", busmod.HEARTBEAT))
+        master.step(15.001)
+        assert master.next_wake(15.001) == pytest.approx(30.001)
+        bus.send("m2", "master", busmod.HEARTBEAT, {"machine": "m2"}, at=1.0)
+        bus.clock.sync_to(20.0)
+        bus.deliver_due(20.0)
+        master.step(20.0)
+        assert [(s["at"], s["machine"]) for s in master.suspects] == [
+            (15.001, "m2"), (20.0, "m2"),
+        ]
+
+    def test_a_full_step_forgets_the_wake(self, bus):
+        """An ack that opens the next wave brings a machine whose suspect
+        deadline is earlier than the wake returned before it: until
+        ``next_wake`` is asked again, nothing is skipped."""
+        master = MasterNode(
+            "master", bus, [["m1"], ["m2"]], {"m1": "spec1", "m2": "spec2"},
+            retransmit_after=100.0, heartbeat_timeout=15.0,
+        )
+        master.step(0.0)
+        self.mail(bus, 10.0, ("m1", busmod.HEARTBEAT))
+        master.step(10.0)
+        assert master.next_wake(10.0) == 25.0
+        bus.send("m1", "master", busmod.ACK, {"key": work_key(0, "m1")},
+                 at=12.0 - bus.default_latency)
+        bus.clock.sync_to(12.0)
+        bus.deliver_due(12.0)
+        master.step(12.0)
+        assert master.open[0].machine_id == "m2"
+        self.mail(bus, 20.0, ("m1", busmod.HEARTBEAT))
+        master.step(20.0)
+        assert master.suspects == [
+            {"at": 20.0, "machine": "m2", "last_seen": 0.0}
+        ]
 
 
 class TestTimingValidation:

@@ -1,5 +1,7 @@
 """Resource instances and installation specifications."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -12,7 +14,8 @@ from repro.core import (
     as_key,
 )
 from repro.core.errors import CycleError, DeploymentError, SpecError
-from repro.runtime import machine_waves
+from repro.library.fleet import FleetTopology, configure_fleet
+from repro.runtime import DeployedSystem, machine_waves
 
 
 def link(kind, target_id, key="T 1"):
@@ -94,6 +97,86 @@ class TestInstallSpec:
         spec = InstallSpec([machine(), hosted("h", "m")])
         assert spec.downstream_ids("m") == ["h"]
         assert spec.downstream_ids("h") == []
+
+
+class TestMachineMemo:
+    """``machine_of`` / ``instances_on_machine`` / ``machine_for`` answer
+    from a memo; they must say what walking each inside chain says."""
+
+    @staticmethod
+    def walk(spec, instance):
+        """The reference: follow inside links one hop at a time."""
+        seen = set()
+        while instance.inside is not None:
+            if instance.id in seen:
+                raise CycleError(f"inside cycle at instance {instance.id}")
+            seen.add(instance.id)
+            instance = spec[instance.inside.target.id]
+        return instance.id
+
+    def assert_agrees_with_chain_walk(self, spec):
+        walked = {inst.id: self.walk(spec, inst) for inst in spec}
+        machines = {m: object() for m in set(walked.values())}
+        system = DeployedSystem(spec, None, None, {}, machines)
+        for iid, machine_id in walked.items():
+            assert spec.machine_of(iid) == machine_id
+            assert system.machine_for(iid) is machines[machine_id]
+        for machine_id in machines:
+            assert spec.instances_on_machine(machine_id) == [
+                inst for inst in spec if walked[inst.id] == machine_id
+            ]
+        assert spec.instances_on_machine("no-such-machine") == []
+
+    @staticmethod
+    def depth(spec, inst):
+        hops = 0
+        while inst.inside is not None:
+            inst = spec[inst.inside.target.id]
+            hops += 1
+        return hops
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_seeded_fleets(self, seed):
+        rng = random.Random(seed)
+        topology = FleetTopology(
+            replicas=rng.randint(1, 6), machines=rng.randint(1, 4),
+            stacks=tuple(rng.sample(["openmrs", "jasper", "django"], 2)),
+        )
+        spec = configure_fleet(topology)[0].spec
+        self.assert_agrees_with_chain_walk(spec)
+        # Grow it: a spare machine, and a leaf at the end of the deepest
+        # inside chain.
+        deepest = max(spec, key=lambda inst: self.depth(spec, inst))
+        assert self.depth(spec, deepest) >= 2
+        spec.add(machine("spare"))
+        spec.add(hosted("leaf", deepest.id))
+        self.assert_agrees_with_chain_walk(spec)
+        # Move the leaf's container, and so everything inside it, onto
+        # the spare machine.
+        spec.replace_instance(hosted(deepest.id, "spare"))
+        assert spec.machine_of("leaf") == "spare"
+        self.assert_agrees_with_chain_walk(spec)
+
+    def test_cycle_and_missing_target_raise_as_the_walk_does(self):
+        spec = InstallSpec([
+            machine("m"), hosted("ok", "m"),
+            hosted("a", "b"), hosted("b", "a"), hosted("c", "a"),
+            hosted("lost", "ghost"),
+        ])
+        for iid in ("a", "b", "c"):
+            with pytest.raises(CycleError) as walk:
+                self.walk(spec, spec[iid])
+            with pytest.raises(CycleError) as memo:
+                spec.machine_of(iid)
+            assert str(memo.value) == str(walk.value)
+        with pytest.raises(SpecError, match="'ghost'"):
+            spec.machine_of("lost")
+        assert spec.machine_of("ok") == "m"
+        # The index walks the instances in order: "a" is the first one
+        # whose chain is broken, on every call.
+        for _ in range(2):
+            with pytest.raises(CycleError, match="at instance a$"):
+                spec.instances_on_machine("m")
 
 
 class TestTopologicalOrder:

@@ -1,6 +1,10 @@
 """The simulated database and the South-style migration engine."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.django import (
     APPLIED_TABLE,
@@ -18,6 +22,44 @@ from repro.sim import VirtualFilesystem
 @pytest.fixture
 def db():
     return SimDatabase(VirtualFilesystem(), "/var/lib/mysql/app.json")
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+TABLES = st.dictionaries(
+    st.text(max_size=8),
+    st.fixed_dictionaries({
+        "columns": st.lists(st.text(max_size=6), max_size=4),
+        "rows": st.lists(
+            st.dictionaries(st.text(max_size=6), SCALARS, max_size=4),
+            max_size=3,
+        ),
+    }),
+    max_size=4,
+)
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tables=TABLES, extra=NESTED)
+def test_store_writes_the_sorted_indented_dump(tables, extra):
+    """The database file is byte-for-byte the key-sorted ``json.dumps``
+    it always was, however the tables and their values nest."""
+    fs = VirtualFilesystem()
+    db = SimDatabase(fs, "/db.json")
+    data = {"tables": tables, "extra": extra}
+    db._store(data)
+    assert fs.read_file("/db.json") == json.dumps(
+        data, indent=1, sort_keys=True
+    )
 
 
 class TestSimDatabase:
