@@ -49,10 +49,11 @@ def generate_constraints(
     from the clause database; callers pass the corresponding literals to
     ``solve(assumptions=...)`` instead (see :func:`fact_literals`).  The
     clause database then encodes only the graph's dependency structure,
-    so it can be kept in a long-lived incremental solver and queried
-    under different pinned-instance sets -- the mechanism behind both
-    unsat-core shrinking (:mod:`repro.config.explain`) and warm
-    configuration sessions (:mod:`repro.config.session`).
+    so one incremental solver can be queried under different
+    pinned-instance sets -- what the unsat-core sweep in
+    :mod:`repro.config.explain` does.  Configuration itself always
+    states the facts as unit clauses, with the pairwise ``encoding``;
+    the other values serve the E12 ablation and ``engage-sim dimacs``.
     """
     formula = CnfFormula()
     facts = 0

@@ -16,6 +16,11 @@ monolithic configuration is the one-component case of the same code.
 :class:`~repro.config.session.ConfigurationSession` runs the same two
 functions over component entries it keeps between calls.
 
+The pipeline has one behaviour: pinned instances are unit clauses, the
+exactly-one constraints use the pairwise encoding, every specification
+is typechecked, and an unsatisfiable result carries its minimal-conflict
+diagnosis.
+
 Every result carries :class:`PhaseTimings` so callers (benchmarks, the
 CLI) can see where a query spent its time without re-instrumenting the
 pipeline.
@@ -38,7 +43,6 @@ from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
 from repro.config.constraints import (
     ConstraintStats,
-    fact_literals,
     generate_constraints,
     selected_nodes,
 )
@@ -54,7 +58,6 @@ from repro.config.partition import (
 from repro.config.propagation import propagate
 from repro.config.typecheck import check_spec
 from repro.sat.cnf import CnfFormula
-from repro.sat.encodings import ExactlyOneEncoding
 from repro.sat.solver import CdclSolver, SolverStats
 
 
@@ -130,9 +133,7 @@ class ConfigurationResult:
 
 
 def canonical_model(
-    formula: CnfFormula,
-    solver: CdclSolver,
-    assumptions=(),
+    formula: CnfFormula, solver: CdclSolver
 ) -> dict[int, bool]:
     """A decode model that does not depend on solver heuristics/history.
 
@@ -145,14 +146,13 @@ def canonical_model(
     A CDCL run that never conflicted *is* that search: VSIDS ties break
     towards the lowest index while all activities are zero, and saved
     phases start False (a warm conflict-free solver replays its previous
-    model under the same assumptions).  Only conflicted runs -- where
-    activity bumps and backjump phase flips can reorder decisions -- pay
-    a deterministic re-solve.
+    model).  Only conflicted runs -- where activity bumps and backjump
+    phase flips can reorder decisions -- pay a deterministic re-solve.
     """
     if solver.stats.conflicts == 0:
         return solver.model()
     deterministic = CdclSolver(formula, use_vsids=False, use_restarts=False)
-    if not deterministic.solve(list(assumptions)):
+    if not deterministic.solve():
         raise ConfigurationError(
             "canonical re-solve found no model for a satisfiable formula"
         )
@@ -163,32 +163,29 @@ class ComponentEntry:
     """One component's encoding, solver and verified outcomes.
 
     The engine builds these fresh for every call and drops them; a
-    session keeps them (``keep=True``) and hands one to every spec that
-    has a component of the same content, which is the whole difference
-    between the two: a kept entry states the partial-spec facts as
-    assumption literals, so its clause database holds only graph
-    structure and its :class:`CdclSolver` -- learned clauses,
-    activities, saved phases -- can answer every later call.
+    session keeps them and hands one to every spec that has a component
+    of the same content.  Content includes which nodes are pinned, so an
+    entry's unit facts never change and its :class:`CdclSolver` --
+    learned clauses, activities, saved phases -- can answer every later
+    call as it stands.
     """
 
     __slots__ = (
-        "component", "keep", "formula", "constraint_stats", "assumptions",
-        "solver", "canonical", "verified", "__weakref__",
+        "component", "formula", "constraint_stats", "solver", "canonical",
+        "verified", "__weakref__",
     )
 
-    def __init__(self, component: GraphComponent, *, keep: bool) -> None:
+    def __init__(self, component: GraphComponent) -> None:
         self.component = component
-        self.keep = keep
         self.formula: Optional[CnfFormula] = None
         self.constraint_stats: Optional[ConstraintStats] = None
-        self.assumptions: list[int] = []
         self.solver: Optional[CdclSolver] = None
-        #: The canonical model; the assumptions are fixed per entry, so
-        #: it never changes once computed.
+        #: The canonical model; the formula is fixed per entry, so it
+        #: never changes once computed.
         self.canonical: Optional[dict[int, bool]] = None
-        #: (deployed, choices) outcome -> the propagated (and, when
-        #: enabled, typechecked) instances in install order, reused as
-        #: they are (frozen dataclasses) inside a fresh container.
+        #: (deployed, choices) outcome -> the propagated and typechecked
+        #: instances in install order, reused as they are (frozen
+        #: dataclasses) inside a fresh container.
         self.verified: dict[tuple, tuple] = {}
 
 
@@ -211,9 +208,6 @@ class ComponentRun:
 def configure_component(
     registry: ResourceTypeRegistry,
     entry: ComponentEntry,
-    *,
-    encoding: ExactlyOneEncoding,
-    check_types: bool,
 ) -> ComponentRun:
     """Encode, solve, decode, propagate and typecheck one component.
 
@@ -224,13 +218,7 @@ def configure_component(
     started = time.perf_counter()
     encoded = entry.formula is None
     if encoded:
-        entry.formula, entry.constraint_stats = generate_constraints(
-            graph, encoding, facts_as_assumptions=entry.keep
-        )
-        if entry.keep:
-            entry.assumptions = sorted(
-                fact_literals(graph, entry.formula).values()
-            )
+        entry.formula, entry.constraint_stats = generate_constraints(graph)
     encode_done = time.perf_counter()
     solver_reused = entry.solver is not None
     if not solver_reused:
@@ -243,10 +231,10 @@ def configure_component(
         pinned=len(entry.component.pinned),
     )
     run = ComponentRun(stats, encoded, solver_reused)
-    if not solver.solve(entry.assumptions):
+    if not solver.solve():
         return run
     if entry.canonical is None:
-        entry.canonical = canonical_model(formula, solver, entry.assumptions)
+        entry.canonical = canonical_model(formula, solver)
     run.model = {
         str(name): value
         for name, value in formula.decode_model(entry.canonical).items()
@@ -258,8 +246,7 @@ def configure_component(
     run.spec_reused = run.instances is not None
     if not run.spec_reused:
         spec = propagate(registry, graph, run.deployed, choices)
-        if check_types:
-            check_spec(registry, spec)
+        check_spec(registry, spec)
         run.instances = spec
         entry.verified[outcome] = tuple(spec)
     if encoded:  # a cached encoding cost this call nothing, not one tick
@@ -275,29 +262,19 @@ def raise_unsatisfiable(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
     graph: ResourceGraph,
-    *,
-    explain: bool,
-    partition: bool = False,
 ) -> None:
-    """Raise the Theorem 1 :class:`UnsatisfiableError`, optionally with a
-    minimal-conflict explanation computed over ``graph``.
+    """Raise the Theorem 1 :class:`UnsatisfiableError` with the
+    minimal-conflict explanation :mod:`repro.config.explain` computes
+    over ``graph``."""
+    from repro.config.explain import explain_unsat
 
-    ``partition`` selects the component-narrowed MUS computation in
-    :mod:`repro.config.explain`; the resulting diagnosis is byte-identical
-    to the monolithic one, just cheaper to compute.
-    """
     message = (
         "no full installation specification extends the partial "
         f"specification (over {len(graph)} candidate instances)"
     )
-    if explain:
-        from repro.config.explain import explain_unsat
-
-        explanation = explain_unsat(
-            registry, partial, partition=partition, graph=graph
-        )
-        if explanation is not None:
-            message += "\n" + explanation.message(graph)
+    explanation = explain_unsat(registry, partial, graph=graph)
+    if explanation is not None:
+        message += "\n" + explanation.message(graph)
     raise UnsatisfiableError(message)
 
 
@@ -371,25 +348,19 @@ class ConfigurationEngine:
     each component independently (:mod:`repro.config.partition`); the
     resulting specification is bit-identical to the monolithic one.
     ``configure(..., partition=...)`` overrides the mode per call.
+    ``verify_registry`` checks the registry's well-formedness up front
+    and ``tracer`` receives the phase spans; nothing else is settable.
     """
 
     def __init__(
         self,
         registry: ResourceTypeRegistry,
         *,
-        encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        check_types: bool = True,
         verify_registry: bool = True,
-        explain_unsat: bool = True,
-        peer_policy: str = "colocate",
         partition: bool = False,
         tracer=None,
     ) -> None:
         self._registry = registry
-        self._encoding = encoding
-        self._check_types = check_types
-        self._explain_unsat = explain_unsat
-        self._peer_policy = peer_policy
         self._partition = partition
         self._tracer = tracer
         if verify_registry:
@@ -427,7 +398,7 @@ class ConfigurationEngine:
         use_partition = self._partition if partition is None else partition
         timings = PhaseTimings()
         graph, components = self.components(partial, use_partition, timings)
-        entries = [ComponentEntry(c, keep=False) for c in components]
+        entries = [ComponentEntry(c) for c in components]
         return self.run(partial, graph, entries, use_partition, timings)
 
     def components(
@@ -436,9 +407,7 @@ class ConfigurationEngine:
     ) -> tuple[ResourceGraph, list[GraphComponent]]:
         """GraphGen, then the component list the pipeline maps over."""
         started = time.perf_counter()
-        graph = generate_graph(
-            self._registry, partial, peer_policy=self._peer_policy
-        )
+        graph = generate_graph(self._registry, partial)
         ticked = time.perf_counter()
         timings.graph_ms = (ticked - started) * 1000.0
         if not partition:
@@ -453,8 +422,6 @@ class ConfigurationEngine:
         graph: ResourceGraph,
         entries: list[ComponentEntry],
         cache: SessionCacheInfo,
-        *,
-        partition: bool,
     ) -> list[ComponentRun]:
         """Run :func:`configure_component` over ``entries`` in order,
         recording each one's cache outcome on ``cache``; the first
@@ -462,18 +429,12 @@ class ConfigurationEngine:
         runs: list[ComponentRun] = []
         cache.cnf_hit = True
         for entry in entries:
-            run = configure_component(
-                self._registry, entry,
-                encoding=self._encoding, check_types=self._check_types,
-            )
+            run = configure_component(self._registry, entry)
             cache.cnf_hit &= not run.encoded
             cache.solvers_reused += run.solver_reused
             cache.solvers_built += not run.solver_reused
             if run.instances is None:
-                raise_unsatisfiable(
-                    self._registry, partial, graph,
-                    explain=self._explain_unsat, partition=partition,
-                )
+                raise_unsatisfiable(self._registry, partial, graph)
             runs.append(run)
         cache.solver_reused = cache.solvers_reused > 0
         cache.typecheck_skipped = bool(runs) and all(
@@ -498,8 +459,7 @@ class ConfigurationEngine:
         record, attached to the result when given.
         """
         runs = self.solve_components(
-            partial, graph, entries, cache or SessionCacheInfo(),
-            partition=partition,
+            partial, graph, entries, cache or SessionCacheInfo()
         )
         tick = time.perf_counter()
         spec = merge_component_specs([run.instances for run in runs])

@@ -19,6 +19,7 @@ from repro.core.instances import PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.config.constraints import fact_literals, generate_constraints
 from repro.config.hypergraph import ResourceGraph, generate_graph
+from repro.config.partition import partition_graph
 from repro.sat.solver import CdclSolver
 
 
@@ -61,26 +62,24 @@ def explain_unsat(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
     *,
-    partition: bool = False,
     graph: Optional[ResourceGraph] = None,
 ) -> Optional[UnsatExplanation]:
     """Explain why ``partial`` is unsatisfiable; None if it is fine.
 
     ``graph`` is the hypergraph already generated for ``partial`` (the
     one whose constraints just proved unsatisfiable); without it
-    GraphGen runs here, under the default peer policy.
+    GraphGen runs here.
 
     Runs a deletion-based MUS over the partial-spec facts: visit each
     pinned instance in id order and drop it whenever the rest is still
     unsatisfiable.  The survivors are a minimal conflicting subset.
 
-    The sweep runs over a list of components with one incremental solver
-    each -- the clause database (and the clauses learned refuting earlier
-    subsets) is shared, each candidate subset is just a new assumption
-    vector.  With ``partition`` they are the graph's connected
-    components: a trial subset is unsatisfiable iff some component's
-    slice of it is, and dropping a fact only changes its own component's
-    slice.  Without it the whole graph is the only component.
+    The sweep runs over the graph's connected components with one
+    incremental solver each -- the clause database (and the clauses
+    learned refuting earlier subsets) is shared, each candidate subset
+    is just a new assumption vector.  A trial subset is unsatisfiable
+    iff some component's slice of it is, and dropping a fact only
+    changes its own component's slice.
 
     Most trials need no solve.  Each unsatisfiable component keeps the
     core ``C`` of its latest refutation (the facts
@@ -96,18 +95,12 @@ def explain_unsat(
     ones a solve-every-candidate sweep keeps: a diagnosis costs about
     one solve per core member rather than one per pinned instance, and
     its text is the same byte for byte.  Satisfiability decomposes over
-    components, so each trial also gets the same answer with or without
-    ``partition``, and that diagnosis is byte-identical too.
+    components, so each trial also gets the answer a whole-graph solve
+    would give, and the diagnosis is the whole-graph one byte for byte.
     """
-    from repro.config.partition import partition_graph, whole_graph_component
-
     if graph is None:
         graph = generate_graph(registry, partial)
-    components = (
-        partition_graph(graph).components
-        if partition
-        else [whole_graph_component(graph)]
-    )
+    components = partition_graph(graph).components
     solvers: list[CdclSolver] = []
     # Per component, the facts still kept (id -> assumption literal, in
     # id order) and the id each assumption literal asserts.

@@ -263,19 +263,12 @@ def lower_alternatives(
 def generate_graph(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
-    *,
-    peer_policy: str = "colocate",
 ) -> ResourceGraph:
     """The ``GraphGen(R, I)`` worklist algorithm.
 
-    ``peer_policy`` governs unmatched peer dependencies: ``"colocate"``
-    (the paper's conservative rule) materialises the peer on the
-    dependent's machine; ``"error"`` refuses, forcing the user to place
-    every shared service explicitly -- useful in production topologies
-    where accidentally co-locating a database would be a mistake.
+    An unmatched peer dependency is materialised on the dependent's
+    machine (the paper's conservative co-location rule).
     """
-    if peer_policy not in ("colocate", "error"):
-        raise ConfigurationError(f"unknown peer policy: {peer_policy!r}")
     graph = ResourceGraph()
     worklist: deque[str] = deque()
 
@@ -309,7 +302,7 @@ def generate_graph(
     # Step 2: process until the worklist is empty.
     while worklist:
         instance_id = worklist.popleft()
-        _process_node(registry, graph, instance_id, worklist, peer_policy)
+        _process_node(registry, graph, instance_id, worklist)
 
     return graph
 
@@ -319,7 +312,6 @@ def _process_node(
     graph: ResourceGraph,
     instance_id: str,
     worklist: deque[str],
-    peer_policy: str,
 ) -> None:
     node = graph.node(instance_id)
     resource_type = registry.effective(node.key)
@@ -360,12 +352,12 @@ def _process_node(
     for dependency in resource_type.environment:
         _process_hyperedge(
             registry, graph, node, dependency, machine_id, worklist,
-            same_machine=True, peer_policy=peer_policy,
+            same_machine=True,
         )
     for dependency in resource_type.peers:
         _process_hyperedge(
             registry, graph, node, dependency, machine_id, worklist,
-            same_machine=False, peer_policy=peer_policy,
+            same_machine=False,
         )
 
 
@@ -390,7 +382,6 @@ def _process_hyperedge(
     worklist: deque[str],
     *,
     same_machine: bool,
-    peer_policy: str,
 ) -> None:
     lowered = lower_alternatives(registry, dependency)
     targets: list[str] = []
@@ -403,12 +394,6 @@ def _process_hyperedge(
             prefer_machine_id=None if same_machine else machine_id,
         )
         if target_id is None:
-            if not same_machine and peer_policy == "error":
-                raise ConfigurationError(
-                    f"peer dependency of {node.instance_id!r} on "
-                    f"{alt.key} has no matching instance, and the "
-                    "peer policy forbids materialising one"
-                )
             target_id = _materialise(
                 registry, graph, alt.key, machine_id, worklist
             )

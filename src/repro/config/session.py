@@ -17,10 +17,10 @@ least recently used first out:
   repeated spec skips GraphGen and the partition pass;
 * per component **content** (:func:`content_key`: the mode, the nodes
   and the edges, in order), one
-  :class:`~repro.config.engine.ComponentEntry`: the **CNF encoding**
-  with the family-1 facts expressed as *assumption literals* rather
-  than unit clauses (the clause database encodes only graph structure),
-  one **persistent incremental** :class:`~repro.sat.solver.CdclSolver`
+  :class:`~repro.config.engine.ComponentEntry`: the **CNF encoding**,
+  pinned instances included as unit clauses exactly as the engine states
+  them (the content says which nodes are pinned, so an entry's facts
+  never change), one **persistent** :class:`~repro.sat.solver.CdclSolver`
   whose learned clauses, VSIDS activities and saved phases survive
   across calls, the **canonical model** once it has been computed, and
   the **propagated specification** memoized by decoded outcome -- a
@@ -49,7 +49,8 @@ registry; registering a type flushes the session.
 
 Results are bit-identical to per-call
 :meth:`ConfigurationEngine.configure` output: the same full
-specifications and deployed ids, with cache/timing metadata attached.
+specifications, deployed ids and constraint sizes, with cache/timing
+metadata attached.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from repro.config.engine import (
 from repro.config.fingerprint import canonical_value, fingerprint_partial
 from repro.config.hypergraph import ResourceGraph
 from repro.config.partition import GraphComponent, merge_component_specs
-from repro.sat.encodings import ExactlyOneEncoding
 
 
 @dataclass
@@ -87,9 +87,8 @@ class SessionStats:
     cnf_misses: int = 0
     solver_builds: int = 0
     solver_reuses: int = 0
-    #: Calls that propagated and typechecked / calls that reused every
-    #: component's verified instances.  A call that had to propagate
-    #: with ``check_types=False`` counts as neither.
+    #: Calls that propagated and typechecked some component / calls
+    #: that reused every component's verified instances.
     typecheck_runs: int = 0
     typecheck_skips: int = 0
     evictions: int = 0
@@ -125,7 +124,10 @@ def content_key(partition: bool, component: GraphComponent) -> tuple:
     canonical model and the per-source edge indexes the decoded choices
     are keyed by all depend on it.  The mode is part of it too -- a
     one-component graph is the same component partitioned or not, but
-    the two modes never share an entry.  Pinned keys are taken by their
+    the two modes never share an entry.  So is each node's
+    ``from_partial`` flag: the entry's encoding states pinned nodes as
+    unit clauses, and components that differ only in what is pinned
+    must never share one.  Pinned keys are taken by their
     exact version parts (``6.0 == 6.0.0`` as versions, yet they print
     differently in the full specification).
     """
@@ -152,20 +154,16 @@ class ConfigurationSession:
 
     Accepts the same options as :class:`ConfigurationEngine` and
     produces bit-identical results; see the module docstring for what
-    is amortized across calls.  ``max_entries`` bounds the cache (least
-    recently used entries are evicted, keeping memory flat under
-    unbounded distinct-query traffic).
+    is amortized across calls.  ``max_entries``, its one option of its
+    own, bounds the cache (least recently used entries are evicted,
+    keeping memory flat under unbounded distinct-query traffic).
     """
 
     def __init__(
         self,
         registry: ResourceTypeRegistry,
         *,
-        encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        check_types: bool = True,
         verify_registry: bool = True,
-        explain_unsat: bool = True,
-        peer_policy: str = "colocate",
         partition: bool = False,
         max_entries: int = 1024,
         tracer=None,
@@ -173,12 +171,10 @@ class ConfigurationSession:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self._engine = ConfigurationEngine(
-            registry, encoding=encoding, check_types=check_types,
-            verify_registry=verify_registry, explain_unsat=explain_unsat,
-            peer_policy=peer_policy, partition=partition, tracer=tracer,
+            registry, verify_registry=verify_registry, partition=partition,
+            tracer=tracer,
         )
         self._registry = registry
-        self._check_types = check_types
         self._verify_registry = verify_registry
         self._partition = partition
         self._max_entries = max_entries
@@ -245,7 +241,7 @@ class ConfigurationSession:
             key = content_key(partition, component)
             kept = self._kept.get(key)
             if kept is None:
-                kept = self._kept[key] = ComponentEntry(component, keep=True)
+                kept = self._kept[key] = ComponentEntry(component)
             else:
                 cache.components_reused += 1
             entries.append(kept)
@@ -311,9 +307,7 @@ class ConfigurationSession:
             stats.solver_builds += cache.solvers_built
             stats.solver_reuses += cache.solvers_reused
         stats.typecheck_skips += cache.typecheck_skipped
-        stats.typecheck_runs += (
-            self._check_types and not cache.typecheck_skipped
-        )
+        stats.typecheck_runs += not cache.typecheck_skipped
         return result
 
     def reconfigure_components(
@@ -368,7 +362,7 @@ class ConfigurationSession:
         cache = SessionCacheInfo()
         try:
             runs = self._engine.solve_components(
-                partial, entry.graph, affected, cache, partition=True
+                partial, entry.graph, affected, cache
             )
         finally:
             self.stats.solver_builds += cache.solvers_built

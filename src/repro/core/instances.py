@@ -80,11 +80,6 @@ class ResourceInstance:
     def is_machine(self) -> bool:
         return self.inside is None
 
-    def machine_id(self, spec: "InstallSpec") -> str:
-        """The physical machine ``spec`` places this instance on (S3.1):
-        :meth:`InstallSpec.machine_of` for its id."""
-        return spec.machine_of(self.id)
-
 
 @dataclass(frozen=True)
 class PartialInstance:

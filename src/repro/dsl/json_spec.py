@@ -155,7 +155,12 @@ def full_from_json(text: str) -> InstallSpec:
 
 
 def full_from_payload(data: Any) -> InstallSpec:
-    """Rebuild a full specification from :func:`full_to_payload` data."""
+    """Rebuild a full specification from :func:`full_to_payload` data.
+
+    A link to an instance the data does not contain is a
+    :class:`SpecError` naming both ids, and an inside/dependency cycle a
+    :class:`~repro.core.errors.CycleError`: the install order is taken
+    here, once, and kept on the spec for whoever deploys it."""
     if not isinstance(data, list):
         raise SpecError("full spec must be a JSON array")
     spec = InstallSpec()
@@ -185,6 +190,7 @@ def full_from_payload(data: Any) -> InstallSpec:
                 f"missing or ill-typed field ({exc!r})"
             ) from exc
         spec.add(instance)
+    spec.topological_order()
     return spec
 
 

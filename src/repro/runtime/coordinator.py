@@ -520,13 +520,12 @@ class MasterNode:
     -- and :meth:`_advance_waves`), shrunk by :meth:`_handle_ack`, and
     all that the per-step checks and :meth:`next_wake` look at.
 
-    The control loop calls :meth:`step` and then :meth:`next_wake` at
-    the same instant.  :meth:`next_wake` records the wake it returns,
-    and :meth:`step` returns early from heartbeat-only mail that comes
-    before that wake; a full step forgets it.  A caller that never asks
-    :meth:`next_wake` (or a subclass that overrides it) therefore gets
-    a full step every time, and only a wake asked for right after a
-    step may be recorded.
+    The control loop keeps the wake :meth:`next_wake` returned after
+    the last step and hands it to the next :meth:`step`, which returns
+    early from heartbeat-only mail that comes before it.  The master
+    keeps no copy: :meth:`next_wake` only computes.  A step given no
+    wake is a full step, and so is a new master's or a standby's
+    first, which the loop hands the current instant as its wake.
     """
 
     def __init__(
@@ -565,8 +564,6 @@ class MasterNode:
         self.rejoins: list[dict] = []
         self.failures: dict[str, str] = {}
         self.duplicate_acks = 0
-        # What :meth:`next_wake` last returned, until the next full step.
-        self._wake: Optional[float] = None
 
     def adopt(self, now: float) -> None:
         """Announce this (standby) master to every slave, so acks and
@@ -578,11 +575,14 @@ class MasterNode:
 
     # -- Control loop hooks ----------------------------------------------
 
-    def step(self, now: float) -> None:
+    def step(self, now: float, wake: Optional[float] = None) -> None:
+        """Drain the mail, then check suspects, advance waves and
+        dispatch.  ``wake`` is what :meth:`next_wake` returned after the
+        previous step, or None."""
         # Heartbeats only move deadlines later, so mail of nothing else
-        # before the last computed wake leaves the checks below nothing
-        # to do -- unless a suspect came back, with a deadline of its own.
-        quiet = self._wake is not None and now < self._wake - 1e-6
+        # before that wake leaves the checks below nothing to do --
+        # unless a suspect came back, with a deadline of its own.
+        quiet = wake is not None and now < wake - 1e-6
         for envelope in self.endpoint.drain():
             self.last_seen[envelope.sender] = max(
                 self.last_seen.get(envelope.sender, 0.0), envelope.deliver_at
@@ -612,7 +612,6 @@ class MasterNode:
                         )
         if quiet:
             return
-        self._wake = None
         self._check_suspects(now)
         self._advance_waves()
         self._dispatch(now)
@@ -686,8 +685,8 @@ class MasterNode:
         return self.log.wave_index >= len(self.waves)
 
     def next_wake(self, now: float) -> Optional[float]:
-        """The earliest retransmit or suspect deadline of the open wave,
-        recorded for the next :meth:`step` (see the class docstring)."""
+        """The earliest retransmit or suspect deadline of the open wave:
+        the ``wake`` for the next :meth:`step`."""
         wake: Optional[float] = None
         for status in self.open:
             if status.sent_at is None:
@@ -701,7 +700,6 @@ class MasterNode:
                 due = seen + self.heartbeat_timeout
                 if due < wake:
                     wake = due
-        self._wake = wake
         return wake
 
     def retransmits(self) -> int:
@@ -926,7 +924,7 @@ class BusCoordinator:
         # A node is stepped when it has mail or its timer is due, and at
         # no other instant.  An agent's wake moves only inside its own
         # step, so it is re-read there; the master's is kept beside it
-        # (``started_at``: due at once).
+        # and handed to its next step (``started_at``: due at once).
         master_wake: Optional[float] = started_at
         timers = _AgentTimers()
         for machine_id, agent in agents.items():
@@ -976,7 +974,7 @@ class BusCoordinator:
             if active.name in mailed or (
                 master_wake is not None and master_wake <= now
             ):
-                active.step(now)
+                active.step(now, master_wake)
                 master_wake = active.next_wake(now)
                 steps += 1
             due = timers.pop_due(now)

@@ -94,7 +94,7 @@ class TestSplitSpec:
         """Each cross-machine link disappears from exactly one side (its
         source); local links all survive, none are duplicated."""
         machine_of = {
-            inst.id: inst.machine_id(two_node_spec)
+            inst.id: two_node_spec.machine_of(inst.id)
             for inst in two_node_spec
         }
         cross = sum(
@@ -290,9 +290,10 @@ class TestMasterCoordinator:
 
 
 class TestHeartbeatOnlyMasterSteps:
-    """A master step whose mail is only heartbeats, before the wake its
-    ``next_wake`` last returned, changes nothing; any other mail, or an
-    instant at or past that wake, runs the whole step."""
+    """A master step whose mail is only heartbeats, before the wake it
+    is handed (what ``next_wake`` returned after the step before),
+    changes nothing; any other mail, an instant at or past that wake, or
+    no wake at all runs the whole step.  ``next_wake`` only computes."""
 
     @pytest.fixture
     def bus(self):
@@ -321,7 +322,7 @@ class TestHeartbeatOnlyMasterSteps:
         master = self.master(bus)
         assert master.next_wake(0.0) == 15.0
         self.mail(bus, 14.0, ("m1", busmod.HEARTBEAT))
-        master.step(14.0)
+        master.step(14.0, 15.0)
         assert bus.sent == {busmod.WORK: 2, busmod.HEARTBEAT: 1}
         assert master.suspects == []
         assert master.last_seen == {"m1": 14.0}
@@ -330,9 +331,9 @@ class TestHeartbeatOnlyMasterSteps:
 
     def test_hello_resends_that_machines_work_at_once(self, bus):
         master = self.master(bus)
-        master.next_wake(0.0)
+        wake = master.next_wake(0.0)
         self.mail(bus, 5.0, ("m1", busmod.HEARTBEAT), ("m2", busmod.HELLO))
-        master.step(5.0)
+        master.step(5.0, wake)
         assert master.rejoins == [{"at": 5.0, "machine": "m2"}]
         bus.deliver_due(6.0)
         work = {
@@ -346,7 +347,7 @@ class TestHeartbeatOnlyMasterSteps:
         master = self.master(bus)
         assert master.next_wake(0.0) == 15.0
         self.mail(bus, 15.001, ("m1", busmod.HEARTBEAT))
-        master.step(15.001)
+        master.step(15.001, 15.0)
         assert master.suspects == [
             {"at": 15.001, "machine": "m2", "last_seen": 0.0}
         ]
@@ -355,7 +356,7 @@ class TestHeartbeatOnlyMasterSteps:
         master = self.master(bus, retransmit_after=10.0)
         assert master.next_wake(0.0) == 10.0
         self.mail(bus, 10.0, ("m1", busmod.HEARTBEAT))
-        master.step(10.0)
+        master.step(10.0, 10.0)
         assert bus.sent[busmod.WORK] == 4
         assert [s.attempts for s in master.open] == [2, 2]
 
@@ -363,22 +364,23 @@ class TestHeartbeatOnlyMasterSteps:
         """Its deadline was left out of the wake.  Delivered late, its
         heartbeat leaves it overdue at once, and it is suspected again."""
         master = self.master(bus)
-        master.next_wake(0.0)
         self.mail(bus, 15.001, ("m1", busmod.HEARTBEAT))
-        master.step(15.001)
-        assert master.next_wake(15.001) == pytest.approx(30.001)
+        master.step(15.001, master.next_wake(0.0))
+        wake = master.next_wake(15.001)
+        assert wake == pytest.approx(30.001)
         bus.send("m2", "master", busmod.HEARTBEAT, {"machine": "m2"}, at=1.0)
         bus.clock.sync_to(20.0)
         bus.deliver_due(20.0)
-        master.step(20.0)
+        master.step(20.0, wake)
         assert [(s["at"], s["machine"]) for s in master.suspects] == [
             (15.001, "m2"), (20.0, "m2"),
         ]
 
     def test_a_full_step_forgets_the_wake(self, bus):
         """An ack that opens the next wave brings a machine whose suspect
-        deadline is earlier than the wake returned before it: until
-        ``next_wake`` is asked again, nothing is skipped."""
+        deadline is earlier than the wake computed before it: the wake
+        asked for after that step is the earlier one, and a step handed
+        no wake is never skipped, however often ``next_wake`` ran."""
         master = MasterNode(
             "master", bus, [["m1"], ["m2"]], {"m1": "spec1", "m2": "spec2"},
             retransmit_after=100.0, heartbeat_timeout=15.0,
@@ -391,8 +393,12 @@ class TestHeartbeatOnlyMasterSteps:
                  at=12.0 - bus.default_latency)
         bus.clock.sync_to(12.0)
         bus.deliver_due(12.0)
-        master.step(12.0)
+        master.step(12.0, 25.0)
         assert master.open[0].machine_id == "m2"
+        assert master.next_wake(12.0) == 15.0
+        self.mail(bus, 14.0, ("m1", busmod.HEARTBEAT))
+        master.step(14.0, 15.0)  # before the wake: skipped
+        assert master.next_wake(14.0) == 15.0
         self.mail(bus, 20.0, ("m1", busmod.HEARTBEAT))
         master.step(20.0)
         assert master.suspects == [
@@ -476,7 +482,7 @@ class TestLoopGuards:
         busy loop nor a ``min()`` of nothing."""
 
         class Idle(MasterNode):
-            def step(self, now):
+            def step(self, now, wake=None):
                 pass
 
             def next_wake(self, now):

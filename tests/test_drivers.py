@@ -26,7 +26,7 @@ from repro.runtime import DeploymentEngine
 
 def make_context(registry, infrastructure, spec, instance_id):
     instance = spec[instance_id]
-    machine_iid = instance.machine_id(spec)
+    machine_iid = spec.machine_of(instance_id)
     hostname = spec[machine_iid].config["hostname"]
     if not infrastructure.network.has_machine(hostname):
         infrastructure.add_machine(hostname)

@@ -2,10 +2,10 @@
 
 Besides the hand-written cases: on random UNSAT mutants -- one conflict,
 or two planted at once -- the core-skipping diagnosis equals a reference
-copy of the sweep that solved every candidate, partitioned and
-monolithic; every diagnosis is minimal, checked with assumptions on a
-fresh solver; and on a hub-shaped fleet the number of solves does not
-grow with the fleet.
+copy of the sweep that solved every candidate, both the per-component
+and the whole-graph one; every diagnosis is minimal, checked with
+assumptions on a fresh solver; and on a hub-shaped fleet the number of
+solves does not grow with the fleet, through an engine in either mode.
 """
 
 import random
@@ -105,24 +105,12 @@ class TestExplainUnsat:
             ConfigurationEngine(registry).configure(partial)
         assert "cannot be deployed together" in str(excinfo.value)
 
-    def test_engine_explanation_can_be_disabled(
-        self, registry, openmrs_partial
-    ):
-        partial = pinned_java_conflict(openmrs_partial)
-        engine = ConfigurationEngine(
-            registry, verify_registry=False, explain_unsat=False
-        )
-        with pytest.raises(UnsatisfiableError) as excinfo:
-            engine.configure(partial)
-        assert "cannot be deployed together" not in str(excinfo.value)
-
     def test_unsat_diagnosis_reuses_the_graph(
         self, registry, openmrs_partial, monkeypatch
     ):
         """The graph that proved UNSAT is the one diagnosed: GraphGen
         runs once per cold configure and not at all on a session graph
-        hit (it used to run again inside ``explain_unsat``, and under
-        the default peer policy whatever the engine's was)."""
+        hit (it used to run again inside ``explain_unsat``)."""
         from repro.config import engine, explain, hypergraph
 
         calls = []
@@ -255,14 +243,13 @@ def assert_minimal(partial, conflicting_ids):
 
 
 def check_diagnosis(partial):
-    messages = []
+    """The one diagnosis equals both reference sweeps, per component
+    and over the whole graph, and is minimal."""
+    explanation = explain_unsat(REGISTRY, partial)
     for partition in (False, True):
         expected = reference_conflict(partial, partition=partition)
-        explanation = explain_unsat(REGISTRY, partial, partition=partition)
-        assert explanation.conflicting_ids == expected
-        assert_minimal(partial, explanation.conflicting_ids)
-        messages.append(explanation.message(generate_graph(REGISTRY, partial)))
-    assert messages[0] == messages[1]
+        assert explanation.conflicting_ids == expected, partition
+    assert_minimal(partial, explanation.conflicting_ids)
 
 
 MUTANTS = [("one", seed) for seed in range(8)] + [
@@ -352,28 +339,41 @@ def hub_mutant(machines, conflict_host):
 class TestSolvesPerDiagnosis:
     """Clock-free: a diagnosis costs about one solve per member of the
     conflict, not one per pinned instance (the sweep that solved every
-    candidate took 838 on the 64-machine hub)."""
+    candidate took 838 on the 64-machine hub).  Counted through an
+    engine in either mode: both run the one per-component sweep."""
 
     @pytest.mark.parametrize("partition", [False, True])
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_flat_in_fleet_size(self, monkeypatch, partition, where):
+        from repro.config import explain
+
         solve = CdclSolver.solve
-        calls = []
+        diagnose = explain.explain_unsat
+        calls, diagnoses = [], []
 
         def counting(self, assumptions=()):
             calls.append(len(assumptions))
             return solve(self, assumptions)
 
+        def diagnosing(*args, **kwargs):
+            before = len(calls)
+            explanation = diagnose(*args, **kwargs)
+            diagnoses.append((explanation, len(calls) - before))
+            return explanation
+
         monkeypatch.setattr(CdclSolver, "solve", counting)
+        monkeypatch.setattr(explain, "explain_unsat", diagnosing)
+        engine = ConfigurationEngine(
+            REGISTRY, verify_registry=False, partition=partition
+        )
         counts = []
         for machines in (16, 64):
             partial = hub_mutant(machines, 0 if where == "first" else machines - 1)
-            graph = generate_graph(REGISTRY, partial)
-            calls.clear()
-            explanation = explain_unsat(
-                REGISTRY, partial, partition=partition, graph=graph
-            )
+            diagnoses.clear()
+            with pytest.raises(UnsatisfiableError):
+                engine.configure(partial)
+            [(explanation, solves)] = diagnoses
             assert {"jdk_pin", "jre_pin"} <= set(explanation.conflicting_ids)
             assert len(explanation.conflicting_ids) == 3
-            counts.append(len(calls))
+            counts.append(solves)
         assert counts[0] == counts[1] <= 12, counts

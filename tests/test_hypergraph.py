@@ -212,29 +212,6 @@ class TestMatchingRules:
         graph = generate_graph(registry, openmrs_partial)
         assert graph.machine_of("mysql") == "server"
 
-    def test_peer_policy_error_refuses_materialisation(
-        self, registry, openmrs_partial
-    ):
-        """With peer_policy='error', OpenMRS's MySQL peer must be pinned
-        by the user; the engine refuses to invent one."""
-        with pytest.raises(ConfigurationError):
-            generate_graph(registry, openmrs_partial, peer_policy="error")
-
-    def test_peer_policy_error_accepts_pinned_peer(
-        self, registry, openmrs_partial
-    ):
-        openmrs_partial.add(
-            PartialInstance("mydb", as_key("MySQL 5.1"), inside_id="server")
-        )
-        graph = generate_graph(
-            registry, openmrs_partial, peer_policy="error"
-        )
-        assert "mydb" in graph
-
-    def test_unknown_peer_policy_rejected(self, registry, openmrs_partial):
-        with pytest.raises(ConfigurationError):
-            generate_graph(registry, openmrs_partial, peer_policy="maybe")
-
     def test_fresh_ids_deterministic(self, registry, openmrs_partial):
         g1 = generate_graph(registry, openmrs_partial)
         g2 = generate_graph(registry, openmrs_partial)

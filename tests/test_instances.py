@@ -80,7 +80,7 @@ class TestInstallSpec:
         spec = InstallSpec(
             [machine(), hosted("mid", "m"), hosted("leaf", "mid")]
         )
-        assert spec["leaf"].machine_id(spec) == "m"
+        assert spec.machine_of("leaf") == "m"
 
     def test_instances_on_machine(self):
         spec = InstallSpec(
@@ -279,4 +279,4 @@ class TestResourceInstance:
         )
         spec = InstallSpec([a, b])
         with pytest.raises(CycleError):
-            a.machine_id(spec)
+            spec.machine_of("a")

@@ -1,5 +1,7 @@
 """The Figure 2 JSON installation-spec format."""
 
+import json
+
 import pytest
 
 from repro.core import as_key
@@ -76,6 +78,16 @@ class TestFull:
         text = full_to_json(full_spec)
         assert '"manager_port": 8080' in text
         assert "http://demotest:8080/openmrs" in text
+
+    def test_dangling_link_refused_at_load(self, full_spec):
+        payload = json.loads(full_to_json(full_spec))
+        holder = payload[-1]
+        holder["peers"][0]["id"] = "ghost"
+        with pytest.raises(SpecError) as excinfo:
+            full_from_json(json.dumps(payload))
+        assert str(excinfo.value) == (
+            f"instance {holder['id']} links to missing instance ghost"
+        )
 
     def test_roundtrip_still_typechecks(self, registry, full_spec):
         from repro.config import spec_problems

@@ -109,16 +109,3 @@ class TestConfigureEdges:
         result = engine.configure(partial)
         assert result.spec.ids() == ["m"]
         assert result.spec["m"].outputs["host"]["hostname"] == "solo"
-
-    def test_sequential_encoding_end_to_end(self, registry,
-                                            openmrs_partial):
-        from repro.sat import ExactlyOneEncoding
-
-        engine = ConfigurationEngine(
-            registry, encoding=ExactlyOneEncoding.SEQUENTIAL,
-            verify_registry=False,
-        )
-        result = engine.configure(openmrs_partial)
-        assert {"server", "tomcat", "openmrs", "mysql"} <= set(
-            result.deployed_ids
-        )

@@ -16,7 +16,6 @@ from repro.core.errors import (
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
-    fact_literals,
     selected_nodes,
 )
 from repro.sat.solver import DpllSolver
@@ -176,12 +175,11 @@ class TestUnsat:
 
 def dpll_deployed(result):
     """The deployed set the reference DPLL solver picks for the CNF a
-    monolithic ``result`` was solved from (the pinned instances are
-    unit clauses in an engine's formula and assumptions in a
-    session's, so they are assumed either way)."""
+    monolithic ``result`` was solved from (an engine's or a session's:
+    both state the pinned instances as unit clauses)."""
     formula = result.formula
     dpll = DpllSolver(formula)
-    assert dpll.solve(sorted(fact_literals(result.graph, formula).values()))
+    assert dpll.solve()
     named = {
         str(name): value
         for name, value in formula.decode_model(dpll.model()).items()
@@ -201,7 +199,10 @@ class TestEngineOptions:
 
     def test_removed_options_raise_type_error(self, registry):
         for front_end in (ConfigurationEngine, ConfigurationSession):
-            for removed in ("workers", "solver", "start_method"):
+            for removed in (
+                "workers", "solver", "start_method", "encoding",
+                "check_types", "explain_unsat", "peer_policy",
+            ):
                 with pytest.raises(TypeError, match=removed):
                     front_end(registry, **{removed: 2})
 

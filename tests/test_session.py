@@ -13,6 +13,10 @@ from repro.config import (
     canonical_form,
     fingerprint_partial,
 )
+from repro.config.engine import ComponentEntry, configure_component
+from repro.config.hypergraph import ResourceGraph, generate_graph
+from repro.config.partition import whole_graph_component
+from repro.config.session import content_key
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import ConfigurationError, UnsatisfiableError
 from repro.dsl import full_to_json, load_resources
@@ -188,15 +192,6 @@ class TestSession:
         assert (stats.typecheck_runs, stats.typecheck_skips) == (1, 1)
         assert stats.hit_rate == 0.5
 
-    def test_unchecked_calls_count_no_typecheck_run(self):
-        session = ConfigurationSession(
-            standard_registry(), check_types=False
-        )
-        session.configure(figure2())  # propagates, checks nothing
-        session.configure(figure2())  # reuses the propagated instances
-        stats = session.stats
-        assert (stats.typecheck_runs, stats.typecheck_skips) == (0, 1)
-
     def test_warm_timings_skip_cached_phases(self):
         session = ConfigurationSession(standard_registry())
         session.configure(figure2())
@@ -273,6 +268,56 @@ class TestSession:
     def test_max_entries_must_be_positive(self):
         with pytest.raises(ValueError):
             ConfigurationSession(standard_registry(), max_entries=0)
+
+
+class TestOneEncoding:
+    """A session states pinned instances exactly as the engine does, as
+    unit clauses, so the two report the same formula sizes."""
+
+    @pytest.mark.parametrize("partition", [False, True])
+    def test_session_reports_the_engines_constraint_sizes(self, partition):
+        registry = standard_registry()
+        partial = fleet_partial(FleetTopology(replicas=6, machines=3))
+        expected = ConfigurationEngine(
+            registry, partition=partition
+        ).configure(partial).constraint_stats
+        session = ConfigurationSession(registry, partition=partition)
+        cold = session.configure(partial)
+        warm = session.configure(partial)
+        assert warm.cache.graph_hit
+        assert cold.constraint_stats == expected
+        assert warm.constraint_stats == expected
+        assert expected.clauses == 81
+
+    def test_pinned_flag_splits_content(self):
+        """Components that differ only in whether one node is pinned get
+        different content keys, so they never share an entry (whose unit
+        facts would answer the one with the other's pins)."""
+        registry = standard_registry()
+        graph = generate_graph(registry, figure2())
+
+        def copy(pinned):
+            twin = ResourceGraph()
+            for node in graph.nodes():
+                twin.add_node(dataclasses.replace(
+                    node,
+                    from_partial=node.from_partial
+                    or node.instance_id in pinned,
+                ))
+            for edge in graph.edges():
+                twin.add_edge(edge)
+            return whole_graph_component(twin)
+
+        same, flipped = copy(()), copy({"jdk"})
+        original = content_key(True, whole_graph_component(graph))
+        assert content_key(True, same) == original
+        assert content_key(True, flipped) != original
+        chosen = [
+            configure_component(registry, ComponentEntry(component)).deployed
+            for component in (same, flipped)
+        ]
+        assert "jre" in chosen[0] and "jdk" not in chosen[0]
+        assert "jdk" in chosen[1] and "jre" not in chosen[1]
 
 
 class TestPartitionCacheKeys:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import ConfigurationEngine
-from repro.core.errors import RuntimeEngageError
+from repro.core.errors import RuntimeEngageError, SpecError
 from repro.drivers import ACTIVE, INACTIVE
 from repro.runtime import (
     DeploymentEngine,
@@ -97,6 +97,20 @@ class TestValidation:
             load_system(
                 registry, infrastructure, drivers, json.dumps(payload)
             )
+
+    def test_dangling_link_refused_at_load(self, world, registry,
+                                           infrastructure, drivers):
+        engine, system = world
+        payload = json.loads(save_system(system))
+        holder = next(e for e in payload["spec"] if e["id"] == "openmrs")
+        holder["inside"]["id"] = "ghost"
+        with pytest.raises(SpecError) as excinfo:
+            load_system(
+                registry, infrastructure, drivers, json.dumps(payload)
+            )
+        assert str(excinfo.value) == (
+            "instance openmrs links to missing instance ghost"
+        )
 
     def test_missing_state_entry(self, world, registry, infrastructure,
                                  drivers):

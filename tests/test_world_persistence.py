@@ -252,6 +252,22 @@ class TestCliBundleFlow:
             assert "'mysql'" in output
             assert "'inactive'" in output and "'active'" in output
 
+    def test_dangling_link_names_both_ids(self, bundle):
+        """A spec instance linked to one the bundle does not hold is
+        refused at load, naming both, not later inside ``prepare``."""
+        with open(bundle, encoding="utf-8") as handle:
+            document = json.load(handle)
+        holder = next(e for e in document["state"]["spec"] if "inside" in e)
+        holder["inside"]["id"] = "ghost"
+        with open(bundle, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        code, output = run(["status", bundle])
+        assert code == 2
+        assert output == (
+            f"error: instance {holder['id']} links to missing instance "
+            "ghost\n"
+        )
+
 
 STACKS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "stacks"
 
