@@ -346,7 +346,7 @@ def cmd_status(args, out: TextIO) -> int:
         from repro.runtime import detect_drift
 
         journal = system.journal
-        drift = detect_drift(system, target=journal.target)
+        drift = detect_drift(system)
         payload = {
             "bundle": args.bundle,
             "clock_seconds": infrastructure.clock.now,
@@ -749,6 +749,32 @@ def _misused_bus_flags(args) -> Optional[str]:
     for flag in (*_LINK_FAULT_FLAGS, *_BUS_CHAOS_FLAGS):
         if hasattr(args, flag):
             return f"--{flag.replace('_', '-')} needs --bus"
+    return None
+
+
+#: Numeric flags by the range their value must lie in.  A library
+#: constructor refuses the same values with a ``ValueError``; the CLI
+#: refuses them before it loads or configures anything.
+_FLAG_RANGES = (
+    (("chaos_rate", "churn_rate", "bus_drop", "bus_dup"), "in [0, 1]",
+     lambda value: 0 <= value <= 1),
+    (("bus_jitter", "backoff", "interval", "max_retries"), ">= 0",
+     lambda value: value >= 0),
+    (("timeout",), "> 0", lambda value: value > 0),
+    (("max_rounds",), ">= 1", lambda value: value >= 1),
+)
+
+
+def _out_of_range_flag(args) -> Optional[str]:
+    """The first numeric flag of the command outside its range, if any."""
+    for flags, bound, within in _FLAG_RANGES:
+        for flag in flags:
+            value = getattr(args, flag, None)
+            if value is not None and not within(value):
+                return (
+                    f"--{flag.replace('_', '-')} must be {bound}, "
+                    f"got {value}"
+                )
     return None
 
 
@@ -1336,6 +1362,10 @@ def main(
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    out_of_range = _out_of_range_flag(args)
+    if out_of_range:
+        out.write(f"error: {out_of_range}\n")
+        return 2
     try:
         return _COMMANDS[args.command](args, out)
     except BrokenPipeError:

@@ -416,32 +416,6 @@ class ConfigurationEngine:
         timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
         return graph, components
 
-    def solve_components(
-        self,
-        partial: PartialInstallSpec,
-        graph: ResourceGraph,
-        entries: list[ComponentEntry],
-        cache: SessionCacheInfo,
-    ) -> list[ComponentRun]:
-        """Run :func:`configure_component` over ``entries`` in order,
-        recording each one's cache outcome on ``cache``; the first
-        unsatisfiable component raises for the whole ``graph``."""
-        runs: list[ComponentRun] = []
-        cache.cnf_hit = True
-        for entry in entries:
-            run = configure_component(self._registry, entry)
-            cache.cnf_hit &= not run.encoded
-            cache.solvers_reused += run.solver_reused
-            cache.solvers_built += not run.solver_reused
-            if run.instances is None:
-                raise_unsatisfiable(self._registry, partial, graph)
-            runs.append(run)
-        cache.solver_reused = cache.solvers_reused > 0
-        cache.typecheck_skipped = bool(runs) and all(
-            run.spec_reused for run in runs
-        )
-        return runs
-
     def run(
         self,
         partial: PartialInstallSpec,
@@ -451,15 +425,28 @@ class ConfigurationEngine:
         timings: PhaseTimings,
         cache: Optional[SessionCacheInfo] = None,
     ) -> ConfigurationResult:
-        """The pipeline after GraphGen: solve every component, merge,
+        """The pipeline after GraphGen: solve every component in order
+        (the first unsatisfiable one raises for the whole graph), merge,
         aggregate the stats into one result and emit the trace.
 
         ``partition`` only says how ``entries`` was built (and so how
         the result is labelled); ``cache`` is a session's per-call
         record, attached to the result when given.
         """
-        runs = self.solve_components(
-            partial, graph, entries, cache or SessionCacheInfo()
+        record = cache or SessionCacheInfo()
+        record.cnf_hit = True
+        runs: list[ComponentRun] = []
+        for entry in entries:
+            run = configure_component(self._registry, entry)
+            record.cnf_hit &= not run.encoded
+            record.solvers_reused += run.solver_reused
+            record.solvers_built += not run.solver_reused
+            if run.instances is None:
+                raise_unsatisfiable(self._registry, partial, graph)
+            runs.append(run)
+        record.solver_reused = record.solvers_reused > 0
+        record.typecheck_skipped = bool(runs) and all(
+            run.spec_reused for run in runs
         )
         tick = time.perf_counter()
         spec = merge_component_specs([run.instances for run in runs])

@@ -57,11 +57,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.core.collector import collector_paused
-from repro.core.errors import ConfigurationError
-from repro.core.instances import InstallSpec, PartialInstallSpec
+from repro.core.instances import PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
 from repro.config.engine import (
@@ -73,7 +72,7 @@ from repro.config.engine import (
 )
 from repro.config.fingerprint import canonical_value, fingerprint_partial
 from repro.config.hypergraph import ResourceGraph
-from repro.config.partition import GraphComponent, merge_component_specs
+from repro.config.partition import GraphComponent
 
 
 @dataclass
@@ -309,92 +308,3 @@ class ConfigurationSession:
         stats.typecheck_skips += cache.typecheck_skipped
         stats.typecheck_runs += not cache.typecheck_skipped
         return result
-
-    def reconfigure_components(
-        self,
-        partial: PartialInstallSpec,
-        instance_ids: Iterable[str],
-    ) -> InstallSpec:
-        """Re-solve only the components containing ``instance_ids``;
-        returns their merged full specification.
-
-        This is the reconcile loop's goal-revalidation path: after a
-        machine loss the controller re-derives just the affected slice
-        of the goal and checks it still matches what it is about to
-        redeploy.  The *cached full-graph partition* is what makes the
-        result bit-identical to the matching slice of the full
-        specification: generated node ids are numbered globally per
-        graph, so configuring a smaller partial from scratch would
-        renumber them.  Cold calls (no cached entry for ``partial``) run
-        a full partitioned :meth:`configure` first.
-        """
-        wanted = set(instance_ids)
-        if not wanted:
-            raise ConfigurationError(
-                "reconfigure_components needs at least one instance id"
-            )
-        self._revalidate()
-        key = (True, fingerprint_partial(partial))
-        entry = self._lookup(key)
-        if entry is None:
-            self.configure(partial, partition=True)
-            entry = self._lookup(key)
-            assert entry is not None  # configure() just stored it
-        affected: list[ComponentEntry] = []
-        covered: set[str] = set()
-        for comp in entry.entries:
-            hit = {iid for iid in wanted if iid in comp.component.graph}
-            if hit:
-                affected.append(comp)
-                covered |= hit
-        missing = wanted - covered
-        if missing:
-            raise ConfigurationError(
-                "reconfigure_components: instances not in the configured "
-                f"graph: {sorted(missing)}"
-            )
-        for comp in affected:
-            # The guard must not be answered from the memo: its
-            # instances are shared with every spec a warm call handed
-            # out, so a caller who edited one in place (port dicts are
-            # mutable) would be compared with its own edit.
-            comp.verified.clear()
-        cache = SessionCacheInfo()
-        try:
-            runs = self._engine.solve_components(
-                partial, entry.graph, affected, cache
-            )
-        finally:
-            self.stats.solver_builds += cache.solvers_built
-            self.stats.solver_reuses += cache.solvers_reused
-        return merge_component_specs([run.instances for run in runs])
-
-    def revalidate_instances(
-        self,
-        partial: PartialInstallSpec,
-        spec: InstallSpec,
-        instance_ids: Iterable[str],
-    ) -> int:
-        """Re-derive ``instance_ids`` through the warm per-component
-        solvers and insist they still match ``spec``; returns how many
-        instances were re-validated.
-
-        The shared goal-drift guard: both the reconcile loop (before
-        repairing toward a goal) and the delta planner (before
-        deploying a new goal) call this so that no instance is driven
-        toward a definition the solver never approved -- a mismatch
-        means the spec was mutated since configuration, and acting on
-        it would deploy an unverified system, so fail loudly instead.
-        """
-        wanted = list(instance_ids)
-        if not wanted:
-            return 0
-        fresh = self.reconfigure_components(partial, wanted)
-        for instance in fresh:
-            if instance.id in spec and instance != spec[instance.id]:
-                raise ConfigurationError(
-                    f"goal drift: instance {instance.id!r} no longer "
-                    "matches its configured definition; refusing to act "
-                    "on an unverified goal"
-                )
-        return len(fresh)

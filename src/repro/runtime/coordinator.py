@@ -49,6 +49,7 @@ from repro.core.collector import collector_paused
 from repro.core.errors import (
     DeploymentError,
     DeploymentFailure,
+    RuntimeEngageError,
     SimulationError,
 )
 from repro.core.instances import InstallSpec, ResourceInstance
@@ -760,6 +761,31 @@ class BusChaos:
     crash_down_for: float = 25.0
     failover_at: Optional[float] = None
 
+    def check(self, machines: set[str]) -> None:
+        """Refuse a schedule no deployment of ``machines`` can honour: a
+        machine it does not have, a partition that never heals, or a
+        negative crash count or downtime."""
+        named = [("partition_slaves", m) for m in self.partition_slaves or ()]
+        if self.crash_machine is not None:
+            named.insert(0, ("crash_machine", self.crash_machine))
+        for name, machine in named:
+            if machine not in machines:
+                raise RuntimeEngageError(
+                    f"bus chaos {name}: {machine!r} is not a machine of "
+                    "the spec"
+                )
+        if self.partition_for <= 0:
+            raise RuntimeEngageError(
+                "bus chaos partition_for must be > 0, got "
+                f"{self.partition_for}"
+            )
+        for name in ("crash_after_actions", "crash_down_for"):
+            if getattr(self, name) < 0:
+                raise RuntimeEngageError(
+                    f"bus chaos {name} must be >= 0, got "
+                    f"{getattr(self, name)}"
+                )
+
 
 @dataclass
 class BusReport(DeploymentReport):
@@ -876,9 +902,10 @@ class BusCoordinator:
         chaos: Optional[BusChaos] = None,
     ) -> DeployedSystem:
         chaos = chaos if chaos is not None else BusChaos()
+        per_node = split_spec(spec)
+        chaos.check(set(per_node))
         clock = self.infrastructure.clock
         tracer = self.infrastructure.tracer
-        per_node = split_spec(spec)
         waves = machine_waves(spec)
         bus = self.bus = MessageBus(
             clock,

@@ -6,7 +6,8 @@ worst case upgrade time" (S5.2).  This module treats reconfiguration as
 plan synthesis instead: diff the *live* system (drivers + journal +
 world) against a newly configured full spec and emit a minimal,
 dependency-ordered :class:`~repro.runtime.reconcile.TransitionPlan`
-covering the changed-goal case that PR 7's repair planner refuses:
+for the changed goal, which repair never moves toward (it restores the
+deployed spec):
 
 * ``INSTALL`` for instances only the new spec contains (machines
   included -- new hosts register on first touch);
@@ -31,7 +32,7 @@ under the new spec, exactly where it left off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.collector import collector_paused
 from repro.core.errors import DeploymentFailure, RuntimeEngageError
@@ -163,9 +164,6 @@ class DeltaPlan:
     retire_hostnames: list[str] = field(default_factory=list)
     up: list[str] = field(default_factory=list)
     restart: list[str] = field(default_factory=list)
-    #: Instances re-derived through the warm constraint solver (0 when
-    #: planning without a session).
-    revalidated: int = 0
 
     @property
     def is_noop(self) -> bool:
@@ -188,7 +186,6 @@ class DeltaPlan:
                 "up": list(self.up),
                 "restart": list(self.restart),
             },
-            "revalidated": self.revalidated,
         }
 
 
@@ -202,34 +199,21 @@ class DeltaResult:
     report: DeploymentReport
 
 
-def plan_delta(
-    system: DeployedSystem,
-    new_spec: InstallSpec,
-    *,
-    target: str = ACTIVE,
-    session=None,
-    new_partial=None,
-) -> DeltaPlan:
+def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
     """Diff the live ``system`` against ``new_spec`` and plan the
-    minimal transition.
+    minimal transition to the journal's target.
 
     The definition-level diff (:func:`diff_specs`) decides what is
-    added/replaced/removed; the live drift report
-    (:func:`detect_drift` with the subset restriction lifted) folds in
-    what the world actually looks like -- unchanged instances that
-    never converged are re-driven, crashed services restarted.  Lost
-    machines are *not* delta work: reconcile repairs the world first,
-    then the delta moves it.
-
-    With a ``session``/``new_partial`` pair, every instance the plan
-    deploys is first re-derived through the warm per-component solver
-    and checked against ``new_spec``
-    (:meth:`ConfigurationSession.revalidate_instances`) -- the same
-    goal-drift guard the reconcile loop runs before repairing.
+    added/replaced/removed; the live drift report (:func:`detect_drift`
+    toward ``new_spec``) folds in what the world actually looks like --
+    unchanged instances that never converged are re-driven, crashed
+    services restarted.  Lost machines are *not* delta work: reconcile
+    repairs the world first, then the delta moves it.
     """
     old_spec = system.spec
+    target = system.journal.target
     diff = diff_specs(old_spec, new_spec)
-    drift = detect_drift(system, goal=new_spec, target=target, allow_new=True)
+    drift = detect_drift(system, goal=new_spec)
     if drift.lost_machines:
         raise RuntimeEngageError(
             "cannot plan a delta transition over lost machines "
@@ -327,7 +311,7 @@ def plan_delta(
     for iid in restart_live:
         steps.append(RepairStep(RepairOp.RESTART, iid, "process died"))
 
-    delta = DeltaPlan(
+    return DeltaPlan(
         plan=TransitionPlan(steps=steps, target=target),
         old_spec=old_spec,
         new_spec=new_spec,
@@ -339,21 +323,6 @@ def plan_delta(
         up=up,
         restart=restart_live,
     )
-
-    if session is not None or new_partial is not None:
-        if session is None or new_partial is None:
-            raise RuntimeEngageError(
-                "delta revalidation needs both a ConfigurationSession and "
-                "the new goal's partial spec (or neither)"
-            )
-        affected = sorted(
-            (added | replaced | stragglers), key=lambda iid: new_order[iid]
-        )
-        delta.revalidated = session.revalidate_instances(
-            new_partial, new_spec, affected
-        )
-
-    return delta
 
 
 def rebase_journal(

@@ -7,14 +7,13 @@ that reflex into a goal-seeking control loop, the pattern every modern
 deployment manager converged on:
 
 1. :func:`detect_drift` diffs the *live world* -- driver states, the
-   process table, network membership -- against the configured goal
+   process table, network membership -- against the deployed
    specification and produces a structured :class:`DriftReport`
-   (crashed services, lost machines, missing and extra instances).
+   (crashed services, lost machines, missing instances).
 2. :func:`plan_repair` turns a drift report into a *minimal*
    dependency-ordered :class:`TransitionPlan`: restart a dead process,
-   redeploy the subtree a lost machine took down, uninstall instances
-   the goal no longer wants -- never a full redeploy.  Plan size is
-   proportional to the damage, not the fleet.
+   redeploy the subtree a lost machine took down -- never a full
+   redeploy.  Plan size is proportional to the damage, not the fleet.
 3. :func:`execute_plan` runs the plan through the regular deployment
    machinery: redeploys and restarts are one dependency-ordered up pass
    (:meth:`DeploymentEngine.drive_instances`), so repairs get the same
@@ -22,12 +21,12 @@ deployment manager converged on:
    deployments, and :meth:`DeploymentJournal.mark_lost` keeps the
    journal's frontier honest about regressions it observed.
 4. :class:`ReconcileController` closes the loop on the simulated
-   clock: poll, plan, repair, re-check, round after round -- optionally
-   re-validating the repair set against the constraint solver via
-   :meth:`ConfigurationSession.reconfigure_components
-   <repro.config.session.ConfigurationSession.reconfigure_components>`,
-   so what gets redeployed is provably the configured goal, not a stale
-   copy of it.
+   clock: poll, plan, repair, re-check, round after round.
+
+Repair has one goal, the deployed spec (``system.spec``), as monit's
+restarts do in the paper (S5.2): what died comes back as it was.
+Changing the goal is an upgrade -- a new full spec the delta planner
+(:mod:`repro.runtime.delta`) moves the system to and journals.
 
 Everything is deterministic: same seed, same churn, same rounds --
 bit-identical plans and journals.
@@ -41,11 +40,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.core.collector import collector_paused
-from repro.core.errors import (
-    ConfigurationError,
-    DeploymentError,
-    RuntimeEngageError,
-)
+from repro.core.errors import DeploymentError, RuntimeEngageError
 from repro.core.instances import InstallSpec
 from repro.drivers.library import ServiceDriver
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
@@ -63,7 +58,6 @@ class DriftKind(Enum):
     CRASHED_SERVICE = "crashed-service"
     LOST_MACHINE = "lost-machine"
     MISSING_INSTANCE = "missing-instance"
-    EXTRA_INSTANCE = "extra-instance"
 
 
 @dataclass(frozen=True)
@@ -124,10 +118,6 @@ class DriftReport:
     def missing_instances(self) -> list[str]:
         return self._ids(DriftKind.MISSING_INSTANCE)
 
-    @property
-    def extra_instances(self) -> list[str]:
-        return self._ids(DriftKind.EXTRA_INSTANCE)
-
     def by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for item in self.items:
@@ -145,13 +135,10 @@ class DriftReport:
 
 
 def detect_drift(
-    system: DeployedSystem,
-    *,
-    goal: Optional[InstallSpec] = None,
-    target: str = ACTIVE,
-    allow_new: bool = False,
+    system: DeployedSystem, *, goal: Optional[InstallSpec] = None
 ) -> DriftReport:
-    """Diff the live world against ``goal`` (default: the deployed spec).
+    """Diff the live world against ``goal`` (default: the deployed spec)
+    at the journal's target state.
 
     Checks, in severity order:
 
@@ -162,26 +149,17 @@ def detect_drift(
     * **crashed services** -- watched processes that died on machines
       still alive (:meth:`ProcessMonitor.crashed_services`);
     * **missing instances** -- goal instances whose driver is not at
-      ``target``;
-    * **extra instances** -- deployed instances the goal no longer
-      contains, still materialised (state ≠ ``uninstalled``).
+      the target.
 
-    By default ``goal`` must be a subset of the deployed spec: growing
-    the goal is an upgrade (see :mod:`repro.runtime.upgrade`), not a
-    repair.  The delta planner (:mod:`repro.runtime.delta`) passes
-    ``allow_new=True`` to lift that restriction -- goal instances the
-    deployed spec has never heard of are then reported as
-    ``MISSING_INSTANCE`` items in the ``uninstalled`` state, which is
-    exactly what they are from the live world's point of view.
+    Only the delta planner (:mod:`repro.runtime.delta`) passes a
+    ``goal``: the new spec, whose instances the deployed spec has never
+    heard of are reported as ``MISSING_INSTANCE`` items in the
+    ``uninstalled`` state, which is exactly what they are from the live
+    world's point of view.
     """
     goal_spec = goal if goal is not None else system.spec
+    target = system.journal.target
     deployed_ids = set(system.spec.ids())
-    unknown = set(goal_spec.ids()) - deployed_ids
-    if unknown and not allow_new:
-        raise RuntimeEngageError(
-            "reconcile goal mentions instances the deployed spec does not "
-            f"contain (growing the goal is an upgrade): {sorted(unknown)}"
-        )
     network = system.infrastructure.network
     items: list[DriftItem] = []
 
@@ -213,7 +191,6 @@ def detect_drift(
                 )
             )
 
-    goal_ids = set(goal_spec.ids())
     for instance in goal_spec.topological_order():
         if instance.id in lost_ids:
             continue
@@ -225,15 +202,6 @@ def detect_drift(
         if state != target:
             items.append(
                 DriftItem(DriftKind.MISSING_INSTANCE, instance.id, state)
-            )
-
-    for instance in system.spec.topological_order():
-        if instance.id in goal_ids or instance.id in lost_ids:
-            continue
-        state = system.state_of(instance.id)
-        if state != UNINSTALLED:
-            items.append(
-                DriftItem(DriftKind.EXTRA_INSTANCE, instance.id, state)
             )
 
     return DriftReport(
@@ -254,7 +222,8 @@ class RepairOp(Enum):
     #: Drive the instance back to the goal state through its normal
     #: state-machine path (install and/or start, whatever is missing).
     REDEPLOY = "redeploy"
-    #: Stop and remove an instance the goal no longer wants.
+    #: Stop and remove an instance the new spec no longer wants (delta
+    #: only).
     UNINSTALL = "uninstall"
     #: Deploy an instance the old spec never contained (delta only).
     INSTALL = "install"
@@ -287,11 +256,11 @@ class RepairStep:
 class TransitionPlan:
     """A minimal, dependency-ordered repair plan.
 
-    Steps are grouped by phase: uninstalls (reverse dependency order),
-    machine reprovisioning, then redeploys and restarts, each in
-    dependency order -- the last two run as one up pass, interleaved
-    along the dependency edges.  ``__len__`` counts steps, which tests
-    compare against the fleet size to assert minimality.
+    A repair's steps are grouped by phase: machine reprovisioning, then
+    redeploys and restarts, each in dependency order -- the last two run
+    as one up pass, interleaved along the dependency edges.  ``__len__``
+    counts steps, which tests compare against the fleet size to assert
+    minimality.
     """
 
     steps: list[RepairStep] = field(default_factory=list)
@@ -322,17 +291,11 @@ class TransitionPlan:
         }
 
 
-def plan_repair(
-    system: DeployedSystem,
-    drift: DriftReport,
-    *,
-    goal: Optional[InstallSpec] = None,
-) -> TransitionPlan:
+def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
     """Compute the minimal repair for ``drift``.
 
-    * extras are uninstalled in reverse dependency order;
     * each lost machine gets one ``REPROVISION`` step;
-    * lost-and-wanted plus missing instances are redeployed in
+    * lost and missing instances are redeployed in
       dependency order (drivers on a replaced machine restart from
       ``uninstalled``, so the normal path re-installs exactly what the
       machine lost -- instances elsewhere are untouched);
@@ -342,22 +305,12 @@ def plan_repair(
 
     No drift, empty plan: the no-op property the controller relies on.
     """
-    goal_spec = goal if goal is not None else system.spec
-    goal_ids = set(goal_spec.ids())
     spec = system.spec
     order = {
         instance.id: index
         for index, instance in enumerate(spec.topological_order())
     }
     steps: list[RepairStep] = []
-
-    extras = set(drift.extra_instances)
-    for instance_id in sorted(
-        extras, key=lambda iid: order[iid], reverse=True
-    ):
-        steps.append(
-            RepairStep(RepairOp.UNINSTALL, instance_id, "not in goal")
-        )
 
     lost_machines = drift.lost_machines
     for machine_id in sorted(lost_machines, key=lambda iid: order[iid]):
@@ -366,7 +319,7 @@ def plan_repair(
         )
 
     lost = set(drift.lost_instances)
-    redeploy = (lost & goal_ids) | set(drift.missing_instances)
+    redeploy = lost | set(drift.missing_instances)
     reasons = {
         iid: "machine lost" if iid in lost else "not at target"
         for iid in redeploy
@@ -379,7 +332,7 @@ def plan_repair(
     restarts = {iid: "process died" for iid in drift.crashed_services}
     dependents = spec.downstream_closure(redeploy) - redeploy
     for instance_id in sorted(dependents):
-        if instance_id in extras or instance_id in restarts:
+        if instance_id in restarts:
             continue
         driver = system.drivers.get(instance_id)
         if isinstance(driver, ServiceDriver) and driver.state == ACTIVE:
@@ -451,22 +404,14 @@ def execute_plan(
     system: DeployedSystem,
     plan: TransitionPlan,
 ) -> DeploymentReport:
-    """Execute a repair plan: down (extras), machine replacement, then
-    one up pass over redeploys and restarts -- the engine's transition
-    primitives, so repairs get the same guards, retries and write-ahead
-    journalling (into ``system.journal``) as first deployments.  A
-    restart is a node of the up pass with its dependency edges, so a
-    crashed upstream is bounced before a redeployed dependent starts
-    against it.  Extras are journalled like everything else: the journal
-    is bound to the *deployed* spec, which still contains them -- a
-    shrunk goal does not change what is deployed, and an uninstall left
-    off the record would be resumed as ``active``.
+    """Execute a repair plan: machine replacement, then one up pass over
+    redeploys and restarts -- the engine's transition primitives, so
+    repairs get the same guards, retries and write-ahead journalling
+    (into ``system.journal``) as first deployments.  A restart is a node
+    of the up pass with its dependency edges, so a crashed upstream is
+    bounced before a redeployed dependent starts against it.
     """
     report = DeploymentReport(jobs=engine.jobs)
-
-    extras = plan.instances(RepairOp.UNINSTALL)
-    report.merge(engine.drive_down(system, extras, extras))
-
     for machine_id in plan.instances(RepairOp.REPROVISION):
         _replace_machine(system, machine_id)
 
@@ -495,8 +440,6 @@ class ReconcileRound:
     repaired: bool
     converged: bool
     error: Optional[str] = None
-    #: Instances re-derived through the constraint solver this round.
-    reconfigured: int = 0
 
     @property
     def time_to_repair(self) -> float:
@@ -516,7 +459,6 @@ class ReconcileRound:
             "repaired": self.repaired,
             "converged": self.converged,
             "error": self.error,
-            "reconfigured": self.reconfigured,
             "time_to_repair_s": self.time_to_repair,
         }
 
@@ -551,74 +493,36 @@ class ReconcileResult:
 
 class ReconcileController:
     """The autonomic loop: poll for drift, plan minimally, repair,
-    re-check -- on the simulated clock, round after round.
-
-    ``goal`` defaults to the deployed spec.  When a ``session``/
-    ``goal_partial`` pair is given, every round with redeploys first
-    re-derives the affected hypergraph components through the cached
-    incremental solver and insists the result still matches the goal --
-    catching configuration drift (a mutated goal spec) before acting on
-    it.
-    """
+    re-check -- on the simulated clock, round after round, toward the
+    deployed spec."""
 
     def __init__(
         self,
         engine: DeploymentEngine,
         system: DeployedSystem,
         *,
-        goal: Optional[InstallSpec] = None,
         interval: float = 30.0,
-        session=None,
-        goal_partial=None,
     ) -> None:
-        if (session is None) != (goal_partial is None):
-            raise RuntimeEngageError(
-                "goal revalidation needs both a ConfigurationSession and "
-                "the goal's partial spec (or neither)"
-            )
         if interval < 0:
             raise RuntimeEngageError("reconcile interval must be >= 0")
         self.engine = engine
         self.system = system
-        self.goal = goal if goal is not None else system.spec
         self.interval = interval
-        self.session = session
-        self.goal_partial = goal_partial
-        self.target = system.journal.target
         self.rounds: list[ReconcileRound] = []
 
     # -- One round -------------------------------------------------------
 
-    def _revalidate_goal(self, plan: TransitionPlan) -> int:
-        """Re-derive the components behind this round's redeploys and
-        check them against the goal; returns how many instances were
-        re-validated.  A mismatch means the goal spec was corrupted
-        since configuration -- repairing toward it would deploy a
-        system the solver never approved, so fail loudly instead."""
-        affected = plan.instances(RepairOp.REDEPLOY)
-        if self.session is None or not affected:
-            return 0
-        try:
-            return self.session.revalidate_instances(
-                self.goal_partial, self.goal, affected
-            )
-        except ConfigurationError as exc:
-            if "goal drift" not in str(exc):
-                raise
-            raise RuntimeEngageError(str(exc)) from exc
-
     def poll(self) -> ReconcileRound:
-        """One reconcile round: detect, plan, (re-validate,) repair,
-        re-detect.  Execution failures are captured on the round (the
-        loop keeps running; the next round re-plans from the journal's
-        consistent frontier) -- goal drift raises."""
+        """One reconcile round: detect, plan, repair, re-detect.
+        Execution failures are captured on the round (the loop keeps
+        running; the next round re-plans from the journal's consistent
+        frontier)."""
         clock = self.system.infrastructure.clock
         tracer = self.system.infrastructure.tracer
         index = len(self.rounds)
         started = clock.now
-        drift = detect_drift(self.system, goal=self.goal, target=self.target)
-        plan = plan_repair(self.system, drift, goal=self.goal)
-        reconfigured = self._revalidate_goal(plan)
+        drift = detect_drift(self.system)
+        plan = plan_repair(self.system, drift)
         error: Optional[str] = None
         repaired = False
         if not plan.is_noop:
@@ -630,9 +534,7 @@ class ReconcileController:
         if plan.is_noop and error is None:
             after = drift
         else:
-            after = detect_drift(
-                self.system, goal=self.goal, target=self.target
-            )
+            after = detect_drift(self.system)
         finished = clock.now
         round_ = ReconcileRound(
             index=index,
@@ -645,7 +547,6 @@ class ReconcileController:
             repaired=repaired,
             converged=after.is_converged,
             error=error,
-            reconfigured=reconfigured,
         )
         self.rounds.append(round_)
         if tracer is not None:

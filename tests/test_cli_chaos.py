@@ -160,3 +160,59 @@ class TestInjectFaultInstanceId:
         code, output = run(["inject-fault", str(bundle), "cache"])
         assert code == 0
         assert "instance 'cache'" in output
+
+
+class TestFlagRanges:
+    """A numeric flag out of range is a usage error, refused before any
+    bundle or spec is read (these used to end in a ``ValueError``
+    traceback, or be accepted and ignored)."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["deploy", "S", "--backoff", "-1"], "--backoff must be >= 0"),
+            (["deploy", "S", "--chaos-rate", "1.5"], "--chaos-rate"),
+            (["deploy", "S", "--chaos-rate", "-0.1"], "--chaos-rate"),
+            (["deploy", "S", "--bus", "--bus-drop", "1.5"], "--bus-drop"),
+            (["deploy", "S", "--bus", "--bus-dup", "-1"], "--bus-dup"),
+            (["deploy", "S", "--bus", "--bus-jitter", "-1"], "--bus-jitter"),
+            (["deploy", "S", "--timeout", "-5"], "--timeout must be > 0"),
+            (["deploy", "S", "--timeout", "0"], "--timeout must be > 0"),
+            (["deploy", "S", "--max-retries", "-2"], "--max-retries"),
+            (["reconcile", "B", "--churn-rate", "1.5"],
+             "--churn-rate must be in [0, 1]"),
+            (["reconcile", "B", "--interval", "-1"], "--interval"),
+            (["reconcile", "B", "--watch", "--max-rounds", "0"],
+             "--max-rounds must be >= 1"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, flag):
+        code, output = run(argv)
+        assert code == 2
+        assert output.startswith(f"error: {flag}"), output
+
+
+class TestBusChaosIsChecked:
+    """A bus fault schedule the deployment cannot honour ends in
+    ``error: ...`` naming the field, before anything is sent."""
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--crash-slave", "nosuch"], "crash_machine: 'nosuch'"),
+            (["--partition-at", "1", "--partition-for", "0"],
+             "partition_for must be > 0"),
+            (["--partition-at", "1", "--partition-for", "-5"],
+             "partition_for must be > 0"),
+            (["--crash-slave", "box", "--crash-after", "-1"],
+             "crash_after_actions must be >= 0"),
+            (["--crash-slave", "box", "--rejoin-after", "-1"],
+             "crash_down_for must be >= 0"),
+        ],
+    )
+    def test_refused(self, stack, flags, field):
+        dsl, spec, _ = stack
+        code, output = run(["deploy", "--types", dsl, spec, "--bus", *flags])
+        assert code == 2
+        assert f"error: bus chaos {field}" in output
+        assert "bus:" not in output

@@ -153,6 +153,39 @@ class TestUpgrade:
         assert code == 0
 
 
+class TestJsonShapes:
+    """The key sets scripts read from ``plan`` and ``reconcile --json``:
+    adding or dropping a key is a deliberate change, made here."""
+
+    def test_plan_keys(self, bundle):
+        directory, bundle_path = bundle
+        (directory / "v2.engage").write_text(STACK_V2_DSL)
+        (directory / "spec2.json").write_text(spec_json("2.0"))
+        code, output = run(
+            ["plan", bundle_path, str(directory / "spec2.json"),
+             "--types", str(directory / "v2.engage")]
+        )
+        assert code == 0
+        assert set(json.loads(output)) == {
+            "target", "noop", "fleet_size", "diff", "plan", "phases",
+            "bundle",
+        }
+
+    def test_reconcile_round_keys(self, bundle):
+        _, bundle_path = bundle
+        assert run(["inject-fault", bundle_path, "cache"])[0] == 0
+        code, output = run(["reconcile", bundle_path, "--json"])
+        assert code == 0
+        payload = json.loads(output[output.index("{"):output.rindex("}") + 1])
+        (round_,) = payload["rounds"]
+        assert round_["drift_items"] == 1
+        assert set(round_) == {
+            "index", "started_at", "finished_at", "drift_items",
+            "drift_by_kind", "plan_size", "plan_by_op", "repaired",
+            "converged", "error", "time_to_repair_s",
+        }
+
+
 class TestDay2KeepsTheJournal:
     """A day-2 command rewrites the bundle; it must stay resumable."""
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import DeploymentError, SimulationError
+from repro.core.errors import (
+    DeploymentError,
+    RuntimeEngageError,
+    SimulationError,
+)
 from repro.config import ConfigurationEngine
 from repro.runtime import (
     BusChaos,
@@ -434,6 +438,40 @@ class TestTimingValidation:
             heartbeat_every=5.0, heartbeat_timeout=1.0,
         )
         assert coordinator.deploy(two_node_spec).is_deployed()
+
+
+class TestChaosValidation:
+    """A fault schedule the deployment cannot honour is refused before
+    anything is sent.  ``partition_for <= 0`` sorted the heal before the
+    cut, so the partition never healed and the loop ran to its
+    deadline; an unknown ``crash_machine`` was silently ignored."""
+
+    @pytest.mark.parametrize(
+        "chaos, message",
+        [
+            (BusChaos(crash_machine="nosuch"), "crash_machine: 'nosuch'"),
+            (BusChaos(partition_at=1.0, partition_slaves=["dbnode", "x"]),
+             "partition_slaves: 'x'"),
+            (BusChaos(partition_at=1.0, partition_for=0.0),
+             "partition_for must be > 0"),
+            (BusChaos(partition_at=1.0, partition_for=-5.0),
+             "partition_for must be > 0"),
+            (BusChaos(crash_machine="dbnode", crash_after_actions=-1),
+             "crash_after_actions must be >= 0"),
+            (BusChaos(crash_machine="dbnode", crash_down_for=-1.0),
+             "crash_down_for must be >= 0"),
+        ],
+    )
+    def test_refused_before_anything_is_sent(
+        self, registry, infrastructure, drivers, two_node_spec, chaos,
+        message,
+    ):
+        coordinator = BusCoordinator(registry, infrastructure, drivers)
+        started = infrastructure.clock.now
+        with pytest.raises(RuntimeEngageError, match=message):
+            coordinator.deploy(two_node_spec, chaos=chaos)
+        assert infrastructure.clock.now == started
+        assert infrastructure.network.machine("db1").running_processes() == []
 
 
 class TestLoopGuards:

@@ -18,13 +18,9 @@ import json
 
 import pytest
 
-from repro.config import ConfigurationEngine, ConfigurationSession
+from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import (
-    ConfigurationError,
-    DeploymentFailure,
-    RuntimeEngageError,
-)
+from repro.core.errors import DeploymentFailure, RuntimeEngageError
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
@@ -257,45 +253,9 @@ class TestPlanning:
     def test_detect_drift_allow_new_reports_additions(self):
         _, _, system, spec = build(fleet_partial(TOPOLOGY))
         new_spec = configure(grow(TOPOLOGY))
-        drift = detect_drift(system, goal=new_spec, allow_new=True)
+        drift = detect_drift(system, goal=new_spec)
         added = set(new_spec.ids()) - set(spec.ids())
         assert added <= set(drift.missing_instances)
-        # The strict default still refuses a grown goal.
-        with pytest.raises(RuntimeEngageError, match="upgrade"):
-            detect_drift(system, goal=new_spec)
-
-    def test_session_revalidation_guards_the_goal(self):
-        registry = standard_registry()
-        session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-        partial = fleet_partial(TOPOLOGY)
-        spec = session.configure(partial).spec
-        infrastructure = standard_infrastructure()
-        engine = DeploymentEngine(
-            registry, infrastructure, standard_drivers()
-        )
-        system = engine.deploy(spec, journal=DeploymentJournal(spec))
-        new_partial = grow(TOPOLOGY)
-        new_spec = session.configure(new_partial).spec
-        delta = plan_delta(
-            system, new_spec, session=session, new_partial=new_partial
-        )
-        # Revalidation re-derives whole components, so it covers at
-        # least every instance the plan deploys.
-        assert delta.revalidated >= len(delta.up)
-        # A goal that no longer matches its own partial is refused:
-        # hand-editing the configured spec is exactly the drift the
-        # warm solver re-derivation catches.
-        drifted = session.configure(new_partial).spec
-        drifted["cache006"].config["port"] = 9
-        with pytest.raises(ConfigurationError, match="goal drift"):
-            plan_delta(
-                system, drifted, session=session, new_partial=new_partial
-            )
-        # Half a revalidation request is a usage error.
-        with pytest.raises(RuntimeEngageError, match="revalidation"):
-            plan_delta(system, new_spec, session=session)
 
 
 # --------------------------------------------------------------------

@@ -7,9 +7,8 @@ import json
 
 import pytest
 
-from repro.config import ConfigurationEngine, ConfigurationSession
+from repro.config import ConfigurationEngine
 from repro.core.errors import (
-    ConfigurationError,
     DeploymentError,
     DeploymentFailure,
     DriverError,
@@ -33,9 +32,7 @@ from repro.runtime import (
     deployment_fingerprint,
     detect_drift,
     execute_plan,
-    load_system,
     plan_repair,
-    save_system,
 )
 from repro.runtime.journal import JournalEntry
 from repro.sim import FaultInjector, FaultKind, FaultPlan, MachineChurn
@@ -43,19 +40,14 @@ from repro.sim import FaultInjector, FaultKind, FaultPlan, MachineChurn
 TOPOLOGY = FleetTopology(replicas=6, machines=3)
 
 
-def deploy_fleet(topology=TOPOLOGY, *, session=False):
+def deploy_fleet(topology=TOPOLOGY):
     """A deployed fleet plus everything reconcile needs around it."""
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     partial = fleet_partial(topology)
-    if session:
-        config = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-    else:
-        config = ConfigurationEngine(
-            registry, partition=True, verify_registry=False
-        )
+    config = ConfigurationEngine(
+        registry, partition=True, verify_registry=False
+    )
     spec = config.configure(partial).spec
     engine = DeploymentEngine(registry, infrastructure, standard_drivers())
     journal = DeploymentJournal(spec)
@@ -101,17 +93,6 @@ class TestDriftDetection:
         assert set(drift.lost_instances) == expected
         # The machine instance itself rides along.
         assert machines[0] in drift.lost_instances
-
-    def test_goal_must_be_subset_of_spec(self):
-        _, system, _, _, _ = deploy_fleet()
-        registry = standard_registry()
-        other = (
-            ConfigurationEngine(registry, verify_registry=False)
-            .configure(fleet_partial(FleetTopology(replicas=8, machines=4)))
-            .spec
-        )
-        with pytest.raises(RuntimeEngageError, match="upgrade"):
-            detect_drift(system, goal=other)
 
     def test_payload_shape(self):
         _, system, _, _, _ = deploy_fleet()
@@ -244,69 +225,6 @@ class TestRepair:
         )
         assert table(repaired) == table(fresh)
 
-    def test_extras_uninstalled_when_goal_shrinks(self):
-        engine, system, journal, _, _ = deploy_fleet()
-        # Goal: everything except one whole machine's worth of instances.
-        machine_id = system.spec.machines()[-1].id
-        dropped = {
-            instance.id
-            for instance in system.spec.instances_on_machine(machine_id)
-        }
-        from repro.core.instances import InstallSpec
-
-        goal = InstallSpec(
-            instance
-            for instance in system.spec.topological_order()
-            if instance.id not in dropped
-        )
-        drift = detect_drift(system, goal=goal)
-        assert set(drift.extra_instances) == dropped
-        plan = plan_repair(system, drift, goal=goal)
-        assert set(plan.instances(RepairOp.UNINSTALL)) == dropped
-        execute_plan(engine, system, plan)
-        for iid in dropped:
-            assert system.state_of(iid) == "uninstalled"
-        assert detect_drift(system, goal=goal).is_converged
-
-    def test_shrunk_goal_uninstall_is_on_the_record(self):
-        """Extras used to be driven down off the record: the journal
-        kept saying ``active``, so save -> load -> resume adopted a
-        service whose package was gone."""
-        from repro.core.instances import InstallSpec
-
-        engine, system, _, _, _ = deploy_fleet()
-        leaf = next(
-            iid for iid in sorted(system.drivers, reverse=True)
-            if isinstance(system.drivers[iid], ServiceDriver)
-            and not system.spec.downstream_ids(iid)
-        )
-        goal = InstallSpec(
-            instance
-            for instance in system.spec.topological_order()
-            if instance.id != leaf
-        )
-        result = ReconcileController(
-            engine, system, goal=goal, interval=0.0
-        ).run(rounds=1)
-        assert result.converged
-        assert system.state_of(leaf) == "uninstalled"
-        assert system.journal.states()[leaf] == "uninstalled"
-        assert leaf not in system.journal.completed
-
-        registry, drivers = standard_registry(), standard_drivers()
-        loaded = load_system(
-            registry, system.infrastructure, drivers, save_system(system)
-        )
-        assert loaded.journal.states() == system.states()
-        # Resuming toward the deployed spec really reinstalls the leaf.
-        resumed = DeploymentEngine(
-            registry, system.infrastructure, drivers
-        ).resume(loaded.journal)
-        assert resumed.is_deployed()
-        assert resumed.drivers[leaf].process.is_running()
-        assert detect_drift(resumed).is_converged
-
-
 class TestController:
     def test_noop_round_converges_without_acting(self):
         engine, system, journal, _, _ = deploy_fleet()
@@ -334,45 +252,6 @@ class TestController:
         # restartable processes: the watchdog must not touch them.
         assert monitor.crashed_services() == []
         assert monitor.poll() == []
-
-    def test_goal_revalidation_through_session(self):
-        engine, system, journal, session, partial = deploy_fleet(
-            session=True
-        )
-        FaultInjector(system, seed=4).crash_machines(1)
-        controller = ReconcileController(
-            engine, system, session=session, goal_partial=partial
-        )
-        round_ = controller.poll()
-        assert round_.converged
-        assert round_.reconfigured > 0
-        # Warm path: the components re-solved on the cached solvers.
-        assert session.stats.solver_reuses > 0
-
-    def test_goal_drift_refuses_repair(self):
-        engine, system, journal, session, partial = deploy_fleet(
-            session=True
-        )
-        FaultInjector(system, seed=4).crash_machines(1)
-        # Corrupt the goal behind the controller's back.
-        import dataclasses
-
-        victim = detect_drift(system).lost_instances[0]
-        corrupted = dataclasses.replace(
-            system.spec[victim],
-            config={**system.spec[victim].config, "rogue": True},
-        )
-        system.spec.replace_instance(corrupted)
-        controller = ReconcileController(
-            engine, system, session=session, goal_partial=partial
-        )
-        with pytest.raises(RuntimeEngageError, match="goal drift"):
-            controller.poll()
-
-    def test_session_without_partial_rejected(self):
-        engine, system, _, session, _ = deploy_fleet(session=True)
-        with pytest.raises(RuntimeEngageError, match="revalidation"):
-            ReconcileController(engine, system, session=session)
 
     def test_execution_failure_is_captured_not_raised(self):
         engine, system, journal, _, _ = deploy_fleet()
@@ -658,59 +537,6 @@ class TestJournalDiffAndValidation:
             system.spec, journal.to_payload()
         )
         assert restored.states()[instance_id] == "uninstalled"
-
-
-class TestReconfigureComponents:
-    def test_slice_matches_full_spec(self):
-        registry = standard_registry()
-        session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-        partial = fleet_partial(TOPOLOGY)
-        full = session.configure(partial).spec
-        some = [i.id for i in full][:3]
-        slice_spec = session.reconfigure_components(partial, some)
-        for instance in slice_spec:
-            assert instance == full[instance.id]
-        assert set(some) <= set(slice_spec.ids())
-
-    def test_cold_call_configures_first(self):
-        registry = standard_registry()
-        session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-        partial = fleet_partial(TOPOLOGY)
-        full = (
-            ConfigurationSession(
-                registry, partition=True, verify_registry=False
-            )
-            .configure(partial)
-            .spec
-        )
-        slice_spec = session.reconfigure_components(
-            partial, [full.ids()[0]]
-        )
-        assert all(i == full[i.id] for i in slice_spec)
-
-    def test_unknown_instance_rejected(self):
-        registry = standard_registry()
-        session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-        partial = fleet_partial(TOPOLOGY)
-        session.configure(partial)
-        with pytest.raises(ConfigurationError, match="not in the"):
-            session.reconfigure_components(partial, ["nonexistent"])
-
-    def test_empty_ids_rejected(self):
-        registry = standard_registry()
-        session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
-        )
-        with pytest.raises(ConfigurationError, match="at least one"):
-            session.reconfigure_components(
-                fleet_partial(TOPOLOGY), []
-            )
 
 
 class TestCli:
