@@ -162,7 +162,8 @@ def test_e7_session_warm_sweep_vs_cold(benchmark, registry, infrastructure):
     assert stats.solver_reuses == stats.configure_calls - 256
     assert all(r.cache.graph_hit for r in results)
     assert all(r.cache.solver_reused for r in results)
-    assert all(r.solver_stats.solve_calls >= 2 for r in results)
+    # The primed solver answered once; a warm call reuses its answer.
+    assert all(r.solver_stats.solve_calls == 1 for r in results)
 
     benchmark.extra_info.update(
         {

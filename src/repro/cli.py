@@ -761,7 +761,7 @@ _FLAG_RANGES = (
     (("bus_jitter", "backoff", "interval", "max_retries"), ">= 0",
      lambda value: value >= 0),
     (("timeout",), "> 0", lambda value: value > 0),
-    (("max_rounds",), ">= 1", lambda value: value >= 1),
+    (("max_rounds", "repeat"), ">= 1", lambda value: value >= 1),
 )
 
 

@@ -109,6 +109,11 @@ class SessionCacheInfo:
     #: which resolves nothing).
     components_total: int = 0
     components_reused: int = 0
+    #: On a graph miss: the machine groups whose GraphGen ran / those of
+    #: a grouped assembly that an earlier spec had generated (0 when the
+    #: spec took the global path).
+    groups_generated: int = 0
+    groups_reused: int = 0
 
 
 @dataclass
@@ -160,7 +165,7 @@ def canonical_model(
 
 
 class ComponentEntry:
-    """One component's encoding, solver and verified outcomes.
+    """One component's encoding, solver and answer.
 
     The engine builds these fresh for every call and drops them; a
     session keeps them and hands one to every spec that has a component
@@ -171,8 +176,8 @@ class ComponentEntry:
     """
 
     __slots__ = (
-        "component", "formula", "constraint_stats", "solver", "canonical",
-        "verified", "__weakref__",
+        "component", "formula", "constraint_stats", "solver", "answer",
+        "__weakref__",
     )
 
     def __init__(self, component: GraphComponent) -> None:
@@ -180,13 +185,13 @@ class ComponentEntry:
         self.formula: Optional[CnfFormula] = None
         self.constraint_stats: Optional[ConstraintStats] = None
         self.solver: Optional[CdclSolver] = None
-        #: The canonical model; the formula is fixed per entry, so it
-        #: never changes once computed.
-        self.canonical: Optional[dict[int, bool]] = None
-        #: (deployed, choices) outcome -> the propagated and typechecked
-        #: instances in install order, reused as they are (frozen
-        #: dataclasses) inside a fresh container.
-        self.verified: dict[tuple, tuple] = {}
+        #: (model, deployed, instances in install order) once the
+        #: component has been solved, propagated and typechecked.  The
+        #: formula is fixed per entry and the decode reads its canonical
+        #: model, so every later call would compute exactly this; the
+        #: instances are frozen dataclasses, reused inside a fresh
+        #: container.
+        self.answer: Optional[tuple] = None
 
 
 @dataclass
@@ -198,8 +203,8 @@ class ComponentRun:
     solver_reused: bool
     spec_reused: bool = False
     #: The component's instances in install order -- the specification
-    #: just propagated, or the tuple verified for this outcome earlier;
-    #: None when the component is unsatisfiable.
+    #: just propagated, or the tuple an earlier call verified; None when
+    #: the component is unsatisfiable.
     instances: Optional[Iterable[ResourceInstance]] = None
     model: dict[str, bool] = field(default_factory=dict)
     deployed: set[str] = field(default_factory=set)
@@ -212,9 +217,26 @@ def configure_component(
     """Encode, solve, decode, propagate and typecheck one component.
 
     Whatever ``entry`` already holds is reused and whatever it lacks is
-    built and left on it; the timings are this call's own.
+    built and left on it; the timings are this call's own.  An entry
+    that has answered answers again without its solver, which still
+    counts as reused: the solver's verdict on an unchanged formula
+    cannot change.
     """
     graph = entry.component.graph
+    stats = ComponentStats(
+        index=entry.component.index,
+        nodes=len(graph),
+        edges=len(graph.edges()),
+        pinned=len(entry.component.pinned),
+    )
+    if entry.answer is not None:
+        run = ComponentRun(
+            stats, encoded=False, solver_reused=True, spec_reused=True
+        )
+        run.model, run.deployed, run.instances = entry.answer
+        stats.decisions = entry.solver.stats.decisions
+        stats.conflicts = entry.solver.stats.conflicts
+        return run
     started = time.perf_counter()
     encoded = entry.formula is None
     if encoded:
@@ -224,31 +246,21 @@ def configure_component(
     if not solver_reused:
         entry.solver = CdclSolver(entry.formula)
     formula, solver = entry.formula, entry.solver
-    stats = ComponentStats(
-        index=entry.component.index,
-        nodes=len(graph),
-        edges=len(graph.edges()),
-        pinned=len(entry.component.pinned),
-    )
     run = ComponentRun(stats, encoded, solver_reused)
     if not solver.solve():
         return run
-    if entry.canonical is None:
-        entry.canonical = canonical_model(formula, solver)
     run.model = {
         str(name): value
-        for name, value in formula.decode_model(entry.canonical).items()
+        for name, value in formula.decode_model(
+            canonical_model(formula, solver)
+        ).items()
     }
     solve_done = time.perf_counter()
     run.deployed, choices = selected_nodes(graph, run.model)
-    outcome = (frozenset(run.deployed), tuple(sorted(choices.items())))
-    run.instances = entry.verified.get(outcome)
-    run.spec_reused = run.instances is not None
-    if not run.spec_reused:
-        spec = propagate(registry, graph, run.deployed, choices)
-        check_spec(registry, spec)
-        run.instances = spec
-        entry.verified[outcome] = tuple(spec)
+    spec = propagate(registry, graph, run.deployed, choices)
+    check_spec(registry, spec)
+    run.instances = spec
+    entry.answer = (run.model, run.deployed, tuple(spec))
     if encoded:  # a cached encoding cost this call nothing, not one tick
         stats.encode_ms = (encode_done - started) * 1000.0
     stats.solve_ms = (solve_done - encode_done) * 1000.0
@@ -337,6 +349,8 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
             cnf_hit=cache.cnf_hit, solver_reused=cache.solver_reused,
             typecheck_skipped=cache.typecheck_skipped,
             components_reused=cache.components_reused,
+            groups_generated=cache.groups_generated,
+            groups_reused=cache.groups_reused,
         )
 
 

@@ -78,7 +78,12 @@ def canonical_form(partial: PartialInstallSpec) -> tuple:
     return tuple(_canonical_instance(instance) for instance in partial)
 
 
+def fingerprint_form(form: tuple) -> str:
+    """The digest of a :func:`canonical_form`, so a caller that needs the
+    form as well computes it once."""
+    return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
+
+
 def fingerprint_partial(partial: PartialInstallSpec) -> str:
     """A stable hex digest identifying the spec's structure."""
-    digest = hashlib.sha256(repr(canonical_form(partial)).encode("utf-8"))
-    return digest.hexdigest()
+    return fingerprint_form(canonical_form(partial))

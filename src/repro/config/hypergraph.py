@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Container, Iterable, Optional
 
 from repro.core.errors import (
     ConfigurationError,
@@ -97,6 +97,16 @@ class ResourceGraph:
         #: first placement query forces the walk.
         self._machine_buckets: dict[tuple[str, ResourceKey], list[GraphNode]] = {}
         self._unbucketed: deque[GraphNode] = deque()
+        #: Bookkeeping for :mod:`repro.config.groups`, which runs GraphGen
+        #: per machine group and needs to know whether a group's answers
+        #: are the global run's.  ``escaped`` is set when a query's
+        #: answer may depend on other machines or on generated ids (see
+        #: :func:`_find_existing`); ``materialised_by`` maps each
+        #: generated node to the node whose processing created it, and
+        #: ``processing`` is that node while it is processed.
+        self.escaped = False
+        self.materialised_by: dict[str, str] = {}
+        self.processing: Optional[str] = None
 
     # -- Nodes ---------------------------------------------------------------
 
@@ -124,15 +134,7 @@ class ResourceGraph:
 
     def fresh_id(self, key: ResourceKey) -> str:
         """A deterministic, human-readable id for a generated instance."""
-        slug = re.sub(r"[^a-z0-9]+", "_", key.name.lower()).strip("_")
-        count = self._ids_by_slug.get(slug, 0)
-        self._ids_by_slug[slug] = count + 1
-        candidate = slug if count == 0 else f"{slug}_{count + 1}"
-        while candidate in self._nodes:
-            count += 1
-            self._ids_by_slug[slug] = count + 1
-            candidate = f"{slug}_{count + 1}"
-        return candidate
+        return fresh_id(self._ids_by_slug, self._nodes, key)
 
     # -- Edges ---------------------------------------------------------------
 
@@ -216,6 +218,23 @@ class ResourceGraph:
             for node in self.nodes()
             if self.machine_of(node.instance_id) == machine_id
         ]
+
+
+def fresh_id(
+    counts: dict[str, int], taken: Container[str], key: ResourceKey
+) -> str:
+    """The next generated id for ``key``: its slug numbered by a counter
+    per slug (``python_runtime``, ``python_runtime_2``, ...), skipping
+    every id in ``taken``.  ``counts`` is updated in place."""
+    slug = re.sub(r"[^a-z0-9]+", "_", key.name.lower()).strip("_")
+    count = counts.get(slug, 0)
+    counts[slug] = count + 1
+    candidate = slug if count == 0 else f"{slug}_{count + 1}"
+    while candidate in taken:
+        count += 1
+        counts[slug] = count + 1
+        candidate = f"{slug}_{count + 1}"
+    return candidate
 
 
 def lower_alternatives(
@@ -313,6 +332,7 @@ def _process_node(
     instance_id: str,
     worklist: deque[str],
 ) -> None:
+    graph.processing = instance_id
     node = graph.node(instance_id)
     resource_type = registry.effective(node.key)
 
@@ -430,19 +450,33 @@ def _find_existing(
     Every rank ends in the instance id, which is unique, so the ranks
     are a strict total order and the pick does not depend on the order
     in which the candidates arrive (and Lemma 1's ids are the same
-    whatever order the subtype set iterates in)."""
+    whatever order the subtype set iterates in).
+
+    Two answers are marked ``graph.escaped``, because a run over one
+    machine group could not give the global run's answer: a pick among
+    several generated candidates (their ids decide, and generated ids
+    are numbered per graph) and a peer dependency with no pinned
+    candidate on the dependent's machine (the search then spans every
+    machine)."""
     best: Optional[GraphNode] = None
     if machine_id is not None:
         # Same-machine requirement: only this machine's bucket can match,
         # and the preference term is constant across it.
         short_rank: Optional[tuple[bool, str]] = None
+        candidates = 0
         for node in graph.nodes_matching_on(registry, key, machine_id):
             if node.instance_id == exclude_id:
                 continue
+            candidates += 1
             rank = (not node.from_partial, node.instance_id)
             if short_rank is None or rank < short_rank:
                 best, short_rank = node, rank
-        return best.instance_id if best is not None else None
+        if best is None:
+            return None
+        if candidates > 1 and not best.from_partial:
+            # A pinned candidate would have won, so all were generated.
+            graph.escaped = True
+        return best.instance_id
     if prefer_machine_id is not None:
         # A pinned candidate on the dependent's machine has the best
         # possible rank class; the lowest id among those wins outright,
@@ -456,6 +490,7 @@ def _find_existing(
                 best = node
         if best is not None:
             return best.instance_id
+        graph.escaped = True
     best_rank: Optional[tuple[bool, bool, str]] = None
     for node in graph.nodes_matching(registry, key):
         if node.instance_id == exclude_id:
@@ -504,5 +539,6 @@ def _materialise(
     graph.add_node(
         GraphNode(instance_id=instance_id, key=key, inside_id=inside_id)
     )
+    graph.materialised_by[instance_id] = graph.processing
     worklist.append(instance_id)
     return instance_id

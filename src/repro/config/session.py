@@ -8,13 +8,17 @@ tenants, growing a live fleet by a few replicas.
 :class:`ConfigurationEngine` treats every call as cold; a session runs
 the *same pipeline* (:meth:`ConfigurationEngine.run` over
 :func:`~repro.config.engine.configure_component`) and differs only in
-where each component's working state comes from.  It keeps two levels,
-least recently used first out:
+where each component's working state comes from.  It keeps three
+levels, least recently used first out:
 
 * per ``(partition, fingerprint)`` of the partial specification
   (:mod:`repro.config.fingerprint`, order-sensitive in instances
   because GraphGen is), the **hypergraph** and its component list, so a
   repeated spec skips GraphGen and the partition pass;
+* on the partitioned path, per **machine group** content (the group's
+  slice of the canonical form), one
+  :class:`~repro.config.groups.GroupGraph`: GraphGen over that group
+  alone, and the component it was last assembled into;
 * per component **content** (:func:`content_key`: the mode, the nodes
   and the edges, in order), one
   :class:`~repro.config.engine.ComponentEntry`: the **CNF encoding**,
@@ -22,27 +26,31 @@ least recently used first out:
   them (the content says which nodes are pinned, so an entry's facts
   never change), one **persistent** :class:`~repro.sat.solver.CdclSolver`
   whose learned clauses, VSIDS activities and saved phases survive
-  across calls, the **canonical model** once it has been computed, and
-  the **propagated specification** memoized by decoded outcome -- a
-  call that reproduces an already-verified (deployed, choices) pair
-  reuses the frozen :class:`~repro.core.instances.ResourceInstance`
-  values instead of re-running value propagation and the static
-  re-check, wrapped in a fresh
+  across calls, and the **answer** once the component has been solved,
+  propagated and typechecked -- the formula is fixed, so a later call
+  reuses the model and the frozen
+  :class:`~repro.core.instances.ResourceInstance` values without
+  solving, propagating or re-checking, wrapped in a fresh
   :class:`~repro.core.instances.InstallSpec` container so callers that
   mutate their spec (provisioning, upgrades) cannot corrupt the cache.
 
-The second level is what makes a day-2 step cost what changed.  The
-constraints are edge-local (§4, Theorem 1), so nothing crosses a
-connected component: a component with the same nodes and edges is the
-same problem with the same canonical answer.  A spec the session has
-not seen still runs GraphGen and the partition pass -- generated ids
-are numbered per graph and unpinned peers are matched across machines,
-so what each machine group holds is only known once the global worklist
-has run -- but below that only the components whose content is new are
-encoded, solved, propagated and typechecked; the rest are answered by
-the entries an earlier spec left.  Component entries are owned by the
-spec-level entries that list them (the content table is weak), so
-``max_entries`` bounds both levels.
+The lower two levels are what make a day-2 step cost what changed.
+GraphGen answers a dependency on the dependent's own machine unless a
+peer finds nothing pinned there, so a spec the session has not seen
+runs GraphGen only on the machine groups whose content is new and
+assembles the global graph and its components from the groups exactly
+as one global run names and orders them (:mod:`repro.config.groups`).
+A spec whose groups cannot all be answered on their own machines -- a
+peer shared across machines, a tie between generated candidates, an
+error -- runs GraphGen and the partition pass over the whole spec, as
+the engine does.  The constraints are edge-local (§4, Theorem 1), so
+nothing crosses a connected component: a component with the same nodes
+and edges is the same problem with the same canonical answer, and only
+the components whose content is new are encoded, solved, propagated and
+typechecked; the rest are answered by the entries an earlier spec left.
+Group and component entries are owned by the spec-level entries that
+list them (both content tables are weak), so ``max_entries`` bounds
+every level.
 
 Registry **well-formedness** is verified once and memoized on the
 registry; registering a type flushes the session.
@@ -55,6 +63,7 @@ metadata attached.
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -70,7 +79,12 @@ from repro.config.engine import (
     PhaseTimings,
     SessionCacheInfo,
 )
-from repro.config.fingerprint import canonical_value, fingerprint_partial
+from repro.config.fingerprint import (
+    canonical_form,
+    canonical_value,
+    fingerprint_form,
+)
+from repro.config.groups import GroupGraph, assemble, split_by_machine
 from repro.config.hypergraph import ResourceGraph
 from repro.config.partition import GraphComponent
 
@@ -96,6 +110,10 @@ class SessionStats:
     #: answered by an entry an earlier spec had already built.
     components_total: int = 0
     components_reused: int = 0
+    #: Machine groups whose GraphGen ran / groups of a grouped assembly
+    #: that an earlier spec had already generated.
+    groups_generated: int = 0
+    groups_reused: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -108,11 +126,14 @@ class _Entry(NamedTuple):
 
     ``entries[i]`` is the kept state of ``components[i]``; an entry may
     be listed by several specs, each with its own (equal) component.
+    ``groups`` are the machine groups the graph was assembled from (none
+    on the global path); they, too, may be listed by several specs.
     """
 
     graph: ResourceGraph
     components: list[GraphComponent]
     entries: list[ComponentEntry]
+    groups: tuple[GroupGraph, ...] = ()
 
 
 def content_key(partition: bool, component: GraphComponent) -> tuple:
@@ -189,6 +210,11 @@ class ConfigurationSession:
         self._kept: weakref.WeakValueDictionary[tuple, ComponentEntry] = (
             weakref.WeakValueDictionary()
         )
+        #: A machine group's slice of the canonical form -> its GraphGen
+        #: run; weak for the same reason.
+        self._groups: weakref.WeakValueDictionary[tuple, GroupGraph] = (
+            weakref.WeakValueDictionary()
+        )
         self.stats = SessionStats()
         self._registry_version = registry.version
 
@@ -204,6 +230,7 @@ class ConfigurationSession:
         """Drop every cached graph, formula, and solver."""
         self._entries.clear()
         self._kept.clear()
+        self._groups.clear()
 
     # -- Cache plumbing -------------------------------------------------
 
@@ -230,22 +257,69 @@ class ConfigurationSession:
             self.stats.evictions += 1
 
     def _resolve(
-        self, partition: bool, components: list[GraphComponent],
+        self, partition: bool, component: GraphComponent,
         cache: SessionCacheInfo,
-    ) -> list[ComponentEntry]:
-        """The kept entry for each component's content, built where no
+    ) -> ComponentEntry:
+        """The kept entry for ``component``'s content, built where no
         cached spec has one."""
+        key = content_key(partition, component)
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = ComponentEntry(component)
+        else:
+            cache.components_reused += 1
+        return kept
+
+    def _global(
+        self, partial: PartialInstallSpec, partition: bool,
+        timings: PhaseTimings, cache: SessionCacheInfo,
+    ) -> _Entry:
+        """GraphGen over the whole spec, as the engine runs it."""
+        graph, components = self._engine.components(
+            partial, partition, timings
+        )
+        entries = [
+            self._resolve(partition, component, cache)
+            for component in components
+        ]
+        return _Entry(graph, components, entries)
+
+    def _grouped(
+        self, partial: PartialInstallSpec, form: tuple,
+        timings: PhaseTimings, cache: SessionCacheInfo,
+    ) -> Optional[_Entry]:
+        """GraphGen per machine group, each group generated only if no
+        cached spec holds its content (:mod:`repro.config.groups`);
+        None when some group cannot be answered on its own machine."""
+        started = time.perf_counter()
+        machines = split_by_machine(partial)
+        if machines is None:
+            return None
+        groups: list[GroupGraph] = []
+        for members in machines.members:
+            content = tuple(form[i] for i in members)
+            group = self._groups.get(content)
+            if group is None:
+                group = GroupGraph(
+                    self._registry,
+                    [machines.instances[i] for i in members],
+                )
+                self._groups[content] = group
+                cache.groups_generated += 1
+            if group.escaped:
+                return None
+            groups.append(group)
+        cache.groups_reused = len(groups) - cache.groups_generated
+        graph, components, changed = assemble(machines, groups)
+        timings.graph_ms = (time.perf_counter() - started) * 1000.0
         entries: list[ComponentEntry] = []
-        for component in components:
-            key = content_key(partition, component)
-            kept = self._kept.get(key)
-            if kept is None:
-                kept = self._kept[key] = ComponentEntry(component)
+        for group, component, fresh in zip(groups, components, changed):
+            if fresh:
+                group.entry = self._resolve(True, component, cache)
             else:
                 cache.components_reused += 1
-            entries.append(kept)
-        cache.components_total = len(components)
-        return entries
+            entries.append(group.entry)
+        return _Entry(graph, components, entries, tuple(groups))
 
     # -- The pipeline ---------------------------------------------------
 
@@ -268,27 +342,28 @@ class ConfigurationSession:
         stats = self.stats
         stats.configure_calls += 1
         timings = PhaseTimings()
-        cache = SessionCacheInfo(fingerprint=fingerprint_partial(partial))
+        form = canonical_form(partial)
+        cache = SessionCacheInfo(fingerprint=fingerprint_form(form))
         key = (use_partition, cache.fingerprint)
         entry = self._lookup(key)
         cache.graph_hit = entry is not None
         if entry is None:
-            # GraphGen runs for every new spec: generated ids are
-            # numbered per graph and unpinned peers matched across
-            # machines, so what each component holds is only known once
-            # the global worklist has run.  Reuse starts below it.
-            graph, components = self._engine.components(
-                partial, use_partition, timings
-            )
-            entry = _Entry(
-                graph, components,
-                self._resolve(use_partition, components, cache),
-            )
+            # A new spec runs GraphGen only for the machine groups no
+            # cached spec holds; a spec whose groups cannot be answered
+            # machine by machine (a shared peer, a tie between generated
+            # ids, an error) runs it over the whole spec.
+            if use_partition:
+                entry = self._grouped(partial, form, timings, cache)
+            if entry is None:
+                entry = self._global(partial, use_partition, timings, cache)
+            cache.components_total = len(entry.components)
             self._store(key, entry)
         stats.graph_hits += cache.graph_hit
         stats.graph_misses += not cache.graph_hit
         stats.components_total += cache.components_total
         stats.components_reused += cache.components_reused
+        stats.groups_generated += cache.groups_generated
+        stats.groups_reused += cache.groups_reused
         for kept, component in zip(entry.entries, entry.components):
             # An entry shared with another spec may be looking at that
             # spec's (equal) component; this call reports its own.

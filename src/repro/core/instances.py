@@ -199,6 +199,7 @@ class InstallSpec:
         self._upstream: Optional[dict[str, tuple[str, ...]]] = None
         self._downstream: Optional[dict[str, list[str]]] = None
         self._topo_order: Optional[list[ResourceInstance]] = None
+        self._machines: Optional[list[ResourceInstance]] = None
         # Which machine each instance sits on, memoised per walked chain,
         # and the machine -> instances index built from it.
         self._machine: dict[str, str] = {}
@@ -210,6 +211,7 @@ class InstallSpec:
         self._upstream = None
         self._downstream = None
         self._topo_order = None
+        self._machines = None
         self._machine = {}
         self._on_machine = None
 
@@ -245,7 +247,9 @@ class InstallSpec:
 
     def machines(self) -> list[ResourceInstance]:
         """All machine instances (no inside link)."""
-        return [inst for inst in self if inst.is_machine()]
+        if self._machines is None:
+            self._machines = [inst for inst in self if inst.is_machine()]
+        return list(self._machines)
 
     def machine_of(self, instance_id: str) -> str:
         """The machine ``instance_id`` sits on: follow inside links to

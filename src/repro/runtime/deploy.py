@@ -31,7 +31,7 @@ from repro.core.errors import (
 from repro.core.instances import InstallSpec, ResourceInstance
 from repro.core.registry import ResourceTypeRegistry
 from repro.drivers.base import DriverContext, DriverRegistry, ResourceDriver
-from repro.drivers.library import MachineDriver, NullDriver
+from repro.drivers.library import MachineDriver, NullDriver, ServiceDriver
 from repro.drivers.state_machine import ACTIVE, INACTIVE, UNINSTALLED
 from repro.runtime.journal import DeploymentJournal, JournalEntry
 from repro.runtime.retry import RetryPolicy
@@ -41,7 +41,7 @@ from repro.sim.machine import Machine, OsIdentity
 
 def standard_driver_registry() -> DriverRegistry:
     """A registry pre-loaded with the generic drivers."""
-    from repro.drivers.library import ArchiveDriver, PackageDriver, ServiceDriver
+    from repro.drivers.library import ArchiveDriver, PackageDriver
 
     registry = DriverRegistry()
     registry.register("null", NullDriver)
@@ -182,9 +182,23 @@ class DeployedSystem:
         self.machines = machines
         self.report: Optional[DeploymentReport] = None
         self.journal: DeploymentJournal = DeploymentJournal(spec)
+        self._service_ids: Optional[tuple[str, ...]] = None
 
     def driver(self, instance_id: str) -> ResourceDriver:
         return self.drivers[instance_id]
+
+    def service_ids(self) -> list[str]:
+        """Ids of the instances whose drivers manage a process, in id
+        order.  ``drivers`` is fixed when the system is built (nothing
+        assigns into it afterwards), so the scan runs once per system,
+        however many monitors and drift sweeps ask."""
+        if self._service_ids is None:
+            self._service_ids = tuple(sorted(
+                instance_id
+                for instance_id, driver in self.drivers.items()
+                if isinstance(driver, ServiceDriver)
+            ))
+        return list(self._service_ids)
 
     def state_of(self, instance_id: str) -> str:
         return self.drivers[instance_id].state

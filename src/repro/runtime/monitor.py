@@ -93,12 +93,9 @@ class ProcessMonitor:
         self.events: list[MonitorEvent] = []
 
     def watched_services(self) -> list[str]:
-        """Instance ids whose drivers manage a process."""
-        return sorted(
-            instance_id
-            for instance_id, driver in self._system.drivers.items()
-            if isinstance(driver, ServiceDriver)
-        )
+        """Instance ids whose drivers manage a process, in id order
+        (:meth:`DeployedSystem.service_ids`)."""
+        return self._system.service_ids()
 
     def generate_config(self) -> dict[str, str]:
         """Write /etc/monitrc on every machine; returns path -> content."""
@@ -130,11 +127,10 @@ class ProcessMonitor:
         repaired by redeployment, not by respawning processes on a ghost
         host."""
         network = self._system.infrastructure.network
+        drivers = self._system.drivers
         crashed: list[str] = []
         for instance_id in self.watched_services():
-            driver = self._system.driver(instance_id)
-            assert isinstance(driver, ServiceDriver)
-            process = driver.process
+            process = drivers[instance_id].process
             if process is None or process.is_running():
                 continue
             machine = self._system.machine_for(instance_id)

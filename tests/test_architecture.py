@@ -122,3 +122,38 @@ def test_reconcile_repairs_what_is_deployed():
     found = _signatures("runtime", PINNED)
     assert found == PINNED, (found, PINNED)
     assert not hits, hits
+
+
+def test_one_scheduler():
+    # Every pass is DagScheduler and a serial pass is its one-worker
+    # case: no second executor, no event queue on the clock (the
+    # scheduler's completion heap belongs to the pass), no serial
+    # restart loop beside the up pass (a restart is a node of it), and
+    # no branch on the worker bound where the engine hands a pass over.
+    GONE = {"execute_serial", "ScheduledEvent", "schedule",
+            "advance_to_next_event", "pending_events",
+            "peek_next_event_time", "cancel_events",
+            "restart_instances"}
+    hits = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(
+                        node, (ast.FunctionDef, ast.ClassDef))
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            if name in GONE:
+                hits.append((path, node.lineno, name))
+            if (isinstance(node, ast.ClassDef)
+                    and node.name == "DeploymentEngine"):
+                drive = next(f for f in node.body
+                             if isinstance(f, ast.FunctionDef)
+                             and f.name == "_drive")
+                for inner in ast.walk(drive):
+                    if isinstance(inner, (ast.If, ast.IfExp,
+                                          ast.Match, ast.BoolOp)):
+                        hits.append((path, inner.lineno, "branch"))
+                    if (isinstance(inner, ast.Attribute)
+                            and inner.attr.startswith("jobs")):
+                        hits.append((path, inner.lineno, inner.attr))
+    assert not hits, hits

@@ -184,6 +184,10 @@ class TestFlagRanges:
             (["reconcile", "B", "--interval", "-1"], "--interval"),
             (["reconcile", "B", "--watch", "--max-rounds", "0"],
              "--max-rounds must be >= 1"),
+            (["configure", "S", "--session", "--repeat", "0", "-o", "O"],
+             "--repeat must be >= 1, got 0"),
+            (["configure", "S", "--session", "--repeat", "-2"],
+             "--repeat must be >= 1, got -2"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, argv, flag):

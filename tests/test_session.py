@@ -183,7 +183,9 @@ class TestSession:
         assert warm.cache.solver_reused
         assert warm.cache.typecheck_skipped
         assert warm.cache.fingerprint == cold.cache.fingerprint
-        assert warm.solver_stats.solve_calls == 2  # one persistent solver
+        assert cold.cache.fingerprint == fingerprint_partial(figure2())
+        # One persistent solver, and a warm entry answers without it.
+        assert warm.solver_stats.solve_calls == 1
         stats = session.stats
         assert stats.configure_calls == 2
         assert (stats.graph_hits, stats.graph_misses) == (1, 1)
@@ -441,15 +443,16 @@ class FleetEditor:
         return True
 
     def change_port(self):
-        entry = self.rng.choice(
-            [e for e in self.entries if "port" in e.config]
-        )
+        ported = [e for e in self.entries if "port" in e.config]
+        if not ported:
+            return False
+        entry = self.rng.choice(ported)
         entry.config["port"] += 1000
         return True
 
     def move_replica(self):
         machines = self.machines()
-        if len(machines) < 2:
+        if len(machines) < 2 or not self.replicas():
             return False
         moved = self.rng.choice(self.replicas())
         group = [
@@ -597,6 +600,48 @@ class TestComponentReuse:
         assert cache.solvers_reused == 8 - added
         assert cache.components_total == 8
         assert cache.components_reused == 8 - added
+
+    @pytest.mark.parametrize("step", [1, 3, 8, -1, -3, -8])
+    def test_step_generates_only_the_groups_it_changed(self, step):
+        # Replicas go round-robin over the machines, so a step of k
+        # changes the replica list of exactly k of the eight.
+        session = ConfigurationSession(
+            standard_registry(), partition=True, verify_registry=False
+        )
+        first = session.configure(django_fleet(64)).cache
+        assert (first.groups_generated, first.groups_reused) == (8, 0)
+        cache = session.configure(django_fleet(64 + step)).cache
+        k = abs(step)
+        assert (cache.groups_generated, cache.groups_reused) == (k, 8 - k)
+        assert cache.components_reused == 8 - k
+        stats = session.stats
+        assert (stats.groups_generated, stats.groups_reused) == (
+            8 + k, 8 - k
+        )
+
+    def test_hub_spec_takes_the_global_path(self):
+        # Every Celery peers to the one broker on host000, so no other
+        # machine's group can be answered on its own machine.
+        session = ConfigurationSession(
+            standard_registry(), partition=True, verify_registry=False
+        )
+        for port in (8000, 9000):
+            hub = [
+                entry for entry in fleet_spec_entries(
+                    FleetTopology(replicas=8, machines=4, stacks=("django",))
+                )
+                if not entry.id.startswith("broker")
+                or entry.inside_id == "host000"
+            ]
+            hub = [
+                dataclasses.replace(entry, config={"port": port})
+                if entry.id == "web003" else entry
+                for entry in hub
+            ]
+            result = session.configure(PartialInstallSpec(hub))
+            assert result.cache.groups_reused == 0
+            assert result.partition.count == 1
+        assert session.stats.groups_reused == 0
 
     def test_walk_reuses_what_any_cached_spec_holds(self):
         registry = standard_registry()
