@@ -758,8 +758,8 @@ def _misused_bus_flags(args) -> Optional[str]:
 _FLAG_RANGES = (
     (("chaos_rate", "churn_rate", "bus_drop", "bus_dup"), "in [0, 1]",
      lambda value: 0 <= value <= 1),
-    (("bus_jitter", "backoff", "interval", "max_retries"), ">= 0",
-     lambda value: value >= 0),
+    (("bus_jitter", "backoff", "interval", "max_retries", "jobs",
+      "jobs_per_host"), ">= 0", lambda value: value >= 0),
     (("timeout",), "> 0", lambda value: value > 0),
     (("max_rounds", "repeat"), ">= 1", lambda value: value >= 1),
 )

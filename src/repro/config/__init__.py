@@ -4,7 +4,6 @@ checking of installation specifications."""
 
 from repro.config.constraints import (
     ConstraintStats,
-    fact_literals,
     generate_constraints,
     selected_nodes,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "check_spec",
     "explain_message",
     "explain_unsat",
-    "fact_literals",
     "fingerprint_partial",
     "generate_constraints",
     "generate_graph",

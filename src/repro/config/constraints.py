@@ -40,20 +40,13 @@ class ConstraintStats:
 def generate_constraints(
     graph: ResourceGraph,
     encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-    *,
-    facts_as_assumptions: bool = False,
 ) -> tuple[CnfFormula, ConstraintStats]:
     """Build ``Generate(R, I)`` as a CNF formula over node-id variables.
 
-    With ``facts_as_assumptions`` the family-1 unit facts are *omitted*
-    from the clause database; callers pass the corresponding literals to
-    ``solve(assumptions=...)`` instead (see :func:`fact_literals`).  The
-    clause database then encodes only the graph's dependency structure,
-    so one incremental solver can be queried under different
-    pinned-instance sets -- what the unsat-core sweep in
-    :mod:`repro.config.explain` does.  Configuration itself always
-    states the facts as unit clauses, with the pairwise ``encoding``;
-    the other values serve the E12 ablation and ``engage-sim dimacs``.
+    The family-1 facts are unit clauses and come first, in node order;
+    :func:`assumption_form` takes them out again for the unsat-core
+    sweep.  Configuration always uses the pairwise ``encoding``; the
+    other values serve the E12 ablation and ``engage-sim dimacs``.
     """
     formula = CnfFormula()
     facts = 0
@@ -66,8 +59,7 @@ def generate_constraints(
     for node in graph.nodes():
         if node.from_partial:
             facts += 1
-            if not facts_as_assumptions:
-                formula.add_fact(formula.var(node.instance_id))
+            formula.add_fact(formula.var(node.instance_id))
 
     # Family 2: dependency hyperedges.
     for edge in graph.edges():
@@ -87,16 +79,25 @@ def generate_constraints(
     return formula, stats
 
 
-def fact_literals(graph: ResourceGraph, formula: CnfFormula) -> dict[str, int]:
-    """The assumption literal asserting ``rsrc(id)`` for every pinned node.
+def assumption_form(
+    graph: ResourceGraph, formula: CnfFormula
+) -> tuple[CnfFormula, dict[str, int]]:
+    """``formula``, as :func:`generate_constraints` built it for
+    ``graph``, without its family-1 unit facts, and the literal
+    asserting ``rsrc(id)`` for every pinned node.
 
-    Companion to ``generate_constraints(..., facts_as_assumptions=True)``.
+    The clause database then encodes only the graph's dependency
+    structure, and the facts become ``solve(assumptions=...)`` literals,
+    so one incremental solver can be queried under different
+    pinned-instance sets -- what the unsat-core sweep in
+    :mod:`repro.config.explain` does.
     """
-    return {
+    facts = {
         node.instance_id: formula.var(node.instance_id)
         for node in graph.nodes()
         if node.from_partial
     }
+    return formula.without_first(len(facts)), facts
 
 
 def selected_nodes(

@@ -122,10 +122,6 @@ class ConfigurationResult:
 
     spec: InstallSpec
     graph: ResourceGraph
-    #: The whole-graph CNF encoding; None on the partitioned path, which
-    #: builds one formula per component instead (their aggregated sizes
-    #: are in :attr:`constraint_stats` and match the monolithic ones).
-    formula: Optional[CnfFormula]
     model: dict[str, bool]
     constraint_stats: ConstraintStats
     solver_stats: SolverStats
@@ -271,20 +267,18 @@ def configure_component(
 
 
 def raise_unsatisfiable(
-    registry: ResourceTypeRegistry,
-    partial: PartialInstallSpec,
-    graph: ResourceGraph,
+    graph: ResourceGraph, entries: list[ComponentEntry]
 ) -> None:
     """Raise the Theorem 1 :class:`UnsatisfiableError` with the
     minimal-conflict explanation :mod:`repro.config.explain` computes
-    over ``graph``."""
+    over ``graph`` from the call's component ``entries``."""
     from repro.config.explain import explain_unsat
 
     message = (
         "no full installation specification extends the partial "
         f"specification (over {len(graph)} candidate instances)"
     )
-    explanation = explain_unsat(registry, partial, graph=graph)
+    explanation = explain_unsat(graph, entries)
     if explanation is not None:
         message += "\n" + explanation.message(graph)
     raise UnsatisfiableError(message)
@@ -361,7 +355,6 @@ class ConfigurationEngine:
     connected components after GraphGen and encodes/solves/propagates
     each component independently (:mod:`repro.config.partition`); the
     resulting specification is bit-identical to the monolithic one.
-    ``configure(..., partition=...)`` overrides the mode per call.
     ``verify_registry`` checks the registry's well-formedness up front
     and ``tracer`` receives the phase spans; nothing else is settable.
     """
@@ -396,35 +389,26 @@ class ConfigurationEngine:
         return None
 
     @collector_paused
-    def configure(
-        self,
-        partial: PartialInstallSpec,
-        *,
-        partition: Optional[bool] = None,
-    ) -> ConfigurationResult:
+    def configure(self, partial: PartialInstallSpec) -> ConfigurationResult:
         """Compute a full installation specification extending ``partial``.
 
         Raises :class:`UnsatisfiableError` when no extension exists
         (Theorem 1), and surfaces any propagation or typechecking error.
-        ``partition`` overrides the engine's configured mode for this
-        call.
         """
-        use_partition = self._partition if partition is None else partition
         timings = PhaseTimings()
-        graph, components = self.components(partial, use_partition, timings)
+        graph, components = self.components(partial, timings)
         entries = [ComponentEntry(c) for c in components]
-        return self.run(partial, graph, entries, use_partition, timings)
+        return self.run(graph, entries, timings)
 
     def components(
-        self, partial: PartialInstallSpec, partition: bool,
-        timings: PhaseTimings,
+        self, partial: PartialInstallSpec, timings: PhaseTimings
     ) -> tuple[ResourceGraph, list[GraphComponent]]:
         """GraphGen, then the component list the pipeline maps over."""
         started = time.perf_counter()
         graph = generate_graph(self._registry, partial)
         ticked = time.perf_counter()
         timings.graph_ms = (ticked - started) * 1000.0
-        if not partition:
+        if not self._partition:
             return graph, [whole_graph_component(graph)]
         components = partition_graph(graph).components
         timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
@@ -432,20 +416,18 @@ class ConfigurationEngine:
 
     def run(
         self,
-        partial: PartialInstallSpec,
         graph: ResourceGraph,
         entries: list[ComponentEntry],
-        partition: bool,
         timings: PhaseTimings,
         cache: Optional[SessionCacheInfo] = None,
     ) -> ConfigurationResult:
         """The pipeline after GraphGen: solve every component in order
-        (the first unsatisfiable one raises for the whole graph), merge,
-        aggregate the stats into one result and emit the trace.
+        (the first unsatisfiable one raises for the whole graph, with
+        the diagnosis over all of ``entries``), merge, aggregate the
+        stats into one result and emit the trace.
 
-        ``partition`` only says how ``entries`` was built (and so how
-        the result is labelled); ``cache`` is a session's per-call
-        record, attached to the result when given.
+        ``cache`` is a session's per-call record, attached to the
+        result when given.
         """
         record = cache or SessionCacheInfo()
         record.cnf_hit = True
@@ -456,7 +438,7 @@ class ConfigurationEngine:
             record.solvers_reused += run.solver_reused
             record.solvers_built += not run.solver_reused
             if run.instances is None:
-                raise_unsatisfiable(self._registry, partial, graph)
+                raise_unsatisfiable(graph, entries)
             runs.append(run)
         record.solver_reused = record.solvers_reused > 0
         record.typecheck_skipped = bool(runs) and all(
@@ -485,12 +467,11 @@ class ConfigurationEngine:
             constraint_stats.facts += entry.constraint_stats.facts
             constraint_stats.hyperedges += entry.constraint_stats.hyperedges
             _accumulate_solver_stats(solver_stats, entry.solver.stats)
-        partition_info = info if partition else None
+        partition_info = info if self._partition else None
         emit_config_trace(self._tracer, timings, cache, partition_info)
         return ConfigurationResult(
             spec=spec,
             graph=graph,
-            formula=None if partition else entries[0].formula,
             model=model,
             constraint_stats=constraint_stats,
             solver_stats=solver_stats,

@@ -17,7 +17,8 @@ from typing import Optional
 
 from repro.core.instances import PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
-from repro.config.constraints import fact_literals, generate_constraints
+from repro.config.constraints import assumption_form, generate_constraints
+from repro.config.engine import ComponentEntry
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import partition_graph
 from repro.sat.solver import CdclSolver
@@ -59,27 +60,27 @@ class UnsatExplanation:
 
 
 def explain_unsat(
-    registry: ResourceTypeRegistry,
-    partial: PartialInstallSpec,
-    *,
-    graph: Optional[ResourceGraph] = None,
+    graph: ResourceGraph, entries: list[ComponentEntry]
 ) -> Optional[UnsatExplanation]:
-    """Explain why ``partial`` is unsatisfiable; None if it is fine.
+    """Explain why ``graph`` is unsatisfiable; None if it is fine.
 
-    ``graph`` is the hypergraph already generated for ``partial`` (the
-    one whose constraints just proved unsatisfiable); without it
-    GraphGen runs here.
+    ``entries`` are the components of ``graph`` a configure call ran --
+    the whole graph on the monolithic path, its connected components on
+    the partitioned one -- and the diagnosis reuses each one's encoding:
+    the MUS solver is built from the entry's formula without its unit
+    facts (:func:`~repro.config.constraints.assumption_form`).  An entry
+    the call did not reach is encoded here, the one way configure does,
+    and the encoding is not left on it.
 
     Runs a deletion-based MUS over the partial-spec facts: visit each
     pinned instance in id order and drop it whenever the rest is still
     unsatisfiable.  The survivors are a minimal conflicting subset.
 
-    The sweep runs over the graph's connected components with one
-    incremental solver each -- the clause database (and the clauses
-    learned refuting earlier subsets) is shared, each candidate subset
-    is just a new assumption vector.  A trial subset is unsatisfiable
-    iff some component's slice of it is, and dropping a fact only
-    changes its own component's slice.
+    The sweep runs with one incremental solver per component -- the
+    clause database (and the clauses learned refuting earlier subsets)
+    is shared, each candidate subset is just a new assumption vector.
+    A trial subset is unsatisfiable iff some component's slice of it
+    is, and dropping a fact only changes its own component's slice.
 
     Most trials need no solve.  Each unsatisfiable component keeps the
     core ``C`` of its latest refutation (the facts
@@ -96,29 +97,26 @@ def explain_unsat(
     one solve per core member rather than one per pinned instance, and
     its text is the same byte for byte.  Satisfiability decomposes over
     components, so each trial also gets the answer a whole-graph solve
-    would give, and the diagnosis is the whole-graph one byte for byte.
+    would give, and the diagnosis is the same however ``graph`` was
+    split into ``entries``.
     """
-    if graph is None:
-        graph = generate_graph(registry, partial)
-    components = partition_graph(graph).components
     solvers: list[CdclSolver] = []
     # Per component, the facts still kept (id -> assumption literal, in
     # id order) and the id each assumption literal asserts.
     kept: list[dict[str, int]] = []
     fact_ids: list[dict[int, str]] = []
     component_of: dict[str, int] = {}
-    for component in components:
-        # The constraint formula *without* the partial-spec unit facts;
-        # the facts become assumption literals instead.
-        formula, _stats = generate_constraints(
-            component.graph, facts_as_assumptions=True
-        )
-        facts = fact_literals(component.graph, formula)
+    for index, entry in enumerate(entries):
+        part = entry.component.graph
+        formula = entry.formula
+        if formula is None:
+            formula, _stats = generate_constraints(part)
+        formula, facts = assumption_form(part, formula)
         solvers.append(CdclSolver(formula))
         kept.append({iid: facts[iid] for iid in sorted(facts)})
         fact_ids.append({literal: iid for iid, literal in facts.items()})
         for fact_id in facts:
-            component_of[fact_id] = component.index
+            component_of[fact_id] = index
 
     def refute(
         index: int, without: Optional[str] = None
@@ -172,9 +170,14 @@ def _finish(graph: ResourceGraph, core: list[str]) -> UnsatExplanation:
 def explain_message(
     registry: ResourceTypeRegistry, partial: PartialInstallSpec
 ) -> Optional[str]:
-    """The human-readable explanation, or None when satisfiable."""
+    """The human-readable explanation, or None when satisfiable: the
+    sweep over ``partial``'s connected components."""
     graph = generate_graph(registry, partial)
-    explanation = explain_unsat(registry, partial, graph=graph)
+    entries = [
+        ComponentEntry(component)
+        for component in partition_graph(graph).components
+    ]
+    explanation = explain_unsat(graph, entries)
     if explanation is None:
         return None
     return explanation.message(graph)

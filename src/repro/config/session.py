@@ -11,7 +11,7 @@ the *same pipeline* (:meth:`ConfigurationEngine.run` over
 where each component's working state comes from.  It keeps three
 levels, least recently used first out:
 
-* per ``(partition, fingerprint)`` of the partial specification
+* per **fingerprint** of the partial specification
   (:mod:`repro.config.fingerprint`, order-sensitive in instances
   because GraphGen is), the **hypergraph** and its component list, so a
   repeated spec skips GraphGen and the partition pass;
@@ -19,8 +19,8 @@ levels, least recently used first out:
   slice of the canonical form), one
   :class:`~repro.config.groups.GroupGraph`: GraphGen over that group
   alone, and the component it was last assembled into;
-* per component **content** (:func:`content_key`: the mode, the nodes
-  and the edges, in order), one
+* per component **content** (:func:`content_key`: the nodes and the
+  edges, in order), one
   :class:`~repro.config.engine.ComponentEntry`: the **CNF encoding**,
   pinned instances included as unit clauses exactly as the engine states
   them (the content says which nodes are pinned, so an entry's facts
@@ -122,7 +122,7 @@ class SessionStats:
 
 
 class _Entry(NamedTuple):
-    """Everything cached for one (partition, fingerprint) key.
+    """Everything cached for one fingerprint.
 
     ``entries[i]`` is the kept state of ``components[i]``; an entry may
     be listed by several specs, each with its own (equal) component.
@@ -136,24 +136,20 @@ class _Entry(NamedTuple):
     groups: tuple[GroupGraph, ...] = ()
 
 
-def content_key(partition: bool, component: GraphComponent) -> tuple:
+def content_key(component: GraphComponent) -> tuple:
     """Everything encode, solve, propagate and typecheck read from one
     component, as a hashable value.
 
     Node and edge *order* is part of the key: variable numbering, the
     canonical model and the per-source edge indexes the decoded choices
-    are keyed by all depend on it.  The mode is part of it too -- a
-    one-component graph is the same component partitioned or not, but
-    the two modes never share an entry.  So is each node's
-    ``from_partial`` flag: the entry's encoding states pinned nodes as
-    unit clauses, and components that differ only in what is pinned
-    must never share one.  Pinned keys are taken by their
-    exact version parts (``6.0 == 6.0.0`` as versions, yet they print
-    differently in the full specification).
+    are keyed by all depend on it.  So is each node's ``from_partial``
+    flag: the entry's encoding states pinned nodes as unit clauses, and
+    components that differ only in what is pinned must never share one.
+    Pinned keys are taken by their exact version parts (``6.0 == 6.0.0``
+    as versions, yet they print differently in the full specification).
     """
     graph = component.graph
     return (
-        partition,
         tuple(
             (
                 node.instance_id, node.key.name, node.key.version.parts,
@@ -198,11 +194,8 @@ class ConfigurationSession:
         self._verify_registry = verify_registry
         self._partition = partition
         self._max_entries = max_entries
-        #: Keyed by (partition, fingerprint): the two modes cache
-        #: different component lists (the whole graph, or its connected
-        #: components), so a mode flip must never serve the other
-        #: mode's entry.
-        self._entries: dict[tuple, _Entry] = {}
+        #: Fingerprint -> the spec's entry, least recently used first.
+        self._entries: dict[str, _Entry] = {}
         #: :func:`content_key` -> the component entry some cached spec
         #: lists.  Weak: the spec-level entries own them, so evicting
         #: the last spec that lists one drops it and ``max_entries``
@@ -244,25 +237,24 @@ class ConfigurationSession:
             assert_well_formed(self._registry)
         self._registry_version = self._registry.version
 
-    def _lookup(self, key: tuple) -> Optional[_Entry]:
+    def _lookup(self, key: str) -> Optional[_Entry]:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._entries[key] = entry  # re-insert: LRU refresh
         return entry
 
-    def _store(self, key: tuple, entry: _Entry) -> None:
+    def _store(self, key: str, entry: _Entry) -> None:
         self._entries[key] = entry
         if len(self._entries) > self._max_entries:
             del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
 
     def _resolve(
-        self, partition: bool, component: GraphComponent,
-        cache: SessionCacheInfo,
+        self, component: GraphComponent, cache: SessionCacheInfo
     ) -> ComponentEntry:
         """The kept entry for ``component``'s content, built where no
         cached spec has one."""
-        key = content_key(partition, component)
+        key = content_key(component)
         kept = self._kept.get(key)
         if kept is None:
             kept = self._kept[key] = ComponentEntry(component)
@@ -271,16 +263,13 @@ class ConfigurationSession:
         return kept
 
     def _global(
-        self, partial: PartialInstallSpec, partition: bool,
-        timings: PhaseTimings, cache: SessionCacheInfo,
+        self, partial: PartialInstallSpec, timings: PhaseTimings,
+        cache: SessionCacheInfo,
     ) -> _Entry:
         """GraphGen over the whole spec, as the engine runs it."""
-        graph, components = self._engine.components(
-            partial, partition, timings
-        )
+        graph, components = self._engine.components(partial, timings)
         entries = [
-            self._resolve(partition, component, cache)
-            for component in components
+            self._resolve(component, cache) for component in components
         ]
         return _Entry(graph, components, entries)
 
@@ -315,7 +304,7 @@ class ConfigurationSession:
         entries: list[ComponentEntry] = []
         for group, component, fresh in zip(groups, components, changed):
             if fresh:
-                group.entry = self._resolve(True, component, cache)
+                group.entry = self._resolve(component, cache)
             else:
                 cache.components_reused += 1
             entries.append(group.entry)
@@ -324,40 +313,32 @@ class ConfigurationSession:
     # -- The pipeline ---------------------------------------------------
 
     @collector_paused
-    def configure(
-        self,
-        partial: PartialInstallSpec,
-        *,
-        partition: Optional[bool] = None,
-    ) -> ConfigurationResult:
+    def configure(self, partial: PartialInstallSpec) -> ConfigurationResult:
         """Expand ``partial``, reusing every cache the session holds.
 
         Semantics match :meth:`ConfigurationEngine.configure`, including
         :class:`~repro.core.errors.UnsatisfiableError` on Theorem 1
-        failures.  ``partition`` overrides the session's configured
-        mode for this call; the modes never share cache entries.
+        failures.
         """
-        use_partition = self._partition if partition is None else partition
         self._revalidate()
         stats = self.stats
         stats.configure_calls += 1
         timings = PhaseTimings()
         form = canonical_form(partial)
         cache = SessionCacheInfo(fingerprint=fingerprint_form(form))
-        key = (use_partition, cache.fingerprint)
-        entry = self._lookup(key)
+        entry = self._lookup(cache.fingerprint)
         cache.graph_hit = entry is not None
         if entry is None:
             # A new spec runs GraphGen only for the machine groups no
             # cached spec holds; a spec whose groups cannot be answered
             # machine by machine (a shared peer, a tie between generated
             # ids, an error) runs it over the whole spec.
-            if use_partition:
+            if self._partition:
                 entry = self._grouped(partial, form, timings, cache)
             if entry is None:
-                entry = self._global(partial, use_partition, timings, cache)
+                entry = self._global(partial, timings, cache)
             cache.components_total = len(entry.components)
-            self._store(key, entry)
+            self._store(cache.fingerprint, entry)
         stats.graph_hits += cache.graph_hit
         stats.graph_misses += not cache.graph_hit
         stats.components_total += cache.components_total
@@ -370,8 +351,7 @@ class ConfigurationSession:
             kept.component = component
         try:
             result = self._engine.run(
-                partial, entry.graph, entry.entries, use_partition,
-                timings, cache,
+                entry.graph, entry.entries, timings, cache
             )
         finally:
             # Also on UNSAT: the encodings and solvers built for it are

@@ -101,8 +101,12 @@ class CnfFormula:
         return iter(self._clauses)
 
     def copy(self) -> "CnfFormula":
+        return self.without_first(0)
+
+    def without_first(self, count: int) -> "CnfFormula":
+        """A copy that leaves out the first ``count`` clauses."""
         clone = CnfFormula()
-        clone._clauses = list(self._clauses)
+        clone._clauses = self._clauses[count:]
         clone._name_to_var = dict(self._name_to_var)
         clone._var_to_name = dict(self._var_to_name)
         clone._num_vars = self._num_vars

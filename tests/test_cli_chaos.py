@@ -188,6 +188,12 @@ class TestFlagRanges:
              "--repeat must be >= 1, got 0"),
             (["configure", "S", "--session", "--repeat", "-2"],
              "--repeat must be >= 1, got -2"),
+            (["deploy", "S", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
+            (["deploy", "S", "--jobs-per-host", "-1"],
+             "--jobs-per-host must be >= 0, got -1"),
+            (["reconcile", "B", "--jobs", "-1"], "--jobs must be >= 0"),
+            (["reconcile", "B", "--jobs-per-host", "-2"],
+             "--jobs-per-host must be >= 0, got -2"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, argv, flag):

@@ -4,8 +4,10 @@ Besides the hand-written cases: on random UNSAT mutants -- one conflict,
 or two planted at once -- the core-skipping diagnosis equals a reference
 copy of the sweep that solved every candidate, both the per-component
 and the whole-graph one; every diagnosis is minimal, checked with
-assumptions on a fresh solver; and on a hub-shaped fleet the number of
-solves does not grow with the fleet, through an engine in either mode.
+assumptions on a fresh solver; on a hub-shaped fleet the number of
+solves does not grow with the fleet, through an engine in either mode;
+and a refused configure call partitions and encodes each component at
+most once, its diagnosis included.
 """
 
 import random
@@ -20,15 +22,26 @@ from repro.config import (
     explain_message,
     explain_unsat,
 )
-from repro.config.constraints import fact_literals, generate_constraints
+from repro.config.constraints import generate_constraints
+from repro.config.engine import ComponentEntry
 from repro.config.hypergraph import generate_graph
 from repro.config.partition import partition_graph, whole_graph_component
 from repro.library import standard_registry
-from repro.sat import CdclSolver
+from repro.sat import CdclSolver, CnfFormula
 
 from tests.test_fuzz import conflict_mutant, random_fleet_partial
 
 REGISTRY = standard_registry()
+
+
+def diagnose(registry, partial):
+    """``explain_unsat`` over ``partial``'s connected components, the
+    sweep ``explain_message`` runs."""
+    graph = generate_graph(registry, partial)
+    return explain_unsat(graph, [
+        ComponentEntry(component)
+        for component in partition_graph(graph).components
+    ])
 
 
 def pinned_java_conflict(openmrs_partial):
@@ -43,12 +56,12 @@ def pinned_java_conflict(openmrs_partial):
 
 class TestExplainUnsat:
     def test_satisfiable_returns_none(self, registry, openmrs_partial):
-        assert explain_unsat(registry, openmrs_partial) is None
+        assert diagnose(registry, openmrs_partial) is None
         assert explain_message(registry, openmrs_partial) is None
 
     def test_conflict_core_found(self, registry, openmrs_partial):
         partial = pinned_java_conflict(openmrs_partial)
-        explanation = explain_unsat(registry, partial)
+        explanation = diagnose(registry, partial)
         assert explanation is not None
         # The two pinned runtimes are in the core; the innocent openmrs
         # instance (removable without restoring satisfiability? it is
@@ -60,7 +73,7 @@ class TestExplainUnsat:
         """Dropping any single member of the core restores
         satisfiability -- the definition of minimality."""
         partial = pinned_java_conflict(openmrs_partial)
-        explanation = explain_unsat(registry, partial)
+        explanation = diagnose(registry, partial)
         core = set(explanation.conflicting_ids)
         for victim in core:
             reduced = PartialInstallSpec(
@@ -82,11 +95,11 @@ class TestExplainUnsat:
                     or instance.inside_id in survivors
                 ]
             )
-            assert explain_unsat(registry, reduced) is None, victim
+            assert diagnose(registry, reduced) is None, victim
 
     def test_related_edges_reported(self, registry, openmrs_partial):
         partial = pinned_java_conflict(openmrs_partial)
-        explanation = explain_unsat(registry, partial)
+        explanation = diagnose(registry, partial)
         sources = {source for source, _ in explanation.related_edges}
         assert "tomcat" in sources
 
@@ -152,12 +165,34 @@ class TestExplainUnsat:
                                 inside_id="node"),
             ]
         )
-        explanation = explain_unsat(registry, partial)
+        explanation = diagnose(registry, partial)
         assert explanation is not None
         assert {"g", "a"} <= set(explanation.conflicting_ids)
 
 
 # -- The core-skipping sweep against the one that solved every candidate ----
+
+
+def assumption_encoding(graph):
+    """``graph``'s constraint formula without the unit clauses that pin
+    its partial-spec nodes, and the literal asserting each pinned node:
+    the clause database both reference sweeps query under assumptions,
+    derived here from ``generate_constraints`` alone."""
+    formula, _stats = generate_constraints(graph)
+    facts = {
+        node.instance_id: formula.var(node.instance_id)
+        for node in graph.nodes()
+        if node.from_partial
+    }
+    units = {(literal,) for literal in facts.values()}
+    structure = CnfFormula()
+    for node in graph.nodes():
+        structure.var(node.instance_id)
+    for clause in formula.clauses():
+        if clause not in units:
+            structure.add_clause(clause)
+    assert structure.num_vars == formula.num_vars
+    return structure, facts
 
 
 def reference_conflict(partial, *, partition):
@@ -172,10 +207,7 @@ def reference_conflict(partial, *, partition):
     )
     solvers, fact_maps, kept, component_of = [], [], [], {}
     for component in components:
-        formula, _stats = generate_constraints(
-            component.graph, facts_as_assumptions=True
-        )
-        facts = fact_literals(component.graph, formula)
+        formula, facts = assumption_encoding(component.graph)
         solvers.append(CdclSolver(formula))
         fact_maps.append(facts)
         kept.append(sorted(facts))
@@ -232,9 +264,7 @@ def two_conflicts(seed):
 def assert_minimal(partial, conflicting_ids):
     """The set is refuted, and dropping any one member makes it
     satisfiable: assumptions on fresh solvers, the spec left as is."""
-    graph = generate_graph(REGISTRY, partial)
-    formula, _stats = generate_constraints(graph, facts_as_assumptions=True)
-    facts = fact_literals(graph, formula)
+    formula, facts = assumption_encoding(generate_graph(REGISTRY, partial))
     literals = [facts[iid] for iid in conflicting_ids]
     assert not CdclSolver(formula).solve(literals)
     for k, victim in enumerate(conflicting_ids):
@@ -243,9 +273,13 @@ def assert_minimal(partial, conflicting_ids):
 
 
 def check_diagnosis(partial):
-    """The one diagnosis equals both reference sweeps, per component
-    and over the whole graph, and is minimal."""
-    explanation = explain_unsat(REGISTRY, partial)
+    """The diagnosis is the same over the connected components and over
+    the whole graph as one component (the monolithic engine's), equals
+    both reference sweeps, and is minimal."""
+    explanation = diagnose(REGISTRY, partial)
+    graph = generate_graph(REGISTRY, partial)
+    whole = [ComponentEntry(whole_graph_component(graph))]
+    assert explain_unsat(graph, whole) == explanation
     for partition in (False, True):
         expected = reference_conflict(partial, partition=partition)
         assert explanation.conflicting_ids == expected, partition
@@ -348,7 +382,7 @@ class TestSolvesPerDiagnosis:
         from repro.config import explain
 
         solve = CdclSolver.solve
-        diagnose = explain.explain_unsat
+        sweep = explain.explain_unsat
         calls, diagnoses = [], []
 
         def counting(self, assumptions=()):
@@ -357,7 +391,7 @@ class TestSolvesPerDiagnosis:
 
         def diagnosing(*args, **kwargs):
             before = len(calls)
-            explanation = diagnose(*args, **kwargs)
+            explanation = sweep(*args, **kwargs)
             diagnoses.append((explanation, len(calls) - before))
             return explanation
 
@@ -377,3 +411,56 @@ class TestSolvesPerDiagnosis:
             assert len(explanation.conflicting_ids) == 3
             counts.append(solves)
         assert counts[0] == counts[1] <= 12, counts
+
+
+# -- A refused call builds each component once --------------------------------
+
+
+class TestEncodeOnce:
+    """The diagnosis runs on the components and encodings the configure
+    call already made: per call, ``partition_graph`` runs at most once
+    and ``generate_constraints`` at most once per component the call
+    ran (the diagnosis used to partition the graph again and encode
+    every component a second time)."""
+
+    @pytest.mark.parametrize("spec", ["hub", "two_conflicts"])
+    def test_one_partition_one_encoding_per_component(
+        self, monkeypatch, spec
+    ):
+        from repro.config import constraints, engine, explain, partition
+
+        partial = hub_mutant(4, 3) if spec == "hub" else two_conflicts(1)
+        graph = generate_graph(REGISTRY, partial)
+        split = len(partition_graph(graph).components)
+        partitions, encoded = [], []
+
+        def counting_partition(graph):
+            partitions.append(graph)
+            return partition.partition_graph(graph)
+
+        def counting_encode(graph, *args, **kwargs):
+            encoded.append(tuple(node.instance_id for node in graph.nodes()))
+            return constraints.generate_constraints(graph, *args, **kwargs)
+
+        for module in (engine, explain):
+            monkeypatch.setattr(module, "partition_graph", counting_partition)
+            monkeypatch.setattr(module, "generate_constraints",
+                                counting_encode)
+        front_ends = [
+            (ConfigurationEngine(REGISTRY, partition=True), split),
+            (ConfigurationEngine(REGISTRY), 1),
+            (ConfigurationSession(REGISTRY, partition=True), split),
+        ]
+        messages = []
+        for front_end, components in front_ends:
+            partitions.clear()
+            encoded.clear()
+            with pytest.raises(UnsatisfiableError) as refused:
+                front_end.configure(partial)
+            messages.append(str(refused.value))
+            assert len(partitions) <= 1, type(front_end)
+            assert len(encoded) == len(set(encoded)) <= components, (
+                type(front_end), len(encoded), components,
+            )
+        assert messages[0] == messages[1] == messages[2]
+        assert "cannot be deployed together" in messages[0]

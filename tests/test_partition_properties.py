@@ -1,7 +1,7 @@
 """Component-partitioned configuration equals the monolithic pipeline.
 
 The tentpole property: for every partial installation specification,
-``configure(partition=True)`` -- engine or session -- produces the same
+an engine or session built with ``partition=True`` produces the same
 full specification, named model, deployed set, and aggregate constraint
 sizes as the monolithic path, byte for byte; and on unsatisfiable input
 both paths raise :class:`UnsatisfiableError` with the *same* minimal
@@ -46,7 +46,6 @@ def assert_equivalent(partial: PartialInstallSpec) -> None:
     assert full_to_json(part.spec) == expected
     assert part.model == mono.model
     assert part.deployed_ids == mono.deployed_ids
-    assert part.formula is None
     assert part.partition is not None
     assert part.solver_stats.components == part.partition.count
     assert part.constraint_stats.variables == mono.constraint_stats.variables
@@ -177,15 +176,16 @@ class TestMergeDeterminism:
 
 
 class TestEngineContract:
-    def test_per_call_override_beats_constructor_mode(self):
-        engine = ConfigurationEngine(REGISTRY, partition=True)
-        result = engine.configure(figure2(), partition=False)
-        assert result.partition is None
-        assert result.formula is not None
-        forced = ConfigurationEngine(REGISTRY).configure(
-            figure2(), partition=True
-        )
-        assert forced.partition is not None
+    def test_constructor_mode_decides(self):
+        """The mode is the one the engine was built with; a call cannot
+        change it."""
+        part = ConfigurationEngine(REGISTRY, partition=True)
+        assert part.configure(figure2()).partition is not None
+        assert ConfigurationEngine(REGISTRY).configure(
+            figure2()
+        ).partition is None
+        with pytest.raises(TypeError):
+            part.configure(figure2(), partition=False)
 
     def test_empty_partial(self):
         result = ConfigurationEngine(
@@ -263,10 +263,11 @@ class TestMonolithicIsTheOneComponentCase:
         "front_end", [ConfigurationEngine, ConfigurationSession]
     )
     def test_connected_graph_is_mode_independent(self, front_end):
-        configurator = front_end(REGISTRY)
+        monolithic = front_end(REGISTRY)
+        partitioned = front_end(REGISTRY, partition=True)
         for _ in range(2):  # the session's second round is all-warm
-            mono = configurator.configure(small_hub())
-            part = configurator.configure(small_hub(), partition=True)
+            mono = monolithic.configure(small_hub())
+            part = partitioned.configure(small_hub())
             assert part.partition.count == 1
             assert full_to_json(part.spec) == full_to_json(mono.spec)
             assert part.model == mono.model
@@ -289,8 +290,9 @@ class TestMonolithicIsTheOneComponentCase:
         session.configure(figure2())
         assert calls == []
         ConfigurationEngine(REGISTRY, partition=True).configure(figure2())
-        session.configure(figure2(), partition=True)
-        session.configure(figure2(), partition=True)  # cached split
+        session = ConfigurationSession(REGISTRY, partition=True)
+        session.configure(figure2())
+        session.configure(figure2())  # cached split
         assert len(calls) == 2
 
 

@@ -16,6 +16,7 @@ from repro.core.errors import (
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
+    generate_constraints,
     selected_nodes,
 )
 from repro.sat.solver import DpllSolver
@@ -174,10 +175,10 @@ class TestUnsat:
 
 
 def dpll_deployed(result):
-    """The deployed set the reference DPLL solver picks for the CNF a
-    monolithic ``result`` was solved from (an engine's or a session's:
-    both state the pinned instances as unit clauses)."""
-    formula = result.formula
+    """The deployed set the reference DPLL solver picks for the CNF of
+    ``result``'s graph (the pinned instances as unit clauses, as every
+    configure path states them)."""
+    formula, _stats = generate_constraints(result.graph)
     dpll = DpllSolver(formula)
     assert dpll.solve()
     named = {

@@ -311,53 +311,15 @@ class TestOneEncoding:
             return whole_graph_component(twin)
 
         same, flipped = copy(()), copy({"jdk"})
-        original = content_key(True, whole_graph_component(graph))
-        assert content_key(True, same) == original
-        assert content_key(True, flipped) != original
+        original = content_key(whole_graph_component(graph))
+        assert content_key(same) == original
+        assert content_key(flipped) != original
         chosen = [
             configure_component(registry, ComponentEntry(component)).deployed
             for component in (same, flipped)
         ]
         assert "jre" in chosen[0] and "jdk" not in chosen[0]
         assert "jdk" in chosen[1] and "jre" not in chosen[1]
-
-
-class TestPartitionCacheKeys:
-    """Partitioned and monolithic runs of the *same* partial spec cache
-    under distinct keys: the encodings differ (per-component CNFs vs one
-    global formula), so sharing an entry would replay the wrong one."""
-
-    def test_mode_flip_creates_two_entries(self):
-        session = ConfigurationSession(standard_registry())
-        mono = session.configure(figure2())
-        part = session.configure(figure2(), partition=True)
-        assert len(session) == 2
-        assert not part.cache.graph_hit
-        assert not part.cache.cnf_hit
-        assert full_to_json(part.spec) == full_to_json(mono.spec)
-        assert mono.partition is None and mono.formula is not None
-        assert part.partition is not None and part.formula is None
-
-    def test_each_mode_warms_its_own_entry(self):
-        session = ConfigurationSession(standard_registry())
-        for _ in range(2):
-            session.configure(figure2())
-            session.configure(figure2(), partition=True)
-        assert len(session) == 2
-        warm_mono = session.configure(figure2())
-        warm_part = session.configure(figure2(), partition=True)
-        assert warm_mono.cache.cnf_hit and warm_mono.cache.solver_reused
-        assert warm_part.cache.cnf_hit and warm_part.cache.solver_reused
-        assert full_to_json(warm_mono.spec) == full_to_json(warm_part.spec)
-
-    def test_mode_flip_does_not_evict_the_other_mode(self):
-        session = ConfigurationSession(standard_registry(), max_entries=2)
-        session.configure(figure2())
-        session.configure(figure2(), partition=True)
-        assert session.configure(figure2()).cache.cnf_hit
-        assert session.configure(
-            figure2(), partition=True
-        ).cache.cnf_hit
 
 
 # --------------------------------------------------------------------
