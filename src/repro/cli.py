@@ -9,8 +9,8 @@ the reproduction's equivalent, driving the whole pipeline from files:
 * ``explain``    diagnose an unsatisfiable partial spec;
 * ``deploy``     configure and run a simulated deployment (optionally
   traced: ``--trace FILE`` / ``--metrics``);
-* ``trace``      render a saved bundle as Chrome trace-event JSON, or
-  validate an existing trace file.
+* ``trace``      render a saved bundle's journal as Chrome trace-event
+  JSON, or validate an existing trace file.
 
 Every command accepts ``--types FILE ...`` to load DSL resource files;
 by default the built-in standard library is preloaded (disable with
@@ -918,13 +918,14 @@ def cmd_deploy(args, out: TextIO) -> int:
 
 
 def cmd_trace(args, out: TextIO) -> int:
-    """Render a saved bundle's history into a Chrome trace file, or
-    validate an existing trace file against the schema."""
+    """Render a saved bundle's journal into a Chrome trace file (one
+    instant per entry, on its machine's lane), or validate an existing
+    trace file against the schema."""
     import json
 
     from repro.obs import (
         chrome_trace_json,
-        trace_from_clock_events,
+        trace_from_journal,
         validate_chrome_trace,
     )
 
@@ -950,16 +951,12 @@ def cmd_trace(args, out: TextIO) -> int:
     if not args.bundle:
         out.write("error: a bundle is required (or use --validate)\n")
         return 2
-    _, infrastructure, _, system = _load_bundle(args.bundle)
+    _, _, _, system = _load_bundle(args.bundle)
     host_of = {
         instance.id: system.machine_for(instance.id).hostname
         for instance in system.spec
     }
-    events = trace_from_clock_events(
-        infrastructure.clock.events(),
-        journal_entries=system.journal.entries,
-        lane_of=host_of,
-    )
+    events = trace_from_journal(system.journal.entries, lane_of=host_of)
     text = chrome_trace_json(events, metadata={"bundle": args.bundle})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -1307,8 +1304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="render a saved bundle as Chrome trace JSON, or validate "
-        "a trace file",
+        help="render a saved bundle's journal as Chrome trace JSON, or "
+        "validate a trace file",
     )
     trace.add_argument(
         "bundle", metavar="BUNDLE", nargs="?",

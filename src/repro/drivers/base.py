@@ -116,7 +116,7 @@ class ResourceDriver:
             )
         duration = self.action_cost(action)
         clock = self.context.infrastructure.clock
-        clock.advance(duration, f"{action}:{self.context.instance.id}")
+        clock.advance(duration)
         plan = getattr(self.context.infrastructure, "fault_plan", None)
         try:
             if plan is not None:

@@ -13,8 +13,9 @@ The pieces:
   JSON export (Perfetto / ``chrome://tracing``), one thread lane per
   simulated host;
 * :func:`validate_chrome_trace` -- the dependency-free schema check;
-* :func:`trace_from_clock_events` -- after-the-fact rendering of a
-  saved bundle's clock log + journal (``engage-sim trace``).
+* :func:`trace_from_journal` -- after-the-fact rendering of a saved
+  bundle's journal, one instant per entry (``engage-sim trace``); the
+  spans of a run are the live tracer's alone.
 
 The whole layer is zero-overhead when disabled: no tracer installed
 means every emitting site short-circuits on ``tracer is None`` and
@@ -24,7 +25,7 @@ reports, journals, and CLI output are bit-identical to an untraced run.
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
-    trace_from_clock_events,
+    trace_from_journal,
     validate_chrome_trace,
     write_trace,
 )
@@ -41,7 +42,7 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "chrome_trace_json",
-    "trace_from_clock_events",
+    "trace_from_journal",
     "validate_chrome_trace",
     "write_trace",
 ]

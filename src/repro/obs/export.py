@@ -12,10 +12,11 @@ mandates).
 suite and CI -- a dependency-free structural validator rather than a
 jsonschema document, since the container ships no validator library.
 
-:func:`trace_from_clock_events` rebuilds trace events from a
-:class:`~repro.sim.clock.SimClock` event log plus a deployment journal,
-which is how ``engage-sim trace`` renders a *saved bundle* into a trace
-file after the fact.
+:func:`trace_from_journal` turns a deployment journal into trace
+instants, which is how ``engage-sim trace`` renders a *saved bundle*
+after the fact.  That view is the journal's record (what happened, and
+when); the action, backoff and fault spans of a run exist only in the
+live tracer of ``deploy --trace`` / ``reconcile --trace``.
 """
 
 from __future__ import annotations
@@ -155,58 +156,31 @@ def validate_chrome_trace(payload: Any) -> list[str]:
 # -- After-the-fact rendering (``engage-sim trace``) --------------------
 
 
-def trace_from_clock_events(
-    clock_events: Iterable[Any],
+def trace_from_journal(
+    journal_entries: Iterable[Any],
     *,
-    journal_entries: Iterable[Any] = (),
     lane_of: Optional[Mapping[str, str]] = None,
 ) -> list[TraceEvent]:
-    """Rebuild trace events from a clock log and a journal.
+    """One ``journal`` instant per journal entry, at its timestamp.
 
-    ``clock_events`` are :class:`~repro.sim.clock.ClockEvent`-shaped
-    (``start``/``duration``/``label``); ``journal_entries`` are
-    :class:`~repro.runtime.journal.JournalEntry`-shaped.  ``lane_of``
-    maps instance ids to lane names (typically hostnames); labels whose
-    ``prefix:rest`` tail resolves through it land on that lane, the
-    rest collect on a ``clock`` (or ``faults``) lane.  Clock labels are
-    ``action:instance`` for driver actions, ``backoff:instance:action``
-    for retry waits, and ``fault-*:site`` for injected hangs.
+    ``journal_entries`` are
+    :class:`~repro.runtime.journal.JournalEntry`-shaped; ``lane_of``
+    maps instance ids to lane names (typically hostnames), and an entry
+    whose instance it does not name lands on a ``journal`` lane.  Each
+    instant carries the entry's instance, action, source and target.
     """
     lane_of = lane_of or {}
-    events: list[TraceEvent] = []
-    seq = 0
-    for clock_event in clock_events:
-        label = clock_event.label or "advance"
-        prefix, _, rest = label.partition(":")
-        instance = rest.split(":", 1)[0] if rest else ""
-        name, category, lane = label, "clock", "clock"
-        if prefix.startswith("fault-"):
-            category, lane = "fault", "faults"
-        elif instance in lane_of:
-            name = prefix
-            category = "backoff" if prefix == "backoff" else "action"
-            lane = lane_of[instance]
-        args = {"instance": instance} if instance in lane_of else {}
-        events.append(
-            TraceEvent(
-                name, category, SPAN, clock_event.start,
-                clock_event.duration, lane, args, seq,
-            )
+    return [
+        TraceEvent(
+            "record", "journal", INSTANT, entry.timestamp, 0.0,
+            lane_of.get(entry.instance_id, "journal"),
+            {
+                "instance": entry.instance_id,
+                "action": entry.action,
+                "source": entry.source,
+                "target": entry.target,
+            },
+            seq,
         )
-        seq += 1
-    for entry in journal_entries:
-        events.append(
-            TraceEvent(
-                "record", "journal", INSTANT, entry.timestamp, 0.0,
-                lane_of.get(entry.instance_id, "journal"),
-                {
-                    "instance": entry.instance_id,
-                    "action": entry.action,
-                    "source": entry.source,
-                    "target": entry.target,
-                },
-                seq,
-            )
-        )
-        seq += 1
-    return events
+        for seq, entry in enumerate(journal_entries)
+    ]

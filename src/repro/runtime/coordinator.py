@@ -1042,7 +1042,7 @@ class BusCoordinator:
                 nxt = now + 0.001
             else:
                 no_progress = 0
-            clock.sync_to(nxt)
+            clock.advance_to(nxt)
         system = self._finish(
             spec, waves, bus, masters, agents, started_at,
             failover, partition_record, instants, steps,

@@ -519,10 +519,7 @@ class DeploymentEngine:
                         attempt, instance_id, transition.action
                     )
                     if backoff > 0.0:
-                        clock.advance(
-                            backoff,
-                            f"backoff:{instance_id}:{transition.action}",
-                        )
+                        clock.advance(backoff)
                 record = ActionRecord(
                     instance_id=instance_id,
                     action=transition.action,

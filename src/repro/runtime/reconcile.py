@@ -582,7 +582,7 @@ class ReconcileController:
         for _ in range(rounds):
             clock = self.system.infrastructure.clock
             if self.interval:
-                clock.advance(self.interval, "reconcile-wait")
+                clock.advance(self.interval)
             if churn is not None:
                 churn.round(len(self.rounds))
             self.poll()

@@ -177,7 +177,7 @@ class DagScheduler:
             if not running:
                 break
             end, _, index, start, error = heapq.heappop(running)
-            clock.sync_to(end)
+            clock.advance_to(end)
             finish = earliest[index] + (end - start)
             if finish > longest:
                 longest = finish

@@ -9,14 +9,12 @@ specification, driver states and write-ahead journal;
 :func:`load_system` re-adopts it against the same infrastructure,
 reattaching service drivers to their still-running processes by name.
 
-One format is written: ``engage-state-2`` -- spec, states and the
-system's :class:`~repro.runtime.journal.DeploymentJournal`, so every
+One format is written and read: ``engage-state-2`` -- spec, states and
+the system's :class:`~repro.runtime.journal.DeploymentJournal`, so every
 saved system is resumable with :meth:`DeploymentEngine.resume` and
-``load_system(...).journal`` is the journal.  ``engage-state-1`` (spec +
-states, written before the journal was part of the system) is still
-*read*: such a file loads with the blank journal its system is born
-with.  :func:`system_payload` / :func:`system_from_payload` are the same
-document as data, which is what a bundle nests.
+``load_system(...).journal`` is the journal.  :func:`system_payload` /
+:func:`system_from_payload` are the same document as data, which is
+what a bundle nests.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ from repro.runtime.deploy import DeployedSystem, DeploymentEngine
 from repro.runtime.journal import DeploymentJournal
 from repro.sim.infrastructure import Infrastructure
 
-#: The journal-less layout older files carry; read, never written.
-STATE_FORMAT = "engage-state-1"
-#: The format :func:`save_system` writes: v1 plus a "journal" section.
+#: The one format :func:`save_system` writes and :func:`system_from_payload`
+#: reads: spec, driver states and a "journal" section.
 JOURNAL_FORMAT = "engage-state-2"
 
 _section = partial(
@@ -123,14 +120,13 @@ def system_from_payload(
     The machines must still exist on the infrastructure's network (state
     files describe deployments of *this* world; they are not machine
     images).  The ``states`` section must cover every instance; it
-    speaks alone where the journal is silent (a v1 file, or a v2 one
-    saved from it), and a document whose driver states contradict its
-    own journal's frontier is refused: one of the two is not what
-    happened.
+    speaks alone where the journal is silent (a blank journal), and a
+    document whose driver states contradict its own journal's frontier
+    is refused: one of the two is not what happened.
     """
     if not isinstance(payload, dict):
         raise RuntimeEngageError("state file must be a JSON object")
-    if payload.get("format") not in (STATE_FORMAT, JOURNAL_FORMAT):
+    if payload.get("format") != JOURNAL_FORMAT:
         raise RuntimeEngageError(
             f"unsupported state format: {payload.get('format')!r}"
         )
@@ -141,12 +137,9 @@ def system_from_payload(
         raise RuntimeEngageError(
             f"state file has no driver state for {missing}"
         )
-    if payload["format"] == STATE_FORMAT:
-        journal = DeploymentJournal(spec)  # v1: as blank as a new system's
-    else:
-        journal = DeploymentJournal.from_payload(
-            spec, payload.get("journal", {})
-        )
+    journal = DeploymentJournal.from_payload(
+        spec, payload.get("journal", {})
+    )
     system = DeploymentEngine(registry, infrastructure, drivers).adopt(journal)
     # Mid-transition the frontier speaks of the *old* spec's instances
     # (an upgraded id is still installed there while this spec's driver

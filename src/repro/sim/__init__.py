@@ -7,7 +7,7 @@ TCP connections until started, downloads cost simulated time, and cache
 hits are cheap -- so ordering bugs and the cached-vs-internet experiment
 are observable."""
 
-from repro.sim.clock import ClockEvent, ClockSpan, SimClock
+from repro.sim.clock import ClockSpan, SimClock
 from repro.sim.faults import (
     FaultInjector,
     FaultKind,
@@ -39,7 +39,6 @@ from repro.sim.package_index import (
 from repro.sim.process import ProcessState, SimProcess
 
 __all__ = [
-    "ClockEvent",
     "ClockSpan",
     "SimClock",
     "CloudProvider",

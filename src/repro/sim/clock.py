@@ -5,28 +5,22 @@ downloads, package installs, service startup delays, and provisioning all
 ``advance`` it.  Benchmarks read simulated durations off the clock, which
 makes the cached-vs-internet install experiment (E4) deterministic.
 
+The clock keeps time, not history: it is ``now`` and nothing else.  The
+records of a run are the deployment journal (what happened) and, when
+someone asks for one, the tracer (where the time went).
+
 :meth:`overlapping` spans let several logical workers each accumulate
 simulated time from a common start instant -- the substrate is
-single-threaded, but the *timelines* overlap -- and :meth:`sync_to`
+single-threaded, but the *timelines* overlap -- and :meth:`advance_to`
 moves ``now`` to whichever completion the caller observes next (the
 deployment scheduler keeps its own completion heap per pass).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import SimulationError
-
-
-@dataclass
-class ClockEvent:
-    """One recorded advance: when it started, how long, and why."""
-
-    start: float
-    duration: float
-    label: str
 
 
 class ClockSpan:
@@ -69,34 +63,22 @@ class ClockSpan:
 
 
 class SimClock:
-    """Monotonic simulated time in seconds, with an event log."""
+    """Monotonic simulated time in seconds."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._events: list[ClockEvent] = []
 
     @property
     def now(self) -> float:
         return self._now
 
-    def advance(self, seconds: float, label: str = "") -> None:
+    def advance(self, seconds: float) -> None:
         if seconds < 0:
             raise SimulationError(f"cannot advance clock by {seconds}")
-        self._events.append(ClockEvent(self._now, seconds, label))
         self._now += seconds
 
-    def advance_to(self, timestamp: float, label: str = "") -> None:
+    def advance_to(self, timestamp: float) -> None:
         """Move the clock forward to an absolute time (no-op if past)."""
-        if timestamp > self._now:
-            self.advance(timestamp - self._now, label)
-
-    def sync_to(self, timestamp: float) -> None:
-        """Move ``now`` forward *without* logging a span.
-
-        Used when overlapping spans already account for the elapsed
-        stretch (logging it again would double-count the time in
-        :meth:`elapsed_by_label`).
-        """
         if timestamp > self._now:
             self._now = timestamp
 
@@ -106,36 +88,3 @@ class SimClock:
         else is in flight.  Use as a context manager; read ``start`` /
         ``elapsed`` / ``end`` afterwards."""
         return ClockSpan(self, start)
-
-    # -- Introspection ---------------------------------------------------
-
-    def events(self) -> list[ClockEvent]:
-        """All recorded advances, ordered by start time.
-
-        Parallel passes append events out of time order (each worker
-        span logs with its own local timestamps), so the log is merged
-        by start on the way out; the sort is stable, preserving the
-        relative order of same-instant events.
-        """
-        return sorted(self._events, key=lambda event: event.start)
-
-    def restore_events(self, events: list[ClockEvent]) -> None:
-        """Replace the event log wholesale (world persistence: a loaded
-        world carries its original history, not one opaque advance)."""
-        self._events = list(events)
-
-    def elapsed_by_label(self) -> dict[str, float]:
-        """Total simulated seconds per event label.
-
-        Totals are order-independent, so interleaved parallel events sum
-        correctly; note that overlapping spans mean the grand total can
-        exceed wall-clock ``now`` (it is worker-seconds, not makespan).
-        """
-        totals: dict[str, float] = {}
-        for event in self._events:
-            totals[event.label] = totals.get(event.label, 0.0) + event.duration
-        return totals
-
-    def reset(self) -> None:
-        self._now = 0.0
-        self._events.clear()

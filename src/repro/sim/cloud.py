@@ -79,9 +79,7 @@ class CloudProvider:
         hostname = hostname or f"{self.name}-node-{self._serial:03d}"
         if self._network.has_machine(hostname):
             raise ProvisioningError(f"hostname taken: {hostname}")
-        self._clock.advance(
-            self._provision_seconds, f"provision:{self.name}:{hostname}"
-        )
+        self._clock.advance(self._provision_seconds)
         machine = Machine(
             hostname,
             image.os,

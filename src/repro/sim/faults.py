@@ -218,7 +218,7 @@ class FaultPlan:
             if timeout is not None and state.hang_seconds > timeout:
                 state.remaining -= 1
                 state.fired += 1
-                clock.advance(timeout, f"fault-hang:{site}")
+                clock.advance(timeout)
                 self._record(site, state, clock)
                 raise ActionTimeout(
                     f"{site}: hung for {timeout:.1f}s "
@@ -228,7 +228,7 @@ class FaultPlan:
             # and let the operation proceed.
             state.remaining -= 1
             state.fired += 1
-            clock.advance(state.hang_seconds, f"fault-slow:{site}")
+            clock.advance(state.hang_seconds)
             self._record(site, state, clock)
             return
         state.remaining -= 1
@@ -462,7 +462,7 @@ class FaultInjector:
                 self._rng.randint(0, max_failures_per_round)
             )
             injected += len(failures)
-            clock.advance(seconds_between_rounds, "fault-campaign")
+            clock.advance(seconds_between_rounds)
             restarted += len(monitor.poll())
         return {"injected": injected, "restarted": restarted}
 

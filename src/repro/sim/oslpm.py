@@ -108,9 +108,7 @@ class OsPackageManager:
         install_seconds = (
             artifact.size_bytes / 1_000_000.0 * INSTALL_SECONDS_PER_MB
         )
-        self._machine.clock.advance(
-            install_seconds, f"install:{artifact.name}-{artifact.version}"
-        )
+        self._machine.clock.advance(install_seconds)
         record = InstalledPackage(
             artifact.name, artifact.version, install_root
         )

@@ -120,13 +120,13 @@ class DownloadService:
         if self._use_cache and artifact.key() in self._cache:
             self.cache_hits += 1
             duration = artifact.size_bytes / self._cache_bandwidth
-            self._clock.advance(duration, f"cache:{name}-{version}")
+            self._clock.advance(duration)
         else:
             duration = (
                 self._internet_latency
                 + artifact.size_bytes / self._internet_bandwidth
             )
-            self._clock.advance(duration, f"download:{name}-{version}")
+            self._clock.advance(duration)
             if self._use_cache:
                 self._cache.add(artifact.key())
         return artifact

@@ -8,22 +8,27 @@ index, download cache, machines with filesystems and processes, package
 databases, cloud providers -- and :func:`load_world` reconstructs it,
 rebinding the listening ports of still-running processes.
 
+The clock is saved as its ``now`` alone: the world is state, not
+history (the system's journal is the history).  Worlds saved while the
+clock still kept an event log carry it as one more section, which
+loading ignores.
+
 Together with :mod:`repro.runtime.state` this enables the CLI flow::
 
-    engage-sim deploy spec.json --save-world w.json --save-state s.json
-    engage-sim status w.json s.json
-    engage-sim stop   w.json s.json
+    engage-sim deploy spec.json --save bundle.json
+    engage-sim status bundle.json
+    engage-sim stop   bundle.json
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.core.collector import collector_paused
 from repro.core.errors import SimulationError, document_section
 from repro.core.jsontext import indented
-from repro.sim.clock import ClockEvent
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
 from repro.sim.oslpm import InstalledPackage
@@ -39,10 +44,6 @@ def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
     return {
         "format": WORLD_FORMAT,
         "clock": infrastructure.clock.now,
-        "clock_events": [
-            [event.start, event.duration, event.label]
-            for event in infrastructure.clock.events()
-        ],
         "use_cache": infrastructure.downloads._use_cache,
         "download_counters": {
             "downloads": infrastructure.downloads.downloads,
@@ -158,6 +159,12 @@ def world_from_payload(payload: Any) -> Infrastructure:
         document_section(
             payload, name, kind, of="world file", error=SimulationError
         )
+    clock = payload["clock"]
+    if isinstance(clock, bool) or not 0.0 <= clock < math.inf:
+        raise SimulationError(
+            f"world file section 'clock' is not a finite time >= 0: "
+            f"{clock!r}"
+        )
     try:
         return _restore_world(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -170,18 +177,7 @@ def _restore_world(payload: dict[str, Any]) -> Infrastructure:
     infrastructure = Infrastructure(
         use_cache=payload.get("use_cache", True)
     )
-    clock_events = payload.get("clock_events")
-    if clock_events is None:
-        # Pre-observability worlds: no event log, one opaque advance.
-        infrastructure.clock.advance(payload["clock"], "world-load")
-    else:
-        infrastructure.clock.restore_events(
-            [
-                ClockEvent(start, duration, label)
-                for start, duration, label in clock_events
-            ]
-        )
-        infrastructure.clock.sync_to(payload["clock"])
+    infrastructure.clock.advance_to(payload["clock"])
     counters = payload.get("download_counters", {})
     infrastructure.downloads.downloads = counters.get("downloads", 0)
     infrastructure.downloads.cache_hits = counters.get("cache_hits", 0)

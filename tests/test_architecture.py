@@ -322,3 +322,27 @@ def test_one_json_emitter_one_collector_switch_one_spec_per_driver_kind():
                     and id(node) not in lifecycle_calls):
                 hits.append((path, node.lineno, name))
     assert not hits, hits
+
+
+def test_the_clock_keeps_time_not_history():
+    # The clock is `now` plus overlapping spans: an advance takes only
+    # its seconds (no label to build at the call site), nothing logs
+    # or restores an event history, a world carries its clock as one
+    # number, and `advance_to` is the one forward move.  The after-the-
+    # fact trace renders the journal; the live tracer owns the spans.
+    # The journal-less state format is refused, not read.
+    PINNED = {("clock.py", "SimClock.advance"): ["seconds"]}
+    GONE = re.compile(
+        r"\b(ClockEvent|restore_events|elapsed_by_label|sync_to"
+        r"|trace_from_clock_events|clock_events|STATE_FORMAT)\b"
+        r"|engage-state-1"
+    )
+    hits = [
+        (path, number, match.group())
+        for path, text in _sources()
+        for number, line in enumerate(text.splitlines(), start=1)
+        for match in GONE.finditer(line)
+    ]
+    found = _signatures("sim", PINNED)
+    assert found == PINNED, (found, PINNED)
+    assert not hits, hits

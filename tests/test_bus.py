@@ -89,7 +89,7 @@ def run_effect_harness(seed, keys=12, retransmit_after=5.0, deadline=3600.0):
             default=None,
         )
         targets = [t for t in (nxt, retry) if t is not None]
-        clock.sync_to(max(min(targets), now + 0.001))
+        clock.advance_to(max(min(targets), now + 0.001))
     return applied, bus
 
 

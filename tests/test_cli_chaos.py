@@ -134,10 +134,9 @@ class TestResume:
         )
         assert code == 0
         # A successful deploy leaves a complete journal; strip it to get
-        # a v1 bundle, which must be rejected.
+        # a bundle whose journal is blank, which cannot be resumed.
         payload = json.loads(bundle.read_text())
-        payload["state"].pop("journal", None)
-        payload["state"]["format"] = "engage-state-1"
+        payload["state"].pop("journal")
         bundle.write_text(json.dumps(payload))
         code, output = run(["deploy", "--resume", str(bundle)])
         assert code == 2

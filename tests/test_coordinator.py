@@ -319,7 +319,7 @@ class TestHeartbeatOnlyMasterSteps:
         for sender, kind in messages:
             bus.send(sender, "master", kind, {"machine": sender},
                      at=at - bus.default_latency)
-        bus.clock.sync_to(at)
+        bus.clock.advance_to(at)
         bus.deliver_due(at)
 
     def test_heartbeats_before_the_wake_change_nothing(self, bus):
@@ -373,7 +373,7 @@ class TestHeartbeatOnlyMasterSteps:
         wake = master.next_wake(15.001)
         assert wake == pytest.approx(30.001)
         bus.send("m2", "master", busmod.HEARTBEAT, {"machine": "m2"}, at=1.0)
-        bus.clock.sync_to(20.0)
+        bus.clock.advance_to(20.0)
         bus.deliver_due(20.0)
         master.step(20.0, wake)
         assert [(s["at"], s["machine"]) for s in master.suspects] == [
@@ -395,7 +395,7 @@ class TestHeartbeatOnlyMasterSteps:
         assert master.next_wake(10.0) == 25.0
         bus.send("m1", "master", busmod.ACK, {"key": work_key(0, "m1")},
                  at=12.0 - bus.default_latency)
-        bus.clock.sync_to(12.0)
+        bus.clock.advance_to(12.0)
         bus.deliver_due(12.0)
         master.step(12.0, 25.0)
         assert master.open[0].machine_id == "m2"

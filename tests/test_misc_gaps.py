@@ -48,20 +48,6 @@ class TestNetworkEndpoints:
         assert infrastructure.network.connect("e2", 80).name == "svc2"
 
 
-class TestClockEventLog:
-    def test_labels_partition_time(self, infrastructure):
-        clock = infrastructure.clock
-        clock.advance(5, "a")
-        clock.advance(3, "b")
-        clock.advance(2, "a")
-        totals = clock.elapsed_by_label()
-        assert totals == {"a": 7, "b": 3}
-        assert clock.now == 10
-        events = clock.events()
-        assert [e.label for e in events] == ["a", "b", "a"]
-        assert events[1].start == 5
-
-
 class TestProviderSelection:
     def test_explicit_provider_argument(self, registry):
         from repro.runtime import provision_partial_spec

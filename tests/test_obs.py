@@ -20,7 +20,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chrome_trace,
-    trace_from_clock_events,
     validate_chrome_trace,
 )
 from repro.runtime import (
@@ -63,7 +62,7 @@ class TestTracer:
 
     def test_instant_defaults_to_clock_now(self):
         infrastructure = standard_infrastructure()
-        infrastructure.clock.advance(7.5, "setup")
+        infrastructure.clock.advance(7.5)
         tracer = Tracer(clock=infrastructure.clock)
         event = tracer.instant("tick", category="clock")
         assert event.timestamp == 7.5
@@ -417,16 +416,37 @@ class TestTraceCommand:
         assert f"trace written to {rendered}" in output
         payload = json.loads(rendered.read_text())
         assert validate_chrome_trace(payload) == []
-        # Driver actions land on the machine's hostname lane with the
-        # instance in args; journal records come along as instants.
-        actions = [
-            e for e in payload["traceEvents"] if e.get("cat") == "action"
-        ]
-        assert actions and all(
-            e["args"]["instance"] for e in actions
+        # The bundle's journal, one instant per entry in time order,
+        # each on its machine's hostname lane; the spans of the run
+        # belong to the live tracer (deploy --trace), not to the bundle.
+        saved = json.loads(bundle.read_text())
+        entries = sorted(
+            saved["state"]["journal"]["entries"],
+            key=lambda entry: entry["timestamp"],
         )
-        assert any(
-            e.get("cat") == "journal" for e in payload["traceEvents"]
+        hostnames = {m["hostname"] for m in saved["world"]["machines"]}
+        lanes = {
+            e["tid"]: e["args"]["name"] for e in payload["traceEvents"]
+            if e["name"] == "thread_name"
+        }
+        journal = [
+            e for e in payload["traceEvents"] if e.get("cat") == "journal"
+        ]
+        assert entries and len(journal) == len(entries)
+        assert [e["ph"] for e in journal] == ["i"] * len(entries)
+        assert [
+            (e["args"]["instance"], e["args"]["action"],
+             e["args"]["source"], e["args"]["target"])
+            for e in journal
+        ] == [
+            (entry["instance_id"], entry["action"],
+             entry["source"], entry["target"])
+            for entry in entries
+        ]
+        assert {lanes[e["tid"]] for e in journal} <= hostnames
+        assert [e for e in payload["traceEvents"] if e["ph"] == "X"] == []
+        assert output == (
+            f"trace written to {rendered} ({len(entries)} events)\n"
         )
 
     def test_render_to_stdout(self, chaos_stack):

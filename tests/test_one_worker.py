@@ -174,7 +174,6 @@ def record(system, report):
     return {
         "entries": list(system.journal.entries),
         "actions": list(report.actions),
-        "events": system.infrastructure.clock.events(),
         "state": save_system(system),
     }
 

@@ -399,41 +399,13 @@ class TestWorkerBounds:
 
 
 class TestEventClock:
-    """The time-sorted event log for interleaved parallel spans."""
-
-    def test_events_sorted_by_start_across_overlapping_spans(self):
-        """Regression: two overlapping worker spans log out of order;
-        ``events()`` must merge them by start time."""
-        clock = SimClock()
-        clock.advance(10.0, "setup")
-        with clock.overlapping(10.0):
-            clock.advance(50.0, "worker-a")   # logged at start=10
-        with clock.overlapping(10.0):
-            clock.advance(5.0, "worker-b")    # logged at start=10
-            clock.advance(5.0, "worker-b2")   # logged at start=15
-        starts = [event.start for event in clock.events()]
-        assert starts == sorted(starts)
-        labels = [event.label for event in clock.events()]
-        # worker-b2 (start 15) must sort after both start-10 spans,
-        # despite being appended after worker-a's start-10 record.
-        assert labels.index("worker-b2") > labels.index("worker-a")
-
-    def test_elapsed_by_label_sums_interleaved_events(self):
-        clock = SimClock()
-        with clock.overlapping(0.0):
-            clock.advance(3.0, "download")
-            clock.advance(2.0, "install")
-        with clock.overlapping(0.0):
-            clock.advance(4.0, "download")
-        totals = clock.elapsed_by_label()
-        assert totals["download"] == pytest.approx(7.0)
-        assert totals["install"] == pytest.approx(2.0)
+    """Overlapping spans of parallel work on one clock."""
 
     def test_overlapping_span_restores_now(self):
         clock = SimClock()
         clock.advance(8.0)
         with clock.overlapping(2.0) as span:
-            clock.advance(10.0, "work")
+            clock.advance(10.0)
         assert span.start == 2.0
         assert span.end == 12.0
         assert span.elapsed == 10.0
@@ -446,12 +418,5 @@ class TestEventClock:
         clock.advance(3.0)
         for work in (10.0, 4.0):
             with span:
-                clock.advance(work, "work")
+                clock.advance(work)
             assert (span.start, span.end, clock.now) == (3.0, 3.0 + work, 3.0)
-
-    def test_reset_rewinds_now_and_log(self):
-        clock = SimClock()
-        clock.advance(5.0, "work")
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.events() == []

@@ -138,10 +138,9 @@ class TestNetwork:
 class TestClock:
     def test_advance(self):
         clock = SimClock()
-        clock.advance(5.0, "work")
-        clock.advance(2.5, "work")
+        clock.advance(5.0)
+        clock.advance(2.5)
         assert clock.now == 7.5
-        assert clock.elapsed_by_label() == {"work": 7.5}
 
     def test_negative_rejected(self):
         with pytest.raises(SimulationError):
@@ -152,10 +151,3 @@ class TestClock:
         clock.advance_to(10.0)
         clock.advance_to(5.0)  # no-op backwards
         assert clock.now == 10.0
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(3)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.events() == []

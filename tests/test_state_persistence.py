@@ -190,7 +190,7 @@ class TestOneFormat:
         with pytest.raises(RuntimeEngageError, match="system.journal"):
             save_system(system, DeploymentJournal(system.spec))
 
-    def test_v1_document_loads_with_a_blank_journal(
+    def test_v1_document_is_refused(
         self, world, registry, infrastructure, drivers
     ):
         engine, system = world
@@ -200,14 +200,11 @@ class TestOneFormat:
             "spec": payload["spec"],
             "states": payload["states"],
         }
-        adopted = load_system(
-            registry, infrastructure, drivers, json.dumps(v1)
-        )
-        assert adopted.states() == system.states()
-        assert adopted.journal.entries == []
-        assert adopted.journal.completed == set()
-        # ...and is written back in the one format there is.
-        assert '"engage-state-2"' in save_system(adopted)
+        with pytest.raises(
+            RuntimeEngageError,
+            match="^unsupported state format: 'engage-state-1'$",
+        ):
+            load_system(registry, infrastructure, drivers, json.dumps(v1))
 
     def test_states_contradicting_the_frontier_are_refused(
         self, world, registry, infrastructure, drivers

@@ -31,7 +31,7 @@ def world():
     machine.kill_process(stopped.pid)
     infrastructure.add_provider("cloud", provision_seconds=10)
     infrastructure.provider("cloud").provision("ubuntu-10.04")
-    infrastructure.clock.advance(12.5, "work")
+    infrastructure.clock.advance(12.5)
     return infrastructure
 
 
@@ -101,6 +101,39 @@ class TestWorldRoundtrip:
         payload["format"] = "engage-world-9"
         with pytest.raises(SimulationError):
             load_world(json.dumps(payload))
+
+    def test_an_old_clock_event_log_is_ignored(self, world):
+        """Worlds saved while the clock kept an event log carry it as a
+        ``clock_events`` section; such a world loads as the same world
+        without it."""
+        from repro.runtime import world_fingerprint
+
+        world.machine("m1").spawn_process("late", listen_ports=[9100])
+        payload = json.loads(save_world(world))
+        assert "clock_events" not in payload
+        old = dict(payload, clock_events=[
+            [0.0, 5.0, "download:pkg-1.0"],
+            [5.0, 0.5, "install:pkg-1.0"],
+            [5.5, 10.0, "provision:cloud:cloud-node-001"],
+            [15.5, 12.5, "work"],
+        ])
+        plain = load_world(json.dumps(payload))
+        loaded = load_world(json.dumps(old))
+        assert loaded.clock.now == plain.clock.now == world.clock.now
+        assert [m.hostname for m in loaded.network.machines()] == [
+            m.hostname for m in plain.network.machines()
+        ]
+        for machine in plain.network.machines():
+            twin = loaded.network.machine(machine.hostname)
+            assert [
+                (p.pid, p.name, p.state, p.listen_ports)
+                for p in twin.processes()
+            ] == [
+                (p.pid, p.name, p.state, p.listen_ports)
+                for p in machine.processes()
+            ]
+        assert world_fingerprint(loaded) == world_fingerprint(plain)
+        assert save_world(loaded) == save_world(plain)
 
 
 FIGURE_2 = json.dumps(
@@ -215,6 +248,10 @@ class TestCliBundleFlow:
         "no-state-states": lambda b: b["state"].pop("states"),
         "no-instance-key": lambda b: b["state"]["spec"][0].pop("key"),
         "clock-not-a-number": lambda b: b["world"].update(clock="abc"),
+        "clock-negative": lambda b: b["world"].update(clock=-5.0),
+        "clock-nan": lambda b: b["world"].update(clock=float("nan")),
+        "clock-infinite": lambda b: b["world"].update(clock=float("inf")),
+        "clock-bool": lambda b: b["world"].update(clock=True),
         "states-contradict-frontier":
             lambda b: b["state"]["states"].update(mysql="inactive"),
         "spec-not-a-list": lambda b: b["state"].update(spec={}),
@@ -248,6 +285,8 @@ class TestCliBundleFlow:
         assert code == 2
         assert output.startswith("error: ")
         assert "Traceback" not in output
+        if mutation.startswith("clock-"):
+            assert "section 'clock'" in output
         if mutation == "states-contradict-frontier":
             assert "'mysql'" in output
             assert "'inactive'" in output and "'active'" in output
