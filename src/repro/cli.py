@@ -158,7 +158,7 @@ def cmd_configure(args, out: TextIO) -> int:
                     ("graph-hit", cache.graph_hit),
                     ("cnf-hit", cache.cnf_hit),
                     ("solver-reused", cache.solver_reused),
-                    ("spec-reused", cache.typecheck_skipped),
+                    ("spec-reused", cache.spec_reused),
                 )
                 if on
             ) or "cold"

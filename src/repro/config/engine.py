@@ -8,7 +8,7 @@ specification.  Theorem 1 justifies raising
 
 There is one pipeline, over a list of graph components:
 :func:`configure_component` takes a single component from encoding to a
-typechecked specification, and :meth:`ConfigurationEngine.run` maps it
+propagated specification, and :meth:`ConfigurationEngine.run` maps it
 over the list, merges, aggregates the stats and emits the trace.  The
 list is the connected components of the hypergraph with
 ``partition=True`` and the whole graph as its only member otherwise, so
@@ -17,9 +17,12 @@ monolithic configuration is the one-component case of the same code.
 functions over component entries it keeps between calls.
 
 The pipeline has one behaviour: pinned instances are unit clauses, the
-exactly-one constraints use the pairwise encoding, every specification
-is typechecked, and an unsatisfiable result carries its minimal-conflict
-diagnosis.
+exactly-one constraints use the pairwise encoding, and an unsatisfiable
+result carries its minimal-conflict diagnosis.  The engine does not
+run the static checker (:mod:`repro.config.typecheck`) on its own
+output: Theorem 1 and propagation's per-value type check make that
+output well-typed by construction, so the checker guards the specs
+that arrive from outside instead (:func:`repro.runtime.system_from_payload`).
 
 Every result carries :class:`PhaseTimings` so callers (benchmarks, the
 CLI) can see where a query spent its time without re-instrumenting the
@@ -56,7 +59,6 @@ from repro.config.partition import (
     whole_graph_component,
 )
 from repro.config.propagation import propagate
-from repro.config.typecheck import check_spec
 from repro.sat.cnf import CnfFormula
 from repro.sat.solver import CdclSolver, SolverStats
 
@@ -99,9 +101,9 @@ class SessionCacheInfo:
     cnf_hit: bool = False
     #: Some component was answered by a solver kept from an earlier call.
     solver_reused: bool = False
-    #: Every component's decoded outcome had been propagated and
-    #: typechecked before, so neither ran.
-    typecheck_skipped: bool = False
+    #: Every component answered with the specification an earlier call
+    #: propagated, so no propagation ran.
+    spec_reused: bool = False
     solvers_built: int = 0
     solvers_reused: int = 0
     #: On a graph miss: the components of the new graph / those whose
@@ -182,7 +184,7 @@ class ComponentEntry:
         self.constraint_stats: Optional[ConstraintStats] = None
         self.solver: Optional[CdclSolver] = None
         #: (model, deployed, instances in install order) once the
-        #: component has been solved, propagated and typechecked.  The
+        #: component has been solved and propagated.  The
         #: formula is fixed per entry and the decode reads its canonical
         #: model, so every later call would compute exactly this; the
         #: instances are frozen dataclasses, reused inside a fresh
@@ -199,7 +201,7 @@ class ComponentRun:
     solver_reused: bool
     spec_reused: bool = False
     #: The component's instances in install order -- the specification
-    #: just propagated, or the tuple an earlier call verified; None when
+    #: just propagated, or the tuple an earlier call propagated; None when
     #: the component is unsatisfiable.
     instances: Optional[Iterable[ResourceInstance]] = None
     model: dict[str, bool] = field(default_factory=dict)
@@ -210,7 +212,7 @@ def configure_component(
     registry: ResourceTypeRegistry,
     entry: ComponentEntry,
 ) -> ComponentRun:
-    """Encode, solve, decode, propagate and typecheck one component.
+    """Encode, solve, decode and propagate one component.
 
     Whatever ``entry`` already holds is reused and whatever it lacks is
     built and left on it; the timings are this call's own.  An entry
@@ -254,7 +256,6 @@ def configure_component(
     solve_done = time.perf_counter()
     run.deployed, choices = selected_nodes(graph, run.model)
     spec = propagate(registry, graph, run.deployed, choices)
-    check_spec(registry, spec)
     run.instances = spec
     entry.answer = (run.model, run.deployed, tuple(spec))
     if encoded:  # a cached encoding cost this call nothing, not one tick
@@ -341,7 +342,7 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
             "cache", category="config", timestamp=start, lane="config",
             fingerprint=cache.fingerprint, graph_hit=cache.graph_hit,
             cnf_hit=cache.cnf_hit, solver_reused=cache.solver_reused,
-            typecheck_skipped=cache.typecheck_skipped,
+            spec_reused=cache.spec_reused,
             components_reused=cache.components_reused,
             groups_generated=cache.groups_generated,
             groups_reused=cache.groups_reused,
@@ -393,7 +394,8 @@ class ConfigurationEngine:
         """Compute a full installation specification extending ``partial``.
 
         Raises :class:`UnsatisfiableError` when no extension exists
-        (Theorem 1), and surfaces any propagation or typechecking error.
+        (Theorem 1), and surfaces any propagation error (an ill-typed
+        port value among them).
         """
         timings = PhaseTimings()
         graph, components = self.components(partial, timings)
@@ -441,7 +443,7 @@ class ConfigurationEngine:
                 raise_unsatisfiable(graph, entries)
             runs.append(run)
         record.solver_reused = record.solvers_reused > 0
-        record.typecheck_skipped = bool(runs) and all(
+        record.spec_reused = bool(runs) and all(
             run.spec_reused for run in runs
         )
         tick = time.perf_counter()

@@ -12,8 +12,8 @@ service.
 Because the CNF encoding is purely edge-local (§4), the monolithic
 formula is exactly the conjunction of the per-component formulas, and a
 partial specification is satisfiable iff every component is.  The
-partitioned pipeline therefore encodes, solves, decodes, propagates and
-typechecks each component independently and merges the results:
+partitioned pipeline therefore encodes, solves, decodes and propagates
+each component independently and merges the results:
 
 * the merged model/deployed-set/choices equal the monolithic ones
   (canonical decoding -- see :func:`repro.config.engine.canonical_model`

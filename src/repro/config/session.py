@@ -26,11 +26,10 @@ levels, least recently used first out:
   them (the content says which nodes are pinned, so an entry's facts
   never change), one **persistent** :class:`~repro.sat.solver.CdclSolver`
   whose learned clauses, VSIDS activities and saved phases survive
-  across calls, and the **answer** once the component has been solved,
-  propagated and typechecked -- the formula is fixed, so a later call
-  reuses the model and the frozen
-  :class:`~repro.core.instances.ResourceInstance` values without
-  solving, propagating or re-checking, wrapped in a fresh
+  across calls, and the **answer** once the component has been solved
+  and propagated -- the formula is fixed, so a later call reuses the
+  model and the frozen :class:`~repro.core.instances.ResourceInstance`
+  values without solving or propagating, wrapped in a fresh
   :class:`~repro.core.instances.InstallSpec` container so callers that
   mutate their spec (provisioning, upgrades) cannot corrupt the cache.
 
@@ -46,8 +45,8 @@ error -- runs GraphGen and the partition pass over the whole spec, as
 the engine does.  The constraints are edge-local (§4, Theorem 1), so
 nothing crosses a connected component: a component with the same nodes
 and edges is the same problem with the same canonical answer, and only
-the components whose content is new are encoded, solved, propagated and
-typechecked; the rest are answered by the entries an earlier spec left.
+the components whose content is new are encoded, solved and propagated;
+the rest are answered by the entries an earlier spec left.
 Group and component entries are owned by the spec-level entries that
 list them (both content tables are weak), so ``max_entries`` bounds
 every level.
@@ -100,8 +99,11 @@ class SessionStats:
     cnf_misses: int = 0
     solver_builds: int = 0
     solver_reuses: int = 0
-    #: Calls that propagated and typechecked some component / calls
-    #: that reused every component's verified instances.
+    #: Calls that propagated some component / calls that reused every
+    #: component's propagated instances (``SessionCacheInfo.spec_reused``).
+    #: The names predate that flag: the frozen end-to-end benchmark reads
+    #: these two counters by name for its ``typecheck_skip_rate`` metric,
+    #: and they are renamed together with it.
     typecheck_runs: int = 0
     typecheck_skips: int = 0
     evictions: int = 0
@@ -137,7 +139,7 @@ class _Entry(NamedTuple):
 
 
 def content_key(component: GraphComponent) -> tuple:
-    """Everything encode, solve, propagate and typecheck read from one
+    """Everything encode, solve and propagate read from one
     component, as a hashable value.
 
     Node and edge *order* is part of the key: variable numbering, the
@@ -360,6 +362,6 @@ class ConfigurationSession:
             stats.cnf_misses += not cache.cnf_hit
             stats.solver_builds += cache.solvers_built
             stats.solver_reuses += cache.solvers_reused
-        stats.typecheck_skips += cache.typecheck_skipped
-        stats.typecheck_runs += not cache.typecheck_skipped
+        stats.typecheck_skips += cache.spec_reused
+        stats.typecheck_runs += not cache.spec_reused
         return result

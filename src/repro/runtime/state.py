@@ -15,6 +15,10 @@ saved system is resumable with :meth:`DeploymentEngine.resume` and
 ``load_system(...).journal`` is the journal.  :func:`system_payload` /
 :func:`system_from_payload` are the same document as data, which is
 what a bundle nests.
+
+A document comes from outside (hand-edited, corrupted), so the loader
+is where the static checker of §3.3 runs, not the configuration engine,
+whose output is well-typed by construction.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.core.collector import collector_paused
 from repro.core.errors import RuntimeEngageError, document_section
 from repro.core.jsontext import indented
 from repro.core.registry import ResourceTypeRegistry
+from repro.config.typecheck import check_spec
 from repro.drivers.base import DriverRegistry
 from repro.drivers.library import ServiceDriver
 from repro.drivers.state_machine import ACTIVE
@@ -119,10 +124,13 @@ def system_from_payload(
 
     The machines must still exist on the infrastructure's network (state
     files describe deployments of *this* world; they are not machine
-    images).  The ``states`` section must cover every instance; it
-    speaks alone where the journal is silent (a blank journal), and a
-    document whose driver states contradict its own journal's frontier
-    is refused: one of the two is not what happened.
+    images).  The spec, and a mid-transition journal's old spec, must
+    pass static checking: a :class:`~repro.core.errors.TypecheckError`
+    names every faulty instance.  The ``states`` section must cover
+    every instance; it speaks alone where the journal is silent (a
+    blank journal), and a document whose driver states contradict its
+    own journal's frontier is refused: one of the two is not what
+    happened.
     """
     if not isinstance(payload, dict):
         raise RuntimeEngageError("state file must be a JSON object")
@@ -131,6 +139,7 @@ def system_from_payload(
             f"unsupported state format: {payload.get('format')!r}"
         )
     spec = full_from_payload(_section(payload, "spec", list))
+    check_spec(registry, spec)
     states = _section(payload, "states", dict)
     missing = sorted(set(spec.ids()) - set(states))
     if missing:
@@ -140,6 +149,8 @@ def system_from_payload(
     journal = DeploymentJournal.from_payload(
         spec, payload.get("journal", {})
     )
+    if journal.transition is not None:
+        check_spec(registry, journal.transition.from_spec)
     system = DeploymentEngine(registry, infrastructure, drivers).adopt(journal)
     # Mid-transition the frontier speaks of the *old* spec's instances
     # (an upgraded id is still installed there while this spec's driver

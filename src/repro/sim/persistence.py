@@ -159,12 +159,6 @@ def world_from_payload(payload: Any) -> Infrastructure:
         document_section(
             payload, name, kind, of="world file", error=SimulationError
         )
-    clock = payload["clock"]
-    if isinstance(clock, bool) or not 0.0 <= clock < math.inf:
-        raise SimulationError(
-            f"world file section 'clock' is not a finite time >= 0: "
-            f"{clock!r}"
-        )
     try:
         return _restore_world(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -173,14 +167,45 @@ def world_from_payload(payload: Any) -> Infrastructure:
         ) from exc
 
 
+def _seconds(value: Any, section: str) -> float:
+    """``value`` if it is a finite time >= 0; otherwise the error
+    naming ``section``, the value's path in the world file."""
+    if (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+        or not 0.0 <= value < math.inf
+    ):
+        raise SimulationError(
+            f"world file section {section!r} is not a finite time >= 0: "
+            f"{value!r}"
+        )
+    return value
+
+
+def _count(value: Any, section: str, minimum: int = 0) -> int:
+    """``value`` if it is an integer >= ``minimum``; otherwise the
+    error naming ``section``."""
+    if (
+        isinstance(value, bool) or not isinstance(value, int)
+        or value < minimum
+    ):
+        raise SimulationError(
+            f"world file section {section!r} is not an integer >= "
+            f"{minimum}: {value!r}"
+        )
+    return value
+
+
 def _restore_world(payload: dict[str, Any]) -> Infrastructure:
     infrastructure = Infrastructure(
         use_cache=payload.get("use_cache", True)
     )
-    infrastructure.clock.advance_to(payload["clock"])
+    infrastructure.clock.advance_to(_seconds(payload["clock"], "clock"))
     counters = payload.get("download_counters", {})
-    infrastructure.downloads.downloads = counters.get("downloads", 0)
-    infrastructure.downloads.cache_hits = counters.get("cache_hits", 0)
+    for name in ("downloads", "cache_hits"):
+        setattr(
+            infrastructure.downloads, name,
+            _count(counters.get(name, 0), f"download_counters.{name}"),
+        )
 
     for entry in payload["artifacts"]:
         infrastructure.package_index.publish(
@@ -194,15 +219,21 @@ def _restore_world(payload: dict[str, Any]) -> Infrastructure:
     for name, version in payload.get("cache", []):
         infrastructure.downloads.prefetch(name, version)
 
-    for machine_entry in payload["machines"]:
-        _restore_machine(infrastructure, machine_entry)
+    for index, machine_entry in enumerate(payload["machines"]):
+        _restore_machine(infrastructure, machine_entry, f"machines[{index}]")
 
-    for provider_entry in payload.get("providers", []):
+    for index, provider_entry in enumerate(payload.get("providers", [])):
+        section = f"providers[{index}]"
         provider = infrastructure.add_provider(
             provider_entry["name"],
-            provision_seconds=provider_entry["provision_seconds"],
+            provision_seconds=_seconds(
+                provider_entry["provision_seconds"],
+                f"{section}.provision_seconds",
+            ),
         )
-        provider._serial = provider_entry["serial"]
+        provider._serial = _count(
+            provider_entry["serial"], f"{section}.serial"
+        )
         for hostname in provider_entry["nodes"]:
             provider._nodes[hostname] = infrastructure.network.machine(
                 hostname
@@ -211,7 +242,7 @@ def _restore_world(payload: dict[str, Any]) -> Infrastructure:
 
 
 def _restore_machine(
-    infrastructure: Infrastructure, entry: dict[str, Any]
+    infrastructure: Infrastructure, entry: dict[str, Any], section: str
 ) -> None:
     machine = Machine(
         entry["hostname"],
@@ -221,8 +252,8 @@ def _restore_machine(
         infrastructure.network,
         infrastructure.clock,
         ip_address=entry["ip_address"],
-        cpu_cores=entry["cpu_cores"],
-        memory_mb=entry["memory_mb"],
+        cpu_cores=_count(entry["cpu_cores"], f"{section}.cpu_cores", 1),
+        memory_mb=_count(entry["memory_mb"], f"{section}.memory_mb", 1),
         os_user_name=entry["os_user_name"],
     )
     machine.fs.restore(

@@ -1,15 +1,43 @@
-"""Shared fixtures: the standard library world and the S2 OpenMRS spec."""
+"""Shared fixtures: the standard library world and the S2 OpenMRS spec,
+and the static check of every specification configure produces."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.config import ConfigurationEngine, spec_problems
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
     standard_registry,
 )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def configure_output_is_well_typed():
+    """Every specification any test configures passes static checking.
+
+    The engine does not run the checker on its own output: Theorem 1
+    and propagation's per-value type check make that output well-typed
+    by construction, and the checker guards the specs a bundle or state
+    file brings in.  This is the net under that claim.
+    ``ConfigurationEngine.run`` is the pipeline both the engine and a
+    session answer through, so reused session answers are checked too.
+    """
+    run = ConfigurationEngine.run
+
+    @functools.wraps(run)
+    def checked_run(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        assert spec_problems(self.registry, result.spec) == []
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConfigurationEngine, "run", checked_run)
+        yield
 
 
 @pytest.fixture

@@ -346,3 +346,35 @@ def test_the_clock_keeps_time_not_history():
     found = _signatures("sim", PINNED)
     assert found == PINNED, (found, PINNED)
     assert not hits, hits
+
+
+def test_the_type_checker_guards_what_is_loaded():
+    # Configure does not statically check its own output (Theorem 1
+    # and propagation make it well-typed; the tier-1 conftest asserts
+    # it on every result): nothing in repro.config but the checker
+    # itself calls it.  A spec read back from a file is what the
+    # checker is for, and system_from_payload -- the one reader of
+    # state files and bundles -- calls it.
+    CHECKS = {"check_spec", "spec_problems"}
+    CHECKER = "src/repro/config/typecheck.py"
+
+    def calls(tree):
+        named = (
+            (node.lineno, ast.unparse(node.func).rsplit(".", 1)[-1])
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+        )
+        return [(line, name) for line, name in named if name in CHECKS]
+
+    hits = [
+        (path, line, name)
+        for path, text in _sources("config/**/*.py") if path != CHECKER
+        for line, name in calls(ast.parse(text))
+    ]
+    assert not hits, hits
+    loader = next(
+        node for _path, tree in _modules("runtime")
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "system_from_payload"
+    )
+    assert "check_spec" in {name for _line, name in calls(loader)}

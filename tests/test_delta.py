@@ -20,7 +20,11 @@ import pytest
 
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import DeploymentFailure, RuntimeEngageError
+from repro.core.errors import (
+    DeploymentFailure,
+    RuntimeEngageError,
+    TypecheckError,
+)
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
@@ -734,6 +738,29 @@ class TestFaultedTransitions:
         assert live_fingerprint(
             resumed, infrastructure
         ) == fresh_fingerprint(new_partial)
+
+    def test_ill_typed_old_spec_is_refused_at_load(self):
+        """The old spec a down-phase journal carries is read from the
+        state file like the new one, so it is statically checked too."""
+        engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
+        FaultyWorld(
+            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(
+                engine, system, plan_delta(system, configure(shrink(TOPOLOGY)))
+            )
+        payload = json.loads(save_system(excinfo.value.system))
+        old_spec = payload["journal"]["transition"]["from_spec"]
+        # cache004 belongs to a removed replica: only the old spec has it.
+        assert "cache004" not in {entry["id"] for entry in payload["spec"]}
+        cache = next(entry for entry in old_spec if entry["id"] == "cache004")
+        cache["config_port"]["port"] = "eighty"
+        with pytest.raises(TypecheckError, match="cache004: config 'port'"):
+            load_system(
+                standard_registry(), infrastructure, standard_drivers(),
+                json.dumps(payload),
+            )
 
     def test_transition_record_round_trips_as_data(self):
         """Mid-down-phase the journal nests the old spec as a payload:

@@ -181,7 +181,7 @@ class TestSession:
         assert warm.cache.graph_hit
         assert warm.cache.cnf_hit
         assert warm.cache.solver_reused
-        assert warm.cache.typecheck_skipped
+        assert warm.cache.spec_reused
         assert warm.cache.fingerprint == cold.cache.fingerprint
         assert cold.cache.fingerprint == fingerprint_partial(figure2())
         # One persistent solver, and a warm entry answers without it.
@@ -620,7 +620,7 @@ class TestComponentReuse:
         assert [cache.components_reused for cache in walk] == [0, 7, 6, 3, 8]
         last = walk[-1]
         assert not last.graph_hit  # a spec never seen ...
-        assert last.typecheck_skipped  # ... made of kept components
+        assert last.spec_reused  # ... made of kept components
         stats = session.stats
         assert (stats.components_reused, stats.components_total) == (24, 40)
         assert (stats.solver_builds, stats.solver_reuses) == (16, 24)

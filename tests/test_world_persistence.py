@@ -272,6 +272,71 @@ class TestCliBundleFlow:
             lambda b: b["state"]["journal"].update(entries=5),
         "journal-completed-not-a-list":
             lambda b: b["state"]["journal"].update(completed=5),
+        # Numbers no world can hold.  Each used to load and fail later,
+        # if at all: a negative provision time only at the next
+        # provisioning, as "cannot advance clock by -5".
+        "provider-provision-negative":
+            lambda b: _provider(b).update(provision_seconds=-5),
+        "provider-provision-nan":
+            lambda b: _provider(b).update(provision_seconds=float("nan")),
+        "provider-provision-infinite":
+            lambda b: _provider(b).update(provision_seconds=float("inf")),
+        "provider-provision-bool":
+            lambda b: _provider(b).update(provision_seconds=True),
+        "provider-serial-negative":
+            lambda b: _provider(b).update(serial=-1),
+        "provider-serial-not-an-int":
+            lambda b: _provider(b).update(serial=1.5),
+        "machine-cpu-negative":
+            lambda b: _machine(b).update(cpu_cores=-3),
+        "machine-cpu-not-an-int":
+            lambda b: _machine(b).update(cpu_cores="four"),
+        "machine-memory-zero": lambda b: _machine(b).update(memory_mb=0),
+        "machine-memory-not-an-int":
+            lambda b: _machine(b).update(memory_mb=512.5),
+        "downloads-negative":
+            lambda b: _counters(b).update(downloads=-1),
+        "downloads-not-a-number":
+            lambda b: _counters(b).update(downloads="many"),
+        "cache-hits-negative":
+            lambda b: _counters(b).update(cache_hits=-2),
+        "cache-hits-not-an-int":
+            lambda b: _counters(b).update(cache_hits=True),
+        # A spec that fails static checking (§3.3).  Both used to load:
+        # status and stop exited 0, and reconcile blamed the network.
+        "port-value-ill-typed":
+            lambda b: _instance(b, "tomcat")["config_port"].update(
+                manager_port="eighty"),
+        "peer-link-dropped":
+            lambda b: _instance(b, "openmrs").update(peers=[]),
+        # A mid-transition journal's old spec is read as well.
+        "transition-from-spec-ill-typed":
+            lambda b: b["state"]["journal"].update(
+                transition=_ill_typed_transition(b)),
+    }
+
+    #: What the error of a row must name, beyond ``error: ``.
+    NAMED = {
+        "provider-provision-negative": ["'providers[0].provision_seconds'"],
+        "provider-provision-nan": ["'providers[0].provision_seconds'"],
+        "provider-provision-infinite": ["'providers[0].provision_seconds'"],
+        "provider-provision-bool": ["'providers[0].provision_seconds'"],
+        "provider-serial-negative": ["'providers[0].serial'"],
+        "provider-serial-not-an-int": ["'providers[0].serial'"],
+        "machine-cpu-negative": ["'machines[0].cpu_cores'"],
+        "machine-cpu-not-an-int": ["'machines[0].cpu_cores'"],
+        "machine-memory-zero": ["'machines[0].memory_mb'"],
+        "machine-memory-not-an-int": ["'machines[0].memory_mb'"],
+        "downloads-negative": ["'download_counters.downloads'"],
+        "downloads-not-a-number": ["'download_counters.downloads'"],
+        "cache-hits-negative": ["'download_counters.cache_hits'"],
+        "cache-hits-not-an-int": ["'download_counters.cache_hits'"],
+        "port-value-ill-typed": ["static checking", "tomcat: config "
+                                 "'manager_port' value 'eighty'"],
+        "peer-link-dropped": ["static checking", "openmrs: unsatisfied "
+                              "peer dependency"],
+        "transition-from-spec-ill-typed": ["static checking", "tomcat: "
+                                           "config 'manager_port'"],
     }
 
     @pytest.mark.parametrize("mutation", sorted(HOSTILE))
@@ -290,6 +355,36 @@ class TestCliBundleFlow:
         if mutation == "states-contradict-frontier":
             assert "'mysql'" in output
             assert "'inactive'" in output and "'active'" in output
+        for name in self.NAMED.get(mutation, ()):
+            assert name in output
+
+    @pytest.mark.parametrize(
+        "command", ["status", "stop", "reconcile", "upgrade"]
+    )
+    def test_ill_typed_bundle_is_refused_untouched(
+        self, bundle, tmp_path, command
+    ):
+        """The hand-edited bundle -- an ill-typed port value and a
+        dropped peer link -- is refused by every command that reads a
+        bundle, before anything runs, naming both instances."""
+        with open(bundle, encoding="utf-8") as handle:
+            document = json.load(handle)
+        self.HOSTILE["port-value-ill-typed"](document)
+        self.HOSTILE["peer-link-dropped"](document)
+        with open(bundle, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        before = pathlib.Path(bundle).read_bytes()
+        argv = [command, bundle]
+        if command == "upgrade":
+            spec = tmp_path / "goal.json"
+            spec.write_text(FIGURE_2)
+            argv.append(str(spec))
+        code, output = run(argv)
+        assert code == 2
+        assert output.startswith("error: ")
+        assert "tomcat: config 'manager_port' value 'eighty'" in output
+        assert "openmrs: unsatisfied peer dependency" in output
+        assert pathlib.Path(bundle).read_bytes() == before
 
     def test_dangling_link_names_both_ids(self, bundle):
         """A spec instance linked to one the bundle does not hold is
@@ -306,6 +401,35 @@ class TestCliBundleFlow:
             f"error: instance {holder['id']} links to missing instance "
             "ghost\n"
         )
+
+
+def _provider(bundle):
+    return bundle["world"]["providers"][0]
+
+
+def _machine(bundle):
+    return bundle["world"]["machines"][0]
+
+
+def _counters(bundle):
+    return bundle["world"]["download_counters"]
+
+
+def _instance(bundle, instance_id):
+    """The saved spec's entry for ``instance_id``."""
+    return next(
+        entry for entry in bundle["state"]["spec"]
+        if entry["id"] == instance_id
+    )
+
+
+def _ill_typed_transition(bundle):
+    """A down-phase transition record whose old spec is the bundle's own
+    with ``tomcat``'s manager port ill-typed."""
+    old = json.loads(json.dumps(bundle["state"]["spec"]))
+    tomcat = next(entry for entry in old if entry["id"] == "tomcat")
+    tomcat["config_port"]["manager_port"] = "eighty"
+    return {"from_spec": old, "pending": [], "stop": [], "retire": []}
 
 
 STACKS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "stacks"
