@@ -4,7 +4,8 @@
 Package a third-party Django application (Buzzfire, from Table 1) with
 the application packager, deploy it to a cloud-provisioned server with
 the stack choices of the paper (Gunicorn + MySQL + Redis), inject
-monitoring, and demonstrate the watchdog restarting a crashed service.
+monitoring, and show a reconcile round -- the monit pass -- restarting a
+crashed service.
 
 Run:  python examples/django_paas.py
 """
@@ -25,6 +26,7 @@ from repro import (
     standard_registry,
 )
 from repro.django import SimDatabase, package_application, table1_apps
+from repro.runtime import ReconcileController
 
 
 def main() -> None:
@@ -70,7 +72,7 @@ def main() -> None:
     print(f"migrated tables: {database.tables()}")
     print()
 
-    # -- 5. The watchdog in action ----------------------------------------
+    # -- 5. The monit pass: one reconcile round ---------------------------
     monitor = ProcessMonitor(system)
     monitor.generate_config()
     print("monit watches:", ", ".join(monitor.watched_services()))
@@ -78,10 +80,11 @@ def main() -> None:
     process = system.driver(redis_id).process
     print(f"killing {process.name} (pid {process.pid})...")
     process.fail()
-    events = monitor.poll()
-    for event in events:
-        print(f"  monitor restarted {event.process_name} "
-              f"at t={event.timestamp:.0f}s")
+    before = len(system.journal.entries)
+    ReconcileController(deploy, system, interval=0.0).poll()
+    for entry in system.journal.entries[before:]:
+        print(f"  reconcile: {entry.action} {entry.instance_id} "
+              f"at t={entry.timestamp:.0f}s")
     print("redis reachable again:",
           infrastructure.network.can_connect(hostname, 6379))
 

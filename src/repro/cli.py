@@ -360,7 +360,6 @@ def cmd_status(args, out: TextIO) -> int:
                 "failed": sorted(journal.failed),
                 "skipped": sorted(journal.skipped),
                 "frontier": journal.states(),
-                "diff": journal.diff(system.spec).to_payload(),
             },
         }
         out.write(indented(payload, 1) + "\n")
@@ -479,24 +478,6 @@ def cmd_inject_fault(args, out: TextIO) -> int:
         f"failed process {process.name!r} (instance {args.instance!r}) "
         f"on {machine.hostname}; bundle updated.\n"
     )
-    return 0
-
-
-def cmd_watch(args, out: TextIO) -> int:
-    """One monitoring pass: restart every failed service (monit)."""
-    from repro.runtime import ProcessMonitor
-
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
-    monitor = ProcessMonitor(system)
-    events = monitor.poll()
-    for event in events:
-        out.write(
-            f"restarted {event.process_name} (instance "
-            f"{event.instance_id})\n"
-        )
-    if not events:
-        out.write("all services healthy.\n")
-    _save_bundle(args.bundle, registry, infrastructure, system)
     return 0
 
 
@@ -1187,7 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("stop", "stop a saved deployment (reverse dependency order)"),
         ("start", "start a saved deployment (dependency order)"),
-        ("watch", "restart any failed services of a saved deployment"),
     ):
         manage = sub.add_parser(name, help=help_text)
         manage.add_argument(
@@ -1234,7 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     reconcile = sub.add_parser(
         "reconcile",
-        help="detect drift and repair a saved deployment (self-healing)",
+        help="detect drift and repair a saved deployment, one round "
+        "unless --watch: restart crashed services, redeploy lost machines",
     )
     reconcile.add_argument(
         "bundle", metavar="BUNDLE",
@@ -1342,7 +1323,6 @@ _COMMANDS = {
     "status": cmd_status,
     "stop": cmd_stop,
     "start": cmd_start,
-    "watch": cmd_watch,
     "reconcile": cmd_reconcile,
     "upgrade": cmd_upgrade,
     "plan": cmd_plan,

@@ -196,8 +196,8 @@ class ServiceDriver(PackageDriver):
         return self._process
 
     def adopt_process(self, process: SimProcess) -> None:
-        """Take ownership of a replacement process (used by the monitor
-        after it restarts a failed service)."""
+        """Take ownership of a process this driver did not spawn in
+        this run (used when a saved system is re-adopted)."""
         self._process = process
 
     def discard_process(self) -> None:

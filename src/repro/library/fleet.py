@@ -262,12 +262,10 @@ def _main(argv: list[str] | None = None) -> int:
             f"{elapsed:.2f}s -- {nodes / elapsed:.0f} nodes/sec"
         )
         return 0
-    text = fleet_spec_json(topology)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_fleet_spec(args.output, topology)
     else:
-        print(text, end="")
+        print(fleet_spec_json(topology), end="")
     return 0
 
 

@@ -6,7 +6,8 @@ The pieces:
   deterministic simulated-time timestamps, carried on
   :class:`~repro.sim.infrastructure.Infrastructure` (``set_tracer``)
   and emitted from the deployment engine, the DAG scheduler, the fault
-  plan, the monitor, the coordinator, and the configuration engine;
+  plan, the reconcile loop, the coordinator, and the configuration
+  engine;
 * :class:`MetricsRegistry` -- counters and histograms (actions,
   retries, backoff seconds, queue depth, per-host concurrency);
 * :func:`chrome_trace` / :func:`write_trace` -- Chrome trace-event

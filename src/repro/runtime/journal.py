@@ -85,36 +85,6 @@ class JournalEntry:
 
 
 @dataclass
-class JournalDiff:
-    """How the journal's record diverges from a goal specification.
-
-    ``missing`` lists goal instances never completed (in goal order),
-    ``extra`` lists journalled instances absent from the goal, and
-    ``failed``/``skipped`` echo the journal's failure partition
-    restricted to the goal.  An all-empty diff means the journal claims
-    the goal is met -- a *record-level* statement; :mod:`reconcile
-    <repro.runtime.reconcile>` checks the live world on top of it.
-    """
-
-    missing: list[str] = field(default_factory=list)
-    extra: list[str] = field(default_factory=list)
-    failed: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not (self.missing or self.extra or self.failed or self.skipped)
-
-    def to_payload(self) -> dict:
-        return {
-            "missing": list(self.missing),
-            "extra": list(self.extra),
-            "failed": list(self.failed),
-            "skipped": list(self.skipped),
-        }
-
-
-@dataclass
 class SpecTransition:
     """The in-flight record of a spec-to-spec delta transition.
 
@@ -234,7 +204,7 @@ class DeploymentJournal:
         frontier must follow the facts: a pseudo-action entry
         (``observe:<reason>``, ``source`` -> ``uninstalled``) keeps the
         per-instance entry chain valid, and the instance leaves the
-        completed partition so :meth:`remaining` re-includes it."""
+        completed partition."""
         self.record(
             JournalEntry(
                 instance_id=instance_id,
@@ -330,41 +300,6 @@ class DeploymentJournal:
         for entry in self.entries:
             states[entry.instance_id] = entry.target
         return states
-
-    def remaining(self) -> list[str]:
-        """Instance ids that have not reached the target state."""
-        return [
-            instance.id
-            for instance in self.spec.topological_order()
-            if instance.id not in self.completed
-        ]
-
-    def diff(self, goal_spec: InstallSpec) -> JournalDiff:
-        """Diff this journal's record against ``goal_spec``.
-
-        ``missing`` follows the goal's dependency order (it is a valid
-        work list); ``extra`` collects every journalled instance the
-        goal no longer wants, sorted."""
-        goal_ids = set(goal_spec.ids())
-        journalled = (
-            self.completed
-            | set(self.failed)
-            | self.skipped
-            | {entry.instance_id for entry in self.entries}
-        )
-        return JournalDiff(
-            missing=[
-                instance.id
-                for instance in goal_spec.topological_order()
-                if instance.id not in self.completed
-            ],
-            extra=sorted(journalled - goal_ids),
-            failed=sorted(iid for iid in self.failed if iid in goal_ids),
-            skipped=sorted(iid for iid in self.skipped if iid in goal_ids),
-        )
-
-    def is_complete(self) -> bool:
-        return not self.remaining()
 
     # -- Persistence payload (embedded by repro.runtime.state) -----------
 

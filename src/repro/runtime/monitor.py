@@ -8,14 +8,14 @@ the plugin to generate a monit configuration file registered with monit.
 ... If the process associated with a service fails, it will be
 automatically restarted by monit."
 
-:func:`add_monitoring` is the spec-injection half;
-:class:`ProcessMonitor` is the watch-and-restart half.
+:func:`add_monitoring` is the spec-injection half; :class:`ProcessMonitor`
+is the watch half.  The restart itself is a reconcile round
+(:class:`~repro.runtime.reconcile.ReconcileController`): a crashed
+service is drift, repaired through its driver's guarded ``restart``
+transition in dependency order and journalled like every other action.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.errors import DeploymentError
 from repro.core.instances import PartialInstallSpec, PartialInstance
@@ -70,27 +70,18 @@ def add_monitoring(
     return augmented
 
 
-@dataclass
-class MonitorEvent:
-    """One watchdog action: a failed service that was restarted."""
-
-    timestamp: float
-    instance_id: str
-    process_name: str
-    restarted: bool
-
-
 class ProcessMonitor:
-    """The monit substitute: scans service processes, restarts failures.
+    """The monit substitute: knows which services to watch and which of
+    them have died.
 
     After deployment, call :meth:`generate_config` once (writes the monit
-    control file from resource metadata) and :meth:`poll` on whatever
-    cadence the scenario wants.
+    control file from resource metadata); :func:`detect_drift
+    <repro.runtime.reconcile.detect_drift>` reads
+    :meth:`crashed_services` every reconcile round.
     """
 
     def __init__(self, system: DeployedSystem) -> None:
         self._system = system
-        self.events: list[MonitorEvent] = []
 
     def watched_services(self) -> list[str]:
         """Instance ids whose drivers manage a process, in id order
@@ -121,11 +112,9 @@ class ProcessMonitor:
     def crashed_services(self) -> list[str]:
         """Watched services whose process has died, in id order.
 
-        This is the *scan* half of :meth:`poll` (no restarts), used by
-        drift detection.  Services on machines that have dropped off the
-        network are excluded: a lost machine is machine-level drift,
-        repaired by redeployment, not by respawning processes on a ghost
-        host."""
+        Services on machines that have dropped off the network are
+        excluded: a lost machine is machine-level drift, repaired by
+        redeployment, not by restarting processes on a ghost host."""
         network = self._system.infrastructure.network
         drivers = self._system.drivers
         crashed: list[str] = []
@@ -138,31 +127,3 @@ class ProcessMonitor:
                 continue
             crashed.append(instance_id)
         return crashed
-
-    def poll(self) -> list[MonitorEvent]:
-        """One monitoring pass: restart every failed service process."""
-        new_events: list[MonitorEvent] = []
-        tracer = self._system.infrastructure.tracer
-        for instance_id in self.crashed_services():
-            driver = self._system.driver(instance_id)
-            assert isinstance(driver, ServiceDriver)
-            process = driver.process
-            machine = self._system.machine_for(instance_id)
-            fresh = machine.restart_process(process.pid)
-            driver.adopt_process(fresh)
-            event = MonitorEvent(
-                timestamp=self._system.infrastructure.clock.now,
-                instance_id=instance_id,
-                process_name=fresh.name,
-                restarted=True,
-            )
-            new_events.append(event)
-            self.events.append(event)
-            if tracer is not None:
-                tracer.instant(
-                    "restart", category="monitor",
-                    timestamp=event.timestamp, lane=machine.hostname,
-                    instance=instance_id, process=fresh.name,
-                )
-                tracer.metrics.counter("monitor.restarts").inc()
-        return new_events

@@ -2,9 +2,11 @@
 plans, and the autonomic loop that converges a fleet under churn.
 
 The paper's runtime reacts to individual process failures through the
-monit plugin (:mod:`repro.runtime.monitor`); this module generalises
-that reflex into a goal-seeking control loop, the pattern every modern
-deployment manager converged on:
+monit plugin; here that reflex is one case of a goal-seeking control
+loop, the pattern every modern deployment manager converged on.  A
+round whose only drift is crashed services is exactly a monit pass, and
+this loop is the only code that restarts a service of a live system
+(:mod:`repro.runtime.monitor` only scans):
 
 1. :func:`detect_drift` diffs the *live world* -- driver states, the
    process table, network membership -- against the deployed

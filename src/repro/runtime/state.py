@@ -109,7 +109,7 @@ def adopt_states(system: DeployedSystem, states: dict[str, str]) -> None:
                     f"{machine.hostname}"
                 )
             # A dead process is adopted as-is: that is precisely the
-            # state the monitor repairs (`engage-sim watch`).
+            # crashed-service drift reconcile repairs.
             driver.adopt_process(process)
 
 

@@ -4,7 +4,7 @@ Two layers of chaos live here.
 
 :class:`FaultInjector` is the original *post-deployment* injector: it
 picks running processes of a deployed system at random and fails them so
-the monitor ("monit") can be exercised.
+the reconcile loop's restarts (the paper's monit) can be exercised.
 
 :class:`FaultPlan` / :class:`FaultyWorld` inject faults *during*
 deployment: every driver action flows through
@@ -53,7 +53,6 @@ from repro.sim.process import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deploy import DeployedSystem
-    from repro.runtime.monitor import ProcessMonitor
     from repro.sim.infrastructure import Infrastructure
 
 
@@ -414,7 +413,7 @@ class FaultInjector:
         Every process on it dies, the host (with its bound endpoints)
         drops off the network, and its package-manager state is
         forgotten -- from the fleet's point of view the hardware is
-        gone.  Repair is the reconcile loop's job, not the monitor's.
+        gone.  Repair redeploys it; restarting a process cannot.
         """
         infrastructure = self._system.infrastructure
         machine = infrastructure.network.machine(hostname)
@@ -442,29 +441,6 @@ class FaultInjector:
         candidates = self._live_hostnames()
         picked = self._rng.sample(candidates, min(count, len(candidates)))
         return [self.crash_machine(hostname) for hostname in sorted(picked)]
-
-    def campaign(
-        self,
-        monitor: "ProcessMonitor",
-        rounds: int,
-        *,
-        max_failures_per_round: int = 2,
-        seconds_between_rounds: float = 30.0,
-    ) -> dict:
-        """Run a kill/poll campaign: each round injects up to
-        ``max_failures_per_round`` failures, advances time, and lets the
-        monitor repair.  Returns summary counters."""
-        clock = self._system.infrastructure.clock
-        injected = 0
-        restarted = 0
-        for _ in range(rounds):
-            failures = self.inject(
-                self._rng.randint(0, max_failures_per_round)
-            )
-            injected += len(failures)
-            clock.advance(seconds_between_rounds)
-            restarted += len(monitor.poll())
-        return {"injected": injected, "restarted": restarted}
 
 
 class MachineChurn:

@@ -48,7 +48,7 @@ class Infrastructure:
     def set_tracer(self, tracer) -> None:
         """Install (or, with ``None``, remove) a
         :class:`~repro.obs.tracer.Tracer`.  The engine, scheduler,
-        monitor, coordinator, and any installed fault plan emit
+        reconcile loop, coordinator, and any installed fault plan emit
         structured events through it."""
         self.tracer = tracer
         if self.fault_plan is not None:

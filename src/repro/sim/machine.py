@@ -136,18 +136,6 @@ class Machine:
         matches = [p for p in self.processes() if p.name == name]
         return matches[-1] if matches else None
 
-    def restart_process(self, pid: int) -> SimProcess:
-        """Replace a failed/stopped process with a fresh one (monit)."""
-        old = self.process(pid)
-        for port in old.listen_ports:
-            self.network.unbind(self.hostname, port)
-        fresh = self.spawn_process(
-            old.name, old.command, old.listen_ports, old.instance_id
-        )
-        fresh.restarts = old.restarts + 1
-        del self._processes[pid]
-        return fresh
-
     # -- Snapshot / restore (upgrade backups) --------------------------------
 
     def snapshot(self) -> dict:

@@ -8,10 +8,10 @@ index, download cache, machines with filesystems and processes, package
 databases, cloud providers -- and :func:`load_world` reconstructs it,
 rebinding the listening ports of still-running processes.
 
-The clock is saved as its ``now`` alone: the world is state, not
-history (the system's journal is the history).  Worlds saved while the
-clock still kept an event log carry it as one more section, which
-loading ignores.
+The clock is saved as its ``now`` alone, and a process without a
+restart count: the world is state, not history (the system's journal
+is the history).  Older worlds carry the clock's event log as one more
+section and a ``restarts`` key per process, which loading ignores.
 
 Together with :mod:`repro.runtime.state` this enables the CLI flow::
 
@@ -117,7 +117,7 @@ def _machine_payload(
                 "listen_ports": list(process.listen_ports),
                 "state": process.state.value,
                 "started_at": process.started_at,
-                "restarts": process.restarts,
+                "instance_id": process.instance_id,
             }
             for process in machine.processes()
         ],
@@ -196,9 +196,12 @@ def _count(value: Any, section: str, minimum: int = 0) -> int:
 
 
 def _restore_world(payload: dict[str, Any]) -> Infrastructure:
-    infrastructure = Infrastructure(
-        use_cache=payload.get("use_cache", True)
-    )
+    use_cache = payload.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise SimulationError(
+            f"world file section 'use_cache' is not a bool: {use_cache!r}"
+        )
+    infrastructure = Infrastructure(use_cache=use_cache)
     infrastructure.clock.advance_to(_seconds(payload["clock"], "clock"))
     counters = payload.get("download_counters", {})
     for name in ("downloads", "cache_hits"):
@@ -207,12 +210,14 @@ def _restore_world(payload: dict[str, Any]) -> Infrastructure:
             _count(counters.get(name, 0), f"download_counters.{name}"),
         )
 
-    for entry in payload["artifacts"]:
+    for index, entry in enumerate(payload["artifacts"]):
         infrastructure.package_index.publish(
             PackageArtifact(
                 name=entry["name"],
                 version=entry["version"],
-                size_bytes=entry["size_bytes"],
+                size_bytes=_count(
+                    entry["size_bytes"], f"artifacts[{index}].size_bytes"
+                ),
                 files=tuple(tuple(pair) for pair in entry["files"]),
             )
         )
@@ -260,23 +265,42 @@ def _restore_machine(
         {"files": dict(entry["fs"]["files"]),
          "dirs": set(entry["fs"]["dirs"])}
     )
-    for process_entry in entry["processes"]:
+    for index, process_entry in enumerate(entry["processes"]):
+        where = f"{section}.processes[{index}]"
+        pid = _count(process_entry["pid"], f"{where}.pid", 1)
+        if pid in machine._processes:
+            raise SimulationError(
+                f"world file section {where + '.pid'!r} repeats pid {pid}"
+            )
+        instance_id = process_entry.get("instance_id", "")
+        if not isinstance(instance_id, str):
+            raise SimulationError(
+                f"world file section {where + '.instance_id'!r} is not "
+                f"a string: {instance_id!r}"
+            )
         process = SimProcess(
-            pid=process_entry["pid"],
+            pid=pid,
             name=process_entry["name"],
             command=process_entry["command"],
             listen_ports=tuple(process_entry["listen_ports"]),
             state=ProcessState(process_entry["state"]),
-            started_at=process_entry["started_at"],
-            restarts=process_entry["restarts"],
+            started_at=_seconds(
+                process_entry["started_at"], f"{where}.started_at"
+            ),
+            instance_id=instance_id,
         )
-        machine._processes[process.pid] = process
+        machine._processes[pid] = process
         if process.is_running():
             for port in process.listen_ports:
                 infrastructure.network.bind(
                     machine.hostname, port, process
                 )
-    machine._next_pid = entry["next_pid"]
+    # A next pid at or below a saved one would reuse it on the next
+    # spawn, replacing that process in the machine's table.
+    machine._next_pid = _count(
+        entry["next_pid"], f"{section}.next_pid",
+        max(machine._processes, default=0) + 1,
+    )
 
     manager = infrastructure.package_manager(machine)
     manager.restore(

@@ -2,7 +2,9 @@
 
 Long-running components -- Tomcat, MySQL, gunicorn -- become
 :class:`SimProcess` objects.  A process can *fail*, which is what the
-monitoring experiment injects; the monitor notices and restarts it.
+monitoring experiment injects; reconcile notices and restarts its
+service through the driver's ``restart`` transition, which stops the
+dead process and spawns a new one.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ class SimProcess:
     listen_ports: tuple[int, ...] = ()
     state: ProcessState = ProcessState.RUNNING
     started_at: float = 0.0
-    restarts: int = 0
     #: The resource instance that spawned this process, when known, so
-    #: fault campaigns can be correlated back to spec instances.
+    #: injected faults can be correlated back to spec instances.
     instance_id: str = ""
     #: How many times this process has crashed (injected or otherwise).
     failures: int = 0

@@ -378,3 +378,64 @@ def test_the_type_checker_guards_what_is_loaded():
         and node.name == "system_from_payload"
     )
     assert "check_spec" in {name for _line, name in calls(loader)}
+
+
+
+def test_one_way_to_heal_a_crashed_service():
+    # A crashed service comes back in a reconcile round, through its
+    # driver's guarded, retried and journalled `restart` transition in
+    # dependency order.  Nothing respawns a process beside the journal:
+    # a machine has no restart of its own, the monitor only scans (no
+    # poll, no event log), a process keeps no restart count (the
+    # journal's `restart` entries are the history), and the one `src`
+    # call that spawns a process is the service driver's start action,
+    # which its restart reaches through stop-then-start.  The journal's
+    # second view of what is out of place went with them.
+    GONE = re.compile(r"\b(restart_process|MonitorEvent|JournalDiff)\b")
+    GONE_MEMBERS = {
+        "ProcessMonitor.poll", "ProcessMonitor.events",
+        "FaultInjector.campaign", "SimProcess.restarts",
+        "DeploymentJournal.diff", "DeploymentJournal.remaining",
+        "DeploymentJournal.is_complete",
+    }
+    hits = [
+        (path, number, match.group())
+        for path, text in _sources()
+        for number, line in enumerate(text.splitlines(), start=1)
+        for match in GONE.finditer(line)
+    ]
+
+    def is_spawn(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "spawn_process")
+
+    spawns, spawn_calls = [], 0
+    for path, tree in _modules():
+        where = path.relative_to(ROOT).as_posix()
+        spawn_calls += sum(map(is_spawn, ast.walk(tree)))
+        for prefix, node in _statements(tree):
+            names = [prefix + getattr(node, "name", "")]
+            if isinstance(node, ast.AnnAssign):
+                names = [prefix + ast.unparse(node.target)]
+            if isinstance(node, ast.ClassDef):
+                names = [
+                    f"{node.name}.{sub.attr}" for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and ast.unparse(sub.value) == "self"
+                ]
+            hits += [
+                (where, node.lineno, name)
+                for name in names if name in GONE_MEMBERS
+            ]
+            if isinstance(node, ast.FunctionDef):
+                spawns += [
+                    (where, names[0])
+                    for call in ast.walk(node) if is_spawn(call)
+                ]
+    assert not hits, hits
+    assert spawns == [
+        ("src/repro/drivers/library.py", "ServiceDriver.do_start")
+    ], spawns
+    assert spawn_calls == len(spawns)

@@ -48,6 +48,13 @@ def spec_json(version):
     )
 
 
+def last_journal_entry(bundle_path):
+    """``[instance, action]`` of the bundle journal's last entry."""
+    with open(bundle_path, encoding="utf-8") as handle:
+        entry = json.load(handle)["state"]["journal"]["entries"][-1]
+    return [entry["instance_id"], entry["action"]]
+
+
 @pytest.fixture
 def bundle(tmp_path):
     dsl = tmp_path / "stack.engage"
@@ -64,15 +71,18 @@ def bundle(tmp_path):
 
 
 class TestInjectFault:
-    def test_fail_then_watch_repairs(self, bundle):
+    def test_fail_then_reconcile_repairs(self, bundle):
         _, bundle_path = bundle
         code, output = run(["inject-fault", bundle_path, "cache"])
         assert code == 0
         assert "failed process" in output
 
-        code, output = run(["watch", bundle_path])
+        code, output = run(["reconcile", bundle_path])
         assert code == 0
-        assert "restarted" in output
+        assert output.startswith(
+            "round 0: converged drift=1 (crashed-service=1) plan=1 "
+        )
+        assert last_journal_entry(bundle_path) == ["cache", "restart"]
 
         code, output = run(["status", bundle_path])
         assert code == 0
@@ -88,11 +98,11 @@ class TestInjectFault:
         code, output = run(["inject-fault", bundle_path, "box"])
         assert code == 2
 
-    def test_watch_when_healthy(self, bundle):
+    def test_reconcile_when_healthy(self, bundle):
         _, bundle_path = bundle
-        code, output = run(["watch", bundle_path])
+        code, output = run(["reconcile", bundle_path])
         assert code == 0
-        assert "healthy" in output
+        assert output.startswith("round 0: converged\n")
 
 
 class TestUpgrade:
@@ -154,7 +164,8 @@ class TestUpgrade:
 
 
 class TestJsonShapes:
-    """The key sets scripts read from ``plan`` and ``reconcile --json``:
+    """The key sets scripts read from ``plan``, ``reconcile --json`` and
+    ``status --json``'s journal:
     adding or dropping a key is a deliberate change, made here."""
 
     def test_plan_keys(self, bundle):
@@ -185,6 +196,15 @@ class TestJsonShapes:
             "converged", "error", "time_to_repair_s",
         }
 
+    def test_status_journal_keys(self, bundle):
+        _, bundle_path = bundle
+        code, output = run(["status", "--json", bundle_path])
+        assert code == 0
+        assert set(json.loads(output)["journal"]) == {
+            "target", "entries", "completed", "failed", "skipped",
+            "frontier",
+        }
+
 
 class TestDay2KeepsTheJournal:
     """A day-2 command rewrites the bundle; it must stay resumable."""
@@ -195,7 +215,7 @@ class TestDay2KeepsTheJournal:
         return json.loads(output)["journal"]
 
     @pytest.mark.parametrize(
-        "command", ["stop", "start", "upgrade", "inject-fault", "watch"]
+        "command", ["stop", "start", "upgrade", "inject-fault", "reconcile"]
     )
     def test_bundle_stays_resumable(self, bundle, command):
         directory, bundle_path = bundle

@@ -330,7 +330,7 @@ class TestConsistentFrontier:
         engine.policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
         system = engine.resume(journal)
         assert system.is_deployed()
-        assert journal.is_complete()
+        assert journal.completed == set(journal.spec.ids())
         assert not journal.failed and not journal.skipped
         # tomcat, independent of mysql, started in the failed pass, so
         # only the order of process ids differs from the fault-free run.
@@ -526,9 +526,9 @@ class TestJournalUnit:
             JournalEntry("mysql", "start", INACTIVE, ACTIVE, 2.0)
         )
         assert journal.states() == {"mysql": ACTIVE}
-        assert "mysql" in journal.remaining()  # not marked completed
+        assert "mysql" not in journal.completed  # not marked yet
         journal.mark_completed("mysql")
-        assert "mysql" not in journal.remaining()
+        assert "mysql" in journal.completed
 
     def test_payload_round_trip(self):
         _, engine, spec = build_world()

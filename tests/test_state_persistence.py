@@ -10,7 +10,7 @@ from repro.drivers import ACTIVE, INACTIVE
 from repro.runtime import (
     DeploymentEngine,
     DeploymentJournal,
-    ProcessMonitor,
+    ReconcileController,
     load_system,
     save_system,
 )
@@ -64,10 +64,11 @@ class TestSaveLoad:
         adopted = load_system(
             registry, infrastructure, drivers, save_system(system)
         )
-        monitor = ProcessMonitor(adopted)
         adopted.driver("tomcat").process.fail()
-        events = monitor.poll()
-        assert [e.instance_id for e in events] == ["tomcat"]
+        round_ = ReconcileController(engine, adopted).poll()
+        assert round_.converged and round_.plan_by_op == {"restart": 1}
+        assert adopted.journal.entries[-1].instance_id == "tomcat"
+        assert adopted.journal.entries[-1].action == "restart"
         assert infrastructure.network.can_connect("demotest", 8080)
 
     def test_saving_stopped_system(self, world, registry, infrastructure,
@@ -136,16 +137,17 @@ class TestValidation:
         self, world, registry, infrastructure, drivers
     ):
         """The state file says active but the process has died: the
-        failed process is adopted as-is so the monitor can repair it
-        (the `engage-sim watch` flow)."""
+        failed process is adopted as-is so reconcile can repair it
+        (the `engage-sim reconcile` flow)."""
         engine, system = world
         text = save_system(system)
         system.driver("mysql").process.fail()
         adopted = load_system(registry, infrastructure, drivers, text)
         assert not adopted.driver("mysql").process.is_running()
-        monitor = ProcessMonitor(adopted)
-        events = monitor.poll()
-        assert [e.instance_id for e in events] == ["mysql"]
+        round_ = ReconcileController(engine, adopted).poll()
+        assert round_.converged and round_.plan_by_op == {"restart": 1}
+        assert adopted.journal.entries[-1].instance_id == "mysql"
+        assert adopted.journal.entries[-1].action == "restart"
         assert infrastructure.network.can_connect("demotest", 3306)
 
     def test_missing_process_record_refused(

@@ -12,7 +12,8 @@ from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.django import package_application, table1_apps
 from repro.runtime import (
     BusCoordinator,
-    ProcessMonitor,
+    DeploymentEngine,
+    ReconcileController,
     machine_waves,
     provision_partial_spec,
 )
@@ -101,11 +102,14 @@ class TestDeployment:
     ):
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         deployment = coordinator.deploy(three_tier)
-        # One monitor over the whole fleet; fail the db and restart it.
-        monitor = ProcessMonitor(deployment)
+        # One reconcile loop over the whole fleet; fail the db and
+        # restart it.
+        engine = DeploymentEngine(registry, infrastructure, drivers)
         deployment.driver("db").process.fail()
-        events = monitor.poll()
-        assert [e.instance_id for e in events] == ["db"]
+        round_ = ReconcileController(engine, deployment).poll()
+        assert round_.converged and round_.plan_by_op == {"restart": 1}
+        last = deployment.journal.entries[-1]
+        assert (last.instance_id, last.action) == ("db", "restart")
         assert infrastructure.network.can_connect("db", 3306)
 
     def test_machine_cycle_refused(self, registry, infrastructure, drivers):

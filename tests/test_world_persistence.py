@@ -135,6 +135,50 @@ class TestWorldRoundtrip:
         assert world_fingerprint(loaded) == world_fingerprint(plain)
         assert save_world(loaded) == save_world(plain)
 
+    def test_reloaded_world_has_the_live_fingerprint(
+        self, registry, infrastructure, drivers, openmrs_partial
+    ):
+        """A process's instance id is part of the world: the Figure 2
+        world read back from its file digests as the live one did."""
+        from repro.config import ConfigurationEngine
+        from repro.runtime import DeploymentEngine, world_fingerprint
+
+        spec = ConfigurationEngine(registry).configure(openmrs_partial).spec
+        DeploymentEngine(registry, infrastructure, drivers).deploy(spec)
+        loaded = load_world(save_world(infrastructure))
+        assert world_fingerprint(loaded) == world_fingerprint(infrastructure)
+        assert {
+            p.instance_id for p in loaded.machine("demotest").processes()
+        } == {"mysql", "tomcat", "openmrs"}
+
+    def test_an_old_world_without_instance_ids_loads(self, world):
+        """Older worlds carry a restart count per process and no
+        instance id: the count is ignored, the id reads as unknown."""
+        world.machine("m1").spawn_process("svc", instance_id="svc")
+        payload = json.loads(save_world(world))
+        for machine in payload["machines"]:
+            for process in machine["processes"]:
+                process["restarts"] = 2
+                del process["instance_id"]
+        loaded = load_world(json.dumps(payload))
+        processes = loaded.machine("m1").processes()
+        assert [p.instance_id for p in processes] == [""] * len(processes)
+        assert not hasattr(processes[0], "restarts")
+
+    def test_a_non_string_instance_id_is_refused(self, world):
+        payload = json.loads(save_world(world))
+        index, m1 = next(
+            (index, machine)
+            for index, machine in enumerate(payload["machines"])
+            if machine["hostname"] == "m1"
+        )
+        m1["processes"][0]["instance_id"] = 5
+        with pytest.raises(SimulationError, match=(
+            rf"'machines\[{index}\]\.processes\[0\]\.instance_id' is "
+            r"not a string: 5"
+        )):
+            load_world(json.dumps(payload))
+
 
 FIGURE_2 = json.dumps(
     [
@@ -302,6 +346,19 @@ class TestCliBundleFlow:
             lambda b: _counters(b).update(cache_hits=-2),
         "cache-hits-not-an-int":
             lambda b: _counters(b).update(cache_hits=True),
+        # Process tables no machine can hold.  A next pid at a saved
+        # one made the next spawn replace that process; a repeated pid
+        # dropped one of the two.
+        "process-pid-not-an-int": lambda b: _process(b, 0).update(pid="x"),
+        "process-pid-repeated":
+            lambda b: _process(b, 1).update(pid=_process(b, 0)["pid"]),
+        "next-pid-not-above-saved":
+            lambda b: _machine(b).update(next_pid=_process(b, 0)["pid"]),
+        "process-started-at-nan":
+            lambda b: _process(b, 0).update(started_at=float("nan")),
+        "artifact-size-negative":
+            lambda b: b["world"]["artifacts"][0].update(size_bytes=-100),
+        "use-cache-not-a-bool": lambda b: b["world"].update(use_cache="no"),
         # A spec that fails static checking (§3.3).  Both used to load:
         # status and stop exited 0, and reconcile blamed the network.
         "port-value-ill-typed":
@@ -331,6 +388,13 @@ class TestCliBundleFlow:
         "downloads-not-a-number": ["'download_counters.downloads'"],
         "cache-hits-negative": ["'download_counters.cache_hits'"],
         "cache-hits-not-an-int": ["'download_counters.cache_hits'"],
+        "process-pid-not-an-int": ["'machines[0].processes[0].pid'"],
+        "process-pid-repeated": ["'machines[0].processes[1].pid'",
+                                 "repeats pid"],
+        "next-pid-not-above-saved": ["'machines[0].next_pid'"],
+        "process-started-at-nan": ["'machines[0].processes[0].started_at'"],
+        "artifact-size-negative": ["'artifacts[0].size_bytes'"],
+        "use-cache-not-a-bool": ["'use_cache'"],
         "port-value-ill-typed": ["static checking", "tomcat: config "
                                  "'manager_port' value 'eighty'"],
         "peer-link-dropped": ["static checking", "openmrs: unsatisfied "
@@ -413,6 +477,10 @@ def _machine(bundle):
 
 def _counters(bundle):
     return bundle["world"]["download_counters"]
+
+
+def _process(bundle, index):
+    return _machine(bundle)["processes"][index]
 
 
 def _instance(bundle, instance_id):
