@@ -181,7 +181,7 @@ def e6() -> None:
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     drivers = standard_drivers()
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     deploy = DeploymentEngine(registry, infrastructure, drivers)
     print(f"  {'app':<18} {'source':<14} {'resources':<10} deployed")
     for index, app in enumerate(table1_apps()):
@@ -212,7 +212,7 @@ def e7_e10() -> None:
     infrastructure = standard_infrastructure()
     app = next(a for a in table1_apps() if a.name == "Areneae")
     app_key = package_application(app, registry, infrastructure)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
 
     os_choices = ("Mac-OSX 10.5", "Mac-OSX 10.6",
                   "Ubuntu-Linux 10.04", "Ubuntu-Linux 10.10")
@@ -251,7 +251,7 @@ def e7_e10() -> None:
     row("configurations solved", 256, solved)
     row("sweep wall-clock", "-", f"{elapsed:.1f}s")
 
-    session = ConfigurationSession(registry, verify_registry=False)
+    session = ConfigurationSession(registry)
     started = time.perf_counter()
     for partial in partials:
         session.configure(partial)
@@ -304,8 +304,7 @@ def e8() -> None:
         ),
         infrastructure,
     )
-    result = ConfigurationEngine(registry,
-                                 verify_registry=False).configure(partial)
+    result = ConfigurationEngine(registry).configure(partial)
     partial_lines = line_count(partial_to_json(partial))
     full_lines = line_count(full_to_json(result.spec))
     row("partial spec resources", 7, len(partial))
@@ -331,7 +330,7 @@ def e9() -> None:
     key_v2 = package_application(fa_v2, registry, infrastructure)
     key_bad = package_application(fa_broken_snapshot(), registry,
                                   infrastructure)
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
     upgrader = UpgradeEngine(config_engine, deploy_engine)
 

@@ -67,7 +67,7 @@ def _update_results(section: str, payload: dict) -> dict:
 
 def _fleet_spec(registry):
     return (
-        ConfigurationEngine(registry, partition=True, verify_registry=False)
+        ConfigurationEngine(registry, partition=True)
         .configure(fleet_partial(TOPOLOGY))
         .spec
     )

@@ -69,7 +69,7 @@ def sweep():
     infrastructure = standard_infrastructure()
     app = next(a for a in table1_apps() if a.name == "Areneae")
     app_key = package_application(app, registry, infrastructure)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
 
     solved = 0
     web_kinds = set()
@@ -110,7 +110,7 @@ def test_e7_single_configuration_latency(benchmark, registry, infrastructure):
     user waits on for each deploy)."""
     app = next(a for a in table1_apps() if a.name == "Areneae")
     app_key = package_application(app, registry, infrastructure)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     partial = partial_for(
         app_key, "Ubuntu-Linux 10.04", "Gunicorn 0.13", "MySQL 5.1",
         ("Redis 2.4",),
@@ -133,14 +133,14 @@ def test_e7_session_warm_sweep_vs_cold(benchmark, registry, infrastructure):
     partials = [
         partial_for(app_key, *config) for config in all_configurations()
     ]
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
 
     started = time.perf_counter()
     cold_specs = [full_to_json(engine.configure(p).spec) for p in partials]
     cold_ids = [engine.configure(p).deployed_ids for p in partials]
     cold_seconds = (time.perf_counter() - started) / 2  # two cold sweeps
 
-    session = ConfigurationSession(registry, verify_registry=False)
+    session = ConfigurationSession(registry)
     for partial in partials:
         session.configure(partial)  # prime every cache
 

@@ -79,7 +79,7 @@ def topology(replicas):
 def configure(partial):
     return (
         ConfigurationEngine(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         .configure(partial)
         .spec
@@ -91,7 +91,7 @@ def deploy(partial):
     infrastructure = standard_infrastructure()
     spec = (
         ConfigurationEngine(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         )
         .configure(partial)
         .spec

@@ -75,7 +75,7 @@ def _soak(topology, *, seed, rate, rounds, interval=60.0):
     """Deploy a fleet, churn it, reconcile it; returns the outcome."""
     registry = standard_registry()
     spec = (
-        ConfigurationEngine(registry, partition=True, verify_registry=False)
+        ConfigurationEngine(registry, partition=True)
         .configure(fleet_partial(topology))
         .spec
     )

@@ -212,9 +212,7 @@ def test_measured_parallel_scheduler_django_stack(benchmark):
             ]
         )
         partial = provision_partial_spec(registry, partial, infrastructure)
-        spec = ConfigurationEngine(
-            registry, verify_registry=False
-        ).configure(partial).spec
+        spec = ConfigurationEngine(registry).configure(partial).spec
         engine = DeploymentEngine(
             registry, infrastructure, standard_drivers(), jobs=0
         )

@@ -68,7 +68,7 @@ def top_partial(layers: int) -> PartialInstallSpec:
 @pytest.mark.parametrize("layers", [2, 4, 8])
 def test_e12_engine_scaling_with_library_depth(benchmark, layers):
     registry = synthetic_library(layers, width=3)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     partial = top_partial(layers)
     result = benchmark(engine.configure, partial)
     benchmark.extra_info.update(
@@ -86,7 +86,7 @@ def test_e12_engine_scaling_with_library_depth(benchmark, layers):
 @pytest.mark.parametrize("width", [2, 4, 8])
 def test_e12_engine_scaling_with_disjunction_width(benchmark, width):
     registry = synthetic_library(layers=4, width=width)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     partial = top_partial(4)
     result = benchmark(engine.configure, partial)
     benchmark.extra_info.update(

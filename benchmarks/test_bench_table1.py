@@ -26,7 +26,7 @@ def deploy_all_apps():
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     drivers = standard_drivers()
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     deploy = DeploymentEngine(registry, infrastructure, drivers)
 
     rows = []

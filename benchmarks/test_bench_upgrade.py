@@ -41,7 +41,7 @@ def build_world():
     key_bad = package_application(
         fa_broken_snapshot(), registry, infrastructure
     )
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
 
     def partial_for(key):

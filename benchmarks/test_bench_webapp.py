@@ -49,7 +49,7 @@ def test_e8_webapp_expansion(benchmark):
     infrastructure = standard_infrastructure()
     webapp = next(a for a in table1_apps() if a.name == "WebApp")
     app_key = package_application(webapp, registry, infrastructure)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     partial = provision_partial_spec(
         registry, webapp_partial(app_key), infrastructure
     )
@@ -86,7 +86,7 @@ def test_e8_webapp_production_deploys(benchmark):
     drivers = standard_drivers()
     webapp = next(a for a in table1_apps() if a.name == "WebApp")
     app_key = package_application(webapp, registry, infrastructure)
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     partial = provision_partial_spec(
         registry, webapp_partial(app_key), infrastructure
     )

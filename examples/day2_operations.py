@@ -61,7 +61,7 @@ def main() -> None:
     fa_v1, fa_v2 = fa_snapshots()
     key_v1 = package_application(fa_v1, registry, infrastructure)
     key_v2 = package_application(fa_v2, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
     upgrader = UpgradeEngine(config_engine, deploy_engine)
 
@@ -106,7 +106,7 @@ def main() -> None:
     infra2 = standard_infrastructure()
     k1 = package_application(fa_v1, registry2, infra2)
     k2 = package_application(fa_v2, registry2, infra2)
-    ce2 = ConfigurationEngine(registry2, verify_registry=False)
+    ce2 = ConfigurationEngine(registry2)
     de2 = DeploymentEngine(registry2, infra2, standard_drivers())
 
     def pf2(key):

@@ -42,7 +42,7 @@ def main() -> None:
     key_v2 = package_application(fa_v2, registry, infrastructure)
     key_bad = package_application(fa_bad, registry, infrastructure)
 
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
     upgrader = UpgradeEngine(config_engine, deploy_engine)
 

@@ -24,7 +24,7 @@ import functools
 import sys
 from typing import Optional, Sequence, TextIO
 
-from repro.core import ResourceTypeRegistry, check_registry
+from repro.core import ResourceTypeRegistry, assert_well_formed, check_registry
 from repro.core.errors import EngageError
 from repro.core.jsontext import indented
 from repro.config import (
@@ -129,8 +129,7 @@ def cmd_configure(args, out: TextIO) -> int:
             return 2
         partial = _read_partial(paths[0])
         result = ConfigurationEngine(
-            registry, verify_registry=not args.no_verify,
-            partition=args.partition,
+            registry, partition=args.partition
         ).configure(partial)
         if args.stats_json:
             _write_stats_json(
@@ -141,10 +140,7 @@ def cmd_configure(args, out: TextIO) -> int:
         out.write("error: --output only works with a single partial spec\n")
         return 2
     partials = [_read_partial(path) for path in paths]
-    session = ConfigurationSession(
-        registry, verify_registry=not args.no_verify,
-        partition=args.partition,
-    )
+    session = ConfigurationSession(registry, partition=args.partition)
     result = None
     for round_number in range(args.repeat):
         for path, partial in zip(paths, partials):
@@ -310,7 +306,8 @@ def _save_bundle(path: str, registry, infrastructure, system) -> None:
 
 def _load_bundle(path: str):
     """Rebuild (registry, infrastructure, drivers, system) from a
-    bundle; the bundle's journal is ``system.journal``."""
+    bundle; the bundle's journal is ``system.journal``.  Its types must
+    be well-formed, or no command works on it."""
     import json
 
     from repro.core.errors import RuntimeEngageError, document_section
@@ -333,6 +330,7 @@ def _load_bundle(path: str):
     )
     registry = ResourceTypeRegistry()
     load_resources(types, registry)
+    assert_well_formed(registry)
     infrastructure = world_from_payload(world)
     drivers = standard_drivers()
     drivers.set_fallback("service")
@@ -412,7 +410,7 @@ def cmd_upgrade(args, out: TextIO) -> int:
 
     registry, infrastructure, drivers, system = _load_bundle(args.bundle)
     partial = _load_goal_partial(args, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
     upgrader = UpgradeEngine(config_engine, deploy_engine)
     result = upgrader.upgrade(system, partial, strategy=args.strategy)
@@ -442,7 +440,7 @@ def cmd_plan(args, out: TextIO) -> int:
 
     registry, infrastructure, _, system = _load_bundle(args.bundle)
     partial = _load_goal_partial(args, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     new_spec = config_engine.configure(partial).spec
     delta = plan_delta(system, new_spec)
     payload = delta.to_payload()
@@ -819,7 +817,7 @@ def cmd_deploy(args, out: TextIO) -> int:
         registry, infrastructure, drivers, system = _load_bundle(args.delta)
         tracer = _install_tracer(args, infrastructure)
         partial = _load_goal_partial(args, registry, infrastructure)
-        config_engine = ConfigurationEngine(registry, verify_registry=False)
+        config_engine = ConfigurationEngine(registry)
         new_spec = config_engine.configure(partial).spec
         delta = plan_delta(system, new_spec)
         by_op = ", ".join(
@@ -873,9 +871,7 @@ def cmd_deploy(args, out: TextIO) -> int:
     drivers.set_fallback("service")
 
     partial = provision_partial_spec(registry, partial, infrastructure)
-    engine = ConfigurationEngine(
-        registry, verify_registry=not args.no_verify, tracer=tracer
-    )
+    engine = ConfigurationEngine(registry, tracer=tracer)
     result = engine.configure(partial)
     out.write(
         f"configured {len(result.spec)} instances from "
@@ -965,10 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-stdlib", action="store_true",
             help="do not preload the built-in resource library",
-        )
-        p.add_argument(
-            "--no-verify", action="store_true",
-            help="skip registry well-formedness verification",
         )
         if with_partial:
             p.add_argument(

@@ -356,25 +356,23 @@ class ConfigurationEngine:
     connected components after GraphGen and encodes/solves/propagates
     each component independently (:mod:`repro.config.partition`); the
     resulting specification is bit-identical to the monolithic one.
-    ``verify_registry`` checks the registry's well-formedness up front
-    and ``tracer`` receives the phase spans; nothing else is settable.
+    The registry's well-formedness is checked up front and ``tracer``
+    receives the phase spans; nothing else is settable.
     """
 
     def __init__(
         self,
         registry: ResourceTypeRegistry,
         *,
-        verify_registry: bool = True,
         partition: bool = False,
         tracer=None,
     ) -> None:
         self._registry = registry
         self._partition = partition
         self._tracer = tracer
-        if verify_registry:
-            # Memoized on the registry: many engines over one registry
-            # pay the full well-formedness sweep once.
-            assert_well_formed(registry)
+        # Memoized on the registry: many engines over one registry pay
+        # the full well-formedness sweep once.
+        assert_well_formed(registry)
 
     @property
     def registry(self) -> ResourceTypeRegistry:

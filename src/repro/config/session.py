@@ -181,7 +181,6 @@ class ConfigurationSession:
         self,
         registry: ResourceTypeRegistry,
         *,
-        verify_registry: bool = True,
         partition: bool = False,
         max_entries: int = 1024,
         tracer=None,
@@ -189,11 +188,9 @@ class ConfigurationSession:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self._engine = ConfigurationEngine(
-            registry, verify_registry=verify_registry, partition=partition,
-            tracer=tracer,
+            registry, partition=partition, tracer=tracer
         )
         self._registry = registry
-        self._verify_registry = verify_registry
         self._partition = partition
         self._max_entries = max_entries
         #: Fingerprint -> the spec's entry, least recently used first.
@@ -235,8 +232,7 @@ class ConfigurationSession:
             return
         self.flush()
         self.stats.invalidations += 1
-        if self._verify_registry:
-            assert_well_formed(self._registry)
+        assert_well_formed(self._registry)
         self._registry_version = self._registry.version
 
     def _lookup(self, key: str) -> Optional[_Entry]:

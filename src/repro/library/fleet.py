@@ -209,9 +209,7 @@ def configure_fleet(
     if registry is None:
         registry = standard_registry()
     partial = fleet_partial(topology)
-    engine = ConfigurationEngine(
-        registry, partition=partition, verify_registry=False
-    )
+    engine = ConfigurationEngine(registry, partition=partition)
     started = time.perf_counter()
     result = engine.configure(partial)
     elapsed = time.perf_counter() - started

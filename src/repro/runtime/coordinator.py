@@ -183,10 +183,11 @@ class MultiHostDeploymentFailure(DeploymentFailure):
 # idempotent *work item* per (wave, machine) and retransmits until
 # acked; slave agents consume work, execute it through the ordinary
 # deployment engine (DAG scheduler, retries, write-ahead journal), and
-# ack with their journal frontier.  Because delivery is at-least-once
-# and chaotic (drops, duplicates, reorders, partitions), everything is
-# keyed: a work item's dedup key makes re-execution a cache hit, and a
-# re-ack replays the cached frontier instead of redoing the work --
+# ack when it is done (the fleet's frontier is read from the agents'
+# journals at the end).  Because delivery is at-least-once and chaotic
+# (drops, duplicates, reorders, partitions), everything is keyed: a
+# work item's dedup key makes re-execution a cache hit, and a re-ack
+# replays the cached ack instead of redoing the work --
 # at-least-once delivery, exactly-once *effect*.  A direct in-process
 # call is the degenerate case: a fault-free bus at zero latency.
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ class SlaveAgent:
         self.master = envelope.sender
         if key in self.acks:
             # Duplicate or retransmitted work for something already
-            # done: replay the cached frontier, never the work.
+            # done: replay the cached ack, never the work.
             self.redundant_acks += 1
             self._send_ack(self.acks[key], now)
             return
@@ -407,8 +408,6 @@ class SlaveAgent:
             "key": key,
             "machine": self.machine_id,
             "wave": wave,
-            "completed": sorted(journal.completed),
-            "entries": [entry.to_payload() for entry in journal.entries],
             "seconds": span.elapsed,
             "finished_at": span.end,
         }

@@ -210,6 +210,7 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
     services restarted.  Lost machines are *not* delta work: reconcile
     repairs the world first, then the delta moves it.
     """
+    require_no_transition(system)
     old_spec = system.spec
     target = system.journal.target
     diff = diff_specs(old_spec, new_spec)
@@ -325,26 +326,34 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
     )
 
 
+def require_no_transition(system: DeployedSystem) -> None:
+    """Refuse to plan over a delta transition still in flight: a new
+    goal would re-target its journal and drop the unfinished down phase,
+    leaving whatever it had yet to remove running outside any spec."""
+    if system.journal.transition is not None:
+        raise RuntimeEngageError(
+            "the deployment has an unfinished delta transition: run "
+            "`deploy --resume` on its bundle to finish it first"
+        )
+
+
 def rebase_journal(
     system: DeployedSystem, delta: DeltaPlan
 ) -> DeploymentJournal:
-    """Build the transition's write-ahead journal, bound to the *new*
-    spec.
+    """Re-target the system's journal to the *new* spec, in place.
 
-    Every entry of the system's journal that concerns an old-spec
-    instance is carried over (per-instance chains stay intact); where
-    the carried record disagrees with -- or is silent about -- the live
-    driver state, an ``observe:adopted`` entry pins the frontier to the
-    facts, so a resume after a crash reconstructs exactly the states the
-    transition started from.  Unchanged instances already at the target
-    that the down phase will not touch are marked completed: the up
-    phase skips them, which is what makes the plan O(diff).
+    The entries stay as they are (per-instance chains intact); where the
+    recorded frontier disagrees with -- or is silent about -- the live
+    driver state, an ``observe:adopted`` entry pins it to the facts, so
+    a resume after a crash reconstructs exactly the states the
+    transition started from.  Failure bookkeeping is cleared, and of the
+    instances at the target only the unchanged ones the down phase will
+    not touch stay completed: the up phase skips them, which is what
+    makes the plan O(diff).  A step records O(step) entries, not the
+    journal's whole history again.
     """
-    journal = DeploymentJournal(delta.new_spec, target=delta.target)
-    old_ids = set(delta.old_spec.ids())
-    for entry in system.journal.entries:
-        if entry.instance_id in old_ids:
-            journal.record(entry)
+    require_no_transition(system)
+    journal = system.journal
     frontier = journal.states()
     clock = system.infrastructure.clock
     for instance in delta.old_spec.topological_order():
@@ -362,6 +371,9 @@ def rebase_journal(
             journal.record(
                 JournalEntry(iid, "observe:adopted", recorded, live, clock.now)
             )
+    journal.spec = delta.new_spec
+    journal.completed.clear()
+    journal.reset_frontier()
     stop_set = set(delta.stop_down)
     for iid in delta.diff.unchanged:
         if iid in stop_set or iid not in system.drivers:
@@ -467,7 +479,6 @@ def execute_delta(
                 retire=list(delta.retire_hostnames),
             )
         )
-        system.journal = journal
         report.merge(finish_down_phase(engine, system))
 
     new_system = _carry_over(
@@ -487,7 +498,6 @@ def execute_delta(
             )
         )
 
-    journal.sort_entries_by_time()
     new_system.report = report
     return DeltaResult(
         system=new_system, journal=journal, plan=delta, report=report

@@ -106,38 +106,6 @@ class DeploymentReport:
     #: Worker bound of the pass: 1 = serial, 0 = unbounded.
     jobs: int = 1
 
-    def __post_init__(self) -> None:
-        self._indexed_count = -1
-        self._by_instance: dict[str, list[ActionRecord]] = {}
-        self._failed_attempts = 0
-        self._backoff_total = 0.0
-
-    def _reindex(self) -> None:
-        """(Re)build the per-instance index and the attempt counters.
-
-        Keyed on ``len(actions)`` so appends (including merged reports)
-        invalidate lazily; repeated reads between mutations are O(1)
-        instead of rescanning the action list per call.
-        """
-        if self._indexed_count == len(self.actions):
-            return
-        by_instance: dict[str, list[ActionRecord]] = {}
-        failed = 0
-        backoff = 0.0
-        for action in self.actions:
-            by_instance.setdefault(action.instance_id, []).append(action)
-            if not action.succeeded:
-                failed += 1
-            backoff += action.backoff_seconds
-        self._by_instance = by_instance
-        self._failed_attempts = failed
-        self._backoff_total = backoff
-        self._indexed_count = len(self.actions)
-
-    def invalidate_caches(self) -> None:
-        """Force a reindex after in-place mutation (e.g. sorting)."""
-        self._indexed_count = -1
-
     def merge(self, part: "DeploymentReport") -> None:
         """Fold a pass that ran after this one into it: actions
         appended, costs summed."""
@@ -147,20 +115,20 @@ class DeploymentReport:
         self.critical_path_seconds += part.critical_path_seconds
 
     def actions_for(self, instance_id: str) -> list[ActionRecord]:
-        self._reindex()
-        return list(self._by_instance.get(instance_id, ()))
+        return [
+            action for action in self.actions
+            if action.instance_id == instance_id
+        ]
 
     @property
     def retries(self) -> int:
         """How many action attempts failed (and so were retried or
         aborted the run)."""
-        self._reindex()
-        return self._failed_attempts
+        return sum(not action.succeeded for action in self.actions)
 
     @property
     def total_backoff_seconds(self) -> float:
-        self._reindex()
-        return self._backoff_total
+        return sum(action.backoff_seconds for action in self.actions)
 
 
 class DeployedSystem:

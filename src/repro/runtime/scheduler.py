@@ -219,7 +219,6 @@ class DagScheduler:
         if interleaved:
             # Workers appended in dispatch order; merge their timelines.
             report.actions.sort(key=_started_at)
-            report.invalidate_caches()
             journal.sort_entries_by_time()
         report.sequential_seconds = sum([a.duration for a in report.actions])
         report.makespan_seconds = clock.now - pass_started

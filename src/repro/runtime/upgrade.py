@@ -29,6 +29,7 @@ from repro.runtime.delta import (
     diff_specs,
     execute_delta,
     plan_delta,
+    require_no_transition,
     retire_machines,
     retired_hostnames,
 )
@@ -111,6 +112,7 @@ class UpgradeEngine:
         """
         if strategy not in ("replace", "delta"):
             raise UpgradeError(f"unknown upgrade strategy: {strategy!r}")
+        require_no_transition(system)
         new_spec = self._config.configure(new_partial).spec
         diff = diff_specs(system.spec, new_spec)
 

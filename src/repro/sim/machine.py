@@ -11,14 +11,14 @@ is that interface.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.filesystem import VirtualFilesystem
 from repro.sim.network import Network
-from repro.sim.process import ProcessState, SimProcess
+from repro.sim.process import SimProcess
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,9 @@ class Machine:
         return process
 
     def kill_process(self, pid: int) -> None:
-        process = self._processes.get(pid)
+        """Stop a process and drop it from the table: the world keeps
+        what runs (or crashed), the journal keeps what stopped."""
+        process = self._processes.pop(pid, None)
         if process is None:
             raise SimulationError(f"{self.hostname}: no process {pid}")
         process.stop()
@@ -139,14 +141,7 @@ class Machine:
     # -- Snapshot / restore (upgrade backups) --------------------------------
 
     def snapshot(self) -> dict:
-        return {
-            "fs": self.fs.snapshot(),
-            "processes": {
-                pid: (p.name, p.command, p.listen_ports, p.state)
-                for pid, p in self._processes.items()
-            },
-            "next_pid": self._next_pid,
-        }
+        return {"fs": self.fs.snapshot(), "next_pid": self._next_pid}
 
     def restore(self, snapshot: dict) -> None:
         """Restore filesystem state; all processes are stopped first (a

@@ -8,10 +8,13 @@ index, download cache, machines with filesystems and processes, package
 databases, cloud providers -- and :func:`load_world` reconstructs it,
 rebinding the listening ports of still-running processes.
 
-The clock is saved as its ``now`` alone, and a process without a
-restart count: the world is state, not history (the system's journal
-is the history).  Older worlds carry the clock's event log as one more
-section and a ``restarts`` key per process, which loading ignores.
+The clock is saved as its ``now`` alone, a process without a restart
+count, and a machine with only the processes that still exist: the
+world is state, not history (the system's journal is the history).
+Older worlds carry the clock's event log as one more section, a
+``restarts`` key per process and the records of stopped processes,
+which loading ignores (a stopped record is checked like any other
+first).
 
 Together with :mod:`repro.runtime.state` this enables the CLI flow::
 
@@ -265,13 +268,15 @@ def _restore_machine(
         {"files": dict(entry["fs"]["files"]),
          "dirs": set(entry["fs"]["dirs"])}
     )
+    pids: set[int] = set()
     for index, process_entry in enumerate(entry["processes"]):
         where = f"{section}.processes[{index}]"
         pid = _count(process_entry["pid"], f"{where}.pid", 1)
-        if pid in machine._processes:
+        if pid in pids:
             raise SimulationError(
                 f"world file section {where + '.pid'!r} repeats pid {pid}"
             )
+        pids.add(pid)
         instance_id = process_entry.get("instance_id", "")
         if not isinstance(instance_id, str):
             raise SimulationError(
@@ -289,6 +294,8 @@ def _restore_machine(
             ),
             instance_id=instance_id,
         )
+        if process.state is ProcessState.STOPPED:
+            continue  # an older world's history
         machine._processes[pid] = process
         if process.is_running():
             for port in process.listen_ports:
@@ -299,7 +306,7 @@ def _restore_machine(
     # spawn, replacing that process in the machine's table.
     machine._next_pid = _count(
         entry["next_pid"], f"{section}.next_pid",
-        max(machine._processes, default=0) + 1,
+        max(pids, default=0) + 1,
     )
 
     manager = infrastructure.package_manager(machine)

@@ -9,7 +9,7 @@ dead process and spawns a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -32,8 +32,6 @@ class SimProcess:
     #: The resource instance that spawned this process, when known, so
     #: injected faults can be correlated back to spec instances.
     instance_id: str = ""
-    #: How many times this process has crashed (injected or otherwise).
-    failures: int = 0
 
     def is_running(self) -> bool:
         return self.state == ProcessState.RUNNING
@@ -42,7 +40,6 @@ class SimProcess:
         """Simulate a crash (used for monitor/restart experiments)."""
         if self.state == ProcessState.RUNNING:
             self.state = ProcessState.FAILED
-            self.failures += 1
 
     def stop(self) -> None:
         self.state = ProcessState.STOPPED

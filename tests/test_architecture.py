@@ -70,10 +70,9 @@ def test_configure_has_one_behaviour():
     # assumption form of a formula configure built.
     PINNED = {
         ("engine.py", "ConfigurationEngine.__init__"):
-            ["registry", "verify_registry", "partition", "tracer"],
+            ["registry", "partition", "tracer"],
         ("session.py", "ConfigurationSession.__init__"):
-            ["registry", "verify_registry", "partition",
-             "max_entries", "tracer"],
+            ["registry", "partition", "max_entries", "tracer"],
         ("engine.py", "ConfigurationEngine.configure"): ["partial"],
         ("session.py", "ConfigurationSession.configure"): ["partial"],
         ("engine.py", "ConfigurationEngine.components"):
@@ -439,3 +438,34 @@ def test_one_way_to_heal_a_crashed_service():
         ("src/repro/drivers/library.py", "ServiceDriver.do_start")
     ], spawns
     assert spawn_calls == len(spawns)
+
+
+def test_history_is_kept_once():
+    # A deployment keeps one journal for its whole life: a day-2 step
+    # re-targets it in place, so the delta layer builds none (a rebuild
+    # copied the whole history on every step).  Beside the journal the
+    # world keeps no history: a process no crash count.  And whatever
+    # configures or loads types checks them: no switch turns the
+    # registry's well-formedness check off.
+    GONE = re.compile(r"\b(verify_registry|no_verify)\b|--no-verify")
+    hits = [
+        (path, number, match.group())
+        for path, text in _sources()
+        for number, line in enumerate(text.splitlines(), start=1)
+        for match in GONE.finditer(line)
+    ]
+    delta = ast.parse((SRC / "runtime" / "delta.py").read_text("utf-8"))
+    hits += [
+        ("src/repro/runtime/delta.py", node.lineno, "DeploymentJournal()")
+        for node in ast.walk(delta)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "DeploymentJournal"
+    ]
+    process = ast.parse((SRC / "sim" / "process.py").read_text("utf-8"))
+    hits += [
+        ("src/repro/sim/process.py", node.lineno, "SimProcess.failures")
+        for prefix, node in _statements(process)
+        if prefix == "SimProcess." and isinstance(node, ast.AnnAssign)
+        and ast.unparse(node.target) == "failures"
+    ]
+    assert not hits, hits

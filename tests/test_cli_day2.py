@@ -88,6 +88,21 @@ class TestInjectFault:
         assert code == 0
         assert "active" in output
 
+    def test_a_restart_leaves_no_stopped_process(self, bundle):
+        """A restart kills the crashed process and spawns a new one: the
+        saved world holds the new one only (the journal holds the
+        restart)."""
+        _, bundle_path = bundle
+        assert run(["inject-fault", bundle_path, "cache"])[0] == 0
+        assert run(["reconcile", bundle_path])[0] == 0
+        with open(bundle_path, encoding="utf-8") as handle:
+            machines = json.load(handle)["world"]["machines"]
+        assert [
+            (process["instance_id"], process["state"])
+            for machine in machines
+            for process in machine["processes"]
+        ] == [("cache", "running")]
+
     def test_unknown_instance(self, bundle):
         _, bundle_path = bundle
         code, output = run(["inject-fault", bundle_path, "ghost"])

@@ -15,6 +15,7 @@ down to the persisted world and state files.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -64,7 +65,7 @@ def build(partial):
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     config = ConfigurationEngine(
-        registry, partition=True, verify_registry=False
+        registry, partition=True
     )
     spec = config.configure(partial).spec
     engine = DeploymentEngine(registry, infrastructure, standard_drivers())
@@ -76,7 +77,7 @@ def build(partial):
 def configure(partial):
     return (
         ConfigurationEngine(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         .configure(partial)
         .spec
@@ -84,13 +85,9 @@ def configure(partial):
 
 
 def live_fingerprint(system, infrastructure):
-    """What must match a fresh deploy of the same spec, modulo pid.
-
-    Stopped process corpses are deliberately excluded: the simulator
-    keeps them in the process table (like a real OS keeps log lines),
-    and a transition that stopped something a fresh world never started
-    is not a divergence.
-    """
+    """What must match a fresh deploy of the same spec, modulo pid:
+    the running processes (a crashed one stays in the table until a
+    restart replaces it)."""
     machines = sorted(
         set(system.machines.values()), key=lambda m: m.hostname
     )
@@ -393,7 +390,7 @@ class TestMovedInstances:
     def test_in_place_upgrade_relocates_the_process(self):
         registry = standard_registry()
         infrastructure = standard_infrastructure()
-        config = ConfigurationEngine(registry, verify_registry=False)
+        config = ConfigurationEngine(registry)
         spec = config.configure(two_host_partial("hostA", "hostB")).spec
         engine = DeploymentEngine(
             registry, infrastructure, standard_drivers()
@@ -434,11 +431,8 @@ class TestRollbackGhostHosts:
             result[machine.hostname] = {
                 "fs": fs,
                 "processes": sorted(
-                    (name, command, ports, state.value)
-                    for name, command, ports, state in snap[
-                        "processes"
-                    ].values()
-                    if state.value == "running"
+                    (p.name, p.command, p.listen_ports)
+                    for p in machine.running_processes()
                 ),
                 "packages": infrastructure.package_manager(
                     machine
@@ -450,7 +444,7 @@ class TestRollbackGhostHosts:
     def test_failed_grow_upgrade_leaves_no_ghosts(self, strategy):
         registry = standard_registry()
         infrastructure = standard_infrastructure()
-        config = ConfigurationEngine(registry, verify_registry=False)
+        config = ConfigurationEngine(registry)
         spec = config.configure(one_host_partial("hostA")).spec
         engine = DeploymentEngine(
             registry, infrastructure, standard_drivers()
@@ -492,7 +486,7 @@ class TestShrinkRetiresTheHost:
     def test_dropped_machine_leaves_the_network(self, strategy):
         registry = standard_registry()
         infrastructure = standard_infrastructure()
-        config = ConfigurationEngine(registry, verify_registry=False)
+        config = ConfigurationEngine(registry)
         spec = config.configure(two_host_partial("hostA", "hostB")).spec
         engine = DeploymentEngine(
             registry, infrastructure, standard_drivers()
@@ -524,7 +518,7 @@ class TestErrorReporting:
     def test_failed_upgrade_names_the_exception_class(self):
         registry = standard_registry()
         infrastructure = standard_infrastructure()
-        config = ConfigurationEngine(registry, verify_registry=False)
+        config = ConfigurationEngine(registry)
         spec = config.configure(one_host_partial("hostA")).spec
         engine = DeploymentEngine(
             registry, infrastructure, standard_drivers()
@@ -739,6 +733,31 @@ class TestFaultedTransitions:
             resumed, infrastructure
         ) == fresh_fingerprint(new_partial)
 
+    def test_an_unfinished_transition_refuses_another_goal(self):
+        """A second goal over a journal whose down phase is still in
+        flight would drop that phase and leave the removed replicas
+        running outside any spec: planning it and both upgrade
+        strategies refuse, naming the way out."""
+        engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
+        new_spec = configure(shrink(TOPOLOGY))
+        FaultyWorld(
+            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(engine, system, plan_delta(system, new_spec))
+        stuck = excinfo.value.system
+        transition = stuck.journal.transition
+        assert transition is not None
+        with pytest.raises(RuntimeEngageError, match="deploy --resume"):
+            plan_delta(stuck, new_spec)
+        upgrader = UpgradeEngine(
+            ConfigurationEngine(standard_registry(), partition=True), engine
+        )
+        for strategy in ("replace", "delta"):
+            with pytest.raises(RuntimeEngageError, match="deploy --resume"):
+                upgrader.upgrade(stuck, shrink(TOPOLOGY), strategy=strategy)
+        assert stuck.journal.transition is transition
+
     def test_ill_typed_old_spec_is_refused_at_load(self):
         """The old spec a down-phase journal carries is read from the
         state file like the new one, so it is statically checked too."""
@@ -882,6 +901,33 @@ class TestFaultedTransitions:
         assert live_fingerprint(
             failure.system, infrastructure
         ) == fresh_fingerprint(new_partial)
+
+
+class TestOneJournal:
+    """A day-2 step re-targets the deployment's one journal in place: it
+    records what the step did, never the journal's history again."""
+
+    EIGHT = FleetTopology(replicas=16, machines=8, stacks=("django",))
+
+    @pytest.mark.parametrize("mutation", ["grow", "shrink"])
+    def test_a_step_records_only_its_own_work(self, monkeypatch, mutation):
+        engine, _, system, _ = build(fleet_partial(self.EIGHT))
+        new_spec = configure(MUTATIONS[mutation](self.EIGHT))
+        journal = system.journal
+        recorded = []
+        record = DeploymentJournal.record
+
+        def counting(self, entry):
+            recorded.append(entry)
+            record(self, entry)
+
+        monkeypatch.setattr(DeploymentJournal, "record", counting)
+        result = execute_delta(engine, system, plan_delta(system, new_spec))
+        actions = sum(action.succeeded for action in result.report.actions)
+        pins = sum(entry.action == "observe:adopted" for entry in recorded)
+        assert 0 < len(recorded) <= actions + pins
+        assert result.journal is journal is result.system.journal
+        assert journal.spec is new_spec
 
 
 class TestTransitionJournal:
@@ -1032,6 +1078,35 @@ class TestCli:
         code, output = run_cli(["status", bundle_path])
         assert code == 0
         assert "cache2" in output
+
+    def test_a_second_goal_waits_for_the_unfinished_one(self, cli_bundle):
+        """With a transition left unfinished, ``deploy --delta``,
+        ``plan`` and ``upgrade`` exit 2 naming ``deploy --resume`` and
+        leave the bundle as it was; the resume then converges."""
+        directory, bundle_path = cli_bundle
+        goal = directory / "goal.json"
+        goal.write_text(cli_spec_json([("cache2", 7071)]))
+        code, _ = run_cli(
+            ["deploy", "--delta", bundle_path, str(goal),
+             "--chaos-rate", "1.0", "--chaos-seed", "3"]
+        )
+        assert code == 1
+        saved = pathlib.Path(bundle_path).read_bytes()
+        for argv in (
+            ["deploy", "--delta", bundle_path, str(goal)],
+            ["plan", bundle_path, str(goal)],
+            ["upgrade", bundle_path, str(goal)],
+            ["upgrade", bundle_path, str(goal), "--strategy", "delta"],
+        ):
+            code, output = run_cli(argv)
+            assert code == 2, (argv, output)
+            assert "deploy --resume" in output
+            assert pathlib.Path(bundle_path).read_bytes() == saved
+        code, output = run_cli(["deploy", "--resume", bundle_path])
+        assert code == 0, output
+        code, output = run_cli(["status", "--json", bundle_path])
+        assert code == 0
+        assert json.loads(output)["converged"] is True
 
     def test_deploy_delta_requires_a_goal(self, cli_bundle):
         _, bundle_path = cli_bundle

@@ -398,7 +398,7 @@ class TestSolvesPerDiagnosis:
         monkeypatch.setattr(CdclSolver, "solve", counting)
         monkeypatch.setattr(explain, "explain_unsat", diagnosing)
         engine = ConfigurationEngine(
-            REGISTRY, verify_registry=False, partition=partition
+            REGISTRY, partition=partition
         )
         counts = []
         for machines in (16, 64):

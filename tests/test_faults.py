@@ -36,9 +36,7 @@ def system(registry, infrastructure, drivers):
         ),
         infrastructure,
     )
-    spec = ConfigurationEngine(
-        registry, verify_registry=False
-    ).configure(partial).spec
+    spec = ConfigurationEngine(registry).configure(partial).spec
     return DeploymentEngine(registry, infrastructure, drivers).deploy(spec)
 
 

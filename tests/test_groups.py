@@ -137,10 +137,10 @@ def walk(seed, machines, replicas, stacks, shared_broker, edits):
             or entry.inside_id == editor.machines()[0]
         ]
     session = ConfigurationSession(
-        REGISTRY, partition=True, verify_registry=False
+        REGISTRY, partition=True
     )
     engine = ConfigurationEngine(
-        REGISTRY, partition=True, verify_registry=False
+        REGISTRY, partition=True
     )
     steps = [None] + [FleetEditor.EDITS[index] for index in edits]
     for edit in steps:
@@ -237,10 +237,10 @@ class TestPinnedCases:
                    or e.inside_id is None]
         assert check_grouped_is_global(REGISTRY, PartialInstallSpec(shifted))
         session = ConfigurationSession(
-            REGISTRY, partition=True, verify_registry=False
+            REGISTRY, partition=True
         )
         engine = ConfigurationEngine(
-            REGISTRY, partition=True, verify_registry=False
+            REGISTRY, partition=True
         )
         check_session_is_engine(session, engine, PartialInstallSpec(fleet))
         result = session.configure(PartialInstallSpec(shifted))
@@ -270,10 +270,10 @@ class TestPinnedCases:
         assert not check_grouped_is_global(REGISTRY, partial)
         assert grouped(REGISTRY, partial) is None
         session = ConfigurationSession(
-            REGISTRY, partition=True, verify_registry=False
+            REGISTRY, partition=True
         )
         engine = ConfigurationEngine(
-            REGISTRY, partition=True, verify_registry=False
+            REGISTRY, partition=True
         )
         check_session_is_engine(session, engine, partial)
         assert session.stats.groups_reused == 0
@@ -304,10 +304,10 @@ class TestPinnedCases:
         graph = generate_graph(registry, partial)
         assert graph.edges_from("c3")[-1].targets == ("lib_3_2",)
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         )
         engine = ConfigurationEngine(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         )
         check_session_is_engine(session, engine, partial)
         assert session.stats.groups_reused == 0

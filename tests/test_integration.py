@@ -60,7 +60,7 @@ class TestDjangoPlatform:
         self, registry, infrastructure, drivers
     ):
         """Table 1's headline: zero app-specific deployment code."""
-        engine = ConfigurationEngine(registry, verify_registry=False)
+        engine = ConfigurationEngine(registry)
         deploy = DeploymentEngine(registry, infrastructure, drivers)
         for index, app in enumerate(table1_apps()):
             key = package_application(app, registry, infrastructure)

@@ -58,7 +58,7 @@ def configure(registry, replicas):
         replicas=replicas, machines=MACHINES, stacks=("django",)
     )
     return ConfigurationEngine(
-        registry, partition=True, verify_registry=False
+        registry, partition=True
     ).configure(fleet_partial(topology)).spec
 
 

@@ -31,7 +31,7 @@ def platform():
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     drivers = standard_drivers()
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     deploy = DeploymentEngine(registry, infrastructure, drivers)
     systems = {}
 

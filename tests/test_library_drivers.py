@@ -10,9 +10,7 @@ from repro.runtime import DeploymentEngine, provision_partial_spec
 
 def deployed(registry, infrastructure, drivers, partial):
     partial = provision_partial_spec(registry, partial, infrastructure)
-    spec = ConfigurationEngine(
-        registry, verify_registry=False
-    ).configure(partial).spec
+    spec = ConfigurationEngine(registry).configure(partial).spec
     system = DeploymentEngine(registry, infrastructure, drivers).deploy(spec)
     return spec, system
 

@@ -156,7 +156,7 @@ def topology(seed: int, grow: int = 0) -> FleetTopology:
 
 def configure(registry, fleet: FleetTopology):
     return ConfigurationEngine(
-        registry, partition=True, verify_registry=False
+        registry, partition=True
     ).configure(fleet_partial(fleet)).spec
 
 

@@ -74,7 +74,7 @@ def test_chain_value_accumulates_in_order(names):
             PartialInstance("top", as_key(f"{names[-1]} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     spec = engine.configure(partial).spec
     expected = "ROOT" + "".join(f"/{name}" for name in names)
     assert spec["top"].outputs["chain"] == expected
@@ -94,7 +94,7 @@ def test_chain_prefix_observable_at_every_link(names, pick):
             PartialInstance("probe", as_key(f"{picked} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     spec = engine.configure(partial).spec
     index = names.index(picked)
     expected = "ROOT" + "".join(f"/{n}" for n in names[: index + 1])

@@ -87,7 +87,7 @@ def test_random_layered_library_configures(spec):
             PartialInstance("top", as_key(f"{names[-1]} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     result = engine.configure(partial)
     order = result.spec.topological_order()
     assert order[0].id == "m"
@@ -136,7 +136,7 @@ def test_partial_instances_always_deployed(spec, pick):
             PartialInstance("b", as_key(f"{names[-1]} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     spec_out = engine.configure(partial).spec
     assert "a" in spec_out
     assert "b" in spec_out
@@ -153,7 +153,7 @@ def test_topological_order_respects_links(spec):
             PartialInstance("top", as_key(f"{names[-1]} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     full = engine.configure(partial).spec
     position = {
         instance.id: index
@@ -192,7 +192,7 @@ def test_abstract_frontier_disjunction_picks_exactly_one(variants, users):
             for index in range(users)
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     full = engine.configure(partial).spec
     deployed_variants = [
         instance for instance in full if instance.key.name.startswith("V")
@@ -212,7 +212,7 @@ def test_json_roundtrip_of_generated_specs(spec):
             PartialInstance("top", as_key(f"{names[-1]} 1"), inside_id="m"),
         ]
     )
-    engine = ConfigurationEngine(registry, verify_registry=False)
+    engine = ConfigurationEngine(registry)
     full = engine.configure(partial).spec
     again = full_from_json(full_to_json(full))
     assert again.ids() == full.ids()

@@ -46,7 +46,7 @@ def deploy_fleet(topology=TOPOLOGY):
     infrastructure = standard_infrastructure()
     partial = fleet_partial(topology)
     config = ConfigurationEngine(
-        registry, partition=True, verify_registry=False
+        registry, partition=True
     )
     spec = config.configure(partial).spec
     engine = DeploymentEngine(registry, infrastructure, standard_drivers())
@@ -295,7 +295,7 @@ def teardown_then_crash(jobs=1, policy=None):
     registry = standard_registry()
     infrastructure = standard_infrastructure()
     spec = ConfigurationEngine(
-        registry, partition=True, verify_registry=False
+        registry, partition=True
     ).configure(
         fleet_partial(FleetTopology(replicas=3, machines=3, stacks=("django",)))
     ).spec
@@ -430,7 +430,7 @@ class TestCrashFaultKind:
         registry = standard_registry()
         infrastructure = standard_infrastructure()
         spec = (
-            ConfigurationEngine(registry, verify_registry=False)
+            ConfigurationEngine(registry)
             .configure(fleet_partial(FleetTopology(replicas=2, machines=1)))
             .spec
         )

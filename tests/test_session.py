@@ -513,10 +513,10 @@ class TestEditSequenceDifferential:
     ):
         registry = standard_registry()
         engine = ConfigurationEngine(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         )
         session = ConfigurationSession(
-            registry, partition=partition, verify_registry=False
+            registry, partition=partition
         )
         editor = FleetEditor(seed)
         seen, verdicts = set(), set()
@@ -553,7 +553,7 @@ class TestComponentReuse:
     @pytest.mark.parametrize("added", [1, 3, 8])
     def test_step_builds_one_solver_per_changed_machine(self, added):
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         session.configure(django_fleet(64))
         cache = session.configure(django_fleet(64 + added)).cache
@@ -568,7 +568,7 @@ class TestComponentReuse:
         # Replicas go round-robin over the machines, so a step of k
         # changes the replica list of exactly k of the eight.
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         first = session.configure(django_fleet(64)).cache
         assert (first.groups_generated, first.groups_reused) == (8, 0)
@@ -585,7 +585,7 @@ class TestComponentReuse:
         # Every Celery peers to the one broker on host000, so no other
         # machine's group can be answered on its own machine.
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         for port in (8000, 9000):
             hub = [
@@ -608,7 +608,7 @@ class TestComponentReuse:
     def test_walk_reuses_what_any_cached_spec_holds(self):
         registry = standard_registry()
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         )
         walk = [
             session.configure(django_fleet(replicas)).cache
@@ -625,7 +625,7 @@ class TestComponentReuse:
         assert (stats.components_reused, stats.components_total) == (24, 40)
         assert (stats.solver_builds, stats.solver_reuses) == (16, 24)
         expected = ConfigurationEngine(
-            registry, partition=True, verify_registry=False
+            registry, partition=True
         ).configure(django_fleet(69))
         assert full_to_json(
             session.configure(django_fleet(69)).spec
@@ -639,7 +639,7 @@ class TestComponentReuse:
         # on when that collection ran.
         def walk():
             session = ConfigurationSession(
-                standard_registry(), partition=True, verify_registry=False,
+                standard_registry(), partition=True,
                 max_entries=max_entries,
             )
             counts = []
@@ -662,7 +662,7 @@ class TestComponentReuse:
     def test_trace_says_how_much_of_a_new_spec_was_kept(self):
         tracer = Tracer()
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False,
+            standard_registry(), partition=True,
             tracer=tracer,
         )
         for replicas in (64, 65):
@@ -674,7 +674,7 @@ class TestComponentReuse:
 
     def test_graph_hit_resolves_no_components(self):
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         session.configure(django_fleet(8))
         cache = session.configure(django_fleet(8)).cache
@@ -687,7 +687,7 @@ class TestComponentReuse:
         # component keeps its content but moves up one index; a shared
         # entry must report the index it has in the spec configured.
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         fleet = fleet_spec_entries(
             FleetTopology(replicas=8, machines=4, stacks=("django",))
@@ -709,7 +709,7 @@ class TestComponentReuse:
 
     def test_kept_entries_die_with_the_spec_that_owned_them(self):
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False,
+            standard_registry(), partition=True,
             max_entries=1,
         )
         session.configure(django_fleet(64))
@@ -752,7 +752,7 @@ class TestComponentReuse:
 
     def test_flush_drops_kept_components(self):
         session = ConfigurationSession(
-            standard_registry(), partition=True, verify_registry=False
+            standard_registry(), partition=True
         )
         session.configure(django_fleet(64))
         session.flush()

@@ -43,9 +43,7 @@ def three_tier(registry, infrastructure):
         ]
     )
     partial = provision_partial_spec(registry, partial, infrastructure)
-    return ConfigurationEngine(
-        registry, verify_registry=False
-    ).configure(partial).spec
+    return ConfigurationEngine(registry).configure(partial).spec
 
 
 class TestTopology:
@@ -141,8 +139,6 @@ class TestDeployment:
             ]
         )
         partial = provision_partial_spec(registry, partial, infrastructure)
-        spec = ConfigurationEngine(
-            registry, verify_registry=False
-        ).configure(partial).spec
+        spec = ConfigurationEngine(registry).configure(partial).spec
         with pytest.raises(DeploymentError):
             machine_waves(spec)

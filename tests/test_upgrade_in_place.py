@@ -24,7 +24,7 @@ def world(registry, infrastructure, drivers):
     fa_v1, fa_v2 = fa_snapshots()
     key_v1 = package_application(fa_v1, registry, infrastructure)
     key_v2 = package_application(fa_v2, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry, verify_registry=False)
+    config_engine = ConfigurationEngine(registry)
     deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
 
     def partial_for(key):
@@ -122,7 +122,7 @@ class TestInPlace:
         fa_v1, fa_v2 = fa_snapshots()
         k1 = package_application(fa_v1, registry, infra2)
         k2 = package_application(fa_v2, registry, infra2)
-        ce = ConfigurationEngine(registry, verify_registry=False)
+        ce = ConfigurationEngine(registry)
         de = DeploymentEngine(registry, infra2, standard_drivers())
 
         def pf(key):

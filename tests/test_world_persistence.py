@@ -52,8 +52,8 @@ class TestWorldRoundtrip:
         machine = loaded.network.machine("m1")
         appd = machine.find_process("appd")
         assert appd is not None and appd.is_running()
-        oneshot = machine.find_process("oneshot")
-        assert oneshot is not None and not oneshot.is_running()
+        # A killed process left the world before it was saved.
+        assert machine.find_process("oneshot") is None
 
     def test_pid_counter_continues(self, world):
         loaded = load_world(save_world(world))
@@ -134,6 +134,45 @@ class TestWorldRoundtrip:
             ]
         assert world_fingerprint(loaded) == world_fingerprint(plain)
         assert save_world(loaded) == save_world(plain)
+
+    @staticmethod
+    def with_old_stopped_record(payload):
+        """``payload`` as a world saved while a kill kept the process:
+        m1's killed ``oneshot`` record back in its process list."""
+        m1 = next(m for m in payload["machines"] if m["hostname"] == "m1")
+        appd = m1["processes"][0]
+        m1["processes"].append(dict(
+            appd, pid=appd["pid"] + 1, name="oneshot", command="oneshot",
+            listen_ports=[], state="stopped",
+        ))
+        return m1
+
+    def test_an_old_stopped_record_is_dropped(self, world):
+        """Older worlds kept every process a stop killed; such a world
+        loads as the same world without them."""
+        from repro.runtime import world_fingerprint
+
+        payload = json.loads(save_world(world))
+        plain = load_world(json.dumps(payload))
+        self.with_old_stopped_record(payload)
+        loaded = load_world(json.dumps(payload))
+        assert loaded.machine("m1").find_process("oneshot") is None
+        assert world_fingerprint(loaded) == world_fingerprint(plain)
+        assert save_world(loaded) == save_world(plain)
+
+    def test_an_old_stopped_record_is_still_checked(self, world):
+        """A dropped record is checked first: its pid may not repeat,
+        and the next pid must lie above it."""
+        payload = json.loads(save_world(world))
+        m1 = self.with_old_stopped_record(payload)
+        m1["processes"][1]["pid"] = m1["processes"][0]["pid"]
+        with pytest.raises(SimulationError, match="repeats pid"):
+            load_world(json.dumps(payload))
+        payload = json.loads(save_world(world))
+        m1 = self.with_old_stopped_record(payload)
+        m1["next_pid"] = m1["processes"][1]["pid"]
+        with pytest.raises(SimulationError, match="next_pid"):
+            load_world(json.dumps(payload))
 
     def test_reloaded_world_has_the_live_fingerprint(
         self, registry, infrastructure, drivers, openmrs_partial
@@ -448,6 +487,37 @@ class TestCliBundleFlow:
         assert output.startswith("error: ")
         assert "tomcat: config 'manager_port' value 'eighty'" in output
         assert "openmrs: unsatisfied peer dependency" in output
+        assert pathlib.Path(bundle).read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["status", "reconcile", "plan"])
+    def test_ill_formed_types_are_refused_untouched(
+        self, bundle, tmp_path, command
+    ):
+        """A bundle type whose output reads a config port it does not
+        declare is refused by every command that reads the bundle,
+        naming the type and the port."""
+        with open(bundle, encoding="utf-8") as handle:
+            document = json.load(handle)
+        types = document["types"]
+        start = types.index('resource "Tomcat" 6.0.18')
+        cut = types.index("port = config.manager_port", start)
+        document["types"] = types[:cut] + types[cut:].replace(
+            "config.manager_port", "config.no_such_port", 1
+        )
+        with open(bundle, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        before = pathlib.Path(bundle).read_bytes()
+        argv = [command, bundle]
+        if command == "plan":
+            spec = tmp_path / "goal.json"
+            spec.write_text(FIGURE_2)
+            argv.append(str(spec))
+        code, output = run(argv)
+        assert code == 2
+        assert (
+            "Tomcat 6.0.18: output port 'tomcat' references unknown "
+            "config port 'no_such_port'"
+        ) in output
         assert pathlib.Path(bundle).read_bytes() == before
 
     def test_dangling_link_names_both_ids(self, bundle):
