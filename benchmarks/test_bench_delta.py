@@ -156,7 +156,8 @@ def climb_ladder():
         result = execute_delta(engine, system, delta)
         execute_seconds = time.perf_counter() - started
         assert result.system.is_deployed()
-        assert result.journal.completed == set(result.journal.spec.ids())
+        journal = result.system.journal
+        assert journal.completed == set(journal.spec.ids())
         legs.append(
             {
                 "from_replicas": previous,

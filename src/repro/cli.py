@@ -26,7 +26,7 @@ from typing import Optional, Sequence, TextIO
 
 from repro.core import ResourceTypeRegistry, assert_well_formed, check_registry
 from repro.core.errors import EngageError
-from repro.core.jsontext import indented
+from repro.core.jsontext import document_text
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
@@ -113,7 +113,7 @@ def _run_stats(path: str, result) -> dict:
 
 def _write_stats_json(path: str, runs: list, out: TextIO) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(indented({"runs": runs}, 1) + "\n")
+        handle.write(document_text({"runs": runs}, 1))
     out.write(f"stats written to {path} ({len(runs)} run(s))\n")
 
 
@@ -291,17 +291,17 @@ def _save_bundle(path: str, registry, infrastructure, system) -> None:
     bundle is resumable with ``engage-sim deploy --resume``) + resource
     types in one file."""
     from repro.dsl import format_module
-    from repro.runtime import system_payload
-    from repro.sim import world_payload
+    from repro.runtime import system_document
+    from repro.sim import world_document
 
     bundle = {
         "format": BUNDLE_FORMAT,
         "types": format_module(_ordered_types(registry)),
-        "world": world_payload(infrastructure),
-        "state": system_payload(system),
+        "world": world_document(infrastructure),
+        "state": system_document(system),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(indented(bundle, 1) + "\n")
+        handle.write(document_text(bundle, 1))
 
 
 def _load_bundle(path: str):
@@ -360,13 +360,20 @@ def cmd_status(args, out: TextIO) -> int:
                 "frontier": journal.states(),
             },
         }
-        out.write(indented(payload, 1) + "\n")
+        out.write(document_text(payload, 1))
         return 0 if drift.is_converged else 1
     out.write(system.describe() + "\n")
+    transition = system.journal.transition
+    if transition is not None:
+        out.write(
+            f"unfinished delta transition: {len(transition.pending)} "
+            "instance(s) still to drive down (finish with: deploy "
+            f"--resume {args.bundle})\n"
+        )
     out.write(
         f"simulated clock: {infrastructure.clock.now / 60:.1f} minutes\n"
     )
-    return 0 if system.is_deployed() else 1
+    return 0 if system.is_deployed() and transition is None else 1
 
 
 def cmd_stop(args, out: TextIO) -> int:
@@ -445,7 +452,7 @@ def cmd_plan(args, out: TextIO) -> int:
     delta = plan_delta(system, new_spec)
     payload = delta.to_payload()
     payload["bundle"] = args.bundle
-    text = indented(payload, 1) + "\n"
+    text = document_text(payload, 1)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -525,7 +532,7 @@ def cmd_reconcile(args, out: TextIO) -> int:
             f"{result.rounds_with_drift} drifted round(s)\n"
         )
     if args.json:
-        out.write(indented(result.to_payload(), 1) + "\n")
+        out.write(document_text(result.to_payload(), 1))
     _finish_trace(args, tracer, out)
     if result.converged:
         _save_bundle(args.bundle, registry, infrastructure, system)

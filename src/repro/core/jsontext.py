@@ -3,13 +3,25 @@
 Every indented document ``repro`` writes -- full specifications, state
 files, worlds, bundles, plans, traces, ``--json`` reports, the simulated
 Django database (a key-sorted copy, so its keys come out sorted) --
-goes through :func:`indented`.  The standard library only has a C
-encoder for compact output: with ``indent`` set, CPython before 3.14
-runs the pure-Python ``_iterencode`` generators, which yield and join
-one small chunk per token (about 1.5 million for a 3,840-instance
-fleet's state file).  :func:`indented` is a recursive join over the same
-values with the C string escaper, so it makes the same bytes at a
-fraction of the cost.
+goes through :func:`indented`, or :func:`document_text` when it ends
+with a newline (all of them but the database and the migration
+history).  The
+standard library only has a C encoder for compact output: with
+``indent`` set, CPython before 3.14 runs the pure-Python
+``_iterencode`` generators, which yield and join one small chunk per
+token (about 1.5 million for a 3,840-instance fleet's state file).
+:func:`indented` is a recursive join over the same values with the C
+string escaper, so it makes the same bytes at a fraction of the cost.
+
+A document is written row by row.  Its dicts are written field by
+field into one list of texts, which is joined once at the end; every
+other value -- and each row of a :class:`Rows` -- is encoded to one text
+at the depth it sits at.  A :class:`Rows` is an array whose items are
+built only as they are written, so a large document (a spec of
+thousands of instances, a world of hundreds of machines, a journal of
+thousands of entries) never exists as one tree of data: each row is
+built, encoded and dropped.  :func:`plain` builds every row instead,
+which is the same document as data.
 
 It handles exactly the types the documents are made of: ``dict`` with
 ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``,
@@ -26,11 +38,41 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.core.collector import collector_paused
 
 _INFINITY = float("inf")
+
+
+class Rows:
+    """A JSON array of ``build(item)`` for each of ``items``, built one
+    row at a time as it is iterated.
+
+    :func:`indented` encodes each row as soon as it is built and keeps
+    only its text; :func:`plain` turns the rows into a list.
+    """
+
+    __slots__ = ("items", "build")
+
+    def __init__(self, items: Iterable[Any], build: Callable[[Any], Any]):
+        self.items = items
+        self.build = build
+
+    def __iter__(self):
+        return map(self.build, self.items)
+
+
+def plain(value: Any) -> Any:
+    """``value`` as data: a :class:`Rows` -- the value itself, or the
+    value of a dict at any depth of dicts -- becomes the list of its
+    rows.  Dicts are copied; every other value is returned as it is."""
+    kind = type(value)
+    if kind is Rows:
+        return list(value)
+    if kind is dict:
+        return {key: plain(item) for key, item in value.items()}
+    return value
 
 
 def _float(value: float) -> str:
@@ -44,52 +86,94 @@ def _float(value: float) -> str:
     return float.__repr__(value)
 
 
+def _text(value: Any, newline: str, step: str) -> str:
+    """``value``'s text at the depth ``newline`` starts: ``"\\n"`` and
+    the indentation of the line ``value`` is written on."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + step
+        parts = []
+        for key, item in value.items():
+            if type(key) is not str:
+                return _subtree(value, newline, step)
+            if type(item) is str:  # most values: spare the call
+                parts.append(f"{_string(key)}: {_string(item)}")
+            else:
+                parts.append(f"{_string(key)}: {_text(item, inner, step)}")
+        body = ("," + inner).join(parts)
+        return f"{{{inner}{body}{newline}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + step
+        body = ("," + inner).join(
+            [_text(item, inner, step) for item in value]
+        )
+        return f"[{inner}{body}{newline}]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return _float(value)
+    return _subtree(value, newline, step)
+
+
+def _subtree(value: Any, newline: str, step: str) -> str:
+    return json.dumps(value, indent=len(step)).replace("\n", newline)
+
+
+def _write(value: Any, newline: str, step: str, out: list[str]) -> None:
+    """Append ``value``'s text at ``newline``'s depth to ``out``: a
+    dict field by field, a :class:`Rows` row by row, anything else as
+    one text."""
+    kind = type(value)
+    if kind is Rows:
+        inner = newline + step
+        opening = "[" + inner
+        for row in value:
+            out.append(opening + _text(row, inner, step))
+            opening = "," + inner
+        # ``opening`` is still "[..." only if there was no row.
+        out.append(newline + "]" if opening[0] == "," else "[]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = newline + step
+        opening = "{" + inner
+        for key, item in value.items():
+            if type(item) is str:  # most values: one text per field
+                out.append(f"{opening}{_string(key)}: {_string(item)}")
+            else:
+                out.append(f"{opening}{_string(key)}: ")
+                _write(item, inner, step, out)
+            opening = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_text(value, newline, step))
+
+
 @collector_paused
 def indented(value: Any, indent: int) -> str:
-    """``json.dumps(value, indent=indent)``, faster."""
-    step = " " * indent
+    """``json.dumps(plain(value), indent=indent)``, faster, with each
+    row of a :class:`Rows` encoded as it is built."""
+    out: list[str] = []
+    _write(value, "\n", " " * indent, out)
+    return "".join(out)
 
-    def subtree(value: Any, newline: str) -> str:
-        return json.dumps(value, indent=indent).replace("\n", newline)
 
-    def text(value: Any, newline: str) -> str:
-        # ``newline`` starts the line ``value`` is written on: "\n" and
-        # the indentation of its depth.
-        kind = type(value)
-        if kind is str:
-            return _string(value)
-        if kind is dict:
-            if not value:
-                return "{}"
-            inner = newline + step
-            parts = []
-            for key, item in value.items():
-                if type(key) is not str:
-                    return subtree(value, newline)
-                if type(item) is str:  # most values: spare the call
-                    parts.append(f"{_string(key)}: {_string(item)}")
-                else:
-                    parts.append(f"{_string(key)}: {text(item, inner)}")
-            return "{" + inner + ("," + inner).join(parts) + newline + "}"
-        if kind is list or kind is tuple:
-            if not value:
-                return "[]"
-            inner = newline + step
-            return (
-                "[" + inner
-                + ("," + inner).join([text(item, inner) for item in value])
-                + newline + "]"
-            )
-        if kind is int:
-            return int.__repr__(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if kind is float:
-            return _float(value)
-        return subtree(value, newline)
-
-    return text(value, "\n")
+@collector_paused
+def document_text(value: Any, indent: int) -> str:
+    """:func:`indented` text and the newline that ends a file or a
+    report, joined once: adding the newline to the joined text would
+    copy all of it again."""
+    out: list[str] = []
+    _write(value, "\n", " " * indent, out)
+    out.append("\n")
+    return "".join(out)

@@ -32,7 +32,7 @@ from repro.core.instances import (
     PartialInstance,
     ResourceInstance,
 )
-from repro.core.jsontext import indented
+from repro.core.jsontext import Rows, document_text
 from repro.core.keys import ResourceKey
 
 
@@ -52,7 +52,7 @@ def partial_to_json(spec: PartialInstallSpec) -> str:
         if instance.config:
             entry["config_port"] = dict(sorted(instance.config.items()))
         entries.append(entry)
-    return indented(entries, 2) + "\n"
+    return document_text(entries, 2)
 
 
 def partial_from_json(text: str) -> PartialInstallSpec:
@@ -114,35 +114,41 @@ def _link_from_json(kind: str, entry: dict[str, Any]) -> DependencyLink:
     )
 
 
+def _instance_to_json(instance: ResourceInstance) -> dict[str, Any]:
+    entry: dict[str, Any] = {
+        "id": instance.id,
+        "key": instance.key.display(),
+        "config_port": dict(sorted(instance.config.items())),
+        "input_ports": dict(sorted(instance.inputs.items())),
+        "output_ports": dict(sorted(instance.outputs.items())),
+    }
+    if instance.inside is not None:
+        entry["inside"] = _link_to_json(instance.inside)
+    if instance.environment:
+        entry["environment"] = [_link_to_json(l) for l in instance.environment]
+    if instance.peers:
+        entry["peers"] = [_link_to_json(l) for l in instance.peers]
+    return entry
+
+
+def full_to_rows(spec: InstallSpec) -> Rows:
+    """A full installation specification as one row per instance --
+    what :func:`full_to_json` writes and the state and journal
+    documents nest."""
+    return Rows(spec, _instance_to_json)
+
+
 def full_to_payload(spec: InstallSpec) -> list[dict[str, Any]]:
-    """A full installation specification as JSON-ready data -- what
-    :func:`full_to_json` dumps and what the state and journal documents
-    nest."""
-    entries: list[dict[str, Any]] = []
-    for instance in spec:
-        entry: dict[str, Any] = {
-            "id": instance.id,
-            "key": instance.key.display(),
-            "config_port": dict(sorted(instance.config.items())),
-            "input_ports": dict(sorted(instance.inputs.items())),
-            "output_ports": dict(sorted(instance.outputs.items())),
-        }
-        if instance.inside is not None:
-            entry["inside"] = _link_to_json(instance.inside)
-        if instance.environment:
-            entry["environment"] = [
-                _link_to_json(l) for l in instance.environment
-            ]
-        if instance.peers:
-            entry["peers"] = [_link_to_json(l) for l in instance.peers]
-        entries.append(entry)
-    return entries
+    """A full installation specification as JSON-ready data: the rows
+    of :func:`full_to_rows`."""
+    return list(full_to_rows(spec))
 
 
 @collector_paused
 def full_to_json(spec: InstallSpec) -> str:
-    """Serialise a full installation specification."""
-    return indented(full_to_payload(spec), 2) + "\n"
+    """Serialise a full installation specification, one instance at a
+    time."""
+    return document_text(full_to_rows(spec), 2)
 
 
 def full_from_json(text: str) -> InstallSpec:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.core.jsontext import indented
+from repro.core.jsontext import document_text
 from repro.obs.tracer import INSTANT, SPAN, TraceEvent, Tracer
 
 #: The single simulated process all lanes belong to.
@@ -92,7 +92,7 @@ def chrome_trace_json(
     *,
     metadata: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    return indented(chrome_trace(source, metadata=metadata), 1) + "\n"
+    return document_text(chrome_trace(source, metadata=metadata), 1)
 
 
 def write_trace(

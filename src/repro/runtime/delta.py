@@ -54,6 +54,7 @@ from repro.runtime.reconcile import (
     RepairStep,
     TransitionPlan,
     detect_drift,
+    require_no_transition,
 )
 from repro.sim.infrastructure import Infrastructure
 
@@ -191,10 +192,10 @@ class DeltaPlan:
 
 @dataclass
 class DeltaResult:
-    """The outcome of an executed delta transition."""
+    """The outcome of an executed delta transition; its journal is
+    ``system.journal``."""
 
     system: DeployedSystem
-    journal: DeploymentJournal
     plan: DeltaPlan
     report: DeploymentReport
 
@@ -324,17 +325,6 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
         up=up,
         restart=restart_live,
     )
-
-
-def require_no_transition(system: DeployedSystem) -> None:
-    """Refuse to plan over a delta transition still in flight: a new
-    goal would re-target its journal and drop the unfinished down phase,
-    leaving whatever it had yet to remove running outside any spec."""
-    if system.journal.transition is not None:
-        raise RuntimeEngageError(
-            "the deployment has an unfinished delta transition: run "
-            "`deploy --resume` on its bundle to finish it first"
-        )
 
 
 def rebase_journal(
@@ -499,6 +489,4 @@ def execute_delta(
         )
 
     new_system.report = report
-    return DeltaResult(
-        system=new_system, journal=journal, plan=delta, report=report
-    )
+    return DeltaResult(system=new_system, plan=delta, report=report)

@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 
 from repro.core.errors import RuntimeEngageError, document_section
 from repro.core.instances import InstallSpec
+from repro.core.jsontext import Rows, plain
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
 
 
@@ -108,15 +109,20 @@ class SpecTransition:
     stop: list[str] = field(default_factory=list)
     retire: list[str] = field(default_factory=list)
 
-    def to_payload(self) -> dict:
-        from repro.dsl.json_spec import full_to_payload
+    def to_document(self) -> dict:
+        """The record as a document whose old spec is written one
+        instance at a time (:class:`~repro.core.jsontext.Rows`)."""
+        from repro.dsl.json_spec import full_to_rows
 
         return {
-            "from_spec": full_to_payload(self.from_spec),
+            "from_spec": full_to_rows(self.from_spec),
             "pending": list(self.pending),
             "stop": list(self.stop),
             "retire": list(self.retire),
         }
+
+    def to_payload(self) -> dict:
+        return plain(self.to_document())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SpecTransition":
@@ -303,17 +309,23 @@ class DeploymentJournal:
 
     # -- Persistence payload (embedded by repro.runtime.state) -----------
 
-    def to_payload(self) -> dict:
-        payload = {
+    def to_document(self) -> dict:
+        """The journal as a document written one entry at a time
+        (:class:`~repro.core.jsontext.Rows`); :meth:`to_payload` is the
+        same document as data."""
+        document = {
             "target": self.target,
-            "entries": [entry.to_payload() for entry in self.entries],
+            "entries": Rows(self.entries, JournalEntry.to_payload),
             "completed": sorted(self.completed),
             "failed": dict(sorted(self.failed.items())),
             "skipped": sorted(self.skipped),
         }
         if self.transition is not None:
-            payload["transition"] = self.transition.to_payload()
-        return payload
+            document["transition"] = self.transition.to_document()
+        return document
+
+    def to_payload(self) -> dict:
+        return plain(self.to_document())
 
     @classmethod
     def from_payload(

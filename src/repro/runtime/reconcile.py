@@ -60,6 +60,9 @@ class DriftKind(Enum):
     CRASHED_SERVICE = "crashed-service"
     LOST_MACHINE = "lost-machine"
     MISSING_INSTANCE = "missing-instance"
+    #: An instance of the old spec an unfinished delta transition has
+    #: still to drive down (only ``deploy --resume`` finishes it).
+    UNFINISHED_TRANSITION = "unfinished-transition"
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class DriftItem:
     """One instance out of its goal state.
 
     ``detail`` carries the kind-specific context: the machine instance
-    that was lost, or the state the instance is stuck in.
+    that was lost, or the state the instance is stuck in (for an
+    unfinished transition, the state its journal last recorded).
     """
 
     kind: DriftKind
@@ -144,6 +148,11 @@ def detect_drift(
 
     Checks, in severity order:
 
+    * **an unfinished delta transition** -- every instance its down
+      phase has still to uninstall is an ``UNFINISHED_TRANSITION``
+      item: until ``deploy --resume`` finishes that phase, the world
+      still runs what the old spec had, whatever the new one's drivers
+      say;
     * **lost machines** -- a machine instance whose simulated host has
       dropped off the network (or was replaced behind its back); every
       instance physically on it becomes a ``LOST_MACHINE`` item whose
@@ -164,6 +173,17 @@ def detect_drift(
     deployed_ids = set(system.spec.ids())
     network = system.infrastructure.network
     items: list[DriftItem] = []
+
+    transition = system.journal.transition
+    if transition is not None:
+        frontier = system.journal.states()
+        items.extend(
+            DriftItem(
+                DriftKind.UNFINISHED_TRANSITION, instance_id,
+                frontier.get(instance_id, UNINSTALLED),
+            )
+            for instance_id in transition.pending
+        )
 
     lost_machine_ids = [
         instance.id
@@ -306,7 +326,10 @@ def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
       back with fresh endpoints, so it must reconnect).
 
     No drift, empty plan: the no-op property the controller relies on.
+    A system whose delta transition is unfinished is refused
+    (:func:`require_no_transition`): its repair is the resume.
     """
+    require_no_transition(system)
     spec = system.spec
     order = {
         instance.id: index
@@ -347,6 +370,18 @@ def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
         )
 
     return TransitionPlan(steps=steps, target=drift.target)
+
+
+def require_no_transition(system: DeployedSystem) -> None:
+    """Refuse to plan over a delta transition still in flight: a new
+    goal would re-target its journal and drop the unfinished down phase,
+    and a repair toward the new spec would leave whatever that phase had
+    yet to remove running outside any spec."""
+    if system.journal.transition is not None:
+        raise RuntimeEngageError(
+            "the deployment has an unfinished delta transition: run "
+            "`deploy --resume` on its bundle to finish it first"
+        )
 
 
 def _replace_machine(
@@ -496,7 +531,8 @@ class ReconcileResult:
 class ReconcileController:
     """The autonomic loop: poll for drift, plan minimally, repair,
     re-check -- on the simulated clock, round after round, toward the
-    deployed spec."""
+    deployed spec.  A system with an unfinished delta transition is
+    refused (:func:`require_no_transition`)."""
 
     def __init__(
         self,
@@ -507,6 +543,7 @@ class ReconcileController:
     ) -> None:
         if interval < 0:
             raise RuntimeEngageError("reconcile interval must be >= 0")
+        require_no_transition(system)
         self.engine = engine
         self.system = system
         self.interval = interval

@@ -13,8 +13,10 @@ One format is written and read: ``engage-state-2`` -- spec, states and
 the system's :class:`~repro.runtime.journal.DeploymentJournal`, so every
 saved system is resumable with :meth:`DeploymentEngine.resume` and
 ``load_system(...).journal`` is the journal.  :func:`system_payload` /
-:func:`system_from_payload` are the same document as data, which is
-what a bundle nests.
+:func:`system_from_payload` are the same document as data.  It has one
+layout, :func:`system_document`, which :func:`save_system` writes one
+row at a time, :func:`system_payload` builds whole, and a bundle
+nests.
 
 A document comes from outside (hand-edited, corrupted), so the loader
 is where the static checker of §3.3 runs, not the configuration engine,
@@ -29,13 +31,13 @@ from typing import Any, Optional
 
 from repro.core.collector import collector_paused
 from repro.core.errors import RuntimeEngageError, document_section
-from repro.core.jsontext import indented
+from repro.core.jsontext import document_text, plain
 from repro.core.registry import ResourceTypeRegistry
 from repro.config.typecheck import check_spec
 from repro.drivers.base import DriverRegistry
 from repro.drivers.library import ServiceDriver
 from repro.drivers.state_machine import ACTIVE
-from repro.dsl.json_spec import full_from_payload, full_to_payload
+from repro.dsl.json_spec import full_from_payload, full_to_rows
 from repro.runtime.deploy import DeployedSystem, DeploymentEngine
 from repro.runtime.journal import DeploymentJournal
 from repro.sim.infrastructure import Infrastructure
@@ -49,15 +51,22 @@ _section = partial(
 )
 
 
-def system_payload(system: DeployedSystem) -> dict[str, Any]:
-    """A deployed system as JSON-ready data: spec, per-instance driver
-    states, and the write-ahead journal."""
+def system_document(system: DeployedSystem) -> dict[str, Any]:
+    """A deployed system as a document: spec, per-instance driver
+    states, and the write-ahead journal, the spec's instances and the
+    journal's entries as :class:`~repro.core.jsontext.Rows`."""
     return {
         "format": JOURNAL_FORMAT,
-        "spec": full_to_payload(system.spec),
+        "spec": full_to_rows(system.spec),
         "states": system.states(),
-        "journal": system.journal.to_payload(),
+        "journal": system.journal.to_document(),
     }
+
+
+def system_payload(system: DeployedSystem) -> dict[str, Any]:
+    """A deployed system as JSON-ready data (:func:`system_document`
+    with every row built)."""
+    return plain(system_document(system))
 
 
 @collector_paused
@@ -65,7 +74,8 @@ def save_system(
     system: DeployedSystem,
     journal: Optional[DeploymentJournal] = None,
 ) -> str:
-    """Serialise a deployed system (:func:`system_payload` as text).
+    """Serialise a deployed system (:func:`system_payload` as text),
+    one instance and one journal entry at a time.
 
     ``journal`` is not a choice: the journal saved is the system's own,
     and naming any other is an error.
@@ -75,7 +85,7 @@ def save_system(
             "save_system persists system.journal; the journal passed is "
             "not the system's"
         )
-    return indented(system_payload(system), 2) + "\n"
+    return document_text(system_document(system), 2)
 
 
 def adopt_states(system: DeployedSystem, states: dict[str, str]) -> None:

@@ -29,7 +29,6 @@ from repro.runtime.delta import (
     diff_specs,
     execute_delta,
     plan_delta,
-    require_no_transition,
     retire_machines,
     retired_hostnames,
 )
@@ -38,6 +37,7 @@ from repro.runtime.deploy import (
     DeploymentEngine,
     machine_hostname,
 )
+from repro.runtime.reconcile import require_no_transition
 
 
 def _describe_exception(exc: BaseException) -> str:

@@ -28,6 +28,7 @@ from repro.sim.persistence import (
     WORLD_FORMAT,
     load_world,
     save_world,
+    world_document,
     world_from_payload,
     world_payload,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "WORLD_FORMAT",
     "load_world",
     "save_world",
+    "world_document",
     "world_from_payload",
     "world_payload",
 ]

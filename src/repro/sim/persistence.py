@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from typing import Any
 
 from repro.core.collector import collector_paused
 from repro.core.errors import SimulationError, document_section
-from repro.core.jsontext import indented
+from repro.core.jsontext import Rows, document_text, plain
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
 from repro.sim.oslpm import InstalledPackage
@@ -41,9 +42,10 @@ from repro.sim.process import ProcessState, SimProcess
 WORLD_FORMAT = "engage-world-1"
 
 
-def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
-    """The whole simulation world as JSON-ready data -- what
-    :func:`save_world` dumps and what a bundle nests."""
+def world_document(infrastructure: Infrastructure) -> dict[str, Any]:
+    """The whole simulation world as a document, its machines as
+    :class:`~repro.core.jsontext.Rows` (:func:`save_world` writes one
+    machine at a time, a bundle nests it)."""
     return {
         "format": WORLD_FORMAT,
         "clock": infrastructure.clock.now,
@@ -64,10 +66,10 @@ def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
         "cache": sorted(
             list(key) for key in infrastructure.downloads._cache
         ),
-        "machines": [
-            _machine_payload(infrastructure, machine)
-            for machine in infrastructure.network.machines()
-        ],
+        "machines": Rows(
+            infrastructure.network.machines(),
+            partial(_machine_payload, infrastructure),
+        ),
         "providers": [
             {
                 "name": provider.name,
@@ -80,10 +82,17 @@ def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
     }
 
 
+def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
+    """The whole simulation world as JSON-ready data
+    (:func:`world_document` with every machine built)."""
+    return plain(world_document(infrastructure))
+
+
 @collector_paused
 def save_world(infrastructure: Infrastructure) -> str:
-    """Serialise the whole simulation world to JSON."""
-    return indented(world_payload(infrastructure), 1) + "\n"
+    """Serialise the whole simulation world to JSON, one machine at a
+    time."""
+    return document_text(world_document(infrastructure), 1)
 
 
 def _artifacts(infrastructure: Infrastructure) -> list[PackageArtifact]:

@@ -443,8 +443,10 @@ def test_one_way_to_heal_a_crashed_service():
 def test_history_is_kept_once():
     # A deployment keeps one journal for its whole life: a day-2 step
     # re-targets it in place, so the delta layer builds none (a rebuild
-    # copied the whole history on every step).  Beside the journal the
-    # world keeps no history: a process no crash count.  And whatever
+    # copied the whole history on every step), and a delta's result
+    # names it only as ``result.system.journal`` (a second name could be
+    # read out of step with the system).  Beside the journal the world
+    # keeps no history: a process no crash count.  And whatever
     # configures or loads types checks them: no switch turns the
     # registry's well-formedness check off.
     GONE = re.compile(r"\b(verify_registry|no_verify)\b|--no-verify")
@@ -460,6 +462,12 @@ def test_history_is_kept_once():
         for node in ast.walk(delta)
         if isinstance(node, ast.Call)
         and ast.unparse(node.func).rsplit(".", 1)[-1] == "DeploymentJournal"
+    ]
+    hits += [
+        ("src/repro/runtime/delta.py", node.lineno, "DeltaResult.journal")
+        for prefix, node in _statements(delta)
+        if prefix == "DeltaResult." and isinstance(node, ast.AnnAssign)
+        and ast.unparse(node.target) == "journal"
     ]
     process = ast.parse((SRC / "sim" / "process.py").read_text("utf-8"))
     hits += [

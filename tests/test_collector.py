@@ -9,7 +9,7 @@ from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.collector import collector_paused
 from repro.core.errors import DeploymentFailure, UnsatisfiableError
-from repro.core.jsontext import indented
+from repro.core.jsontext import document_text, indented
 from repro.dsl import full_to_json
 from repro.library import (
     standard_drivers,
@@ -154,6 +154,7 @@ def test_failed_deploy_restores_the_collector(enabled):
         save_system,
         save_world,
         indented,
+        document_text,
     ],
     ids=lambda function: function.__qualname__,
 )

@@ -39,6 +39,7 @@ from repro.library.fleet import (
 from repro.runtime import (
     DeploymentEngine,
     DeploymentJournal,
+    DriftKind,
     ReconcileController,
     RepairOp,
     SpecTransition,
@@ -48,6 +49,7 @@ from repro.runtime import (
     execute_delta,
     load_system,
     plan_delta,
+    plan_repair,
     save_system,
 )
 from repro.runtime.upgrade import _describe_exception
@@ -551,8 +553,9 @@ class TestEquivalenceCorpus:
         delta = plan_delta(system, new_spec)
         result = execute_delta(engine, system, delta)
         assert result.system.is_deployed()
-        assert result.journal.completed == set(result.journal.spec.ids())
-        assert result.journal.transition is None
+        journal = result.system.journal
+        assert journal.completed == set(journal.spec.ids())
+        assert journal.transition is None
         assert live_fingerprint(
             result.system, infrastructure
         ) == fresh_fingerprint(new_partial)
@@ -612,7 +615,7 @@ class TestEquivalenceCorpus:
             )
             return (
                 save_world(infrastructure),
-                save_system(result.system, result.journal),
+                save_system(result.system),
             )
 
         assert run() == run()
@@ -681,7 +684,7 @@ class TestEquivalenceCorpus:
         assert result.system.is_deployed()
         done = [
             (entry.instance_id, entry.action)
-            for entry in result.journal.entries
+            for entry in result.system.journal.entries
         ]
         assert done.index(("broker000", "restart")) < done.index(
             ("worker_x", "start")
@@ -757,6 +760,37 @@ class TestFaultedTransitions:
             with pytest.raises(RuntimeEngageError, match="deploy --resume"):
                 upgrader.upgrade(stuck, shrink(TOPOLOGY), strategy=strategy)
         assert stuck.journal.transition is transition
+
+    def test_an_unfinished_transition_is_drift(self):
+        """Until its down phase is finished the world still runs what
+        the old spec had: drift names every instance the phase has
+        still to uninstall, repair and the reconcile loop refuse the
+        system, and the resume leaves it converged."""
+        engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
+        FaultyWorld(
+            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        )
+        with pytest.raises(DeploymentFailure) as excinfo:
+            execute_delta(
+                engine, system, plan_delta(system, configure(shrink(TOPOLOGY)))
+            )
+        stuck = excinfo.value.system
+        pending = stuck.journal.transition.pending
+        drift = detect_drift(stuck)
+        assert not drift.is_converged
+        assert [
+            item.instance_id for item in drift.items
+            if item.kind is DriftKind.UNFINISHED_TRANSITION
+        ] == pending
+        assert set(pending) == {
+            "web005", "worker005", "monitor005", "cache005", "broker005",
+        } | {"web004", "worker004", "monitor004", "cache004", "broker004"}
+        with pytest.raises(RuntimeEngageError, match="deploy --resume"):
+            plan_repair(stuck, drift)
+        with pytest.raises(RuntimeEngageError, match="deploy --resume"):
+            ReconcileController(engine, stuck, interval=0.0)
+        resumed = engine.resume(stuck.journal)
+        assert detect_drift(resumed).is_converged
 
     def test_ill_typed_old_spec_is_refused_at_load(self):
         """The old spec a down-phase journal carries is read from the
@@ -926,7 +960,7 @@ class TestOneJournal:
         actions = sum(action.succeeded for action in result.report.actions)
         pins = sum(entry.action == "observe:adopted" for entry in recorded)
         assert 0 < len(recorded) <= actions + pins
-        assert result.journal is journal is result.system.journal
+        assert result.system.journal is journal
         assert journal.spec is new_spec
 
 
@@ -1107,6 +1141,47 @@ class TestCli:
         code, output = run_cli(["status", "--json", bundle_path])
         assert code == 0
         assert json.loads(output)["converged"] is True
+
+    def test_an_unfinished_transition_is_not_converged(self, cli_bundle):
+        """``status`` exits 1 and names what the down phase has still to
+        uninstall; ``reconcile`` exits 2 naming ``deploy --resume`` and
+        leaves the bundle as it was; after the resume both agree the
+        system converged."""
+        directory, bundle_path = cli_bundle
+        goal = directory / "goal.json"
+        goal.write_text(cli_spec_json([("cache2", 7071)]))
+        code, _ = run_cli(
+            ["deploy", "--delta", bundle_path, str(goal),
+             "--chaos-rate", "1.0", "--chaos-seed", "3"]
+        )
+        assert code == 1
+        saved = pathlib.Path(bundle_path).read_bytes()
+        code, output = run_cli(["status", "--json", bundle_path])
+        assert code == 1
+        payload = json.loads(output)
+        assert payload["converged"] is False
+        assert payload["drift"]["items"] == [
+            {"kind": "unfinished-transition", "instance_id": "cache",
+             "detail": "active"},
+            {"kind": "missing-instance", "instance_id": "cache2",
+             "detail": "uninstalled"},
+        ]
+        code, output = run_cli(["status", bundle_path])
+        assert code == 1
+        assert "unfinished delta transition: 1 instance(s)" in output
+        code, output = run_cli(["reconcile", bundle_path])
+        assert code == 2, output
+        assert "deploy --resume" in output
+        assert pathlib.Path(bundle_path).read_bytes() == saved
+        code, output = run_cli(["deploy", "--resume", bundle_path])
+        assert code == 0, output
+        code, output = run_cli(["status", "--json", bundle_path])
+        assert code == 0
+        assert json.loads(output)["converged"] is True
+        code, output = run_cli(["status", bundle_path])
+        assert code == 0, output
+        code, output = run_cli(["reconcile", bundle_path])
+        assert code == 0, output
 
     def test_deploy_delta_requires_a_goal(self, cli_bundle):
         _, bundle_path = cli_bundle

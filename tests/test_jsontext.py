@@ -1,6 +1,7 @@
 """The indented-JSON emitter is ``json.dumps(value, indent=n)``, byte for
-byte: a differential test over generated values, and the documents the
-persistence layers write."""
+byte: a differential test over generated values (whole, and as rows
+written at a depth), and the documents the persistence layers write one
+row at a time."""
 
 import enum
 import json
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine
-from repro.core.jsontext import indented
+from repro.core.instances import InstallSpec, ResourceInstance
+from repro.core.jsontext import Rows, indented, plain
+from repro.core.keys import ResourceKey
 from repro.dsl import full_to_json, full_to_payload, partial_to_json
 from repro.library import (
     standard_drivers,
@@ -84,10 +87,40 @@ def check(value, indent):
     assert indented(value, indent) == json.dumps(value, indent=indent)
 
 
+def nest(rows, path, wrap):
+    """``wrap(rows)`` under the str-keyed dicts ``path`` names, so it
+    is written at depth ``len(path)``."""
+    value = wrap(rows)
+    for key in reversed(path):
+        value = {"before": [key], key: value}
+    return value
+
+
+def as_rows(rows):
+    """``rows`` as a :class:`Rows` whose rows are built by a call."""
+    return Rows(range(len(rows)), rows.__getitem__)
+
+
+def check_rows(rows, path, indent):
+    document = nest(rows, path, as_rows)
+    reference = json.dumps(nest(rows, path, list), indent=indent)
+    assert indented(document, indent) == reference
+    assert json.dumps(plain(document), indent=indent) == reference
+
+
+ROW_PATHS = st.lists(STRINGS, max_size=3)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(VALUES, INDENTS)
 def test_emitter_is_json_dumps(value, indent):
     check(value, indent)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(VALUES, max_size=4), ROW_PATHS, INDENTS)
+def test_rows_at_a_depth_are_json_dumps(rows, path, indent):
+    check_rows(rows, path, indent)
 
 
 @pytest.mark.fuzz
@@ -95,6 +128,13 @@ def test_emitter_is_json_dumps(value, indent):
 @given(VALUES, INDENTS)
 def test_emitter_is_json_dumps_fuzz(value, indent):
     check(value, indent)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=500, deadline=None)
+@given(st.lists(VALUES, max_size=4), ROW_PATHS, INDENTS)
+def test_rows_at_a_depth_are_json_dumps_fuzz(rows, path, indent):
+    check_rows(rows, path, indent)
 
 
 @pytest.mark.parametrize("indent", [0, 1, 2, 4])
@@ -139,3 +179,42 @@ def test_fleet_documents_are_byte_identical():
     ) + "\n"
     text = partial_to_json(fleet_partial(FleetTopology(replicas=4, machines=2)))
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_shapes_the_fleet_lacks():
+    # An empty spec, system and world; a machine with no files and no
+    # processes; port values that are non-ASCII, enum members, or dicts
+    # with non-str keys (each such dict is handed to json.dumps whole).
+    empty = InstallSpec()
+    assert full_to_json(empty) == json.dumps([], indent=2) + "\n"
+    registry = standard_registry()
+    infrastructure = standard_infrastructure()
+    system = DeploymentEngine(
+        registry, infrastructure, standard_drivers()
+    ).deploy(empty)
+    assert save_system(system) == json.dumps(
+        system_payload(system), indent=2
+    ) + "\n"
+    assert save_world(infrastructure) == json.dumps(
+        world_payload(infrastructure), indent=1
+    ) + "\n"
+    infrastructure.add_machine("bare", "Ubuntu-Linux", "10.4")
+    world = world_payload(infrastructure)
+    assert world["machines"][0]["fs"]["files"] == {}
+    assert world["machines"][0]["processes"] == []
+    assert save_world(infrastructure) == json.dumps(world, indent=1) + "\n"
+    spec = InstallSpec([
+        ResourceInstance(
+            "hôte", ResourceKey.parse("Ubuntu-Linux 10.4"),
+            config={
+                "hostname": "hôte-中\U0001f600",
+                "level": Level.HIGH,
+                "colour": Colour.QUOTED,
+                "ports": {8080: "http", 2.5: None, True: [Level.LOW]},
+            },
+            outputs={"é": {"nested": {None: Colour.RED}}},
+        ),
+    ])
+    assert full_to_json(spec) == json.dumps(
+        full_to_payload(spec), indent=2
+    ) + "\n"

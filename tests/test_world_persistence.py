@@ -614,3 +614,56 @@ class TestPersistenceNestsPayloads:
         assert full_to_json(system.spec) == (
             json.dumps(full_to_payload(system.spec), indent=2) + "\n"
         )
+
+    def test_a_mid_transition_bundle_matches_its_payloads(self, tmp_path):
+        # Shapes the fleet's bundle lacks: a journal mid-transition, whose
+        # old spec is written row by row inside it, and a machine with no
+        # files and no processes.
+        from repro import cli
+        from repro.dsl import format_module, partial_to_json
+        from repro.library.fleet import FleetTopology, fleet_partial
+        from repro.runtime import save_system, system_payload
+        from repro.sim import world_payload
+
+        goals = {}
+        for replicas in (6, 4):
+            goals[replicas] = tmp_path / f"fleet{replicas}.json"
+            topology = FleetTopology(
+                replicas=replicas, machines=2, stacks=("django",)
+            )
+            goals[replicas].write_text(
+                partial_to_json(fleet_partial(topology))
+            )
+        bundle = tmp_path / "bundle.json"
+        code, _ = run(["deploy", str(goals[6]), "--save", str(bundle)])
+        assert code == 0
+        code, _ = run(
+            ["deploy", str(goals[4]), "--delta", str(bundle),
+             "--chaos-rate", "1.0", "--chaos-seed", "3"]
+        )
+        assert code == 1
+        written = bundle.read_text()
+        registry, infrastructure, _, system = cli._load_bundle(str(bundle))
+
+        def reference():
+            return json.dumps(
+                {
+                    "format": cli.BUNDLE_FORMAT,
+                    "types": format_module(cli._ordered_types(registry)),
+                    "world": world_payload(infrastructure),
+                    "state": system_payload(system),
+                },
+                indent=1,
+            ) + "\n"
+
+        assert written == reference()
+        assert system_payload(system)["journal"]["transition"]["from_spec"]
+        assert save_system(system) == (
+            json.dumps(system_payload(system), indent=2) + "\n"
+        )
+        infrastructure.add_machine("bare", "Ubuntu-Linux", "10.4")
+        cli._save_bundle(str(bundle), registry, infrastructure, system)
+        assert bundle.read_text() == reference()
+        assert save_world(infrastructure) == (
+            json.dumps(world_payload(infrastructure), indent=1) + "\n"
+        )
