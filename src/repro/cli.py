@@ -26,7 +26,7 @@ from typing import Optional, Sequence, TextIO
 
 from repro.core import ResourceTypeRegistry, assert_well_formed, check_registry
 from repro.core.errors import EngageError
-from repro.core.jsontext import document_text
+from repro.core.jsontext import document_text, write_file
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
@@ -111,37 +111,19 @@ def _run_stats(path: str, result) -> dict:
     return payload
 
 
-def _write_stats_json(path: str, runs: list, out: TextIO) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document_text({"runs": runs}, 1))
-    out.write(f"stats written to {path} ({len(runs)} run(s))\n")
-
-
 def cmd_configure(args, out: TextIO) -> int:
     registry = _build_registry(args)
     paths = args.partial
-    runs: list = []
     if not args.session:
-        if len(paths) > 1 or args.repeat != 1:
-            out.write(
-                "error: multiple partial specs / --repeat require --session\n"
-            )
-            return 2
         partial = _read_partial(paths[0])
         result = ConfigurationEngine(
             registry, partition=args.partition
         ).configure(partial)
-        if args.stats_json:
-            _write_stats_json(
-                args.stats_json, [_run_stats(paths[0], result)], out
-            )
-        return _write_full_spec(result, args, out)
-    if args.output and len(paths) > 1:
-        out.write("error: --output only works with a single partial spec\n")
-        return 2
+        runs = [_run_stats(paths[0], result)] if args.stats_json else []
+        return _write_configured(args, result, runs, out)
     partials = [_read_partial(path) for path in paths]
     session = ConfigurationSession(registry, partition=args.partition)
-    result = None
+    runs: list = []
     for round_number in range(args.repeat):
         for path, partial in zip(paths, partials):
             result = session.configure(partial)
@@ -178,28 +160,40 @@ def cmd_configure(args, out: TextIO) -> int:
         f"{stats.components_reused} of {stats.components_total} "
         "components reused on graph misses\n"
     )
+    return _write_configured(args, result, runs, out)
+
+
+def _write_configured(args, result, runs: list, out: TextIO) -> int:
+    """The stats of ``runs`` to ``--stats-json``'s file; then the last
+    full spec to ``-o``'s file or -- without ``--session`` -- to
+    ``out``."""
     if args.stats_json:
-        _write_stats_json(args.stats_json, runs, out)
-    if args.output and result is not None:
-        return _write_full_spec(result, args, out)
-    return 0
-
-
-def _write_full_spec(result, args, out: TextIO) -> int:
-    text = full_to_json(result.spec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_file(args.stats_json, document_text({"runs": runs}, 1))
         out.write(
-            f"wrote {len(result.spec)} instances "
-            f"({line_count(text)} lines) to {args.output}\n"
+            f"stats written to {args.stats_json} ({len(runs)} run(s))\n"
         )
-        if result.partition is not None:
-            info = result.partition
-            out.write(
-                f"partitioned: {info.count} components "
-                f"(largest {info.largest} nodes)\n"
-            )
+    if args.session and not args.output:
+        return 0
+    text = full_to_json(result.spec)
+    note = (
+        f"wrote {len(result.spec)} instances "
+        f"({line_count(text)} lines) to {args.output}\n"
+    )
+    if result.partition is not None:
+        info = result.partition
+        note += (
+            f"partitioned: {info.count} components "
+            f"(largest {info.largest} nodes)\n"
+        )
+    return _write_output(args, text, note, out)
+
+
+def _write_output(args, text: str, note: str, out: TextIO) -> int:
+    """``text`` to the file ``-o`` names, then ``note`` on ``out``; or,
+    without ``-o``, ``text`` on ``out``."""
+    if args.output:
+        write_file(args.output, text)
+        out.write(note)
     else:
         out.write(text)
     return 0
@@ -286,61 +280,118 @@ def cmd_dimacs(args, out: TextIO) -> int:
 BUNDLE_FORMAT = "engage-bundle-1"
 
 
-def _save_bundle(path: str, registry, infrastructure, system) -> None:
-    """Persist world + deployment state (journal included, so every
-    bundle is resumable with ``engage-sim deploy --resume``) + resource
-    types in one file."""
-    from repro.dsl import format_module
-    from repro.runtime import system_document
-    from repro.sim import world_document
+class Bundle:
+    """The deployment one command works on -- its resource types, world,
+    drivers and system -- opened once (:func:`_open_bundle`) and
+    committed at most once, after the command returns, if it asked to
+    with :meth:`save`.  The commit replaces the file at ``path`` whole,
+    so a command that raises leaves the old bytes."""
 
-    bundle = {
-        "format": BUNDLE_FORMAT,
-        "types": format_module(_ordered_types(registry)),
-        "world": world_document(infrastructure),
-        "state": system_document(system),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document_text(bundle, 1))
+    def __init__(self, path: Optional[str], registry, infrastructure):
+        self.path = path
+        self.registry = registry
+        self.infrastructure = infrastructure
+        self.drivers = standard_drivers()
+        self.drivers.set_fallback("service")
+        self.system = None
+        self._note: Optional[str] = None
 
+    @classmethod
+    def load(cls, source: str, path: Optional[str] = None) -> "Bundle":
+        """The bundle saved in ``source``, to commit to ``path`` (by
+        default ``source``); its journal is ``system.journal``.  Its
+        types must be well-formed, or no command works on it."""
+        import json
 
-def _load_bundle(path: str):
-    """Rebuild (registry, infrastructure, drivers, system) from a
-    bundle; the bundle's journal is ``system.journal``.  Its types must
-    be well-formed, or no command works on it."""
-    import json
+        from repro.core.errors import RuntimeEngageError, document_section
+        from repro.runtime import system_from_payload
+        from repro.sim import world_from_payload
 
-    from repro.core.errors import RuntimeEngageError, document_section
-    from repro.runtime import system_from_payload
-    from repro.sim import world_from_payload
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            bundle = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise RuntimeEngageError(f"malformed bundle: {exc}") from exc
-    if not isinstance(bundle, dict) or bundle.get("format") != BUNDLE_FORMAT:
-        found = bundle.get("format") if isinstance(bundle, dict) else bundle
-        raise RuntimeEngageError(f"unsupported bundle format: {found!r}")
-    types, world, state = (
-        document_section(
-            bundle, name, kind, of="bundle", error=RuntimeEngageError
+        with open(source, "r", encoding="utf-8") as handle:
+            try:
+                saved = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise RuntimeEngageError(f"malformed bundle: {exc}") from exc
+        if not isinstance(saved, dict) or saved.get("format") != BUNDLE_FORMAT:
+            found = saved.get("format") if isinstance(saved, dict) else saved
+            raise RuntimeEngageError(f"unsupported bundle format: {found!r}")
+        types, world, state = (
+            document_section(
+                saved, name, kind, of="bundle", error=RuntimeEngageError
+            )
+            for name, kind in (
+                ("types", str), ("world", dict), ("state", dict)
+            )
         )
-        for name, kind in (("types", str), ("world", dict), ("state", dict))
+        registry = ResourceTypeRegistry()
+        load_resources(types, registry)
+        assert_well_formed(registry)
+        bundle = cls(path or source, registry, world_from_payload(world))
+        bundle.system = system_from_payload(
+            registry, bundle.infrastructure, bundle.drivers, state
+        )
+        return bundle
+
+    def engine(self, args=None) -> DeploymentEngine:
+        """An engine on the bundle's world; with ``args``, under the
+        command's retry flags and worker bounds (:func:`_engine_settings`)."""
+        return DeploymentEngine(
+            self.registry, self.infrastructure, self.drivers,
+            **(_engine_settings(args) if args else {}),
+        )
+
+    def save(self, note: str, system=None) -> None:
+        """Commit the bundle -- holding ``system`` from now on, if given
+        -- when the command returns, then print ``note``."""
+        if system is not None:
+            self.system = system
+        self._note = note
+
+    def commit(self, out: TextIO) -> None:
+        if self._note is not None:
+            self.write()
+            out.write(self._note)
+
+    def write(self) -> None:
+        """Replace ``path`` with world + deployment state (journal
+        included, so every bundle is resumable with ``engage-sim deploy
+        --resume``) + resource types, in one file."""
+        from repro.dsl import format_module
+        from repro.runtime import system_document
+        from repro.sim import world_document
+
+        document = {
+            "format": BUNDLE_FORMAT,
+            "types": format_module(_ordered_types(self.registry)),
+            "world": world_document(self.infrastructure),
+            "state": system_document(self.system),
+        }
+        write_file(self.path, document_text(document, 1))
+
+
+def _open_bundle(args) -> Optional[Bundle]:
+    """The bundle ``args``'s command works on: the file its BUNDLE or
+    ``deploy``'s ``--delta``/``--resume`` names, committed back to it
+    unless ``--save`` names another; for a fresh ``deploy``, a new one
+    with no file behind it; none for ``trace --validate``."""
+    if getattr(args, "validate", None):
+        return None
+    source = (
+        getattr(args, "bundle", None) or getattr(args, "delta", None)
+        or getattr(args, "resume", None)
     )
-    registry = ResourceTypeRegistry()
-    load_resources(types, registry)
-    assert_well_formed(registry)
-    infrastructure = world_from_payload(world)
-    drivers = standard_drivers()
-    drivers.set_fallback("service")
-    system = system_from_payload(registry, infrastructure, drivers, state)
-    return registry, infrastructure, drivers, system
+    if source is not None:
+        return Bundle.load(source, getattr(args, "save", None))
+    registry = _build_registry(args)
+    bundle = Bundle(args.save, registry, standard_infrastructure())
+    # Make sure DSL-defined packages have downloadable artifacts.
+    _publish_missing_artifacts(registry, bundle.infrastructure)
+    return bundle
 
 
-def cmd_status(args, out: TextIO) -> int:
-    _, infrastructure, _, system = _load_bundle(args.bundle)
-    if getattr(args, "json", False):
+def cmd_status(args, bundle: Bundle, out: TextIO) -> int:
+    system, infrastructure = bundle.system, bundle.infrastructure
+    if args.json:
         from repro.runtime import detect_drift
 
         journal = system.journal
@@ -376,29 +427,26 @@ def cmd_status(args, out: TextIO) -> int:
     return 0 if system.is_deployed() and transition is None else 1
 
 
-def cmd_stop(args, out: TextIO) -> int:
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
-    DeploymentEngine(registry, infrastructure, drivers).shutdown(system)
-    _save_bundle(args.bundle, registry, infrastructure, system)
-    out.write("stopped; bundle updated.\n")
+def cmd_stop(args, bundle: Bundle, out: TextIO) -> int:
+    bundle.engine().shutdown(bundle.system)
+    bundle.save("stopped; bundle updated.\n")
     return 0
 
 
-def cmd_start(args, out: TextIO) -> int:
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
-    DeploymentEngine(registry, infrastructure, drivers).start(system)
-    _save_bundle(args.bundle, registry, infrastructure, system)
-    out.write("started; bundle updated.\n")
-    return 0 if system.is_deployed() else 1
+def cmd_start(args, bundle: Bundle, out: TextIO) -> int:
+    bundle.engine().start(bundle.system)
+    bundle.save("started; bundle updated.\n")
+    return 0 if bundle.system.is_deployed() else 1
 
 
-def _load_goal_partial(args, registry, infrastructure):
+def _load_goal_partial(args, bundle: Bundle):
     """Merge ``--types`` into a bundle's registry, publish any new
     artifacts, and read + provision the new goal's partial spec --
     shared by ``upgrade``, ``plan``, and ``deploy --delta``."""
     from repro.dsl import lower_module, parse_module
 
-    for path in getattr(args, "types", None) or ():
+    registry = bundle.registry
+    for path in args.types:
         with open(path, "r", encoding="utf-8") as handle:
             # Skip types the bundle already carries (same key).
             for resource_type in lower_module(
@@ -406,21 +454,30 @@ def _load_goal_partial(args, registry, infrastructure):
             ):
                 if not registry.has(resource_type.key):
                     registry.register(resource_type)
-    _publish_missing_artifacts(registry, infrastructure)
+    _publish_missing_artifacts(registry, bundle.infrastructure)
     partial = _read_partial(args.partial)
-    return provision_partial_spec(registry, partial, infrastructure)
+    return provision_partial_spec(registry, partial, bundle.infrastructure)
 
 
-def cmd_upgrade(args, out: TextIO) -> int:
+def _plan_to_goal(args, bundle: Bundle):
+    """The new goal's full spec and the delta plan that reaches it --
+    shared by ``plan`` and ``deploy --delta``."""
+    from repro.runtime import plan_delta
+
+    partial = _load_goal_partial(args, bundle)
+    new_spec = ConfigurationEngine(bundle.registry).configure(partial).spec
+    return new_spec, plan_delta(bundle.system, new_spec)
+
+
+def cmd_upgrade(args, bundle: Bundle, out: TextIO) -> int:
     """Upgrade a saved deployment to a new partial specification."""
     from repro.runtime import UpgradeEngine
 
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
-    partial = _load_goal_partial(args, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry)
-    deploy_engine = DeploymentEngine(registry, infrastructure, drivers)
-    upgrader = UpgradeEngine(config_engine, deploy_engine)
-    result = upgrader.upgrade(system, partial, strategy=args.strategy)
+    partial = _load_goal_partial(args, bundle)
+    upgrader = UpgradeEngine(
+        ConfigurationEngine(bundle.registry), bundle.engine()
+    )
+    result = upgrader.upgrade(bundle.system, partial, strategy=args.strategy)
     if result.succeeded:
         changed = (
             result.diff.upgraded + result.diff.reconfigured
@@ -435,39 +492,27 @@ def cmd_upgrade(args, out: TextIO) -> int:
         out.write(
             f"upgrade FAILED and was rolled back: {result.error}\n"
         )
-    _save_bundle(args.bundle, registry, infrastructure, result.system)
-    out.write("bundle updated.\n")
+    bundle.save("bundle updated.\n", result.system)
     return 0 if result.succeeded else 1
 
 
-def cmd_plan(args, out: TextIO) -> int:
+def cmd_plan(args, bundle: Bundle, out: TextIO) -> int:
     """Dry-run a delta transition: print the plan as JSON, touch
     nothing."""
-    from repro.runtime import plan_delta
-
-    registry, infrastructure, _, system = _load_bundle(args.bundle)
-    partial = _load_goal_partial(args, registry, infrastructure)
-    config_engine = ConfigurationEngine(registry)
-    new_spec = config_engine.configure(partial).spec
-    delta = plan_delta(system, new_spec)
+    new_spec, delta = _plan_to_goal(args, bundle)
     payload = delta.to_payload()
     payload["bundle"] = args.bundle
-    text = document_text(payload, 1)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        out.write(
-            f"plan written to {args.output} ({len(delta)} step(s) for a "
-            f"{len(new_spec)}-instance goal)\n"
-        )
-    else:
-        out.write(text)
-    return 0
+    return _write_output(
+        args, document_text(payload, 1),
+        f"plan written to {args.output} ({len(delta)} step(s) for a "
+        f"{len(new_spec)}-instance goal)\n",
+        out,
+    )
 
 
-def cmd_inject_fault(args, out: TextIO) -> int:
+def cmd_inject_fault(args, bundle: Bundle, out: TextIO) -> int:
     """Fail a running service process (testing/chaos helper)."""
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
+    system = bundle.system
     driver = system.drivers.get(args.instance)
     if driver is None:
         out.write(f"error: no instance {args.instance!r}\n")
@@ -478,26 +523,23 @@ def cmd_inject_fault(args, out: TextIO) -> int:
         return 2
     process.fail()
     machine = system.machine_for(args.instance)
-    _save_bundle(args.bundle, registry, infrastructure, system)
-    out.write(
+    bundle.save(
         f"failed process {process.name!r} (instance {args.instance!r}) "
         f"on {machine.hostname}; bundle updated.\n"
     )
     return 0
 
 
-def cmd_reconcile(args, out: TextIO) -> int:
+def cmd_reconcile(args, bundle: Bundle, out: TextIO) -> int:
     """Run the autonomic reconcile loop against a saved deployment."""
     from repro.runtime import ReconcileController
     from repro.sim import MachineChurn
 
-    registry, infrastructure, drivers, system = _load_bundle(args.bundle)
-    tracer = _install_tracer(args, infrastructure)
-    engine = _engine_from_args(args, registry, infrastructure, drivers)
+    _install_tracer(args, bundle.infrastructure)
     churn = None
     if args.churn_rate > 0.0:
         churn = MachineChurn(
-            system, seed=args.churn_seed, rate=args.churn_rate
+            bundle.system, seed=args.churn_seed, rate=args.churn_rate
         )
         out.write(
             f"churn: losing machines (seed={args.churn_seed}, "
@@ -505,7 +547,8 @@ def cmd_reconcile(args, out: TextIO) -> int:
         )
     watching = args.watch or churn is not None
     controller = ReconcileController(
-        engine, system, interval=args.interval if watching else 0.0
+        bundle.engine(args), bundle.system,
+        interval=args.interval if watching else 0.0,
     )
     rounds = args.max_rounds if watching else 1
     result = controller.run(rounds=rounds, churn=churn)
@@ -533,10 +576,9 @@ def cmd_reconcile(args, out: TextIO) -> int:
         )
     if args.json:
         out.write(document_text(result.to_payload(), 1))
-    _finish_trace(args, tracer, out)
+    _finish_trace(args, bundle, out)
     if result.converged:
-        _save_bundle(args.bundle, registry, infrastructure, system)
-        out.write("converged; bundle updated.\n")
+        bundle.save("converged; bundle updated.\n")
         return 0
     out.write("NOT converged; bundle left untouched.\n")
     return 1
@@ -553,52 +595,45 @@ def _publish_missing_artifacts(registry, infrastructure) -> None:
             )
 
 
-def _retry_policy_from_args(args):
-    """A RetryPolicy when any retry flag was given, else None."""
+def _engine_settings(args) -> dict:
+    """``deploy``'s or ``reconcile``'s retry flags and worker bounds as
+    engine keywords; a RetryPolicy only when a retry flag was given."""
     from repro.runtime import RetryPolicy
 
-    if not (
+    settings = {
+        "policy": None, "jobs": args.jobs, "jobs_per_host": args.jobs_per_host,
+    }
+    if (
         args.max_retries > 0
         or args.backoff is not None
         or args.timeout is not None
     ):
-        return None
-    return RetryPolicy(
-        max_attempts=args.max_retries + 1,
-        backoff_base=args.backoff if args.backoff is not None else 1.0,
-        action_timeout=args.timeout,
-    )
+        settings["policy"] = RetryPolicy(
+            max_attempts=args.max_retries + 1,
+            backoff_base=args.backoff if args.backoff is not None else 1.0,
+            action_timeout=args.timeout,
+        )
+    return settings
 
 
-def _engine_from_args(args, registry, infrastructure, drivers):
-    """The engine of ``deploy`` and ``reconcile``: the command's retry
-    flags and worker bounds, set once for every pass it runs."""
-    return DeploymentEngine(
-        registry, infrastructure, drivers,
-        policy=_retry_policy_from_args(args),
-        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
-    )
-
-
-def _install_tracer(args, infrastructure):
+def _install_tracer(args, infrastructure) -> None:
     """A Tracer on the infrastructure when --trace/--metrics was given."""
-    if not (getattr(args, "trace", None) or getattr(args, "metrics", False)):
-        return None
-    from repro.obs import Tracer
+    if args.trace or args.metrics:
+        from repro.obs import Tracer
 
-    tracer = Tracer(clock=infrastructure.clock)
-    infrastructure.set_tracer(tracer)
-    return tracer
+        infrastructure.set_tracer(Tracer(clock=infrastructure.clock))
 
 
-def _finish_trace(args, tracer, out: TextIO) -> None:
-    """Write the trace file and/or metrics summary after a deploy."""
+def _finish_trace(args, bundle: Bundle, out: TextIO) -> None:
+    """Write the trace file and/or metrics summary of the tracer
+    :func:`_install_tracer` put on the bundle's world, if any."""
+    tracer = bundle.infrastructure.tracer
     if tracer is None:
         return
     if args.trace:
-        from repro.obs import write_trace
+        from repro.obs import chrome_trace_json
 
-        write_trace(args.trace, tracer)
+        write_file(args.trace, chrome_trace_json(tracer))
         out.write(
             f"trace written to {args.trace} ({len(tracer)} events)\n"
         )
@@ -608,7 +643,7 @@ def _finish_trace(args, tracer, out: TextIO) -> None:
 
 def _install_chaos(args, infrastructure, out: TextIO) -> None:
     """Install a seeded fault plan when --chaos-rate was given."""
-    if getattr(args, "chaos_rate", 0.0) > 0.0:
+    if args.chaos_rate > 0.0:
         from repro.sim import FaultPlan
 
         infrastructure.set_fault_plan(
@@ -722,22 +757,6 @@ def _given(args, flags: dict) -> dict:
     }
 
 
-def _misused_bus_flags(args) -> Optional[str]:
-    """What is wrong with the command's bus flags, if anything."""
-    if args.bus:
-        for mode in ("resume", "delta"):
-            if getattr(args, mode):
-                return (
-                    "--bus coordinates a first deployment; it cannot be "
-                    f"combined with --{mode}"
-                )
-        return None
-    for flag in (*_LINK_FAULT_FLAGS, *_BUS_CHAOS_FLAGS):
-        if hasattr(args, flag):
-            return f"--{flag.replace('_', '-')} needs --bus"
-    return None
-
-
 #: Numeric flags by the range their value must lie in.  A library
 #: constructor refuses the same values with a ``ValueError``; the CLI
 #: refuses them before it loads or configures anything.
@@ -751,8 +770,10 @@ _FLAG_RANGES = (
 )
 
 
-def _out_of_range_flag(args) -> Optional[str]:
-    """The first numeric flag of the command outside its range, if any."""
+def _usage_error(args) -> Optional[str]:
+    """What is wrong with the command's arguments, if anything: a
+    numeric flag out of its range first.  Checked before any file is
+    read."""
     for flags, bound, within in _FLAG_RANGES:
         for flag in flags:
             value = getattr(args, flag, None)
@@ -761,72 +782,82 @@ def _out_of_range_flag(args) -> Optional[str]:
                     f"--{flag.replace('_', '-')} must be {bound}, "
                     f"got {value}"
                 )
+    if args.command == "configure":
+        if not args.session and (len(args.partial) > 1 or args.repeat != 1):
+            return "multiple partial specs / --repeat require --session"
+        if args.output and len(args.partial) > 1:
+            return "--output only works with a single partial spec"
+    if args.command == "trace" and not (args.bundle or args.validate):
+        return "a bundle is required (or use --validate)"
+    if args.command != "deploy":
+        return None
+    if args.bus:
+        for mode in ("resume", "delta"):
+            if getattr(args, mode):
+                return (
+                    "--bus coordinates a first deployment; it cannot be "
+                    f"combined with --{mode}"
+                )
+    else:
+        for flag in (*_LINK_FAULT_FLAGS, *_BUS_CHAOS_FLAGS):
+            if hasattr(args, flag):
+                return f"--{flag.replace('_', '-')} needs --bus"
+    if args.delta and not args.partial:
+        return "a partial spec (the new goal) is required with --delta"
+    if not (args.partial or args.resume):
+        return "a partial spec is required (or use --resume)"
     return None
 
 
-def _bus_coordinator_from_args(args, registry, infrastructure, drivers):
-    """The ``--bus`` counterpart of :func:`_engine_from_args`."""
+def _bus_coordinator_from_args(args, bundle: Bundle):
+    """The ``--bus`` counterpart of :meth:`Bundle.engine`."""
     from repro.runtime import BusCoordinator
     from repro.sim.faults import LinkFaultPlan
 
     link = _given(args, _LINK_FAULT_FLAGS)
     return BusCoordinator(
-        registry, infrastructure, drivers,
-        policy=_retry_policy_from_args(args),
-        jobs=args.jobs, jobs_per_host=args.jobs_per_host,
+        bundle.registry, bundle.infrastructure, bundle.drivers,
         link_faults=LinkFaultPlan(**link) if link else None,
+        **_engine_settings(args),
     )
 
 
-def _run_deployment(
-    args, run, registry, infrastructure, tracer, save_to, out: TextIO
-) -> int:
+def _run_deployment(args, run, bundle: Bundle, out: TextIO) -> int:
     """Run one deployment pass (``run()`` returns the system) and
     report it: the outcome, or the failure with its resumable bundle;
-    then the bundle and -- however the pass ended -- the trace."""
+    then -- however the pass ended -- the trace.  A bundle with a
+    ``path`` is saved either way."""
     from repro.core.errors import DeploymentFailure
 
+    path = bundle.path
     try:
         system = run()
     except DeploymentFailure as failure:
         _write_failure(failure, out)
-        if save_to:
-            _save_bundle(save_to, registry, infrastructure, failure.system)
-            out.write(
-                f"resumable bundle saved to {save_to} "
-                f"(finish with: deploy --resume {save_to})\n"
+        if path:
+            bundle.save(
+                f"resumable bundle saved to {path} "
+                f"(finish with: deploy --resume {path})\n",
+                failure.system,
             )
         return 1
     else:
-        _write_deploy_outcome(system, infrastructure, out)
-        if save_to:
-            _save_bundle(save_to, registry, infrastructure, system)
-            out.write(f"bundle saved to {save_to}\n")
+        _write_deploy_outcome(system, bundle.infrastructure, out)
+        if path:
+            bundle.save(f"bundle saved to {path}\n", system)
         return 0 if system.is_deployed() else 1
     finally:
-        _finish_trace(args, tracer, out)
+        _finish_trace(args, bundle, out)
 
 
-def cmd_deploy(args, out: TextIO) -> int:
-    misuse = _misused_bus_flags(args)
-    if misuse:
-        out.write(f"error: {misuse}\n")
-        return 2
+def cmd_deploy(args, bundle: Bundle, out: TextIO) -> int:
+    infrastructure = bundle.infrastructure
+    _install_tracer(args, infrastructure)
+    engine = bundle.engine(args)
     if args.delta:
-        if not args.partial:
-            out.write(
-                "error: a partial spec (the new goal) is required with "
-                "--delta\n"
-            )
-            return 2
-        from repro.runtime import execute_delta, plan_delta
+        from repro.runtime import execute_delta
 
-        registry, infrastructure, drivers, system = _load_bundle(args.delta)
-        tracer = _install_tracer(args, infrastructure)
-        partial = _load_goal_partial(args, registry, infrastructure)
-        config_engine = ConfigurationEngine(registry)
-        new_spec = config_engine.configure(partial).spec
-        delta = plan_delta(system, new_spec)
+        new_spec, delta = _plan_to_goal(args, bundle)
         by_op = ", ".join(
             f"{op}: {count}" for op, count in sorted(delta.plan.by_op().items())
         )
@@ -837,71 +868,45 @@ def cmd_deploy(args, out: TextIO) -> int:
             + "\n"
         )
         _install_chaos(args, infrastructure, out)
-        engine = _engine_from_args(args, registry, infrastructure, drivers)
-        return _run_deployment(
-            args,
-            lambda: execute_delta(engine, system, delta).system,
-            registry, infrastructure, tracer, args.save or args.delta, out,
-        )
-
-    if args.resume:
-        registry, infrastructure, drivers, system = _load_bundle(args.resume)
-        journal = system.journal
+        run = lambda: execute_delta(engine, bundle.system, delta).system
+    elif args.resume:
+        journal = bundle.system.journal
         if not (journal.entries or journal.completed or journal.failed):
             out.write(
                 f"error: {args.resume} has no deployment journal to "
                 "resume from\n"
             )
             return 2
-        tracer = _install_tracer(args, infrastructure)
         _install_chaos(args, infrastructure, out)
-        engine = _engine_from_args(args, registry, infrastructure, drivers)
         out.write(
             f"resuming: {len(journal.completed)} of "
             f"{len(journal.spec)} instances already deployed\n"
         )
-        return _run_deployment(
-            args, lambda: engine.resume(journal),
-            registry, infrastructure, tracer, args.save or args.resume, out,
-        )
-
-    if not args.partial:
-        out.write("error: a partial spec is required (or use --resume)\n")
-        return 2
-    registry = _build_registry(args)
-    partial = _read_partial(args.partial)
-    infrastructure = standard_infrastructure()
-    tracer = _install_tracer(args, infrastructure)
-    # Make sure DSL-defined packages have downloadable artifacts.
-    _publish_missing_artifacts(registry, infrastructure)
-    drivers = standard_drivers()
-    drivers.set_fallback("service")
-
-    partial = provision_partial_spec(registry, partial, infrastructure)
-    engine = ConfigurationEngine(registry, tracer=tracer)
-    result = engine.configure(partial)
-    out.write(
-        f"configured {len(result.spec)} instances from "
-        f"{len(partial)} in the partial specification\n"
-    )
-    _install_chaos(args, infrastructure, out)
-    if args.bus:
-        from repro.runtime import BusChaos
-
-        coordinator = _bus_coordinator_from_args(
-            args, registry, infrastructure, drivers
-        )
-        chaos = BusChaos(**_given(args, _BUS_CHAOS_FLAGS))
-        run = lambda: coordinator.deploy(result.spec, chaos=chaos)
+        run = lambda: engine.resume(journal)
     else:
-        deploy = _engine_from_args(args, registry, infrastructure, drivers)
-        run = lambda: deploy.deploy(result.spec)
-    return _run_deployment(
-        args, run, registry, infrastructure, tracer, args.save, out
-    )
+        partial = provision_partial_spec(
+            bundle.registry, _read_partial(args.partial), infrastructure
+        )
+        result = ConfigurationEngine(
+            bundle.registry, tracer=infrastructure.tracer
+        ).configure(partial)
+        out.write(
+            f"configured {len(result.spec)} instances from "
+            f"{len(partial)} in the partial specification\n"
+        )
+        _install_chaos(args, infrastructure, out)
+        if args.bus:
+            from repro.runtime import BusChaos
+
+            coordinator = _bus_coordinator_from_args(args, bundle)
+            chaos = BusChaos(**_given(args, _BUS_CHAOS_FLAGS))
+            run = lambda: coordinator.deploy(result.spec, chaos=chaos)
+        else:
+            run = lambda: engine.deploy(result.spec)
+    return _run_deployment(args, run, bundle, out)
 
 
-def cmd_trace(args, out: TextIO) -> int:
+def cmd_trace(args, bundle: Optional[Bundle], out: TextIO) -> int:
     """Render a saved bundle's journal into a Chrome trace file (one
     instant per entry, on its machine's lane), or validate an existing
     trace file against the schema."""
@@ -932,25 +937,16 @@ def cmd_trace(args, out: TextIO) -> int:
         )
         return 0
 
-    if not args.bundle:
-        out.write("error: a bundle is required (or use --validate)\n")
-        return 2
-    _, _, _, system = _load_bundle(args.bundle)
+    system = bundle.system
     host_of = {
         instance.id: system.machine_for(instance.id).hostname
         for instance in system.spec
     }
     events = trace_from_journal(system.journal.entries, lane_of=host_of)
-    text = chrome_trace_json(events, metadata={"bundle": args.bundle})
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        out.write(
-            f"trace written to {args.output} ({len(events)} events)\n"
-        )
-    else:
-        out.write(text)
-    return 0
+    return _write_output(
+        args, chrome_trace_json(events, metadata={"bundle": args.bundle}),
+        f"trace written to {args.output} ({len(events)} events)\n", out,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -975,6 +971,67 @@ def build_parser() -> argparse.ArgumentParser:
                 help="partial installation specification (Figure 2 JSON)",
             )
 
+    def on_bundle(name: str, help_text: str, **bundle):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "bundle", metavar="BUNDLE",
+            help="bundle file written by 'deploy --save'", **bundle,
+        )
+        return p
+
+    def new_goal(p: argparse.ArgumentParser):
+        p.add_argument(
+            "partial", metavar="NEW_PARTIAL_SPEC.json",
+            help="the new goal's partial installation specification",
+        )
+        p.add_argument(
+            "--types", action="append", metavar="FILE", default=[],
+            help="additional DSL resource files (e.g. the new version's "
+            "type)",
+        )
+
+    def output(p: argparse.ArgumentParser, what: str):
+        p.add_argument(
+            "-o", "--output", metavar="FILE",
+            help=f"write {what} here instead of stdout",
+        )
+
+    def engine_flags(p: argparse.ArgumentParser):
+        p.add_argument(
+            "--max-retries", type=int, default=0, metavar="N",
+            help="retry each failing driver action up to N times "
+            "(transient faults only; default 0)",
+        )
+        p.add_argument(
+            "--backoff", type=float, default=None, metavar="SECONDS",
+            help="base backoff between retries (exponential, "
+            "deterministic jitter; default 1.0 when retries are enabled)",
+        )
+        p.add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="per-action simulated-time budget; hung actions are "
+            "abandoned (and retried) after this long",
+        )
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="run with N simulated workers in dependency order "
+            "(0 = unbounded; default: 1, one instance at a time)",
+        )
+        p.add_argument(
+            "--jobs-per-host", type=int, default=None, metavar="N",
+            help="with --jobs: at most N concurrent instances per target "
+            "machine",
+        )
+        p.add_argument(
+            "--trace", metavar="FILE",
+            help="write a Chrome trace-event JSON file of the run "
+            "(open in Perfetto or chrome://tracing)",
+        )
+        p.add_argument(
+            "--metrics", action="store_true",
+            help="print a plain-text metrics summary after the run",
+        )
+
     check = sub.add_parser("check", help="validate DSL resource files")
     common(check, with_partial=False)
 
@@ -986,9 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
         "partial", metavar="PARTIAL_SPEC.json", nargs="+",
         help="partial installation specification(s) (Figure 2 JSON)",
     )
-    configure.add_argument(
-        "-o", "--output", metavar="FILE", help="write the full spec here"
-    )
+    output(configure, "the full spec")
     configure.add_argument(
         "--session", action="store_true",
         help="run through an incremental ConfigurationSession and report "
@@ -1051,31 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resumable, unlike 'upgrade'); saves back to BUNDLE unless "
         "--save is given",
     )
-    deploy.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry each failing driver action up to N times "
-        "(transient faults only; default 0)",
-    )
-    deploy.add_argument(
-        "--backoff", type=float, default=None, metavar="SECONDS",
-        help="base backoff between retries (exponential, deterministic "
-        "jitter; default 1.0 when retries are enabled)",
-    )
-    deploy.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-action simulated-time budget; hung actions are "
-        "abandoned (and retried) after this long",
-    )
-    deploy.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="deploy with N simulated workers in dependency order "
-        "(0 = unbounded; default: 1, one instance at a time)",
-    )
-    deploy.add_argument(
-        "--jobs-per-host", type=int, default=None, metavar="N",
-        help="with --jobs: at most N concurrent instances per target "
-        "machine",
-    )
+    engine_flags(deploy)
     deploy.add_argument(
         "--bus", action="store_true",
         help="coordinate the deployment over the simulated message bus "
@@ -1141,84 +1172,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=0, metavar="SEED",
         help="seed for --chaos-rate fault decisions",
     )
-    deploy.add_argument(
-        "--trace", metavar="FILE",
-        help="write a Chrome trace-event JSON file of the deployment "
-        "(open in Perfetto or chrome://tracing)",
-    )
-    deploy.add_argument(
-        "--metrics", action="store_true",
-        help="print a plain-text metrics summary after the deployment",
-    )
 
-    status = sub.add_parser(
-        "status", help="show the state of a saved deployment"
-    )
-    status.add_argument(
-        "bundle", metavar="BUNDLE",
-        help="bundle file written by 'deploy --save'",
-    )
+    status = on_bundle("status", "show the state of a saved deployment")
     status.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable drift/journal summary (exit 0 "
         "iff the deployment matches its goal)",
     )
 
-    for name, help_text in (
-        ("stop", "stop a saved deployment (reverse dependency order)"),
-        ("start", "start a saved deployment (dependency order)"),
-    ):
-        manage = sub.add_parser(name, help=help_text)
-        manage.add_argument(
-            "bundle", metavar="BUNDLE",
-            help="bundle file written by 'deploy --save'",
-        )
+    on_bundle("stop", "stop a saved deployment (reverse dependency order)")
+    on_bundle("start", "start a saved deployment (dependency order)")
 
-    upgrade = sub.add_parser(
-        "upgrade", help="upgrade a saved deployment to a new partial spec"
+    upgrade = on_bundle(
+        "upgrade", "upgrade a saved deployment to a new partial spec"
     )
-    upgrade.add_argument("bundle", metavar="BUNDLE")
-    upgrade.add_argument("partial", metavar="NEW_PARTIAL_SPEC.json")
-    upgrade.add_argument(
-        "--types", action="append", metavar="FILE", default=[],
-        help="additional DSL resource files (e.g. the new version's type)",
-    )
+    new_goal(upgrade)
     upgrade.add_argument(
         "--strategy", choices=("replace", "delta"),
         default="replace",
         help="worst-case replace (paper) or delta (planner-driven)",
     )
 
-    plan = sub.add_parser(
+    plan = on_bundle(
         "plan",
-        help="dry-run a delta transition: print the spec-to-spec plan "
-        "as JSON without executing it",
+        "dry-run a delta transition: print the spec-to-spec plan as JSON "
+        "without executing it",
     )
-    plan.add_argument(
-        "bundle", metavar="BUNDLE",
-        help="bundle file written by 'deploy --save'",
-    )
-    plan.add_argument(
-        "partial", metavar="NEW_PARTIAL_SPEC.json",
-        help="the new goal's partial installation specification",
-    )
-    plan.add_argument(
-        "--types", action="append", metavar="FILE", default=[],
-        help="additional DSL resource files (e.g. the new version's type)",
-    )
-    plan.add_argument(
-        "-o", "--output", metavar="FILE",
-        help="write the plan JSON here instead of stdout",
-    )
+    new_goal(plan)
+    output(plan, "the plan JSON")
 
-    reconcile = sub.add_parser(
+    reconcile = on_bundle(
         "reconcile",
-        help="detect drift and repair a saved deployment, one round "
-        "unless --watch: restart crashed services, redeploy lost machines",
-    )
-    reconcile.add_argument(
-        "bundle", metavar="BUNDLE",
-        help="bundle file written by 'deploy --save'",
+        "detect drift and repair a saved deployment, one round unless "
+        "--watch: restart crashed services, redeploy lost machines",
     )
     reconcile.add_argument(
         "--watch", action="store_true",
@@ -1242,59 +1228,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn-seed", type=int, default=0, metavar="SEED",
         help="seed for --churn-rate machine-loss decisions",
     )
-    reconcile.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry each failing repair action up to N times",
-    )
-    reconcile.add_argument(
-        "--backoff", type=float, default=None, metavar="SECONDS",
-        help="base backoff between retries",
-    )
-    reconcile.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-action simulated-time budget",
-    )
-    reconcile.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="execute repairs with N simulated workers in dependency "
-        "order (0 = unbounded; default: 1)",
-    )
-    reconcile.add_argument(
-        "--jobs-per-host", type=int, default=None, metavar="N",
-        help="with --jobs: at most N concurrent instances per machine",
-    )
+    engine_flags(reconcile)
     reconcile.add_argument(
         "--json", action="store_true",
         help="emit the per-round reconcile result as JSON",
     )
-    reconcile.add_argument(
-        "--trace", metavar="FILE",
-        help="write a Chrome trace-event JSON file of the repair rounds",
-    )
-    reconcile.add_argument(
-        "--metrics", action="store_true",
-        help="print a plain-text metrics summary after the run",
-    )
 
-    inject = sub.add_parser(
-        "inject-fault", help="fail a running service (chaos helper)"
+    inject = on_bundle(
+        "inject-fault", "fail a running service (chaos helper)"
     )
-    inject.add_argument("bundle", metavar="BUNDLE")
     inject.add_argument("instance", metavar="INSTANCE_ID")
 
-    trace = sub.add_parser(
+    trace = on_bundle(
         "trace",
-        help="render a saved bundle's journal as Chrome trace JSON, or "
+        "render a saved bundle's journal as Chrome trace JSON, or "
         "validate a trace file",
+        nargs="?",
     )
-    trace.add_argument(
-        "bundle", metavar="BUNDLE", nargs="?",
-        help="bundle file written by 'deploy --save'",
-    )
-    trace.add_argument(
-        "-o", "--output", metavar="FILE",
-        help="write the trace here instead of stdout",
-    )
+    output(trace, "the trace")
     trace.add_argument(
         "--validate", metavar="TRACE_FILE",
         help="validate an existing Chrome trace JSON file instead of "
@@ -1318,6 +1269,12 @@ _COMMANDS = {
     "configure": cmd_configure,
     "graph": cmd_graph,
     "explain": cmd_explain,
+    "render": cmd_render,
+    "dimacs": cmd_dimacs,
+}
+
+#: The commands that work on a bundle (:class:`Bundle`).
+_BUNDLE_COMMANDS = {
     "deploy": cmd_deploy,
     "status": cmd_status,
     "stop": cmd_stop,
@@ -1327,8 +1284,6 @@ _COMMANDS = {
     "plan": cmd_plan,
     "inject-fault": cmd_inject_fault,
     "trace": cmd_trace,
-    "render": cmd_render,
-    "dimacs": cmd_dimacs,
 }
 
 
@@ -1338,12 +1293,18 @@ def main(
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    out_of_range = _out_of_range_flag(args)
-    if out_of_range:
-        out.write(f"error: {out_of_range}\n")
+    problem = _usage_error(args)
+    if problem:
+        out.write(f"error: {problem}\n")
         return 2
     try:
-        return _COMMANDS[args.command](args, out)
+        if args.command in _COMMANDS:
+            return _COMMANDS[args.command](args, out)
+        bundle = _open_bundle(args)
+        code = _BUNDLE_COMMANDS[args.command](args, bundle, out)
+        if bundle is not None:
+            bundle.commit(out)
+        return code
     except BrokenPipeError:
         return 0  # e.g. `engage-sim graph ... | head`
     except EngageError as exc:

@@ -4,7 +4,6 @@ registry, well-formedness, and installation specifications (S3)."""
 from repro.core.builder import ResourceTypeBuilder, as_key, define
 from repro.core.errors import (
     AbstractFrontierError,
-    AbstractInstantiationError,
     ConfigurationError,
     CycleError,
     DeploymentError,

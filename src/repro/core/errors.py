@@ -41,10 +41,6 @@ class PortTypeError(PortError):
     """A value does not inhabit the declared port type."""
 
 
-class AbstractInstantiationError(ResourceModelError):
-    """An abstract resource type was instantiated directly."""
-
-
 class AbstractFrontierError(ResourceModelError):
     """An abstract resource has no concrete frontier (S4, GraphGen)."""
 

@@ -32,11 +32,15 @@ its text is re-indented to the depth it sits at by replacing every
 ``"\\n"`` with ``"\\n"`` plus that depth's indentation.  That is exact
 because JSON text never contains a raw newline (the escaper writes one
 inside a string as ``\\n``).
+
+Every file ``repro`` writes is written by :func:`write_file`, which
+replaces it whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Callable, Iterable
 
@@ -177,3 +181,31 @@ def document_text(value: Any, indent: int) -> str:
     _write(value, "\n", " " * indent, out)
     out.append("\n")
     return "".join(out)
+
+
+def write_file(path: str, text: str) -> None:
+    """Replace the file at ``path`` with ``text``, all or nothing: the
+    text goes to a new file beside the target, is flushed, ``fsync``-ed
+    and renamed over it, so a raise or a kill leaves the old bytes or
+    the new ones.  A replaced file keeps its permission mode, a new one
+    gets the umask's; a symlink is written through to its target."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the file the caller asked for
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(fd, mode & 0o7777)
+            handle.write(text)
+            handle.flush()
+            os.fsync(fd)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise

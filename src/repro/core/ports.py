@@ -247,11 +247,6 @@ class Port:
             )
 
 
-def record_value(**fields: Any) -> dict[str, Any]:
-    """Build a record value for a :class:`RecordType` port."""
-    return dict(fields)
-
-
 def neutral_value(port_type: PortType) -> Any:
     """A type-appropriate "absent" value.
 

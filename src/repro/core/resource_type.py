@@ -257,9 +257,6 @@ class ResourceType:
     def has_input_port(self, name: str) -> bool:
         return any(p.name == name for p in self.input_ports)
 
-    def input_port_names(self) -> frozenset[str]:
-        return frozenset(p.name for p in self.input_ports)
-
     def dependencies(self) -> tuple[Dependency, ...]:
         """All dependencies: inside (if any) then environment then peer."""
         deps: tuple[Dependency, ...] = ()

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.instances import PartialInstallSpec, PartialInstance
+from repro.core.jsontext import write_file
 from repro.core.keys import ResourceKey
 
 
@@ -183,12 +184,6 @@ def fleet_spec_json(topology: FleetTopology) -> str:
     return partial_to_json(fleet_partial(topology))
 
 
-def write_fleet_spec(path: str, topology: FleetTopology) -> None:
-    """Write the fleet spec JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(fleet_spec_json(topology))
-
-
 def configure_fleet(
     topology: FleetTopology,
     *,
@@ -261,7 +256,7 @@ def _main(argv: list[str] | None = None) -> int:
         )
         return 0
     if args.output:
-        write_fleet_spec(args.output, topology)
+        write_file(args.output, fleet_spec_json(topology))
     else:
         print(fleet_spec_json(topology), end="")
     return 0

@@ -21,7 +21,7 @@ from repro.core.resource_type import (
 )
 from repro.core.values import Format, Lit, RecordExpr, config_ref, input_ref
 from repro.drivers.base import DriverRegistry
-from repro.drivers.library import ArchiveDriver, PackageDriver, ServiceDriver
+from repro.drivers.library import ArchiveDriver, ServiceDriver
 from repro.library.base import (
     DATABASE_RECORD,
     HOST_RECORD,
@@ -192,10 +192,6 @@ def jasper_types() -> list[ResourceType]:
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-
-class JavaRuntimeDriver(PackageDriver):
-    """JDK/JRE: a plain package install into /opt."""
 
 
 class TomcatDriver(ServiceDriver):

@@ -10,7 +10,7 @@ The pieces:
   engine;
 * :class:`MetricsRegistry` -- counters and histograms (actions,
   retries, backoff seconds, queue depth, per-host concurrency);
-* :func:`chrome_trace` / :func:`write_trace` -- Chrome trace-event
+* :func:`chrome_trace` / :func:`chrome_trace_json` -- Chrome trace-event
   JSON export (Perfetto / ``chrome://tracing``), one thread lane per
   simulated host;
 * :func:`validate_chrome_trace` -- the dependency-free schema check;
@@ -28,7 +28,6 @@ from repro.obs.export import (
     chrome_trace_json,
     trace_from_journal,
     validate_chrome_trace,
-    write_trace,
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.tracer import INSTANT, SPAN, TraceEvent, Tracer
@@ -45,5 +44,4 @@ __all__ = [
     "chrome_trace_json",
     "trace_from_journal",
     "validate_chrome_trace",
-    "write_trace",
 ]

@@ -95,17 +95,6 @@ def chrome_trace_json(
     return document_text(chrome_trace(source, metadata=metadata), 1)
 
 
-def write_trace(
-    path: str,
-    source: "Tracer | Iterable[TraceEvent]",
-    *,
-    metadata: Optional[Mapping[str, Any]] = None,
-) -> None:
-    """Write a Chrome trace-event JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chrome_trace_json(source, metadata=metadata))
-
-
 # -- Validation ---------------------------------------------------------
 
 _PHASES = {"X", "i", "M"}

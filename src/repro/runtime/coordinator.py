@@ -763,7 +763,7 @@ class BusChaos:
     def check(self, machines: set[str]) -> None:
         """Refuse a schedule no deployment of ``machines`` can honour: a
         machine it does not have, a partition that never heals, or a
-        negative crash count or downtime."""
+        negative time, crash count or downtime."""
         named = [("partition_slaves", m) for m in self.partition_slaves or ()]
         if self.crash_machine is not None:
             named.insert(0, ("crash_machine", self.crash_machine))
@@ -778,11 +778,14 @@ class BusChaos:
                 "bus chaos partition_for must be > 0, got "
                 f"{self.partition_for}"
             )
-        for name in ("crash_after_actions", "crash_down_for"):
-            if getattr(self, name) < 0:
+        for name in (
+            "partition_at", "failover_at", "crash_after_actions",
+            "crash_down_for",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise RuntimeEngageError(
-                    f"bus chaos {name} must be >= 0, got "
-                    f"{getattr(self, name)}"
+                    f"bus chaos {name} must be >= 0, got {value}"
                 )
 
 

@@ -49,10 +49,6 @@ class OsPackageManager:
             return False
         return version is None or record.version == version
 
-    def installed_version(self, name: str) -> Optional[str]:
-        record = self._installed.get(name)
-        return record.version if record else None
-
     def install(
         self,
         name: str,

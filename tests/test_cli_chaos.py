@@ -217,6 +217,8 @@ class TestBusChaosIsChecked:
              "crash_after_actions must be >= 0"),
             (["--crash-slave", "box", "--rejoin-after", "-1"],
              "crash_down_for must be >= 0"),
+            (["--partition-at", "-5"], "partition_at must be >= 0"),
+            (["--failover-at", "-1"], "failover_at must be >= 0"),
         ],
     )
     def test_refused(self, stack, flags, field):

@@ -1,4 +1,5 @@
-"""The day-2 CLI commands: watch, inject-fault, upgrade on bundles."""
+"""The day-2 CLI commands: watch, inject-fault, upgrade on bundles, and
+what a failed write leaves behind."""
 
 import io
 import json
@@ -302,3 +303,135 @@ class TestDay2IsOnTheRecord:
         assert started["converged"] is True
         assert started["journal"]["completed"] == fleet
         assert set(started["journal"]["frontier"].values()) == {"active"}
+
+
+class Boom(Exception):
+    """A text builder's failure."""
+
+
+def boom(*args, **kwargs):
+    raise Boom()
+
+
+class TornFile:
+    """A file opened for writing whose first write stops halfway, as a
+    full disk or a kill would leave it."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+class TestAFailedWriteLeavesTheOldBytes:
+    """Every file the program writes is replaced whole or not at all: a
+    builder that raises before the text exists, or a write that stops
+    halfway, leaves the old bytes and no temporary file beside them."""
+
+    @staticmethod
+    def run_under(monkeypatch, tmp_path, fault, builder, argv):
+        """Run ``argv`` under ``fault``; it must end in that fault."""
+        if fault == "builder":
+            monkeypatch.setattr(builder, boom)
+        else:
+            real_open = open
+
+            def torn_open(file, mode="r", *args, **kwargs):
+                handle = real_open(file, mode, *args, **kwargs)
+                writing = "w" in mode and (
+                    isinstance(file, int)
+                    or str(file).startswith(str(tmp_path))
+                )
+                return TornFile(handle) if writing else handle
+
+            monkeypatch.setattr("builtins.open", torn_open)
+        if argv[0] == "fleet":
+            from repro.library.fleet import _main
+
+            with pytest.raises(Boom if fault == "builder" else OSError):
+                _main(argv[1:])
+        elif fault == "builder":
+            with pytest.raises(Boom):
+                run(argv)
+        else:
+            code, output = run(argv)
+            assert code == 2
+            assert "No space left on device" in output
+        monkeypatch.undo()
+
+    @staticmethod
+    def snapshot(directory):
+        return {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+
+    @pytest.mark.parametrize("fault", ["builder", "torn"])
+    @pytest.mark.parametrize(
+        "command",
+        ["stop", "start", "upgrade", "inject-fault", "reconcile",
+         "deploy --save", "deploy --delta", "deploy --resume"],
+    )
+    def test_a_bundle(self, bundle, monkeypatch, fault, command):
+        directory, bundle_path = bundle
+        dsl = str(directory / "stack.engage")
+        spec = str(directory / "spec.json")
+        argv = {
+            "upgrade": ["upgrade", bundle_path, spec, "--types", dsl],
+            "inject-fault": ["inject-fault", bundle_path, "cache"],
+            "deploy --save": ["deploy", "--types", dsl, spec, "--save",
+                              bundle_path],
+            "deploy --delta": ["deploy", "--types", dsl, spec, "--delta",
+                               bundle_path],
+            "deploy --resume": ["deploy", "--resume", bundle_path],
+        }.get(command, [command, bundle_path])
+        before = self.snapshot(directory)
+        self.run_under(
+            monkeypatch, directory, fault, "repro.cli.document_text", argv
+        )
+        assert self.snapshot(directory) == before
+        assert run(["status", bundle_path])[0] == 0
+
+    #: Each output by the function that builds its text.
+    BUILDERS = {
+        "configure -o": "repro.cli.full_to_json",
+        "--stats-json": "repro.cli.document_text",
+        "plan -o": "repro.cli.document_text",
+        "trace -o": "repro.obs.chrome_trace_json",
+        "--trace": "repro.obs.chrome_trace_json",
+        "fleet -o": "repro.library.fleet.fleet_spec_json",
+    }
+
+    @pytest.mark.parametrize("fault", ["builder", "torn"])
+    @pytest.mark.parametrize("output", list(BUILDERS))
+    def test_an_output(self, bundle, monkeypatch, fault, output):
+        directory, bundle_path = bundle
+        dsl = str(directory / "stack.engage")
+        spec = str(directory / "spec.json")
+        target = directory / "old.json"
+        target.write_text("the old output\n")
+        argv = {
+            "configure -o": ["configure", "--types", dsl, spec, "-o"],
+            "--stats-json": ["configure", "--types", dsl, spec,
+                             "--stats-json"],
+            "plan -o": ["plan", bundle_path, spec, "--types", dsl, "-o"],
+            "trace -o": ["trace", bundle_path, "-o"],
+            "--trace": ["deploy", "--types", dsl, spec, "--trace"],
+            "fleet -o": ["fleet", "--replicas", "2", "-o"],
+        }[output] + [str(target)]
+        before = self.snapshot(directory)
+        self.run_under(
+            monkeypatch, directory, fault, self.BUILDERS[output], argv
+        )
+        assert self.snapshot(directory) == before

@@ -32,7 +32,7 @@ from repro.sim import save_world
 PEAK_PER_CHAR = 3.0
 
 
-WRITERS = ["full_to_json", "save_system", "save_world", "_save_bundle"]
+WRITERS = ["full_to_json", "save_system", "save_world", "Bundle.write"]
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +48,16 @@ def writers(tmp_path_factory):
         registry, infrastructure, standard_drivers()
     ).deploy(spec)
     path = tmp_path_factory.mktemp("bundle") / "bundle.json"
+    bundle = cli.Bundle(str(path), registry, infrastructure)
+    bundle.system = system
     calls = {
         "full_to_json": lambda: full_to_json(spec),
         "save_system": lambda: save_system(system),
         "save_world": lambda: save_world(infrastructure),
-        "_save_bundle": lambda: cli._save_bundle(
-            str(path), registry, infrastructure, system
-        ),
+        "Bundle.write": bundle.write,
     }
     texts = {name: write() for name, write in calls.items()}
-    texts["_save_bundle"] = path.read_text(encoding="utf-8")
+    texts["Bundle.write"] = path.read_text(encoding="utf-8")
     return {name: (calls[name], texts[name]) for name in WRITERS}
 
 

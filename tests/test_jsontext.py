@@ -1,10 +1,12 @@
 """The indented-JSON emitter is ``json.dumps(value, indent=n)``, byte for
 byte: a differential test over generated values (whole, and as rows
 written at a depth), and the documents the persistence layers write one
-row at a time."""
+row at a time.  The file writer replaces a file as ``open(path, "w")``
+would, but whole."""
 
 import enum
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine
 from repro.core.instances import InstallSpec, ResourceInstance
-from repro.core.jsontext import Rows, indented, plain
+from repro.core.jsontext import Rows, indented, plain, write_file
 from repro.core.keys import ResourceKey
 from repro.dsl import full_to_json, full_to_payload, partial_to_json
 from repro.library import (
@@ -218,3 +220,55 @@ def test_shapes_the_fleet_lacks():
     assert full_to_json(spec) == json.dumps(
         full_to_payload(spec), indent=2
     ) + "\n"
+
+
+class TestWriteFile:
+    def test_a_new_file_has_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "w", encoding="utf-8") as handle:
+            handle.write("x")
+        write_file(str(tmp_path / "written"), "x")
+        assert (tmp_path / "written").stat().st_mode == (
+            (tmp_path / "plain").stat().st_mode
+        )
+        assert (tmp_path / "written").read_text() == "x"
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "bundle.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        write_file(str(target), "new")
+        assert target.read_text() == "new"
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert os.listdir(tmp_path) == ["bundle.json"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "bundle.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_file(str(link), "new")
+        assert link.is_symlink()
+        assert target.read_text() == "new"
+        assert sorted(os.listdir(tmp_path / "real")) == ["bundle.json"]
+
+    def test_a_failed_replace_leaves_the_old_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "bundle.json"
+        target.write_text("old")
+
+        def refuse(source, destination):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_file(str(target), "new")
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == ["bundle.json"]
+
+    def test_an_unwritable_path_is_named_in_the_error(self, tmp_path):
+        target = tmp_path / "missing" / "bundle.json"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_file(str(target), "new")
+        assert raised.value.filename == str(target)

@@ -591,7 +591,10 @@ class TestPersistenceNestsPayloads:
         code, _ = run(["deploy", str(STACKS / stack), "--save", str(bundle)])
         assert code == 0
         written = bundle.read_text()
-        registry, infrastructure, _, system = cli._load_bundle(str(bundle))
+        opened = cli.Bundle.load(str(bundle))
+        registry, infrastructure, system = (
+            opened.registry, opened.infrastructure, opened.system
+        )
         reference = json.dumps(
             {
                 "format": cli.BUNDLE_FORMAT,
@@ -602,7 +605,7 @@ class TestPersistenceNestsPayloads:
             indent=1,
         ) + "\n"
         assert written == reference
-        cli._save_bundle(str(bundle), registry, infrastructure, system)
+        opened.write()
         assert bundle.read_text() == reference
 
         assert save_system(system) == (
@@ -643,7 +646,10 @@ class TestPersistenceNestsPayloads:
         )
         assert code == 1
         written = bundle.read_text()
-        registry, infrastructure, _, system = cli._load_bundle(str(bundle))
+        opened = cli.Bundle.load(str(bundle))
+        registry, infrastructure, system = (
+            opened.registry, opened.infrastructure, opened.system
+        )
 
         def reference():
             return json.dumps(
@@ -662,7 +668,7 @@ class TestPersistenceNestsPayloads:
             json.dumps(system_payload(system), indent=2) + "\n"
         )
         infrastructure.add_machine("bare", "Ubuntu-Linux", "10.4")
-        cli._save_bundle(str(bundle), registry, infrastructure, system)
+        opened.write()
         assert bundle.read_text() == reference()
         assert save_world(infrastructure) == (
             json.dumps(world_payload(infrastructure), indent=1) + "\n"
