@@ -230,24 +230,22 @@ def cmd_explain(args, out: TextIO) -> int:
 
 
 def _ordered_types(registry: ResourceTypeRegistry) -> list:
-    """Raw types ordered so supertypes precede subtypes (reloadable)."""
+    """Raw types ordered so supertypes precede subtypes (reloadable).
+
+    Every pass emits at least one type: a registry refuses a type whose
+    supertype it does not hold, so each chain ends at a root."""
     emitted: list = []
     done: set = set()
     pending = [registry.raw(key) for key in registry.keys()]
     while pending:
-        progressed = False
         remaining = []
         for resource_type in pending:
             if resource_type.extends is None or resource_type.extends in done:
                 emitted.append(resource_type)
                 done.add(resource_type.key)
-                progressed = True
             else:
                 remaining.append(resource_type)
         pending = remaining
-        if not progressed:  # extends chain outside the registry
-            emitted.extend(pending)
-            break
     return emitted
 
 

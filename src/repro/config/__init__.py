@@ -25,7 +25,7 @@ from repro.config.hypergraph import (
     generate_graph,
     lower_alternatives,
 )
-from repro.config.fingerprint import canonical_form, fingerprint_partial
+from repro.config.fingerprint import canonical_form
 from repro.config.propagation import propagate
 from repro.config.session import ConfigurationSession, SessionStats
 from repro.config.typecheck import check_spec, spec_problems
@@ -46,7 +46,6 @@ __all__ = [
     "check_spec",
     "explain_message",
     "explain_unsat",
-    "fingerprint_partial",
     "generate_constraints",
     "generate_graph",
     "lower_alternatives",

@@ -285,7 +285,7 @@ def raise_unsatisfiable(
     raise UnsatisfiableError(message)
 
 
-def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
+def emit_config_trace(tracer, timings, partition=None) -> None:
     """Emit one span per pipeline phase onto ``tracer``'s ``config`` lane.
 
     Wall-clock milliseconds are mapped onto the simulated timeline as
@@ -337,16 +337,6 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
             tracer.metrics.histogram("config.component_ms").observe(wall_ms)
             start += duration
         tracer.metrics.histogram("config.components").observe(partition.count)
-    if cache is not None:
-        tracer.instant(
-            "cache", category="config", timestamp=start, lane="config",
-            fingerprint=cache.fingerprint, graph_hit=cache.graph_hit,
-            cnf_hit=cache.cnf_hit, solver_reused=cache.solver_reused,
-            spec_reused=cache.spec_reused,
-            components_reused=cache.components_reused,
-            groups_generated=cache.groups_generated,
-            groups_reused=cache.groups_reused,
-        )
 
 
 class ConfigurationEngine:
@@ -468,7 +458,7 @@ class ConfigurationEngine:
             constraint_stats.hyperedges += entry.constraint_stats.hyperedges
             _accumulate_solver_stats(solver_stats, entry.solver.stats)
         partition_info = info if self._partition else None
-        emit_config_trace(self._tracer, timings, cache, partition_info)
+        emit_config_trace(self._tracer, timings, partition_info)
         return ConfigurationResult(
             spec=spec,
             graph=graph,

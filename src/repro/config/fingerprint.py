@@ -83,7 +83,3 @@ def fingerprint_form(form: tuple) -> str:
     form as well computes it once."""
     return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
 
-
-def fingerprint_partial(partial: PartialInstallSpec) -> str:
-    """A stable hex digest identifying the spec's structure."""
-    return fingerprint_form(canonical_form(partial))

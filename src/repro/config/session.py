@@ -48,7 +48,7 @@ and edges is the same problem with the same canonical answer, and only
 the components whose content is new are encoded, solved and propagated;
 the rest are answered by the entries an earlier spec left.
 Group and component entries are owned by the spec-level entries that
-list them (both content tables are weak), so ``max_entries`` bounds
+list them (both content tables are weak), so :data:`MAX_ENTRIES` bounds
 every level.
 
 Registry **well-formedness** is verified once and memoized on the
@@ -86,6 +86,9 @@ from repro.config.fingerprint import (
 from repro.config.groups import GroupGraph, assemble, split_by_machine
 from repro.config.hypergraph import ResourceGraph
 from repro.config.partition import GraphComponent
+
+#: How many partial-spec structures a session keeps.
+MAX_ENTRIES = 1024
 
 
 @dataclass
@@ -170,34 +173,24 @@ def content_key(component: GraphComponent) -> tuple:
 class ConfigurationSession:
     """A long-lived, cache-backed front end to the configuration engine.
 
-    Accepts the same options as :class:`ConfigurationEngine` and
-    produces bit-identical results; see the module docstring for what
-    is amortized across calls.  ``max_entries``, its one option of its
-    own, bounds the cache (least recently used entries are evicted,
-    keeping memory flat under unbounded distinct-query traffic).
+    Takes :class:`ConfigurationEngine`'s ``partition`` and produces
+    bit-identical results; see the module docstring for what is
+    amortized across calls.  :data:`MAX_ENTRIES` bounds the cache
+    (least recently used entries are evicted, keeping memory flat under
+    unbounded distinct-query traffic).
     """
 
     def __init__(
-        self,
-        registry: ResourceTypeRegistry,
-        *,
-        partition: bool = False,
-        max_entries: int = 1024,
-        tracer=None,
+        self, registry: ResourceTypeRegistry, *, partition: bool = False
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self._engine = ConfigurationEngine(
-            registry, partition=partition, tracer=tracer
-        )
+        self._engine = ConfigurationEngine(registry, partition=partition)
         self._registry = registry
         self._partition = partition
-        self._max_entries = max_entries
         #: Fingerprint -> the spec's entry, least recently used first.
         self._entries: dict[str, _Entry] = {}
         #: :func:`content_key` -> the component entry some cached spec
         #: lists.  Weak: the spec-level entries own them, so evicting
-        #: the last spec that lists one drops it and ``max_entries``
+        #: the last spec that lists one drops it and :data:`MAX_ENTRIES`
         #: stays the only bound.
         self._kept: weakref.WeakValueDictionary[tuple, ComponentEntry] = (
             weakref.WeakValueDictionary()
@@ -243,7 +236,7 @@ class ConfigurationSession:
 
     def _store(self, key: str, entry: _Entry) -> None:
         self._entries[key] = entry
-        if len(self._entries) > self._max_entries:
+        if len(self._entries) > MAX_ENTRIES:
             del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
 

@@ -40,7 +40,6 @@ from repro.core.keys import (
     ResourceKey,
     Version,
     VersionRange,
-    select_versions,
 )
 from repro.core.ports import (
     BOOL,

@@ -16,7 +16,7 @@ configuration engine expands it to a full specification.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.errors import CycleError, SpecError
@@ -218,12 +218,6 @@ class InstallSpec:
     def add(self, instance: ResourceInstance) -> None:
         if instance.id in self._instances:
             raise SpecError(f"duplicate instance id: {instance.id}")
-        self._instances[instance.id] = instance
-        self._invalidate()
-
-    def replace_instance(self, instance: ResourceInstance) -> None:
-        if instance.id not in self._instances:
-            raise SpecError(f"no instance {instance.id!r} to replace")
         self._instances[instance.id] = instance
         self._invalidate()
 

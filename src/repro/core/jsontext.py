@@ -39,6 +39,8 @@ replaces it whole or not at all.
 
 from __future__ import annotations
 
+import errno
+import fcntl
 import json
 import os
 from json.encoder import encode_basestring_ascii as _string
@@ -185,27 +187,48 @@ def document_text(value: Any, indent: int) -> str:
 
 def write_file(path: str, text: str) -> None:
     """Replace the file at ``path`` with ``text``, all or nothing: the
-    text goes to a new file beside the target, is flushed, ``fsync``-ed
+    text goes to ``.NAME.tmp`` beside the target, is flushed, ``fsync``-ed
     and renamed over it, so a raise or a kill leaves the old bytes or
-    the new ones.  A replaced file keeps its permission mode, a new one
-    gets the umask's; a symlink is written through to its target."""
+    the new ones.  The temporary file is held under an exclusive
+    ``flock`` from open to rename: one a killed writer left is reused,
+    and a live writer of the same file makes this call fail naming it.
+    A replaced file keeps its permission mode, a new one gets the
+    umask's; a symlink is written through to its target."""
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     mode = os.stat(target).st_mode if os.path.exists(target) else None
-    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
+    temporary = os.path.join(directory, f".{name}.tmp")
     try:
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd = os.open(
+            temporary, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW, 0o666
+        )
     except OSError as exc:
         exc.filename = path  # name the file the caller asked for
         raise
+    held = False
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        # A writer that renamed the file away before we locked it has
+        # made it the target: the name must still be the file we hold.
+        held = os.path.samestat(os.fstat(fd), os.lstat(temporary))
+    except (BlockingIOError, FileNotFoundError):
+        pass
+    finally:
+        if not held:
+            os.close(fd)
+    if not held:
+        raise OSError(
+            errno.EBUSY, "another process is writing this file", path
+        )
+    with open(fd, "w", encoding="utf-8") as handle:
+        try:
+            os.ftruncate(fd, 0)
             if mode is not None:
                 os.fchmod(fd, mode & 0o7777)
             handle.write(text)
             handle.flush()
             os.fsync(fd)
-        os.replace(temporary, target)
-    except BaseException:
-        os.unlink(temporary)
-        raise
+            os.replace(temporary, target)
+        except BaseException:
+            os.unlink(temporary)
+            raise

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.errors import ResourceModelError
 
@@ -179,9 +179,3 @@ class ResourceKey:
     def __str__(self) -> str:
         return self.display()
 
-
-def select_versions(
-    versions: Iterable[Version], version_range: VersionRange
-) -> list[Version]:
-    """Return the sorted subset of ``versions`` inside ``version_range``."""
-    return sorted(v for v in set(versions) if version_range.contains(v))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.errors import PortError, PortTypeError
+from repro.core.errors import PortError
 
 
 class ScalarKind(Enum):
@@ -237,14 +237,6 @@ class Port:
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "a").isalnum():
             raise PortError(f"invalid port name: {self.name!r}")
-
-    def check_value(self, value: Any) -> None:
-        """Raise :class:`PortTypeError` unless ``value`` inhabits the type."""
-        if not self.type.accepts(value):
-            raise PortTypeError(
-                f"value {value!r} does not inhabit type {self.type} "
-                f"of port {self.name!r}"
-            )
 
 
 def neutral_value(port_type: PortType) -> Any:

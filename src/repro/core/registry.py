@@ -24,7 +24,7 @@ from repro.core.errors import (
     SubtypingError,
     UnknownKeyError,
 )
-from repro.core.keys import ResourceKey, Version, VersionRange
+from repro.core.keys import ResourceKey
 from repro.core.resource_type import Dependency, ResourceType
 from repro.core import subtyping
 
@@ -151,18 +151,6 @@ class ResourceTypeRegistry:
 
     def __len__(self) -> int:
         return len(self._raw)
-
-    def versions_of(self, name: str) -> list[Version]:
-        """All registered versions of a package name."""
-        return sorted(k.version for k in self._raw if k.name == name)
-
-    def keys_in_range(self, name: str, version_range: VersionRange) -> list[ResourceKey]:
-        """Concrete keys of ``name`` whose version lies in the range."""
-        return [
-            ResourceKey(name, v)
-            for v in self.versions_of(name)
-            if version_range.contains(v)
-        ]
 
     # -- Subtype tree ---------------------------------------------------
 

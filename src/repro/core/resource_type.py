@@ -51,9 +51,6 @@ class PortMapping:
     def input_ports(self) -> tuple[str, ...]:
         return tuple(input_ for _, input_ in self.entries)
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -114,17 +111,6 @@ class Dependency:
                 "disjunctive dependency alternatives must map identical "
                 f"input-port ranges, got {sorted(map(sorted, ranges))}"
             )
-
-    @staticmethod
-    def single(
-        kind: DependencyKind,
-        key: ResourceKey,
-        port_mapping: PortMapping = PortMapping(),
-        reverse_mapping: PortMapping = PortMapping(),
-    ) -> "Dependency":
-        return Dependency(
-            kind, (DependencyAlternative(key, port_mapping, reverse_mapping),)
-        )
 
     def keys(self) -> tuple[ResourceKey, ...]:
         return tuple(alt.key for alt in self.alternatives)

@@ -20,7 +20,6 @@ from repro.django.migrations import (
     migrations_to_json,
 )
 from repro.django.packager import (
-    app_resource_key,
     generate_app_type,
     package_application,
     publish_app_artifacts,
@@ -36,7 +35,6 @@ __all__ = [
     "MigrationError",
     "Operation",
     "SimDatabase",
-    "app_resource_key",
     "fa_broken_snapshot",
     "fa_snapshots",
     "generate_app_type",

@@ -37,9 +37,6 @@ class DjangoAppDefinition:
     def archive_name(self) -> str:
         return f"django-app-{self.name.lower()}"
 
-    def key_display(self) -> str:
-        return f"DjangoApp-{self.name} {self.version}"
-
 
 def _initial_migration(table: str, columns: Sequence[str]) -> Migration:
     return Migration(

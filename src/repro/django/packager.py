@@ -67,10 +67,6 @@ def validate_application(app: DjangoAppDefinition) -> list[str]:
     return problems
 
 
-def app_resource_key(app: DjangoAppDefinition) -> ResourceKey:
-    return ResourceKey.parse(app.key_display())
-
-
 def generate_app_type(app: DjangoAppDefinition) -> tuple[ResourceType, list[ResourceType]]:
     """The generated resource type for ``app``, plus any pip-package
     types it depends on (callers register whichever are new)."""

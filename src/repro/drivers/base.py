@@ -83,9 +83,6 @@ class ResourceDriver:
 
     # -- Runtime interface ----------------------------------------------
 
-    def transition_for(self, action: str):
-        return self.machine_spec.find(self.state, action)
-
     def action_cost(self, action: str) -> float:
         """Fixed simulated seconds this driver charges for ``action``
         (handlers may consume more, e.g. downloads and unpacking)."""

@@ -117,19 +117,12 @@ class StateMachineSpec:
 
     __slots__ = ("_transitions", "initial", "states", "_by_pair", "_paths")
 
-    def __init__(
-        self,
-        transitions: Iterable[Transition],
-        *,
-        initial: str = UNINSTALLED,
-    ) -> None:
+    def __init__(self, transitions: Iterable[Transition]) -> None:
         transitions = tuple(transitions)
         states = set(BASIC_STATES)
         for transition in transitions:
             states.add(transition.source)
             states.add(transition.target)
-        if initial not in states:
-            raise DriverError(f"initial state {initial!r} has no transitions")
         # Reject nondeterminism: (state, action) picks one transition.
         by_pair: dict[tuple[str, str], Transition] = {}
         for transition in transitions:
@@ -141,7 +134,7 @@ class StateMachineSpec:
                 )
             by_pair[pair] = transition
         for name, value in (
-            ("_transitions", transitions), ("initial", initial),
+            ("_transitions", transitions), ("initial", UNINSTALLED),
             ("states", frozenset(states)), ("_by_pair", by_pair),
             ("_paths", {}),
         ):

@@ -138,12 +138,6 @@ def full_to_rows(spec: InstallSpec) -> Rows:
     return Rows(spec, _instance_to_json)
 
 
-def full_to_payload(spec: InstallSpec) -> list[dict[str, Any]]:
-    """A full installation specification as JSON-ready data: the rows
-    of :func:`full_to_rows`."""
-    return list(full_to_rows(spec))
-
-
 @collector_paused
 def full_to_json(spec: InstallSpec) -> str:
     """Serialise a full installation specification, one instance at a
@@ -161,7 +155,7 @@ def full_from_json(text: str) -> InstallSpec:
 
 
 def full_from_payload(data: Any) -> InstallSpec:
-    """Rebuild a full specification from :func:`full_to_payload` data.
+    """Rebuild a full specification from parsed :func:`full_to_rows`.
 
     A link to an instance the data does not contain is a
     :class:`SpecError` naming both ids, and an inside/dependency cycle a

@@ -87,15 +87,12 @@ def standard_drivers() -> DriverRegistry:
     return drivers
 
 
-def standard_infrastructure(
-    *, use_cache: bool = True, with_cloud: bool = True
-) -> Infrastructure:
-    """A simulation world with the artifact catalogue published and
-    (optionally) a cloud provider configured."""
+def standard_infrastructure(*, use_cache: bool = True) -> Infrastructure:
+    """A simulation world with the artifact catalogue published and a
+    cloud provider configured."""
     infrastructure = Infrastructure(use_cache=use_cache)
     publish_artifacts(infrastructure)
-    if with_cloud:
-        infrastructure.add_provider("rackspace-sim")
+    infrastructure.add_provider("rackspace-sim")
     return infrastructure
 
 

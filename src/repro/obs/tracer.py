@@ -62,13 +62,9 @@ class Tracer:
     single ``tracer is not None`` guard.
     """
 
-    def __init__(
-        self,
-        clock=None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, clock=None) -> None:
         self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.events: list[TraceEvent] = []
         self._seq = 0
 

@@ -5,13 +5,13 @@ slave agents (:mod:`repro.runtime.coordinator`): work items, acks,
 heartbeats, rejoin hellos, and failover adoption broadcasts.  It is
 built directly on the :class:`~repro.sim.clock.SimClock` and makes the
 weakest guarantees a real transport would: **at-least-once** delivery
-with per-link latency, where a seeded :class:`~repro.sim.faults.
+after one fixed latency, where a seeded :class:`~repro.sim.faults.
 LinkFaultPlan` may drop, duplicate, or reorder (jitter) any copy.
 Everything above the bus therefore has to be idempotent -- work items
 carry dedup keys, acks are cached and replayed, and retransmission is
 the master's job, not the bus's.
 
-Determinism is the point.  Latency is a pure function of the link,
+Determinism is the point.  Latency is one constant of the bus,
 chaos decisions are a pure function of ``(seed, site, attempt)``, and
 ties in delivery time break on a global send sequence number -- so the
 same seed yields a byte-identical :meth:`delivery_log`, which the chaos
@@ -131,7 +131,6 @@ class MessageBus:
         self.faults = faults
         self.tracer = tracer
         self._endpoints: dict[str, Endpoint] = {}
-        self._latency: dict[tuple[str, str], float] = {}
         self._groups: Optional[list[frozenset[str]]] = None
         self._pending: list[tuple[float, int, Envelope]] = []
         self._mailed: set[str] = set()
@@ -169,14 +168,6 @@ class MessageBus:
     def open(self, name: str) -> None:
         """Re-open a previously closed endpoint (process restarted)."""
         self.endpoint(name).closed = False
-
-    def set_latency(self, sender: str, recipient: str, latency: float) -> None:
-        if latency < 0:
-            raise SimulationError(f"latency must be >= 0, got {latency}")
-        self._latency[(sender, recipient)] = latency
-
-    def latency(self, sender: str, recipient: str) -> float:
-        return self._latency.get((sender, recipient), self.default_latency)
 
     # -- Partitions ------------------------------------------------------
 
@@ -249,7 +240,7 @@ class MessageBus:
             if offsets:
                 if len(offsets) > 1:
                     self.duplicated += len(offsets) - 1
-                due = sent_at + self.latency(sender, recipient)
+                due = sent_at + self.default_latency
                 pending = self._pending
                 for copy, offset in enumerate(offsets):
                     deliver_at = due + offset

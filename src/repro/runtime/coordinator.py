@@ -876,12 +876,10 @@ class BusCoordinator:
         default_latency: float = 0.05,
         heartbeat_every: float = 5.0,
         heartbeat_timeout: float = 15.0,
-        retransmit_after: float = 10.0,
         max_sim_seconds: float = 14400.0,
     ) -> None:
         _require_positive("heartbeat_every", heartbeat_every)
         _require_positive("heartbeat_timeout", heartbeat_timeout)
-        _require_positive("retransmit_after", retransmit_after)
         _require_positive("max_sim_seconds", max_sim_seconds)
         self.engine = DeploymentEngine(
             registry, infrastructure, driver_registry,
@@ -893,7 +891,6 @@ class BusCoordinator:
         self.default_latency = default_latency
         self.heartbeat_every = heartbeat_every
         self.heartbeat_timeout = heartbeat_timeout
-        self.retransmit_after = retransmit_after
         self.max_sim_seconds = max_sim_seconds
 
     @collector_paused
@@ -917,7 +914,6 @@ class BusCoordinator:
         )
         master = MasterNode(
             "master", bus, waves, per_node,
-            retransmit_after=self.retransmit_after,
             heartbeat_timeout=self.heartbeat_timeout,
         )
         masters = [master]
@@ -984,7 +980,6 @@ class BusCoordinator:
                     standby = MasterNode(
                         f"master-{len(masters) + 1}", bus, waves, per_node,
                         log=old.log.clone(),
-                        retransmit_after=self.retransmit_after,
                         heartbeat_timeout=self.heartbeat_timeout,
                     )
                     masters.append(standby)

@@ -114,12 +114,6 @@ class DeploymentReport:
         self.makespan_seconds += part.makespan_seconds
         self.critical_path_seconds += part.critical_path_seconds
 
-    def actions_for(self, instance_id: str) -> list[ActionRecord]:
-        return [
-            action for action in self.actions
-            if action.instance_id == instance_id
-        ]
-
     @property
     def retries(self) -> int:
         """How many action attempts failed (and so were retried or

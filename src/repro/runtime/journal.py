@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from repro.core.errors import RuntimeEngageError, document_section
 from repro.core.instances import InstallSpec
-from repro.core.jsontext import Rows, plain
+from repro.core.jsontext import Rows
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
 
 
@@ -120,9 +120,6 @@ class SpecTransition:
             "stop": list(self.stop),
             "retire": list(self.retire),
         }
-
-    def to_payload(self) -> dict:
-        return plain(self.to_document())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SpecTransition":
@@ -311,8 +308,8 @@ class DeploymentJournal:
 
     def to_document(self) -> dict:
         """The journal as a document written one entry at a time
-        (:class:`~repro.core.jsontext.Rows`); :meth:`to_payload` is the
-        same document as data."""
+        (:class:`~repro.core.jsontext.Rows`); :meth:`from_payload`
+        reads it back parsed."""
         document = {
             "target": self.target,
             "entries": Rows(self.entries, JournalEntry.to_payload),
@@ -323,9 +320,6 @@ class DeploymentJournal:
         if self.transition is not None:
             document["transition"] = self.transition.to_document()
         return document
-
-    def to_payload(self) -> dict:
-        return plain(self.to_document())
 
     @classmethod
     def from_payload(

@@ -16,13 +16,12 @@ Two runtime services from the paper:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.errors import ProvisioningError
 from repro.core.instances import PartialInstallSpec, PartialInstance
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.values import PortEnv
-from repro.sim.cloud import CloudProvider
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine
 
@@ -66,14 +65,13 @@ def provision_partial_spec(
     registry: ResourceTypeRegistry,
     partial: PartialInstallSpec,
     infrastructure: Infrastructure,
-    provider: Optional[CloudProvider] = None,
 ) -> PartialInstallSpec:
     """Fill in machine configuration, provisioning cloud servers on demand.
 
     Returns a new partial spec in which every machine instance has a
     ``hostname`` naming a live machine on the network.
     """
-    provider = provider or infrastructure.default_provider()
+    provider = infrastructure.default_provider()
     provisioned = PartialInstallSpec()
     for instance in partial:
         resource_type = registry.effective(instance.key)

@@ -12,11 +12,10 @@ reattaching service drivers to their still-running processes by name.
 One format is written and read: ``engage-state-2`` -- spec, states and
 the system's :class:`~repro.runtime.journal.DeploymentJournal`, so every
 saved system is resumable with :meth:`DeploymentEngine.resume` and
-``load_system(...).journal`` is the journal.  :func:`system_payload` /
-:func:`system_from_payload` are the same document as data.  It has one
-layout, :func:`system_document`, which :func:`save_system` writes one
-row at a time, :func:`system_payload` builds whole, and a bundle
-nests.
+``load_system(...).journal`` is the journal.  It has one layout,
+:func:`system_document`, which :func:`save_system` writes one row at a
+time and a bundle nests; :func:`system_from_payload` reads it back
+parsed.
 
 A document comes from outside (hand-edited, corrupted), so the loader
 is where the static checker of §3.3 runs, not the configuration engine,
@@ -31,7 +30,7 @@ from typing import Any, Optional
 
 from repro.core.collector import collector_paused
 from repro.core.errors import RuntimeEngageError, document_section
-from repro.core.jsontext import document_text, plain
+from repro.core.jsontext import document_text
 from repro.core.registry import ResourceTypeRegistry
 from repro.config.typecheck import check_spec
 from repro.drivers.base import DriverRegistry
@@ -63,18 +62,12 @@ def system_document(system: DeployedSystem) -> dict[str, Any]:
     }
 
 
-def system_payload(system: DeployedSystem) -> dict[str, Any]:
-    """A deployed system as JSON-ready data (:func:`system_document`
-    with every row built)."""
-    return plain(system_document(system))
-
-
 @collector_paused
 def save_system(
     system: DeployedSystem,
     journal: Optional[DeploymentJournal] = None,
 ) -> str:
-    """Serialise a deployed system (:func:`system_payload` as text),
+    """Serialise a deployed system (:func:`system_document` as text),
     one instance and one journal entry at a time.
 
     ``journal`` is not a choice: the journal saved is the system's own,
@@ -129,7 +122,7 @@ def system_from_payload(
     drivers: DriverRegistry,
     payload: Any,
 ) -> DeployedSystem:
-    """Re-adopt a system from :func:`system_payload` data:
+    """Re-adopt a system from a parsed :func:`system_document`:
     :meth:`DeploymentEngine.adopt` of the document's journal.
 
     The machines must still exist on the infrastructure's network (state

@@ -11,7 +11,7 @@ from repro.sat.encodings import (
     exactly_one,
     implies_exactly_one,
 )
-from repro.sat.solver import CdclSolver, DpllSolver, SolverStats, solve_formula
+from repro.sat.solver import CdclSolver, DpllSolver, SolverStats
 
 __all__ = [
     "CnfFormula",
@@ -24,7 +24,6 @@ __all__ = [
     "at_most_one_sequential",
     "exactly_one",
     "implies_exactly_one",
-    "solve_formula",
     "dimacs_text",
     "parse_dimacs",
     "read_dimacs",

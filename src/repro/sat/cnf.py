@@ -44,9 +44,6 @@ class CnfFormula:
             return existing
         return self.new_var(name)
 
-    def has_name(self, name: Hashable) -> bool:
-        return name in self._name_to_var
-
     def name_of(self, var: int) -> Optional[Hashable]:
         return self._var_to_name.get(abs(var))
 

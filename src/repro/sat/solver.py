@@ -690,22 +690,3 @@ class DpllSolver:
             raise ConfigurationError("no model available (call solve first)")
         return dict(self._model)
 
-
-def solve_formula(
-    formula: CnfFormula,
-    assumptions: Sequence[int] = (),
-    *,
-    solver: str = "cdcl",
-    use_vsids: bool = True,
-) -> Optional[dict]:
-    """Solve ``formula``; return the name-decoded model or None if unsat."""
-    engine: CdclSolver | DpllSolver
-    if solver == "cdcl":
-        engine = CdclSolver(formula, use_vsids=use_vsids)
-    elif solver == "dpll":
-        engine = DpllSolver(formula)
-    else:
-        raise ConfigurationError(f"unknown solver: {solver!r}")
-    if not engine.solve(assumptions):
-        return None
-    return formula.decode_model(engine.model())

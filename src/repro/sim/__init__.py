@@ -9,14 +9,13 @@ are observable."""
 
 from repro.sim.clock import ClockSpan, SimClock
 from repro.sim.faults import (
-    FaultInjector,
     FaultKind,
     FaultPlan,
     FaultRecord,
     FaultRule,
-    FaultyWorld,
     InjectedFault,
     MachineChurn,
+    lose_machine,
 )
 from repro.sim.cloud import CloudProvider, MachineImage, standard_images
 from repro.sim.filesystem import VirtualFilesystem
@@ -30,7 +29,6 @@ from repro.sim.persistence import (
     save_world,
     world_document,
     world_from_payload,
-    world_payload,
 )
 from repro.sim.package_index import (
     DownloadService,
@@ -45,14 +43,13 @@ __all__ = [
     "CloudProvider",
     "MachineImage",
     "standard_images",
-    "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "FaultRecord",
     "FaultRule",
-    "FaultyWorld",
     "InjectedFault",
     "MachineChurn",
+    "lose_machine",
     "VirtualFilesystem",
     "Infrastructure",
     "Machine",
@@ -72,5 +69,4 @@ __all__ = [
     "save_world",
     "world_document",
     "world_from_payload",
-    "world_payload",
 ]

@@ -11,7 +11,6 @@ generated hostnames, charging simulated provisioning latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.errors import ProvisioningError
 from repro.sim.clock import SimClock
@@ -68,15 +67,13 @@ class CloudProvider:
 
     # -- Nodes -----------------------------------------------------------
 
-    def provision(
-        self, image_id: str, hostname: Optional[str] = None
-    ) -> Machine:
+    def provision(self, image_id: str) -> Machine:
         """Create a virtual server from an image (costs simulated time)."""
         image = self._images.get(image_id)
         if image is None:
             raise ProvisioningError(f"{self.name}: unknown image {image_id!r}")
         self._serial += 1
-        hostname = hostname or f"{self.name}-node-{self._serial:03d}"
+        hostname = f"{self.name}-node-{self._serial:03d}"
         if self._network.has_machine(hostname):
             raise ProvisioningError(f"hostname taken: {hostname}")
         self._clock.advance(self._provision_seconds)
@@ -90,12 +87,6 @@ class CloudProvider:
         )
         self._nodes[hostname] = machine
         return machine
-
-    def deprovision(self, hostname: str) -> None:
-        machine = self._nodes.pop(hostname, None)
-        if machine is None:
-            raise ProvisioningError(f"{self.name}: no node {hostname!r}")
-        self._network.unregister_machine(hostname)
 
     def nodes(self) -> list[Machine]:
         return [self._nodes[h] for h in sorted(self._nodes)]

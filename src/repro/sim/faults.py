@@ -1,21 +1,17 @@
 """Deterministic fault injection.
 
-Two layers of chaos live here.
+Every fault source here decides per *site* from its own seeded RNG, so
+no decision depends on call order -- which is what makes crash/resume
+runs and chaos soaks replayable.
 
-:class:`FaultInjector` is the original *post-deployment* injector: it
-picks running processes of a deployed system at random and fails them so
-the reconcile loop's restarts (the paper's monit) can be exercised.
-
-:class:`FaultPlan` / :class:`FaultyWorld` inject faults *during*
-deployment: every driver action flows through
-:meth:`~repro.drivers.base.ResourceDriver.perform`, which consults the
-infrastructure's installed plan before running the action's handler, so
-every driver is exercised without modification.  Machine-level
-operations (OSLPM package installs, which cover archive fetches) consult
-the same plan beneath the drivers.  Faults are deterministic: a seeded
-plan decides per *site* (for example ``driver:mysql:start``) from a
-stable per-site RNG, so the decisions do not depend on call order --
-which is what makes crash/resume runs replayable.
+:class:`FaultPlan` injects faults *during* deployment.  Installed with
+:meth:`~repro.sim.infrastructure.Infrastructure.set_fault_plan` (and
+removed with ``set_fault_plan(None)``), it is consulted by every driver
+action through :meth:`~repro.drivers.base.ResourceDriver.perform`
+before the action's handler runs, so every driver is exercised without
+modification.  Machine-level operations (OSLPM package installs, which
+cover archive fetches) consult the same plan beneath the drivers.  A
+seeded plan decides per site (for example ``driver:mysql:start``).
 
 Failure modes (:class:`FaultKind`):
 
@@ -33,23 +29,26 @@ Failure modes (:class:`FaultKind`):
   lost machine is futile; the reconcile loop repairs by redeploying
   elsewhere or onto a replacement).  ``times`` is ignored.
 
-:class:`MachineChurn` builds on the injector: a deterministic schedule
-of permanent machine losses (one crash-or-survive draw per live machine
-per round, seeded per ``(seed, round, hostname)`` so the loss schedule
-does not depend on visit order or on how earlier rounds were repaired).
+:class:`LinkFaultPlan` decides the fate of each message on the
+simulated bus, per ``(message, attempt)``.
+
+:func:`lose_machine` permanently loses one machine, and
+:class:`MachineChurn` schedules such losses: one crash-or-survive draw
+per live machine per round, seeded per ``(seed, round, hostname)`` so
+the loss schedule does not depend on visit order or on how earlier
+rounds were repaired.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import ActionTimeout, DriverError, TransientError
 from repro.sim.clock import SimClock
-from repro.sim.process import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deploy import DeployedSystem
@@ -100,6 +99,11 @@ class _SiteState:
     fired: int = 0
 
 
+#: The kinds a seeded plan draws from (a seeded site never hangs or
+#: crashes).
+_SEEDED_KINDS = (FaultKind.TRANSIENT, FaultKind.FLAKY)
+
+
 class FaultPlan:
     """A deterministic schedule of faults keyed by operation site.
 
@@ -113,10 +117,6 @@ class FaultPlan:
         self._rules: list[FaultRule] = []
         self._sites: dict[str, Optional[_SiteState]] = {}
         self._rate = 0.0
-        self._random_kinds: tuple[FaultKind, ...] = ()
-        self._include: tuple[str, ...] = ("driver:*",)
-        self._max_failures = 1
-        self._random_hang_seconds = 0.0
         self.records: list[InjectedFault] = []
         #: Optional tracer, set by ``Infrastructure.set_fault_plan`` /
         #: ``set_tracer``; injections emit instant events through it.
@@ -139,17 +139,9 @@ class FaultPlan:
         return self
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        rate: float,
-        *,
-        kinds: Sequence[FaultKind] = (FaultKind.TRANSIENT, FaultKind.FLAKY),
-        include: Sequence[str] = ("driver:*",),
-        max_failures: int = 2,
-        hang_seconds: float = 45.0,
-    ) -> "FaultPlan":
-        """A plan that fails each matching site with probability ``rate``.
+    def seeded(cls, seed: int, rate: float) -> "FaultPlan":
+        """A plan that fails each driver action site with probability
+        ``rate``, transiently or flakily, once or twice.
 
         Each site's decision (fail or not, kind, failure count) comes
         from its own stable RNG, so two runs over the same spec -- or a
@@ -160,10 +152,6 @@ class FaultPlan:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
         plan = cls(seed)
         plan._rate = rate
-        plan._random_kinds = tuple(kinds)
-        plan._include = tuple(include)
-        plan._max_failures = max(1, max_failures)
-        plan._random_hang_seconds = hang_seconds
         return plan
 
     # -- Decision --------------------------------------------------------
@@ -176,15 +164,12 @@ class FaultPlan:
             if fnmatchcase(site, rule.pattern):
                 state = _SiteState(rule.kind, rule.times, rule.hang_seconds)
                 break
-        if state is None and self._rate > 0.0:
-            if any(fnmatchcase(site, p) for p in self._include):
-                rng = random.Random(f"{self.seed}|{site}")
-                if rng.random() < self._rate:
-                    kind = self._random_kinds[
-                        rng.randrange(len(self._random_kinds))
-                    ]
-                    times = rng.randint(1, self._max_failures)
-                    state = _SiteState(kind, times, self._random_hang_seconds)
+        if (state is None and self._rate > 0.0
+                and site.startswith("driver:")):
+            rng = random.Random(f"{self.seed}|{site}")
+            if rng.random() < self._rate:
+                kind = _SEEDED_KINDS[rng.randrange(len(_SEEDED_KINDS))]
+                state = _SiteState(kind, rng.randint(1, 2), 0.0)
         self._sites[site] = state
         return state
 
@@ -280,7 +265,6 @@ class LinkFaultPlan:
         drop: float = 0.0,
         duplicate: float = 0.0,
         jitter: float = 0.0,
-        include: Sequence[str] = ("*",),
     ) -> None:
         for name, rate in (("drop", drop), ("duplicate", duplicate)):
             if not 0.0 <= rate <= 1.0:
@@ -291,10 +275,6 @@ class LinkFaultPlan:
         self.drop = drop
         self.duplicate = duplicate
         self.jitter = jitter
-        self.include = tuple(include)
-        # fnmatchcase(site, "*") holds for every site, so with "*" in
-        # ``include`` copies skips the pattern scan.
-        self._include_all = "*" in self.include
         # One generator, re-seeded per decision: ``seed(x)`` puts it in
         # exactly the state ``Random(x)`` starts in, without building
         # an object per message.
@@ -302,10 +282,6 @@ class LinkFaultPlan:
 
     def copies(self, site: str, attempt: int) -> list[float]:
         """Extra-delay offsets for each arriving copy of one send."""
-        if not self._include_all and not any(
-            fnmatchcase(site, p) for p in self.include
-        ):
-            return [0.0]
         rng = self._rng
         rng.seed(f"{self.seed}|{site}|{attempt}")
         if rng.random() < self.drop:
@@ -317,130 +293,37 @@ class LinkFaultPlan:
         return delays
 
 
-class FaultyWorld:
-    """Installs a :class:`FaultPlan` onto an infrastructure.
-
-    Usable as a context manager so tests can scope chaos to one block::
-
-        with FaultyWorld(infrastructure, plan):
-            engine.deploy(spec, policy=policy)
-    """
-
-    def __init__(
-        self, infrastructure: "Infrastructure", plan: FaultPlan
-    ) -> None:
-        self.infrastructure = infrastructure
-        self.plan = plan
-        self.install()
-
-    def install(self) -> None:
-        self.infrastructure.set_fault_plan(self.plan)
-
-    def remove(self) -> None:
-        self.infrastructure.set_fault_plan(None)
-
-    def __enter__(self) -> "FaultyWorld":
-        self.install()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.remove()
-
-
 @dataclass
 class FaultRecord:
-    """One injected failure (a process crash or a machine loss)."""
+    """One permanent machine loss."""
 
     timestamp: float
-    process_name: str
     hostname: str
-    instance_id: str = ""
-    #: ``"process"`` for the classic injected process failure,
-    #: ``"crash"`` (:attr:`FaultKind.CRASH`) for a permanent machine loss.
-    kind: str = "process"
 
 
-class FaultInjector:
-    """Fails random running service processes of a deployed system."""
+def lose_machine(
+    infrastructure: "Infrastructure", hostname: str
+) -> FaultRecord:
+    """Permanently lose one machine (:attr:`FaultKind.CRASH`).
 
-    def __init__(self, system: "DeployedSystem", seed: int = 0) -> None:
-        self._system = system
-        self._rng = random.Random(seed)
-        self.records: list[FaultRecord] = []
-
-    def _running_service_processes(self) -> list[tuple[str, SimProcess]]:
-        from repro.drivers.library import ServiceDriver
-
-        candidates: list[tuple[str, SimProcess]] = []
-        for instance_id, driver in sorted(self._system.drivers.items()):
-            if isinstance(driver, ServiceDriver):
-                process = driver.process
-                if process is not None and process.is_running():
-                    candidates.append((instance_id, process))
-        return candidates
-
-    def inject(self, count: int = 1) -> list[FaultRecord]:
-        """Fail up to ``count`` random running service processes."""
-        candidates = self._running_service_processes()
-        if not candidates:
-            return []
-        picked = self._rng.sample(candidates, min(count, len(candidates)))
-        new_records: list[FaultRecord] = []
-        for instance_id, process in picked:
-            machine = self._system.machine_for(instance_id)
-            process.fail()
-            record = FaultRecord(
-                timestamp=self._system.infrastructure.clock.now,
-                process_name=process.name,
-                hostname=machine.hostname,
-                instance_id=instance_id,
-            )
-            new_records.append(record)
-            self.records.append(record)
-        return new_records
-
-    def _live_hostnames(self) -> list[str]:
-        """Hostnames of the system's machines still on the network."""
-        network = self._system.infrastructure.network
-        hostnames = {
-            machine.hostname for machine in self._system.machines.values()
-        }
-        return sorted(h for h in hostnames if network.has_machine(h))
-
-    def crash_machine(self, hostname: str) -> FaultRecord:
-        """Permanently lose one machine (:attr:`FaultKind.CRASH`).
-
-        Every process on it dies, the host (with its bound endpoints)
-        drops off the network, and its package-manager state is
-        forgotten -- from the fleet's point of view the hardware is
-        gone.  Repair redeploys it; restarting a process cannot.
-        """
-        infrastructure = self._system.infrastructure
-        machine = infrastructure.network.machine(hostname)
-        for process in machine.running_processes():
-            process.fail()
-        infrastructure.remove_machine(hostname)
-        record = FaultRecord(
-            timestamp=infrastructure.clock.now,
-            process_name="",
-            hostname=hostname,
-            kind=FaultKind.CRASH.value,
+    Every process on it dies, the host (with its bound endpoints) drops
+    off the network, and its package-manager state is forgotten -- from
+    the fleet's point of view the hardware is gone.  Repair redeploys
+    it; restarting a process cannot.
+    """
+    machine = infrastructure.network.machine(hostname)
+    for process in machine.running_processes():
+        process.fail()
+    infrastructure.remove_machine(hostname)
+    record = FaultRecord(infrastructure.clock.now, hostname)
+    tracer = infrastructure.tracer
+    if tracer is not None:
+        tracer.instant(
+            "machine-lost", category="fault",
+            timestamp=record.timestamp, lane=hostname,
         )
-        self.records.append(record)
-        tracer = infrastructure.tracer
-        if tracer is not None:
-            tracer.instant(
-                "machine-lost", category="fault",
-                timestamp=record.timestamp, lane=hostname,
-            )
-            tracer.metrics.counter("faults.machines_lost").inc()
-        return record
-
-    def crash_machines(self, count: int = 1) -> list[FaultRecord]:
-        """Permanently lose up to ``count`` random live machines."""
-        candidates = self._live_hostnames()
-        picked = self._rng.sample(candidates, min(count, len(candidates)))
-        return [self.crash_machine(hostname) for hostname in sorted(picked)]
+        tracer.metrics.counter("faults.machines_lost").inc()
+    return record
 
 
 class MachineChurn:
@@ -457,36 +340,27 @@ class MachineChurn:
     """
 
     def __init__(
-        self,
-        system: "DeployedSystem",
-        *,
-        seed: int = 0,
-        rate: float = 0.05,
-        protect: Sequence[str] = (),
-        max_losses_per_round: Optional[int] = None,
+        self, system: "DeployedSystem", *, seed: int = 0, rate: float = 0.05
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
+        self.system = system
         self.seed = seed
         self.rate = rate
-        self.protect = frozenset(protect)
-        self.max_losses_per_round = max_losses_per_round
-        self.injector = FaultInjector(system, seed=seed)
-
-    @property
-    def records(self) -> list[FaultRecord]:
-        """Every loss fired so far (shared with the injector)."""
-        return self.injector.records
+        #: Every loss fired so far.
+        self.records: list[FaultRecord] = []
 
     def round(self, round_index: int) -> list[FaultRecord]:
         """Fire round ``round_index``'s losses; returns their records."""
-        losses: list[str] = []
-        for hostname in self.injector._live_hostnames():
-            if hostname in self.protect:
-                continue
-            rng = random.Random(f"{self.seed}|{round_index}|{hostname}")
-            if rng.random() < self.rate:
-                losses.append(hostname)
-        if self.max_losses_per_round is not None:
-            losses = losses[: self.max_losses_per_round]
-        return [self.injector.crash_machine(hostname) for hostname in losses]
+        infrastructure = self.system.infrastructure
+        live = sorted({
+            machine.hostname for machine in self.system.machines.values()
+            if infrastructure.network.has_machine(machine.hostname)
+        })
+        losses = [
+            lose_machine(infrastructure, hostname) for hostname in live
+            if random.Random(f"{self.seed}|{round_index}|{hostname}").random()
+            < self.rate
+        ]
+        self.records.extend(losses)
+        return losses

@@ -95,18 +95,6 @@ class VirtualFilesystem:
             if not f.startswith(prefix)
         }
 
-    def listdir(self, path: str) -> list[str]:
-        path = normalize(path)
-        if path not in self._dirs:
-            raise SimulationError(f"no such directory: {path}")
-        prefix = "/" if path == "/" else path + "/"
-        names: set[str] = set()
-        for candidate in list(self._dirs) + list(self._files):
-            if candidate != path and candidate.startswith(prefix):
-                rest = candidate[len(prefix):]
-                names.add(rest.split("/", 1)[0])
-        return sorted(names)
-
     def walk_files(self, path: str = "/") -> Iterator[str]:
         """All file paths under ``path``, sorted."""
         path = normalize(path)
@@ -114,9 +102,6 @@ class VirtualFilesystem:
         for file_path in sorted(self._files):
             if file_path == path or file_path.startswith(prefix):
                 yield file_path
-
-    def file_count(self, path: str = "/") -> int:
-        return sum(1 for _ in self.walk_files(path))
 
     # -- Snapshot / restore ----------------------------------------------------
 

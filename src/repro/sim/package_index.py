@@ -130,6 +130,3 @@ class DownloadService:
             if self._use_cache:
                 self._cache.add(artifact.key())
         return artifact
-
-    def is_cached(self, name: str, version: str) -> bool:
-        return (name, version) in self._cache

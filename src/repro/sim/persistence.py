@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.core.collector import collector_paused
 from repro.core.errors import SimulationError, document_section
-from repro.core.jsontext import Rows, document_text, plain
+from repro.core.jsontext import Rows, document_text
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
 from repro.sim.oslpm import InstalledPackage
@@ -80,12 +80,6 @@ def world_document(infrastructure: Infrastructure) -> dict[str, Any]:
             for provider in infrastructure.providers()
         ],
     }
-
-
-def world_payload(infrastructure: Infrastructure) -> dict[str, Any]:
-    """The whole simulation world as JSON-ready data
-    (:func:`world_document` with every machine built)."""
-    return plain(world_document(infrastructure))
 
 
 @collector_paused
@@ -156,9 +150,9 @@ def load_world(text: str) -> Infrastructure:
 
 
 def world_from_payload(payload: Any) -> Infrastructure:
-    """Reconstruct an :class:`Infrastructure` from :func:`world_payload`
-    data; a missing or ill-typed section is a :class:`SimulationError`
-    naming it."""
+    """Reconstruct an :class:`Infrastructure` from a parsed
+    :func:`world_document`; a missing or ill-typed section is a
+    :class:`SimulationError` naming it."""
     if not isinstance(payload, dict):
         raise SimulationError("world file must be a JSON object")
     if payload.get("format") != WORLD_FORMAT:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +73,7 @@ def test_configure_has_one_behaviour():
         ("engine.py", "ConfigurationEngine.__init__"):
             ["registry", "partition", "tracer"],
         ("session.py", "ConfigurationSession.__init__"):
-            ["registry", "partition", "max_entries", "tracer"],
+            ["registry", "partition"],
         ("engine.py", "ConfigurationEngine.configure"): ["partial"],
         ("session.py", "ConfigurationSession.configure"): ["partial"],
         ("engine.py", "ConfigurationEngine.components"):
@@ -476,4 +477,131 @@ def test_history_is_kept_once():
         if prefix == "SimProcess." and isinstance(node, ast.AnnAssign)
         and ast.unparse(node.target) == "failures"
     ]
+    assert not hits, hits
+
+
+# -- What src/ keeps ----------------------------------------------------------
+
+ORACLE = "a reference that tests compare against"
+INVERSE = "the inverse reader of a writer that something reaches"
+REGISTERED = "registered by decorator, reached through its registry"
+
+#: Definitions in ``src/repro`` that no CLI command, benchmark or example
+#: names, each kept for one of the three reasons.
+KEPT = {
+    "src/repro/core/jsontext.py::plain": ORACLE,
+    "src/repro/runtime/bus.py::MessageBus.delivery_log": ORACLE,
+    "src/repro/dsl/json_spec.py::full_from_json": INVERSE,
+    "src/repro/runtime/state.py::load_system": INVERSE,
+    "src/repro/sat/dimacs.py::parse_dimacs": INVERSE,
+    "src/repro/sim/persistence.py::load_world": INVERSE,
+    "src/repro/library/fleet.py::_openmrs_replica": REGISTERED,
+    "src/repro/library/fleet.py::_jasper_replica": REGISTERED,
+    "src/repro/library/fleet.py::_django_replica": REGISTERED,
+}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each identifier is named (read, written or called) in
+    ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def _traffic():
+    """``(path, tree)`` for every module the program's users run: all of
+    ``src/repro`` (a package ``__init__`` without its re-exports), the
+    benchmarks and the examples."""
+    for base in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.name == "__init__.py":
+                tree.body = [
+                    node for node in tree.body
+                    if not isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not (isinstance(node, ast.Assign)
+                             and ast.unparse(node.targets[0]) == "__all__")
+                ]
+            yield path, tree
+
+
+def test_src_keeps_what_is_reached():
+    # A function or class stays in src/ only if a command, a benchmark,
+    # an example or other src code names it outside its own body, or it
+    # is on KEPT with its reason.  Names are matched bare (no types), so
+    # a method goes unseen when a reached one shares its name; the
+    # deleted ones are banned by name below.  Dunders and the drivers'
+    # ``do_*`` action hooks are called by name and exempt.
+    modules = list(_traffic())
+    named = sum((_names(tree) for _path, tree in modules), Counter())
+    unreached = {}
+    for path, tree in modules:
+        if path.parts[len(ROOT.parts)] != "src":
+            continue
+        where = path.relative_to(ROOT).as_posix()
+        for prefix, node in _statements(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name.startswith("do_")):
+                continue
+            if named[name] == _names(node)[name]:
+                unreached[f"{where}::{prefix}{name}"] = node.lineno
+    assert set(unreached) - set(KEPT) == set(), sorted(unreached)
+    assert set(KEPT) - set(unreached) == set(), "stale KEPT entries"
+
+
+def test_test_only_surface_stays_gone():
+    # The test-only fault injector and the document twins are gone, as
+    # are the entry points only tests called; the options only tests set
+    # are constants.  Tests drive the surface that remains: a victim
+    # they name, ``Infrastructure.set_fault_plan``, ``plain`` of a
+    # document, a patched ``MAX_ENTRIES``.
+    GONE = {
+        "FaultInjector", "FaultyWorld", "system_payload", "world_payload",
+        "full_to_payload", "DeploymentJournal.to_payload",
+        "SpecTransition.to_payload", "spec_to_dot", "solve_formula",
+        "MessageBus.set_latency", "MessageBus.latency",
+        "DeploymentReport.actions_for", "VirtualFilesystem.listdir",
+        "VirtualFilesystem.file_count", "ResourceTypeRegistry.keys_in_range",
+        "ResourceTypeRegistry.versions_of", "select_versions",
+        "Port.check_value", "InstallSpec.replace_instance",
+        "CloudProvider.deprovision", "ResourceDriver.transition_for",
+        "DownloadService.is_cached", "CnfFormula.has_name",
+        "PortMapping.as_dict", "Dependency.single", "fingerprint_partial",
+        "app_resource_key", "DjangoAppDefinition.key_display",
+    }
+    PINNED = {
+        ("tracer.py", "Tracer.__init__"): ["clock"],
+        ("dot.py", "graph_to_dot"): ["graph"],
+        ("coordinator.py", "BusCoordinator.__init__"): [
+            "registry", "infrastructure", "driver_registry", "policy",
+            "jobs", "jobs_per_host", "link_faults", "default_latency",
+            "heartbeat_every", "heartbeat_timeout", "max_sim_seconds",
+        ],
+        ("faults.py", "FaultPlan.seeded"): ["cls", "seed", "rate"],
+        ("faults.py", "MachineChurn.__init__"): ["system", "seed", "rate"],
+        ("faults.py", "LinkFaultPlan.__init__"):
+            ["seed", "drop", "duplicate", "jitter"],
+        ("state_machine.py", "StateMachineSpec.__init__"): ["transitions"],
+        ("provision.py", "provision_partial_spec"):
+            ["registry", "partial", "infrastructure"],
+        ("cloud.py", "CloudProvider.provision"): ["image_id"],
+        ("__init__.py", "standard_infrastructure"): ["use_cache"],
+    }
+    hits = [
+        (path.relative_to(ROOT).as_posix(), node.lineno, prefix + node.name)
+        for path, tree in _modules()
+        for prefix, node in _statements(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and prefix + node.name in GONE
+    ]
+    found = _signatures("", PINNED)
+    assert found == PINNED, (found, PINNED)
     assert not hits, hits

@@ -12,7 +12,6 @@ exactly-once**.
 """
 
 import random
-from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import given, settings
@@ -111,12 +110,6 @@ class TestDelivery:
         inbox = bus.endpoint("consumer").drain()
         assert [e.payload["n"] for e in inbox] == [1]
 
-    def test_per_link_latency(self):
-        clock, bus = make_bus()
-        bus.set_latency("producer", "consumer", 1.5)
-        bus.send("producer", "consumer", "work")
-        assert bus.next_time() == pytest.approx(1.5)
-
     def test_same_instant_delivery_is_send_ordered(self):
         clock, bus = make_bus()
         for n in range(5):
@@ -202,11 +195,6 @@ class TestLinkFaultPlan:
         draws = {tuple(plan.copies(site, a)) for a in range(1, 30)}
         assert len(draws) > 1
 
-    def test_include_patterns_scope_chaos(self):
-        plan = LinkFaultPlan(0, drop=1.0, include=("work:*",))
-        assert plan.copies("work:a->b:k", 1) == []
-        assert plan.copies("ack:b->a:k", 1) == [0.0]
-
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             LinkFaultPlan(0, drop=1.5)
@@ -228,8 +216,6 @@ class TestLinkFaultPlan:
 def reference_copies(plan, site, attempt):
     """``LinkFaultPlan.copies`` as it was written with a fresh generator
     per decision: the reference the one re-seeded generator must match."""
-    if not any(fnmatchcase(site, p) for p in plan.include):
-        return [0.0]
     rng = random.Random(f"{plan.seed}|{site}|{attempt}")
     if rng.random() < plan.drop:
         return []
@@ -256,20 +242,15 @@ RATES = st.floats(0.0, 1.0)
     drop=RATES,
     duplicate=RATES,
     jitter=st.sampled_from([0.0, 0.5, 3.0]),
-    include=st.sampled_from(
-        [("*",), ("work:*",), ("ack:*", "hello:*"), ("*:host000->*",), ()]
-    ),
     calls=st.lists(st.tuples(SITES, st.integers(1, 5)), max_size=40),
 )
 def test_one_generator_draws_what_a_fresh_one_did(
-    seed, drop, duplicate, jitter, include, calls
+    seed, drop, duplicate, jitter, calls
 ):
     """Any interleaving of decisions on one plan -- repeats included --
     gives exactly the offsets a fresh ``Random(seed|site|attempt)`` per
     decision gave."""
-    plan = LinkFaultPlan(
-        seed, drop=drop, duplicate=duplicate, jitter=jitter, include=include
-    )
+    plan = LinkFaultPlan(seed, drop=drop, duplicate=duplicate, jitter=jitter)
     for site, attempt in calls:
         assert plan.copies(site, attempt) == reference_copies(
             plan, site, attempt

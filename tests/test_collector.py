@@ -23,7 +23,7 @@ from repro.runtime import (
     execute_delta,
     save_system,
 )
-from repro.sim import FaultPlan, FaultyWorld, save_world
+from repro.sim import FaultPlan, save_world
 
 
 @pytest.fixture(autouse=True)
@@ -129,7 +129,7 @@ def test_failed_deploy_restores_the_collector(enabled):
     registry = standard_registry()
     spec = ConfigurationEngine(registry).configure(openmrs()).spec
     infrastructure = standard_infrastructure()
-    FaultyWorld(infrastructure, FaultPlan().on("driver:tomcat:install"))
+    infrastructure.set_fault_plan(FaultPlan().on("driver:tomcat:install"))
     engine = DeploymentEngine(registry, infrastructure, standard_drivers())
     if not enabled:
         gc.disable()

@@ -419,8 +419,7 @@ class TestTimingValidation:
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize(
         "name",
-        ["heartbeat_every", "heartbeat_timeout", "retransmit_after",
-         "max_sim_seconds"],
+        ["heartbeat_every", "heartbeat_timeout", "max_sim_seconds"],
     )
     def test_non_positive_period_rejected_at_construction(
         self, registry, infrastructure, drivers, name, value
@@ -553,11 +552,10 @@ class TestWaveFailureKeepsSiblings:
         self, registry, infrastructure, drivers, two_node_spec
     ):
         from repro.runtime import MultiHostDeploymentFailure
-        from repro.sim import FaultPlan, FaultyWorld
+        from repro.sim import FaultPlan
 
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:openmrs:install", times=100),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:openmrs:install", times=100)
         )
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         with pytest.raises(MultiHostDeploymentFailure) as exc_info:
@@ -583,11 +581,10 @@ class TestWaveFailureKeepsSiblings:
         self, registry, infrastructure, drivers, two_node_spec
     ):
         from repro.runtime import MultiHostDeploymentFailure
-        from repro.sim import FaultPlan, FaultyWorld
+        from repro.sim import FaultPlan
 
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:db:install", times=100),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:db:install", times=100)
         )
         coordinator = BusCoordinator(registry, infrastructure, drivers)
         with pytest.raises(MultiHostDeploymentFailure) as exc_info:

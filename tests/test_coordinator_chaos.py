@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
+from repro.core.jsontext import plain
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
@@ -144,7 +145,9 @@ def assert_converged(registry, spec, baseline_fp, *, chaos, seed):
     # (chained per-instance entries, disjoint partitions): double
     # applies would break the chains.
     journal = deployment.journal
-    DeploymentJournal.from_payload(deployment.spec, journal.to_payload())
+    DeploymentJournal.from_payload(
+        deployment.spec, plain(journal.to_document())
+    )
     assert journal.completed == set(journal.spec.ids())
     return deployment
 
@@ -349,7 +352,9 @@ class TestSlaveCrashSmoke:
         journal = deployment.journal
         # The resumed journal kept the pre-crash entries: entry chains
         # validate and nothing was journalled twice.
-        DeploymentJournal.from_payload(journal.spec, journal.to_payload())
+        DeploymentJournal.from_payload(
+            journal.spec, plain(journal.to_document())
+        )
         assert (
             deployment_fingerprint(infrastructure, deployment) == baseline
         )

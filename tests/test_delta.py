@@ -26,6 +26,7 @@ from repro.core.errors import (
     RuntimeEngageError,
     TypecheckError,
 )
+from repro.core.jsontext import plain
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
@@ -53,7 +54,7 @@ from repro.runtime import (
     save_system,
 )
 from repro.runtime.upgrade import _describe_exception
-from repro.sim import FaultInjector, FaultPlan, FaultyWorld
+from repro.sim import FaultPlan, lose_machine
 from repro.sim.persistence import save_world
 
 #: Single-stack fleets keep replica placement stable under growth:
@@ -248,7 +249,7 @@ class TestPlanning:
 
     def test_lost_machine_refuses_delta(self):
         _, _, system, _ = build(fleet_partial(TOPOLOGY))
-        FaultInjector(system, seed=1).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         new_spec = configure(grow(TOPOLOGY))
         with pytest.raises(RuntimeEngageError, match="reconcile"):
             plan_delta(system, new_spec)
@@ -466,9 +467,8 @@ class TestRollbackGhostHosts:
                 config={"database_name": "app2", "port": 13307},
             )
         )
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:db2:install", times=100),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:db2:install", times=100)
         )
         upgrader = UpgradeEngine(config, engine)
         result = upgrader.upgrade(system, new_partial, strategy=strategy)
@@ -528,9 +528,8 @@ class TestErrorReporting:
         system = engine.deploy(spec)
         # One fault: it fails the upgrade's deploy pass and is spent by
         # the time the rollback redeploys the old system.
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:db:start", times=1),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:db:start", times=1)
         )
         new = one_host_partial("hostA")
         new["db"].config["port"] = 14306
@@ -706,8 +705,8 @@ class TestFaultedTransitions:
         new_spec = configure(new_partial)
         # web004 belongs to a removed replica: its stop is down-phase
         # work, and the single fault makes that stop fail fatally.
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web004:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(engine, system, plan_delta(system, new_spec))
@@ -743,8 +742,8 @@ class TestFaultedTransitions:
         strategies refuse, naming the way out."""
         engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
         new_spec = configure(shrink(TOPOLOGY))
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web004:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(engine, system, plan_delta(system, new_spec))
@@ -767,8 +766,8 @@ class TestFaultedTransitions:
         still to uninstall, repair and the reconcile loop refuse the
         system, and the resume leaves it converged."""
         engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web004:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(
@@ -796,8 +795,8 @@ class TestFaultedTransitions:
         """The old spec a down-phase journal carries is read from the
         state file like the new one, so it is statically checked too."""
         engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web004:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(
@@ -824,8 +823,8 @@ class TestFaultedTransitions:
         engine, infrastructure, system, old_spec = build(
             fleet_partial(TOPOLOGY)
         )
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:web004:stop", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web004:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(
@@ -835,7 +834,7 @@ class TestFaultedTransitions:
         assert failure.system.journal is failure.journal
         transition = failure.journal.transition
         restored = SpecTransition.from_payload(
-            json.loads(json.dumps(transition.to_payload()))
+            json.loads(json.dumps(plain(transition.to_document())))
         )
         assert full_to_json(restored.from_spec) == full_to_json(old_spec)
         assert (restored.pending, restored.stop, restored.retire) == (
@@ -850,9 +849,8 @@ class TestFaultedTransitions:
         engine, infrastructure, system, _ = build(fleet_partial(TOPOLOGY))
         new_partial = grow(TOPOLOGY)
         new_spec = configure(new_partial)
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:web006:install", times=1),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:web006:install", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(engine, system, plan_delta(system, new_spec))
@@ -881,9 +879,8 @@ class TestFaultedTransitions:
                 entry.config["port"] += 1000
         new_partial = PartialInstallSpec(entries)
         new_spec = configure(new_partial)
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:broker005:stop", times=1),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:broker005:stop", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(engine, system, plan_delta(system, new_spec))
@@ -908,9 +905,8 @@ class TestFaultedTransitions:
         system.drivers["cache000"].process.fail()
         delta = plan_delta(system, new_spec)
         assert delta.restart == ["cache000"]
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:cache000:restart", times=1),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:cache000:restart", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             execute_delta(engine, system, delta)
@@ -977,7 +973,7 @@ class TestTransitionJournal:
                 retire=["beta"],
             )
         )
-        payload = journal.to_payload()
+        payload = plain(journal.to_document())
         loaded = DeploymentJournal.from_payload(new_spec, payload)
         assert loaded.transition is not None
         assert loaded.transition.pending == ["db", "hostB"]
@@ -1020,7 +1016,7 @@ class TestTransitionJournal:
             entry.instance_id in set(new_spec.ids())
             for entry in journal.entries
         )
-        payload = journal.to_payload()
+        payload = plain(journal.to_document())
         assert "transition" not in payload
 
 

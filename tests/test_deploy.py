@@ -137,7 +137,8 @@ class TestGuards:
         # its upstreams are still inactive.
         for instance in openmrs_spec.topological_order():
             drivers[instance.id].perform("install")
-        transition = drivers["openmrs"].transition_for("start")
+        driver = drivers["openmrs"]
+        transition = driver.machine_spec.find(driver.state, "start")
         with pytest.raises(GuardError):
             deploy._check_guard(system, "openmrs", transition)
 
@@ -145,6 +146,7 @@ class TestGuards:
         self, deploy, openmrs_spec
     ):
         system = deploy.deploy(openmrs_spec)
-        transition = system.driver("mysql").transition_for("stop")
+        driver = system.driver("mysql")
+        transition = driver.machine_spec.find(driver.state, "stop")
         with pytest.raises(GuardError):
             deploy._check_guard(system, "mysql", transition)

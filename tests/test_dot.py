@@ -1,19 +1,14 @@
-"""DOT rendering of hypergraphs and full specifications."""
+"""DOT rendering of hypergraphs."""
 
 import pytest
 
-from repro.config import ConfigurationEngine, generate_graph
-from repro.dsl import graph_to_dot, spec_to_dot
+from repro.config import generate_graph
+from repro.dsl import graph_to_dot
 
 
 @pytest.fixture
 def graph(registry, openmrs_partial):
     return generate_graph(registry, openmrs_partial)
-
-
-@pytest.fixture
-def spec(registry, openmrs_partial):
-    return ConfigurationEngine(registry).configure(openmrs_partial).spec
 
 
 class TestGraphToDot:
@@ -52,42 +47,6 @@ class TestGraphToDot:
         assert dot.startswith("digraph ")
         assert dot.rstrip().endswith("}")
         assert dot.count("{") == dot.count("}")
-
-
-class TestSpecToDot:
-    def test_machine_clusters(self, spec):
-        dot = spec_to_dot(spec)
-        assert "subgraph cluster_0" in dot
-        assert 'label="server"' in dot
-
-    def test_links_rendered(self, spec):
-        dot = spec_to_dot(spec)
-        assert '"openmrs" -> "tomcat"' in dot
-        assert '"openmrs" -> "mysql"' in dot
-
-    def test_multi_machine_clusters(self, registry, infrastructure):
-        from repro.core import PartialInstallSpec, PartialInstance, as_key
-        from repro.runtime import provision_partial_spec
-
-        partial = provision_partial_spec(
-            registry,
-            PartialInstallSpec(
-                [
-                    PartialInstance("m1", as_key("Ubuntu-Linux 10.04"),
-                                    config={"hostname": "a"}),
-                    PartialInstance("m2", as_key("Ubuntu-Linux 10.04"),
-                                    config={"hostname": "b"}),
-                    PartialInstance("db", as_key("MySQL 5.1"),
-                                    inside_id="m2"),
-                    PartialInstance("tc", as_key("Tomcat 6.0.18"),
-                                    inside_id="m1"),
-                ]
-            ),
-            infrastructure,
-        )
-        spec = ConfigurationEngine(registry).configure(partial).spec
-        dot = spec_to_dot(spec)
-        assert "cluster_0" in dot and "cluster_1" in dot
 
 
 class TestCliDot:

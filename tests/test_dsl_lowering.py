@@ -131,8 +131,8 @@ class TestDependencies:
             "}"
         )
         alt = t.inside.alternatives[0]
-        assert alt.port_mapping.as_dict() == {"o": "mine"}
-        assert alt.reverse_mapping.as_dict() == {"pushed": "extra"}
+        assert dict(alt.port_mapping.entries) == {"o": "mine"}
+        assert dict(alt.reverse_mapping.entries) == {"pushed": "extra"}
 
     def test_extends_lowered(self):
         types = lower_module(

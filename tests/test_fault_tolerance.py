@@ -23,6 +23,7 @@ from repro.core.errors import (
     TransientError,
     UpgradeError,
 )
+from repro.core.jsontext import plain
 from repro.drivers import ACTIVE, INACTIVE, UNINSTALLED
 from repro.library import (
     standard_drivers,
@@ -37,9 +38,9 @@ from repro.runtime import (
     canonical_journal,
     load_system,
     save_system,
-    system_payload,
+    system_document,
 )
-from repro.sim import FaultKind, FaultPlan, FaultyWorld
+from repro.sim import FaultKind, FaultPlan
 
 #: Seeds for the chaos matrix; CI overrides via CHAOS_SEEDS="7 8 9".
 SEEDS = [int(s) for s in os.environ.get("CHAOS_SEEDS", "1 2 3").split()]
@@ -82,7 +83,7 @@ def world_snapshot(system, infrastructure):
     machines = sorted(
         set(system.machines.values()), key=lambda m: m.hostname
     )
-    document = system_payload(system)
+    document = plain(system_document(system))
     del document["journal"]
     return {
         "states": system.states(),
@@ -175,12 +176,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.seeded(0, 1.5)
 
-    def test_faulty_world_context_manager(self):
+    def test_set_fault_plan_installs_and_removes(self):
         infrastructure, engine, spec = build_world()
         plan = FaultPlan().on("driver:*:install", times=1)
-        with FaultyWorld(infrastructure, plan):
-            assert infrastructure.fault_plan is plan
-            assert infrastructure.downloads.fault_plan is plan
+        infrastructure.set_fault_plan(plan)
+        assert infrastructure.fault_plan is plan
+        assert infrastructure.downloads.fault_plan is plan
+        infrastructure.set_fault_plan(None)
         assert infrastructure.fault_plan is None
 
 
@@ -225,8 +227,8 @@ class TestChaosMatrix:
     def test_retry_converges_bit_identical(self, baseline, seed, rate):
         policy = RetryPolicy(max_attempts=4, backoff_base=0.5)
         infrastructure, engine, spec = build_world(policy=policy)
-        plan = FaultPlan.seeded(seed, rate, max_failures=2)
-        FaultyWorld(infrastructure, plan)
+        plan = FaultPlan.seeded(seed, rate)
+        infrastructure.set_fault_plan(plan)
         system = engine.deploy(spec)
         assert system.is_deployed()
         assert world_snapshot(system, infrastructure) == baseline
@@ -245,8 +247,8 @@ class TestChaosMatrix:
         (repeatedly, like an operator re-running the tool) converges to
         the fault-free result."""
         infrastructure, engine, spec = build_world()
-        plan = FaultPlan.seeded(seed, rate, max_failures=2)
-        FaultyWorld(infrastructure, plan)
+        plan = FaultPlan.seeded(seed, rate)
+        infrastructure.set_fault_plan(plan)
         # Each run without retries dies on (at most) one injected fault,
         # so total-planned-faults + 1 runs always suffice.
         rounds = 1 + sum(
@@ -277,7 +279,7 @@ class TestConsistentFrontier:
         policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
         infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on("driver:mysql:start", times=10)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         with pytest.raises(DeploymentFailure) as excinfo:
             engine.deploy(spec)
         failure = excinfo.value
@@ -301,7 +303,10 @@ class TestConsistentFrontier:
         }
         # Dependents of the failed instance were never acted on.
         for dependent in spec.downstream_ids("mysql"):
-            assert not failure.report.actions_for(dependent)
+            assert all(
+                action.instance_id != dependent
+                for action in failure.report.actions
+            )
         # The journal agrees with the partition.
         journal = failure.journal
         assert journal.completed == failure.completed
@@ -322,7 +327,7 @@ class TestConsistentFrontier:
             policy=RetryPolicy(max_attempts=2)
         )
         plan = FaultPlan().on("driver:mysql:start", times=3)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         with pytest.raises(DeploymentFailure) as excinfo:
             engine.deploy(spec)
         journal = excinfo.value.journal
@@ -345,7 +350,7 @@ class TestConsistentFrontier:
     def test_journal_round_trips_through_state_file(self, baseline):
         infrastructure, engine, spec = build_world()
         plan = FaultPlan().on("driver:tomcat:install", times=1)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         with pytest.raises(DeploymentFailure) as excinfo:
             engine.deploy(spec)
         failure = excinfo.value
@@ -377,7 +382,7 @@ class TestFailureModes:
             hang_seconds=300.0,
             times=1,
         )
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         system = engine.deploy(spec)
         assert system.is_deployed()
         timeouts = [
@@ -398,7 +403,7 @@ class TestFailureModes:
             hang_seconds=30.0,
             times=1,
         )
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         system = engine.deploy(spec)
         assert system.is_deployed()
         assert all(a.succeeded for a in system.report.actions)
@@ -414,7 +419,7 @@ class TestFailureModes:
         policy = RetryPolicy(max_attempts=3, backoff_base=0.1)
         infrastructure, engine, spec = build_world(policy=policy)
         plan = FaultPlan().on("oslpm:demotest:install:mysql*", times=1)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         system = engine.deploy(spec)
         assert system.is_deployed()
         assert len(plan.records) == 1
@@ -423,8 +428,8 @@ class TestFailureModes:
 
     def test_transient_fault_without_policy_is_fatal(self):
         infrastructure, engine, spec = build_world()
-        FaultyWorld(
-            infrastructure, FaultPlan().on("driver:jre:install", times=1)
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:jre:install", times=1)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             engine.deploy(spec)
@@ -473,7 +478,7 @@ class TestUpgradeWithRetries:
             .on("driver:mysql:stop", times=1)
             .on("driver:tomcat:install", times=2)
         )
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         config = ConfigurationEngine(engine.registry)
         upgrader = UpgradeEngine(config, engine)
         result = upgrader.upgrade(system, openmrs_partial())
@@ -493,7 +498,7 @@ class TestUpgradeWithRetries:
         # deploy burns 3 and fails fatally; the rollback's redeploy
         # absorbs the last 2 and succeeds on its third attempt.
         plan = FaultPlan().on("driver:mysql:install", times=5)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         config = ConfigurationEngine(engine.registry)
         upgrader = UpgradeEngine(config, engine)
         result = upgrader.upgrade(system, openmrs_partial())
@@ -506,7 +511,7 @@ class TestUpgradeWithRetries:
         infrastructure, engine, spec = build_world()
         system = engine.deploy(spec)
         plan = FaultPlan().on("driver:mysql:install", times=100)
-        FaultyWorld(infrastructure, plan)
+        infrastructure.set_fault_plan(plan)
         config = ConfigurationEngine(engine.registry)
         upgrader = UpgradeEngine(config, engine)  # no retry policy
         with pytest.raises(UpgradeError):
@@ -541,7 +546,9 @@ class TestJournalUnit:
         journal.mark_completed("server")
         journal.mark_failed("jre", "boom")
         journal.mark_skipped(["mysql", "tomcat", "openmrs"])
-        clone = DeploymentJournal.from_payload(spec, journal.to_payload())
+        clone = DeploymentJournal.from_payload(
+            spec, plain(journal.to_document())
+        )
         assert clone.states() == journal.states()
         assert clone.completed == journal.completed
         assert clone.failed == journal.failed

@@ -1,7 +1,6 @@
 """Fault injection and monitor resilience (chaos-style scenarios)."""
 
 from collections import Counter
-from random import Random
 
 import pytest
 
@@ -14,7 +13,15 @@ from repro.runtime import (
     ReconcileController,
     provision_partial_spec,
 )
-from repro.sim import FaultInjector
+
+#: Twenty rounds of failures: no, one or several services at a time.
+CAMPAIGN = [
+    ["web"], [], ["db", "web"], ["app"], ["celery", "rabbitmq"],
+    [], ["memcached"], ["redis", "db"], ["web"], [],
+    ["app", "celery", "db", "memcached", "rabbitmq", "redis", "web"],
+    ["db"], [], ["rabbitmq"], ["web", "app"], ["redis"], [],
+    ["celery"], ["memcached", "db"], ["web"],
+]
 
 
 @pytest.fixture
@@ -40,17 +47,16 @@ def system(registry, infrastructure, drivers):
     return DeploymentEngine(registry, infrastructure, drivers).deploy(spec)
 
 
-def kill_and_reconcile(system, engine, *, seed, rounds, max_failures=2):
-    """Each round fails up to ``max_failures`` random services, waits
-    30 simulated seconds and runs one reconcile round; returns the
-    injector and the rounds."""
-    injector = FaultInjector(system, seed=seed)
-    counts = Random(seed)
+def kill_and_reconcile(system, engine, victims_per_round):
+    """Each round fails the named services' processes, waits 30
+    simulated seconds and runs one reconcile round; returns the
+    rounds."""
     controller = ReconcileController(engine, system, interval=30.0)
-    for _ in range(rounds):
-        injector.inject(counts.randint(0, max_failures))
+    for victims in victims_per_round:
+        for instance_id in victims:
+            system.driver(instance_id).process.fail()
         controller.run(rounds=1)
-    return injector, controller.rounds
+    return controller.rounds
 
 
 def restart_entries(system):
@@ -60,55 +66,16 @@ def restart_entries(system):
     ]
 
 
-class TestFaultInjector:
-    def test_inject_fails_a_running_process(self, system):
-        injector = FaultInjector(system, seed=1)
-        records = injector.inject(1)
-        assert len(records) == 1
-        assert records[0].hostname == "chaos"
-
-    def test_records_carry_instance_id(self, system):
-        injector = FaultInjector(system, seed=5)
-        records = injector.inject(3)
-        assert records
-        for record in records:
-            assert record.instance_id in system.drivers
-            driver = system.driver(record.instance_id)
-            assert driver.process.name == record.process_name
-
-    def test_deterministic_given_seed(self, registry, infrastructure,
-                                      drivers, system):
-        a = FaultInjector(system, seed=42).inject(3)
-        # Restart the victims so a second injector sees the same world.
-        engine = DeploymentEngine(registry, infrastructure, drivers)
-        assert ReconcileController(engine, system).poll().converged
-        b = FaultInjector(system, seed=42).inject(3)
-        assert [r.process_name for r in a] == [r.process_name for r in b]
-
-    def test_inject_zero(self, system):
-        injector = FaultInjector(system, seed=0)
-        assert injector.inject(0) == []
-
-    def test_inject_caps_at_running_count(self, system):
-        injector = FaultInjector(system, seed=0)
-        records = injector.inject(10_000)
-        # Every service failed, but no more than exist.
-        assert 0 < len(records) <= len(system.drivers)
-
-
 class TestMonitorResilience:
     def test_campaign_keeps_system_alive(self, system, registry,
                                          infrastructure, drivers):
-        """Twenty rounds of random failures: reconcile restarts every
-        victim and the full stack ends healthy."""
+        """Twenty rounds of failures: reconcile restarts every victim
+        and the full stack ends healthy."""
         ProcessMonitor(system).generate_config()
         engine = DeploymentEngine(registry, infrastructure, drivers)
-        injector, rounds = kill_and_reconcile(
-            system, engine, seed=7, rounds=20
-        )
-        assert injector.records
+        rounds = kill_and_reconcile(system, engine, CAMPAIGN)
         assert all(round_.converged for round_ in rounds)
-        assert len(restart_entries(system)) == len(injector.records)
+        assert len(restart_entries(system)) == sum(map(len, CAMPAIGN))
         # Everything is running again.
         from repro.drivers.library import ServiceDriver
 
@@ -123,12 +90,10 @@ class TestMonitorResilience:
     def test_restart_counters_accumulate(self, system, registry,
                                          infrastructure, drivers):
         engine = DeploymentEngine(registry, infrastructure, drivers)
-        injector, _ = kill_and_reconcile(
-            system, engine, seed=3, rounds=10, max_failures=1
-        )
+        victims = [["db"], [], ["web"], ["db"], ["redis"], [], ["db"]]
+        kill_and_reconcile(system, engine, victims)
         # The journal's restart entries are the restart history: one
         # per injected failure, per instance.
         assert Counter(restart_entries(system)) == Counter(
-            record.instance_id for record in injector.records
+            {"db": 3, "web": 1, "redis": 1}
         )
-        assert len(injector.records) > 1

@@ -23,7 +23,7 @@ from repro.library import (
 from repro.library.fleet import FleetTopology, fleet_partial
 from repro.obs import Tracer
 from repro.runtime import DeploymentEngine, DeploymentJournal, RetryPolicy
-from repro.sim import FaultPlan, FaultyWorld
+from repro.sim import FaultPlan
 
 TOPOLOGY = FleetTopology(replicas=3, machines=3)
 
@@ -64,7 +64,7 @@ def chaos_outcome(jobs, partition: bool, seed: int, rate: float):
     """Outcome under a seeded fault plan (scheduler chaos-parity shape)."""
     registry, spec = fleet_spec(partition)
     infrastructure = standard_infrastructure()
-    FaultyWorld(infrastructure, FaultPlan.seeded(seed, rate, max_failures=2))
+    infrastructure.set_fault_plan(FaultPlan.seeded(seed, rate))
     policy = RetryPolicy(max_attempts=2, backoff_base=0.1)
     engine = DeploymentEngine(
         registry, infrastructure, standard_drivers(),

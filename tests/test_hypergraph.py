@@ -240,4 +240,4 @@ class TestLowerAlternatives:
         tomcat = registry.effective(as_key("Tomcat 6.0.18"))
         lowered = lower_alternatives(registry, tomcat.environment[0])
         for alt in lowered:
-            assert alt.port_mapping.as_dict() == {"java": "java"}
+            assert dict(alt.port_mapping.entries) == {"java": "java"}

@@ -61,17 +61,6 @@ class TestInstallSpec:
         with pytest.raises(SpecError):
             spec.add(machine())
 
-    def test_replace_instance(self):
-        spec = InstallSpec([machine()])
-        spec.replace_instance(
-            ResourceInstance(id="m", key=as_key("M 2"))
-        )
-        assert spec["m"].key == as_key("M 2")
-
-    def test_replace_missing_rejected(self):
-        with pytest.raises(SpecError):
-            InstallSpec().replace_instance(machine())
-
     def test_machines(self):
         spec = InstallSpec([machine(), hosted("h", "m")])
         assert [m.id for m in spec.machines()] == ["m"]
@@ -150,11 +139,6 @@ class TestMachineMemo:
         assert self.depth(spec, deepest) >= 2
         spec.add(machine("spare"))
         spec.add(hosted("leaf", deepest.id))
-        self.assert_agrees_with_chain_walk(spec)
-        # Move the leaf's container, and so everything inside it, onto
-        # the spare machine.
-        spec.replace_instance(hosted(deepest.id, "spare"))
-        assert spec.machine_of("leaf") == "spare"
         self.assert_agrees_with_chain_walk(spec)
 
     def test_cycle_and_missing_target_raise_as_the_walk_does(self):

@@ -11,7 +11,9 @@ still loads and resumes.  And the journal is enough to get the system
 back: ``engine.adopt(system.journal)`` is the live system again, same
 states, same processes.  Hypothesis searches step sequences for one
 that leaves the record stale; a resume from a stale record adopts a
-world that does not exist.
+world that does not exist.  The process a step kills and the machine it
+loses are Hypothesis draws, so a counterexample shrinks to a named
+victim.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.runtime import (
     plan_delta,
     save_system,
 )
-from repro.sim import FaultInjector, FaultPlan, FaultyWorld
+from repro.sim import FaultPlan, lose_machine
 
 MACHINES = 3
 REPLICAS = (2, 5)  # the deltas walk between these bounds, one at a time
@@ -62,10 +64,29 @@ def configure(registry, replicas):
     ).configure(fleet_partial(topology)).spec
 
 
-class Fleet:
-    """One world, one engine, the current system, and the steps."""
+def drawn(data):
+    """A ``pick`` that lets Hypothesis choose (and shrink) a victim."""
+    return lambda label, options: data.draw(
+        st.sampled_from(options), label=label
+    )
 
-    def __init__(self) -> None:
+
+def named(victim):
+    """A ``pick`` that always chooses ``victim``."""
+    def pick(label, options):
+        assert victim in options, (label, victim, options)
+        return victim
+    return pick
+
+
+class Fleet:
+    """One world, one engine, the current system, and the steps.
+
+    ``pick(label, options)`` chooses a fault's victim from a sorted,
+    non-empty list."""
+
+    def __init__(self, pick) -> None:
+        self.pick = pick
         self.registry = standard_registry()
         self.drivers = standard_drivers()
         self.infrastructure = standard_infrastructure()
@@ -111,11 +132,26 @@ class Fleet:
         )
 
     def kill_process(self, rng) -> None:
-        FaultInjector(self.system, seed=rng.random()).inject(1)
+        running = sorted(
+            iid for iid, driver in self.system.drivers.items()
+            if isinstance(driver, ServiceDriver)
+            and driver.process is not None and driver.process.is_running()
+        )
+        if running:
+            victim = self.pick("kill_process", running)
+            self.system.drivers[victim].process.fail()
         self.reconcile()
 
     def lose_machine(self, rng) -> None:
-        FaultInjector(self.system, seed=rng.random()).crash_machines(1)
+        network = self.infrastructure.network
+        live = sorted({
+            machine.hostname for machine in self.system.machines.values()
+            if network.has_machine(machine.hostname)
+        })
+        if live:
+            lose_machine(
+                self.infrastructure, self.pick("lose_machine", live)
+            )
         self.reconcile()
 
     def delta(self, rng, step=None) -> None:
@@ -139,11 +175,14 @@ class Fleet:
         if not active:
             return
         plan = FaultPlan().on(f"driver:{rng.choice(active)}:stop", times=1)
-        with FaultyWorld(self.infrastructure, plan):
+        self.infrastructure.set_fault_plan(plan)
+        try:
             if rng.random() < 0.5:
                 self.shutdown(rng)
             else:
                 self.delta(rng, step=-1)
+        finally:
+            self.infrastructure.set_fault_plan(None)
 
     def save_load(self, rng) -> None:
         self.system = load_system(
@@ -187,8 +226,8 @@ class Fleet:
         self.check_round_trip()
 
 
-def run_steps(steps) -> None:
-    fleet = Fleet()
+def run_steps(steps, pick) -> None:
+    fleet = Fleet(pick)
     fleet.check_record("deploy")
     for name, seed in steps:
         try:
@@ -213,29 +252,29 @@ def test_restart_precedes_a_redeployed_dependent():
     its broker's process dies.  Repair must bounce ``broker001`` before
     it starts ``worker001`` again -- restarting after the redeploys made
     every round fail on a refused connection."""
-    run_steps([("drive_down", 0), ("kill_process", 10560)])
+    run_steps([("drive_down", 0), ("kill_process", 0)], named("broker001"))
 
 
 def test_restart_precedes_a_redeployed_dependent_on_another_branch():
     """The same shape on ``host002``: the teardown takes ``worker002``
     and then ``broker002``'s process dies."""
-    run_steps([("drive_down", 767), ("kill_process", 0)])
+    run_steps([("drive_down", 767), ("kill_process", 0)], named("broker002"))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(STEP_LISTS)
-def test_frontier_follows_every_pass(steps):
-    run_steps(steps)
+@given(STEP_LISTS, st.data())
+def test_frontier_follows_every_pass(steps, data):
+    run_steps(steps, drawn(data))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(STEP_LISTS)
-def test_adopt_gets_the_system_back_after_any_sequence(steps):
-    run_steps(steps + [("adopt", 0)])
+@given(STEP_LISTS, st.data())
+def test_adopt_gets_the_system_back_after_any_sequence(steps, data):
+    run_steps(steps + [("adopt", 0)], drawn(data))
 
 
 @pytest.mark.fuzz
 @settings(max_examples=300, deadline=None)
-@given(STEP_LISTS)
-def test_frontier_follows_every_pass_fuzz(steps):
-    run_steps(steps)
+@given(STEP_LISTS, st.data())
+def test_frontier_follows_every_pass_fuzz(steps, data):
+    run_steps(steps, drawn(data))

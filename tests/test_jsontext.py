@@ -5,8 +5,13 @@ row at a time.  The file writer replaces a file as ``open(path, "w")``
 would, but whole."""
 
 import enum
+import fcntl
 import json
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +21,18 @@ from repro.config import ConfigurationEngine
 from repro.core.instances import InstallSpec, ResourceInstance
 from repro.core.jsontext import Rows, indented, plain, write_file
 from repro.core.keys import ResourceKey
-from repro.dsl import full_to_json, full_to_payload, partial_to_json
+from repro.dsl import full_to_json, partial_to_json
+from repro.dsl.json_spec import full_to_rows
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
     standard_registry,
 )
 from repro.library.fleet import FleetTopology, fleet_partial
-from repro.runtime import DeploymentEngine, save_system, system_payload
-from repro.sim import save_world, world_payload
+from repro.runtime import DeploymentEngine, save_system, system_document
+from repro.sim import save_world, world_document
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class Level(enum.IntEnum):
@@ -171,13 +179,13 @@ def test_fleet_documents_are_byte_identical():
         registry, infrastructure, standard_drivers()
     ).deploy(spec)
     assert full_to_json(spec) == json.dumps(
-        full_to_payload(spec), indent=2
+        plain(full_to_rows(spec)), indent=2
     ) + "\n"
     assert save_system(system) == json.dumps(
-        system_payload(system), indent=2
+        plain(system_document(system)), indent=2
     ) + "\n"
     assert save_world(infrastructure) == json.dumps(
-        world_payload(infrastructure), indent=1
+        plain(world_document(infrastructure)), indent=1
     ) + "\n"
     text = partial_to_json(fleet_partial(FleetTopology(replicas=4, machines=2)))
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
@@ -195,13 +203,13 @@ def test_shapes_the_fleet_lacks():
         registry, infrastructure, standard_drivers()
     ).deploy(empty)
     assert save_system(system) == json.dumps(
-        system_payload(system), indent=2
+        plain(system_document(system)), indent=2
     ) + "\n"
     assert save_world(infrastructure) == json.dumps(
-        world_payload(infrastructure), indent=1
+        plain(world_document(infrastructure)), indent=1
     ) + "\n"
     infrastructure.add_machine("bare", "Ubuntu-Linux", "10.4")
-    world = world_payload(infrastructure)
+    world = plain(world_document(infrastructure))
     assert world["machines"][0]["fs"]["files"] == {}
     assert world["machines"][0]["processes"] == []
     assert save_world(infrastructure) == json.dumps(world, indent=1) + "\n"
@@ -218,7 +226,7 @@ def test_shapes_the_fleet_lacks():
         ),
     ])
     assert full_to_json(spec) == json.dumps(
-        full_to_payload(spec), indent=2
+        plain(full_to_rows(spec)), indent=2
     ) + "\n"
 
 
@@ -266,6 +274,40 @@ class TestWriteFile:
             write_file(str(target), "new")
         assert target.read_text() == "old"
         assert os.listdir(tmp_path) == ["bundle.json"]
+
+    def test_a_killed_write_leaves_no_litter(self, tmp_path):
+        # Each writer is killed inside fsync, after its temporary file
+        # has the text and before the rename.  The old bytes stay, and
+        # the next write takes the dead writers' temporary file over.
+        target = tmp_path / "b.json"
+        target.write_text("old")
+        killed = (
+            "import os, signal, sys\n"
+            "from repro.core.jsontext import write_file\n"
+            "os.fsync = lambda fd: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "write_file(sys.argv[1], 'killed')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for _ in range(2):
+            done = subprocess.run(
+                [sys.executable, "-c", killed, str(target)],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert done.returncode == -signal.SIGKILL, done.stderr
+            assert target.read_text() == "old"
+        write_file(str(target), "new")
+        assert os.listdir(tmp_path) == ["b.json"]
+        assert target.read_text() == "new"
+
+    def test_a_live_writer_makes_a_second_write_fail(self, tmp_path):
+        target = tmp_path / "b.json"
+        target.write_text("old")
+        with open(tmp_path / ".b.json.tmp", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            with pytest.raises(OSError, match="another process") as raised:
+                write_file(str(target), "new")
+        assert raised.value.filename == str(target)
+        assert target.read_text() == "old"
 
     def test_an_unwritable_path_is_named_in_the_error(self, tmp_path):
         target = tmp_path / "missing" / "bundle.json"

@@ -9,7 +9,6 @@ from repro.core import (
     UNVERSIONED,
     Version,
     VersionRange,
-    select_versions,
 )
 from repro.core.errors import ResourceModelError
 
@@ -106,21 +105,6 @@ class TestVersionRange:
         if r.contains(v):
             assert not v < lo
             assert v < hi
-
-
-class TestSelectVersions:
-    def test_filters_and_sorts(self):
-        pool = [Version.parse(t) for t in ["6.1", "5.5", "6.0.18", "6.0.29"]]
-        r = VersionRange(Version.parse("5.5"), Version.parse("6.0.29"))
-        assert select_versions(pool, r) == [
-            Version.parse("5.5"),
-            Version.parse("6.0.18"),
-        ]
-
-    def test_deduplicates(self):
-        pool = [Version.parse("1.0"), Version.parse("1.0.0")]
-        r = VersionRange(lo=Version.parse("0.1"))
-        assert len(select_versions(pool, r)) == 1
 
 
 class TestResourceKey:

@@ -11,6 +11,7 @@ from repro.library import (
     standard_registry,
     standard_types,
 )
+from repro.sim import Infrastructure
 
 
 class TestWellFormedness:
@@ -103,10 +104,8 @@ class TestArtifactCoverage:
 
 class TestInfrastructureFactory:
     def test_cloud_optional(self):
-        with_cloud = standard_infrastructure(with_cloud=True)
-        without = standard_infrastructure(with_cloud=False)
-        assert with_cloud.default_provider() is not None
-        assert without.default_provider() is None
+        assert standard_infrastructure().default_provider() is not None
+        assert Infrastructure().default_provider() is None
 
     def test_types_list_is_fresh_each_call(self):
         a = standard_types()

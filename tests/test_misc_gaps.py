@@ -1,23 +1,11 @@
 """Focused tests for smaller corners of the public surface."""
 
-import pytest
-
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.runtime import DeploymentEngine
 
 
 class TestDeploymentReportHelpers:
-    def test_actions_for(self, registry, infrastructure, drivers,
-                         openmrs_partial):
-        spec = ConfigurationEngine(registry).configure(openmrs_partial).spec
-        system = DeploymentEngine(
-            registry, infrastructure, drivers
-        ).deploy(spec)
-        mysql_actions = system.report.actions_for("mysql")
-        assert [a.action for a in mysql_actions] == ["install", "start"]
-        assert all(a.instance_id == "mysql" for a in mysql_actions)
-
     def test_action_timestamps_monotonic(self, registry, infrastructure,
                                          drivers, openmrs_partial):
         spec = ConfigurationEngine(registry).configure(openmrs_partial).spec
@@ -46,25 +34,6 @@ class TestNetworkEndpoints:
         # A failed listener no longer owns the port.
         machine.spawn_process("svc2", listen_ports=[80])
         assert infrastructure.network.connect("e2", 80).name == "svc2"
-
-
-class TestProviderSelection:
-    def test_explicit_provider_argument(self, registry):
-        from repro.runtime import provision_partial_spec
-        from repro.sim import Infrastructure
-
-        infrastructure = Infrastructure()
-        slow = infrastructure.add_provider("slow", provision_seconds=100)
-        fast = infrastructure.add_provider("fast", provision_seconds=5)
-        partial = PartialInstallSpec(
-            [PartialInstance("m", as_key("Ubuntu-Linux 10.04"))]
-        )
-        out = provision_partial_spec(
-            registry, partial, infrastructure, provider=fast
-        )
-        hostname = out["m"].config["hostname"]
-        assert hostname.startswith("fast-node-")
-        assert infrastructure.clock.now == pytest.approx(5)
 
 
 class TestRegistryCaching:

@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import DeploymentError, RuntimeEngageError
+from repro.core.jsontext import plain
 from repro.library import (
     standard_drivers,
     standard_infrastructure,
@@ -555,7 +556,7 @@ class TestJournalPartitions:
         journal.mark_failed("mysql", "boom")
         assert "mysql" not in journal.completed
         assert journal.failed == {"mysql": "boom"}
-        payload = journal.to_payload()
+        payload = plain(journal.to_document())
         assert payload["completed"] == []
         assert payload["failed"] == {"mysql": "boom"}
 

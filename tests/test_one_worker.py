@@ -43,7 +43,7 @@ from repro.runtime import (
     plan_repair,
     save_system,
 )
-from repro.sim import FaultInjector, FaultPlan, FaultyWorld
+from repro.sim import FaultPlan, lose_machine
 
 # -- The reference: the serial executor, verbatim --------------------------
 
@@ -232,7 +232,7 @@ class TestSuccessPathsAreByteIdentical:
         """A lost machine's instances: the repair redeploys only them."""
 
         def repair(engine, system):
-            FaultInjector(system, seed=seed).crash_machines(1)
+            lose_machine(system.infrastructure, "fleet-000")
             plan = plan_repair(system, detect_drift(system))
             return system, execute_plan(engine, system, plan)
 
@@ -257,13 +257,26 @@ def closure(spec, failed, selected, reverse):
     return reached - set(failed)
 
 
+class ActionFaults(FaultPlan):
+    """:meth:`FaultPlan.seeded`'s per-site draws on one action's sites
+    only."""
+
+    action = ""
+
+    def _state_for(self, site):
+        if not site.endswith(f":{self.action}"):
+            return None
+        return super()._state_for(site)
+
+
 def failing(engine_class, seed, rate, action, one_pass):
     """``one_pass`` on the seed's deployed fleet, with a seeded fault
     plan on ``action``; returns the failure."""
     infrastructure, engine, spec = world(engine_class, seed)
     system = engine.deploy(spec)
-    plan = FaultPlan.seeded(seed, rate, include=(f"driver:*:{action}",))
-    FaultyWorld(infrastructure, plan)
+    plan = ActionFaults.seeded(seed, rate)
+    plan.action = action
+    infrastructure.set_fault_plan(plan)
     with pytest.raises(DeploymentFailure) as excinfo:
         one_pass(engine, system)
     return excinfo.value

@@ -19,7 +19,7 @@ from repro.core import (
     RecordType,
     scalar_by_name,
 )
-from repro.core.errors import PortError, PortTypeError
+from repro.core.errors import PortError
 from repro.core.ports import neutral_value
 
 SCALARS = [STRING, INT, FLOAT, BOOL, PATH, HOSTNAME, TCP_PORT, PASSWORD]
@@ -142,12 +142,6 @@ class TestPort:
     def test_invalid_names(self, bad):
         with pytest.raises(PortError):
             Port(bad, STRING)
-
-    def test_check_value(self):
-        port = Port("p", TCP_PORT)
-        port.check_value(80)
-        with pytest.raises(PortTypeError):
-            port.check_value(-1)
 
     def test_default_binding_dynamic(self):
         assert Port("p", STRING).binding == Binding.DYNAMIC

@@ -14,6 +14,7 @@ from repro.core.errors import (
     DriverError,
     RuntimeEngageError,
 )
+from repro.core.jsontext import plain
 from repro.drivers.library import ServiceDriver
 from repro.library import (
     standard_drivers,
@@ -35,7 +36,8 @@ from repro.runtime import (
     plan_repair,
 )
 from repro.runtime.journal import JournalEntry
-from repro.sim import FaultInjector, FaultKind, FaultPlan, MachineChurn
+from repro.obs import Tracer
+from repro.sim import FaultKind, FaultPlan, MachineChurn, lose_machine
 
 TOPOLOGY = FleetTopology(replicas=6, machines=3)
 
@@ -82,7 +84,7 @@ class TestDriftDetection:
 
     def test_lost_machine_expands_to_its_instances(self):
         _, system, _, _, _ = deploy_fleet()
-        FaultInjector(system, seed=1).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         drift = detect_drift(system)
         machines = drift.lost_machines
         assert len(machines) == 1
@@ -125,7 +127,7 @@ class TestPlanning:
 
     def test_machine_loss_plan_is_minimal(self):
         _, system, _, _, _ = deploy_fleet()
-        FaultInjector(system, seed=1).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         drift = detect_drift(system)
         plan = plan_repair(system, drift)
         # One reprovision plus redeploys for exactly the lost subtree --
@@ -138,7 +140,7 @@ class TestPlanning:
 
     def test_redeploys_follow_dependency_order(self):
         _, system, _, _, _ = deploy_fleet()
-        FaultInjector(system, seed=1).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         plan = plan_repair(system, detect_drift(system))
         order = {
             instance.id: index
@@ -163,7 +165,9 @@ class TestRepair:
         assert detect_drift(system).is_converged
         # The restart was journalled and the chain stays valid.
         assert journal.entries[-1].action == "restart"
-        DeploymentJournal.from_payload(system.spec, journal.to_payload())
+        DeploymentJournal.from_payload(
+            system.spec, plain(journal.to_document())
+        )
 
     def test_restart_only_repair_reports_what_it_cost(self):
         """The report of a repair whose only work is a restart counts
@@ -188,8 +192,8 @@ class TestRepair:
 
     def test_machine_loss_repairs_to_convergence(self):
         engine, system, journal, _, _ = deploy_fleet()
-        records = FaultInjector(system, seed=1).crash_machines(1)
-        lost_hosts = {record.hostname for record in records}
+        lose_machine(system.infrastructure, "fleet-000")
+        lost_hosts = {"fleet-000"}
         untouched_before = {
             iid: system.state_of(iid)
             for iid in system.spec.ids()
@@ -202,7 +206,9 @@ class TestRepair:
         # Instances elsewhere were never acted on.
         for iid, state in untouched_before.items():
             assert system.state_of(iid) == state
-        DeploymentJournal.from_payload(system.spec, journal.to_payload())
+        DeploymentJournal.from_payload(
+            system.spec, plain(journal.to_document())
+        )
 
     def test_repaired_machine_matches_fresh_deploy(self):
         """Reconciled world ≡ fresh deploy: states, journal frontier,
@@ -210,8 +216,8 @@ class TestRepair:
         engine, system, journal, _, _ = deploy_fleet()
         fresh_engine, fresh_system, fresh_journal, _, _ = deploy_fleet()
 
-        records = FaultInjector(system, seed=2).crash_machines(1)
-        hostname = records[0].hostname
+        hostname = "fleet-000"
+        lose_machine(system.infrastructure, hostname)
         plan = plan_repair(system, detect_drift(system))
         execute_plan(engine, system, plan)
 
@@ -237,7 +243,7 @@ class TestController:
 
     def test_poll_is_idempotent_across_rounds(self):
         engine, system, journal, _, _ = deploy_fleet()
-        FaultInjector(system, seed=3).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         first = ReconcileController(engine, system).poll()
         assert first.repaired and first.converged
         second = ReconcileController(engine, system).poll()
@@ -246,7 +252,7 @@ class TestController:
 
     def test_monitor_poll_skips_lost_machines(self):
         _, system, _, _, _ = deploy_fleet()
-        FaultInjector(system, seed=3).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-000")
         monitor = ProcessMonitor(system)
         # The dead machine's services are machine-level drift, not
         # restartable processes: no restart is planned for them.
@@ -256,7 +262,7 @@ class TestController:
 
     def test_execution_failure_is_captured_not_raised(self):
         engine, system, journal, _, _ = deploy_fleet()
-        FaultInjector(system, seed=5).crash_machines(1)
+        lose_machine(system.infrastructure, "fleet-002")
         # Every repair action fails permanently.
         plan = FaultPlan().on("driver:*", kind=FaultKind.CRASH)
         system.infrastructure.set_fault_plan(plan)
@@ -405,7 +411,7 @@ class TestChurnSoak:
                 tuple(sorted(journal.states().items())),
                 tuple(sorted(system.states().items())),
                 tuple(
-                    (r.hostname, r.kind) for r in churn.records
+                    (r.timestamp, r.hostname) for r in churn.records
                 ),
             )
 
@@ -414,15 +420,13 @@ class TestChurnSoak:
     def test_plan_sizes_stay_proportional_to_damage(self):
         engine, system, journal, _, _ = deploy_fleet()
         controller = ReconcileController(engine, system, interval=30.0)
-        churn = MachineChurn(
-            system, seed=13, rate=0.5, max_losses_per_round=1
-        )
-        result = controller.run(rounds=4, churn=churn)
+        churn = MachineChurn(system, seed=13, rate=0.5)
         per_machine = len(system.spec) / len(system.spec.machines())
-        for round_ in result.rounds:
-            if round_.drift_items:
-                # One lost machine repairs about one machine's slice.
-                assert round_.plan_size <= per_machine + 2
+        for index in range(4):
+            lost = churn.round(index)
+            round_ = controller.poll()
+            # Each lost machine repairs about one machine's slice.
+            assert round_.plan_size <= len(lost) * (per_machine + 2)
 
 
 class TestCrashFaultKind:
@@ -453,16 +457,20 @@ class TestCrashFaultKind:
 
     def test_crash_machine_is_permanent_and_traced(self):
         _, system, _, _, _ = deploy_fleet()
-        injector = FaultInjector(system, seed=1)
-        records = injector.crash_machines(1)
-        network = system.infrastructure.network
-        assert not network.has_machine(records[0].hostname)
-        crash_records = [
-            r for r in injector.records if r.kind == FaultKind.CRASH.value
-        ]
-        assert crash_records == records
+        infrastructure = system.infrastructure
+        tracer = Tracer(clock=infrastructure.clock)
+        infrastructure.set_tracer(tracer)
+        record = lose_machine(infrastructure, "fleet-001")
+        assert (record.timestamp, record.hostname) == (
+            infrastructure.clock.now, "fleet-001"
+        )
+        assert not infrastructure.network.has_machine("fleet-001")
+        (instant,) = tracer.instants("fault")
+        assert (instant.name, instant.lane) == ("machine-lost", "fleet-001")
+        counters = tracer.metrics.to_payload()["counters"]
+        assert counters["faults.machines_lost"] == 1
 
-    def test_churn_is_deterministic_and_respects_protect(self):
+    def test_churn_is_deterministic(self):
         _, system_a, _, _, _ = deploy_fleet()
         _, system_b, _, _, _ = deploy_fleet()
         churn_a = MachineChurn(system_a, seed=21, rate=0.6)
@@ -470,12 +478,6 @@ class TestCrashFaultKind:
         lost_a = [r.hostname for r in churn_a.round(0)]
         lost_b = [r.hostname for r in churn_b.round(0)]
         assert lost_a == lost_b and lost_a
-        _, system_c, _, _, _ = deploy_fleet()
-        protected = MachineChurn(
-            system_c, seed=21, rate=0.6, protect=lost_a
-        )
-        survivors = [r.hostname for r in protected.round(0)]
-        assert not set(survivors) & set(lost_a)
 
     def test_churn_rejects_bad_rate(self):
         _, system, _, _, _ = deploy_fleet()
@@ -486,14 +488,14 @@ class TestCrashFaultKind:
 class TestJournalDiffAndValidation:
     def test_from_payload_rejects_partition_overlap(self):
         _, system, journal, _, _ = deploy_fleet()
-        payload = journal.to_payload()
+        payload = plain(journal.to_document())
         payload["failed"] = {payload["completed"][0]: "boom"}
         with pytest.raises(RuntimeEngageError, match="more than one"):
             DeploymentJournal.from_payload(system.spec, payload)
 
     def test_from_payload_rejects_broken_chain(self):
         _, system, journal, _, _ = deploy_fleet()
-        payload = journal.to_payload()
+        payload = plain(journal.to_document())
         victim = payload["entries"][0]["instance_id"]
         payload["entries"].append(
             JournalEntry(
@@ -509,7 +511,7 @@ class TestJournalDiffAndValidation:
         journal.mark_lost(instance_id, "active", 1000.0)
         assert instance_id not in journal.completed
         restored = DeploymentJournal.from_payload(
-            system.spec, journal.to_payload()
+            system.spec, plain(journal.to_document())
         )
         assert restored.states()[instance_id] == "uninstalled"
 

@@ -7,8 +7,6 @@ from repro.core import (
     ResourceTypeRegistry,
     STRING,
     TCP_PORT,
-    Version,
-    VersionRange,
     as_key,
     define,
 )
@@ -158,26 +156,6 @@ class TestFrontier:
         reg.register(define("Mid2", abstract=True, extends="Server").build())
         reg.register(define("Leaf2", "1", extends="Mid2").build())
         assert reg.concrete_frontier(as_key("Server")) == [as_key("Leaf2 1")]
-
-
-class TestVersionQueries:
-    def test_versions_of(self, reg):
-        reg.register(define("Tomcat", "5.5").build())
-        reg.register(define("Tomcat", "6.0.18").build())
-        assert reg.versions_of("Tomcat") == [
-            Version.parse("5.5"),
-            Version.parse("6.0.18"),
-        ]
-
-    def test_keys_in_range(self, reg):
-        reg.register(define("Tomcat", "5.5").build())
-        reg.register(define("Tomcat", "6.0.18").build())
-        reg.register(define("Tomcat", "7.0").build())
-        keys = reg.keys_in_range(
-            "Tomcat",
-            VersionRange(Version.parse("5.5"), Version.parse("6.0.29")),
-        )
-        assert keys == [as_key("Tomcat 5.5"), as_key("Tomcat 6.0.18")]
 
 
 class TestMachines:

@@ -33,7 +33,7 @@ class TestPortMapping:
         mapping = PortMapping.of(out1="in1", out2="in2")
         assert mapping.output_ports() == ("out1", "out2")
         assert mapping.input_ports() == ("in1", "in2")
-        assert mapping.as_dict() == {"out1": "in1", "out2": "in2"}
+        assert dict(mapping.entries) == {"out1": "in1", "out2": "in2"}
 
     def test_same_input_twice_rejected(self):
         with pytest.raises(PortError):
@@ -45,9 +45,9 @@ class TestPortMapping:
 
 class TestDependency:
     def test_single(self):
-        dep = Dependency.single(
-            DependencyKind.PEER, as_key("MySQL 5.1"), PortMapping.of(db="db")
-        )
+        dep = Dependency(DependencyKind.PEER, (DependencyAlternative(
+            as_key("MySQL 5.1"), PortMapping.of(db="db")
+        ),))
         assert dep.keys() == (as_key("MySQL 5.1"),)
         assert dep.mapped_inputs() == {"db"}
 
@@ -142,7 +142,9 @@ class TestResourceType:
     def test_wrong_kind_in_slot_rejected(self):
         from repro.core.resource_type import ResourceType
 
-        bad = Dependency.single(DependencyKind.PEER, as_key("M 1"))
+        bad = Dependency(
+            DependencyKind.PEER, (DependencyAlternative(as_key("M 1")),)
+        )
         with pytest.raises(ResourceModelError):
             ResourceType(key=as_key("X 1"), inside=bad)
 

@@ -138,11 +138,10 @@ class TestDownIsStateFiltered:
         self, engine, spec, infrastructure
     ):
         from repro.core.errors import DeploymentFailure
-        from repro.sim import FaultPlan, FaultyWorld
+        from repro.sim import FaultPlan
 
-        FaultyWorld(
-            infrastructure,
-            FaultPlan().on("driver:openmrs:install", times=100),
+        infrastructure.set_fault_plan(
+            FaultPlan().on("driver:openmrs:install", times=100)
         )
         with pytest.raises(DeploymentFailure) as excinfo:
             engine.deploy(spec)

@@ -19,7 +19,6 @@ class TestVariables:
         assert f.var("rsrc(server)") == v  # memoised
         assert f.name_of(v) == "rsrc(server)"
         assert f.name_of(-v) == "rsrc(server)"
-        assert f.has_name("rsrc(server)")
 
     def test_duplicate_explicit_name_rejected(self):
         f = CnfFormula()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.sat import CdclSolver, CnfFormula, DpllSolver, solve_formula
+from repro.sat import CdclSolver, CnfFormula, DpllSolver
 
 
 def formula_from(clauses, num_vars):
@@ -366,33 +366,6 @@ class TestStats:
         s.solve()
         assert s.stats.conflicts > 0
         assert s.stats.learned_clauses > 0
-
-
-class TestSolveFormula:
-    def test_decodes_names(self):
-        f = CnfFormula()
-        a, b = f.var("a"), f.var("b")
-        f.add_fact(a)
-        f.add_implies(a, b)
-        model = solve_formula(f)
-        assert model == {"a": True, "b": True}
-
-    def test_returns_none_on_unsat(self):
-        f = CnfFormula()
-        a = f.var("a")
-        f.add_fact(a)
-        f.add_fact(-a)
-        assert solve_formula(f) is None
-
-    def test_dpll_backend(self):
-        f = CnfFormula()
-        a = f.var("a")
-        f.add_fact(a)
-        assert solve_formula(f, solver="dpll") == {"a": True}
-
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            solve_formula(CnfFormula(), solver="quantum")
 
 
 @settings(max_examples=60, deadline=None)

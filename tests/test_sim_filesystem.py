@@ -106,26 +106,12 @@ class TestRemoveAndList:
         fs.remove("/app")
         assert fs.read_file("/app2/file") == "y"
 
-    def test_listdir(self, fs):
-        fs.write_file("/d/a", "1")
-        fs.write_file("/d/b/c", "2")
-        fs.mkdir("/d/z")
-        assert fs.listdir("/d") == ["a", "b", "z"]
-
-    def test_listdir_root(self, fs):
-        fs.write_file("/top", "x")
-        assert "top" in fs.listdir("/")
-
-    def test_listdir_missing(self, fs):
-        with pytest.raises(SimulationError):
-            fs.listdir("/ghost")
-
     def test_walk_files(self, fs):
         fs.write_file("/a/1", "")
         fs.write_file("/a/b/2", "")
         fs.write_file("/c", "")
         assert list(fs.walk_files("/a")) == ["/a/1", "/a/b/2"]
-        assert fs.file_count() == 3
+        assert len(list(fs.walk_files())) == 3
 
 
 class TestSnapshots:

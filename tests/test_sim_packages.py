@@ -154,21 +154,6 @@ class TestCloud:
         with pytest.raises(ProvisioningError):
             provider.provision("atari")
 
-    def test_deprovision(self, world):
-        provider = world.add_provider("p")
-        node = provider.provision("ubuntu-10.04")
-        provider.deprovision(node.hostname)
-        assert not world.network.has_machine(node.hostname)
-        with pytest.raises(ProvisioningError):
-            provider.deprovision(node.hostname)
-
-    def test_explicit_hostname(self, world):
-        provider = world.add_provider("p")
-        node = provider.provision("ubuntu-10.04", hostname="db1")
-        assert node.hostname == "db1"
-        with pytest.raises(ProvisioningError):
-            provider.provision("ubuntu-10.04", hostname="db1")
-
     def test_duplicate_provider_rejected(self, world):
         world.add_provider("p")
         with pytest.raises(SimulationError):

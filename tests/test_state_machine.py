@@ -97,13 +97,6 @@ class TestStateMachineSpec:
                 ]
             )
 
-    def test_initial_must_exist(self):
-        with pytest.raises(DriverError):
-            StateMachineSpec(
-                [Transition("a", INACTIVE, ACTIVE)], initial="nowhere"
-            )
-
-
 class TestPathTo:
     def test_identity(self):
         spec = service_state_machine()

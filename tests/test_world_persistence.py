@@ -72,7 +72,7 @@ class TestWorldRoundtrip:
     def test_artifacts_and_cache(self, world):
         loaded = load_world(save_world(world))
         assert loaded.package_index.has("pkg", "1.0")
-        assert loaded.downloads.is_cached("pkg", "1.0")
+        assert ("pkg", "1.0") in loaded.downloads._cache
 
     def test_providers(self, world):
         loaded = load_world(save_world(world))
@@ -583,9 +583,11 @@ class TestPersistenceNestsPayloads:
         self, tmp_path, stack
     ):
         from repro import cli
-        from repro.dsl import format_module, full_to_json, full_to_payload
-        from repro.runtime import save_system, system_payload
-        from repro.sim import world_payload
+        from repro.core.jsontext import plain
+        from repro.dsl import format_module, full_to_json
+        from repro.dsl.json_spec import full_to_rows
+        from repro.runtime import save_system, system_document
+        from repro.sim import world_document
 
         bundle = tmp_path / "bundle.json"
         code, _ = run(["deploy", str(STACKS / stack), "--save", str(bundle)])
@@ -608,15 +610,12 @@ class TestPersistenceNestsPayloads:
         opened.write()
         assert bundle.read_text() == reference
 
-        assert save_system(system) == (
-            json.dumps(system_payload(system), indent=2) + "\n"
-        )
-        assert save_world(infrastructure) == (
-            json.dumps(world_payload(infrastructure), indent=1) + "\n"
-        )
-        assert full_to_json(system.spec) == (
-            json.dumps(full_to_payload(system.spec), indent=2) + "\n"
-        )
+        state = plain(system_document(system))
+        world = plain(world_document(infrastructure))
+        spec = plain(full_to_rows(system.spec))
+        assert save_system(system) == json.dumps(state, indent=2) + "\n"
+        assert save_world(infrastructure) == json.dumps(world, indent=1) + "\n"
+        assert full_to_json(system.spec) == json.dumps(spec, indent=2) + "\n"
 
     def test_a_mid_transition_bundle_matches_its_payloads(self, tmp_path):
         # Shapes the fleet's bundle lacks: a journal mid-transition, whose
@@ -625,8 +624,9 @@ class TestPersistenceNestsPayloads:
         from repro import cli
         from repro.dsl import format_module, partial_to_json
         from repro.library.fleet import FleetTopology, fleet_partial
-        from repro.runtime import save_system, system_payload
-        from repro.sim import world_payload
+        from repro.core.jsontext import plain
+        from repro.runtime import save_system, system_document
+        from repro.sim import world_document
 
         goals = {}
         for replicas in (6, 4):
@@ -656,20 +656,18 @@ class TestPersistenceNestsPayloads:
                 {
                     "format": cli.BUNDLE_FORMAT,
                     "types": format_module(cli._ordered_types(registry)),
-                    "world": world_payload(infrastructure),
-                    "state": system_payload(system),
+                    "world": plain(world_document(infrastructure)),
+                    "state": plain(system_document(system)),
                 },
                 indent=1,
             ) + "\n"
 
         assert written == reference()
-        assert system_payload(system)["journal"]["transition"]["from_spec"]
-        assert save_system(system) == (
-            json.dumps(system_payload(system), indent=2) + "\n"
-        )
+        state = plain(system_document(system))
+        assert state["journal"]["transition"]["from_spec"]
+        assert save_system(system) == json.dumps(state, indent=2) + "\n"
         infrastructure.add_machine("bare", "Ubuntu-Linux", "10.4")
         opened.write()
         assert bundle.read_text() == reference()
-        assert save_world(infrastructure) == (
-            json.dumps(world_payload(infrastructure), indent=1) + "\n"
-        )
+        world = plain(world_document(infrastructure))
+        assert save_world(infrastructure) == json.dumps(world, indent=1) + "\n"
