@@ -26,7 +26,7 @@ from typing import Optional, Sequence, TextIO
 
 from repro.core import ResourceTypeRegistry, assert_well_formed, check_registry
 from repro.core.errors import EngageError
-from repro.core.jsontext import document_text, write_file
+from repro.core.jsontext import STRING, document_text, parse, write_file
 from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
@@ -276,6 +276,9 @@ def cmd_dimacs(args, out: TextIO) -> int:
 
 
 BUNDLE_FORMAT = "engage-bundle-1"
+#: What :meth:`Bundle.write` writes; its world and state are read as
+#: documents of their own.
+BUNDLE = {"format": STRING, "types": STRING, "world": {}, "state": {}}
 
 
 class Bundle:
@@ -299,34 +302,25 @@ class Bundle:
         """The bundle saved in ``source``, to commit to ``path`` (by
         default ``source``); its journal is ``system.journal``.  Its
         types must be well-formed, or no command works on it."""
-        import json
-
-        from repro.core.errors import RuntimeEngageError, document_section
+        from repro.core.errors import RuntimeEngageError
         from repro.runtime import system_from_payload
         from repro.sim import world_from_payload
 
         with open(source, "r", encoding="utf-8") as handle:
-            try:
-                saved = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise RuntimeEngageError(f"malformed bundle: {exc}") from exc
-        if not isinstance(saved, dict) or saved.get("format") != BUNDLE_FORMAT:
-            found = saved.get("format") if isinstance(saved, dict) else saved
-            raise RuntimeEngageError(f"unsupported bundle format: {found!r}")
-        types, world, state = (
-            document_section(
-                saved, name, kind, of="bundle", error=RuntimeEngageError
+            text = handle.read()
+        saved = parse(text, BUNDLE, of="bundle", error=RuntimeEngageError)
+        if saved["format"] != BUNDLE_FORMAT:
+            raise RuntimeEngageError(
+                f"unsupported bundle format: {saved['format']!r}"
             )
-            for name, kind in (
-                ("types", str), ("world", dict), ("state", dict)
-            )
-        )
         registry = ResourceTypeRegistry()
-        load_resources(types, registry)
+        load_resources(saved["types"], registry)
         assert_well_formed(registry)
-        bundle = cls(path or source, registry, world_from_payload(world))
+        bundle = cls(
+            path or source, registry, world_from_payload(saved["world"])
+        )
         bundle.system = system_from_payload(
-            registry, bundle.infrastructure, bundle.drivers, state
+            registry, bundle.infrastructure, bundle.drivers, saved["state"]
         )
         return bundle
 

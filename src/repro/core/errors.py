@@ -164,19 +164,3 @@ class ParseError(EngageError):
             message = f"{line}:{column}: {message}"
         super().__init__(message)
 
-
-def document_section(
-    document: dict, name: str, kind, *, of: str, error: type[EngageError]
-):
-    """``document[name]`` of a persisted document, checked: a section
-    that is missing or of the wrong JSON type ends in ``error`` naming
-    it, not in a ``KeyError`` somewhere inside the loader."""
-    if name not in document:
-        raise error(f"{of} has no {name!r} section")
-    value = document[name]
-    if not isinstance(value, kind):
-        raise error(
-            f"{of} section {name!r} is ill-typed: "
-            f"{type(value).__name__} {value!r:.40}"
-        )
-    return value

@@ -35,6 +35,17 @@ inside a string as ``\\n``).
 
 Every file ``repro`` writes is written by :func:`write_file`, which
 replaces it whole or not at all.
+
+Every document ``repro`` reads back is checked by :func:`read` against
+its *shape*, plain data kept next to the document's writer: a
+:class:`Leaf` (one JSON scalar and what it may hold: :data:`STRING`,
+:data:`BOOL`, :data:`TIME`, :func:`at_least`, :func:`one_of`, or
+:data:`ANY` value), ``{"name": shape, ...}`` (an object with these
+fields, each required unless it is :class:`optional`; other fields are
+ignored), ``{str: shape}`` (an object of any fields, all of ``shape``),
+``[shape]`` (an array of ``shape``) or ``(shape, ...)`` (an array of
+exactly these).  A JSON type is matched exactly: a bool is never a
+number.
 """
 
 from __future__ import annotations
@@ -43,8 +54,10 @@ import errno
 import fcntl
 import json
 import os
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Callable, Iterable
+from sys import float_info
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core.collector import collector_paused
 
@@ -193,10 +206,16 @@ def write_file(path: str, text: str) -> None:
     ``flock`` from open to rename: one a killed writer left is reused,
     and a live writer of the same file makes this call fail naming it.
     A replaced file keeps its permission mode, a new one gets the
-    umask's; a symlink is written through to its target."""
+    umask's (not that of a temporary file a killed writer left); a
+    symlink is written through to its target."""
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
-    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    if os.path.exists(target):
+        mode = os.stat(target).st_mode & 0o7777
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     temporary = os.path.join(directory, f".{name}.tmp")
     try:
         fd = os.open(
@@ -223,8 +242,7 @@ def write_file(path: str, text: str) -> None:
     with open(fd, "w", encoding="utf-8") as handle:
         try:
             os.ftruncate(fd, 0)
-            if mode is not None:
-                os.fchmod(fd, mode & 0o7777)
+            os.fchmod(fd, mode)
             handle.write(text)
             handle.flush()
             os.fsync(fd)
@@ -232,3 +250,113 @@ def write_file(path: str, text: str) -> None:
         except BaseException:
             os.unlink(temporary)
             raise
+
+
+class Leaf(NamedTuple):
+    """A JSON scalar: ``accepts(value)`` says whether a value is one, and
+    ``expects`` names it in the error when it is not."""
+
+    expects: str
+    accepts: Callable[[Any], bool]
+
+
+class optional(NamedTuple):
+    """A field of an object shape that may be absent."""
+
+    shape: Any
+
+
+STRING = Leaf("a string", lambda value: type(value) is str)
+BOOL = Leaf("a bool", lambda value: type(value) is bool)
+ANY = Leaf("any JSON value", lambda value: True)
+TIME = Leaf(  # an integer too large for a float is not a finite time
+    "a finite time >= 0",
+    lambda value: type(value) in (int, float) and 0 <= value <= float_info.max,
+)
+
+
+def at_least(minimum: int) -> Leaf:
+    """An integer >= ``minimum``."""
+    return Leaf(
+        f"an integer >= {minimum}",
+        lambda value: type(value) is int and value >= minimum,
+    )
+
+
+def one_of(*choices: str) -> Leaf:
+    """One of the strings ``choices``."""
+    return Leaf(f"one of {', '.join(choices)}", choices.__contains__)
+
+
+def parse(
+    text: str, shape: Any, *, of: str, error: type[Exception]
+) -> Any:
+    """``json.loads(text)``, then :func:`read` against ``shape``; text
+    that is not JSON is also ``error`` naming ``of``, the document."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {of}: {exc}") from exc
+    return read(value, shape, of=of, error=error)
+
+
+def read(value: Any, shape: Any, *, of: str, error: type[Exception]) -> Any:
+    """``value``, if it has ``shape``; otherwise ``error`` naming ``of``,
+    the document, and the path of the first field that does not."""
+    path: list = []
+    problem = _mismatch(value, shape, path)
+    if problem is None:
+        return value
+    where = "".join(
+        f"[{part}]" if type(part) is int else "." + part
+        for part in reversed(path)
+    )
+    where = f"section {where.lstrip('.')!r}" if path else "the document"
+    raise error(f"malformed {of}: {where} {problem}")
+
+
+def _mismatch(value: Any, shape: Any, path: list) -> Optional[str]:
+    """What is wrong with ``value`` if it does not have ``shape``, with
+    the way to it appended to ``path``, innermost part first (so a path
+    is built only on the way out of a mismatch); otherwise ``None``.  A
+    leaf field is checked in place: most fields spare the call."""
+    kind = type(shape)
+    if kind is Leaf:
+        if shape.accepts(value):
+            return None
+        return f"is not {shape.expects}: {value!r:.40}"
+    if kind is dict:
+        if type(value) is not dict:
+            return f"is not an object: {value!r:.40}"
+        fields = shape.items()
+        if str in shape:  # {str: shape}: every field of the value
+            fields = zip(value, repeat(shape[str]))
+        for name, field in fields:
+            if name not in value:
+                if type(field) is optional:
+                    continue
+                path.append(name)
+                return "is missing"
+            if type(field) is optional:
+                field = field.shape
+            item = value[name]
+            if type(field) is Leaf and field.accepts(item):
+                continue
+            problem = _mismatch(item, field, path)
+            if problem is not None:
+                path.append(name)
+                return problem
+        return None
+    if type(value) is not list:
+        return f"is not an array: {value!r:.40}"
+    if kind is tuple and len(value) != len(shape):
+        return f"is not an array of {len(shape)}: {value!r:.40}"
+    shapes = shape if kind is tuple else repeat(shape[0])
+    for index, item, each in zip(count(), value, shapes):
+        if type(each) is Leaf and each.accepts(item):
+            continue
+        problem = _mismatch(item, each, path)
+        if problem is not None:
+            path.append(index)
+            return problem
+    return None

@@ -19,7 +19,6 @@ compaction experiments (E1, E4, E8) measure, matching the paper's
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.core.collector import collector_paused
@@ -32,11 +31,33 @@ from repro.core.instances import (
     PartialInstance,
     ResourceInstance,
 )
-from repro.core.jsontext import Rows, document_text
+from repro.core.jsontext import (
+    ANY,
+    STRING,
+    Leaf,
+    Rows,
+    document_text,
+    optional,
+    parse,
+    read,
+)
 from repro.core.keys import ResourceKey
 
 
 # -- Partial specifications -----------------------------------------------------
+
+#: A resource key's display form: :meth:`ResourceKey.parse` refuses a
+#: blank one.
+KEY = Leaf(
+    "a resource key", lambda value: type(value) is str and bool(value.strip())
+)
+
+#: The document :func:`partial_to_json` writes, as :func:`partial_from_json`
+#: reads it.
+PARTIAL_SPEC = [{
+    "id": STRING, "key": KEY, "inside": optional({"id": STRING}),
+    "config_port": optional({str: ANY}),
+}]
 
 
 def partial_to_json(spec: PartialInstallSpec) -> str:
@@ -57,27 +78,15 @@ def partial_to_json(spec: PartialInstallSpec) -> str:
 
 def partial_from_json(text: str) -> PartialInstallSpec:
     """Parse a Figure 2 style document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise SpecError("partial spec must be a JSON array")
     spec = PartialInstallSpec()
-    for entry in data:
-        if not isinstance(entry, dict) or "id" not in entry or "key" not in entry:
-            raise SpecError(f"malformed partial instance: {entry!r}")
-        inside = entry.get("inside")
-        inside_id = None
-        if inside is not None:
-            if not isinstance(inside, dict) or "id" not in inside:
-                raise SpecError(f"malformed inside reference: {inside!r}")
-            inside_id = inside["id"]
+    for entry in parse(
+        text, PARTIAL_SPEC, of="partial spec", error=SpecError
+    ):
         spec.add(
             PartialInstance(
                 id=entry["id"],
                 key=ResourceKey.parse(entry["key"]),
-                inside_id=inside_id,
+                inside_id=entry["inside"]["id"] if "inside" in entry else None,
                 config=dict(entry.get("config_port", {})),
             )
         )
@@ -131,6 +140,20 @@ def _instance_to_json(instance: ResourceInstance) -> dict[str, Any]:
     return entry
 
 
+_LINK = {
+    "id": STRING, "key": KEY, "port_mapping": optional({str: STRING}),
+    "reverse_mapping": optional({str: STRING}),
+}
+#: The rows :func:`full_to_rows` writes, as :func:`full_from_payload`
+#: reads them.
+FULL_SPEC = [{
+    "id": STRING, "key": KEY, "config_port": {str: ANY},
+    "input_ports": {str: ANY}, "output_ports": {str: ANY},
+    "inside": optional(_LINK), "environment": optional([_LINK]),
+    "peers": optional([_LINK]),
+}]
+
+
 def full_to_rows(spec: InstallSpec) -> Rows:
     """A full installation specification as one row per instance --
     what :func:`full_to_json` writes and the state and journal
@@ -147,35 +170,32 @@ def full_to_json(spec: InstallSpec) -> str:
 
 def full_from_json(text: str) -> InstallSpec:
     """Parse a serialised full installation specification."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"malformed JSON: {exc}") from exc
-    return full_from_payload(data)
+    return full_from_payload(parse(text, ANY, of="full spec", error=SpecError))
 
 
-def full_from_payload(data: Any) -> InstallSpec:
+def full_from_payload(data: Any, of: str = "full spec") -> InstallSpec:
     """Rebuild a full specification from parsed :func:`full_to_rows`.
 
-    A link to an instance the data does not contain is a
-    :class:`SpecError` naming both ids, and an inside/dependency cycle a
+    Rows that are not :data:`FULL_SPEC` are a :class:`SpecError` naming
+    ``of``, the document they sit in, and the field.  A link to an
+    instance the data does not contain is a :class:`SpecError` naming
+    both ids, and an inside/dependency cycle a
     :class:`~repro.core.errors.CycleError`: the install order is taken
     here, once, and kept on the spec for whoever deploys it."""
-    if not isinstance(data, list):
-        raise SpecError("full spec must be a JSON array")
+    read(data, FULL_SPEC, of=of, error=SpecError)
     spec = InstallSpec()
     for entry in data:
-        if not isinstance(entry, dict):
-            raise SpecError(f"malformed full instance: {entry!r}")
-        inside = entry.get("inside")
-        try:
-            instance = ResourceInstance(
+        spec.add(
+            ResourceInstance(
                 id=entry["id"],
                 key=ResourceKey.parse(entry["key"]),
-                config=dict(entry.get("config_port", {})),
-                inputs=dict(entry.get("input_ports", {})),
-                outputs=dict(entry.get("output_ports", {})),
-                inside=_link_from_json("inside", inside) if inside else None,
+                config=dict(entry["config_port"]),
+                inputs=dict(entry["input_ports"]),
+                outputs=dict(entry["output_ports"]),
+                inside=(
+                    _link_from_json("inside", entry["inside"])
+                    if "inside" in entry else None
+                ),
                 environment=tuple(
                     _link_from_json("environment", e)
                     for e in entry.get("environment", [])
@@ -184,12 +204,7 @@ def full_from_payload(data: Any) -> InstallSpec:
                     _link_from_json("peer", e) for e in entry.get("peers", [])
                 ),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise SpecError(
-                f"malformed full instance {entry.get('id')!r}: "
-                f"missing or ill-typed field ({exc!r})"
-            ) from exc
-        spec.add(instance)
+        )
     spec.topological_order()
     return spec
 

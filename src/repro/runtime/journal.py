@@ -18,27 +18,23 @@ failed instance has been acted on.  ``completed`` holds the instances
 *at the journal's target*: a pass toward the target adds to it, a pass
 toward any other state (stop, uninstall) and an observed loss take out
 of it.
+
+A persisted journal is read only if it has the shape :data:`JOURNAL`
+(see :func:`repro.core.jsontext.read`), names no instance outside its
+spec, keeps the three partitions disjoint and chains each instance's
+entries, so that the folded frontier is one the engine could have
+left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
-from repro.core.errors import RuntimeEngageError, document_section
+from repro.core.errors import RuntimeEngageError
 from repro.core.instances import InstallSpec
-from repro.core.jsontext import Rows
+from repro.core.jsontext import ANY, STRING, TIME, Rows, optional, read
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
-
-
-def _require_lists(payload: dict, of: str, *names: str) -> None:
-    """The optional list sections of a persisted record really are
-    lists (iterating a number or string would die, or worse, work)."""
-    for name in names:
-        if name in payload:
-            document_section(
-                payload, name, list, of=of, error=RuntimeEngageError
-            )
 
 
 @dataclass
@@ -61,28 +57,16 @@ class JournalEntry:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "JournalEntry":
-        try:
-            entry = cls(
-                instance_id=payload["instance_id"],
-                action=payload["action"],
-                source=payload["source"],
-                target=payload["target"],
-                timestamp=float(payload["timestamp"]),
-            )
-            # float() above rejects bad timestamps; the string fields
-            # must be checked explicitly or a None/int instance id
-            # round-trips straight into the resume frontier.
-            for value in (
-                entry.instance_id, entry.action, entry.source, entry.target
-            ):
-                if not isinstance(value, str):
-                    raise TypeError(f"expected string, got {value!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RuntimeEngageError(
-                f"malformed journal entry: {payload!r}"
-            ) from exc
-        return entry
+    def from_payload(cls, payload: Any) -> "JournalEntry":
+        read(payload, ENTRY, of="journal entry", error=RuntimeEngageError)
+        return cls(*map(payload.__getitem__, ENTRY))
+
+
+#: What :meth:`JournalEntry.to_payload` writes, in field order.
+ENTRY = {
+    "instance_id": STRING, "action": STRING, "source": STRING,
+    "target": STRING, "timestamp": TIME,
+}
 
 
 @dataclass
@@ -122,26 +106,21 @@ class SpecTransition:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SpecTransition":
+    def from_payload(cls, payload: Any) -> "SpecTransition":
         from repro.dsl.json_spec import full_from_payload
 
-        if not isinstance(payload, dict):
-            raise RuntimeEngageError(
-                "journal 'transition' must be an object"
-            )
-        if "from_spec" not in payload:
-            raise RuntimeEngageError(
-                "journal transition is missing 'from_spec'"
-            )
-        _require_lists(
-            payload, "journal transition", "pending", "stop", "retire"
+        read(
+            payload, TRANSITION, of="journal transition",
+            error=RuntimeEngageError,
         )
-        from_spec = full_from_payload(payload["from_spec"])
+        from_spec = full_from_payload(
+            payload["from_spec"], of="journal transition's old spec"
+        )
         transition = cls(
             from_spec=from_spec,
-            pending=[str(iid) for iid in payload.get("pending", ())],
-            stop=[str(iid) for iid in payload.get("stop", ())],
-            retire=[str(host) for host in payload.get("retire", ())],
+            pending=list(payload.get("pending", ())),
+            stop=list(payload.get("stop", ())),
+            retire=list(payload.get("retire", ())),
         )
         old_ids = set(from_spec.ids())
         unknown = (set(transition.pending) | set(transition.stop)) - old_ids
@@ -151,6 +130,14 @@ class SpecTransition:
                 f"spec: {sorted(unknown)}"
             )
         return transition
+
+
+#: What :meth:`SpecTransition.to_document` writes; its old spec is read
+#: as a full spec of its own.
+TRANSITION = {
+    "from_spec": ANY, "pending": optional([STRING]),
+    "stop": optional([STRING]), "retire": optional([STRING]),
+}
 
 
 class DeploymentJournal:
@@ -323,19 +310,16 @@ class DeploymentJournal:
 
     @classmethod
     def from_payload(
-        cls, spec: InstallSpec, payload: dict
+        cls, spec: InstallSpec, payload: Any
     ) -> "DeploymentJournal":
-        if not isinstance(payload, dict):
-            raise RuntimeEngageError("journal payload must be an object")
-        _require_lists(payload, "journal", "entries", "completed", "skipped")
+        read(payload, JOURNAL, of="journal", error=RuntimeEngageError)
         journal = cls(spec, target=payload.get("target", ACTIVE))
-        for entry_payload in payload.get("entries", ()):
-            journal.record(JournalEntry.from_payload(entry_payload))
+        journal.entries = [
+            JournalEntry(*map(entry.__getitem__, ENTRY))
+            for entry in payload.get("entries", ())
+        ]
         journal.completed = set(payload.get("completed", ()))
-        failed = payload.get("failed", {})
-        if not isinstance(failed, dict):
-            raise RuntimeEngageError("journal 'failed' must be an object")
-        journal.failed = dict(failed)
+        journal.failed = dict(payload.get("failed", {}))
         journal.skipped = set(payload.get("skipped", ()))
         if "transition" in payload:
             journal.transition = SpecTransition.from_payload(
@@ -385,3 +369,12 @@ class DeploymentJournal:
                 )
             last_target[entry.instance_id] = entry.target
         return journal
+
+
+#: What :meth:`DeploymentJournal.to_document` writes; a transition is
+#: read as a document of its own.
+JOURNAL = {
+    "target": optional(STRING), "entries": optional([ENTRY]),
+    "completed": optional([STRING]), "failed": optional({str: STRING}),
+    "skipped": optional([STRING]), "transition": optional({}),
+}

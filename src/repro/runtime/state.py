@@ -15,22 +15,31 @@ saved system is resumable with :meth:`DeploymentEngine.resume` and
 ``load_system(...).journal`` is the journal.  It has one layout,
 :func:`system_document`, which :func:`save_system` writes one row at a
 time and a bundle nests; :func:`system_from_payload` reads it back
-parsed.
+parsed, checked first against :data:`STATE` (see
+:func:`repro.core.jsontext.read`), its spec and journal against shapes
+of their own.
 
 A document comes from outside (hand-edited, corrupted), so the loader
 is where the static checker of §3.3 runs, not the configuration engine,
-whose output is well-typed by construction.
+whose output is well-typed by construction; and where the checks a
+shape cannot make run: states against the journal's frontier, the
+drivers' states and the world's processes.
 """
 
 from __future__ import annotations
 
-import json
-from functools import partial
 from typing import Any, Optional
 
 from repro.core.collector import collector_paused
-from repro.core.errors import RuntimeEngageError, document_section
-from repro.core.jsontext import document_text
+from repro.core.errors import RuntimeEngageError
+from repro.core.jsontext import (
+    ANY,
+    STRING,
+    document_text,
+    optional,
+    parse,
+    read,
+)
 from repro.core.registry import ResourceTypeRegistry
 from repro.config.typecheck import check_spec
 from repro.drivers.base import DriverRegistry
@@ -45,9 +54,12 @@ from repro.sim.infrastructure import Infrastructure
 #: reads: spec, driver states and a "journal" section.
 JOURNAL_FORMAT = "engage-state-2"
 
-_section = partial(
-    document_section, of="state file", error=RuntimeEngageError
-)
+#: What :func:`system_document` writes; its spec and journal are read as
+#: documents of their own.
+STATE = {
+    "format": STRING, "spec": ANY, "states": {str: STRING},
+    "journal": optional(ANY),
+}
 
 
 def system_document(system: DeployedSystem) -> dict[str, Any]:
@@ -135,15 +147,14 @@ def system_from_payload(
     own journal's frontier is refused: one of the two is not what
     happened.
     """
-    if not isinstance(payload, dict):
-        raise RuntimeEngageError("state file must be a JSON object")
-    if payload.get("format") != JOURNAL_FORMAT:
+    read(payload, STATE, of="state file", error=RuntimeEngageError)
+    if payload["format"] != JOURNAL_FORMAT:
         raise RuntimeEngageError(
-            f"unsupported state format: {payload.get('format')!r}"
+            f"unsupported state format: {payload['format']!r}"
         )
-    spec = full_from_payload(_section(payload, "spec", list))
+    spec = full_from_payload(payload["spec"], of="state file's spec")
     check_spec(registry, spec)
-    states = _section(payload, "states", dict)
+    states = payload["states"]
     missing = sorted(set(spec.ids()) - set(states))
     if missing:
         raise RuntimeEngageError(
@@ -181,8 +192,5 @@ def load_system(
 ) -> DeployedSystem:
     """Re-adopt a previously saved system (:func:`system_from_payload`
     of the parsed text)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RuntimeEngageError(f"malformed state file: {exc}") from exc
+    payload = parse(text, ANY, of="state file", error=RuntimeEngageError)
     return system_from_payload(registry, infrastructure, drivers, payload)

@@ -11,10 +11,12 @@ rebinding the listening ports of still-running processes.
 The clock is saved as its ``now`` alone, a process without a restart
 count, and a machine with only the processes that still exist: the
 world is state, not history (the system's journal is the history).
-Older worlds carry the clock's event log as one more section, a
-``restarts`` key per process and the records of stopped processes,
-which loading ignores (a stopped record is checked like any other
-first).
+A world is read only if it has the shape :data:`WORLD` (see
+:func:`repro.core.jsontext.read`), its processes repeat no pid and each
+machine's next pid lies above its saved ones.  Older worlds carry the
+clock's event log as one more section, a ``restarts`` key per process
+and the records of stopped processes, which loading ignores (a stopped
+record is checked like any other first).
 
 Together with :mod:`repro.runtime.state` this enables the CLI flow::
 
@@ -25,14 +27,24 @@ Together with :mod:`repro.runtime.state` this enables the CLI flow::
 
 from __future__ import annotations
 
-import json
-import math
 from functools import partial
 from typing import Any
 
 from repro.core.collector import collector_paused
-from repro.core.errors import SimulationError, document_section
-from repro.core.jsontext import Rows, document_text
+from repro.core.errors import SimulationError
+from repro.core.jsontext import (
+    ANY,
+    BOOL,
+    STRING,
+    TIME,
+    Rows,
+    at_least,
+    document_text,
+    one_of,
+    optional,
+    parse,
+    read,
+)
 from repro.sim.infrastructure import Infrastructure
 from repro.sim.machine import Machine, OsIdentity
 from repro.sim.oslpm import InstalledPackage
@@ -140,90 +152,72 @@ def _machine_payload(
     }
 
 
+_PROCESS = {
+    "pid": at_least(1), "name": STRING, "command": STRING,
+    "listen_ports": [at_least(1)],
+    "state": one_of(*(state.value for state in ProcessState)),
+    "started_at": TIME, "instance_id": optional(STRING),
+}
+_PACKAGE = {
+    "name": STRING, "version": STRING, "install_root": STRING,
+    "files": [STRING], "owners": optional([STRING]),
+}
+_MACHINE = {
+    "hostname": STRING, "ip_address": STRING,
+    "os": {"name": STRING, "version": STRING, "arch": STRING},
+    "cpu_cores": at_least(1), "memory_mb": at_least(1),
+    "os_user_name": STRING, "fs": {"files": {str: STRING}, "dirs": [STRING]},
+    "next_pid": at_least(1), "processes": [_PROCESS], "packages": [_PACKAGE],
+}
+#: What :func:`world_document` writes, as :func:`world_from_payload`
+#: reads it; an older world's extra sections and fields are ignored.
+WORLD = {
+    "format": STRING, "clock": TIME, "use_cache": optional(BOOL),
+    "download_counters": optional({
+        "downloads": optional(at_least(0)),
+        "cache_hits": optional(at_least(0)),
+    }),
+    "artifacts": [
+        {"name": STRING, "version": STRING, "size_bytes": at_least(0),
+         "files": [(STRING, STRING)]}
+    ],
+    "cache": optional([(STRING, STRING)]),
+    "machines": [_MACHINE],
+    "providers": optional([
+        {"name": STRING, "provision_seconds": TIME, "serial": at_least(0),
+         "nodes": [STRING]}
+    ]),
+}
+
+
 def load_world(text: str) -> Infrastructure:
     """Reconstruct an :class:`Infrastructure` saved by :func:`save_world`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"malformed world file: {exc}") from exc
-    return world_from_payload(payload)
+    return world_from_payload(
+        parse(text, ANY, of="world file", error=SimulationError)
+    )
 
 
 def world_from_payload(payload: Any) -> Infrastructure:
     """Reconstruct an :class:`Infrastructure` from a parsed
-    :func:`world_document`; a missing or ill-typed section is a
-    :class:`SimulationError` naming it."""
-    if not isinstance(payload, dict):
-        raise SimulationError("world file must be a JSON object")
-    if payload.get("format") != WORLD_FORMAT:
+    :func:`world_document`; a payload that is not :data:`WORLD` is a
+    :class:`SimulationError` naming the field."""
+    read(payload, WORLD, of="world file", error=SimulationError)
+    if payload["format"] != WORLD_FORMAT:
         raise SimulationError(
-            f"unsupported world format: {payload.get('format')!r}"
+            f"unsupported world format: {payload['format']!r}"
         )
-    for name, kind in (
-        ("clock", (int, float)), ("artifacts", list), ("machines", list)
-    ):
-        document_section(
-            payload, name, kind, of="world file", error=SimulationError
-        )
-    try:
-        return _restore_world(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(
-            f"malformed world file: missing or ill-typed field ({exc!r})"
-        ) from exc
-
-
-def _seconds(value: Any, section: str) -> float:
-    """``value`` if it is a finite time >= 0; otherwise the error
-    naming ``section``, the value's path in the world file."""
-    if (
-        isinstance(value, bool) or not isinstance(value, (int, float))
-        or not 0.0 <= value < math.inf
-    ):
-        raise SimulationError(
-            f"world file section {section!r} is not a finite time >= 0: "
-            f"{value!r}"
-        )
-    return value
-
-
-def _count(value: Any, section: str, minimum: int = 0) -> int:
-    """``value`` if it is an integer >= ``minimum``; otherwise the
-    error naming ``section``."""
-    if (
-        isinstance(value, bool) or not isinstance(value, int)
-        or value < minimum
-    ):
-        raise SimulationError(
-            f"world file section {section!r} is not an integer >= "
-            f"{minimum}: {value!r}"
-        )
-    return value
-
-
-def _restore_world(payload: dict[str, Any]) -> Infrastructure:
-    use_cache = payload.get("use_cache", True)
-    if not isinstance(use_cache, bool):
-        raise SimulationError(
-            f"world file section 'use_cache' is not a bool: {use_cache!r}"
-        )
-    infrastructure = Infrastructure(use_cache=use_cache)
-    infrastructure.clock.advance_to(_seconds(payload["clock"], "clock"))
+    infrastructure = Infrastructure(use_cache=payload.get("use_cache", True))
+    infrastructure.clock.advance_to(payload["clock"])
     counters = payload.get("download_counters", {})
-    for name in ("downloads", "cache_hits"):
-        setattr(
-            infrastructure.downloads, name,
-            _count(counters.get(name, 0), f"download_counters.{name}"),
-        )
+    infrastructure.downloads.downloads = counters.get("downloads", 0)
+    infrastructure.downloads.cache_hits = counters.get("cache_hits", 0)
 
-    for index, entry in enumerate(payload["artifacts"]):
+    for entry in payload["artifacts"]:
         infrastructure.package_index.publish(
             PackageArtifact(
                 name=entry["name"],
                 version=entry["version"],
-                size_bytes=_count(
-                    entry["size_bytes"], f"artifacts[{index}].size_bytes"
-                ),
+                size_bytes=entry["size_bytes"],
                 files=tuple(tuple(pair) for pair in entry["files"]),
             )
         )
@@ -233,18 +227,12 @@ def _restore_world(payload: dict[str, Any]) -> Infrastructure:
     for index, machine_entry in enumerate(payload["machines"]):
         _restore_machine(infrastructure, machine_entry, f"machines[{index}]")
 
-    for index, provider_entry in enumerate(payload.get("providers", [])):
-        section = f"providers[{index}]"
+    for provider_entry in payload.get("providers", []):
         provider = infrastructure.add_provider(
             provider_entry["name"],
-            provision_seconds=_seconds(
-                provider_entry["provision_seconds"],
-                f"{section}.provision_seconds",
-            ),
+            provision_seconds=provider_entry["provision_seconds"],
         )
-        provider._serial = _count(
-            provider_entry["serial"], f"{section}.serial"
-        )
+        provider._serial = provider_entry["serial"]
         for hostname in provider_entry["nodes"]:
             provider._nodes[hostname] = infrastructure.network.machine(
                 hostname
@@ -263,8 +251,8 @@ def _restore_machine(
         infrastructure.network,
         infrastructure.clock,
         ip_address=entry["ip_address"],
-        cpu_cores=_count(entry["cpu_cores"], f"{section}.cpu_cores", 1),
-        memory_mb=_count(entry["memory_mb"], f"{section}.memory_mb", 1),
+        cpu_cores=entry["cpu_cores"],
+        memory_mb=entry["memory_mb"],
         os_user_name=entry["os_user_name"],
     )
     machine.fs.restore(
@@ -273,29 +261,21 @@ def _restore_machine(
     )
     pids: set[int] = set()
     for index, process_entry in enumerate(entry["processes"]):
-        where = f"{section}.processes[{index}]"
-        pid = _count(process_entry["pid"], f"{where}.pid", 1)
+        pid = process_entry["pid"]
         if pid in pids:
             raise SimulationError(
-                f"world file section {where + '.pid'!r} repeats pid {pid}"
+                f"malformed world file: section "
+                f"'{section}.processes[{index}].pid' repeats pid {pid}"
             )
         pids.add(pid)
-        instance_id = process_entry.get("instance_id", "")
-        if not isinstance(instance_id, str):
-            raise SimulationError(
-                f"world file section {where + '.instance_id'!r} is not "
-                f"a string: {instance_id!r}"
-            )
         process = SimProcess(
             pid=pid,
             name=process_entry["name"],
             command=process_entry["command"],
             listen_ports=tuple(process_entry["listen_ports"]),
             state=ProcessState(process_entry["state"]),
-            started_at=_seconds(
-                process_entry["started_at"], f"{where}.started_at"
-            ),
-            instance_id=instance_id,
+            started_at=process_entry["started_at"],
+            instance_id=process_entry.get("instance_id", ""),
         )
         if process.state is ProcessState.STOPPED:
             continue  # an older world's history
@@ -307,10 +287,12 @@ def _restore_machine(
                 )
     # A next pid at or below a saved one would reuse it on the next
     # spawn, replacing that process in the machine's table.
-    machine._next_pid = _count(
-        entry["next_pid"], f"{section}.next_pid",
-        max(pids, default=0) + 1,
-    )
+    machine._next_pid = entry["next_pid"]
+    if machine._next_pid <= max(pids, default=0):
+        raise SimulationError(
+            f"malformed world file: section '{section}.next_pid' is not "
+            f"above the saved pid {max(pids)}: {machine._next_pid}"
+        )
 
     manager = infrastructure.package_manager(machine)
     manager.restore(
@@ -325,3 +307,4 @@ def _restore_machine(
             for record in entry["packages"]
         }
     )
+

@@ -23,6 +23,7 @@ from repro.core.errors import EngageError, ParseError, SpecError
 from repro.dsl import parse_module, partial_from_json, tokenize
 from repro.library.fleet import FleetTopology, fleet_spec_entries
 from repro.sat import parse_dimacs
+from tests.test_document_shapes import figure2_bundle
 
 
 # -- Seeded fleet-spec generator ------------------------------------------
@@ -204,5 +205,75 @@ def test_state_loader_total(text):
     infrastructure = standard_infrastructure()
     try:
         load_system(registry, infrastructure, standard_drivers(), text)
+    except EngageError:
+        pass
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, path=()):
+    """Every path into ``value``: the root, and every field and item."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, (*path, index))
+
+
+def _load(section, payload):
+    from repro.library import (
+        standard_drivers,
+        standard_infrastructure,
+        standard_registry,
+    )
+    from repro.runtime import system_from_payload
+    from repro.sim import world_from_payload
+
+    if section == "world":
+        return world_from_payload(payload)
+    world = world_from_payload(json.loads(figure2_bundle())["world"])
+    return system_from_payload(
+        standard_registry(), world, standard_drivers(), payload
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["world", "state"]), JSON)
+def test_readers_on_arbitrary_json(section, document):
+    """Arbitrary JSON as a world or a state: read, or an EngageError."""
+    try:
+        _load(section, document)
+    except EngageError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["world", "state"]), st.data(), JSON)
+def test_readers_on_a_document_with_one_part_replaced(section, data, part):
+    """The Figure 2 world or state with any one field, item or section
+    replaced by arbitrary JSON: read, or an EngageError."""
+    document = json.loads(figure2_bundle())[section]
+    path = data.draw(st.sampled_from(list(_paths(document))))
+    if not path:
+        document = part
+    else:
+        holder = document
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = part
+    try:
+        _load(section, document)
     except EngageError:
         pass

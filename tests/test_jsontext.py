@@ -2,7 +2,8 @@
 byte: a differential test over generated values (whole, and as rows
 written at a depth), and the documents the persistence layers write one
 row at a time.  The file writer replaces a file as ``open(path, "w")``
-would, but whole."""
+would, but whole.  The reader names the first field that does not have
+its shape."""
 
 import enum
 import fcntl
@@ -19,7 +20,20 @@ from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine
 from repro.core.instances import InstallSpec, ResourceInstance
-from repro.core.jsontext import Rows, indented, plain, write_file
+from repro.core.jsontext import (
+    ANY,
+    STRING,
+    TIME,
+    Rows,
+    at_least,
+    indented,
+    one_of,
+    optional,
+    parse,
+    plain,
+    read,
+    write_file,
+)
 from repro.core.keys import ResourceKey
 from repro.dsl import full_to_json, partial_to_json
 from repro.dsl.json_spec import full_to_rows
@@ -240,6 +254,22 @@ class TestWriteFile:
         )
         assert (tmp_path / "written").read_text() == "x"
 
+    def test_a_new_file_does_not_take_a_leftovers_mode(self, tmp_path):
+        # A killed writer left its temporary file, owner-only.  The new
+        # file it becomes gets the umask's mode, as open() would give.
+        leftover = tmp_path / ".bundle.json.tmp"
+        leftover.write_text("torn")
+        leftover.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            write_file(str(tmp_path / "bundle.json"), "new")
+        finally:
+            os.umask(umask)
+        target = tmp_path / "bundle.json"
+        assert target.stat().st_mode & 0o7777 == 0o644
+        assert target.read_text() == "new"
+        assert os.listdir(tmp_path) == ["bundle.json"]
+
     def test_a_replaced_file_keeps_its_mode(self, tmp_path):
         target = tmp_path / "bundle.json"
         target.write_text("old")
@@ -314,3 +344,60 @@ class TestWriteFile:
         with pytest.raises(FileNotFoundError) as raised:
             write_file(str(target), "new")
         assert raised.value.filename == str(target)
+
+
+SHAPE = {
+    "name": STRING,
+    "at": TIME,
+    "count": optional(at_least(1)),
+    "state": optional(one_of("running", "failed")),
+    "pairs": [(STRING, STRING)],
+    "ports": {str: at_least(1)},
+}
+
+
+class TestRead:
+    GOOD = {"name": "m", "at": 0, "pairs": [["a", "b"]], "ports": {}}
+
+    def test_a_document_of_the_shape_is_itself(self):
+        document = dict(self.GOOD, count=2, state="failed", extra=[None])
+        assert read(document, SHAPE, of="doc", error=ValueError) is document
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"name": 5}, "section 'name' is not a string: 5"),
+            ({"at": True}, "section 'at' is not a finite time >= 0: True"),
+            ({"at": float("nan")}, "section 'at' is not a finite time >= 0"),
+            ({"at": float("inf")}, "section 'at' is not a finite time >= 0"),
+            ({"at": -1}, "section 'at' is not a finite time >= 0: -1"),
+            ({"at": 10 ** 400}, "section 'at' is not a finite time >= 0"),
+            ({"count": 1.0}, "section 'count' is not an integer >= 1"),
+            ({"count": 0}, "section 'count' is not an integer >= 1: 0"),
+            ({"state": "gone"}, "section 'state' is not one of running, "),
+            ({"pairs": "ab"}, "section 'pairs' is not an array: 'ab'"),
+            ({"pairs": [["a"]]}, "section 'pairs[0]' is not an array of 2"),
+            ({"pairs": [["a", 1]]}, "section 'pairs[0][1]' is not a string"),
+            ({"ports": {"x.y": 0}}, "section 'ports.x.y' is not an integer"),
+            ({"ports": []}, "section 'ports' is not an object: []"),
+        ],
+    )
+    def test_the_first_wrong_field_is_named(self, edit, message):
+        with pytest.raises(ValueError) as raised:
+            read(dict(self.GOOD, **edit), SHAPE, of="doc", error=ValueError)
+        assert str(raised.value).startswith("malformed doc: " + message)
+
+    def test_a_missing_field_and_the_document_itself(self):
+        document = dict(self.GOOD)
+        del document["at"]
+        with pytest.raises(ValueError, match="^malformed doc: section 'at' "
+                           "is missing$"):
+            read(document, SHAPE, of="doc", error=ValueError)
+        with pytest.raises(ValueError, match="^malformed doc: the document "
+                           "is not an object: "):
+            read([], SHAPE, of="doc", error=ValueError)
+
+    def test_parse_names_the_document(self):
+        with pytest.raises(ValueError, match="^malformed doc: Expecting"):
+            parse("{", ANY, of="doc", error=ValueError)
+        assert parse("[1]", [at_least(0)], of="doc", error=ValueError) == [1]
