@@ -140,16 +140,17 @@ def cmd_configure(args, out: TextIO) -> int:
                 )
                 if on
             ) or "cold"
-            components = ""
+            components = shapes = ""
             if result.partition is not None:
                 components = f", {result.partition.count} components"
                 if not cache.graph_hit:
                     components += f" ({cache.components_reused} reused)"
+                    shapes = f" over {cache.shapes} shape(s)"
             out.write(
                 f"[{round_number + 1}] {path}: "
                 f"{len(result.spec)} instances "
                 f"in {result.timings.total_ms:.2f} ms "
-                f"({flags}{components})\n"
+                f"({flags}{components}){shapes}\n"
             )
     stats = session.stats
     out.write(

@@ -113,7 +113,17 @@ def selected_nodes(
     Returns the set of deployed node ids and, for every (source id, edge
     index among that source's edges) pair, the chosen target id.
     """
+    order, choices = selection_order(graph, model)
+    return set(order), choices
+
+
+def selection_order(
+    graph: ResourceGraph, model: dict[str, bool]
+) -> tuple[list[str], dict[tuple[str, int], str]]:
+    """:func:`selected_nodes`, with the deployed ids in the order the
+    closure reaches them (the order that set was filled in)."""
     deployed: set[str] = set()
+    order: list[str] = []
     choices: dict[tuple[str, int], str] = {}
     frontier = [n.instance_id for n in graph.nodes() if n.from_partial]
 
@@ -122,6 +132,7 @@ def selected_nodes(
         if current in deployed:
             continue
         deployed.add(current)
+        order.append(current)
         for index, edge in enumerate(graph.edges_from(current)):
             chosen = [t for t in edge.targets if model.get(t, False)]
             if len(edge.targets) == 1:
@@ -138,4 +149,4 @@ def selected_nodes(
             choices[(current, index)] = target
             if target not in deployed:
                 frontier.append(target)
-    return deployed, choices
+    return order, choices

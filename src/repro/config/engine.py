@@ -6,15 +6,16 @@ hypergraph (``GraphGen``) -> Boolean constraints (``Generate``) -> SAT
 specification.  Theorem 1 justifies raising
 :class:`~repro.core.errors.UnsatisfiableError` when the solver says no.
 
-There is one pipeline, over a list of graph components:
-:func:`configure_component` takes a single component from encoding to a
-propagated specification, and :meth:`ConfigurationEngine.run` maps it
-over the list, merges, aggregates the stats and emits the trace.  The
-list is the connected components of the hypergraph with
-``partition=True`` and the whole graph as its only member otherwise, so
-monolithic configuration is the one-component case of the same code.
-:class:`~repro.config.session.ConfigurationSession` runs the same two
-functions over component entries it keeps between calls.
+This module holds what one component goes through:
+:func:`configure_component` answers a single component from its
+shape's :class:`ComponentEntry` (encode, solve, canonical model, decode
+and link plan, once per shape) and propagates the component's own
+values.  :func:`repro.config.session.configure_call` maps it over a
+spec's components, merges, aggregates the stats and emits the trace;
+:class:`ConfigurationEngine` is that call with an empty memo, and
+:class:`~repro.config.session.ConfigurationSession` the same call with
+the memo it keeps.  Monolithic configuration is the one-component case
+of the same code.
 
 The pipeline has one behaviour: pinned instances are unit clauses, the
 exactly-one constraints use the pairwise encoding, and an unsatisfiable
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.core.collector import collector_paused
 from repro.core.errors import ConfigurationError, UnsatisfiableError
@@ -47,18 +48,15 @@ from repro.core.wellformed import assert_well_formed
 from repro.config.constraints import (
     ConstraintStats,
     generate_constraints,
-    selected_nodes,
+    selection_order,
 )
-from repro.config.hypergraph import ResourceGraph, generate_graph
+from repro.config.hypergraph import ResourceGraph
 from repro.config.partition import (
     ComponentStats,
     GraphComponent,
     PartitionInfo,
-    merge_component_specs,
-    partition_graph,
-    whole_graph_component,
 )
-from repro.config.propagation import propagate
+from repro.config.propagation import link_plan, propagate_links
 from repro.sat.cnf import CnfFormula
 from repro.sat.solver import CdclSolver, SolverStats
 
@@ -104,6 +102,8 @@ class SessionCacheInfo:
     #: Every component answered with the specification an earlier call
     #: propagated, so no propagation ran.
     spec_reused: bool = False
+    #: The solvers this call built (one per shape it met first) / the
+    #: components answered by a solver kept from an earlier call.
     solvers_built: int = 0
     solvers_reused: int = 0
     #: On a graph miss: the components of the new graph / those whose
@@ -111,11 +111,18 @@ class SessionCacheInfo:
     #: which resolves nothing).
     components_total: int = 0
     components_reused: int = 0
-    #: On a graph miss: the machine groups whose GraphGen ran / those of
-    #: a grouped assembly that an earlier spec had generated (0 when the
+    #: On a graph miss: the machine groups whose shape had to be
+    #: generated / those answered by a shape already held (0 when the
     #: spec took the global path).
     groups_generated: int = 0
     groups_reused: int = 0
+    #: Work done by this call: GraphGen runs (one per new group shape,
+    #: one for a whole spec), formulas encoded, solver runs.
+    graph_runs: int = 0
+    encodes: int = 0
+    solves: int = 0
+    #: The distinct component shapes among this call's components.
+    shapes: int = 0
 
 
 @dataclass
@@ -123,7 +130,9 @@ class ConfigurationResult:
     """Everything the engine produced, for inspection and benchmarks."""
 
     spec: InstallSpec
-    graph: ResourceGraph
+    #: Builds the whole hypergraph, which a call that configured machine
+    #: groups by shape never needed whole; read it as :attr:`graph`.
+    build_graph: Callable[[], ResourceGraph]
     model: dict[str, bool]
     constraint_stats: ConstraintStats
     solver_stats: SolverStats
@@ -133,6 +142,10 @@ class ConfigurationResult:
     cache: Optional[SessionCacheInfo] = None
     #: Component sizes/timings when the partitioned pipeline ran.
     partition: Optional[PartitionInfo] = None
+
+    @property
+    def graph(self) -> ResourceGraph:
+        return self.build_graph()
 
 
 def canonical_model(
@@ -162,19 +175,35 @@ def canonical_model(
     return deterministic.model()
 
 
-class ComponentEntry:
-    """One component's encoding, solver and answer.
+class Decoded(NamedTuple):
+    """A satisfiable shape's decoded answer, by node position."""
 
-    The engine builds these fresh for every call and drops them; a
-    session keeps them and hands one to every spec that has a component
-    of the same content.  Content includes which nodes are pinned, so an
-    entry's unit facts never change and its :class:`CdclSolver` --
-    learned clauses, activities, saved phases -- can answer every later
-    call as it stands.
+    #: The canonical model, one value per node.
+    values: tuple[bool, ...]
+    #: The deployed nodes, in the order the closure reached them.
+    deployed: tuple[int, ...]
+    #: :func:`~repro.config.propagation.link_plan`: which port feeds
+    #: which, per selected edge.
+    links: dict
+
+
+class ComponentEntry:
+    """One component *shape*'s encoding, solver and decoded answer.
+
+    A shape is what encode, solve and decode read: the nodes' keys and
+    pinned flags and the edges, with every id replaced by its node's
+    position (:func:`~repro.config.session.shape_key`).  ``component``
+    is the first component of the shape a call met; every other one
+    differs only in its ids and explicit configuration, so the formula
+    (variables numbered by position), the canonical model and the link
+    plan are computed once on ``component`` and renamed onto the rest.
+    An entry's unit facts never change (the shape says which nodes are
+    pinned), so its :class:`CdclSolver` -- learned clauses, activities,
+    saved phases -- can answer every later call as it stands.
     """
 
     __slots__ = (
-        "component", "formula", "constraint_stats", "solver", "answer",
+        "component", "formula", "constraint_stats", "solver", "decoded",
         "__weakref__",
     )
 
@@ -183,13 +212,35 @@ class ComponentEntry:
         self.formula: Optional[CnfFormula] = None
         self.constraint_stats: Optional[ConstraintStats] = None
         self.solver: Optional[CdclSolver] = None
-        #: (model, deployed, instances in install order) once the
-        #: component has been solved and propagated.  The
+        #: Set once the shape has been solved and found satisfiable.  The
         #: formula is fixed per entry and the decode reads its canonical
-        #: model, so every later call would compute exactly this; the
-        #: instances are frozen dataclasses, reused inside a fresh
-        #: container.
-        self.answer: Optional[tuple] = None
+        #: model, so every later call would compute exactly this.
+        self.decoded: Optional[Decoded] = None
+
+
+class Answer:
+    """A component's propagated instances, in install order, once known.
+
+    The instances are frozen dataclasses; a session keeps the holder per
+    component content and hands the same instances to every spec that
+    has that component, inside a fresh container.
+    """
+
+    __slots__ = ("instances", "__weakref__")
+
+    def __init__(self) -> None:
+        self.instances: Optional[tuple[ResourceInstance, ...]] = None
+
+
+class Slot(NamedTuple):
+    """One component of a configure call."""
+
+    index: int
+    #: The entry of the component's shape.
+    entry: ComponentEntry
+    #: The component's node ids, in the shape's node order.
+    ids: tuple[str, ...]
+    answer: Answer
 
 
 @dataclass
@@ -199,6 +250,8 @@ class ComponentRun:
     stats: ComponentStats
     encoded: bool
     solver_reused: bool
+    #: The shape's solver ran in this call (once per shape at most).
+    solved: bool = False
     spec_reused: bool = False
     #: The component's instances in install order -- the specification
     #: just propagated, or the tuple an earlier call propagated; None when
@@ -210,61 +263,87 @@ class ComponentRun:
 
 def configure_component(
     registry: ResourceTypeRegistry,
-    entry: ComponentEntry,
+    slot: Slot,
+    nodes: Callable[[int], tuple[Sequence, Sequence]],
 ) -> ComponentRun:
-    """Encode, solve, decode and propagate one component.
+    """Answer one component: encode, solve and decode its shape unless
+    the shape's entry already holds them, then propagate values unless
+    the slot's answer already holds them.
 
-    Whatever ``entry`` already holds is reused and whatever it lacks is
-    built and left on it; the timings are this call's own.  An entry
-    that has answered answers again without its solver, which still
-    counts as reused: the solver's verdict on an unchanged formula
-    cannot change.
+    ``nodes(index)`` gives the component's node keys and explicit
+    configurations, by position; it is asked only when propagation runs.
+    Whatever the entry lacks is built and left on it, and a propagated
+    answer is left on the slot's holder; the timings are this call's
+    own.  A component answered from a kept shape counts its solver as
+    reused: the solver's verdict on an unchanged formula cannot change.
     """
-    graph = entry.component.graph
-    stats = ComponentStats(
-        index=entry.component.index,
-        nodes=len(graph),
-        edges=len(graph.edges()),
-        pinned=len(entry.component.pinned),
-    )
-    if entry.answer is not None:
-        run = ComponentRun(
-            stats, encoded=False, solver_reused=True, spec_reused=True
-        )
-        run.model, run.deployed, run.instances = entry.answer
-        stats.decisions = entry.solver.stats.decisions
-        stats.conflicts = entry.solver.stats.conflicts
-        return run
+    entry, ids = slot.entry, slot.ids
     started = time.perf_counter()
     encoded = entry.formula is None
     if encoded:
-        entry.formula, entry.constraint_stats = generate_constraints(graph)
+        entry.formula, entry.constraint_stats = generate_constraints(
+            entry.component.graph
+        )
     encode_done = time.perf_counter()
+    stats = ComponentStats(
+        index=slot.index,
+        nodes=len(ids),
+        edges=entry.constraint_stats.hyperedges,
+        pinned=len(entry.component.pinned),
+    )
     solver_reused = entry.solver is not None
     if not solver_reused:
         entry.solver = CdclSolver(entry.formula)
-    formula, solver = entry.formula, entry.solver
-    run = ComponentRun(stats, encoded, solver_reused)
-    if not solver.solve():
-        return run
-    run.model = {
-        str(name): value
-        for name, value in formula.decode_model(
-            canonical_model(formula, solver)
-        ).items()
-    }
-    solve_done = time.perf_counter()
-    run.deployed, choices = selected_nodes(graph, run.model)
-    spec = propagate(registry, graph, run.deployed, choices)
-    run.instances = spec
-    entry.answer = (run.model, run.deployed, tuple(spec))
-    if encoded:  # a cached encoding cost this call nothing, not one tick
-        stats.encode_ms = (encode_done - started) * 1000.0
-    stats.solve_ms = (solve_done - encode_done) * 1000.0
-    stats.propagate_ms = (time.perf_counter() - solve_done) * 1000.0
+    solver = entry.solver
+    run = ComponentRun(
+        stats, encoded, solver_reused, solved=entry.decoded is None
+    )
+    satisfiable = not run.solved or solver.solve()
     stats.decisions = solver.stats.decisions
     stats.conflicts = solver.stats.conflicts
+    if not satisfiable:
+        return run
+    if run.solved:
+        entry.decoded = _decode(entry)
+    solve_done = time.perf_counter()
+    decoded = entry.decoded
+    run.model = dict(zip(ids, decoded.values))
+    run.deployed = deployed = set(ids[p] for p in decoded.deployed)
+    if slot.answer.instances is not None:
+        run.spec_reused = True
+        run.instances = slot.answer.instances
+        return run
+    keys, configs = nodes(slot.index)
+    spec = propagate_links(
+        registry, ids, keys, configs, deployed, decoded.links
+    )
+    run.instances = spec
+    slot.answer.instances = tuple(spec)
+    if encoded:  # a cached encoding cost this call nothing, not one tick
+        stats.encode_ms = (encode_done - started) * 1000.0
+    if run.solved:
+        stats.solve_ms = (solve_done - encode_done) * 1000.0
+    stats.propagate_ms = (time.perf_counter() - solve_done) * 1000.0
     return run
+
+
+def _decode(entry: ComponentEntry) -> Decoded:
+    """Decode and plan the links of a solved shape, by position."""
+    graph, formula = entry.component.graph, entry.formula
+    model = {
+        str(name): value
+        for name, value in formula.decode_model(
+            canonical_model(formula, entry.solver)
+        ).items()
+    }
+    node_ids = entry.component.node_ids
+    order, choices = selection_order(graph, model)
+    position = {node_id: i for i, node_id in enumerate(node_ids)}
+    return Decoded(
+        values=tuple(model[node_id] for node_id in node_ids),
+        deployed=tuple(position[node_id] for node_id in order),
+        links=link_plan(graph, order, choices),
+    )
 
 
 def raise_unsatisfiable(
@@ -342,10 +421,13 @@ def emit_config_trace(tracer, timings, partition=None) -> None:
 class ConfigurationEngine:
     """Expands partial installation specifications to full ones.
 
-    With ``partition=True`` the pipeline splits the hypergraph into
-    connected components after GraphGen and encodes/solves/propagates
-    each component independently (:mod:`repro.config.partition`); the
-    resulting specification is bit-identical to the monolithic one.
+    A call is a :class:`~repro.config.session.ConfigurationSession` call
+    with an empty memo that is dropped afterwards: the same pipeline, so
+    the components of one shape share GraphGen (per machine group),
+    encode, solve and decode within the call, and nothing survives it.
+    With ``partition=True`` the pipeline configures the hypergraph's
+    connected components one by one (:mod:`repro.config.partition`);
+    the resulting specification is bit-identical to the monolithic one.
     The registry's well-formedness is checked up front and ``tracer``
     receives the phase spans; nothing else is settable.
     """
@@ -385,94 +467,15 @@ class ConfigurationEngine:
         (Theorem 1), and surfaces any propagation error (an ill-typed
         port value among them).
         """
-        timings = PhaseTimings()
-        graph, components = self.components(partial, timings)
-        entries = [ComponentEntry(c) for c in components]
-        return self.run(graph, entries, timings)
+        from repro.config import session
 
-    def components(
-        self, partial: PartialInstallSpec, timings: PhaseTimings
-    ) -> tuple[ResourceGraph, list[GraphComponent]]:
-        """GraphGen, then the component list the pipeline maps over."""
-        started = time.perf_counter()
-        graph = generate_graph(self._registry, partial)
-        ticked = time.perf_counter()
-        timings.graph_ms = (ticked - started) * 1000.0
-        if not self._partition:
-            return graph, [whole_graph_component(graph)]
-        components = partition_graph(graph).components
-        timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
-        return graph, components
-
-    def run(
-        self,
-        graph: ResourceGraph,
-        entries: list[ComponentEntry],
-        timings: PhaseTimings,
-        cache: Optional[SessionCacheInfo] = None,
-    ) -> ConfigurationResult:
-        """The pipeline after GraphGen: solve every component in order
-        (the first unsatisfiable one raises for the whole graph, with
-        the diagnosis over all of ``entries``), merge, aggregate the
-        stats into one result and emit the trace.
-
-        ``cache`` is a session's per-call record, attached to the
-        result when given.
-        """
-        record = cache or SessionCacheInfo()
-        record.cnf_hit = True
-        runs: list[ComponentRun] = []
-        for entry in entries:
-            run = configure_component(self._registry, entry)
-            record.cnf_hit &= not run.encoded
-            record.solvers_reused += run.solver_reused
-            record.solvers_built += not run.solver_reused
-            if run.instances is None:
-                raise_unsatisfiable(graph, entries)
-            runs.append(run)
-        record.solver_reused = record.solvers_reused > 0
-        record.spec_reused = bool(runs) and all(
-            run.spec_reused for run in runs
-        )
-        tick = time.perf_counter()
-        spec = merge_component_specs([run.instances for run in runs])
-        timings.propagate_ms = (time.perf_counter() - tick) * 1000.0
-
-        # The encoding is edge-local, so the per-component sizes sum to
-        # the whole-graph formula's exactly.
-        constraint_stats = ConstraintStats(0, 0, 0, 0)
-        solver_stats = SolverStats(components=len(entries))
-        info = PartitionInfo(partition_ms=timings.partition_ms)
-        model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        for entry, run in zip(entries, runs):
-            model.update(run.model)
-            deployed |= run.deployed
-            info.components.append(run.stats)
-            timings.encode_ms += run.stats.encode_ms
-            timings.solve_ms += run.stats.solve_ms
-            timings.propagate_ms += run.stats.propagate_ms
-            constraint_stats.variables += entry.constraint_stats.variables
-            constraint_stats.clauses += entry.constraint_stats.clauses
-            constraint_stats.facts += entry.constraint_stats.facts
-            constraint_stats.hyperedges += entry.constraint_stats.hyperedges
-            _accumulate_solver_stats(solver_stats, entry.solver.stats)
-        partition_info = info if self._partition else None
-        emit_config_trace(self._tracer, timings, partition_info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            model=model,
-            constraint_stats=constraint_stats,
-            solver_stats=solver_stats,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
-            partition=partition_info,
+        return session.configure_call(
+            self._registry, self._partition, session.Memo(),
+            partial, self._tracer,
         )
 
 
-def _accumulate_solver_stats(total: SolverStats, part: SolverStats) -> None:
+def accumulate_solver_stats(total: SolverStats, part: SolverStats) -> None:
     total.decisions += part.decisions
     total.propagations += part.propagations
     total.conflicts += part.conflicts

@@ -2,14 +2,17 @@
 
 A **machine group** is one machine of the partial specification (an
 instance with no container) plus every partial instance whose inside
-chain ends on it, in specification order.  :class:`GroupGraph` runs the
+chain ends on it, in specification order.  :class:`GroupShape` runs the
 unchanged :func:`~repro.config.hypergraph.generate_graph` on one group's
-instances alone, and :func:`assemble` puts the groups back together as
-the graph, and the connected components, that one global run followed
-by :func:`~repro.config.partition.partition_graph` would have built.
-:class:`~repro.config.session.ConfigurationSession` memoises the groups
-by content, so a day-2 step that touches k machines runs GraphGen on k
-groups.
+instances alone, and every group of the same :func:`group_shape_key`
+reuses that run under its own names.  :func:`assemble` numbers the
+generated nodes as one global run would, and :func:`assembled` puts the
+groups back together as the graph, and the connected components, that
+one global run followed by
+:func:`~repro.config.partition.partition_graph` would have built.  A
+memo (:mod:`repro.config.session`) keeps the shapes, so a fleet of
+replicated stacks runs GraphGen once per shape, and a day-2 step only
+for a shape no machine had before.
 
 The assembly is exact when no group **escaped** (see
 :attr:`~repro.config.hypergraph.ResourceGraph.escaped`), because of
@@ -25,9 +28,10 @@ three facts:
   and a node's materialisations follow it in both.
 
 So each group's nodes, edges and answers are the global run's, except
-for the generated ids: ``fresh_id`` numbers per slug across the whole
-graph.  :func:`assemble` replays it over the global materialisation
-order -- the partial order, then first-in first-out over each node's
+for the ids: a shape's graph carries the ids of the group it was run
+on, and ``fresh_id`` numbers per slug across the whole graph.
+:func:`assemble` replays it over the global materialisation order --
+the partial order, then first-in first-out over each node's
 materialisations -- against every id already taken.  A spec with a
 dangling or cyclic inside chain is not split at all
 (:func:`split_by_machine` returns None), and a group that escaped or
@@ -37,12 +41,13 @@ cold run raises.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple, Optional
 
 from repro.core.errors import EngageError
 from repro.core.instances import PartialInstallSpec, PartialInstance
+from repro.core.keys import ResourceKey
 from repro.core.registry import ResourceTypeRegistry
+from repro.config.engine import ComponentEntry
 from repro.config.hypergraph import (
     GraphNode,
     HyperEdge,
@@ -97,144 +102,180 @@ def split_by_machine(partial: PartialInstallSpec) -> Optional[MachineSplit]:
     return MachineSplit(instances, owner, members)
 
 
-class GroupGraph:
-    """GraphGen over one machine group's instances, and the component it
-    was last assembled into.
+def group_shape_key(instances: list[PartialInstance]) -> tuple:
+    """What GraphGen reads from one machine group, as a hashable value.
 
-    ``generated`` lists the group's generated (local) ids in creation
-    order and ``children`` maps a node to the ones its processing
-    created.  ``ids``, ``component`` and ``entry`` belong to the last
-    assembly: the global ids of ``generated``, the renamed component,
-    and whatever the caller keeps for it (the session's
-    :class:`~repro.config.engine.ComponentEntry`).
+    Each instance's key (by its exact version parts) and its container's
+    position in the group, then the order of the group's ids.  GraphGen
+    reads ids only to rank pinned candidates (the lowest id wins), so
+    two groups with equal keys, equal inside positions and equally
+    ordered ids generate the same graph up to names.  Explicit
+    configuration is not part of it: GraphGen only copies it.
+    """
+    position = {instance.id: i for i, instance in enumerate(instances)}
+    return (
+        tuple(
+            (
+                instance.key.name, instance.key.version.parts,
+                position.get(instance.inside_id),
+            )
+            for instance in instances
+        ),
+        tuple(sorted(range(len(instances)), key=lambda i: instances[i].id)),
+    )
+
+
+class GroupShape:
+    """GraphGen over one machine group, shared by every group of its
+    :func:`group_shape_key`.
+
+    The graph is the first such group's.  A node is known by its
+    position: the group's instances first, in specification order, then
+    the generated nodes in creation order.  ``keys`` are the nodes'
+    keys, ``children`` maps a node to the generated ones its processing
+    created, and ``entry`` is the
+    :class:`~repro.config.engine.ComponentEntry` of the group's
+    component, which the graph is, whole.
     """
 
-    __slots__ = (
-        "graph", "escaped", "generated", "children", "ids", "component",
-        "entry", "__weakref__",
-    )
+    __slots__ = ("graph", "escaped", "keys", "children", "entry",
+                 "__weakref__")
 
     def __init__(
         self,
         registry: ResourceTypeRegistry,
         instances: list[PartialInstance],
     ) -> None:
-        self.ids: Optional[tuple[str, ...]] = None
-        self.component: Optional[GraphComponent] = None
+        self.keys: tuple[ResourceKey, ...] = ()
+        self.children: dict[int, list[int]] = {}
         self.entry = None
         try:
             graph = generate_graph(registry, PartialInstallSpec(instances))
         except EngageError:
             # The global run raises the error a cold run raises.
             self.graph, self.escaped = None, True
-            self.generated, self.children = (), {}
             return
         self.graph = graph
         self.escaped = graph.escaped
-        self.generated = tuple(graph.materialised_by)
-        children: dict[str, list[str]] = {}
+        nodes = graph.nodes()
+        position = {node.instance_id: i for i, node in enumerate(nodes)}
+        self.keys = tuple(node.key for node in nodes)
         for child, parent in graph.materialised_by.items():
-            children.setdefault(parent, []).append(child)
-        self.children = children
+            self.children.setdefault(position[parent], []).append(
+                position[child]
+            )
+        node_ids = tuple(node.instance_id for node in nodes)
+        self.entry = ComponentEntry(GraphComponent(
+            index=0, graph=graph, node_ids=node_ids,
+            pinned=node_ids[:len(instances)],
+        ))
 
 
 def assemble(
-    machines: MachineSplit, groups: list[GroupGraph]
-) -> tuple[ResourceGraph, list[GraphComponent], list[bool]]:
-    """The global graph, its components and, per group, whether its
-    generated ids changed since the group was last assembled (its
-    component is then new; otherwise it is the one handed back last
-    time, re-indexed if it moved).
+    machines: MachineSplit, shapes: list[GroupShape]
+) -> tuple[list[tuple[str, ...]], list[tuple[int, int]]]:
+    """The generated nodes' global ids, per group in the group's local
+    order, and the global materialisation order as (group, position)
+    pairs: ``fresh_id`` replayed as one global run numbers the ids.
+
+    The global worklist is the partial nodes, then each node's
+    materialisations in turn; restricted to one group it is that
+    group's own worklist.
+    """
+    local = [0] * len(machines.instances)
+    for members in machines.members:
+        for position, i in enumerate(members):
+            local[i] = position
+    order = list(zip(machines.owner, local))
+    for index, position in order:  # the list grows as it is walked
+        kids = shapes[index].children.get(position)
+        if kids:
+            order.extend((index, kid) for kid in kids)
+    generated = order[len(local):]
+    taken = {instance.id for instance in machines.instances}
+    counts: dict[str, int] = {}
+    names: list[list[str]] = [[] for _ in shapes]
+    for index, position in generated:
+        new_id = fresh_id(counts, taken, shapes[index].keys[position])
+        taken.add(new_id)
+        names[index].append(new_id)
+    return [tuple(group) for group in names], generated
+
+
+def group_nodes(
+    machines: MachineSplit, shapes: list[GroupShape], index: int
+) -> tuple[list[ResourceKey], list[dict]]:
+    """Group ``index``'s node keys and explicit configuration, by
+    position: its instances' own, then the generated nodes' (which
+    have none)."""
+    instances = [machines.instances[i] for i in machines.members[index]]
+    keys = [instance.key for instance in instances]
+    keys += shapes[index].keys[len(instances):]
+    configs = [instance.config for instance in instances]
+    configs += [{}] * (len(keys) - len(instances))
+    return keys, configs
+
+
+def assembled(
+    machines: MachineSplit,
+    shapes: list[GroupShape],
+    names: list[tuple[str, ...]],
+    generated: list[tuple[int, int]],
+) -> tuple[ResourceGraph, list[GraphComponent]]:
+    """The global graph and its components, as one global run followed
+    by :func:`~repro.config.partition.partition_graph` builds them.
 
     Nodes come in partial order, then generated nodes in global
     materialisation order; edges by source, in node order.  Each group
     is one component, its nodes and edges in the group's local order.
     """
-    ids = [instance.id for instance in machines.instances]
-    # The global worklist: partial nodes, then each node's
-    # materialisations in turn (the list grows as it is walked).
-    order = list(zip(machines.owner, ids))
-    for index, node_id in order:
-        kids = groups[index].children.get(node_id)
-        if kids:
-            order.extend((index, kid) for kid in kids)
-    generated = order[len(ids):]
-    taken = set(ids)
-    counts: dict[str, int] = {}
-    names: list[list[str]] = [[] for _ in groups]
-    global_ids: list[str] = []
-    for index, local_id in generated:
-        key = groups[index].graph.node(local_id).key
-        new_id = fresh_id(counts, taken, key)
-        taken.add(new_id)
-        names[index].append(new_id)
-        global_ids.append(new_id)
-
-    components: list[GraphComponent] = []
-    changed: list[bool] = []
-    for index, group in enumerate(groups):
-        group_ids = tuple(names[index])
-        fresh = group.component is None or group.ids != group_ids
-        if fresh:
-            group.ids = group_ids
-            group.component = _renamed(index, group, group_ids)
-            group.entry = None
-        elif group.component.index != index:
-            group.component = dataclasses.replace(
-                group.component, index=index
-            )
-        components.append(group.component)
-        changed.append(fresh)
-
+    components = [
+        _renamed(machines, shapes, names, index)
+        for index in range(len(shapes))
+    ]
     graph = ResourceGraph()
     sources = [
-        (components[index].graph, node_id)
-        for index, node_id in zip(machines.owner, ids)
+        (components[index].graph, instance.id)
+        for index, instance in zip(machines.owner, machines.instances)
     ]
     sources += [
-        (components[index].graph, new_id)
-        for (index, _local), new_id in zip(generated, global_ids)
+        (components[index].graph, components[index].node_ids[position])
+        for index, position in generated
     ]
     for component_graph, node_id in sources:
         graph.add_node(component_graph.node(node_id))
     for component_graph, node_id in sources:
         for edge in component_graph.edges_from(node_id):
             graph.add_edge(edge)
-    return graph, components, changed
+    return graph, components
 
 
 def _renamed(
-    index: int, group: GroupGraph, group_ids: tuple[str, ...]
+    machines: MachineSplit,
+    shapes: list[GroupShape],
+    names: list[tuple[str, ...]],
+    index: int,
 ) -> GraphComponent:
-    """``group``'s local graph as component ``index``, its generated
-    nodes renamed to ``group_ids``; the local graph itself when no id
-    changes."""
-    local = group.graph
-    names = {
-        old: new for old, new in zip(group.generated, group_ids) if old != new
-    }
-    if not names:
-        graph = local
-    else:
-        graph = ResourceGraph()
-        for node in local.nodes():
-            if not node.from_partial:
-                node = GraphNode(
-                    instance_id=names.get(node.instance_id, node.instance_id),
-                    key=node.key,
-                    inside_id=names.get(node.inside_id, node.inside_id),
-                )
-            graph.add_node(node)
-        for edge in local.edges():
-            source = names.get(edge.source_id, edge.source_id)
-            targets = tuple(names.get(t, t) for t in edge.targets)
-            if source != edge.source_id or targets != edge.targets:
-                edge = HyperEdge(source, edge.kind, targets, edge.alternatives)
-            graph.add_edge(edge)
-    nodes = graph.nodes()
+    """Group ``index``'s shape graph as component ``index``, under the
+    group's own ids, keys and explicit configuration."""
+    local = shapes[index].graph
+    members = machines.members[index]
+    ids = tuple(machines.instances[i].id for i in members) + names[index]
+    keys, configs = group_nodes(machines, shapes, index)
+    nodes = local.nodes()
+    rename = {node.instance_id: new for node, new in zip(nodes, ids)}
+    graph = ResourceGraph()
+    for node, node_id, key, config in zip(nodes, ids, keys, configs):
+        graph.add_node(GraphNode(
+            node_id, key, node.from_partial, rename.get(node.inside_id),
+            dict(config),
+        ))
+    for edge in local.edges():
+        graph.add_edge(HyperEdge(
+            rename[edge.source_id], edge.kind,
+            tuple(rename[target] for target in edge.targets),
+            edge.alternatives,
+        ))
     return GraphComponent(
-        index=index,
-        graph=graph,
-        node_ids=tuple(node.instance_id for node in nodes),
-        pinned=tuple(node.instance_id for node in nodes if node.from_partial),
+        index=index, graph=graph, node_ids=ids, pinned=ids[:len(members)]
     )

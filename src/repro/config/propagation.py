@@ -19,7 +19,7 @@ the instance, so it is gathered once per key into a :class:`TypePlan`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from repro.core.errors import ConfigurationError, PortTypeError
 from repro.core.instances import (
@@ -34,7 +34,6 @@ from repro.core.ports import Binding, Port, neutral_value
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.resource_type import (
     ConfigPort,
-    DependencyKind,
     OutputPort,
     ResourceType,
 )
@@ -105,7 +104,93 @@ def propagate(
     ``deployed``/``choices`` come from
     :func:`repro.config.constraints.selected_nodes`.
     """
-    links = _build_links(graph, deployed, choices)
+    nodes = graph.nodes()
+    return propagate_links(
+        registry,
+        [node.instance_id for node in nodes],
+        [node.key for node in nodes],
+        [node.explicit_config for node in nodes],
+        deployed,
+        link_plan(graph, deployed, choices),
+    )
+
+
+class LinkStep(NamedTuple):
+    """One resolved dependency of a node, its target by node position:
+    the link, less the ids, that propagation resolves it to."""
+
+    kind: str  # "inside" | "environment" | "peer"
+    target: int
+    port_mapping: tuple[tuple[str, str], ...]
+    reverse_mapping: tuple[tuple[str, str], ...]
+
+
+def link_plan(
+    graph: ResourceGraph,
+    deployed: Iterable[str],
+    choices: dict[tuple[str, int], str],
+) -> dict[int, tuple[LinkStep, ...]]:
+    """Each deployed node's chosen edges, by node position: which port
+    feeds which.  Positions make the plan the same for every component
+    of one shape."""
+    position = {node.instance_id: i for i, node in enumerate(graph.nodes())}
+    plan: dict[int, tuple[LinkStep, ...]] = {}
+    for node_id in deployed:
+        steps = []
+        for index, edge in enumerate(graph.edges_from(node_id)):
+            target_id = choices[(node_id, index)]
+            alternative = edge.alternatives[edge.targets.index(target_id)]
+            steps.append(LinkStep(
+                edge.kind.value, position[target_id],
+                alternative.port_mapping.entries,
+                alternative.reverse_mapping.entries,
+            ))
+        plan[position[node_id]] = tuple(steps)
+    return plan
+
+
+def propagate_links(
+    registry: ResourceTypeRegistry,
+    ids: Sequence[str],
+    keys: Sequence[ResourceKey],
+    configs: Sequence[dict[str, Any]],
+    deployed: set[str],
+    link_steps: dict[int, tuple[LinkStep, ...]],
+) -> InstallSpec:
+    """The full specification of one component whose node at position
+    ``i`` is ``ids[i]``, of ``keys[i]``, with explicit configuration
+    ``configs[i]``; ``link_steps`` is its :func:`link_plan`.
+
+    The values are this component's own (hostnames and explicit
+    configuration differ between components of one shape), and so is
+    every order taken over id strings: the walk below is Kahn's order
+    over ``sorted(deployed)``.
+    """
+    where = {ids[p]: p for p in link_steps}
+    links: dict[str, _Links] = {}
+    for p, steps in link_steps.items():
+        inside = None
+        environment: list[DependencyLink] = []
+        peers: list[DependencyLink] = []
+        for kind, target, port_mapping, reverse_mapping in steps:
+            link = DependencyLink(
+                kind=kind,
+                target=InstanceRef(ids[target], keys[target]),
+                port_mapping=port_mapping,
+                reverse_mapping=reverse_mapping,
+            )
+            if kind == "inside":
+                inside = link
+            elif kind == "environment":
+                environment.append(link)
+            else:
+                peers.append(link)
+        outgoing = tuple(environment + peers)
+        if inside is not None:
+            outgoing = (inside,) + outgoing
+        links[ids[p]] = _Links(
+            inside, tuple(environment), tuple(peers), outgoing
+        )
     order = kahn_order(
         {
             node_id: [link.target.id for link in links[node_id].all_links]
@@ -117,11 +202,9 @@ def propagate(
     plans: dict[str, TypePlan] = {}
     static_outputs: dict[str, dict[str, Any]] = {}
     for node_id in order:
-        node = graph.node(node_id)
-        plans[node_id] = plan = type_plan(registry, node.key)
-        static_outputs[node_id] = _evaluate_static_outputs(
-            plan, node.explicit_config
-        )
+        p = where[node_id]
+        plans[node_id] = plan = type_plan(registry, keys[p])
+        static_outputs[node_id] = _evaluate_static_outputs(plan, configs[p])
 
     # Reverse mappings: dependents push static outputs into providers.
     reverse_inputs: dict[str, dict[str, Any]] = {n: {} for n in deployed}
@@ -135,7 +218,7 @@ def propagate(
     # Topological pass: inputs <- provider outputs; configs; outputs.
     instances: dict[str, ResourceInstance] = {}
     for node_id in order:
-        node = graph.node(node_id)
+        p = where[node_id]
         plan = plans[node_id]
         resource_type = plan.resource_type
         inside, environment, peers, all_links = links[node_id]
@@ -154,12 +237,12 @@ def propagate(
                         f"{output_name!r}"
                     )
                 inputs[input_name] = provider.outputs[output_name]
-        config = _evaluate_configs(plan, inputs, node.explicit_config)
+        config = _evaluate_configs(plan, inputs, configs[p])
         outputs = _evaluate_outputs(resource_type, inputs, config)
         _typecheck_values(resource_type, node_id, inputs, config, outputs)
         instances[node_id] = ResourceInstance(
             id=node_id,
-            key=node.key,
+            key=keys[p],
             config=config,
             inputs=inputs,
             outputs=outputs,
@@ -179,41 +262,6 @@ class _Links(NamedTuple):
     peers: tuple[DependencyLink, ...]
     #: inside, then environment, then peers: ``ResourceInstance.links()``.
     all_links: tuple[DependencyLink, ...]
-
-
-def _build_links(
-    graph: ResourceGraph,
-    deployed: set[str],
-    choices: dict[tuple[str, int], str],
-) -> dict[str, _Links]:
-    """Resolve each deployed node's edges to concrete dependency links."""
-    links: dict[str, _Links] = {}
-    for node_id in deployed:
-        inside = None
-        environment: list[DependencyLink] = []
-        peers: list[DependencyLink] = []
-        for index, edge in enumerate(graph.edges_from(node_id)):
-            target_id = choices[(node_id, index)]
-            position = edge.targets.index(target_id)
-            alternative = edge.alternatives[position]
-            link = DependencyLink(
-                kind=edge.kind.value,
-                target=InstanceRef(target_id, graph.node(target_id).key),
-                port_mapping=alternative.port_mapping.entries,
-                reverse_mapping=alternative.reverse_mapping.entries,
-            )
-            if edge.kind == DependencyKind.INSIDE:
-                inside = link
-            elif edge.kind == DependencyKind.ENVIRONMENT:
-                environment.append(link)
-            else:
-                peers.append(link)
-        environment_links, peer_links = tuple(environment), tuple(peers)
-        outgoing = environment_links + peer_links
-        if inside is not None:
-            outgoing = (inside,) + outgoing
-        links[node_id] = _Links(inside, environment_links, peer_links, outgoing)
-    return links
 
 
 def _evaluate_static_outputs(

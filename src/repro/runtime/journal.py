@@ -56,11 +56,6 @@ class JournalEntry:
             "timestamp": self.timestamp,
         }
 
-    @classmethod
-    def from_payload(cls, payload: Any) -> "JournalEntry":
-        read(payload, ENTRY, of="journal entry", error=RuntimeEngageError)
-        return cls(*map(payload.__getitem__, ENTRY))
-
 
 #: What :meth:`JournalEntry.to_payload` writes, in field order.
 ENTRY = {

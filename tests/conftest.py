@@ -7,7 +7,7 @@ import functools
 
 import pytest
 
-from repro.config import ConfigurationEngine, spec_problems
+from repro.config import session, spec_problems
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.library import (
     standard_drivers,
@@ -24,19 +24,19 @@ def configure_output_is_well_typed():
     and propagation's per-value type check make that output well-typed
     by construction, and the checker guards the specs a bundle or state
     file brings in.  This is the net under that claim.
-    ``ConfigurationEngine.run`` is the pipeline both the engine and a
+    ``session.configure_call`` is the pipeline both the engine and a
     session answer through, so reused session answers are checked too.
     """
-    run = ConfigurationEngine.run
+    call = session.configure_call
 
-    @functools.wraps(run)
-    def checked_run(self, *args, **kwargs):
-        result = run(self, *args, **kwargs)
-        assert spec_problems(self.registry, result.spec) == []
+    @functools.wraps(call)
+    def checked_call(registry, *args, **kwargs):
+        result = call(registry, *args, **kwargs)
+        assert spec_problems(registry, result.spec) == []
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ConfigurationEngine, "run", checked_run)
+        patch.setattr(session, "configure_call", checked_call)
         yield
 
 

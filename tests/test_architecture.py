@@ -76,12 +76,10 @@ def test_configure_has_one_behaviour():
             ["registry", "partition"],
         ("engine.py", "ConfigurationEngine.configure"): ["partial"],
         ("session.py", "ConfigurationSession.configure"): ["partial"],
-        ("engine.py", "ConfigurationEngine.components"):
-            ["partial", "timings"],
-        ("engine.py", "ConfigurationEngine.run"):
-            ["graph", "entries", "timings", "cache"],
-        ("session.py", "content_key"): ["component"],
-        ("engine.py", "configure_component"): ["registry", "entry"],
+        ("session.py", "configure_call"):
+            ["registry", "partition", "memo", "partial", "tracer"],
+        ("session.py", "shape_key"): ["component"],
+        ("engine.py", "configure_component"): ["registry", "slot", "nodes"],
         ("engine.py", "raise_unsatisfiable"): ["graph", "entries"],
         ("explain.py", "explain_unsat"): ["graph", "entries"],
         ("constraints.py", "generate_constraints"): ["graph", "encoding"],

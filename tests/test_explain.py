@@ -124,7 +124,7 @@ class TestExplainUnsat:
         """The graph that proved UNSAT is the one diagnosed: GraphGen
         runs once per cold configure and not at all on a session graph
         hit (it used to run again inside ``explain_unsat``)."""
-        from repro.config import engine, explain, hypergraph
+        from repro.config import explain, groups, hypergraph, session
 
         calls = []
 
@@ -132,8 +132,8 @@ class TestExplainUnsat:
             calls.append(kwargs)
             return hypergraph.generate_graph(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "generate_graph", counting)
-        monkeypatch.setattr(explain, "generate_graph", counting)
+        for module in (session, groups, explain):
+            monkeypatch.setattr(module, "generate_graph", counting)
         partial = pinned_java_conflict(openmrs_partial)
         with pytest.raises(UnsatisfiableError) as cold:
             ConfigurationEngine(registry).configure(partial)
@@ -427,7 +427,9 @@ class TestEncodeOnce:
     def test_one_partition_one_encoding_per_component(
         self, monkeypatch, spec
     ):
-        from repro.config import constraints, engine, explain, partition
+        from repro.config import (
+            constraints, engine, explain, partition, session,
+        )
 
         partial = hub_mutant(4, 3) if spec == "hub" else two_conflicts(1)
         graph = generate_graph(REGISTRY, partial)
@@ -442,8 +444,9 @@ class TestEncodeOnce:
             encoded.append(tuple(node.instance_id for node in graph.nodes()))
             return constraints.generate_constraints(graph, *args, **kwargs)
 
-        for module in (engine, explain):
+        for module in (session, explain):
             monkeypatch.setattr(module, "partition_graph", counting_partition)
+        for module in (engine, explain):
             monkeypatch.setattr(module, "generate_constraints",
                                 counting_encode)
         front_ends = [

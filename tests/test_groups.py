@@ -18,7 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine, ConfigurationSession
-from repro.config.groups import GroupGraph, assemble, split_by_machine
+from repro.config.groups import (
+    GroupShape,
+    assemble,
+    assembled,
+    split_by_machine,
+)
 from repro.config.hypergraph import generate_graph
 from repro.config.partition import partition_graph
 from repro.core import (
@@ -47,14 +52,14 @@ def grouped(registry, partial):
     machines = split_by_machine(partial)
     if machines is None:
         return None
-    groups = [
-        GroupGraph(registry, [machines.instances[i] for i in members])
+    shapes = [
+        GroupShape(registry, [machines.instances[i] for i in members])
         for members in machines.members
     ]
-    if any(group.escaped for group in groups):
+    if any(shape.escaped for shape in shapes):
         return None
-    graph, components, _changed = assemble(machines, groups)
-    return graph, components
+    names, generated = assemble(machines, shapes)
+    return assembled(machines, shapes, names, generated)
 
 
 def nodes_of(graph):
@@ -296,7 +301,7 @@ class TestPinnedCases:
         ])
         assert not check_grouped_is_global(registry, partial)
         machines = split_by_machine(partial)
-        local = GroupGraph(
+        local = GroupShape(
             registry, [machines.instances[i] for i in machines.members[3]]
         )
         assert local.escaped

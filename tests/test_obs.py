@@ -27,7 +27,6 @@ from repro.runtime import (
     MONIT_KEY,
     DeploymentEngine,
     DeploymentJournal,
-    JournalEntry,
     ReconcileController,
     RetryPolicy,
     add_monitoring,
@@ -569,14 +568,19 @@ class TestJournalPartitions:
             ("target", {"state": "active"}),
         ],
     )
-    def test_from_payload_rejects_non_string_fields(self, field, value):
-        payload = {
-            "instance_id": "a", "action": "install",
+    def test_from_payload_rejects_non_string_fields(
+        self, field, value, registry, infrastructure, openmrs_partial
+    ):
+        spec = self._spec(registry, infrastructure, openmrs_partial)
+        entry = {
+            "instance_id": "mysql", "action": "install",
             "source": "initial", "target": "installed", "timestamp": 1.0,
         }
-        payload[field] = value
+        entry[field] = value
         with pytest.raises(RuntimeEngageError, match="malformed journal"):
-            JournalEntry.from_payload(payload)
+            DeploymentJournal.from_payload(
+                spec, {"target": "active", "entries": [entry]}
+            )
 
     def test_malformed_entry_inside_state2_payload(
         self, registry, infrastructure, openmrs_partial

@@ -275,7 +275,7 @@ class TestMonolithicIsTheOneComponentCase:
             assert part.constraint_stats == mono.constraint_stats
 
     def test_monolithic_never_partitions(self, monkeypatch):
-        from repro.config import engine, partition
+        from repro.config import partition, session as session_module
 
         calls = []
 
@@ -283,7 +283,7 @@ class TestMonolithicIsTheOneComponentCase:
             calls.append(graph)
             return partition.partition_graph(graph)
 
-        monkeypatch.setattr(engine, "partition_graph", counting)
+        monkeypatch.setattr(session_module, "partition_graph", counting)
         ConfigurationEngine(REGISTRY).configure(figure2())
         session = ConfigurationSession(REGISTRY)
         session.configure(figure2())

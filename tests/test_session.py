@@ -12,12 +12,17 @@ from repro.config import (
     ConfigurationSession,
     canonical_form,
 )
-from repro.config.engine import ComponentEntry, configure_component
+from repro.config.engine import (
+    Answer,
+    ComponentEntry,
+    Slot,
+    configure_component,
+)
 from repro.config.fingerprint import fingerprint_form
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import whole_graph_component
 from repro.config import session as session_module
-from repro.config.session import content_key
+from repro.config.session import shape_key
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import UnsatisfiableError
 from repro.dsl import full_to_json, load_resources
@@ -295,7 +300,7 @@ class TestOneEncoding:
 
     def test_pinned_flag_splits_content(self):
         """Components that differ only in whether one node is pinned get
-        different content keys, so they never share an entry (whose unit
+        different shape keys, so they never share an entry (whose unit
         facts would answer the one with the other's pins)."""
         registry = standard_registry()
         graph = generate_graph(registry, figure2())
@@ -313,13 +318,20 @@ class TestOneEncoding:
             return whole_graph_component(twin)
 
         same, flipped = copy(()), copy({"jdk"})
-        original = content_key(whole_graph_component(graph))
-        assert content_key(same) == original
-        assert content_key(flipped) != original
-        chosen = [
-            configure_component(registry, ComponentEntry(component)).deployed
-            for component in (same, flipped)
-        ]
+        original = shape_key(whole_graph_component(graph))
+        assert shape_key(same) == original
+        assert shape_key(flipped) != original
+
+        def deployed(component):
+            nodes = component.graph.nodes()
+            slot = Slot(0, ComponentEntry(component), component.node_ids,
+                        Answer())
+            return configure_component(registry, slot, lambda _index: (
+                [node.key for node in nodes],
+                [node.explicit_config for node in nodes],
+            )).deployed
+
+        chosen = [deployed(component) for component in (same, flipped)]
         assert "jre" in chosen[0] and "jdk" not in chosen[0]
         assert "jdk" in chosen[1] and "jre" not in chosen[1]
 
@@ -549,19 +561,25 @@ def django_fleet(replicas, machines=8):
 
 class TestComponentReuse:
     """The counters a +k step must show, whatever the clock says: one
-    component per machine, and only the machines that gained a replica
-    are encoded, solved, propagated and typechecked again."""
+    component per machine, only the machines that gained a replica are
+    propagated again, and only a shape no machine had before is
+    generated, encoded and solved."""
 
     @pytest.mark.parametrize("added", [1, 3, 8])
     def test_step_builds_one_solver_per_changed_machine(self, added):
         session = ConfigurationSession(
             standard_registry(), partition=True
         )
-        session.configure(django_fleet(64))
+        first = session.configure(django_fleet(64)).cache
+        # Eight machines of eight replicas: one shape.
+        assert (first.shapes, first.solvers_built, first.encodes) == (1, 1, 1)
         cache = session.configure(django_fleet(64 + added)).cache
         assert not cache.graph_hit
-        assert cache.solvers_built == added
+        # The machines that gained a replica share the one new shape, so
+        # they build one solver between them.
+        assert cache.solvers_built == cache.encodes == cache.solves == 1
         assert cache.solvers_reused == 8 - added
+        assert cache.shapes == (1 if added == 8 else 2)
         assert cache.components_total == 8
         assert cache.components_reused == 8 - added
 
@@ -573,15 +591,17 @@ class TestComponentReuse:
             standard_registry(), partition=True
         )
         first = session.configure(django_fleet(64)).cache
-        assert (first.groups_generated, first.groups_reused) == (8, 0)
+        assert (first.groups_generated, first.groups_reused) == (1, 7)
+        assert first.graph_runs == 1
         cache = session.configure(django_fleet(64 + step)).cache
         k = abs(step)
-        assert (cache.groups_generated, cache.groups_reused) == (k, 8 - k)
+        # The k changed machines share one new shape, generated once.
+        assert (cache.groups_generated, cache.groups_reused) == (1, 7)
+        assert cache.graph_runs == 1
         assert cache.components_reused == 8 - k
         stats = session.stats
-        assert (stats.groups_generated, stats.groups_reused) == (
-            8 + k, 8 - k
-        )
+        assert (stats.groups_generated, stats.groups_reused) == (2, 14)
+        assert stats.graph_runs == 2
 
     def test_hub_spec_takes_the_global_path(self):
         # Every Celery peers to the one broker on host000, so no other
@@ -618,14 +638,16 @@ class TestComponentReuse:
         ]
         # 72 -> 69 returns three machines to nine replicas, which the
         # 67- and 72-replica specs still hold: nothing is rebuilt.
-        assert [cache.solvers_built for cache in walk] == [8, 1, 2, 5, 0]
+        # Eight and nine replicas per machine are the only shapes.
+        assert [cache.solvers_built for cache in walk] == [1, 1, 0, 0, 0]
         assert [cache.components_reused for cache in walk] == [0, 7, 6, 3, 8]
         last = walk[-1]
         assert not last.graph_hit  # a spec never seen ...
         assert last.spec_reused  # ... made of kept components
         stats = session.stats
         assert (stats.components_reused, stats.components_total) == (24, 40)
-        assert (stats.solver_builds, stats.solver_reuses) == (16, 24)
+        assert (stats.solver_builds, stats.solver_reuses) == (2, 31)
+        assert (stats.group_shapes, stats.encodings) == (2, 2)
         expected = ConfigurationEngine(
             registry, partition=True
         ).configure(django_fleet(69))
@@ -662,7 +684,7 @@ class TestComponentReuse:
             gc.enable()
         assert paused == walk()
         if max_entries > 1:
-            assert paused == [(8, 0), (1, 7), (2, 6), (5, 3), (0, 8)]
+            assert paused == [(1, 0), (1, 7), (0, 6), (0, 3), (0, 8)]
 
     def test_graph_hit_resolves_no_components(self):
         session = ConfigurationSession(
@@ -707,10 +729,11 @@ class TestComponentReuse:
             standard_registry(), partition=True
         )
         session.configure(django_fleet(64))
-        (owner,) = session._entries.values()
+        (owner,) = session._memo.entries.values()
         grown, untouched = (
-            weakref.ref(owner.entries[0]), weakref.ref(owner.entries[1])
+            weakref.ref(owner.answers[0]), weakref.ref(owner.answers[1])
         )
+        shape = weakref.ref(owner.groups[0])
         del owner
         # 65 replicas evicts the 64-replica spec but lists seven of its
         # components: those live on, host000's old content does not.
@@ -719,17 +742,19 @@ class TestComponentReuse:
         assert len(session) == 1
         assert grown() is None
         assert untouched() is not None
+        assert shape() is not None
         session.configure(figure2())  # shares nothing
         gc.collect()
         assert untouched() is None
-        assert session.configure(django_fleet(65)).cache.solvers_built == 8
+        assert shape() is None
+        assert session.configure(django_fleet(65)).cache.solvers_built == 2
 
     def test_registry_mutation_drops_kept_components(self):
         registry = standard_registry()
         session = ConfigurationSession(registry, partition=True)
         session.configure(django_fleet(64))
-        (owner,) = session._entries.values()
-        kept = weakref.ref(owner.entries[0])
+        (owner,) = session._memo.entries.values()
+        kept = weakref.ref(owner.answers[0])
         del owner
         load_resources(
             'resource "Fresh-Widget" 1.0 driver "null" {\n'
@@ -742,7 +767,7 @@ class TestComponentReuse:
         cache = session.configure(django_fleet(65)).cache
         gc.collect()
         assert kept() is None
-        assert (cache.solvers_built, cache.components_reused) == (8, 0)
+        assert (cache.solvers_built, cache.components_reused) == (2, 0)
 
     def test_flush_drops_kept_components(self):
         session = ConfigurationSession(
@@ -750,4 +775,4 @@ class TestComponentReuse:
         )
         session.configure(django_fleet(64))
         session.flush()
-        assert session.configure(django_fleet(65)).cache.solvers_built == 8
+        assert session.configure(django_fleet(65)).cache.solvers_built == 2
