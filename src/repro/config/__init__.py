@@ -25,7 +25,6 @@ from repro.config.hypergraph import (
     generate_graph,
     lower_alternatives,
 )
-from repro.config.fingerprint import canonical_form
 from repro.config.propagation import propagate
 from repro.config.session import ConfigurationSession, SessionStats
 from repro.config.typecheck import check_spec, spec_problems
@@ -42,7 +41,6 @@ __all__ = [
     "SessionCacheInfo",
     "SessionStats",
     "UnsatExplanation",
-    "canonical_form",
     "check_spec",
     "explain_message",
     "explain_unsat",

@@ -10,24 +10,20 @@ This module holds what one component goes through:
 :func:`configure_component` answers a single component from its
 shape's :class:`ComponentEntry` (encode, solve, canonical model, decode
 and link plan, once per shape) and propagates the component's own
-values.  :func:`repro.config.session.configure_call` maps it over a
-spec's components, merges, aggregates the stats and emits the trace;
-:class:`ConfigurationEngine` is that call with an empty memo, and
+values.  :func:`repro.config.session.configure_call` resolves a spec to
+groups and maps it over their components; :class:`ConfigurationEngine`
+is that call with an empty memo, and
 :class:`~repro.config.session.ConfigurationSession` the same call with
-the memo it keeps.  Monolithic configuration is the one-component case
-of the same code.
+the memo it keeps.  Monolithic configuration is the degenerate case of
+the same code: one group holding every instance, as one component.
 
 The pipeline has one behaviour: pinned instances are unit clauses, the
 exactly-one constraints use the pairwise encoding, and an unsatisfiable
 result carries its minimal-conflict diagnosis.  The engine does not
 run the static checker (:mod:`repro.config.typecheck`) on its own
-output: Theorem 1 and propagation's per-value type check make that
-output well-typed by construction, so the checker guards the specs
-that arrive from outside instead (:func:`repro.runtime.system_from_payload`).
-
-Every result carries :class:`PhaseTimings` so callers (benchmarks, the
-CLI) can see where a query spent its time without re-instrumenting the
-pipeline.
+output, which Theorem 1 and propagation's per-value type check make
+well-typed: the checker guards the specs that arrive from outside
+(:func:`repro.runtime.system_from_payload`).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.core.collector import collector_paused
-from repro.core.errors import ConfigurationError, UnsatisfiableError
+from repro.core.errors import ConfigurationError
 from repro.core.instances import (
     InstallSpec,
     PartialInstallSpec,
@@ -88,12 +84,12 @@ class PhaseTimings:
 class SessionCacheInfo:
     """Per-call cache outcome of a ``ConfigurationSession`` call.
 
-    The session fills the fingerprint, the graph verdict and the
-    component counts; the pipeline fills the rest from what each
-    component reported.
+    The session fills the graph verdict and the group and component
+    counts; the pipeline fills the rest from what each component
+    reported.
     """
 
-    fingerprint: str = ""
+    #: The session held this very spec, so nothing was resolved.
     graph_hit: bool = False
     #: No component had to be encoded.
     cnf_hit: bool = False
@@ -106,18 +102,17 @@ class SessionCacheInfo:
     #: components answered by a solver kept from an earlier call.
     solvers_built: int = 0
     solvers_reused: int = 0
-    #: On a graph miss: the components of the new graph / those whose
-    #: content an earlier spec had already configured (both 0 on a hit,
-    #: which resolves nothing).
+    #: On a graph miss (a hit resolves nothing, so all four are 0): the
+    #: components / those whose group content an earlier spec had
+    #: already configured; the group shapes generated (machine groups
+    #: met before an escape among them) / the call's groups answered by
+    #: a shape already held.
     components_total: int = 0
     components_reused: int = 0
-    #: On a graph miss: the machine groups whose shape had to be
-    #: generated / those answered by a shape already held (0 when the
-    #: spec took the global path).
     groups_generated: int = 0
     groups_reused: int = 0
-    #: Work done by this call: GraphGen runs (one per new group shape,
-    #: one for a whole spec), formulas encoded, solver runs.
+    #: Work done by this call: GraphGen runs (one per new group shape),
+    #: formulas encoded, solver runs.
     graph_runs: int = 0
     encodes: int = 0
     solves: int = 0
@@ -190,16 +185,14 @@ class Decoded(NamedTuple):
 class ComponentEntry:
     """One component *shape*'s encoding, solver and decoded answer.
 
-    A shape is what encode, solve and decode read: the nodes' keys and
-    pinned flags and the edges, with every id replaced by its node's
-    position (:func:`~repro.config.session.shape_key`).  ``component``
-    is the first component of the shape a call met; every other one
-    differs only in its ids and explicit configuration, so the formula
-    (variables numbered by position), the canonical model and the link
-    plan are computed once on ``component`` and renamed onto the rest.
-    An entry's unit facts never change (the shape says which nodes are
-    pinned), so its :class:`CdclSolver` -- learned clauses, activities,
-    saved phases -- can answer every later call as it stands.
+    Entries are held by their group's
+    :class:`~repro.config.groups.GroupShape`: ``component`` is that of
+    the first group of the shape, and every other one differs only in
+    its ids and explicit configuration, so the formula (variables
+    numbered by position), the canonical model and the link plan are
+    computed once on ``component`` and renamed onto the rest.  The unit
+    facts never change, so the :class:`CdclSolver` -- learned clauses,
+    activities, saved phases -- answers every later call as it stands.
     """
 
     __slots__ = (
@@ -222,14 +215,15 @@ class Answer:
     """A component's propagated instances, in install order, once known.
 
     The instances are frozen dataclasses; a session keeps the holder per
-    component content and hands the same instances to every spec that
-    has that component, inside a fresh container.
+    component ``content`` and hands the same instances to every spec
+    that has that component, inside a fresh container.
     """
 
-    __slots__ = ("instances", "__weakref__")
+    __slots__ = ("instances", "content", "__weakref__")
 
-    def __init__(self) -> None:
+    def __init__(self, content: tuple = ()) -> None:
         self.instances: Optional[tuple[ResourceInstance, ...]] = None
+        self.content = content
 
 
 class Slot(NamedTuple):
@@ -346,24 +340,6 @@ def _decode(entry: ComponentEntry) -> Decoded:
     )
 
 
-def raise_unsatisfiable(
-    graph: ResourceGraph, entries: list[ComponentEntry]
-) -> None:
-    """Raise the Theorem 1 :class:`UnsatisfiableError` with the
-    minimal-conflict explanation :mod:`repro.config.explain` computes
-    over ``graph`` from the call's component ``entries``."""
-    from repro.config.explain import explain_unsat
-
-    message = (
-        "no full installation specification extends the partial "
-        f"specification (over {len(graph)} candidate instances)"
-    )
-    explanation = explain_unsat(graph, entries)
-    if explanation is not None:
-        message += "\n" + explanation.message(graph)
-    raise UnsatisfiableError(message)
-
-
 def emit_config_trace(tracer, timings, partition=None) -> None:
     """Emit one span per pipeline phase onto ``tracer``'s ``config`` lane.
 
@@ -422,14 +398,12 @@ class ConfigurationEngine:
     """Expands partial installation specifications to full ones.
 
     A call is a :class:`~repro.config.session.ConfigurationSession` call
-    with an empty memo that is dropped afterwards: the same pipeline, so
-    the components of one shape share GraphGen (per machine group),
-    encode, solve and decode within the call, and nothing survives it.
-    With ``partition=True`` the pipeline configures the hypergraph's
-    connected components one by one (:mod:`repro.config.partition`);
-    the resulting specification is bit-identical to the monolithic one.
-    The registry's well-formedness is checked up front and ``tracer``
-    receives the phase spans; nothing else is settable.
+    with an empty memo that is dropped afterwards: the machine groups of
+    one shape share GraphGen, encode, solve and decode within the call,
+    and nothing survives it.  With ``partition=True`` the pipeline
+    configures machine groups, or the hypergraph's connected components,
+    one by one; the specification is bit-identical to the monolithic
+    one.  ``tracer`` receives the phase spans.
     """
 
     def __init__(

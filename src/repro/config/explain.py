@@ -35,19 +35,15 @@ class UnsatExplanation:
         default_factory=list
     )
 
-    def message(self, graph: Optional[ResourceGraph] = None) -> str:
+    def message(self, graph: ResourceGraph) -> str:
         if not self.conflicting_ids:
             return (
                 "the resource library itself admits no deployment of the "
                 "requested components"
             )
-        if graph is not None:
-            named = [
-                f"{iid!r} ({graph.node(iid).key})"
-                for iid in self.conflicting_ids
-            ]
-        else:
-            named = [repr(iid) for iid in self.conflicting_ids]
+        named = [
+            f"{iid!r} ({graph.node(iid).key})" for iid in self.conflicting_ids
+        ]
         lines = [
             "these pinned instances cannot be deployed together: "
             + ", ".join(named)
@@ -155,16 +151,11 @@ def explain_unsat(
             cores[index] = trial
         del kept[index][candidate]
 
-    return _finish(graph, sorted(iid for ids in kept for iid in ids))
-
-
-def _finish(graph: ResourceGraph, core: list[str]) -> UnsatExplanation:
-    related: list[tuple[str, tuple[str, ...]]] = []
-    core_set = set(core)
-    for edge in graph.edges():
-        if len(edge.targets) > 1 and core_set & set(edge.targets):
-            related.append((edge.source_id, edge.targets))
-    return UnsatExplanation(conflicting_ids=core, related_edges=related)
+    core = {iid for ids in kept for iid in ids}
+    return UnsatExplanation(sorted(core), [
+        (edge.source_id, edge.targets) for edge in graph.edges()
+        if len(edge.targets) > 1 and not core.isdisjoint(edge.targets)
+    ])
 
 
 def explain_message(

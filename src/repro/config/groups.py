@@ -1,47 +1,35 @@
-"""GraphGen per machine group, assembled into the global graph.
+"""GraphGen per group, assembled into the global graph.
 
-A **machine group** is one machine of the partial specification (an
-instance with no container) plus every partial instance whose inside
-chain ends on it, in specification order.  :class:`GroupShape` runs the
-unchanged :func:`~repro.config.hypergraph.generate_graph` on one group's
-instances alone, and every group of the same :func:`group_shape_key`
-reuses that run under its own names.  :func:`assemble` numbers the
-generated nodes as one global run would, and :func:`assembled` puts the
-groups back together as the graph, and the connected components, that
-one global run followed by
-:func:`~repro.config.partition.partition_graph` would have built.  A
-memo (:mod:`repro.config.session`) keeps the shapes, so a fleet of
-replicated stacks runs GraphGen once per shape, and a day-2 step only
-for a shape no machine had before.
+A configure call is a list of groups.  A **machine group** is one
+machine of the partial specification (an instance with no container)
+plus every partial instance whose inside chain ends on it, in
+specification order; the **degenerate group** is the whole spec.  A
+:class:`GroupShape` is the unchanged
+:func:`~repro.config.hypergraph.generate_graph` run over one group's
+instances alone, which every group of the same :func:`group_shape_key`
+reuses under its own names.  :func:`assembled` puts the groups back
+together as the graph, and the connected components, that one global
+run followed by :func:`~repro.config.partition.partition_graph` would
+have built.
 
 The assembly is exact when no group **escaped** (see
-:attr:`~repro.config.hypergraph.ResourceGraph.escaped`), because of
-three facts:
-
-* without an escape, every query a node's processing makes reads only
-  the dependent's machine: its bucket for an environment dependency, its
-  pinned nodes for a peer dependency, its nodes for a container;
-* ``_materialise`` puts a new node on the dependent's machine, so only
-  group *m*'s nodes create nodes in group *m*;
-* the global FIFO worklist, restricted to one group, is that group's
-  local FIFO: the partial instances come first in specification order,
-  and a node's materialisations follow it in both.
-
-So each group's nodes, edges and answers are the global run's, except
-for the ids: a shape's graph carries the ids of the group it was run
-on, and ``fresh_id`` numbers per slug across the whole graph.
-:func:`assemble` replays it over the global materialisation order --
-the partial order, then first-in first-out over each node's
-materialisations -- against every id already taken.  A spec with a
-dangling or cyclic inside chain is not split at all
-(:func:`split_by_machine` returns None), and a group that escaped or
-raised sends the whole spec to the global run, which raises the error a
-cold run raises.
+:attr:`~repro.config.hypergraph.ResourceGraph.escaped`, and
+docs/INTERNALS.md for the argument): without an escape every query a
+node's processing makes reads only the dependent's machine, a new node
+lands on the dependent's machine, and the global FIFO worklist
+restricted to one group is that group's own.  So each group's nodes,
+edges and answers are the global run's but for the ids: ``fresh_id``
+numbers per slug across the whole graph, and :func:`assemble` replays
+it over the global materialisation order against every id already
+taken.  A spec with a dangling or cyclic inside chain is not split at
+all (:func:`split_by_machine` returns None), and a group that escaped
+or raised sends the whole spec to the degenerate group, whose run
+raises the error a cold run raises.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from repro.core.errors import EngageError
 from repro.core.instances import PartialInstallSpec, PartialInstance
@@ -55,7 +43,7 @@ from repro.config.hypergraph import (
     fresh_id,
     generate_graph,
 )
-from repro.config.partition import GraphComponent
+from repro.config.partition import GraphComponent, whole_graph_component
 
 
 class MachineSplit(NamedTuple):
@@ -103,21 +91,20 @@ def split_by_machine(partial: PartialInstallSpec) -> Optional[MachineSplit]:
 
 
 def group_shape_key(instances: list[PartialInstance]) -> tuple:
-    """What GraphGen reads from one machine group, as a hashable value.
-
-    Each instance's key (by its exact version parts) and its container's
-    position in the group, then the order of the group's ids.  GraphGen
-    reads ids only to rank pinned candidates (the lowest id wins), so
-    two groups with equal keys, equal inside positions and equally
-    ordered ids generate the same graph up to names.  Explicit
-    configuration is not part of it: GraphGen only copies it.
+    """What GraphGen reads from one group, as a hashable value: each
+    instance's key (by its exact version parts: ``6.00`` is ``6.0``,
+    ``6.0.0`` is not) and its container's position in the group (one
+    outside it by its id), then the order of the group's ids.  Without
+    an escape GraphGen reads ids only to rank pinned candidates, so
+    groups with equal keys generate the same graph up to names.
+    Explicit configuration is not part of it: GraphGen only copies it.
     """
     position = {instance.id: i for i, instance in enumerate(instances)}
     return (
         tuple(
             (
                 instance.key.name, instance.key.version.parts,
-                position.get(instance.inside_id),
+                position.get(instance.inside_id, instance.inside_id),
             )
             for instance in instances
         ),
@@ -126,37 +113,35 @@ def group_shape_key(instances: list[PartialInstance]) -> tuple:
 
 
 class GroupShape:
-    """GraphGen over one machine group, shared by every group of its
-    :func:`group_shape_key`.
+    """GraphGen over one group, shared by every group of its key.
 
     The graph is the first such group's.  A node is known by its
     position: the group's instances first, in specification order, then
     the generated nodes in creation order.  ``keys`` are the nodes'
     keys, ``children`` maps a node to the generated ones its processing
-    created, and ``entry`` is the
-    :class:`~repro.config.engine.ComponentEntry` of the group's
-    component, which the graph is, whole.
+    created, ``entries`` are the
+    :class:`~repro.config.engine.ComponentEntry` of the graph's
+    components and ``positions`` their nodes'.  A machine group is one
+    component (:func:`group_shape`), and one whose GraphGen raised has
+    no graph and counts as escaped.
     """
 
-    __slots__ = ("graph", "escaped", "keys", "children", "entry",
-                 "__weakref__")
+    __slots__ = ("graph", "escaped", "keys", "children", "entries",
+                 "positions", "__weakref__")
 
     def __init__(
         self,
-        registry: ResourceTypeRegistry,
-        instances: list[PartialInstance],
+        graph: Optional[ResourceGraph],
+        components: Sequence[GraphComponent] = (),
     ) -> None:
+        self.graph = graph
+        self.escaped = graph is None or graph.escaped
+        self.entries = tuple(ComponentEntry(part) for part in components)
         self.keys: tuple[ResourceKey, ...] = ()
         self.children: dict[int, list[int]] = {}
-        self.entry = None
-        try:
-            graph = generate_graph(registry, PartialInstallSpec(instances))
-        except EngageError:
-            # The global run raises the error a cold run raises.
-            self.graph, self.escaped = None, True
+        self.positions: tuple[tuple[int, ...], ...] = ()
+        if graph is None:
             return
-        self.graph = graph
-        self.escaped = graph.escaped
         nodes = graph.nodes()
         position = {node.instance_id: i for i, node in enumerate(nodes)}
         self.keys = tuple(node.key for node in nodes)
@@ -164,24 +149,31 @@ class GroupShape:
             self.children.setdefault(position[parent], []).append(
                 position[child]
             )
-        node_ids = tuple(node.instance_id for node in nodes)
-        self.entry = ComponentEntry(GraphComponent(
-            index=0, graph=graph, node_ids=node_ids,
-            pinned=node_ids[:len(instances)],
-        ))
+        self.positions = tuple(
+            tuple(position[node_id] for node_id in part.node_ids)
+            for part in components
+        )
+
+
+def group_shape(
+    registry: ResourceTypeRegistry, instances: list[PartialInstance]
+) -> GroupShape:
+    """GraphGen over one machine group alone.  An error declines the
+    group: the degenerate group raises the error a cold run raises."""
+    try:
+        graph = generate_graph(registry, PartialInstallSpec(instances))
+    except EngageError:
+        return GroupShape(None)
+    return GroupShape(graph, [whole_graph_component(graph)])
 
 
 def assemble(
     machines: MachineSplit, shapes: list[GroupShape]
 ) -> tuple[list[tuple[str, ...]], list[tuple[int, int]]]:
     """The generated nodes' global ids, per group in the group's local
-    order, and the global materialisation order as (group, position)
-    pairs: ``fresh_id`` replayed as one global run numbers the ids.
-
-    The global worklist is the partial nodes, then each node's
-    materialisations in turn; restricted to one group it is that
-    group's own worklist.
-    """
+    order, and the global materialisation order -- the partial nodes,
+    then each node's materialisations in turn -- as (group, position)
+    pairs: ``fresh_id`` replayed as one global run numbers the ids."""
     local = [0] * len(machines.instances)
     for members in machines.members:
         for position, i in enumerate(members):
@@ -217,10 +209,7 @@ def group_nodes(
 
 
 def assembled(
-    machines: MachineSplit,
-    shapes: list[GroupShape],
-    names: list[tuple[str, ...]],
-    generated: list[tuple[int, int]],
+    machines: MachineSplit, shapes: list[GroupShape]
 ) -> tuple[ResourceGraph, list[GraphComponent]]:
     """The global graph and its components, as one global run followed
     by :func:`~repro.config.partition.partition_graph` builds them.
@@ -229,6 +218,7 @@ def assembled(
     materialisation order; edges by source, in node order.  Each group
     is one component, its nodes and edges in the group's local order.
     """
+    names, generated = assemble(machines, shapes)
     components = [
         _renamed(machines, shapes, names, index)
         for index in range(len(shapes))

@@ -97,13 +97,10 @@ class ResourceGraph:
         #: first placement query forces the walk.
         self._machine_buckets: dict[tuple[str, ResourceKey], list[GraphNode]] = {}
         self._unbucketed: deque[GraphNode] = deque()
-        #: Bookkeeping for :mod:`repro.config.groups`, which runs GraphGen
-        #: per machine group and needs to know whether a group's answers
-        #: are the global run's.  ``escaped`` is set when a query's
-        #: answer may depend on other machines or on generated ids (see
-        #: :func:`_find_existing`); ``materialised_by`` maps each
-        #: generated node to the node whose processing created it, and
-        #: ``processing`` is that node while it is processed.
+        #: For :mod:`repro.config.groups`: ``escaped`` is set when a
+        #: query's answer may depend on other machines or on generated ids
+        #: (:func:`_find_existing`), and ``materialised_by`` maps each
+        #: generated node to the node ``processing`` when it was made.
         self.escaped = False
         self.materialised_by: dict[str, str] = {}
         self.processing: Optional[str] = None

@@ -1,19 +1,14 @@
 """Component-partitioned configuration (fleet-scale solving).
 
-The GraphGen hypergraph of a fleet-sized partial specification is
-naturally a union of independent *connected components* -- one per
-application stack or machine group.  A hyperedge couples its source with
-**every** alternative target (unchosen alternatives still share the
-exactly-one constraint, so they must be solved together); inside-link
-edges tie all co-located instances to their machine node, so a component
-never splits a machine; peer edges merge the machine groups that share a
-service.
-
-Because the CNF encoding is purely edge-local (§4), the monolithic
-formula is exactly the conjunction of the per-component formulas, and a
-partial specification is satisfiable iff every component is.  The
-partitioned pipeline therefore encodes, solves, decodes and propagates
-each component independently and merges the results:
+The GraphGen hypergraph of a fleet-sized partial specification is a
+union of independent *connected components*: a hyperedge couples its
+source with **every** alternative target (unchosen alternatives still
+share the exactly-one constraint), inside links tie all co-located
+instances to their machine, and peer edges merge the machine groups
+that share a service.  The CNF encoding is edge-local (§4), so the
+monolithic formula is the conjunction of the per-component formulas,
+and the pipeline encodes, solves, decodes and propagates each component
+independently and merges the results:
 
 * the merged model/deployed-set/choices equal the monolithic ones
   (canonical decoding -- see :func:`repro.config.engine.canonical_model`
@@ -87,18 +82,13 @@ class GraphComponent:
         return len(self.node_ids)
 
 
+@dataclass
 class Partition:
     """A deterministic split of a :class:`ResourceGraph` into components."""
 
-    def __init__(
-        self,
-        graph: ResourceGraph,
-        components: list[GraphComponent],
-        component_of: dict[str, int],
-    ) -> None:
-        self.graph = graph
-        self.components = components
-        self.component_of = component_of
+    graph: ResourceGraph
+    components: list[GraphComponent]
+    component_of: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.components)

@@ -1,66 +1,48 @@
-"""Configuration by shape, and incremental configuration sessions.
+"""Configuration by group shape, and incremental configuration sessions.
 
-The paper's §6.2 evaluation -- and any deployment manager serving
-repeated traffic -- runs *families* of near-identical configuration
-queries against one fixed resource library: re-planning a deployment,
-sweeping a configuration space, answering the same request for many
-tenants, growing a live fleet by a few replicas.  A fleet is also
-symmetric inside one query: hundreds of components that are copies of
-a few stacks.  :func:`configure_call` is the one configure pipeline,
-and it exploits both through a :class:`Memo`:
+Configure traffic comes in families of near-identical queries (the
+paper's §6.2 sweep, re-planning, a fleet growing by a few replicas),
+and a fleet is symmetric inside one query: hundreds of copies of a few
+stacks.  :func:`configure_call` is the one configure pipeline, and it
+exploits both through a :class:`Memo`:
 :class:`~repro.config.engine.ConfigurationEngine` calls it with an
 empty memo that is dropped afterwards, and a
 :class:`ConfigurationSession` keeps one memo across calls.
 
-A memo keys every component by its **shape** (:func:`shape_key`,
-:func:`~repro.config.groups.group_shape_key`): what GraphGen, encode,
-solve and decode read, with every id replaced by a position and the
-explicit configuration left out (they only copy it).  Per shape it
-holds
+A call is a list of **groups** (:mod:`repro.config.groups`): the
+machine groups of a partitioned spec, or the one degenerate group of
+every instance when the spec is not partitioned, is one machine, has a
+dangling or cyclic inside chain, or has a group that cannot be answered
+on its own machine (a shared peer, a tie between generated candidates,
+an error).  Each group resolves to its
+:class:`~repro.config.groups.GroupShape` by
+:func:`~repro.config.groups.group_shape_key`, so GraphGen runs once per
+shape; the degenerate group's key adds its ids (a run over several
+machines may rank generated ids), and a one-call memo computes none.
+A shape holds its components'
+:class:`~repro.config.engine.ComponentEntry` -- encoding, persistent
+solver and decoded answer, by position: one for a machine group, one
+per :func:`~repro.config.partition.partition_graph` component (or the
+whole graph) for the degenerate group.  Each component renames its
+shape's answer onto its own ids and propagates its own values.
 
-* on the partitioned path, per **machine group** shape, one
-  :class:`~repro.config.groups.GroupShape`: GraphGen over the first
-  such group alone.  GraphGen answers a dependency on the dependent's
-  own machine unless a peer finds nothing pinned there, so the global
-  graph is the groups' graphs renamed, with generated ids numbered as
-  one global run numbers them (:mod:`repro.config.groups`);
-* per component shape, one :class:`~repro.config.engine.ComponentEntry`:
-  the **CNF encoding** (variables numbered by position, pinned
-  instances as unit clauses), one **persistent**
-  :class:`~repro.sat.solver.CdclSolver`, and once solved the canonical
-  model, the deployed nodes and the link plan, all by position.
+A session keys what it keeps on groups, least recently used first out:
 
-Each component renames its shape's answer onto its own ids and
-propagates its own values, because hostnames and explicit
-configuration differ; so does every order taken over id strings
-(``python_runtime_10`` sorts before ``python_runtime_2``).  A spec whose
-groups cannot all be answered on their own machines -- a peer shared
-across machines, a tie between generated candidates, an error -- runs
-GraphGen and the partition pass over the whole spec, and its components
-still share their shapes' entries.
-
-A session adds two levels, least recently used first out:
-
-* per **fingerprint** of the partial specification
-  (:mod:`repro.config.fingerprint`, order-sensitive in instances
-  because GraphGen is), what the call resolved -- the shapes and names
-  of its components, the whole-spec graph only on the global path -- so
-  a repeated spec skips GraphGen, the partition pass and the shape keys;
-* per component **content** (the shape, the ids and the explicit
-  configuration), the propagated instances: a later spec with that
-  component reuses them without propagating, wrapped in a fresh
-  :class:`~repro.core.instances.InstallSpec` container so callers that
-  mutate their spec (provisioning, upgrades) cannot corrupt the cache.
+* per group **content** -- the shape's key, the member ids, each
+  member's :func:`canonical_value` configuration and the generated ids
+  -- the propagated instances, which a later spec with that group
+  reuses without propagating (in a fresh container, so callers that
+  mutate their spec cannot corrupt the cache);
+* per **spec** -- the split's owner sequence and its groups' contents,
+  which name the spec exactly (a version by its parts: ``6.00`` is
+  ``6.0``) -- what it resolved to, so a repeated spec resolves nothing,
+  and the machine-group shapes it met before one escaped, so a repeated
+  hub structure declines without GraphGen.
 
 Shapes and answers are owned by the spec-level entries that list them
-(both tables are weak), so :data:`MAX_ENTRIES` bounds every level, and
-a spec-level entry holds no copy of what its shapes hold.  Registry
-**well-formedness** is verified once and memoized on the registry;
-registering a type flushes the session.
-
-Results are bit-identical to per-component configuration of the whole
-graph: the same full specifications, deployed ids and constraint
-sizes, with cache/timing metadata attached.
+(both tables are weak), so :data:`MAX_ENTRIES` bounds every level.
+Registering a type flushes the session.  Results are bit-identical to
+per-component configuration of the whole graph.
 """
 
 from __future__ import annotations
@@ -68,12 +50,14 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core.collector import collector_paused
-from repro.core.instances import PartialInstallSpec
+from repro.core.errors import UnsatisfiableError
+from repro.core.instances import PartialInstallSpec, PartialInstance
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
+from repro.config import explain
 from repro.config.constraints import ConstraintStats
 from repro.config.engine import (
     Answer,
@@ -86,12 +70,6 @@ from repro.config.engine import (
     accumulate_solver_stats,
     configure_component,
     emit_config_trace,
-    raise_unsatisfiable,
-)
-from repro.config.fingerprint import (
-    canonical_form,
-    canonical_value,
-    fingerprint_form,
 )
 from repro.config.groups import (
     GroupShape,
@@ -99,12 +77,12 @@ from repro.config.groups import (
     assemble,
     assembled,
     group_nodes,
+    group_shape,
     group_shape_key,
     split_by_machine,
 )
-from repro.config.hypergraph import ResourceGraph, generate_graph
+from repro.config.hypergraph import generate_graph
 from repro.config.partition import (
-    GraphComponent,
     PartitionInfo,
     merge_component_specs,
     partition_graph,
@@ -112,7 +90,7 @@ from repro.config.partition import (
 )
 from repro.sat.solver import SolverStats
 
-#: How many partial-spec structures a session keeps.
+#: How many partial specs a session keeps.
 MAX_ENTRIES = 1024
 
 
@@ -128,28 +106,22 @@ class SessionStats:
     solver_builds: int = 0
     solver_reuses: int = 0
     #: Calls that propagated some component / calls that reused every
-    #: component's propagated instances (``SessionCacheInfo.spec_reused``).
-    #: The names predate that flag: the frozen end-to-end benchmark reads
-    #: these two counters by name for its ``typecheck_skip_rate`` metric,
-    #: and they are renamed together with it.
+    #: component's answer (``SessionCacheInfo.spec_reused``); the frozen
+    #: benchmark reads the older names for ``typecheck_skip_rate``.
     typecheck_runs: int = 0
     typecheck_skips: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: Components resolved by content on spec-level misses / those
-    #: answered by an entry an earlier spec had already built.
+    #: The per-call counts of :class:`SessionCacheInfo`, summed.
     components_total: int = 0
     components_reused: int = 0
-    #: Machine groups whose shape had to be generated / groups answered
-    #: by a shape already held.
     groups_generated: int = 0
     groups_reused: int = 0
-    #: GraphGen runs, encodings and solver runs, summed over the calls.
     graph_runs: int = 0
     encodes: int = 0
     solves: int = 0
-    #: After the last call: the machine-group shapes (GraphGen graphs)
-    #: and the component encodings the session holds.
+    #: After the last call: the group shapes (GraphGen graphs) and the
+    #: component encodings the session holds.
     group_shapes: int = 0
     encodings: int = 0
 
@@ -159,93 +131,63 @@ class SessionStats:
         return self.graph_hits / total if total else 0.0
 
 
-def shape_key(component: GraphComponent) -> tuple:
-    """Everything encode, solve and decode read from one component, as
-    a hashable value: each node's key (by its exact version parts --
-    ``6.0 == 6.0.0`` as versions, yet they print differently), pinned
-    flag and container, and each edge's source, kind and targets, with
-    every id replaced by its node's position.
-
-    Node and edge *order* is part of the key: variable numbering, the
-    canonical model and the per-source edge indexes the decoded choices
-    are keyed by all depend on it.  So is each node's ``from_partial``
-    flag: the encoding states pinned nodes as unit clauses, and
-    components that differ only in what is pinned must never share one.
-    An edge's alternatives are not: they are its source's dependency,
-    which the source's key and the edge's rank among its edges fix.
-    """
-    graph = component.graph
-    nodes = graph.nodes()
-    position = {node.instance_id: i for i, node in enumerate(nodes)}
-    return (
-        tuple(
-            (
-                node.key.name, node.key.version.parts, node.from_partial,
-                position.get(node.inside_id),
-            )
-            for node in nodes
-        ),
-        tuple(
-            (
-                position[edge.source_id], edge.kind,
-                tuple(position[target] for target in edge.targets),
-            )
-            for edge in graph.edges()
-        ),
-    )
+#: The value types that stand for themselves in a canonical value.
+_PLAIN = {str: "str", int: "int", bool: "bool", type(None): "None"}
 
 
-class _Entry(NamedTuple):
-    """Everything a memo keeps for one fingerprint.
+def canonical_value(value: Any) -> object:
+    """A hashable form of a port value: ``1``, ``1.0``, ``True`` and
+    ``"1"`` stay apart by their type, and a dict's key order (which
+    changes neither the expanded specification nor the saved state) is
+    left out."""
+    kind = type(value)
+    if kind is dict:
+        return ("dict", tuple(sorted(
+            [(str(k), canonical_value(v)) for k, v in value.items()]
+        )))
+    if kind is list or kind is tuple:
+        return (kind.__name__, tuple([canonical_value(v) for v in value]))
+    name = _PLAIN.get(kind)  # any other value (a float: NaN != NaN) by repr
+    return (kind.__name__, repr(value)) if name is None else (name, value)
 
-    On the global path: the graph, its components and their slots.  On
-    the grouped path: per machine group, its shape, its generated ids
-    and its answer; the group's own ids and configuration come from
-    the calling spec, and the graph is assembled only if asked for.
-    """
 
-    slots: tuple[Slot, ...] = ()
-    graph: Optional[ResourceGraph] = None
-    components: tuple[GraphComponent, ...] = ()
-    groups: tuple[GroupShape, ...] = ()
-    names: tuple[tuple[str, ...], ...] = ()
-    generated: tuple[tuple[int, int], ...] = ()
-    answers: tuple[Answer, ...] = ()
+class Resolved(NamedTuple):
+    """What a spec resolved to: per group of the call, its shape and
+    its generated ids in the shape's node order; per component, in call
+    order, its answer; and the machine-group shapes met before one
+    escaped."""
+
+    groups: tuple[GroupShape, ...]
+    names: tuple[tuple[str, ...], ...]
+    answers: tuple[Answer, ...]
+    declined: tuple[GroupShape, ...] = ()
 
 
 class Memo:
-    """What configure calls share: shapes, and -- when ``stats`` is
-    given, for a session -- the spec-level entries and the answers per
-    content.  The tables of a session's memo are weak (the spec-level
-    entries own what they list); a one-call memo keeps them plainly."""
+    """What configure calls share: group shapes, and for a session (when
+    ``stats`` is given) the spec-level entries and the answers.  A
+    session's tables are weak (the spec-level entries own what they
+    list); a one-call memo keeps them plainly."""
 
     def __init__(self, stats: Optional[SessionStats] = None) -> None:
         self.stats = stats
         self.keep = stats is not None
         table = weakref.WeakValueDictionary if self.keep else dict
-        #: Fingerprint -> the spec's entry, least recently used first.
-        self.entries: dict[str, _Entry] = {}
-        #: :func:`~repro.config.groups.group_shape_key` -> GraphGen run.
+        #: A spec's key -> what it resolved to, least recently used first.
+        self.entries: dict[tuple, Resolved] = {}
+        #: A group's key -> its shape.
         self.groups = table()
-        #: :func:`shape_key` -> the entry of a component from the
-        #: global path.
-        self.shapes = table()
-        #: A component's content -> its propagated instances.
+        #: A group's content, generated ids and component index -> that
+        #: component's propagated instances.
         self.answers = table()
 
-    def clear(self) -> None:
-        self.entries.clear()
-        self.groups.clear()
-        self.shapes.clear()
-        self.answers.clear()
-
-    def lookup(self, key: str) -> Optional[_Entry]:
+    def lookup(self, key: tuple) -> Optional[Resolved]:
         entry = self.entries.pop(key, None)
         if entry is not None:
             self.entries[key] = entry  # re-insert: LRU refresh
         return entry
 
-    def store(self, key: str, entry: _Entry) -> None:
+    def store(self, key: tuple, entry: Resolved) -> None:
         self.entries[key] = entry
         if len(self.entries) > MAX_ENTRIES:
             del self.entries[next(iter(self.entries))]
@@ -258,155 +200,176 @@ class Memo:
             return Answer()
         kept = self.answers.get(content)
         if kept is None:
-            kept = self.answers[content] = Answer()
+            kept = self.answers[content] = Answer(content)
         else:
             cache.components_reused += 1
         return kept
 
-    def encodings(self) -> int:
-        entries = [shape.entry for shape in self.groups.values()]
-        entries += self.shapes.values()
-        return sum(
-            entry is not None and entry.formula is not None
-            for entry in entries
-        )
+
+def _one_group(instances: list[PartialInstance]) -> MachineSplit:
+    """The degenerate group: every instance, in specification order."""
+    return MachineSplit(
+        instances, [0] * len(instances), [list(range(len(instances)))]
+    )
 
 
-class _Layout:
-    """Where one call's components come from: an entry of the global
-    path holds its graph and components; a grouped one takes the calling
-    spec's machine groups, and assembles the graph only if asked."""
+def _contents(split: MachineSplit, values: list) -> list[tuple]:
+    """Each group's shape key, member ids and configuration values."""
+    contents = []
+    for members in split.members:
+        group = [split.instances[i] for i in members]
+        contents.append((
+            group_shape_key(group),
+            tuple(instance.id for instance in group),
+            tuple(values[i] for i in members),
+        ))
+    return contents
 
-    def __init__(
-        self, partial: PartialInstallSpec, machines: Optional[MachineSplit],
-        entry: _Entry,
-    ) -> None:
-        self.entry = entry
-        self.grouped = entry.graph is None
-        if self.grouped:
-            self.machines = machines or split_by_machine(partial)
-        self._assembled = None
 
-    def slots(self) -> tuple[Slot, ...]:
-        entry = self.entry
-        if not self.grouped:
-            return entry.slots
-        instances = self.machines.instances
-        return tuple(
-            Slot(
-                index, shape.entry,
-                tuple(instances[i].id for i in members) + names, answer,
-            )
-            for index, (members, shape, names, answer) in enumerate(zip(
-                self.machines.members, entry.groups, entry.names,
-                entry.answers,
-            ))
-        )
+class _Call:
+    """One call's groups -- ``split`` (the degenerate group is a split of
+    one) and what they resolved to -- and their components as slots."""
+
+    def __init__(self, split: MachineSplit, resolved: Resolved) -> None:
+        self.split = split
+        self.resolved = resolved
+        self.slots: list[Slot] = []
+        #: Per slot: its group and its nodes' positions in the group.
+        self.places: list[tuple[int, tuple[int, ...]]] = []
+        answers = iter(resolved.answers)
+        for group, (members, shape, names) in enumerate(zip(
+            split.members, resolved.groups, resolved.names
+        )):
+            ids = tuple(split.instances[i].id for i in members) + names
+            for entry, positions in zip(shape.entries, shape.positions):
+                self.slots.append(Slot(
+                    len(self.slots), entry,
+                    tuple(ids[p] for p in positions)
+                    if len(shape.entries) > 1 else ids,
+                    next(answers),
+                ))
+                self.places.append((group, positions))
 
     def nodes(self, index: int):
         """Component ``index``'s node keys and explicit configuration."""
-        if self.grouped:
-            return group_nodes(self.machines, self.entry.groups, index)
-        nodes = self.entry.components[index].graph.nodes()
-        return (
-            [node.key for node in nodes],
-            [node.explicit_config for node in nodes],
-        )
+        group, positions = self.places[index]
+        keys, configs = group_nodes(self.split, self.resolved.groups, group)
+        if len(positions) < len(keys):
+            keys = [keys[p] for p in positions]
+            configs = [configs[p] for p in positions]
+        return keys, configs
 
-    def whole(self) -> tuple[ResourceGraph, tuple[GraphComponent, ...]]:
-        entry = self.entry
-        if not self.grouped:
-            return entry.graph, entry.components
-        if self._assembled is None:
-            self._assembled = assembled(
-                self.machines, entry.groups, entry.names, entry.generated
-            )
-        return self._assembled
-
-    def graph(self) -> ResourceGraph:
-        return self.whole()[0]
+    def whole(self, diagnosis: bool = False):
+        """The call's graph and components; for a ``diagnosis``, which
+        reads no configuration, a degenerate shape's own."""
+        groups = self.resolved.groups
+        if diagnosis and len(groups) == 1:
+            return groups[0].graph, [e.component for e in groups[0].entries]
+        return assembled(self.split, groups)
 
 
-def _grouped(
-    registry: ResourceTypeRegistry, memo: Memo, machines: MachineSplit,
-    form: Optional[tuple], timings: PhaseTimings, cache: SessionCacheInfo,
-) -> Optional[_Entry]:
-    """GraphGen per machine group shape, each generated only if the
-    memo holds no group of its shape (:mod:`repro.config.groups`); None
-    when some group cannot be answered on its own machine."""
-    started = time.perf_counter()
-    shapes: list[GroupShape] = []
-    for members in machines.members:
-        instances = [machines.instances[i] for i in members]
-        key = group_shape_key(instances)
-        shape = memo.groups.get(key)
-        if shape is None:
-            shape = memo.groups[key] = GroupShape(registry, instances)
-            cache.groups_generated += 1
-            cache.graph_runs += 1
-        if shape.escaped:
-            del memo.groups[key]  # the global run replaces it
-            return None
-        shapes.append(shape)
-    cache.groups_reused = len(shapes) - cache.groups_generated
-    names, generated = assemble(machines, shapes)
-    timings.graph_ms = (time.perf_counter() - started) * 1000.0
-    answers = [
-        memo.answer(
-            (tuple(form[i] for i in members), group_names)
-            if form is not None else (),
-            cache,
-        )
-        for members, group_names in zip(machines.members, names)
-    ]
-    return _Entry(
-        groups=tuple(shapes), names=tuple(names),
-        generated=tuple(generated), answers=tuple(answers),
-    )
-
-
-def _whole(
+def _resolve(
     registry: ResourceTypeRegistry, partition: bool, memo: Memo,
     partial: PartialInstallSpec, timings: PhaseTimings,
     cache: SessionCacheInfo,
-) -> _Entry:
-    """GraphGen over the whole spec, then its components (the whole
-    graph as the one component unless partitioning), each resolved to
-    its shape's entry."""
+) -> _Call:
+    """Resolve ``partial`` to its groups' shapes and answers: a session
+    looks the spec up first, and a miss runs GraphGen only for the
+    shapes the memo lacks."""
+    instances = list(partial)
+    machines = split_by_machine(partial) if partition else None
+    if machines is not None and len(machines.members) < 2:
+        machines = None  # one machine group is the whole spec
+    contents = spec_key = None
+    if memo.keep:
+        values = [canonical_value(instance.config) for instance in instances]
+        contents = _contents(machines or _one_group(instances), values)
+        spec_key = (tuple(machines.owner) if machines else (), tuple(contents))
+        resolved = memo.lookup(spec_key)
+        if resolved is not None:
+            cache.graph_hit = True
+            one = len(resolved.groups) == 1
+            return _Call(_one_group(instances) if one else machines, resolved)
     started = time.perf_counter()
+    shapes: list[GroupShape] = []
+    for index, members in enumerate(machines.members if machines else ()):
+        group = [instances[i] for i in members]
+        key = contents[index][0] if contents else group_shape_key(group)
+        shape = memo.groups.get(key)
+        if shape is None:
+            shape = memo.groups[key] = group_shape(registry, group)
+            cache.groups_generated += 1
+            cache.graph_runs += 1
+        shapes.append(shape)
+        if shape.escaped:
+            break
+    declined: tuple[GroupShape, ...] = ()
+    if shapes and not shapes[-1].escaped:
+        cache.groups_reused = len(shapes) - cache.groups_generated
+        names = assemble(machines, shapes)[0]
+    else:
+        declined, machines, key = tuple(shapes), None, None
+        if memo.keep:
+            # The ids join the key: a run over several machines may
+            # rank generated ids, which a renaming could reorder.
+            [(group, ids, group_values)] = (
+                _contents(_one_group(instances), values) if declined
+                else contents
+            )
+            key = group + (ids,)
+            contents = [(key, ids, group_values)]
+        shape = _degenerate(registry, partition, memo, partial, key,
+                            timings, cache)
+        shapes = [shape]
+        names = [tuple(
+            node.instance_id for node in shape.graph.nodes()[len(instances):]
+        )]
+    answers = [
+        memo.answer((content, group_names, index), cache)
+        for content, shape, group_names in zip(
+            contents or [None] * len(shapes), shapes, names
+        )
+        for index in range(len(shape.entries))
+    ]
+    timings.graph_ms = (
+        (time.perf_counter() - started) * 1000.0 - timings.partition_ms
+    )
+    cache.components_total = len(answers)
+    resolved = Resolved(tuple(shapes), tuple(names), tuple(answers), declined)
+    if memo.keep:
+        if len(shapes) > 1:
+            # The key shares its groups' contents with their answers
+            # (one per machine group) rather than hold copies.
+            contents = tuple(answer.content[0] for answer in answers)
+            spec_key = (spec_key[0], contents)
+        memo.store(spec_key, resolved)
+    return _Call(machines or _one_group(instances), resolved)
+
+
+def _degenerate(
+    registry: ResourceTypeRegistry, partition: bool, memo: Memo,
+    partial: PartialInstallSpec, key: Optional[tuple],
+    timings: PhaseTimings, cache: SessionCacheInfo,
+) -> GroupShape:
+    """The degenerate group's shape, generated over the whole spec
+    unless the memo holds it; its GraphGen error is the call's."""
+    shape = memo.groups.get(key) if key is not None else None
+    if shape is not None:
+        cache.groups_reused += 1
+        return shape
     graph = generate_graph(registry, partial)
+    cache.groups_generated += 1
     cache.graph_runs += 1
-    ticked = time.perf_counter()
-    timings.graph_ms = (ticked - started) * 1000.0
     if partition:
+        started = time.perf_counter()
         components = partition_graph(graph).components
-        timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
+        timings.partition_ms = (time.perf_counter() - started) * 1000.0
     else:
         components = [whole_graph_component(graph)]
-    # A lone component of a one-call memo has nothing to share a shape
-    # with, so it skips the key.
-    share = memo.keep or len(components) > 1
-    slots: list[Slot] = []
-    for component in components:
-        key = None
-        if share:
-            key = shape_key(component)
-            entry = memo.shapes.get(key)
-            if entry is None:
-                entry = memo.shapes[key] = ComponentEntry(component)
-        else:
-            entry = ComponentEntry(component)
-        answer = memo.answer(
-            (key, component.node_ids, tuple(
-                canonical_value(node.explicit_config)
-                for node in component.graph.nodes()
-            )) if memo.keep else (),
-            cache,
-        )
-        slots.append(Slot(component.index, entry, component.node_ids, answer))
-    return _Entry(
-        slots=tuple(slots), graph=graph, components=tuple(components)
-    )
+    shape = GroupShape(graph, components)
+    if key is not None:
+        memo.groups[key] = shape
+    return shape
 
 
 def configure_call(
@@ -416,10 +379,11 @@ def configure_call(
     partial: PartialInstallSpec,
     tracer=None,
 ) -> ConfigurationResult:
-    """Expand ``partial`` through ``memo``: resolve its components to
-    shapes, answer each one (:func:`configure_component`; the first
-    unsatisfiable one raises for the whole spec, with the diagnosis),
-    merge, aggregate the stats into one result and emit the trace.
+    """Expand ``partial`` through ``memo``: resolve its groups to
+    shapes, answer each component (:func:`configure_component`; the
+    first unsatisfiable one raises for the whole spec, with the
+    diagnosis), merge, aggregate the stats into one result and emit the
+    trace.
 
     A session call records its outcome on the result's ``cache`` and in
     ``memo.stats``; a one-call memo records nothing.
@@ -430,33 +394,7 @@ def configure_call(
     runs: list[ComponentRun] = []
     ran = False
     try:
-        entry = form = machines = None
-        if memo.keep:
-            form = canonical_form(partial)
-            cache.fingerprint = fingerprint_form(form)
-            entry = memo.lookup(cache.fingerprint)
-            cache.graph_hit = entry is not None
-        if entry is None:
-            # A new spec runs GraphGen only for the machine group shapes
-            # the memo lacks; a spec whose groups cannot be answered
-            # machine by machine (a shared peer, a tie between generated
-            # ids, an error) runs it over the whole spec.
-            if partition:
-                machines = split_by_machine(partial)
-                # One group is the whole spec: its GraphGen run is the
-                # global one.
-                if machines is not None and len(machines.members) > 1:
-                    entry = _grouped(
-                        registry, memo, machines, form, timings, cache
-                    )
-            if entry is None:
-                machines = None
-                entry = _whole(
-                    registry, partition, memo, partial, timings, cache
-                )
-            cache.components_total = len(entry.slots or entry.groups)
-            if memo.keep:
-                memo.store(cache.fingerprint, entry)
+        call = _resolve(registry, partition, memo, partial, timings, cache)
         if stats is not None:
             stats.graph_hits += cache.graph_hit
             stats.graph_misses += not cache.graph_hit
@@ -464,13 +402,12 @@ def configure_call(
             stats.components_reused += cache.components_reused
             stats.groups_generated += cache.groups_generated
             stats.groups_reused += cache.groups_reused
-        layout = _Layout(partial, machines, entry)
-        slots = layout.slots()
+        slots = call.slots
         ran = True
         cache.cnf_hit = True
         built: set[int] = set()  # the entries whose solver this call built
         for slot in slots:
-            run = configure_component(registry, slot, layout.nodes)
+            run = configure_component(registry, slot, call.nodes)
             cache.cnf_hit &= not run.encoded
             cache.encodes += run.encoded
             cache.solves += run.solved
@@ -480,7 +417,7 @@ def configure_call(
             elif id(slot.entry) not in built:
                 cache.solvers_reused += 1
             if run.instances is None:
-                _refuse(layout, slots)
+                _refuse(call)
             runs.append(run)
     finally:
         if stats is not None:
@@ -495,7 +432,10 @@ def configure_call(
                 stats.encodes += cache.encodes
                 stats.solves += cache.solves
             stats.group_shapes = len(memo.groups)
-            stats.encodings = memo.encodings()
+            stats.encodings = sum(
+                entry.formula is not None
+                for shape in memo.groups.values() for entry in shape.entries
+            )
     cache.solver_reused = cache.solvers_reused > 0
     cache.spec_reused = bool(runs) and all(run.spec_reused for run in runs)
     cache.shapes = len({id(slot.entry) for slot in slots})
@@ -506,8 +446,7 @@ def configure_call(
     tick = time.perf_counter()
     spec = merge_component_specs([run.instances for run in runs])
     timings.propagate_ms = (time.perf_counter() - tick) * 1000.0
-    # The encoding is edge-local, so the per-component sizes sum to
-    # the whole-graph formula's exactly.
+    # The encoding is edge-local: component sizes sum to the whole's.
     constraint_stats = ConstraintStats(0, 0, 0, 0)
     solver_stats = SolverStats(components=len(slots))
     info = PartitionInfo(partition_ms=timings.partition_ms)
@@ -528,12 +467,15 @@ def configure_call(
         accumulate_solver_stats(solver_stats, slot.entry.solver.stats)
     partition_info = info if partition else None
     emit_config_trace(tracer, timings, partition_info)
-    graph = entry.graph
+    build_graph = lambda: call.whole()[0]
+    if not memo.keep and len(call.resolved.groups) == 1:
+        # A one-call memo's degenerate shape is this call's own graph:
+        # the result keeps that, not the shapes the memo lets go.
+        graph = call.resolved.groups[0].graph
+        build_graph = lambda: graph
     return ConfigurationResult(
         spec=spec,
-        # Only a grouped graph is built late; the result keeps no more
-        # than that needs (not the shapes a one-call memo lets go).
-        build_graph=layout.graph if layout.grouped else lambda: graph,
+        build_graph=build_graph,
         model=model,
         constraint_stats=constraint_stats,
         solver_stats=solver_stats,
@@ -544,18 +486,26 @@ def configure_call(
     )
 
 
-def _refuse(layout: _Layout, slots: tuple[Slot, ...]) -> None:
-    """Raise the call's :class:`UnsatisfiableError`: the diagnosis runs
-    over the spec's own components, reusing a shape's encoding where
-    the component is the one it was encoded for."""
-    graph, components = layout.whole()
+def _refuse(call: _Call) -> None:
+    """Raise the Theorem 1 :class:`UnsatisfiableError` with the
+    minimal-conflict diagnosis :mod:`repro.config.explain` computes over
+    the spec's own components, reusing a shape's encoding where the
+    component is the one it was encoded for."""
+    graph, components = call.whole(diagnosis=True)
     entries = []
-    for slot, component in zip(slots, components):
+    for slot, component in zip(call.slots, components):
         entry = ComponentEntry(component)
         if slot.ids == slot.entry.component.node_ids:
             entry.formula = slot.entry.formula
         entries.append(entry)
-    raise_unsatisfiable(graph, entries)
+    message = (
+        "no full installation specification extends the partial "
+        f"specification (over {len(graph)} candidate instances)"
+    )
+    explanation = explain.explain_unsat(graph, entries)
+    if explanation is not None:
+        message += "\n" + explanation.message(graph)
+    raise UnsatisfiableError(message)
 
 
 class ConfigurationSession:
@@ -583,12 +533,12 @@ class ConfigurationSession:
         return self._registry
 
     def __len__(self) -> int:
-        """Number of cached partial-spec structures."""
+        """Number of cached partial specs."""
         return len(self._memo.entries)
 
     def flush(self) -> None:
         """Drop every cached shape, graph, formula, solver and answer."""
-        self._memo.clear()
+        self._memo = Memo(self.stats)
 
     def _revalidate(self) -> None:
         """Flush if the registry changed since the caches were built."""

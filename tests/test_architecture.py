@@ -78,9 +78,9 @@ def test_configure_has_one_behaviour():
         ("session.py", "ConfigurationSession.configure"): ["partial"],
         ("session.py", "configure_call"):
             ["registry", "partition", "memo", "partial", "tracer"],
-        ("session.py", "shape_key"): ["component"],
+        ("groups.py", "group_shape_key"): ["instances"],
+        ("groups.py", "GroupShape.__init__"): ["graph", "components"],
         ("engine.py", "configure_component"): ["registry", "slot", "nodes"],
-        ("engine.py", "raise_unsatisfiable"): ["graph", "entries"],
         ("explain.py", "explain_unsat"): ["graph", "entries"],
         ("constraints.py", "generate_constraints"): ["graph", "encoding"],
         ("hypergraph.py", "generate_graph"): ["registry", "partial"],
@@ -106,6 +106,25 @@ def test_configure_has_one_behaviour():
                 hits.append((path, node.lineno, "facts_as_assumptions"))
     found = _signatures("config", PINNED)
     assert found == PINNED, (found, PINNED)
+    assert not hits, hits
+
+
+def test_configure_keys_on_groups():
+    # One configure path, over groups: the monolithic configure is the
+    # degenerate group, not a second path beside the grouped one, and a
+    # session keys what it keeps on group contents, not on a digest of
+    # the whole spec.  So the whole-spec path, its layout and entry, the
+    # component shape key and the fingerprint are gone from configure.
+    GONE = re.compile(
+        r"\b(canonical_form|_canonical_instance|fingerprint_form"
+        r"|fingerprint|hashlib|shape_key|_whole|_Layout|_Entry)\b"
+    )
+    hits = [
+        (path, number, match.group())
+        for path, text in _sources("config/*.py")
+        for number, line in enumerate(text.splitlines(), start=1)
+        for match in GONE.finditer(line)
+    ]
     assert not hits, hits
 
 

@@ -125,8 +125,8 @@ class TestConfigure:
             ["configure", "--session", spec_file, str(other)]
         )
         assert code == 0
-        # Identical structure under a different file name: same
-        # fingerprint, so the second call is warm.
+        # The same spec under a different file name: the session holds
+        # it, so the second call is warm.
         assert "graph-hit" in output.strip().splitlines()[1]
 
     def test_session_output_with_single_spec(self, spec_file, tmp_path):

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.config.groups import (
-    GroupShape,
-    assemble,
+    group_shape,
     assembled,
     split_by_machine,
 )
@@ -53,13 +52,12 @@ def grouped(registry, partial):
     if machines is None:
         return None
     shapes = [
-        GroupShape(registry, [machines.instances[i] for i in members])
+        group_shape(registry, [machines.instances[i] for i in members])
         for members in machines.members
     ]
     if any(shape.escaped for shape in shapes):
         return None
-    names, generated = assemble(machines, shapes)
-    return assembled(machines, shapes, names, generated)
+    return assembled(machines, shapes)
 
 
 def nodes_of(graph):
@@ -301,7 +299,7 @@ class TestPinnedCases:
         ])
         assert not check_grouped_is_global(registry, partial)
         machines = split_by_machine(partial)
-        local = GroupShape(
+        local = group_shape(
             registry, [machines.instances[i] for i in machines.members[3]]
         )
         assert local.escaped

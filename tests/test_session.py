@@ -1,4 +1,4 @@
-"""Incremental configuration sessions and partial-spec fingerprints."""
+"""Incremental configuration sessions and what they take for a spec seen."""
 
 import dataclasses
 import gc
@@ -7,24 +7,18 @@ import weakref
 
 import pytest
 
-from repro.config import (
-    ConfigurationEngine,
-    ConfigurationSession,
-    canonical_form,
-)
+from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.config.engine import (
     Answer,
     ComponentEntry,
     Slot,
     configure_component,
 )
-from repro.config.fingerprint import fingerprint_form
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import whole_graph_component
 from repro.config import session as session_module
-from repro.config.session import shape_key
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import UnsatisfiableError
+from repro.core.errors import EngageError, UnsatisfiableError
 from repro.dsl import full_to_json, load_resources
 from repro.library import standard_registry
 from repro.library.fleet import (
@@ -75,93 +69,199 @@ def two_hosts(order):
     return PartialInstallSpec(entries[name] for name in order)
 
 
-class TestFingerprint:
-    def test_instance_order_changes_hash(self):
-        a = figure2()
-        b = PartialInstallSpec(reversed(list(figure2())))
-        assert list(a.ids()) != list(b.ids())
-        assert canonical_form(a) != canonical_form(b)
+def configured(configure, partial):
+    """A configure call's result, or the text of the error it raised."""
+    try:
+        return configure(partial)
+    except EngageError as error:
+        return f"{type(error).__name__}: {error}"
 
-    def test_reordered_spec_matches_the_engine(self):
-        # GraphGen is order-sensitive, so a reordered spec must not be
-        # answered from the other order's entry.
-        registry = standard_registry()
-        a = two_hosts(["host0", "host1", "web0", "web1"])
-        b = two_hosts(["host1", "host0", "web1", "web0"])
-        engine = ConfigurationEngine(registry, partition=True)
-        runtime_host = {
-            name: engine.configure(spec).spec["python_runtime"]
-            .inside.target.id
-            for name, spec in (("a", a), ("b", b))
-        }
-        assert runtime_host == {"a": "host0", "b": "host1"}
-        session = ConfigurationSession(registry, partition=True)
-        session.configure(a)
-        got = session.configure(b)
-        assert not got.cache.graph_hit
-        assert full_to_json(got.spec) == full_to_json(
-            engine.configure(b).spec
-        )
 
-    def test_config_key_order_is_irrelevant(self):
-        a = PartialInstallSpec([
+def figure2_keyed(tomcat):
+    return PartialInstallSpec([
+        dataclasses.replace(instance, key=as_key(tomcat))
+        if instance.id == "tomcat" else instance
+        for instance in figure2()
+    ])
+
+
+def hosted(value):
+    return PartialInstallSpec([
+        PartialInstance("s", as_key("Mac-OSX 10.6"),
+                        config={"hostname": value}),
+    ])
+
+
+def ported(value):
+    """A Redis whose ``port`` is ``value``: only ``0`` and ``1`` (not
+    ``True``, ``1.0``, ``"1"``, ``False`` or ``None``) inhabit it."""
+    return PartialInstallSpec([
+        PartialInstance("m", as_key("Ubuntu-Linux 10.4"),
+                        config={"hostname": "h"}),
+        PartialInstance("r", as_key("Redis 2.4"), inside_id="m",
+                        config={"port": value}),
+    ])
+
+
+def redis_beside_gunicorn(redis_id):
+    return PartialInstallSpec([
+        PartialInstance("host0", as_key("Ubuntu-Linux 10.4"),
+                        config={"hostname": "h0"}),
+        PartialInstance("web0", as_key("Gunicorn 0.13"), inside_id="host0"),
+        PartialInstance(redis_id, as_key("Redis 2.4"), inside_id="host0"),
+    ])
+
+
+#: Pairs of specs, and whether a session must take the second for the
+#: first.  GraphGen is order-sensitive, so instance order counts; a
+#: config port's key order does not; values keep their type; a version
+#: counts by its parts, so ``6.00`` is ``6.0`` but ``6.0.18.0``, which
+#: prints differently, is not ``6.0.18``.
+PAIRS = {
+    "instance order": (
+        figure2, lambda: PartialInstallSpec(reversed(list(figure2()))),
+        False,
+    ),
+    "reordered two hosts": (
+        lambda: two_hosts(["host0", "host1", "web0", "web1"]),
+        lambda: two_hosts(["host1", "host0", "web1", "web0"]),
+        False,
+    ),
+    "config key order": (
+        lambda: PartialInstallSpec([
             PartialInstance("s", as_key("Mac-OSX 10.6"),
                             config={"hostname": "h", "os_user_name": "u"}),
-        ])
-        b = PartialInstallSpec([
+        ]),
+        lambda: PartialInstallSpec([
             PartialInstance("s", as_key("Mac-OSX 10.6"),
                             config={"os_user_name": "u", "hostname": "h"}),
-        ])
-        assert canonical_form(a) == canonical_form(b)
-
-    def test_config_value_changes_hash(self):
-        assert (canonical_form(figure2("a"))
-                != canonical_form(figure2("b")))
-
-    def test_pinned_key_changes_hash(self):
-        a = figure2()
-        b = PartialInstallSpec([
+        ]),
+        True,
+    ),
+    "config value": (lambda: figure2("a"), lambda: figure2("b"), False),
+    "pinned key": (
+        figure2,
+        lambda: PartialInstallSpec([
             PartialInstance("server", as_key("Mac-OSX 10.5"),
                             config={"hostname": "demotest"}),
             *list(figure2())[1:],
-        ])
-        assert canonical_form(a) != canonical_form(b)
-
-    def test_instance_id_changes_hash(self):
-        a = PartialInstallSpec([PartialInstance("s1", as_key("Redis 2.4"))])
-        b = PartialInstallSpec([PartialInstance("s2", as_key("Redis 2.4"))])
-        assert canonical_form(a) != canonical_form(b)
-
-    def test_inside_link_changes_hash(self):
-        a = PartialInstallSpec([
+        ]),
+        False,
+    ),
+    "instance id": (
+        lambda: PartialInstallSpec([
+            PartialInstance("m", as_key("Mac-OSX 10.6"),
+                            config={"hostname": "h"}),
+            PartialInstance("s1", as_key("Redis 2.4"), inside_id="m"),
+        ]),
+        lambda: PartialInstallSpec([
+            PartialInstance("m", as_key("Mac-OSX 10.6"),
+                            config={"hostname": "h"}),
+            PartialInstance("s2", as_key("Redis 2.4"), inside_id="m"),
+        ]),
+        False,
+    ),
+    "inside link": (
+        lambda: PartialInstallSpec([
             PartialInstance("m", as_key("Mac-OSX 10.6"),
                             config={"hostname": "h"}),
             PartialInstance("r", as_key("Redis 2.4"), inside_id="m"),
-        ])
-        b = PartialInstallSpec([
+        ]),
+        lambda: PartialInstallSpec([
             PartialInstance("m", as_key("Mac-OSX 10.6"),
                             config={"hostname": "h"}),
             PartialInstance("r", as_key("Redis 2.4")),
-        ])
-        assert canonical_form(a) != canonical_form(b)
+        ]),
+        False,
+    ),
+    "dangling inside": (
+        lambda: hosted("h"),
+        lambda: PartialInstallSpec([dataclasses.replace(
+            *hosted("h"), inside_id="nosuch"
+        )]),
+        False,
+    ),
+    **{
+        f"value {left!r} / {right!r}": (
+            lambda left=left: ported(left),
+            lambda right=right: ported(right),
+            False,
+        )
+        for left, right in [
+            (1, True), (1, 1.0), (1, "1"), (0, False), (0, None),
+        ]
+    },
+    # Same keys, containers and id order, but the second spec pins the
+    # id its generated runtime would take, so it is python_runtime_2.
+    "generated slug taken": (
+        lambda: redis_beside_gunicorn("p"),
+        lambda: redis_beside_gunicorn("python_runtime"),
+        False,
+    ),
+    "version 6.0.18 / 6.00.18": (
+        lambda: figure2_keyed("Tomcat 6.0.18"),
+        lambda: figure2_keyed("Tomcat 6.00.18"),
+        True,
+    ),
+    "version 6.0.18 / 6.0.18.0": (
+        lambda: figure2_keyed("Tomcat 6.0.18"),
+        lambda: figure2_keyed("Tomcat 6.0.18.0"),
+        False,
+    ),
+}
 
-    @pytest.mark.parametrize("left,right", [
-        (1, True), (1, 1.0), (1, "1"), (0, False), (0, None),
-    ])
-    def test_value_types_stay_distinct(self, left, right):
-        a = PartialInstallSpec([
-            PartialInstance("s", as_key("Mac-OSX 10.6"),
-                            config={"hostname": left}),
-        ])
-        b = PartialInstallSpec([
-            PartialInstance("s", as_key("Mac-OSX 10.6"),
-                            config={"hostname": right}),
-        ])
-        assert canonical_form(a) != canonical_form(b)
 
-    def test_canonical_form_keeps_spec_order(self):
-        form = canonical_form(PartialInstallSpec(reversed(list(figure2()))))
-        assert [entry[0] for entry in form] == ["openmrs", "tomcat", "server"]
+class TestSpecKey:
+    """What a session takes for a spec it has seen: b, configured after
+    a in one session, is the engine's answer for b, and hits the
+    session (and is handed a's very instances) iff the pair is equal."""
+
+    @pytest.mark.parametrize("partition", [False, True])
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_second_spec_of_a_pair(self, pair, partition):
+        first, second, equal = PAIRS[pair]
+        registry = standard_registry()
+        engine = ConfigurationEngine(registry, partition=partition)
+        session = ConfigurationSession(registry, partition=partition)
+        a = configured(session.configure, first())
+        b = configured(session.configure, second())
+        expected = configured(engine.configure, second())
+        if isinstance(expected, str):
+            assert b == expected
+            assert not equal
+            assert session.stats.graph_hits == 0
+            return
+        assert full_to_json(b.spec) == full_to_json(expected.spec)
+        assert b.cache.graph_hit == equal
+        assert b.cache.spec_reused == equal
+        kept = set() if isinstance(a, str) else set(map(id, a.spec))
+        shared = sum(id(instance) in kept for instance in b.spec)
+        assert shared == (len(b.spec) if equal else 0)
+
+    def test_a_version_prints_by_its_parts(self):
+        registry = standard_registry()
+        for version in ("6.00.18", "6.0.18.0"):
+            spec = ConfigurationEngine(registry).configure(
+                figure2_keyed(f"Tomcat {version}")
+            ).spec
+            assert str(spec["tomcat"].key) == (
+                "Tomcat 6.0.18" if version == "6.00.18"
+                else "Tomcat 6.0.18.0"
+            )
+
+    def test_reordered_hosts_name_their_runtimes_apart(self):
+        # GraphGen is order-sensitive: whichever machine comes first
+        # gets the runtime called python_runtime.
+        engine = ConfigurationEngine(standard_registry(), partition=True)
+        runtime_host = {
+            name: engine.configure(two_hosts(order)).spec["python_runtime"]
+            .inside.target.id
+            for name, order in (
+                ("a", ["host0", "host1", "web0", "web1"]),
+                ("b", ["host1", "host0", "web1", "web0"]),
+            )
+        }
+        assert runtime_host == {"a": "host0", "b": "host1"}
 
 
 class TestSession:
@@ -187,10 +287,6 @@ class TestSession:
         assert warm.cache.cnf_hit
         assert warm.cache.solver_reused
         assert warm.cache.spec_reused
-        assert warm.cache.fingerprint == cold.cache.fingerprint
-        assert cold.cache.fingerprint == fingerprint_form(
-            canonical_form(figure2())
-        )
         # One persistent solver, and a warm entry answers without it.
         assert warm.solver_stats.solve_calls == 1
         stats = session.stats
@@ -299,10 +395,23 @@ class TestOneEncoding:
         assert expected.clauses == 81
 
     def test_pinned_flag_splits_content(self):
-        """Components that differ only in whether one node is pinned get
-        different shape keys, so they never share an entry (whose unit
-        facts would answer the one with the other's pins)."""
+        """A node's pinned flag changes the answer, so components that
+        differ only in it must never share an entry (whose unit facts
+        would answer the one with the other's pins).  A session keys a
+        shape on its group's partial instances, so pinning a node is a
+        new group shape."""
         registry = standard_registry()
+        pinned = PartialInstallSpec([
+            *figure2(),
+            PartialInstance("jdk", as_key("JDK 1.6"), inside_id="server"),
+        ])
+        session = ConfigurationSession(registry)
+        session.configure(figure2())
+        got = session.configure(pinned)
+        assert got.cache.groups_generated == 1
+        assert full_to_json(got.spec) == full_to_json(
+            ConfigurationEngine(registry).configure(pinned).spec
+        )
         graph = generate_graph(registry, figure2())
 
         def copy(pinned):
@@ -318,9 +427,6 @@ class TestOneEncoding:
             return whole_graph_component(twin)
 
         same, flipped = copy(()), copy({"jdk"})
-        original = shape_key(whole_graph_component(graph))
-        assert shape_key(same) == original
-        assert shape_key(flipped) != original
 
         def deployed(component):
             nodes = component.graph.nodes()
@@ -559,6 +665,19 @@ def django_fleet(replicas, machines=8):
     )
 
 
+def hub_spec(port):
+    """A django fleet whose only broker is host000's, with web003 on
+    ``port``."""
+    return PartialInstallSpec(
+        dataclasses.replace(entry, config={"port": port})
+        if entry.id == "web003" else entry
+        for entry in fleet_spec_entries(
+            FleetTopology(replicas=8, machines=4, stacks=("django",))
+        )
+        if not entry.id.startswith("broker") or entry.inside_id == "host000"
+    )
+
+
 class TestComponentReuse:
     """The counters a +k step must show, whatever the clock says: one
     component per machine, only the machines that gained a replica are
@@ -605,27 +724,38 @@ class TestComponentReuse:
 
     def test_hub_spec_takes_the_global_path(self):
         # Every Celery peers to the one broker on host000, so no other
-        # machine's group can be answered on its own machine.
+        # machine's group can be answered on its own machine: the spec
+        # is one degenerate group, whose held shape answers the second
+        # call.
         session = ConfigurationSession(
             standard_registry(), partition=True
         )
-        for port in (8000, 9000):
-            hub = [
-                entry for entry in fleet_spec_entries(
-                    FleetTopology(replicas=8, machines=4, stacks=("django",))
-                )
-                if not entry.id.startswith("broker")
-                or entry.inside_id == "host000"
-            ]
-            hub = [
-                dataclasses.replace(entry, config={"port": port})
-                if entry.id == "web003" else entry
-                for entry in hub
-            ]
-            result = session.configure(PartialInstallSpec(hub))
-            assert result.cache.groups_reused == 0
+        for port, reused in ((8000, 0), (9000, 1)):
+            result = session.configure(hub_spec(port))
+            assert result.cache.groups_reused == reused
             assert result.partition.count == 1
-        assert session.stats.groups_reused == 0
+        assert session.stats.groups_reused == 1
+
+    def test_hub_reconfigure_runs_no_graphgen(self):
+        # The first call generates host000's group, host001's (which
+        # escapes) and the degenerate group; a changed port reuses all
+        # three: the escape's verdict declines at once.
+        registry = standard_registry()
+        session = ConfigurationSession(registry, partition=True)
+        first = session.configure(hub_spec(8000)).cache
+        assert (first.graph_runs, first.encodes) == (3, 1)
+        result = session.configure(hub_spec(9000))
+        assert not result.cache.graph_hit
+        assert (result.cache.graph_runs, result.cache.encodes) == (0, 0)
+        expected = ConfigurationEngine(registry, partition=True).configure(
+            hub_spec(9000)
+        )
+        assert full_to_json(result.spec) == full_to_json(expected.spec)
+        # The graph is this spec's, though its shape was another's.
+        assert [str(node) for node in result.graph.nodes()] == [
+            str(node) for node in expected.graph.nodes()
+        ]
+        assert result.graph.node("web003").explicit_config == {"port": 9000}
 
     def test_walk_reuses_what_any_cached_spec_holds(self):
         registry = standard_registry()

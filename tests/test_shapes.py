@@ -83,6 +83,32 @@ class TestCounts:
         assert stats.encodings <= 5
         assert stats.encodes == stats.solves == stats.graph_runs <= 5
 
+    def test_the_benchmark_counters_over_the_day2_walk(self):
+        # The six counters the end-to-end benchmark reads, exactly, over
+        # the walk above and then one spec it asked for before: the walk
+        # never repeats a spec, and the revisit is one hit whose every
+        # component is reused.
+        names = ("graph_hits", "graph_misses", "solver_builds",
+                 "solver_reuses", "typecheck_runs", "typecheck_skips")
+        rng = random.Random(11)
+        walk = [640]
+        for step in range(1, 21):
+            walk.append(
+                walk[-1] + (1 if step <= 10 else -1) * rng.randint(1, 20)
+            )
+        session = ConfigurationSession(REGISTRY, partition=True)
+
+        def configure(replicas):
+            session.configure(fleet_partial(FleetTopology(
+                replicas=replicas, machines=64, stacks=("django",)
+            )))
+            return tuple(getattr(session.stats, name) for name in names)
+
+        for replicas in walk:
+            counters = configure(replicas)
+        assert counters == (0, 21, 4, 1248, 11, 10)
+        assert configure(walk[5]) == (1, 21, 4, 1312, 11, 11)
+
 
 # -- Shape-shared = monolithic = fresh engine ----------------------------
 
