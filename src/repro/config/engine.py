@@ -30,15 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.core.collector import collector_paused
 from repro.core.errors import ConfigurationError
-from repro.core.instances import (
-    InstallSpec,
-    PartialInstallSpec,
-    ResourceInstance,
-)
+from repro.core.instances import InstallSpec, PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
 from repro.config.constraints import (
@@ -212,17 +208,20 @@ class ComponentEntry:
 
 
 class Answer:
-    """A component's propagated instances, in install order, once known.
+    """A component's propagated specification, once known.
 
     The instances are frozen dataclasses; a session keeps the holder per
     component ``content`` and hands the same instances to every spec
-    that has that component, inside a fresh container.
+    that has that component, inside a fresh container
+    (:func:`~repro.config.partition.merge_component_specs`), together
+    with the order and indexes the component's spec derived the first
+    time a merge asked for them.
     """
 
-    __slots__ = ("instances", "content", "__weakref__")
+    __slots__ = ("spec", "content", "__weakref__")
 
     def __init__(self, content: tuple = ()) -> None:
-        self.instances: Optional[tuple[ResourceInstance, ...]] = None
+        self.spec: Optional[InstallSpec] = None
         self.content = content
 
 
@@ -247,10 +246,10 @@ class ComponentRun:
     #: The shape's solver ran in this call (once per shape at most).
     solved: bool = False
     spec_reused: bool = False
-    #: The component's instances in install order -- the specification
-    #: just propagated, or the tuple an earlier call propagated; None when
-    #: the component is unsatisfiable.
-    instances: Optional[Iterable[ResourceInstance]] = None
+    #: The component's specification -- just propagated, or the one an
+    #: earlier call propagated; None when the component is
+    #: unsatisfiable.
+    spec: Optional[InstallSpec] = None
     model: dict[str, bool] = field(default_factory=dict)
     deployed: set[str] = field(default_factory=set)
 
@@ -303,16 +302,14 @@ def configure_component(
     decoded = entry.decoded
     run.model = dict(zip(ids, decoded.values))
     run.deployed = deployed = set(ids[p] for p in decoded.deployed)
-    if slot.answer.instances is not None:
+    if slot.answer.spec is not None:
         run.spec_reused = True
-        run.instances = slot.answer.instances
+        run.spec = slot.answer.spec
         return run
     keys, configs = nodes(slot.index)
-    spec = propagate_links(
+    run.spec = slot.answer.spec = propagate_links(
         registry, ids, keys, configs, deployed, decoded.links
     )
-    run.instances = spec
-    slot.answer.instances = tuple(spec)
     if encoded:  # a cached encoding cost this call nothing, not one tick
         stats.encode_ms = (encode_done - started) * 1000.0
     if run.solved:

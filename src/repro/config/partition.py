@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.instances import InstallSpec, ResourceInstance
 from repro.config.hypergraph import HyperEdge, ResourceGraph
@@ -179,39 +179,37 @@ def whole_graph_component(graph: ResourceGraph) -> GraphComponent:
     )
 
 
-def merge_component_specs(
-    specs: Sequence[Iterable[ResourceInstance]],
-) -> InstallSpec:
-    """Merge per-component full specifications (or their instance
-    sequences, each in install order) into the monolithic order.
+def merge_component_specs(specs: Sequence[InstallSpec]) -> InstallSpec:
+    """Merge per-component full specifications into the monolithic
+    specification, in the monolithic order.
 
     :meth:`InstallSpec.topological_order` is Kahn's algorithm emitting
     the smallest ready instance id at every step.  Dependencies never
     cross components, so the global ready set is the disjoint union of
     the per-component ready sets and the global choice is always the
-    smallest *next head* among the components -- a k-way merge.
+    smallest *next head* among the components -- a k-way merge of the
+    components' own orders.  The merged spec keeps that order and
+    unions the components' indexes (:meth:`InstallSpec.assembled`): a
+    component a session answered before brings the order and indexes it
+    derived then, so no per-instance walk runs for it again.  A
+    duplicate id is a :class:`~repro.core.errors.SpecError`.
     """
-    if len(specs) == 1:
-        # The whole graph as one component is already in order; a
-        # specification is handed on as it is, so the order its static
-        # check computed is not computed again by the deployment.
-        only = specs[0]
-        return only if isinstance(only, InstallSpec) else InstallSpec(only)
-    iterators = [iter(tuple(spec)) for spec in specs]
-    heap: list[tuple[str, int]] = []
-    heads = []
-    for index, iterator in enumerate(iterators):
-        head = next(iterator, None)
-        heads.append(head)
-        if head is not None:
-            heap.append((head.id, index))
+    orders = [spec.topological_order() for spec in specs]
+    heap = [
+        (order[0].id, index) for index, order in enumerate(orders) if order
+    ]
     heapq.heapify(heap)
-    merged = []
+    positions = [0] * len(orders)
+    merged: list[ResourceInstance] = []
     while heap:
-        _instance_id, index = heapq.heappop(heap)
-        merged.append(heads[index])
-        head = next(iterators[index], None)
-        heads[index] = head
-        if head is not None:
-            heapq.heappush(heap, (head.id, index))
-    return InstallSpec(merged)
+        _instance_id, index = heap[0]
+        order = orders[index]
+        position = positions[index]
+        merged.append(order[position])
+        position += 1
+        positions[index] = position
+        if position < len(order):
+            heapq.heapreplace(heap, (order[position].id, index))
+        else:
+            heapq.heappop(heap)
+    return InstallSpec.assembled(specs, merged)

@@ -416,7 +416,7 @@ def configure_call(
                 cache.solvers_built += 1
             elif id(slot.entry) not in built:
                 cache.solvers_reused += 1
-            if run.instances is None:
+            if run.spec is None:
                 _refuse(call)
             runs.append(run)
     finally:
@@ -444,7 +444,7 @@ def configure_call(
         stats.typecheck_runs += not cache.spec_reused
 
     tick = time.perf_counter()
-    spec = merge_component_specs([run.instances for run in runs])
+    spec = merge_component_specs([run.spec for run in runs])
     timings.propagate_ms = (time.perf_counter() - tick) * 1000.0
     # The encoding is edge-local: component sizes sum to the whole's.
     constraint_stats = ConstraintStats(0, 0, 0, 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.errors import CycleError, SpecError
 from repro.core.keys import ResourceKey
@@ -187,11 +187,39 @@ class InstallSpec:
     """A full installation specification: every instance, fully linked.
 
     Provides identity lookup, machine grouping, and the dependency order
-    used by the deployment engine.
+    used by the deployment engine.  The order and the indexes are
+    derived lazily and kept until the spec is mutated; a spec
+    :meth:`assembled` from independent parts derives none of them
+    itself, but takes the merged order it is given and the union of its
+    parts' indexes, each part deriving its own once.
     """
 
     def __init__(self, instances: Iterable[ResourceInstance] = ()) -> None:
         self._instances: dict[str, ResourceInstance] = {}
+        for instance in instances:
+            if instance.id in self._instances:
+                raise SpecError(f"duplicate instance id: {instance.id}")
+            self._instances[instance.id] = instance
+        self._invalidate()
+
+    @classmethod
+    def assembled(
+        cls,
+        parts: Sequence["InstallSpec"],
+        order: Iterable[ResourceInstance],
+    ) -> "InstallSpec":
+        """The spec of ``order``, which is every instance of ``parts``
+        in this spec's topological order, where no link crosses from
+        one part to another (the components of a configure call).  The
+        spec keeps ``order`` as its own and derives its indexes from the
+        parts': an instance's links, container chain and dependents all
+        lie in its own part."""
+        spec = cls(order)
+        spec._topo_order = list(spec._instances.values())
+        spec._parts = tuple(parts)
+        return spec
+
+    def _invalidate(self) -> None:
         # Lazy derived views: the dependency index both ways and the
         # topological order.  Guard checking asks for both neighbour
         # lists once per transition, so without the indexes a
@@ -199,21 +227,22 @@ class InstallSpec:
         self._upstream: Optional[dict[str, tuple[str, ...]]] = None
         self._downstream: Optional[dict[str, list[str]]] = None
         self._topo_order: Optional[list[ResourceInstance]] = None
+        self._position: Optional[dict[str, int]] = None
         self._machines: Optional[list[ResourceInstance]] = None
         # Which machine each instance sits on, memoised per walked chain,
         # and the machine -> instances index built from it.
         self._machine: dict[str, str] = {}
         self._on_machine: Optional[dict[str, list[ResourceInstance]]] = None
-        for instance in instances:
-            self.add(instance)
+        #: The independent parts an assembled spec unions its indexes
+        #: from (empty once the spec is mutated).
+        self._parts: tuple[InstallSpec, ...] = ()
 
-    def _invalidate(self) -> None:
-        self._upstream = None
-        self._downstream = None
-        self._topo_order = None
-        self._machines = None
-        self._machine = {}
-        self._on_machine = None
+    def _union(self, index) -> dict:
+        """``index`` (an index method) of every part, as one dict."""
+        merged: dict = {}
+        for part in self._parts:
+            merged.update(index(part))
+        return merged
 
     def add(self, instance: ResourceInstance) -> None:
         if instance.id in self._instances:
@@ -255,6 +284,11 @@ class InstallSpec:
         machine = memo.get(instance_id)
         if machine is not None:
             return machine
+        if self._parts and not memo:
+            self._machine = memo = self._union(InstallSpec._machine_index)
+            machine = memo.get(instance_id)
+            if machine is not None:
+                return machine
         chain: dict[str, None] = {}
         instance = self[instance_id]
         while instance.inside is not None:
@@ -272,21 +306,41 @@ class InstallSpec:
             memo[walked] = machine
         return machine
 
+    def _machine_index(self) -> dict[str, str]:
+        """:meth:`machine_of` of every instance."""
+        if len(self._machine) < len(self._instances):
+            for instance_id in self._instances:
+                self.machine_of(instance_id)
+        return self._machine
+
+    def _on_machine_index(self) -> dict[str, list[ResourceInstance]]:
+        if self._on_machine is None:
+            if self._parts:
+                self._on_machine = self._union(
+                    InstallSpec._on_machine_index
+                )
+            else:
+                index: dict[str, list[ResourceInstance]] = {}
+                for inst in self:
+                    index.setdefault(
+                        self.machine_of(inst.id), []
+                    ).append(inst)
+                self._on_machine = index
+        return self._on_machine
+
     def instances_on_machine(self, machine_id: str) -> list[ResourceInstance]:
         """Every instance whose physical context is ``machine_id``."""
-        if self._on_machine is None:
-            index: dict[str, list[ResourceInstance]] = {}
-            for inst in self:
-                index.setdefault(self.machine_of(inst.id), []).append(inst)
-            self._on_machine = index
-        return list(self._on_machine.get(machine_id, ()))
+        return list(self._on_machine_index().get(machine_id, ()))
 
     def _upstream_index(self) -> dict[str, tuple[str, ...]]:
         if self._upstream is None:
-            self._upstream = {
-                iid: tuple(inst.upstream_ids())
-                for iid, inst in self._instances.items()
-            }
+            if self._parts:
+                self._upstream = self._union(InstallSpec._upstream_index)
+            else:
+                self._upstream = {
+                    iid: tuple(inst.upstream_ids())
+                    for iid, inst in self._instances.items()
+                }
         return self._upstream
 
     def upstream_ids(self, instance_id: str) -> tuple[str, ...]:
@@ -299,15 +353,23 @@ class InstallSpec:
                 f"no instance {instance_id!r} in install spec"
             ) from None
 
+    def _downstream_index(self) -> dict[str, list[str]]:
+        if self._downstream is None:
+            if self._parts:
+                self._downstream = self._union(
+                    InstallSpec._downstream_index
+                )
+            else:
+                index: dict[str, list[str]] = {}
+                for iid, upstream_ids in self._upstream_index().items():
+                    for upstream in upstream_ids:
+                        index.setdefault(upstream, []).append(iid)
+                self._downstream = index
+        return self._downstream
+
     def downstream_ids(self, instance_id: str) -> list[str]:
         """Ids of instances that directly depend on ``instance_id``."""
-        if self._downstream is None:
-            index: dict[str, list[str]] = {}
-            for iid, upstream_ids in self._upstream_index().items():
-                for upstream in upstream_ids:
-                    index.setdefault(upstream, []).append(iid)
-            self._downstream = index
-        return list(self._downstream.get(instance_id, ()))
+        return list(self._downstream_index().get(instance_id, ()))
 
     def downstream_closure(self, instance_ids: Iterable[str]) -> set[str]:
         """``instance_ids`` plus everything that transitively depends on
@@ -329,9 +391,25 @@ class InstallSpec:
         computed once and cached until the spec is mutated; callers get
         a fresh list, so reordering/slicing it cannot corrupt the cache.
         """
-        if self._topo_order is not None:
-            return list(self._topo_order)
-        instances = self._instances
-        order = [instances[iid] for iid in kahn_order(self._upstream_index())]
-        self._topo_order = order
-        return list(order)
+        if self._topo_order is None:
+            instances = self._instances
+            self._topo_order = [
+                instances[iid] for iid in kahn_order(self._upstream_index())
+            ]
+        return list(self._topo_order)
+
+    def position(self, instance_id: str) -> int:
+        """``instance_id``'s index in :meth:`topological_order`."""
+        if self._position is None:
+            if self._topo_order is None:
+                self.topological_order()
+            self._position = {
+                instance.id: index
+                for index, instance in enumerate(self._topo_order)
+            }
+        try:
+            return self._position[instance_id]
+        except KeyError:
+            raise SpecError(
+                f"no instance {instance_id!r} in install spec"
+            ) from None

@@ -59,7 +59,9 @@ class ResourceDriver:
 
     Subclasses override :meth:`state_machine` (rarely) and the ``do_*``
     methods (always).  ``self.state`` tracks the current state; only the
-    runtime should call :meth:`perform`.
+    runtime should call :meth:`perform`.  Every write of ``self.state``
+    bumps the generation of the driver's machine, so drift detection
+    knows to look there again.
     """
 
     #: Default simulated durations (seconds) per action, overridable.
@@ -75,6 +77,7 @@ class ResourceDriver:
         self.context = context
         self.machine_spec = self.state_machine()
         self.state = self.machine_spec.initial
+        context.machine.generation += 1
 
     # -- Overridables ---------------------------------------------------
 
@@ -127,6 +130,7 @@ class ResourceDriver:
             self._log(action, transition.source, "FAILED")
             raise
         self.state = transition.target
+        self.context.machine.generation += 1
         self._log(action, transition.source, transition.target)
 
     def _log(self, action: str, source: str, target: str) -> None:

@@ -21,6 +21,7 @@ live tracer of ``deploy --trace`` / ``reconcile --trace``.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.jsontext import document_text
@@ -101,6 +102,19 @@ _PHASES = {"X", "i", "M"}
 _INSTANT_SCOPES = {"g", "p", "t"}
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A finite JSON number: a bool is not one, and neither is ``NaN``
+    or ``Infinity`` (which ``json.loads`` accepts)."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_chrome_trace(payload: Any) -> list[str]:
     """Structural schema check; returns problems (empty list = valid)."""
     problems: list[str] = []
@@ -121,19 +135,19 @@ def validate_chrome_trace(payload: Any) -> list[str]:
         if not isinstance(event.get("name"), str):
             problems.append(f"{where}: 'name' must be a string")
         for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
+            if not _is_integer(event.get(key)):
                 problems.append(f"{where}: {key!r} must be an integer")
         if "args" in event and not isinstance(event["args"], dict):
             problems.append(f"{where}: 'args' must be an object")
         if phase == "M":
             continue
-        if not isinstance(event.get("ts"), (int, float)):
+        if not _is_number(event.get("ts")):
             problems.append(f"{where}: 'ts' must be a number")
         if not isinstance(event.get("cat"), str):
             problems.append(f"{where}: 'cat' must be a string")
         if phase == "X":
             duration = event.get("dur")
-            if not isinstance(duration, (int, float)) or duration < 0:
+            if not _is_number(duration) or duration < 0:
                 problems.append(
                     f"{where}: 'dur' must be a non-negative number"
                 )

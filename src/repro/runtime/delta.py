@@ -223,15 +223,6 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
             "(see repro.runtime.reconcile)"
         )
 
-    old_order = {
-        instance.id: index
-        for index, instance in enumerate(old_spec.topological_order())
-    }
-    new_order = {
-        instance.id: index
-        for index, instance in enumerate(new_spec.topological_order())
-    }
-
     replaced = set(diff.upgraded) | set(diff.reconfigured) | set(diff.moved)
     removed = set(diff.removed)
     teardown = replaced | removed
@@ -242,9 +233,9 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
     closure = old_spec.downstream_closure(teardown)
     stop_only = closure - teardown
 
-    stop_down = sorted(closure, key=lambda iid: old_order[iid], reverse=True)
+    stop_down = sorted(closure, key=old_spec.position, reverse=True)
     uninstall_down = sorted(
-        teardown, key=lambda iid: old_order[iid], reverse=True
+        teardown, key=old_spec.position, reverse=True
     )
 
     retire_hostnames = retired_hostnames(old_spec, new_spec)
@@ -263,7 +254,7 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
 
     up = sorted(
         added | replaced | stop_only | stragglers,
-        key=lambda iid: new_order[iid],
+        key=new_spec.position,
     )
 
     steps: list[RepairStep] = []
@@ -280,7 +271,7 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
             )
     upgraded = set(diff.upgraded)
     moved = set(diff.moved)
-    for iid in sorted(replaced, key=lambda iid: new_order[iid]):
+    for iid in sorted(replaced, key=new_spec.position):
         if iid in upgraded:
             steps.append(
                 RepairStep(
@@ -301,14 +292,14 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
             steps.append(
                 RepairStep(RepairOp.RECONFIGURE, iid, "config changed")
             )
-    for iid in sorted(added, key=lambda iid: new_order[iid]):
+    for iid in sorted(added, key=new_spec.position):
         reason = (
             "new machine" if new_spec[iid].is_machine() else "added to spec"
         )
         steps.append(RepairStep(RepairOp.INSTALL, iid, reason))
-    for iid in sorted(stragglers, key=lambda iid: new_order[iid]):
+    for iid in sorted(stragglers, key=new_spec.position):
         steps.append(RepairStep(RepairOp.REDEPLOY, iid, "not at target"))
-    for iid in sorted(stop_only, key=lambda iid: new_order[iid]):
+    for iid in sorted(stop_only, key=new_spec.position):
         steps.append(RepairStep(RepairOp.RESTART, iid, "upstream replaced"))
     for iid in restart_live:
         steps.append(RepairStep(RepairOp.RESTART, iid, "process died"))
@@ -438,6 +429,16 @@ def _carry_over(
     )
 
 
+def _touched_machines(delta: DeltaPlan) -> set[str]:
+    """The machines whose instances or drivers a delta changes: where
+    an instance was removed, added or replaced, in either spec."""
+    diff = delta.diff
+    replaced = diff.upgraded + diff.reconfigured + diff.moved
+    return {
+        delta.old_spec.machine_of(iid) for iid in diff.removed + replaced
+    } | {delta.new_spec.machine_of(iid) for iid in diff.added + replaced}
+
+
 @collector_paused
 def execute_delta(
     engine: DeploymentEngine,
@@ -456,6 +457,11 @@ def execute_delta(
     :class:`DeploymentFailure` carries the new-spec system and the
     transition journal: persist them with the world and ``deploy
     --resume`` finishes the transition.
+
+    The new system keeps what drift checks saw on the machines the
+    delta left alone (:meth:`DriftIndex.carried_over
+    <repro.runtime.monitor.DriftIndex.carried_over>`), so the first
+    check after the step re-reads only where it changed something.
     """
     journal = rebase_journal(system, delta)
     report = DeploymentReport(jobs=engine.jobs)
@@ -475,6 +481,8 @@ def execute_delta(
         engine, system, delta.new_spec, delta.uninstall_down
     )
     new_system.journal = journal
+    if system.drift is not None:
+        new_system.drift = system.drift.carried_over(_touched_machines(delta))
     journal.reset_frontier()
     up_ids = [
         instance.id

@@ -145,6 +145,11 @@ class DeployedSystem:
         self.report: Optional[DeploymentReport] = None
         self.journal: DeploymentJournal = DeploymentJournal(spec)
         self._service_ids: Optional[tuple[str, ...]] = None
+        #: What drift checks last saw, per spec machine
+        #: (:class:`~repro.runtime.monitor.DriftIndex`): built by the
+        #: first check; a delta's new system starts from the entries of
+        #: the machines the delta left alone.
+        self.drift = None
 
     def driver(self, instance_id: str) -> ResourceDriver:
         return self.drivers[instance_id]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 from repro.core.collector import collector_paused
@@ -51,7 +52,7 @@ from repro.runtime.deploy import (
     DeploymentEngine,
     DeploymentReport,
 )
-from repro.runtime.monitor import ProcessMonitor
+from repro.runtime.monitor import drift_index
 
 
 class DriftKind(Enum):
@@ -93,6 +94,10 @@ class DriftReport:
     timestamp: float
     target: str
     items: list[DriftItem] = field(default_factory=list)
+    #: Instances whose driver and process the check read, where the
+    #: system's drift index found their machine had moved (a cost, not
+    #: part of the diff: left out of the payload and of equality).
+    examined: int = field(default=0, compare=False)
 
     @property
     def is_converged(self) -> bool:
@@ -167,10 +172,16 @@ def detect_drift(
     heard of are reported as ``MISSING_INSTANCE`` items in the
     ``uninstalled`` state, which is exactly what they are from the live
     world's point of view.
+
+    The lost-machine check looks at every spec machine; crashed and
+    off-target instances come from the system's
+    :class:`~repro.runtime.monitor.DriftIndex`, which re-reads only the
+    live machines whose generation moved since the last check
+    (``examined`` counts what it read).
     """
-    goal_spec = goal if goal is not None else system.spec
+    spec = system.spec
+    goal_spec = goal if goal is not None else spec
     target = system.journal.target
-    deployed_ids = set(system.spec.ids())
     network = system.infrastructure.network
     items: list[DriftItem] = []
 
@@ -185,51 +196,52 @@ def detect_drift(
             for instance_id in transition.pending
         )
 
-    lost_machine_ids = [
-        instance.id
-        for instance in system.spec.machines()
-        if instance.id in system.machines
-        and (
-            not network.has_machine(system.machines[instance.id].hostname)
-            or network.machine(system.machines[instance.id].hostname)
-            is not system.machines[instance.id]
-        )
-    ]
-    lost_ids: set[str] = set()
-    for machine_id in lost_machine_ids:
-        for instance in system.spec.instances_on_machine(machine_id):
-            lost_ids.add(instance.id)
-            items.append(
-                DriftItem(DriftKind.LOST_MACHINE, instance.id, machine_id)
-            )
-
-    for instance_id in ProcessMonitor(system).crashed_services():
-        if instance_id not in lost_ids:
-            items.append(
-                DriftItem(
-                    DriftKind.CRASHED_SERVICE,
-                    instance_id,
-                    system.state_of(instance_id),
-                )
-            )
-
-    for instance in goal_spec.topological_order():
-        if instance.id in lost_ids:
+    live: list[str] = []
+    for instance in spec.machines():
+        machine = system.machines[instance.id]
+        if (
+            network.has_machine(machine.hostname)
+            and network.machine(machine.hostname) is machine
+        ):
+            live.append(instance.id)
             continue
-        state = (
-            system.state_of(instance.id)
-            if instance.id in deployed_ids
-            else UNINSTALLED
+        items.extend(
+            DriftItem(DriftKind.LOST_MACHINE, lost.id, instance.id)
+            for lost in spec.instances_on_machine(instance.id)
         )
-        if state != target:
-            items.append(
-                DriftItem(DriftKind.MISSING_INSTANCE, instance.id, state)
-            )
+
+    index = drift_index(system)
+    seen = index.refresh(system, live)
+    items.extend(
+        DriftItem(
+            DriftKind.CRASHED_SERVICE, instance_id,
+            system.state_of(instance_id),
+        )
+        for instance_id in sorted(
+            chain.from_iterable(entry.crashed for entry in seen)
+        )
+    )
+
+    missing = list(chain.from_iterable(entry.off_target for entry in seen))
+    if goal is not None:
+        missing = [iid for iid in missing if iid in goal]
+        if target != UNINSTALLED:
+            missing.extend(set(goal.ids()).difference(spec.ids()))
+    missing.sort(key=goal_spec.position)
+    items.extend(
+        DriftItem(
+            DriftKind.MISSING_INSTANCE, instance_id,
+            system.state_of(instance_id)
+            if instance_id in system.drivers else UNINSTALLED,
+        )
+        for instance_id in missing
+    )
 
     return DriftReport(
         timestamp=system.infrastructure.clock.now,
         target=target,
         items=items,
+        examined=index.examined,
     )
 
 
@@ -331,14 +343,10 @@ def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
     """
     require_no_transition(system)
     spec = system.spec
-    order = {
-        instance.id: index
-        for index, instance in enumerate(spec.topological_order())
-    }
     steps: list[RepairStep] = []
 
     lost_machines = drift.lost_machines
-    for machine_id in sorted(lost_machines, key=lambda iid: order[iid]):
+    for machine_id in sorted(lost_machines, key=spec.position):
         steps.append(
             RepairStep(RepairOp.REPROVISION, machine_id, "machine lost")
         )
@@ -349,7 +357,7 @@ def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
         iid: "machine lost" if iid in lost else "not at target"
         for iid in redeploy
     }
-    for instance_id in sorted(redeploy, key=lambda iid: order[iid]):
+    for instance_id in sorted(redeploy, key=spec.position):
         steps.append(
             RepairStep(RepairOp.REDEPLOY, instance_id, reasons[instance_id])
         )
@@ -362,7 +370,7 @@ def plan_repair(system: DeployedSystem, drift: DriftReport) -> TransitionPlan:
         driver = system.drivers.get(instance_id)
         if isinstance(driver, ServiceDriver) and driver.state == ACTIVE:
             restarts.setdefault(instance_id, "upstream redeployed")
-    for instance_id in sorted(restarts, key=lambda iid: order[iid]):
+    for instance_id in sorted(restarts, key=spec.position):
         steps.append(
             RepairStep(
                 RepairOp.RESTART, instance_id, restarts[instance_id]
@@ -420,8 +428,10 @@ def _replace_machine(
     for instance in system.spec.instances_on_machine(machine_instance_id):
         driver = system.drivers[instance.id]
         previous = driver.state
-        driver.context.machine = fresh
         driver.state = driver.machine_spec.initial
+        # Bumped before the re-aim: drift checks watched the lost one.
+        driver.context.machine.generation += 1
+        driver.context.machine = fresh
         if isinstance(driver, ServiceDriver):
             driver.discard_process()
         if previous != driver.machine_spec.initial:

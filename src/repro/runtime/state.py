@@ -114,6 +114,7 @@ def adopt_states(system: DeployedSystem, states: dict[str, str]) -> None:
                 "its driver"
             )
         driver.state = state
+        driver.context.machine.generation += 1
         if isinstance(driver, ServiceDriver) and state == ACTIVE:
             machine = system.machine_for(instance_id)
             process = machine.find_process(driver.service_name())

@@ -6,6 +6,12 @@ shared :class:`~repro.sim.network.Network`.  Engage's runtime tools
 "determine properties of servers, such as hostname, IP address,
 operating system, CPU architecture" (S5.2) -- :meth:`Machine.facts`
 is that interface.
+
+A machine's :attr:`~Machine.generation` counts the changes drift
+detection reads there: every change to its process table or to the
+state of a process in it, and every driver-state write the runtime
+makes for an instance on it.  A machine whose generation has not moved
+since the last drift check needs no second look.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ class Machine:
         self.clock = clock
         self._processes: dict[int, SimProcess] = {}
         self._next_pid = 100
+        #: Bumped by every change drift detection reads on this machine
+        #: (see the module docstring); never reset.
+        self.generation = 0
         for base_dir in ("/etc", "/opt", "/tmp", "/usr/local", "/var/log"):
             self.fs.mkdir(base_dir)
         network.register_machine(self)
@@ -105,8 +114,10 @@ class Machine:
             listen_ports=tuple(listen_ports),
             started_at=self.clock.now,
             instance_id=instance_id,
+            machine=self,
         )
         self._processes[pid] = process
+        self.generation += 1
         for port in listen_ports:
             self.network.bind(self.hostname, port, process)
         return process
@@ -117,6 +128,7 @@ class Machine:
         process = self._processes.pop(pid, None)
         if process is None:
             raise SimulationError(f"{self.hostname}: no process {pid}")
+        self.generation += 1
         process.stop()
         for port in process.listen_ports:
             self.network.unbind(self.hostname, port)
@@ -151,6 +163,7 @@ class Machine:
             self.kill_process(process.pid)
         self.fs.restore(snapshot["fs"])
         self._processes = {}
+        self.generation += 1
         self._next_pid = snapshot["next_pid"]
 
     def __str__(self) -> str:

@@ -276,6 +276,7 @@ def _restore_machine(
             state=ProcessState(process_entry["state"]),
             started_at=process_entry["started_at"],
             instance_id=process_entry.get("instance_id", ""),
+            machine=machine,
         )
         if process.state is ProcessState.STOPPED:
             continue  # an older world's history

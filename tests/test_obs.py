@@ -153,6 +153,26 @@ class TestChromeExport:
         assert any("'dur' must be" in p for p in problems)
         assert any("instant scope" in p for p in problems)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("pid", True, "'pid' must be an integer"),
+        ("tid", False, "'tid' must be an integer"),
+        ("ts", True, "'ts' must be a number"),
+        ("dur", float("nan"), "'dur' must be a non-negative number"),
+        ("ts", float("inf"), "'ts' must be a number"),
+        ("dur", float("inf"), "'dur' must be a non-negative number"),
+    ])
+    def test_validator_rejects_bools_and_non_finite_numbers(
+        self, field, value, problem
+    ):
+        """``json.loads`` reads ``true`` as a bool, which is an int, and
+        ``NaN``/``Infinity`` as floats that compare false with 0."""
+        event = {"ph": "X", "name": "span", "pid": 1, "tid": 1,
+                 "ts": 0, "cat": "c", "dur": 1}
+        text = json.dumps({"traceEvents": [{**event, field: value}]})
+        assert validate_chrome_trace(json.loads(text)) == [
+            f"traceEvents[0]: {problem}"
+        ]
+
 
 # -- Emission through a real deployment ---------------------------------
 
