@@ -237,6 +237,23 @@ class InstallSpec:
         #: from (empty once the spec is mutated).
         self._parts: tuple[InstallSpec, ...] = ()
 
+    def parts(self) -> tuple["InstallSpec", ...]:
+        """The independent parts this spec was :meth:`assembled` from,
+        or the spec itself as its one part.  A part two specs share is
+        one object in both: its instances, their configs and machines
+        are the same in each."""
+        return self._parts or (self,)
+
+    def unshared_ids(self, other: "InstallSpec") -> set[str]:
+        """The ids of this spec's parts that are not parts of ``other``
+        (by identity): every id whose instance, placement or presence
+        may differ between the two specs."""
+        shared = {id(part) for part in other.parts()}
+        return set().union(*(
+            part._instances for part in self.parts()
+            if id(part) not in shared
+        ))
+
     def _union(self, index) -> dict:
         """``index`` (an index method) of every part, as one dict."""
         merged: dict = {}

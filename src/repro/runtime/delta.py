@@ -27,10 +27,19 @@ spec's down phase is in flight, so a crash *anywhere* in the transition
 resumes with ``deploy --resume`` -- the down phase finishes under the
 old spec's drivers, the machines retire, and the up phase completes
 under the new spec, exactly where it left off.
+
+A step costs what changed, not the fleet: :func:`diff_specs` compares
+only the parts the two specs do not share
+(:meth:`~repro.core.instances.InstallSpec.parts`), :func:`rebase_journal`
+reads only those and the machines whose generation moved since the
+journal last agreed with them (:class:`Agreement`), the journal keeps
+its frontier instead of folding its history, and execution patches the
+old system by the plan.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -63,34 +72,57 @@ from repro.sim.infrastructure import Infrastructure
 class SpecDiff:
     """Instance-level difference between the old and new full specs."""
 
+    #: The new spec, which ``unchanged`` is derived from.
+    new_spec: InstallSpec = field(repr=False, compare=False)
     added: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
     upgraded: list[str] = field(default_factory=list)  # same id, new key
     reconfigured: list[str] = field(default_factory=list)  # same key, new config
     moved: list[str] = field(default_factory=list)  # same key/config, new host
-    unchanged: list[str] = field(default_factory=list)
+    #: Instances the diff looked at: those of the parts the two specs
+    #: do not share (a cost, not part of the diff: left out of the
+    #: payload and of equality).
+    compared: int = field(default=0, compare=False)
+
+    @property
+    def unchanged(self) -> frozenset[str]:
+        """Ids in both specs that no list above names."""
+        return frozenset(self.new_spec.ids()).difference(
+            self.added, self.upgraded, self.reconfigured, self.moved
+        )
 
     def to_payload(self) -> dict:
+        changed = (
+            len(self.added) + len(self.upgraded) + len(self.reconfigured)
+            + len(self.moved)
+        )
         return {
             "added": list(self.added),
             "removed": list(self.removed),
             "upgraded": list(self.upgraded),
             "reconfigured": list(self.reconfigured),
             "moved": list(self.moved),
-            "unchanged": len(self.unchanged),
+            "unchanged": len(self.new_spec) - changed,
         }
 
 
 def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
-    diff = SpecDiff()
-    old_ids = set(old.ids())
-    new_ids = set(new.ids())
+    """The instance-level difference from ``old`` to ``new``.
+
+    Only the parts the two specs do not share are compared
+    (:meth:`InstallSpec.unshared_ids`): a part both hold is the same
+    object in each, so every instance in it is unchanged, and no id of
+    a shared part occurs in an unshared one."""
+    diff = SpecDiff(new)
+    old_ids = old.unshared_ids(new)
+    new_ids = new.unshared_ids(old)
+    diff.compared = len(old_ids | new_ids)
     diff.added = sorted(new_ids - old_ids)
     diff.removed = sorted(old_ids - new_ids)
-    for instance_id in sorted(old_ids & new_ids):
+    for instance_id in old_ids & new_ids:
         before = old[instance_id]
         after = new[instance_id]
-        if before.key != after.key:
+        if before.key is not after.key and before.key != after.key:
             diff.upgraded.append(instance_id)
         elif before.config != after.config:
             diff.reconfigured.append(instance_id)
@@ -103,24 +135,27 @@ def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
             # key/config alone used to classify this "unchanged" and
             # leave the instance running on the old machine.
             diff.moved.append(instance_id)
-        else:
-            diff.unchanged.append(instance_id)
+    for changed in (diff.upgraded, diff.reconfigured, diff.moved):
+        changed.sort()
     return diff
 
 
 def retired_hostnames(
-    old_spec: InstallSpec, new_spec: InstallSpec
+    old_spec: InstallSpec, new_spec: InstallSpec, removed: Iterable[str]
 ) -> list[str]:
-    """Hosts only the old spec wants: deregistered once the down phase
-    has emptied them."""
-    kept = {machine_hostname(instance) for instance in new_spec.machines()}
-    return sorted(
+    """Hosts only the old spec wants -- of the ``removed`` instances,
+    the machines whose hostname no new machine keeps: deregistered once
+    the down phase has emptied them."""
+    gone = [
         hostname
-        for instance in old_spec.machines()
-        if instance.id not in new_spec
+        for instance_id in removed
+        if (instance := old_spec[instance_id]).is_machine()
         and (hostname := machine_hostname(instance)) is not None
-        and hostname not in kept
-    )
+    ]
+    if not gone:
+        return []
+    kept = {machine_hostname(instance) for instance in new_spec.machines()}
+    return sorted(hostname for hostname in gone if hostname not in kept)
 
 
 def retire_machines(
@@ -165,6 +200,9 @@ class DeltaPlan:
     retire_hostnames: list[str] = field(default_factory=list)
     up: list[str] = field(default_factory=list)
     restart: list[str] = field(default_factory=list)
+    #: Instances :func:`rebase_journal` read when the plan ran (a cost,
+    #: not part of the plan: left out of the payload and of equality).
+    rebase_read: int = field(default=0, compare=False)
 
     @property
     def is_noop(self) -> bool:
@@ -238,7 +276,7 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
         teardown, key=old_spec.position, reverse=True
     )
 
-    retire_hostnames = retired_hostnames(old_spec, new_spec)
+    retire_hostnames = retired_hostnames(old_spec, new_spec, diff.removed)
 
     # Live stragglers: unchanged instances drift says never converged
     # (an interrupted earlier deploy), and crashed-but-converged
@@ -318,6 +356,41 @@ def plan_delta(system: DeployedSystem, new_spec: InstallSpec) -> DeltaPlan:
     )
 
 
+class Agreement:
+    """Where a system's journal last agreed with its drivers.
+
+    Per spec machine: the machines its instances' drivers sat on, and
+    their generations, when :func:`rebase_journal` last read every
+    instance there and left the frontier matching each driver.  Every
+    driver-state write bumps its machine's generation, and every
+    journal entry but the rebase's own follows such a write, so while
+    the generations stand the instances there still agree.
+    """
+
+    def __init__(self, system: DeployedSystem) -> None:
+        #: The journal agreed with: another one agrees with nothing.
+        self.journal = system.journal
+        self.seen: dict[str, tuple[tuple, tuple[int, ...]]] = {}
+
+    def is_current(self, machine_id: str) -> bool:
+        entry = self.seen.get(machine_id)
+        return entry is not None and all(
+            machine.generation == generation
+            for machine, generation in zip(*entry)
+        )
+
+    def carried_over(self, touched: set[str]) -> "Agreement":
+        """The entries of every machine but ``touched``, for the system
+        a delta step builds (as :meth:`DriftIndex.carried_over
+        <repro.runtime.monitor.DriftIndex.carried_over>`)."""
+        agreement = copy.copy(self)
+        agreement.seen = {
+            machine_id: entry for machine_id, entry in self.seen.items()
+            if machine_id not in touched
+        }
+        return agreement
+
+
 def rebase_journal(
     system: DeployedSystem, delta: DeltaPlan
 ) -> DeploymentJournal:
@@ -327,40 +400,63 @@ def rebase_journal(
     recorded frontier disagrees with -- or is silent about -- the live
     driver state, an ``observe:adopted`` entry pins it to the facts, so
     a resume after a crash reconstructs exactly the states the
-    transition started from.  Failure bookkeeping is cleared, and of the
-    instances at the target only the unchanged ones the down phase will
-    not touch stay completed: the up phase skips them, which is what
-    makes the plan O(diff).  A step records O(step) entries, not the
-    journal's whole history again.
+    transition started from.  Only what can disagree is read
+    (``delta.rebase_read`` counts it): the instances of the old spec's
+    parts the new one does not share, and those on machines whose
+    generation moved since the journal last agreed with them
+    (:class:`Agreement`).  Failure bookkeeping is cleared, and of the
+    instances at the target only the unchanged ones the up phase will
+    not drive stay completed -- those outside ``delta.up``, which the
+    plan's drift check found at the target and out of the stop closure:
+    the up phase skips them, which is what makes the plan O(diff).  A
+    step records O(step) entries, not the journal's whole history
+    again.
     """
     require_no_transition(system)
     journal = system.journal
-    frontier = journal.states()
-    clock = system.infrastructure.clock
-    for instance in delta.old_spec.topological_order():
-        iid = instance.id
-        if iid not in system.drivers:
+    old_spec = delta.old_spec
+    drivers = system.drivers
+    agreement = system.agreement
+    if agreement is None or agreement.journal is not journal:
+        agreement = system.agreement = Agreement(system)
+    read = old_spec.unshared_ids(delta.new_spec)
+    for machine in old_spec.machines():
+        if agreement.is_current(machine.id):
             continue
-        live = system.state_of(iid)
+        instances = old_spec.instances_on_machine(machine.id)
+        read.update(instance.id for instance in instances)
+        hosts = tuple({
+            id(driver.context.machine): driver.context.machine
+            for instance in instances
+            if (driver := drivers.get(instance.id)) is not None
+        }.values())
+        agreement.seen[machine.id] = (
+            hosts, tuple(host.generation for host in hosts)
+        )
+    delta.rebase_read = len(read)
+
+    frontier = journal.states()
+    adopted = []
+    for iid in read:
+        driver = drivers.get(iid)
+        if driver is None:
+            continue
         recorded = frontier.get(iid)
-        if recorded is None:
-            if live != system.driver(iid).machine_spec.initial:
-                journal.record(
-                    JournalEntry(iid, "observe:adopted", live, live, clock.now)
-                )
-        elif recorded != live:
-            journal.record(
-                JournalEntry(iid, "observe:adopted", recorded, live, clock.now)
-            )
+        if driver.state != recorded and (
+            recorded is not None
+            or driver.state != driver.machine_spec.initial
+        ):
+            adopted.append(iid)
+    now = system.infrastructure.clock.now
+    for iid in sorted(adopted, key=old_spec.position):
+        live = drivers[iid].state
+        journal.record(JournalEntry(
+            iid, "observe:adopted", frontier.get(iid, live), live, now
+        ))
     journal.spec = delta.new_spec
     journal.completed.clear()
+    journal.completed.update(delta.diff.unchanged.difference(delta.up))
     journal.reset_frontier()
-    stop_set = set(delta.stop_down)
-    for iid in delta.diff.unchanged:
-        if iid in stop_set or iid not in system.drivers:
-            continue
-        if system.state_of(iid) == delta.target:
-            journal.mark_completed(iid)
     return journal
 
 
@@ -418,15 +514,10 @@ def _carry_over(
     """The new spec's system with every driver the down phase leaves
     installed carried over live; everything else sits at its initial
     state, which is exactly what is still to be deployed."""
-    torn_down = set(torn_down)
-    return engine.prepare(
-        new_spec,
-        reuse_drivers={
-            iid: driver
-            for iid, driver in old_system.drivers.items()
-            if iid not in torn_down
-        },
-    )
+    carried = dict(old_system.drivers)
+    for iid in torn_down:
+        carried.pop(iid, None)
+    return engine.prepare(new_spec, reuse_drivers=carried)
 
 
 def _touched_machines(delta: DeltaPlan) -> set[str]:
@@ -481,18 +572,16 @@ def execute_delta(
         engine, system, delta.new_spec, delta.uninstall_down
     )
     new_system.journal = journal
+    touched = _touched_machines(delta)
     if system.drift is not None:
-        new_system.drift = system.drift.carried_over(_touched_machines(delta))
+        new_system.drift = system.drift.carried_over(touched)
+    new_system.agreement = system.agreement.carried_over(touched)
     journal.reset_frontier()
-    up_ids = [
-        instance.id
-        for instance in delta.new_spec.topological_order()
-        if instance.id not in journal.completed
-    ]
-    if up_ids or delta.restart:
+    # Everything the rebase left out of ``completed``, in new-spec order.
+    if delta.up or delta.restart:
         report.merge(
             engine.drive_instances(
-                new_system, up_ids, delta.target, restart=delta.restart
+                new_system, delta.up, delta.target, restart=delta.restart
             )
         )
 

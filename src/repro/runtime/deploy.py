@@ -150,6 +150,11 @@ class DeployedSystem:
         #: first check; a delta's new system starts from the entries of
         #: the machines the delta left alone.
         self.drift = None
+        #: Where the journal last agreed with the drivers, per spec
+        #: machine (:class:`~repro.runtime.delta.Agreement`): built by
+        #: the first delta step's rebase and carried over like
+        #: ``drift``.
+        self.agreement = None
 
     def driver(self, instance_id: str) -> ResourceDriver:
         return self.drivers[instance_id]

@@ -19,6 +19,16 @@ failed instance has been acted on.  ``completed`` holds the instances
 toward any other state (stop, uninstall) and an observed loss take out
 of it.
 
+The journal keeps its frontier rather than folding it on demand: each
+:meth:`~DeploymentJournal.record` moves its instance's state, a loaded
+or merged journal is folded once (``folded`` counts the entries
+folded), and a day-2 step that drops an old spec's instances
+(:meth:`~DeploymentJournal.finish_transition`) drops just their
+frontier states.  Their entries go from the history lazily, in one
+pass once they are a sixteenth of the live instances or when the
+history is next read, so a step costs what it recorded and what it
+dropped, not the journal's length.
+
 A persisted journal is read only if it has the shape :data:`JOURNAL`
 (see :func:`repro.core.jsontext.read`), names no instance outside its
 spec, keeps the three partitions disjoint and chains each instance's
@@ -37,9 +47,10 @@ from repro.core.jsontext import ANY, STRING, TIME, Rows, optional, read
 from repro.drivers.state_machine import ACTIVE, UNINSTALLED
 
 
-@dataclass
+@dataclass(slots=True)
 class JournalEntry:
-    """One completed driver transition."""
+    """One completed driver transition.  Slotted: a journal holds one
+    per action the deployment ever took."""
 
     instance_id: str
     action: str
@@ -141,16 +152,52 @@ class DeploymentJournal:
     def __init__(self, spec: InstallSpec, target: str = ACTIVE) -> None:
         self.spec = spec
         self.target = target
-        self.entries: list[JournalEntry] = []
+        self._entries: list[JournalEntry] = []
+        #: Last recorded target per instance: the folded entries.
+        self._frontier: dict[str, str] = {}
+        #: Instances dropped by :meth:`finish_transition` whose entries
+        #: are still in ``_entries``: id -> the history's length when it
+        #: was dropped (its entries before that index are dead).
+        self._dropped: dict[str, int] = {}
         self.completed: set[str] = set()
         self.failed: dict[str, str] = {}  # instance id -> error message
         self.skipped: set[str] = set()
         self.transition: Optional[SpecTransition] = None
+        #: Entries folded into the frontier in bulk, by
+        #: :meth:`from_payload`, :meth:`merged` and
+        #: :meth:`sort_entries_by_time` (a cost, not part of the journal:
+        #: left out of the document).
+        self.folded = 0
+
+    @property
+    def entries(self) -> list[JournalEntry]:
+        """Every completed transition, in the order it was recorded
+        (append through :meth:`record`, which moves the frontier)."""
+        if self._dropped:
+            self._compact()
+        return self._entries
+
+    def _compact(self) -> None:
+        """Take the dropped instances' entries out of the history, in
+        place."""
+        dropped = self._dropped
+        self._entries[:] = [
+            entry for index, entry in enumerate(self._entries)
+            if dropped.get(entry.instance_id, 0) <= index
+        ]
+        dropped.clear()
+
+    def _fold(self) -> None:
+        """The frontier of the whole history, folded afresh."""
+        entries = self.entries
+        self._frontier = {entry.instance_id: entry.target for entry in entries}
+        self.folded += len(entries)
 
     # -- Recording -------------------------------------------------------
 
     def record(self, entry: JournalEntry) -> None:
-        self.entries.append(entry)
+        self._entries.append(entry)
+        self._frontier[entry.instance_id] = entry.target
 
     def mark_completed(self, instance_id: str) -> None:
         self.completed.add(instance_id)
@@ -217,19 +264,28 @@ class DeploymentJournal:
         """The down phase is done: drop the transition record and purge
         every mention of instances the journal's own spec does not
         know, restoring the single-spec invariant ``from_payload``
-        checks."""
+        checks.  Such an instance can only come from a part of the old
+        spec the new one does not share; its frontier state goes now,
+        its entries at the next compaction."""
         if self.transition is None:
             raise RuntimeEngageError("no spec transition is in progress")
-        known = set(self.spec.ids())
-        self.entries = [
-            entry for entry in self.entries if entry.instance_id in known
+        spec = self.spec
+        # Only the old spec's parts the new one does not share can hold
+        # an id it does not know.
+        unknown = [
+            iid for iid in self.transition.from_spec.unshared_ids(spec)
+            if iid not in spec
         ]
-        self.completed &= known
-        self.failed = {
-            iid: error for iid, error in self.failed.items() if iid in known
-        }
-        self.skipped &= known
+        frontier, dropped = self._frontier, self._dropped
+        for iid in unknown:
+            if frontier.pop(iid, None) is not None:
+                dropped[iid] = len(self._entries)
+            self.failed.pop(iid, None)
+        self.completed.difference_update(unknown)
+        self.skipped.difference_update(unknown)
         self.transition = None
+        if 16 * len(dropped) > len(frontier):
+            self._compact()
 
     def reset_frontier(self) -> None:
         """Forget failure bookkeeping before a resume re-drives the
@@ -244,10 +300,11 @@ class DeploymentJournal:
         interleaves worker timelines arbitrarily; sorting by timestamp
         (stable, so each instance's per-entry order survives) restores
         the global completion order the serial engine produces
-        naturally.  :meth:`states` folds per instance, so the frontier
-        is unchanged either way.
+        naturally.  The frontier is folded again from the sorted
+        history.
         """
         self.entries.sort(key=lambda entry: entry.timestamp)
+        self._fold()
 
     # -- Merging (multi-host fleets) -------------------------------------
 
@@ -269,7 +326,7 @@ class DeploymentJournal:
         """
         journal = cls(spec, target=target)
         for source in journals:
-            journal.entries.extend(source.entries)
+            journal._entries.extend(source.entries)
             journal.completed |= source.completed
             journal.failed.update(source.failed)
             journal.skipped |= source.skipped
@@ -280,11 +337,9 @@ class DeploymentJournal:
 
     def states(self) -> dict[str, str]:
         """The frontier: last recorded target per instance; instances
-        never journalled are still in their driver's initial state."""
-        states: dict[str, str] = {}
-        for entry in self.entries:
-            states[entry.instance_id] = entry.target
-        return states
+        never journalled are still in their driver's initial state.  A
+        copy of the kept fold, not a fold of the history."""
+        return dict(self._frontier)
 
     # -- Persistence payload (embedded by repro.runtime.state) -----------
 
@@ -309,7 +364,7 @@ class DeploymentJournal:
     ) -> "DeploymentJournal":
         read(payload, JOURNAL, of="journal", error=RuntimeEngageError)
         journal = cls(spec, target=payload.get("target", ACTIVE))
-        journal.entries = [
+        journal._entries = [
             JournalEntry(*map(entry.__getitem__, ENTRY))
             for entry in payload.get("entries", ())
         ]
@@ -353,8 +408,9 @@ class DeploymentJournal:
             )
         # Per-instance entries must chain: each transition starts where
         # the previous one left off, or the folded frontier is a lie.
-        last_target: dict[str, str] = {}
-        for entry in journal.entries:
+        # The walk folds the frontier as it goes.
+        last_target = journal._frontier
+        for entry in journal._entries:
             previous = last_target.get(entry.instance_id)
             if previous is not None and entry.source != previous:
                 raise RuntimeEngageError(
@@ -363,6 +419,7 @@ class DeploymentJournal:
                     f"but the previous entry left it in {previous!r}"
                 )
             last_target[entry.instance_id] = entry.target
+        journal.folded = len(journal._entries)
         return journal
 
 

@@ -82,11 +82,19 @@ class DagScheduler:
         dependents -- exactly the guard direction of Figure 3.
         """
         spec = self.system.spec
-        order = spec.topological_order()
+        if self.only is None:
+            order = spec.topological_order()
+        else:
+            # The pass's own ids by their place in the spec's order:
+            # that order restricted, without walking the whole spec.
+            order = [
+                spec[iid] for iid in sorted(
+                    (iid for iid in self.only if iid in spec),
+                    key=spec.position,
+                )
+            ]
         if self.reverse:
             order.reverse()
-        if self.only is not None:
-            order = [i for i in order if i.id in self.only]
         position = {instance.id: n for n, instance in enumerate(order)}
         counts: list[int] = []
         dependents: list[list[int]] = [[] for _ in order]

@@ -131,7 +131,8 @@ class UpgradeEngine:
             if strategy == "replace":
                 self._deploy.uninstall(system)
                 retire_machines(
-                    infrastructure, retired_hostnames(old_spec, new_spec)
+                    infrastructure,
+                    retired_hostnames(old_spec, new_spec, diff.removed),
                 )
                 new_system = self._deploy.deploy(new_spec)
             else:

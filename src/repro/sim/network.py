@@ -40,6 +40,9 @@ class Network:
     def __init__(self) -> None:
         self._machines: dict[str, "Machine"] = {}
         self._endpoints: dict[tuple[str, int], Endpoint] = {}
+        #: The ports bound on each host, so a host leaves in the time
+        #: of its own endpoints.
+        self._ports: dict[str, set[int]] = {}
         self.connections_attempted = 0
         self.connections_refused = 0
 
@@ -54,8 +57,8 @@ class Network:
         machine = self._machines.pop(hostname, None)
         if machine is None:
             raise SimulationError(f"unknown hostname: {hostname}")
-        for key in [k for k in self._endpoints if k[0] == hostname]:
-            del self._endpoints[key]
+        for port in self._ports.pop(hostname, ()):
+            del self._endpoints[(hostname, port)]
 
     def machine(self, hostname: str) -> "Machine":
         try:
@@ -80,9 +83,11 @@ class Network:
                 f"{existing.process.name}"
             )
         self._endpoints[key] = Endpoint(hostname, port, process)
+        self._ports.setdefault(hostname, set()).add(port)
 
     def unbind(self, hostname: str, port: int) -> None:
-        self._endpoints.pop((hostname, port), None)
+        if self._endpoints.pop((hostname, port), None) is not None:
+            self._ports[hostname].discard(port)
 
     def is_port_free(self, hostname: str, port: int) -> bool:
         endpoint = self._endpoints.get((hostname, port))

@@ -13,18 +13,34 @@ the state file, a check toward another target -- and after each event
 the index's report must equal the oracle's, item for item, in order.
 A generation bump missing anywhere leaves an entry that still looks
 current, and the report it gives no longer matches the world.
+
+A delta step reads only what changed as well: :func:`diff_specs`
+compares only the parts the two specs do not share,
+:func:`rebase_journal` reads only those and the machines whose
+generation moved since the journal last agreed with them, and the
+journal keeps its frontier instead of folding its history.  The
+oracles for those are the step as it was before: the whole-spec diff,
+the whole-spec rebase, the purge of the whole history when a
+transition finishes, and the fold of every entry.  The machine's delta
+events -- grow, shrink, reconfigure a port, upgrade a machine's key,
+move a replica -- check each against its oracle while the step runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.delta as delta_module
 from repro.config import ConfigurationSession
 from repro.core.errors import DeploymentFailure, EngageError
+from repro.core.instances import PartialInstallSpec
+from repro.core.jsontext import document_text
+from repro.core.keys import ResourceKey
 from repro.drivers.library import ServiceDriver
 from repro.drivers.state_machine import ACTIVE, INACTIVE, UNINSTALLED
 from repro.library import (
@@ -32,9 +48,14 @@ from repro.library import (
     standard_infrastructure,
     standard_registry,
 )
-from repro.library.fleet import FleetTopology, fleet_partial
+from repro.library.fleet import (
+    FleetTopology,
+    fleet_partial,
+    fleet_spec_entries,
+)
 from repro.runtime import (
     DeploymentEngine,
+    DeploymentJournal,
     ProcessMonitor,
     ReconcileController,
     execute_delta,
@@ -42,13 +63,16 @@ from repro.runtime import (
     plan_delta,
     save_system,
 )
+from repro.runtime.delta import SpecDiff
+from repro.runtime.journal import JournalEntry
 from repro.runtime.reconcile import (
     DriftItem,
     DriftKind,
     DriftReport,
     detect_drift,
+    require_no_transition,
 )
-from repro.sim import MachineChurn, lose_machine
+from repro.sim import FaultPlan, MachineChurn, lose_machine
 
 REGISTRY = standard_registry()
 DRIVERS = standard_drivers()
@@ -142,6 +166,148 @@ def full_sweep(system, *, goal=None) -> DriftReport:
     )
 
 
+# -- The oracles of a delta step: the whole-spec walks ----------------------
+
+
+def whole_diff(old, new) -> tuple[SpecDiff, list[str]]:
+    """:func:`diff_specs` as it was before parts: every common id
+    compared.  Returns the diff and its unchanged ids, in order."""
+    diff = SpecDiff(new)
+    old_ids = set(old.ids())
+    new_ids = set(new.ids())
+    diff.added = sorted(new_ids - old_ids)
+    diff.removed = sorted(old_ids - new_ids)
+    unchanged = []
+    for instance_id in sorted(old_ids & new_ids):
+        before = old[instance_id]
+        after = new[instance_id]
+        if before.key != after.key:
+            diff.upgraded.append(instance_id)
+        elif before.config != after.config:
+            diff.reconfigured.append(instance_id)
+        elif (
+            not before.is_machine()
+            and old.machine_of(instance_id) != new.machine_of(instance_id)
+        ):
+            diff.moved.append(instance_id)
+        else:
+            unchanged.append(instance_id)
+    return diff, unchanged
+
+
+def whole_rebase(system, delta, unchanged):
+    """:func:`rebase_journal` as it was before: every old-spec instance
+    read, the history folded, ``completed`` cleared and re-marked."""
+    require_no_transition(system)
+    journal = system.journal
+    frontier = fold(journal.entries)
+    clock = system.infrastructure.clock
+    for instance in delta.old_spec.topological_order():
+        iid = instance.id
+        if iid not in system.drivers:
+            continue
+        live = system.state_of(iid)
+        recorded = frontier.get(iid)
+        if recorded is None:
+            if live != system.driver(iid).machine_spec.initial:
+                journal.record(
+                    JournalEntry(iid, "observe:adopted", live, live, clock.now)
+                )
+        elif recorded != live:
+            journal.record(
+                JournalEntry(iid, "observe:adopted", recorded, live, clock.now)
+            )
+    journal.spec = delta.new_spec
+    journal.completed.clear()
+    journal.reset_frontier()
+    stop_set = set(delta.stop_down)
+    for iid in unchanged:
+        if iid in stop_set or iid not in system.drivers:
+            continue
+        if system.state_of(iid) == delta.target:
+            journal.mark_completed(iid)
+    return journal
+
+
+def whole_purge(journal) -> None:
+    """:meth:`DeploymentJournal.finish_transition`'s purge as it was
+    before: the whole history filtered."""
+    known = set(journal.spec.ids())
+    kept = [entry for entry in journal.entries if entry.instance_id in known]
+    journal.entries[:] = kept
+    journal.completed &= known
+    for iid in [iid for iid in journal.failed if iid not in known]:
+        del journal.failed[iid]
+    journal.skipped &= known
+
+
+def fold(entries) -> dict[str, str]:
+    """The frontier as a fold of the whole history."""
+    states = {}
+    for entry in entries:
+        states[entry.instance_id] = entry.target
+    return states
+
+
+def twin(journal) -> DeploymentJournal:
+    """A separate journal with ``journal``'s history and partitions
+    (its frontier is left unfolded: the oracles fold the history)."""
+    copy = DeploymentJournal(journal.spec, journal.target)
+    copy.entries.extend(journal.entries)
+    copy.completed = set(journal.completed)
+    copy.failed = dict(journal.failed)
+    copy.skipped = set(journal.skipped)
+    return copy
+
+
+def same_journal(journal, oracle, after: str) -> None:
+    assert journal.entries == oracle.entries, after
+    assert journal.completed == oracle.completed, after
+    assert journal.failed == oracle.failed, after
+    assert journal.skipped == oracle.skipped, after
+    assert journal.states() == fold(oracle.entries), after
+    assert document_text(journal.to_document(), 2) == document_text(
+        oracle.to_document(), 2
+    ), after
+
+
+class Oracles:
+    """While a delta step runs, each of its whole-spec walks is checked
+    against the oracle on the same state: the rebase on a twin of the
+    journal, the purge on a copy of the history taken just before the
+    transition finishes."""
+
+    def __init__(self, patch, unchanged) -> None:
+        rebase = delta_module.rebase_journal
+        finish = DeploymentJournal.finish_transition
+
+        def checked_rebase(system, delta):
+            oracle = twin(system.journal)
+            kept = system.journal
+            system.journal = oracle
+            try:
+                whole_rebase(system, delta, unchanged)
+            finally:
+                system.journal = kept
+            journal = rebase(system, delta)
+            same_journal(journal, oracle, "rebase")
+            assert delta.up == [
+                instance.id
+                for instance in delta.new_spec.topological_order()
+                if instance.id not in oracle.completed
+            ]
+            return journal
+
+        def checked_finish(journal):
+            oracle = twin(journal)
+            whole_purge(oracle)
+            finish(journal)
+            same_journal(journal, oracle, "finish_transition")
+
+        patch.setattr(delta_module, "rebase_journal", checked_rebase)
+        patch.setattr(DeploymentJournal, "finish_transition", checked_finish)
+
+
 # -- The fleet and its events -------------------------------------------------
 
 
@@ -175,7 +341,20 @@ class Fleet:
         self.engine = DeploymentEngine(
             REGISTRY, self.infrastructure, DRIVERS
         )
+        #: Per pinned instance, the fields the delta events changed.
+        self.edits: dict[str, dict] = {}
         self.system = self.engine.deploy(configure(machines, replicas))
+
+    def partial(self, replicas: int, edits: dict) -> PartialInstallSpec:
+        entries = []
+        for entry in fleet_spec_entries(FleetTopology(
+            replicas=replicas, machines=self.machines, stacks=("django",)
+        )):
+            edit = edits.get(entry.id, {})
+            if "config" in edit:
+                edit = {**edit, "config": {**entry.config, **edit["config"]}}
+            entries.append(dataclasses.replace(entry, **edit))
+        return PartialInstallSpec(entries)
 
     def services(self, running: bool) -> list[str]:
         return sorted(
@@ -230,19 +409,75 @@ class Fleet:
         MachineChurn(self.system, seed=rng.randrange(1 << 16), rate=0.2) \
             .round(0)
 
-    def delta(self, rng) -> None:
-        step = rng.choice((-1, 1)) * rng.randint(1, 3)
-        replicas = min(max(self.replicas + step, 1), 2 * self.machines)
-        new_spec = configure(self.machines, replicas)
+    # -- Delta steps (each checked against the whole-spec oracles) -------
+
+    def step(self, replicas: int, edits: dict) -> None:
+        """Configure the fleet with ``replicas`` and ``edits`` and move
+        the live system there, unless the step cannot be planned (lost
+        machines, an unfinished transition)."""
+        new_spec = SESSION.configure(self.partial(replicas, edits)).spec
         try:
             delta = plan_delta(self.system, new_spec)
         except EngageError:
-            return  # lost machines, or an unfinished transition
-        self.replicas = replicas
-        try:
-            self.system = execute_delta(self.engine, self.system, delta).system
-        except DeploymentFailure as failure:
-            self.system = failure.system
+            return
+        oracle, unchanged = whole_diff(self.system.spec, new_spec)
+        for name in ("added", "removed", "upgraded", "reconfigured", "moved"):
+            assert getattr(delta.diff, name) == getattr(oracle, name), name
+        assert delta.diff.unchanged == set(unchanged)
+        assert delta.diff.to_payload()["unchanged"] == len(unchanged)
+        self.replicas, self.edits = replicas, edits
+        with pytest.MonkeyPatch.context() as patch:
+            Oracles(patch, unchanged)
+            try:
+                self.system = execute_delta(
+                    self.engine, self.system, delta
+                ).system
+            except DeploymentFailure as failure:
+                self.system = failure.system
+
+    def grow(self, rng) -> None:
+        self.step(min(self.replicas + rng.randint(1, 3), 2 * self.machines),
+                  self.edits)
+
+    def shrink(self, rng) -> None:
+        self.step(max(self.replicas - rng.randint(1, 3), 1), self.edits)
+
+    def reconfigure(self, rng) -> None:
+        """A replica's cache moves to another port."""
+        index = self.pick("reconfigure", list(range(self.replicas)))
+        cache = f"cache{index:03d}"
+        edit = self.edits.get(cache, {})
+        port = edit.get("config", {}).get("port", 16379 + index) + 1000
+        self.step(self.replicas, {
+            **self.edits, cache: {**edit, "config": {"port": port}},
+        })
+
+    def upgrade(self, rng) -> None:
+        """A machine's key moves to the other Ubuntu release."""
+        host = self.pick("upgrade", [
+            f"host{machine:03d}" for machine in range(self.machines)
+        ])
+        edit = self.edits.get(host, {})
+        key = ResourceKey.parse(
+            "Ubuntu-Linux 10.4" if "key" in edit else "Ubuntu-Linux 10.10"
+        )
+        kept = {name: value for name, value in edit.items() if name != "key"}
+        self.step(self.replicas, {
+            **self.edits,
+            host: kept if "key" in edit else {**edit, "key": key},
+        })
+
+    def move(self, rng) -> None:
+        """A whole replica moves to another machine."""
+        index = self.pick("move", list(range(self.replicas)))
+        host = f"host{rng.randrange(self.machines):03d}"
+        edits = dict(self.edits)
+        for role in ("web", "worker", "broker", "cache", "monitor"):
+            instance_id = f"{role}{index:03d}"
+            edits[instance_id] = {
+                **edits.get(instance_id, {}), "inside_id": host,
+            }
+        self.step(self.replicas, edits)
 
     def repair(self, rng) -> None:
         try:
@@ -252,6 +487,27 @@ class Fleet:
         except EngageError:
             return  # an unfinished transition: its repair is the resume
         controller.run(rounds=1)
+
+    def faulty_repair(self, rng) -> None:
+        """A repair round whose driver actions fail at random: what it
+        could not redeploy stays where the loss left it."""
+        self.infrastructure.set_fault_plan(
+            FaultPlan.seeded(rng.randrange(1 << 16), rate=0.5)
+        )
+        try:
+            self.repair(rng)
+        finally:
+            self.infrastructure.set_fault_plan(None)
+
+    def by_hand(self, rng) -> None:
+        """An operator stops a service through its driver, outside the
+        engine: the journal does not hear of it."""
+        running = [
+            instance_id for instance_id in self.services(running=True)
+            if self.system.drivers[instance_id].state == ACTIVE
+        ]
+        if running:
+            self.system.drivers[self.pick("by_hand", running)].perform("stop")
 
     def save_load(self, rng) -> None:
         try:
@@ -276,6 +532,8 @@ class Fleet:
 
     def check(self, after: str) -> None:
         system = self.system
+        journal = system.journal
+        assert journal.states() == fold(journal.entries), after
         assert ProcessMonitor(system).crashed_services() == (
             swept_crashed_services(system)
         ), after
@@ -289,7 +547,8 @@ class Fleet:
 
 EVENTS = (
     "fail", "kill_process", "crash_machine", "lose_machine", "churn",
-    "delta", "repair", "save_load", "retarget",
+    "grow", "shrink", "reconfigure", "upgrade", "move", "repair",
+    "faulty_repair", "by_hand", "save_load", "retarget",
 )
 #: An event and the seed its own random choices are drawn from.
 EVENT_LISTS = st.lists(
@@ -320,6 +579,12 @@ def run_events(fleet_size, events, data) -> None:
 # the repair adopts it.
 @example((2, 1), [("lose_machine", 0), ("save_load", 0), ("repair", 0)],
          None)
+# An observed loss moves the frontier even when the repair after it
+# fails to redeploy what the machine took down.
+@example((2, 2), [("lose_machine", 0), ("faulty_repair", 1)], None)
+# A service stopped by hand, on a machine the next step leaves alone,
+# is adopted by that step's rebase.
+@example((8, 1), [("grow", 0), ("by_hand", 0), ("grow", 0)], None)
 def test_drift_index_reports_what_a_full_sweep_finds(fleet_size, events, data):
     run_events(fleet_size, events, data)
 
@@ -357,8 +622,9 @@ def day2_walk():
     """CI's day-2 walk -- a 64-machine django fleet of 640 replicas
     that grows for ten steps and shrinks for ten, by ``Random(11)`` --
     deployed and moved by delta steps, three reconcile rounds under
-    machine churn after each, with every check's ``examined`` count and
-    the size of every ``kahn_order`` run recorded."""
+    machine churn after each, with every check's ``examined`` count, the
+    size of every ``kahn_order`` run, and what each delta step's diff and
+    rebase read recorded."""
     import repro.config.propagation as propagation
     import repro.core.instances as instances
 
@@ -369,6 +635,32 @@ def day2_walk():
         kahn_sizes.append(len(upstream))
         return kahn(upstream)
 
+    rebase = delta_module.rebase_journal
+    agreed: dict = {}  # machine id -> (machine, generation) at a rebase
+
+    def watched(system, delta):
+        """The old spec's instances on machines that moved since the
+        last rebase, noted before this one reads anything."""
+        spec = delta.old_spec
+        now = {
+            machine.id: (system.machines[machine.id],
+                         system.machines[machine.id].generation)
+            for machine in spec.machines()
+        }
+        moved = [
+            machine_id for machine_id, (machine, generation) in now.items()
+            if machine_id not in agreed
+            or agreed[machine_id][0] is not machine
+            or agreed[machine_id][1] != generation
+        ]
+        agreed.clear()
+        agreed.update(now)
+        record["on_moved"] = {
+            instance.id for machine_id in moved
+            for instance in spec.instances_on_machine(machine_id)
+        }
+        return rebase(system, delta)
+
     session = ConfigurationSession(REGISTRY, partition=True)
     engine = DeploymentEngine(REGISTRY, standard_infrastructure(), DRIVERS)
     rng, replicas = random.Random(11), 640
@@ -376,26 +668,37 @@ def day2_walk():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(instances, "kahn_order", counted)
         patch.setattr(propagation, "kahn_order", counted)
+        patch.setattr(delta_module, "rebase_journal", watched)
         for step in range(21):
             if step:
                 replicas += (1 if step <= 10 else -1) * rng.randint(1, 20)
             kahn_sizes.clear()
+            record = {}
+            folded = system.journal.folded if step else 0
             result = session.configure(fleet_partial(FleetTopology(
                 replicas=replicas, machines=64, stacks=("django",)
             )))
             spec = result.spec
             if step:
-                system = execute_delta(
-                    engine, system, plan_delta(system, spec)
-                ).system
+                old_spec = system.spec
+                delta = plan_delta(system, spec)
+                system = execute_delta(engine, system, delta).system
+                record["compared"] = delta.diff.compared
+                record["unshared"] = len(
+                    unshared(old_spec, spec) | unshared(spec, old_spec)
+                )
+                record["read"] = delta.rebase_read
+                record["read_bound"] = len(
+                    unshared(old_spec, spec) | record["on_moved"]
+                )
             else:
                 system = engine.deploy(spec)
                 first = detect_drift(system).examined
-            record = {
+            record.update({
                 "size": len(spec), "first": first if not step else None,
                 "largest": result.partition.largest,
                 "kahn": max(kahn_sizes, default=0),
-            }
+            })
             ReconcileController(engine, system, interval=0.0).run(
                 rounds=3, churn=MachineChurn(system, seed=step, rate=0.04)
             )
@@ -412,8 +715,19 @@ def day2_walk():
             record["crashed"] = after.crashed_services == [victim]
             record["swept"] = after.items == full_sweep(system).items
             ReconcileController(engine, system, interval=0.0).run(rounds=1)
+            record["folded"] = system.journal.folded - folded
             steps.append(record)
     return steps
+
+
+def unshared(spec, other) -> set[str]:
+    """The ids of ``spec``'s parts that are not parts of ``other``."""
+    return {
+        instance_id
+        for part in spec.parts()
+        if not any(part is theirs for theirs in other.parts())
+        for instance_id in part.ids()
+    }
 
 
 def test_the_first_check_reads_the_whole_fleet(day2_walk):
@@ -439,3 +753,25 @@ def test_a_step_orders_no_more_than_its_largest_component(day2_walk):
     assert day2_walk[0]["kahn"] > 0  # the cold step propagates
     for step in day2_walk:
         assert step["kahn"] <= step["largest"] < step["size"], step
+
+
+def test_a_delta_step_compares_only_the_parts_it_does_not_share(day2_walk):
+    """The whole-spec diff compared all ~3,500 common instances."""
+    steps = day2_walk[1:]
+    assert [step["compared"] for step in steps] == [
+        step["unshared"] for step in steps
+    ]
+    assert all(step["compared"] < step["size"] / 2 for step in steps)
+
+
+def test_a_rebase_reads_what_changed_and_where_the_world_moved(day2_walk):
+    """The whole-spec rebase read every old-spec instance."""
+    for step in day2_walk[1:]:
+        assert step["read"] <= step["read_bound"], step
+    assert all(step["read"] < step["size"] for step in day2_walk[2:])
+
+
+def test_a_step_folds_no_journal_entry(day2_walk):
+    """The frontier used to be folded from the whole history -- every
+    entry, twice a step -- and the history filtered once a step."""
+    assert [step["folded"] for step in day2_walk] == [0] * 21

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ConfigurationEngine
 from repro.core import PartialInstallSpec, PartialInstance, as_key
@@ -23,8 +25,9 @@ from repro.library import (
     standard_infrastructure,
     standard_registry,
 )
+from repro.library.fleet import FleetTopology, fleet_partial
 from repro.obs import Tracer
-from repro.runtime import DeploymentEngine, RetryPolicy
+from repro.runtime import DagScheduler, DeploymentEngine, RetryPolicy
 from repro.sim import FaultPlan, SimClock
 
 
@@ -353,6 +356,48 @@ class TestPassHeap:
         assert [i for _, i in completed] == [i for _, i in dispatched]
         assert [e.args["position"] for e in events if e.name == "dispatch"] \
             == [0, 1, 2]
+
+
+def filtered_order(spec, only, reverse):
+    """A pass's order as it was first built: the whole spec's
+    topological order, reversed for a down pass, filtered to ``only``."""
+    order = spec.topological_order()
+    if reverse:
+        order.reverse()
+    return [instance for instance in order if instance.id in only]
+
+
+class TestPassOrder:
+    """A pass over some instances orders them by their place in the
+    spec's order, without walking the rest of the spec."""
+
+    SYSTEM = DeploymentEngine(
+        standard_registry(), standard_infrastructure(), standard_drivers()
+    ).prepare(
+        ConfigurationEngine(standard_registry(), partition=True).configure(
+            fleet_partial(FleetTopology(replicas=6, machines=3))
+        ).spec
+    )
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data(), st.booleans())
+    def test_the_pass_order_is_the_spec_order_restricted(self, data, reverse):
+        spec = self.SYSTEM.spec
+        only = data.draw(st.sets(st.sampled_from(spec.ids())), label="only")
+        order, counts, dependents = DagScheduler(
+            None, self.SYSTEM, ACTIVE, reverse=reverse, only=only
+        )._dag()
+        assert order == filtered_order(spec, only, reverse)
+        position = {instance.id: n for n, instance in enumerate(order)}
+        for index, instance in enumerate(order):
+            neighbours = (
+                spec.downstream_ids(instance.id) if reverse
+                else spec.upstream_ids(instance.id)
+            )
+            prerequisites = [position[i] for i in neighbours if i in position]
+            assert counts[index] == len(prerequisites)
+            for prerequisite in prerequisites:
+                assert index in dependents[prerequisite]
 
 
 BAD_BOUNDS = pytest.mark.parametrize(

@@ -124,6 +124,28 @@ class TestNetwork:
         with pytest.raises(ConnectionRefused):
             world.network.connect("web1", 80)
 
+    def test_retiring_a_host_leaves_every_other_endpoint(self, world):
+        """A host's endpoints are indexed by host: removing one touches
+        its own and leaves the rest resolvable, in sorted order."""
+        hosts = [world.add_machine(name) for name in ("a", "b", "c")]
+        for offset, host in enumerate(hosts):
+            host.spawn_process("web", listen_ports=[80, 8000 + offset])
+            host.spawn_process("db", listen_ports=[5432])
+        hosts[1].kill_process(hosts[1].find_process("db").pid)
+        world.network.unregister_machine("b")
+        endpoints = [(e.hostname, e.port) for e in world.network.endpoints()]
+        assert endpoints == [
+            ("a", 80), ("a", 5432), ("a", 8000),
+            ("c", 80), ("c", 5432), ("c", 8002),
+        ]
+        for hostname, port in endpoints:
+            assert world.network.can_connect(hostname, port)
+        assert not world.network.can_connect("b", 80)
+        # The host comes back with a clean table.
+        world.add_machine("b").spawn_process("web", listen_ports=[80])
+        assert [(e.hostname, e.port) for e in world.network.endpoints()
+                if e.hostname == "b"] == [("b", 80)]
+
     def test_counters(self, world, machine):
         machine.spawn_process("svc", listen_ports=[80])
         world.network.can_connect("web1", 80)
